@@ -369,8 +369,9 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
               nl.devices().size(), sys.size(), nl.mismatchParams().size());
 
   // --jobs also accelerates the card path: the .pnoise flow fans the PSS
-  // monodromy columns and the LPTV B_k/V_k recursions across this pool
-  // (results are bit-identical for every jobs count).
+  // monodromy columns, the LPTV B_k recursion, and the per-source envelope
+  // chains across this pool (results are bit-identical for every jobs
+  // count).
   std::unique_ptr<ThreadPool> pool;
   if (args.jobs != 1) {
     pool = std::make_unique<ThreadPool>(args.jobs);

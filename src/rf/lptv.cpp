@@ -1,5 +1,6 @@
 #include "rf/lptv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -13,11 +14,14 @@ namespace {
 
 constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
 
-/// Per-slot scratch for the column-partitioned B_k / V_k recursions: at
-/// most one column block runs per slot at a time (ThreadPool contract), so
-/// the coupling vectors and the LU solve scratch need no locking.
+/// Per-slot scratch for the pool fan-outs: at most one column block runs
+/// per slot at a time (ThreadPool contract), so the injection evaluation
+/// buffers, the adjoint coupling vectors, and the LU solve scratch need no
+/// locking.
 struct LptvSlotScratch {
-  CplxVector col, dv;
+  RealVector bf, bq;    // one source's injection at the current grid point
+  RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
+  CplxVector col, dv;   // adjoint V_k column coupling
   LuSolveScratch<Cplx> lu;
 };
 
@@ -39,10 +43,10 @@ CplxMatrix stepMatrix(const RealMatrix& g, const RealMatrix& c, Real invH,
 /// out = (C_{k-1} v) / h  (the step coupling D_k applied to a complex
 /// envelope; C is real, so this is two real sparse multiplies in one).
 void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
-            CplxVector& out, Real invH) {
+            std::span<Cplx> out, Real invH) {
   const size_t n = v.size();
-  out.assign(n, Cplx{});
   if (pss.sparseLinearizations) {
+    std::fill(out.begin(), out.end(), Cplx{});
     const RealSparse& c = pss.cSpMats[k - 1];
     const auto ptr = c.colPointers();
     const auto idx = c.rowIndices();
@@ -92,6 +96,42 @@ void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
   }
 }
 
+/// One source's periodic injection envelope, streamed along the orbit:
+///   b_k = -bf_k - (bq_k - bq_{k-1}) / h - j w bq_k,   k = 1..M,
+/// evaluated at grid point k when a chain needs it. The caller keeps the
+/// rolling bq_{k-1} (n reals per live chain), so no ns x M x n envelope
+/// store is ever built; the per-point evaluation buffers are per slot.
+class InjectionStream {
+ public:
+  InjectionStream(const MnaSystem& sys, const PssResult& pss, Cplx jw)
+      : sys_(&sys), pss_(&pss), h_(pss.stepSize()), jw_(jw) {}
+
+  /// Starts a chain at the grid origin: bqPrev = bq_0.
+  void start(const InjectionSource& src, std::span<Real> bqPrev,
+             LptvSlotScratch& sl) const {
+    sys_->evalInjection(src, pss_->states[0], pss_->times[0], nullptr, &sl.bq);
+    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
+  }
+
+  /// Calls visit(i, b_k[i]) for every unknown i, then rolls bqPrev from
+  /// bq_{k-1} to bq_k. Steps of one chain must come in order k = 1, 2, ...
+  template <class Visit>
+  void step(const InjectionSource& src, size_t k, std::span<Real> bqPrev,
+            LptvSlotScratch& sl, const Visit& visit) const {
+    sys_->evalInjection(src, pss_->states[k], pss_->times[k], &sl.bf, &sl.bq);
+    for (size_t i = 0; i < bqPrev.size(); ++i) {
+      visit(i, -sl.bf[i] - (sl.bq[i] - bqPrev[i]) / h_ - jw_ * sl.bq[i]);
+    }
+    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
+  }
+
+ private:
+  const MnaSystem* sys_;
+  const PssResult* pss_;
+  Real h_;
+  Cplx jw_;
+};
+
 /// The LPTV factor cache: K_k = G_k + (1/h + j w) C_k factored for every
 /// grid step k = 1..M, kept for the closure and forward/adjoint passes.
 /// Dense results use DenseLU as before; sparse results assemble K into one
@@ -136,16 +176,8 @@ class StepFactors {
   }
 
   // k = 1..M selects the step factor, matching the cyclic system indexing.
-  void solveInPlace(size_t k, std::span<Cplx> b) const {
-    if (sparse_) lus_[k - 1].solveInPlace(b);
-    else dense_[k - 1].solveInPlace(b);
-  }
-  void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs) const {
-    if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs);
-    else dense_[k - 1].solveManyInPlace(b, nrhs);
-  }
-  /// Concurrently callable variant: threads sharing step factor k solve
-  /// disjoint column blocks, one scratch per slot.
+  // The block solves are concurrently callable: threads sharing step factor
+  // k solve disjoint column blocks, one scratch per slot.
   void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                         LuSolveScratch<Cplx>& scratch) const {
     if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
@@ -155,12 +187,6 @@ class StepFactors {
     if (sparse_) lus_[k - 1].solveTransposedInPlace(b);
     else dense_[k - 1].solveTransposedInPlace(b);
   }
-  void solveTransposedManyInPlace(size_t k, std::span<Cplx> b,
-                                  size_t nrhs) const {
-    if (sparse_) lus_[k - 1].solveTransposedManyInPlace(b, nrhs);
-    else dense_[k - 1].solveTransposedManyInPlace(b, nrhs);
-  }
-  /// Concurrently callable variant (see solveManyInPlace above).
   void solveTransposedManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                                   LuSolveScratch<Cplx>& scratch) const {
     if (sparse_) lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
@@ -233,8 +259,12 @@ class ClosureSolver {
     corrected_ = true;
   }
 
-  CplxVector solve(std::span<const Cplx> b) const {
-    CplxVector x = lu_.solve(b);
+  /// Solves (I - S') x = b on the caller's LU scratch, so slots sharing one
+  /// closure solve concurrently (one scratch per slot).
+  CplxVector solve(std::span<const Cplx> b,
+                   LuSolveScratch<Cplx>& scratch) const {
+    CplxVector x(b.begin(), b.end());
+    lu_.solveInPlace(x, scratch);
     if (!corrected_) return x;
     Cplx vb{};
     for (size_t i = 0; i < b.size(); ++i) vb += v_[i] * b[i];
@@ -278,117 +308,103 @@ LptvSolver::LptvSolver(const MnaSystem& sys, const PssResult& pss,
              "PSS result lacks stored linearizations");
 }
 
-std::vector<CplxVector> LptvSolver::sourceEnvelope(const InjectionSource& src,
-                                                   Real offsetFreq) const {
-  const size_t n = sys_->size();
-  const size_t m = pss_->stepCount();
-  const Real h = pss_->stepSize();
-  const Cplx jw(0.0, kTwoPi * offsetFreq);
-
-  // bq at all grid points first (including k=0 for the backward difference
-  // at k=1; the grid is periodic so bq[0] == bq[M] to PSS tolerance).
-  std::vector<RealVector> bqs(m + 1);
-  std::vector<RealVector> bfs(m + 1);
-  for (size_t k = 0; k <= m; ++k) {
-    sys_->evalInjection(src, pss_->states[k], pss_->times[k], &bfs[k],
-                        &bqs[k]);
-  }
-  std::vector<CplxVector> b(m + 1);  // b[k] for k = 1..M (b[0] unused)
-  for (size_t k = 1; k <= m; ++k) {
-    b[k].assign(n, Cplx{});
-    for (size_t i = 0; i < n; ++i) {
-      b[k][i] = -bfs[k][i] - (bqs[k][i] - bqs[k - 1][i]) / h - jw * bqs[k][i];
-    }
-  }
-  return b;
-}
-
 LptvSolution LptvSolver::solveDirect(std::span<const InjectionSource> sources,
                                      Real offsetFreq) const {
   TraceSpan span(Phase::kLptv, "lptv_direct");
   const size_t n = sys_->size();
   const size_t m = pss_->stepCount();
-  const Real h = pss_->stepSize();
-  const Real invH = 1.0 / h;
+  const Real invH = 1.0 / pss_->stepSize();
   const Cplx jw(0.0, kTwoPi * offsetFreq);
   const size_t ns = sources.size();
-
-  // Injection envelopes b_k per source.
-  std::vector<std::vector<CplxVector>> b(ns);
-  for (size_t s = 0; s < ns; ++s) b[s] = sourceEnvelope(sources[s], offsetFreq);
+  const InjectionStream stream(*sys_, *pss_, jw);
 
   // Step-matrix factor cache K_k, k = 1..M (dense LU or pattern-sharing
   // sparse LU depending on how the PSS stored its linearizations).
   const StepFactors lus(*pss_, invH, jw);
 
-  // Pass 1: propagate homogeneous (B) and particular (alpha) parts.
-  //   alpha_k = K_k^{-1}(D_k alpha_{k-1} + b_k),  B_k = K_k^{-1} D_k B_{k-1}.
-  CplxMatrix bMat = CplxMatrix::identity(n);
-  std::vector<CplxVector> alpha(ns, CplxVector(n, Cplx{}));
-  CplxVector dv(n);
-  CplxVector colBuf(n * n);  // column-major block for the batched B update
-  // Column fan-out for the B recursion: column j of B_k depends only on
-  // column j of B_{k-1}, so the coupling, the batched substitution, and
-  // the write-back partition into per-slot blocks with bit-identical
-  // results for every jobs count (serial = one block).
+  // Pass 1: the homogeneous part B and every source's particular part
+  // alpha as one recursion over the n + ns columns X = [B | alpha]:
+  //   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
+  // Column j of X_k reads only column j of X_{k-1} (plus, for a source
+  // column, that source's streamed injection), so each slot carries one
+  // contiguous column block through all M steps with one batched solve
+  // per step, bit-identical for every partition (no pool = one block).
+  // A block ping-pongs between x and y; every block takes M steps, so X_M
+  // ends up in the same buffer for all of them.
   ThreadPool* pool = opt_.pool;
-  const size_t slots = columnBlockSlots(pool, n);
-  std::vector<LptvSlotScratch> slotScratch(slots);
-  const auto updateBColumns = [&](size_t k, size_t j0, size_t j1,
-                                  size_t slot) {
-    LptvSlotScratch& sl = slotScratch[slot];
-    sl.col.resize(n);
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) sl.col[i] = bMat(i, j);
-      applyD(*pss_, k, sl.col, sl.dv, invH);
-      std::copy(sl.dv.begin(), sl.dv.end(), colBuf.begin() + j * n);
-    }
-    lus.solveManyInPlace(k,
-                         std::span<Cplx>(colBuf.data() + j0 * n,
-                                         (j1 - j0) * n),
-                         j1 - j0, sl.lu);
-    // Safe in-body write-back: no other block reads these columns.
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) bMat(i, j) = colBuf[j * n + i];
-    }
+  const size_t cols = n + ns;
+  std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, cols));
+  CplxVector x(n * cols, Cplx{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = Cplx(1.0, 0.0);
+  RealVector bqPrev(n * ns);  // each live chain's rolling bq_{k-1}
+  const auto bqOf = [&](size_t s) {
+    return std::span<Real>(bqPrev.data() + s * n, n);
   };
-  for (size_t k = 1; k <= m; ++k) {
-    for (size_t s = 0; s < ns; ++s) {
-      applyD(*pss_, k, alpha[s], dv, invH);
-      for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
-      lus.solveInPlace(k, dv);
-      alpha[s].assign(dv.begin(), dv.end());
+  forEachColumnBlock(pool, cols, [&](size_t j0, size_t j1, size_t slot) {
+    LptvSlotScratch& sl = slotScratch[slot];
+    for (size_t j = std::max(j0, n); j < j1; ++j) {
+      stream.start(sources[j - n], bqOf(j - n), sl);
     }
-    forEachColumnBlock(pool, n,
-                       [&](size_t j0, size_t j1, size_t slot) {
-                         updateBColumns(k, j0, j1, slot);
-                       });
-  }
+    Cplx* cur = x.data() + j0 * n;
+    Cplx* next = y.data() + j0 * n;
+    for (size_t k = 1; k <= m; ++k) {
+      for (size_t j = j0; j < j1; ++j) {
+        const std::span<Cplx> out(next + (j - j0) * n, n);
+        applyD(*pss_, k, std::span<const Cplx>(cur + (j - j0) * n, n), out,
+               invH);
+        if (j < n) continue;
+        stream.step(sources[j - n], k, bqOf(j - n), sl,
+                    [&](size_t i, Cplx b) { out[i] += b; });
+      }
+      lus.solveManyInPlace(k, std::span<Cplx>(next, (j1 - j0) * n), j1 - j0,
+                           sl.lu);
+      std::swap(cur, next);
+    }
+  });
+  const CplxVector& xm = m % 2 == 0 ? x : y;
 
   // Cyclic closure: (I - B_M) p_0 = alpha_M, with the phase-mode spectral
   // correction for oscillators.
+  CplxMatrix bMat(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < n; ++i) bMat(i, j) = xm[j * n + i];
+  }
   const ClosureSolver closure(bMat, pss_->autonomous, kTwoPi * offsetFreq,
                               pss_->period);
 
+  // Pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
+  // k = 1..M-1, from its closed p_0, fanned over sources the same way
+  // (closure solve included). p_{k-1} is read from the stored envelope;
+  // `p` holds each block's right-hand sides of the current step.
   LptvSolution sol;
   sol.omega = kTwoPi * offsetFreq;
   sol.steps = m;
-  sol.envelopes.assign(ns, {});
-  for (size_t s = 0; s < ns; ++s) {
-    CplxVector p0 = closure.solve(alpha[s]);
-    // Pass 2: forward-substitute the full envelope with cached factors.
-    std::vector<CplxVector> env(m);
-    env[0] = p0;
-    CplxVector p = std::move(p0);
-    for (size_t k = 1; k < m; ++k) {
-      applyD(*pss_, k, p, dv, invH);
-      for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
-      lus.solveInPlace(k, dv);
-      p.assign(dv.begin(), dv.end());
-      env[k] = p;
+  sol.envelopes.resize(ns);
+  CplxVector p(n * ns);
+  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch& sl = slotScratch[slot];
+    for (size_t s = s0; s < s1; ++s) {
+      std::vector<CplxVector>& env = sol.envelopes[s];
+      env.reserve(m);
+      env.push_back(closure.solve(
+          std::span<const Cplx>(xm.data() + (n + s) * n, n), sl.lu));
+      stream.start(sources[s], bqOf(s), sl);
     }
-    sol.envelopes[s] = std::move(env);
-  }
+    for (size_t k = 1; k < m; ++k) {
+      for (size_t s = s0; s < s1; ++s) {
+        const std::span<Cplx> out(p.data() + s * n, n);
+        applyD(*pss_, k, sol.envelopes[s][k - 1], out, invH);
+        stream.step(sources[s], k, bqOf(s), sl,
+                    [&](size_t i, Cplx b) { out[i] += b; });
+      }
+      lus.solveManyInPlace(k, std::span<Cplx>(p.data() + s0 * n, (s1 - s0) * n),
+                           s1 - s0, sl.lu);
+      for (size_t s = s0; s < s1; ++s) {
+        sol.envelopes[s].emplace_back(p.begin() + s * n,
+                                      p.begin() + (s + 1) * n);
+      }
+    }
+  });
   return sol;
 }
 
@@ -398,9 +414,9 @@ CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
   TraceSpan span(Phase::kLptv, "lptv_adjoint");
   const size_t n = sys_->size();
   const size_t m = pss_->stepCount();
-  const Real h = pss_->stepSize();
-  const Real invH = 1.0 / h;
+  const Real invH = 1.0 / pss_->stepSize();
   const Cplx jw(0.0, kTwoPi * offsetFreq);
+  const size_t ns = sources.size();
   PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(n),
              "bad output index");
 
@@ -423,11 +439,11 @@ CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
   std::vector<CplxMatrix> vMat(m + 1);
   CplxVector tmp(n);
   CplxVector colBuf(n * n);
-  // Column fan-out for the V recursion, mirroring solveDirect's B update:
-  // column j of V_k depends only on column j of V_{k+1}.
+  // Column fan-out for the V recursion: column j of V_k depends only on
+  // column j of V_{k+1}. The same slots later run the per-source transfers.
   ThreadPool* pool = opt_.pool;
-  const size_t slots = columnBlockSlots(pool, n);
-  std::vector<LptvSlotScratch> slotScratch(slots);
+  std::vector<LptvSlotScratch> slotScratch(
+      columnBlockSlots(pool, std::max(n, ns)));
   const auto updateVColumns = [&](size_t k, const CplxMatrix& vNext,
                                   CplxMatrix& vOut, size_t j0, size_t j1,
                                   size_t slot) {
@@ -508,7 +524,7 @@ CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
   // phase eigenvalue and receives the same spectral correction.
   const ClosureSolver closure(vMat[1], pss_->autonomous,
                               kTwoPi * offsetFreq, pss_->period);
-  CplxVector l1 = closure.solve(u[1]);
+  CplxVector l1 = closure.solve(u[1], slotScratch[0].lu);
 
   // Recover all lambda_k.
   std::vector<CplxVector> lambda(m + 1);
@@ -519,16 +535,23 @@ CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
     for (size_t i = 0; i < n; ++i) lambda[k][i] += vl[i];
   }
 
-  // Transfer per source: TF_s = sum_k lambda_k^T b_{s,k}.
-  CplxVector out(sources.size(), Cplx{});
-  for (size_t s = 0; s < sources.size(); ++s) {
-    const auto b = sourceEnvelope(sources[s], offsetFreq);
-    Cplx acc{};
-    for (size_t k = 1; k <= m; ++k) {
-      for (size_t i = 0; i < n; ++i) acc += lambda[k][i] * b[k][i];
+  // Transfer per source: TF_s = sum_k lambda_k^T b_{s,k}, each source's
+  // injections streamed along the orbit, sources fanned over the pool.
+  const InjectionStream stream(*sys_, *pss_, jw);
+  CplxVector out(ns, Cplx{});
+  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch& sl = slotScratch[slot];
+    sl.bqPrev.resize(n);
+    for (size_t s = s0; s < s1; ++s) {
+      stream.start(sources[s], sl.bqPrev, sl);
+      Cplx acc{};
+      for (size_t k = 1; k <= m; ++k) {
+        stream.step(sources[s], k, sl.bqPrev, sl,
+                    [&](size_t i, Cplx b) { acc += lambda[k][i] * b; });
+      }
+      out[s] = acc;
     }
-    out[s] = acc;
-  }
+  });
   return out;
 }
 

@@ -24,13 +24,14 @@
 namespace psmn {
 
 struct LptvOptions {
-  /// Optional execution runtime. The homogeneous (B_k) and adjoint (V_k)
-  /// matrix recursions partition their n right-hand-side columns across
-  /// this pool's slots against the shared step factors — every column's
-  /// arithmetic involves only that column, so results are bit-identical
-  /// for every jobs count (docs/architecture.md "RF parallelism"). The
-  /// per-source envelope recursions stay serial: they are sequential in k
-  /// and cheap next to the n-column blocks.
+  /// Optional execution runtime. solveDirect partitions its n + ns columns
+  /// (the homogeneous B_k plus every source's particular part) and then
+  /// its ns envelope chains into one block per slot, each carried through
+  /// all M grid steps against the shared step factors; solveAdjoint
+  /// partitions its V_k columns per step and its per-source transfers.
+  /// Every column's arithmetic involves only that column, so results are
+  /// bit-identical for every jobs count (docs/architecture.md "RF
+  /// parallelism").
   ThreadPool* pool = nullptr;
 };
 
@@ -60,11 +61,6 @@ class LptvSolver {
                           Real offsetFreq, int outIndex, int harmonic) const;
 
   const PssResult& pss() const { return *pss_; }
-
-  /// The periodic injection envelopes b_k (k=1..M) for one source
-  /// (exposed for tests).
-  std::vector<CplxVector> sourceEnvelope(const InjectionSource& src,
-                                         Real offsetFreq) const;
 
  private:
   const MnaSystem* sys_;

@@ -23,8 +23,9 @@ struct PnoiseOptions {
   bool includeMismatch = true;  // pseudo-noise sources from device mismatch
   bool includePhysical = false; // thermal/flicker device noise
   /// Optional execution runtime, forwarded to the LPTV solver
-  /// (LptvOptions::pool): the B_k/V_k matrix recursions fan their column
-  /// blocks across the pool with bit-identical results.
+  /// (LptvOptions::pool): the direct solve's fused B_k/alpha_k column
+  /// recursion and per-source envelope chains fan across the pool with
+  /// bit-identical results.
   ThreadPool* pool = nullptr;
 };
 

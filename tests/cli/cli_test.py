@@ -64,6 +64,21 @@ def sweep_lines(stdout):
             if "v(out) = " in ln or ln.startswith("summary:")]
 
 
+def pnoise_lines(stdout):
+    """Each `.pnoise` sigma line followed by its indented breakdown lines."""
+    out = []
+    in_breakdown = False
+    for ln in stdout.splitlines():
+        if ln.startswith(".pnoise"):
+            out.append(ln.strip())
+            in_breakdown = True
+        elif in_breakdown and ln.startswith("  "):
+            out.append(ln.strip())
+        else:
+            in_breakdown = False
+    return out
+
+
 # ---------------------------------------------------------------- cases
 
 def case_card_demo(cli):
@@ -85,6 +100,30 @@ def case_card_deck(cli):
     doc = json.load(open(metrics))
     expect(doc["procs"] == 1, "card mode must report procs=1", p)
     expect(doc["analyses"], "card mode must record analyses", p)
+
+
+def case_card_pnoise_jobs(cli):
+    """Card mode's .pss/.pnoise flow runs on the RF pool with --jobs: the
+    demo deck must print the same sigma and breakdown, and count the same
+    work, at --jobs 4 as at --jobs 1."""
+    out = {}
+    for jobs in (1, 4):
+        metrics = os.path.join(cli.tmp, f"metrics{jobs}.json")
+        p = cli.run("--jobs", str(jobs), "--metrics", metrics)
+        expect(p.returncode == 0, f"jobs={jobs} demo run failed", p)
+        cli.check_report(metrics=metrics)
+        lines = pnoise_lines(p.stdout)
+        expect(len(lines) >= 2 and "sigma" in lines[0],
+               f"jobs={jobs}: missing .pnoise sigma/breakdown", p)
+        out[jobs] = (json.load(open(metrics)), lines)
+    m1, lines1 = out[1]
+    m4, lines4 = out[4]
+    assert lines1 == lines4, (
+        f".pnoise output differs between jobs=1 and jobs=4:\n{lines1}\nvs\n"
+        f"{lines4}")
+    assert m1["counters"] == m4["counters"], (
+        f"counters differ between jobs=1 and jobs=4:\n{m1['counters']}\nvs\n"
+        f"{m4['counters']}")
 
 
 def case_sweep_mc(cli):
@@ -183,6 +222,7 @@ def case_bad_inputs(cli):
 CASES = {
     "card_demo": case_card_demo,
     "card_deck": case_card_deck,
+    "card_pnoise_jobs": case_card_pnoise_jobs,
     "sweep_mc": case_sweep_mc,
     "sweep_procs": case_sweep_procs,
     "sweep_trace": case_sweep_trace,

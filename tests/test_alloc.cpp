@@ -1,7 +1,8 @@
 // Allocation-tracking tests: the transient stepping kernel must not touch
 // the heap in the steady state (after the first step has sized the
 // workspace, cached the sparsity pattern, and done the symbolic
-// factorization). Global operator new/delete are overridden in this
+// factorization), and the LPTV direct solve allocates per source only the
+// envelopes it returns. Global operator new/delete are overridden in this
 // binary to count allocations; the counters are read only around the
 // measured stepping loops, so gtest's own bookkeeping does not interfere.
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
+#include "rf/lptv.hpp"
 #include "rf/pss.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -40,6 +43,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace psmn {
 namespace {
@@ -133,6 +142,45 @@ TEST(Allocation, SparsePssPeriodIntegrationIsHeapFree) {
   const size_t before = gAllocCount.load();
   integratePeriodInPlace(sys, x, period, period, steps, opt, ws);
   EXPECT_EQ(gAllocCount.load() - before, 0u);
+}
+
+TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
+  // solveDirect streams every source's injection envelope b_{s,k} from the
+  // orbit instead of storing it. Beyond a source-free solve on the same
+  // orbit (step factors, B_k recursion, closure), a source may cost its M
+  // envelope vectors plus O(1), and the pool O(slots) scratch: ns*M + O(ns
+  // + slots). A dense ns x (M+1) store with per-source bf/bq temporaries
+  // costs about 4*ns*M.
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  InverterChainOptions copt;
+  copt.rows = 8;  // 66 MNA unknowns: the sparse orbit
+  buildInverterChain(nl, kit, copt);
+  MnaSystem sys(nl);
+  PssOptions popt;
+  popt.stepsPerPeriod = 60;
+  const PssResult pss = solvePssDriven(sys, copt.period, popt);
+  const size_t m = pss.stepCount();
+  const auto sources = sys.collectSources(true, false);
+  const size_t ns = 32;
+  ASSERT_GE(sources.size(), ns);
+  const std::span<const InjectionSource> some(sources.data(), ns);
+
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const LptvSolver solver(sys, pss, LptvOptions{p});
+    const auto allocations = [&](std::span<const InjectionSource> srcs) {
+      const size_t before = gAllocCount.load();
+      solver.solveDirect(srcs, 1.0);
+      return gAllocCount.load() - before;
+    };
+    allocations(some);  // warm: one-time lazy state stays out of the count
+    const size_t fixed = allocations({});
+    const size_t withSources = allocations(some);
+    const size_t slots = p ? p->jobCount() : 1;
+    EXPECT_LE(withSources - fixed, ns * m + 4 * ns + 16 * slots)
+        << "slots=" << slots << " M=" << m;
+  }
 }
 
 }  // namespace

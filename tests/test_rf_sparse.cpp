@@ -10,19 +10,26 @@
 // Also holds the regression fixture for the autonomous-shooting FD step:
 // shooting on the ring oscillator must converge in a handful of
 // iterations (the 1e-7*T finite-difference step once made it limp to the
-// iteration cap).
+// iteration cap), the pool-vs-serial goldens of the RF fan-outs, and the
+// exact check of the LPTV direct solve against the per-source algorithm.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <string>
 
+#include "circuit/parser.hpp"
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
+#include "numeric/dense_lu.hpp"
+#include "numeric/sparse_lu.hpp"
 #include "rf/lptv.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/ppv.hpp"
 #include "rf/pss.hpp"
 #include "rf/timedomain_noise.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/telemetry.hpp"
 
 namespace psmn {
 namespace {
@@ -352,41 +359,276 @@ TEST(PssParallelGolden, IntegrateMonodromyMatchesSerialOnWarmOrbit) {
   }
 }
 
-TEST(LptvParallelGolden, DirectAndAdjointMatchSerialAcrossJobCounts) {
-  // The B_k / V_k recursions fan their column blocks across the pool;
-  // every envelope and every adjoint transfer must match the serial
-  // solver at 1e-12, on both orbit backends.
+// EXPECT_EQ on every envelope entry, stopping at the first mismatch so a
+// broken partition reports one line rather than thousands.
+void expectEnvelopesEqual(const LptvSolution& got, const LptvSolution& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.envelopes.size(), want.envelopes.size()) << what;
+  for (size_t s = 0; s < want.envelopes.size(); ++s) {
+    ASSERT_EQ(got.envelopes[s].size(), want.envelopes[s].size()) << what;
+    for (size_t k = 0; k < want.envelopes[s].size(); ++k) {
+      const CplxVector& g = got.envelopes[s][k];
+      const CplxVector& w = want.envelopes[s][k];
+      ASSERT_EQ(g.size(), w.size()) << what;
+      for (size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(g[i], w[i]) << what << " s=" << s << " k=" << k
+                              << " i=" << i;
+        if (g[i] != w[i]) return;
+      }
+    }
+  }
+}
+
+// Direct envelopes and adjoint transfers on pools of every jobs count must
+// equal the pool-less solve exactly, and count the same triangular-solve
+// columns: a partition only moves columns between slots.
+void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
+                               std::span<const InjectionSource> srcs,
+                               int outIdx, const std::string& what) {
+  const Real fOff = 1.0;
+  TelemetryRegistry serialReg(1);
+  LptvSolution sSol;
+  CplxVector sAdj;
+  {
+    TelemetryScope scope(serialReg, 0);
+    const LptvSolver serial(sys, pss);
+    sSol = serial.solveDirect(srcs, fOff);
+    sAdj = serial.solveAdjoint(srcs, fOff, outIdx, 1);
+  }
+  const uint64_t serialColumns =
+      serialReg.counterTotal(Counter::kSolveColumns);
+  ASSERT_GT(serialColumns, 0u) << what;
+  for (size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
+    const std::string label = what + " jobs=" + std::to_string(jobs);
+    TelemetryRegistry reg(jobs);
+    ThreadPool pool(jobs);
+    pool.attachTelemetry(&reg);
+    TelemetryScope scope(reg, 0);
+    const LptvSolver par(sys, pss, LptvOptions{&pool});
+    expectEnvelopesEqual(par.solveDirect(srcs, fOff), sSol, label);
+    const CplxVector pAdj = par.solveAdjoint(srcs, fOff, outIdx, 1);
+    ASSERT_EQ(pAdj.size(), sAdj.size()) << label;
+    for (size_t s = 0; s < sAdj.size(); ++s) {
+      EXPECT_EQ(pAdj[s], sAdj[s]) << label << " s=" << s;
+    }
+    EXPECT_EQ(reg.counterTotal(Counter::kSolveColumns), serialColumns)
+        << label;
+  }
+}
+
+TEST(LptvParallelGolden, ChainDirectAndAdjointExactAcrossJobCounts) {
+  // The direct solve fans its n + ns recursion columns and then its ns
+  // envelope chains across the pool; the adjoint fans its V_k columns and
+  // its per-source transfers. ns = 1 leaves the envelope pass one column
+  // (SparseLU's nrhs == 1 solveInPlace fallback); ns = 3 leaves slots
+  // idle at jobs 4 and 8.
   for (LinearSolverKind solver :
        {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
     ChainFixture ckt(8);
     const PssResult pss =
         solvePssDriven(*ckt.sys, ckt.period, pssOptions(solver, 60));
-    const std::span<const InjectionSource> srcs(ckt.sources.data(), 8);
-    const Real fOff = 1.0;
-    const LptvSolver serial(*ckt.sys, pss);
-    const LptvSolution sSol = serial.solveDirect(srcs, fOff);
-    const CplxVector sAdj = serial.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
-    for (size_t jobs : {2u, 4u}) {
-      ThreadPool pool(jobs);
-      const LptvSolver par(*ckt.sys, pss, LptvOptions{&pool});
-      const LptvSolution pSol = par.solveDirect(srcs, fOff);
-      ASSERT_EQ(pSol.envelopes.size(), sSol.envelopes.size());
-      for (size_t s = 0; s < srcs.size(); ++s) {
-        ASSERT_EQ(pSol.envelopes[s].size(), sSol.envelopes[s].size());
-        for (size_t k = 0; k < sSol.envelopes[s].size(); ++k) {
-          for (size_t i = 0; i < ckt.sys->size(); ++i) {
-            EXPECT_NEAR(std::abs(pSol.envelopes[s][k][i] -
-                                 sSol.envelopes[s][k][i]),
-                        0.0, kParallelTol)
-                << "jobs=" << jobs << " s=" << s << " k=" << k;
-          }
+    for (size_t ns : {1u, 3u, 8u}) {
+      expectLptvExactAcrossJobs(
+          *ckt.sys, pss, std::span<const InjectionSource>(ckt.sources.data(), ns),
+          ckt.outIdx,
+          std::string(pss.sparseLinearizations ? "sparse" : "dense") +
+              " ns=" + std::to_string(ns));
+    }
+  }
+}
+
+TEST(LptvParallelGolden, AutonomousRingExactAcrossJobCounts) {
+  // The autonomous orbit takes the phase-corrected closure, which every
+  // slot of the envelope pass solves on its own LU scratch.
+  RingGolden ring(5, 30e-9, 10e-12);
+  const auto sources = ring.sys->collectSources(true, false);
+  const int outIdx = ring.nl.nodeIndex(ring.osc.stages[0]);
+  for (LinearSolverKind solver :
+       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
+    const PssResult pss = solvePssAutonomous(
+        *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
+        ring.warm.state, pssOptions(solver, 200));
+    ASSERT_TRUE(pss.autonomous);
+    expectLptvExactAcrossJobs(
+        *ring.sys, pss, sources, outIdx,
+        std::string(pss.sparseLinearizations ? "sparse" : "dense") + " ring");
+  }
+}
+
+// The direct algorithm as it stood before the fused column recursion,
+// rebuilt from public pieces: a dense store of every source's injection
+// envelope b_{s,k}, serial per-source alpha and envelope chains on
+// one-column solves, and the batched B_k recursion, all on the same step
+// factorizations (the dense K_k, or the sparse chain that inherits step
+// 1's symbolic analysis).
+LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
+                                std::span<const InjectionSource> sources,
+                                Real fOff) {
+  const size_t n = sys.size();
+  const size_t m = pss.stepCount();
+  const size_t ns = sources.size();
+  const Real h = pss.stepSize();
+  const Real invH = 1.0 / h;
+  const Cplx jw(0.0, 2.0 * std::numbers::pi_v<Real> * fOff);
+  const Cplx coef = invH + jw;
+
+  std::vector<DenseLU<Cplx>> denseK;
+  std::vector<SparseLU<Cplx>> sparseK(pss.sparseLinearizations ? m : 0);
+  if (!pss.sparseLinearizations) {
+    for (size_t k = 1; k <= m; ++k) {
+      CplxMatrix kk(n, n);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          kk(i, j) = pss.gMats[k](i, j) + coef * pss.cMats[k](i, j);
         }
       }
-      const CplxVector pAdj = par.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
-      for (size_t s = 0; s < srcs.size(); ++s) {
-        EXPECT_NEAR(std::abs(pAdj[s] - sAdj[s]), 0.0, kParallelTol)
-            << "jobs=" << jobs << " s=" << s;
+      denseK.emplace_back(kk);
+    }
+  } else {
+    MergedSparseAssembler<Cplx> kAsm;
+    bool symbolic = false;
+    for (size_t k = 1; k <= m; ++k) {
+      if (kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], coef)) symbolic = false;
+      SparseLU<Cplx>& lu = sparseK[k - 1];
+      if (symbolic) {
+        lu = sparseK[k - 2];
+        if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix, 0.1, pss.ordering);
+      } else {
+        lu.factor(kAsm.matrix, 0.1, pss.ordering);
+        symbolic = true;
       }
+    }
+  }
+  const auto solve = [&](size_t k, CplxVector& b) {
+    if (pss.sparseLinearizations) sparseK[k - 1].solveInPlace(b);
+    else denseK[k - 1].solveInPlace(b);
+  };
+  const auto solveMany = [&](size_t k, CplxVector& b, size_t nrhs) {
+    if (pss.sparseLinearizations) sparseK[k - 1].solveManyInPlace(b, nrhs);
+    else denseK[k - 1].solveManyInPlace(b, nrhs);
+  };
+  // (C_{k-1} v) / h, in the library's per-backend operation order.
+  const auto applyD = [&](size_t k, const CplxVector& v) {
+    CplxVector out(n, Cplx{});
+    if (pss.sparseLinearizations) {
+      const RealSparse& c = pss.cSpMats[k - 1];
+      const auto ptr = c.colPointers();
+      const auto idx = c.rowIndices();
+      const auto val = c.values();
+      for (size_t j = 0; j < n; ++j) {
+        if (v[j] == Cplx{}) continue;
+        for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * v[j];
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        Cplx acc{};
+        for (size_t j = 0; j < n; ++j) acc += pss.cMats[k - 1](i, j) * v[j];
+        out[i] = acc;
+      }
+    }
+    for (auto& o : out) o *= invH;
+    return out;
+  };
+
+  std::vector<std::vector<CplxVector>> b(ns);
+  for (size_t s = 0; s < ns; ++s) {
+    std::vector<RealVector> bf(m + 1), bq(m + 1);
+    for (size_t k = 0; k <= m; ++k) {
+      sys.evalInjection(sources[s], pss.states[k], pss.times[k], &bf[k],
+                        &bq[k]);
+    }
+    b[s].assign(m + 1, CplxVector(n));
+    for (size_t k = 1; k <= m; ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        b[s][k][i] = -bf[k][i] - (bq[k][i] - bq[k - 1][i]) / h - jw * bq[k][i];
+      }
+    }
+  }
+
+  CplxMatrix bMat = CplxMatrix::identity(n);
+  std::vector<CplxVector> alpha(ns, CplxVector(n, Cplx{}));
+  CplxVector block(n * n);
+  for (size_t k = 1; k <= m; ++k) {
+    for (size_t s = 0; s < ns; ++s) {
+      CplxVector dv = applyD(k, alpha[s]);
+      for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
+      solve(k, dv);
+      alpha[s] = dv;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      CplxVector col(n);
+      for (size_t i = 0; i < n; ++i) col[i] = bMat(i, j);
+      const CplxVector dcol = applyD(k, col);
+      std::copy(dcol.begin(), dcol.end(), block.begin() + j * n);
+    }
+    solveMany(k, block, n);
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t i = 0; i < n; ++i) bMat(i, j) = block[j * n + i];
+    }
+  }
+
+  CplxMatrix iMinusB = CplxMatrix::identity(n);
+  iMinusB -= bMat;
+  const DenseLU<Cplx> closure(iMinusB);
+  LptvSolution sol;
+  sol.envelopes.assign(ns, std::vector<CplxVector>(m));
+  for (size_t s = 0; s < ns; ++s) {
+    CplxVector p = closure.solve(alpha[s]);
+    sol.envelopes[s][0] = p;
+    for (size_t k = 1; k < m; ++k) {
+      CplxVector dv = applyD(k, p);
+      for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
+      solve(k, dv);
+      p = dv;
+      sol.envelopes[s][k] = p;
+    }
+  }
+  return sol;
+}
+
+TEST(LptvDirect, MatchesPerSourceReference) {
+  // The fused recursion reorders nothing inside a column: streamed
+  // injections, batched instead of one-column solves, and the closure on
+  // slot scratch must reproduce the stored-envelope algorithm bit for bit,
+  // with and without a pool, on both orbit backends (driven orbits: the
+  // closure is the plain (I - B_M) solve the reference rebuilds). The
+  // chain's MOSFET sources inject current only; the RC deck's capacitor
+  // sources also inject charge, which runs the rolling bq_{k-1}.
+  ChainFixture chain(8);
+  ParsedCircuit rc = parseNetlistString(R"(two-pole network, charge mismatch
+VIN in 0 PULSE(0 1 0.1u 10n 10n 0.4u 1u)
+R1 in mid 10k sigma=200
+C1 mid 0 4p sigma=0.2p
+R2 mid out 10k sigma=200
+C2 out 0 4p sigma=0.2p
+.end
+)");
+  const MnaSystem rcSys(*rc.netlist);
+  const auto rcSources = rcSys.collectSources(true, false);
+  struct Case {
+    const MnaSystem* sys;
+    Real period;
+    std::span<const InjectionSource> srcs;
+    std::string name;
+  };
+  const Case cases[] = {
+      {chain.sys.get(), chain.period, {chain.sources.data(), 12}, "chain"},
+      {&rcSys, 1e-6, rcSources, "rc"}};
+  for (const Case& c : cases) {
+    for (LinearSolverKind solver :
+         {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
+      const PssResult pss =
+          solvePssDriven(*c.sys, c.period, pssOptions(solver, 60));
+      ASSERT_FALSE(pss.autonomous);
+      const LptvSolution want = perSourceReference(*c.sys, pss, c.srcs, 1.0);
+      const std::string label =
+          c.name + (pss.sparseLinearizations ? " sparse" : " dense");
+      expectEnvelopesEqual(LptvSolver(*c.sys, pss).solveDirect(c.srcs, 1.0),
+                           want, label + " no pool");
+      ThreadPool pool(4);
+      expectEnvelopesEqual(
+          LptvSolver(*c.sys, pss, LptvOptions{&pool}).solveDirect(c.srcs, 1.0),
+          want, label + " jobs=4");
     }
   }
 }
