@@ -15,13 +15,6 @@
 //   BM_MonodromyParallel/<stages>/<jobs>     — one period of shooting-PSS
 //       monodromy accumulation on an N-stage ring from a warm orbit, the
 //       column blocks fanned via PssOptions::pool.
-//   BM_SweepProcs/<scenarios>/<procs>        — the multi-process sweep:
-//       mismatch transients sharded across worker PROCESSES
-//       (runProcessSweep, jobsPerWorker=1), measuring the spawn + IPC +
-//       serialization overhead on top of the same scenario work
-//       BM_SweepScaling runs in-process. procs=1 still pays one worker
-//       process, so the procs=1 -> in-process jobs=1 gap is the floor
-//       cost of the process boundary itself.
 //
 // Expected shape on a multi-core box (the CI runner): near-linear sweep
 // scaling — on the ragged mix too, which only scales if the steal path
@@ -36,12 +29,8 @@
 
 #include <map>
 
-#include "circuit/bjt_opamp.hpp"
 #include "circuit/stdcell.hpp"
-#include "core/monte_carlo.hpp"
 #include "engine/transient_sensitivity.hpp"
-#include "runtime/ipc.hpp"
-#include "runtime/process_sweep.hpp"
 #include "runtime/scenario_sweep.hpp"
 
 namespace psmn {
@@ -227,214 +216,6 @@ BENCHMARK(BM_MonodromyParallel)
     ->Args({63, 1})
     ->Args({63, 2})
     ->Args({63, 4})
-    ->Unit(benchmark::kMillisecond);
-
-/// The multi-process sharded sweep: seeded mismatch transients on an RC
-/// divider shipped to worker processes over the framed IPC. This bench
-/// links google-benchmark's main, so the workers are the sibling
-/// psmn_sweep_worker binary (built unconditionally next to this one).
-void BM_SweepProcs(benchmark::State& state) {
-  const auto scenarios_n = static_cast<size_t>(state.range(0));
-  const auto procs = static_cast<size_t>(state.range(1));
-  static const char* kDeck = R"(* bench mismatch deck
-v1 top 0 pulse(0 2 1n 0.5n 0.5n 6n 20n)
-r1 top mid 1k sigma=10
-r2 mid 0 1k sigma=10
-c1 mid 0 1p
-)";
-  const std::vector<std::string> decks = {kDeck};
-  std::vector<ProcessScenario> scenarios;
-  for (size_t k = 0; k < scenarios_n; ++k) {
-    ProcessScenario ps;
-    ps.name = "mc" + std::to_string(k);
-    ps.analysis = SweepAnalysis::kTransient;
-    ps.outNode = "mid";
-    ps.t1 = 40e-9;
-    ps.dt = 0.1e-9;
-    ps.tran.storeStates = false;
-    ps.applyMismatch = true;
-    ps.seed = 1;
-    ps.sampleIndex = k;
-    scenarios.push_back(std::move(ps));
-  }
-  ProcessSweepOptions opt;
-  opt.procs = procs;
-  opt.jobsPerWorker = 1;
-  const std::string self = selfExecutablePath();
-  opt.workerExe =
-      self.substr(0, self.find_last_of('/') + 1) + "psmn_sweep_worker";
-  for (auto _ : state) {
-    const auto results = runProcessSweep(decks, scenarios, opt);
-    for (const auto& r : results) {
-      if (!r.ok) state.SkipWithError(r.error.c_str());
-    }
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["scenarios"] = static_cast<double>(scenarios_n);
-  state.counters["procs"] = static_cast<double>(procs);
-}
-BENCHMARK(BM_SweepProcs)
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({16, 4})
-    ->Unit(benchmark::kMillisecond);
-
-/// Mismatch-sweep fixtures for the batched-evaluation benchmarks: the
-/// MOSFET inverter chain and the BJT op-amp follower, each with a short
-/// transient window so the per-scenario setup the batch amortizes (netlist
-/// build, finalize, MnaSystem, symbolic pattern) is a realistic fraction
-/// of the work — the regime `--sweep mc:N` runs in.
-BatchSweepSpec batchBenchSpec(int fixture, size_t count) {
-  BatchSweepSpec spec;
-  if (fixture == 0) {
-    spec.make = [] { return makeChain(8, 1, 4e-15); };
-    spec.outNode = "ch8";
-    spec.t1 = 0.4e-9;
-    spec.dt = 20e-12;
-  } else {
-    spec.make = [] {
-      auto nl = std::make_unique<Netlist>();
-      BjtFollowerOptions fopt;
-      fopt.tStep = 1e-9;
-      fopt.tEdge = 0.5e-9;
-      fopt.cLoad = 10e-12;
-      buildBjtFollower(*nl, BjtKit::bipolar5(), fopt);
-      return nl;
-    };
-    spec.outNode = "out";
-    spec.t1 = 4e-9;
-    spec.dt = 0.1e-9;
-  }
-  spec.configure = [](Netlist& nl, size_t k) {
-    applyMismatchSample(nl.mismatchParams(), nullptr, /*seed=*/1, k);
-  };
-  spec.count = count;
-  spec.tran.storeStates = false;
-  spec.batch.enabled = true;
-  spec.batch.lanes = 16;
-  return spec;
-}
-
-/// Scenario-batched sweep vs the scalar oracle on the same mismatch draws:
-///   BM_BatchEval/<fixture>/<N>/<batched>  fixture 0 = MOSFET chain,
-///   1 = BJT op-amp follower; batched 0 runs runScenarioSweep (the exact
-///   delegation-target scenarios), 1 runs runScenarioSweepBatched.
-///
-/// What the pairwise ratio measures: results are pinned bit-identical to
-/// the scalar oracle (tests/test_batch_eval.cpp), so the batched path
-/// performs the same per-lane Newton math — what it amortizes is the
-/// per-scenario *structure*: netlist build + finalize + MnaSystem, the
-/// symbolic pattern (built once per tile, copied to the other lanes), and
-/// the device-walk dispatch (one structural walk per iteration instead of
-/// N). On these compute-bound fixtures that structure is a few percent of
-/// a scenario (the chain spends ~1.7us per Newton iteration on model math
-/// + dense factor), so on the 1-core container the ratio pins the batch's
-/// *overhead* — batched=1 must not run materially slower than batched=0 —
-/// exactly as the sweep-scaling baselines pin the pool's. The headline
-/// win grows with the setup:stepping ratio (short windows, large N, deck
-/// parsing in the CLI) and with lane-vectorizable device mixes.
-void BM_BatchEval(benchmark::State& state) {
-  const int fixture = static_cast<int>(state.range(0));
-  const auto n = static_cast<size_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
-  const BatchSweepSpec spec = batchBenchSpec(fixture, n);
-  std::vector<SweepScenario> scenarios;
-  if (!batched) {
-    for (size_t k = 0; k < n; ++k) {
-      SweepScenario sc;
-      sc.name = spec.namePrefix + std::to_string(k);
-      sc.make = [make = spec.make, configure = spec.configure, k] {
-        auto nl = make();
-        nl->finalize();
-        configure(*nl, k);
-        return nl;
-      };
-      sc.analysis = SweepAnalysis::kTransient;
-      sc.outNode = spec.outNode;
-      sc.t1 = spec.t1;
-      sc.dt = spec.dt;
-      sc.tran = spec.tran;
-      scenarios.push_back(std::move(sc));
-    }
-  }
-  ThreadPool pool(1);
-  for (auto _ : state) {
-    const auto results = batched ? runScenarioSweepBatched(spec, pool)
-                                 : runScenarioSweep(scenarios, pool);
-    for (const auto& r : results) {
-      if (!r.ok) state.SkipWithError(r.error.c_str());
-    }
-    benchmark::DoNotOptimize(results);
-  }
-  state.counters["scenarios"] = static_cast<double>(n);
-  state.counters["batched"] = batched ? 1.0 : 0.0;
-}
-BENCHMARK(BM_BatchEval)
-    ->Args({0, 64, 0})
-    ->Args({0, 64, 1})
-    ->Args({1, 64, 0})
-    ->Args({1, 64, 1})
-    ->Unit(benchmark::kMillisecond);
-
-/// Monte Carlo through the engine, scalar vs batched:
-///   BM_McBatched/<fixture>/<N>/<batched> — same fixtures as BM_BatchEval.
-/// The scalar side is the engine's factory path with an opaque
-/// runTransient measurement; the batched side declares the equivalent
-/// McTransientSpec and flips McOptions::batch. Sample streams are
-/// bit-identical (tests/test_batch_eval.cpp); see BM_BatchEval for what
-/// the pairwise ratio pins on this container.
-void BM_McBatched(benchmark::State& state) {
-  const int fixture = static_cast<int>(state.range(0));
-  const auto n = static_cast<size_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
-  const BatchSweepSpec spec = batchBenchSpec(fixture, n);
-
-  auto primary = spec.make();
-  primary->finalize();
-  MnaSystem sys(*primary);
-  const int outIdx = primary->nodeIndex(spec.outNode);
-
-  McOptions opt;
-  opt.samples = n;
-  opt.seed = 1;
-  opt.jobs = 1;
-  opt.keepSamples = false;
-  const Real t1 = spec.t1, dt = spec.dt;
-  const TranOptions tran = spec.tran;
-  const McMeasure measure = [&, outIdx](const MnaSystem& s) {
-    const TransientResult tr = runTransient(s, 0.0, t1, dt, tran);
-    return RealVector{tr.finalState.at(outIdx)};
-  };
-  if (batched) {
-    opt.batch.enabled = true;
-    opt.batch.lanes = 16;
-  }
-  MonteCarloEngine engine(sys, opt);
-  engine.setNetlistFactory(spec.make);
-  if (batched) {
-    McTransientSpec mspec;
-    mspec.t1 = t1;
-    mspec.dt = dt;
-    mspec.tran = tran;
-    mspec.measure = [outIdx](const Netlist&, const TransientResult& tr) {
-      return RealVector{tr.finalState.at(outIdx)};
-    };
-    engine.setTransientMeasurement(std::move(mspec));
-  }
-  for (auto _ : state) {
-    const McResult res = engine.run({"vout"}, measure);
-    if (res.failedSamples != 0) state.SkipWithError("samples failed");
-    benchmark::DoNotOptimize(res);
-  }
-  state.counters["samples"] = static_cast<double>(n);
-  state.counters["batched"] = batched ? 1.0 : 0.0;
-}
-BENCHMARK(BM_McBatched)
-    ->Args({0, 64, 0})
-    ->Args({0, 64, 1})
-    ->Args({1, 64, 0})
-    ->Args({1, 64, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

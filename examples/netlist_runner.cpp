@@ -10,25 +10,10 @@
 // netlist, applies its seeded mismatch draw, and runs on its own slot):
 //
 //   netlist_runner deck.sp --sweep mc:64 --jobs 8 [--seed 1] [--probe out]
-//                  [--batch]
-//
-// --batch switches the in-process sweep to scenario-batched evaluation
-// (engine/batch_eval.hpp): scenarios are tiled into lanes that share one
-// netlist walk per Newton iteration. Results stay bit-identical to the
-// scalar sweep; the scalar path remains the default and the oracle.
 //
 // Results are reported in scenario order and are bit-identical for every
 // --jobs value (per-scenario RNG streams are derived from the scenario
 // index, never from thread timing).
-//
-// Multi-process mode (docs/user_guide.md "Multi-process sweeps"):
-//
-//   netlist_runner deck.sp --sweep mc:64 --procs 4 --jobs 2
-//
-// shards the sweep across 4 worker processes — re-entries of this binary
-// with --worker — each running 2 pool jobs; worker crashes cost bounded
-// per-scenario retries, and results (values, stats, counters) stay
-// byte-identical to the in-process run for every jobs x procs topology.
 //
 // Observability flags (docs/user_guide.md "Run reports"):
 //   --metrics out.json          machine-readable run report (counters,
@@ -51,7 +36,6 @@
 #include "engine/transient.hpp"
 #include "meas/measure.hpp"
 #include "numeric/statistics.hpp"
-#include "runtime/process_sweep.hpp"
 #include "runtime/scenario_sweep.hpp"
 #include "util/trace_export.hpp"
 #include "util/units.hpp"
@@ -76,8 +60,6 @@ C2 out 0 4p
 struct RunnerArgs {
   std::string deckPath;
   size_t jobs = 1;        // --jobs N (0 = hardware)
-  size_t procs = 1;       // --procs N (>1: multi-process sweep)
-  bool worker = false;    // --worker: process-sweep worker re-entry
   size_t sweepSamples = 0;  // --sweep mc:N (0 = no sweep)
   uint64_t seed = 1;      // --seed S
   std::string probe;      // --probe <node>; default from the .pnoise card
@@ -85,7 +67,6 @@ struct RunnerArgs {
   std::string tracePath;    // --trace <file>
   TraceDetail traceDetail = TraceDetail::kPhase;  // --trace-detail
   bool progress = false;    // --progress
-  bool batch = false;       // --batch: scenario-batched sweep evaluation
 };
 
 /// What the metrics report aggregates beyond the registry totals: one
@@ -108,14 +89,6 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
     };
     if (a == "--jobs") {
       args.jobs = std::strtoul(value("--jobs"), nullptr, 10);
-    } else if (a == "--procs") {
-      args.procs = std::strtoul(value("--procs"), nullptr, 10);
-      if (args.procs == 0) {
-        std::fprintf(stderr, "--procs needs N >= 1\n");
-        return false;
-      }
-    } else if (a == "--worker") {
-      args.worker = true;
     } else if (a == "--seed") {
       args.seed = std::strtoull(value("--seed"), nullptr, 10);
     } else if (a == "--probe") {
@@ -140,8 +113,6 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
       }
     } else if (a == "--progress") {
       args.progress = true;
-    } else if (a == "--batch") {
-      args.batch = true;
     } else if (a == "--sweep") {
       const std::string spec = value("--sweep");
       if (spec.rfind("mc:", 0) != 0) {
@@ -201,7 +172,37 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
     return 1;
   }
 
-  const size_t total = args.sweepSamples;
+  // One shared copy of the deck source: each scenario re-parses it into a
+  // private netlist and applies its sample draw — applyMismatchSample is
+  // the MC engine's own stream, so scenario k reproduces MC sample k.
+  const auto deck = std::make_shared<const std::string>(deckText);
+  std::vector<SweepScenario> scenarios;
+  for (size_t k = 0; k < args.sweepSamples; ++k) {
+    SweepScenario sc;
+    sc.name = "mc" + std::to_string(k);
+    sc.make = [deck, seed = args.seed, k] {
+      ParsedCircuit spc = parseNetlistString(*deck);
+      spc.netlist->finalize();
+      applyMismatchSample(spc.netlist->mismatchParams(), nullptr, seed, k);
+      return std::move(spc.netlist);
+    };
+    sc.analysis = SweepAnalysis::kTransient;
+    sc.outNode = probe;
+    sc.t1 = tstop;
+    sc.dt = dt;
+    sc.tran.storeStates = false;
+    sc.retry.maxRetries = 2;
+    scenarios.push_back(std::move(sc));
+  }
+
+  ThreadPool pool(args.jobs);
+  pool.attachTelemetry(&reg);
+  std::printf("sweep: %zu mismatch scenarios of .tran %s %s on %zu job(s), "
+              "probe v(%s), seed %llu\n",
+              scenarios.size(), formatEng(dt).c_str(),
+              formatEng(tstop).c_str(), pool.jobCount(), probe.c_str(),
+              static_cast<unsigned long long>(args.seed));
+
   SweepProgressFn onProgress;
   size_t done = 0;
   if (args.progress) {
@@ -209,113 +210,14 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
     // below stay in input order.
     onProgress = [&](const SweepResult& r) {
       ++done;
-      std::printf("progress: [%zu/%zu] %-8s %s (attempts=%d)\n", done, total,
-                  r.name.c_str(),
+      std::printf("progress: [%zu/%zu] %-8s %s (attempts=%d)\n", done,
+                  scenarios.size(), r.name.c_str(),
                   r.ok ? (r.recovered ? "recovered" : "ok") : "FAILED",
                   r.attempts);
       std::fflush(stdout);
     };
   }
-
-  std::vector<SweepResult> results;
-  if (args.batch && args.procs > 1) {
-    std::fprintf(stderr,
-                 "--batch applies to in-process sweeps; ignored with "
-                 "--procs > 1\n");
-  }
-  if (args.procs > 1) {
-    // Multi-process mode: serializable scenario specs shipped to --worker
-    // re-entries of this binary; the workers rebuild sample k's netlist
-    // from (seed, k), so results match the in-process path bit for bit.
-    std::vector<ProcessScenario> scenarios;
-    for (size_t k = 0; k < args.sweepSamples; ++k) {
-      ProcessScenario ps;
-      ps.name = "mc" + std::to_string(k);
-      ps.deckIndex = 0;
-      ps.analysis = SweepAnalysis::kTransient;
-      ps.outNode = probe;
-      ps.t1 = tstop;
-      ps.dt = dt;
-      ps.tran.storeStates = false;
-      ps.applyMismatch = true;
-      ps.seed = args.seed;
-      ps.sampleIndex = k;
-      ps.retry.maxRetries = 2;
-      scenarios.push_back(std::move(ps));
-    }
-    ProcessSweepOptions popt;
-    popt.procs = args.procs;
-    popt.jobsPerWorker =
-        args.jobs == 0 ? ThreadPool::hardwareJobs() : args.jobs;
-    std::printf("sweep: %zu mismatch scenarios of .tran %s %s on %zu "
-                "proc(s) x %zu job(s), probe v(%s), seed %llu\n",
-                scenarios.size(), formatEng(dt).c_str(),
-                formatEng(tstop).c_str(), popt.procs, popt.jobsPerWorker,
-                probe.c_str(), static_cast<unsigned long long>(args.seed));
-    const std::vector<std::string> decks = {deckText};
-    results = runProcessSweep(decks, scenarios, popt, &reg, onProgress);
-  } else if (args.batch) {
-    // Scenario-batched in-process sweep: same deck, window, retry policy,
-    // and (seed, k) mismatch stream as the scalar path below — batched
-    // results are bit-identical to it (docs/architecture.md "Batched
-    // evaluation").
-    const auto deck = std::make_shared<const std::string>(deckText);
-    BatchSweepSpec spec;
-    spec.make = [deck] {
-      ParsedCircuit spc = parseNetlistString(*deck);
-      return std::move(spc.netlist);
-    };
-    spec.configure = [seed = args.seed](Netlist& nl, size_t k) {
-      applyMismatchSample(nl.mismatchParams(), nullptr, seed, k);
-    };
-    spec.count = args.sweepSamples;
-    spec.outNode = probe;
-    spec.t1 = tstop;
-    spec.dt = dt;
-    spec.tran.storeStates = false;
-    spec.retry.maxRetries = 2;
-    spec.batch.enabled = true;
-    ThreadPool pool(args.jobs);
-    pool.attachTelemetry(&reg);
-    std::printf("sweep: %zu mismatch scenarios of .tran %s %s on %zu "
-                "job(s) [batched, %zu lanes], probe v(%s), seed %llu\n",
-                spec.count, formatEng(dt).c_str(), formatEng(tstop).c_str(),
-                pool.jobCount(), spec.batch.lanes, probe.c_str(),
-                static_cast<unsigned long long>(args.seed));
-    results = runScenarioSweepBatched(spec, pool, onProgress);
-  } else {
-    // One shared copy of the deck source: each scenario re-parses it into
-    // a private netlist and applies its sample draw — applyMismatchSample
-    // is the MC engine's own stream, so scenario k reproduces MC sample k.
-    const auto deck = std::make_shared<const std::string>(deckText);
-    std::vector<SweepScenario> scenarios;
-    for (size_t k = 0; k < args.sweepSamples; ++k) {
-      SweepScenario sc;
-      sc.name = "mc" + std::to_string(k);
-      sc.make = [deck, seed = args.seed, k] {
-        ParsedCircuit spc = parseNetlistString(*deck);
-        spc.netlist->finalize();
-        applyMismatchSample(spc.netlist->mismatchParams(), nullptr, seed, k);
-        return std::move(spc.netlist);
-      };
-      sc.analysis = SweepAnalysis::kTransient;
-      sc.outNode = probe;
-      sc.t1 = tstop;
-      sc.dt = dt;
-      sc.tran.storeStates = false;
-      sc.retry.maxRetries = 2;
-      scenarios.push_back(std::move(sc));
-    }
-
-    ThreadPool pool(args.jobs);
-    pool.attachTelemetry(&reg);
-    std::printf("sweep: %zu mismatch scenarios of .tran %s %s on %zu "
-                "job(s), probe v(%s), seed %llu\n",
-                scenarios.size(), formatEng(dt).c_str(),
-                formatEng(tstop).c_str(), pool.jobCount(), probe.c_str(),
-                static_cast<unsigned long long>(args.seed));
-    results = runScenarioSweep(scenarios, pool, onProgress);
-  }
+  const auto results = runScenarioSweep(scenarios, pool, onProgress);
 
   MomentAccumulator acc;
   size_t failures = 0;
@@ -432,7 +334,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
 }
 
 /// The --metrics report. Schema (validated by scripts/check_run_report.py):
-/// top-level object with schema_version, deck, jobs, procs, counters{},
+/// top-level object with schema_version, deck, jobs, counters{},
 /// phase_ns{}, analyses[{name, stats{}}], and — in sweep mode —
 /// sweep{scenarios, failed, recovered, total_attempts, stats{},
 /// per_scenario[{name, ok, attempts, recovered, stats{}, error?}]}.
@@ -445,7 +347,6 @@ void writeMetricsReport(std::ostream& os, const RunnerArgs& args, size_t jobs,
   w.field("deck", std::string_view(args.deckPath.empty() ? "(demo)"
                                                          : args.deckPath));
   w.field("jobs", static_cast<uint64_t>(jobs));
-  w.field("procs", static_cast<uint64_t>(args.procs));
   writeRegistrySections(w, reg);
   w.key("analyses");
   w.beginArray();
@@ -531,10 +432,6 @@ bool writeReports(const RunnerArgs& args, size_t jobs,
 int main(int argc, char** argv) {
   RunnerArgs args;
   if (!parseArgs(argc, argv, args)) return 1;
-
-  // Worker re-entry: runProcessSweep spawned us with stdin/stdout as the
-  // frame channel. No banner, no reports — stdout belongs to the protocol.
-  if (args.worker) return runSweepWorker(0, 1);
 
   std::string deckText;
   if (!args.deckPath.empty()) {

@@ -62,11 +62,8 @@ HOT_PREFIXES = (
     "BM_PssShooting",
     "BM_BjtOpAmp",
     "BM_SweepScaling",
-    "BM_SweepProcs",
     "BM_SensitivityParallel",
     "BM_MonodromyParallel",
-    "BM_BatchEval",
-    "BM_McBatched",
 )
 ANCHOR = "BM_DenseLuFactor/64"
 

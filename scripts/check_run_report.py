@@ -27,7 +27,6 @@ COUNTER_KEYS = {
     "dense_factors", "sparse_factors", "sparse_refactors",
     "factor_nnz_total", "solve_columns", "mna_evals", "newton_iterations",
     "steps_accepted", "scenarios_run", "scenario_retries",
-    "batch_evals", "batch_symbolic_reuse",
 }
 PHASE_KEYS = {
     "parse", "dc", "transient", "sensitivity", "pss", "lptv", "pnoise",
@@ -75,12 +74,6 @@ def check_metrics(path, errors):
                       " != 1")
     if not is_uint(doc.get("jobs", -1)) or doc.get("jobs") == 0:
         errors.append(f"metrics: jobs {doc.get('jobs')!r} is not a "
-                      "positive integer")
-    # "procs" arrived with the multi-process sweep (--procs); reports from
-    # older binaries omit it, so it is optional — but when present it must
-    # be a positive integer like jobs.
-    if "procs" in doc and (not is_uint(doc["procs"]) or doc["procs"] == 0):
-        errors.append(f"metrics: procs {doc['procs']!r} is not a "
                       "positive integer")
 
     counters = doc.get("counters", {})

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "circuit/device_batch.hpp"
-
 namespace psmn {
 
 namespace {
@@ -78,10 +76,10 @@ Bjt::Bjt(std::string name, NodeId c, NodeId b, NodeId e,
 Real Bjt::sigmaIs() const { return model_->ais / std::sqrt(area_); }
 Real Bjt::sigmaBf() const { return model_->abf / std::sqrt(area_); }
 
-Bjt::Core Bjt::evalCore(Real vbe, Real vbc, Real dis, Real dbf) const {
+Bjt::Core Bjt::evalCore(Real vbe, Real vbc) const {
   const BjtModel& m = *model_;
   const Real vt = m.thermalVoltage();
-  const Real a = area_ * (1.0 + dis);
+  const Real a = isScale();
   const Real isa = m.is * a;
 
   Real ebe, debe, ebc, debc;
@@ -105,7 +103,7 @@ Bjt::Core Bjt::evalCore(Real vbe, Real vbc, Real dis, Real dbf) const {
     dEarly = -0.5 * (1.0 + y / r) / m.vaf;
   }
 
-  const Real bfEff = m.bf * (1.0 + dbf);
+  const Real bfEff = m.bf * (1.0 + dbf_);
 
   Core c{};
   c.ifwd = ifwd;
@@ -129,11 +127,11 @@ Bjt::Core Bjt::evalCore(Real vbe, Real vbc, Real dis, Real dbf) const {
   return c;
 }
 
-void Bjt::evalWith(Stamper& s, Real dis, Real dbf) const {
+void Bjt::eval(Stamper& s) const {
   const Real sgn = model_->pnp ? -1.0 : 1.0;
   const Real vbe = sgn * (s.v(bi_) - s.v(ei_));
   const Real vbc = sgn * (s.v(bi_) - s.v(ci_));
-  const Core c = evalCore(vbe, vbc, dis, dbf);
+  const Core c = evalCore(vbe, vbc);
 
   // Internal-frame node currents; physical current = sgn * internal.
   // Conductance entries are invariant under the sign flip (the sgn on the
@@ -177,14 +175,6 @@ void Bjt::evalWith(Stamper& s, Real dis, Real dbf) const {
   series(c_, ci_, m.rc);
   series(b_, bi_, m.rb);
   series(e_, ei_, m.re);
-}
-
-void Bjt::eval(Stamper& s) const { evalWith(s, dis_, dbf_); }
-
-void Bjt::evalBatch(DeviceBatchView& v) const {
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) evalWith(v.lane(l), v.delta(0, l), v.delta(1, l));
-  }
 }
 
 BjtOpPoint Bjt::opPoint(const Stamper& s) const {

@@ -101,7 +101,6 @@ class Bjt : public Device {
       std::shared_ptr<const BjtModel> model, Real area, Netlist& nl);
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   // --- mismatch: k=0 is dIS/IS (relative), k=1 is dBF/BF (relative) ---
   size_t mismatchCount() const override { return 2; }
@@ -128,14 +127,7 @@ class Bjt : public Device {
     Real cbe, cbc;             // dq/dv of each junction
     Real ifwd;                 // forward injection current (for dF/dp)
   };
-  // Mismatch deltas are explicit arguments so the scalar and batched
-  // paths share one compiled body (see device_batch.hpp); the no-delta
-  // overload forwards the members.
-  Core evalCore(Real vbe, Real vbc, Real dis, Real dbf) const;
-  Core evalCore(Real vbe, Real vbc) const {
-    return evalCore(vbe, vbc, dis_, dbf_);
-  }
-  void evalWith(Stamper& s, Real dis, Real dbf) const;
+  Core evalCore(Real vbe, Real vbc) const;
   /// Current-scale factor a = area * (1 + dis).
   Real isScale() const { return area_ * (1.0 + dis_); }
 

@@ -1,24 +1,6 @@
 #include "circuit/controlled.hpp"
 
-#include "circuit/device_batch.hpp"
-
 namespace psmn {
-
-// Controlled sources carry no mismatch parameters, so the batched visit is
-// the scalar body once per active lane.
-namespace {
-template <typename D>
-void evalAllLanes(const D& dev, DeviceBatchView& v) {
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) dev.eval(v.lane(l));
-  }
-}
-}  // namespace
-
-void Vcvs::evalBatch(DeviceBatchView& v) const { evalAllLanes(*this, v); }
-void Vccs::evalBatch(DeviceBatchView& v) const { evalAllLanes(*this, v); }
-void Ccvs::evalBatch(DeviceBatchView& v) const { evalAllLanes(*this, v); }
-void Cccs::evalBatch(DeviceBatchView& v) const { evalAllLanes(*this, v); }
 
 void Vcvs::eval(Stamper& s) const {
   const Real i = s.v(branch_);

@@ -36,7 +36,6 @@ class Vcvs : public Device {
     branch_ = alloc.allocate(name());
   }
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
   int branchIndex() const { return branch_; }
 
  private:
@@ -62,7 +61,6 @@ class Vccs : public Device {
              {{nl.nodeIndex(cp), nl.nodeIndex(cn), gain}}) {}
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
  private:
   int a_, b_;
@@ -84,7 +82,6 @@ class Ccvs : public Device {
     branch_ = alloc.allocate(name());
   }
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
  private:
   int a_, b_;
@@ -105,7 +102,6 @@ class Cccs : public Device {
         gain_(gain) {}
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
  private:
   int a_, b_;

@@ -34,7 +34,6 @@
 namespace psmn {
 
 class Device;
-class DeviceBatchView;  // circuit/device_batch.hpp
 
 /// Kinds of mismatch parameters; used by the design-sensitivity chain rule
 /// (paper eq. 14-16) to know how sigma^2 scales with device geometry.
@@ -212,13 +211,6 @@ class Device {
 
   /// Accumulates f, q, G, C at the iterate/time carried by the stamper.
   virtual void eval(Stamper& s) const = 0;
-
-  /// Stamps every active lane of a scenario batch in one visit: the view
-  /// carries per-lane stampers plus this device's SoA mismatch deltas
-  /// (device_batch.hpp). The default walks lanes through the scalar
-  /// eval(); devices with mismatch parameters override with a loop that
-  /// reads lane deltas directly so the scalar members stay untouched.
-  virtual void evalBatch(DeviceBatchView& v) const;
 
   // --- mismatch interface (default: no mismatch) ---
   virtual size_t mismatchCount() const { return 0; }

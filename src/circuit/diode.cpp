@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "circuit/device_batch.hpp"
-
 namespace psmn {
 
 void Diode::eval(Stamper& s) const {
@@ -31,14 +29,6 @@ void Diode::eval(Stamper& s) const {
     // mismatch analysis depends on the linearization, not on cj(v) detail).
     s.stampCharge(a_, c_, model_.cj0 * v);
     s.stampCapacitance(a_, c_, model_.cj0);
-  }
-}
-
-// No mismatch parameters: every lane sees the same device, so the batched
-// visit is the scalar body once per active lane.
-void Diode::evalBatch(DeviceBatchView& v) const {
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) eval(v.lane(l));
   }
 }
 

@@ -27,7 +27,6 @@ class Diode : public Device {
         model_(model) {}
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   const DiodeModel& model() const { return model_; }
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "circuit/device_batch.hpp"
-
 namespace psmn {
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
@@ -38,8 +36,7 @@ Real Mosfet::sigmaBetaRel() const {
   return model_->abeta / std::sqrt(w_ * l_);
 }
 
-Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs, Real dvt,
-                              Real dbeta) const {
+Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs) const {
   const MosModel& m = *model_;
   // Body effect with a smooth clamp of (phi - vbs) at eps^2 to keep the
   // sqrt real for forward-biased bulk excursions during Newton iterations.
@@ -49,7 +46,7 @@ Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs, Real dvt,
   const Real dArg = 0.5 * (1.0 + argRaw / std::sqrt(argRaw * argRaw + 4.0 * eps * eps));
   const Real sqrtArg = std::sqrt(argS);
   const Real vth =
-      m.vt0 + dvt + (m.gamma > 0.0
+      m.vt0 + dvt_ + (m.gamma > 0.0
                           ? m.gamma * (sqrtArg - std::sqrt(m.phi))
                           : 0.0);
   // dvth/dvbs = gamma * d(sqrt(argS))/dvbs = gamma/(2 sqrtArg) * dArg * (-1)
@@ -61,7 +58,7 @@ Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs, Real dvt,
   const Real veff = 0.5 * (vgst + s2);
   const Real dveff = 0.5 * (1.0 + vgst / s2);
 
-  const Real beta = m.kp * (w_ / l_) * (1.0 + dbeta);
+  const Real beta = m.kp * (w_ / l_) * (1.0 + dbeta_);
   const Real clm = 1.0 + m.lambda * vds;
 
   Core c{};
@@ -84,7 +81,7 @@ Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs, Real dvt,
   // vth depends on vbs; veff depends on vth.
   c.gmb = -dIdVeff * dveff * dvthDvbs;  // dvthDvbs <= 0 so gmb >= 0
   c.didvt = -dIdVeff * dveff;           // dIds/d(dvt), dvt adds to vth
-  c.didbeta = (1.0 + dbeta) != 0.0 ? c.ids / (1.0 + dbeta) : 0.0;
+  c.didbeta = (1.0 + dbeta_) != 0.0 ? c.ids / (1.0 + dbeta_) : 0.0;
   return c;
 }
 
@@ -104,13 +101,13 @@ Mosfet::Frame Mosfet::frame(const Stamper& s) const {
   return f;
 }
 
-void Mosfet::evalWith(Stamper& s, Real dvt, Real dbeta) const {
+void Mosfet::eval(Stamper& s) const {
   const Frame fr = frame(s);
   const Real sgn = fr.sgn;
   const Real vgs = sgn * (s.v(fr.ng) - s.v(fr.ns));
   const Real vds = sgn * (s.v(fr.nd) - s.v(fr.ns));
   const Real vbs = sgn * (s.v(fr.nb) - s.v(fr.ns));
-  const Core c = evalCore(vgs, vds, vbs, dvt, dbeta);
+  const Core c = evalCore(vgs, vds, vbs);
 
   // Static current into internal drain, out of internal source. Physical
   // current = sgn * internal current; the conductance entries are invariant
@@ -136,14 +133,6 @@ void Mosfet::evalWith(Stamper& s, Real dvt, Real dbeta) const {
   cap(g_, d_, cgd_);
   cap(d_, b_, cdb_);
   cap(s_, b_, csb_);
-}
-
-void Mosfet::eval(Stamper& s) const { evalWith(s, dvt_, dbeta_); }
-
-void Mosfet::evalBatch(DeviceBatchView& v) const {
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) evalWith(v.lane(l), v.delta(0, l), v.delta(1, l));
-  }
 }
 
 MosOpPoint Mosfet::opPoint(const Stamper& s) const {

@@ -85,7 +85,6 @@ class Mosfet : public Device {
          const Netlist& nl);
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   // --- mismatch: k=0 is dVT (V), k=1 is dbeta/beta (relative) ---
   size_t mismatchCount() const override { return 2; }
@@ -120,14 +119,7 @@ class Mosfet : public Device {
     Real veff;
     bool saturated;
   };
-  // Mismatch deltas are explicit arguments so the scalar and batched
-  // paths share one compiled body (see device_batch.hpp); the no-delta
-  // overload forwards the members.
-  Core evalCore(Real vgs, Real vds, Real vbs, Real dvt, Real dbeta) const;
-  Core evalCore(Real vgs, Real vds, Real vbs) const {
-    return evalCore(vgs, vds, vbs, dvt_, dbeta_);
-  }
-  void evalWith(Stamper& s, Real dvt, Real dbeta) const;
+  Core evalCore(Real vgs, Real vds, Real vbs) const;
   /// Resolves hat-frame terminal assignment; returns (nD,nG,nS,nB) MNA
   /// indices with internal drain/source ordering and the sign factor.
   struct Frame {

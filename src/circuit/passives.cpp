@@ -2,26 +2,15 @@
 
 #include <cmath>
 
-#include "circuit/device_batch.hpp"
-
 namespace psmn {
 
 // ---------------------------------------------------------------- Resistor
 
-void Resistor::evalWith(Stamper& s, Real delta) const {
-  const Real g = 1.0 / (ohms_ + delta);
+void Resistor::eval(Stamper& s) const {
+  const Real g = 1.0 / resistance();
   const Real v = s.v(a_) - s.v(b_);
   s.stampCurrent(a_, b_, g * v);
   s.stampConductance(a_, b_, g);
-}
-
-void Resistor::eval(Stamper& s) const { evalWith(s, delta_); }
-
-void Resistor::evalBatch(DeviceBatchView& v) const {
-  const bool mm = mismatchCount() > 0;
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) evalWith(v.lane(l), mm ? v.delta(0, l) : 0.0);
-  }
 }
 
 MismatchParam Resistor::mismatchParam(size_t k) const {
@@ -67,20 +56,11 @@ Real Resistor::noiseShape(size_t k, Real) const {
 
 // --------------------------------------------------------------- Capacitor
 
-void Capacitor::evalWith(Stamper& s, Real delta) const {
-  const Real c = farads_ + delta;
+void Capacitor::eval(Stamper& s) const {
+  const Real c = capacitance();
   const Real v = s.v(a_) - s.v(b_);
   s.stampCharge(a_, b_, c * v);
   s.stampCapacitance(a_, b_, c);
-}
-
-void Capacitor::eval(Stamper& s) const { evalWith(s, delta_); }
-
-void Capacitor::evalBatch(DeviceBatchView& v) const {
-  const bool mm = mismatchCount() > 0;
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) evalWith(v.lane(l), mm ? v.delta(0, l) : 0.0);
-  }
 }
 
 MismatchParam Capacitor::mismatchParam(size_t k) const {
@@ -107,7 +87,7 @@ void Capacitor::mismatchStampQ(size_t k, Stamper& s) const {
 
 // ---------------------------------------------------------------- Inductor
 
-void Inductor::evalWith(Stamper& s, Real delta) const {
+void Inductor::eval(Stamper& s) const {
   // KCL: branch current i flows a -> b.
   const Real i = s.v(branch_);
   s.addF(a_, i);
@@ -119,18 +99,9 @@ void Inductor::evalWith(Stamper& s, Real delta) const {
   s.addF(branch_, s.v(a_) - s.v(b_));
   s.addG(branch_, a_, 1.0);
   s.addG(branch_, b_, -1.0);
-  const Real l = henries_ + delta;
+  const Real l = inductance();
   s.addQ(branch_, -l * i);
   s.addC(branch_, branch_, -l);
-}
-
-void Inductor::eval(Stamper& s) const { evalWith(s, delta_); }
-
-void Inductor::evalBatch(DeviceBatchView& v) const {
-  const bool mm = mismatchCount() > 0;
-  for (size_t l = 0; l < v.laneCount(); ++l) {
-    if (v.laneActive(l)) evalWith(v.lane(l), mm ? v.delta(0, l) : 0.0);
-  }
 }
 
 MismatchParam Inductor::mismatchParam(size_t k) const {

@@ -28,7 +28,6 @@ class Resistor : public Device {
   }
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }
   MismatchParam mismatchParam(size_t k) const override;
@@ -47,10 +46,6 @@ class Resistor : public Device {
   Real nominal() const { return ohms_; }
 
  private:
-  // Single compiled stamp body shared by eval() and evalBatch() so both
-  // paths round identically (see device_batch.hpp).
-  void evalWith(Stamper& s, Real delta) const;
-
   int a_, b_;
   Real ohms_;
   Real sigma_;
@@ -73,7 +68,6 @@ class Capacitor : public Device {
   }
 
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }
   MismatchParam mismatchParam(size_t k) const override;
@@ -86,8 +80,6 @@ class Capacitor : public Device {
   Real nominal() const { return farads_; }
 
  private:
-  void evalWith(Stamper& s, Real delta) const;
-
   int a_, b_;
   Real farads_;
   Real sigma_;
@@ -111,7 +103,6 @@ class Inductor : public Device {
     branch_ = alloc.allocate(name());
   }
   void eval(Stamper& s) const override;
-  void evalBatch(DeviceBatchView& v) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }
   MismatchParam mismatchParam(size_t k) const override;
@@ -124,8 +115,6 @@ class Inductor : public Device {
   int branchIndex() const { return branch_; }
 
  private:
-  void evalWith(Stamper& s, Real delta) const;
-
   int a_, b_;
   int branch_ = -1;
   Real henries_;

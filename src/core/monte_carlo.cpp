@@ -91,49 +91,7 @@ McResult MonteCarloEngine::run(std::vector<std::string> names,
     if (opt_.keepSamples) result.samples.push_back(std::move(row));
   };
 
-  if (opt_.batch.enabled && tranSpec_ && tranSpec_->measure && factory_ &&
-      corr_ == nullptr) {
-    // Scenario-batched path: samples are tiled into lanes-wide batches over
-    // a private netlist per tile, and each tile's transients advance in
-    // lockstep through one device walk per Newton iteration. Lanes the
-    // batch cannot finish fall back to the opaque scalar measurement,
-    // which reproduces exactly what the scalar path would have reported
-    // for that sample. Rows are buffered and accumulated in sample order,
-    // so statistics are bit-identical to the scalar path.
-    const McTransientSpec& spec = *tranSpec_;
-    const size_t lanes =
-        std::min(std::max<size_t>(1, opt_.batch.lanes), opt_.samples);
-    std::vector<RealVector> rows(opt_.samples);
-    std::vector<char> ok(opt_.samples, 0);
-    for (size_t base = 0; base < opt_.samples; base += lanes) {
-      const size_t laneN = std::min(lanes, opt_.samples - base);
-      std::unique_ptr<Netlist> nl = factory_();
-      PSMN_CHECK(nl != nullptr, "netlist factory returned null");
-      nl->finalize();
-      MnaSystem tileSys(*nl);
-      PSMN_CHECK(tileSys.size() == sys_->size(),
-                 "netlist factory built a different circuit");
-      const auto params = nl->mismatchParams();
-      DeviceBatch db(*nl, laneN);
-      for (size_t l = 0; l < laneN; ++l) {
-        applyMismatchSample(params, nullptr, opt_.seed, base + l);
-        db.captureLane(l);
-      }
-      std::vector<BatchLaneOutcome> outcomes =
-          runTransientBatch(tileSys, db, spec.t0, spec.t1, spec.dt, spec.tran);
-      for (size_t l = 0; l < laneN; ++l) {
-        const size_t k = base + l;
-        if (outcomes[l].ok) {
-          rows[k] = spec.measure(*nl, outcomes[l].result);
-          ok[k] = 1;
-        } else {
-          ok[k] = evalSample(tileSys, *nl, params, nullptr, opt_.seed, k,
-                             measure, rows[k]);
-        }
-      }
-    }
-    for (size_t k = 0; k < opt_.samples; ++k) accumulate(ok[k], rows[k]);
-  } else if (jobs > 1 && factory_ && corr_ == nullptr) {
+  if (jobs > 1 && factory_ && corr_ == nullptr) {
     // Parallel path: one private (netlist, system) per execution slot; the
     // batches partition the sample index range, and each sample's stream
     // is seeded by its index, so the draw never depends on the partition.

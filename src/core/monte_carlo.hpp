@@ -10,10 +10,8 @@
 
 #include <chrono>
 #include <functional>
-#include <optional>
 
 #include "core/correlated_mismatch.hpp"
-#include "engine/batch_eval.hpp"
 #include "engine/mna.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
@@ -32,14 +30,6 @@ struct McOptions {
   /// statistics are accumulated in sample order after the fan-out, results
   /// are bit-identical for every jobs count.
   size_t jobs = 1;
-  /// Scenario-batched evaluation (engine/batch_eval.hpp). Takes effect only
-  /// when a netlist factory is installed, no correlated model is set, and a
-  /// transient measurement spec is declared (setTransientMeasurement) —
-  /// the batched path must run the analysis itself to batch it. Samples
-  /// are tiled into `batch.lanes`-wide batches evaluated through one
-  /// device walk per Newton iteration; results are bit-identical to the
-  /// scalar path, which remains the default and the oracle.
-  BatchOptions batch;
 };
 
 /// Measurement callback: the netlist already carries this sample's mismatch
@@ -88,19 +78,6 @@ struct McResult {
 /// (factory netlists), which catches a diverging factory.
 using NetlistFactory = std::function<std::unique_ptr<Netlist>()>;
 
-/// Declarative transient measurement: the engine runs the transient itself
-/// (scenario-batched when McOptions::batch.enabled) and hands the finished
-/// run to `measure` for waveform extraction. The spec must compute exactly
-/// what the opaque McMeasure passed to run() computes by running its own
-/// transient — the McMeasure stays installed as the oracle and as the
-/// fallback for lanes the batch cannot finish. The Netlist argument is for
-/// node lookups only; it carries unspecified mismatch deltas at call time.
-struct McTransientSpec {
-  Real t0 = 0.0, t1 = 0.0, dt = 0.0;
-  TranOptions tran;
-  std::function<RealVector(const Netlist&, const TransientResult&)> measure;
-};
-
 class MonteCarloEngine {
  public:
   MonteCarloEngine(const MnaSystem& sys, McOptions opt = {});
@@ -116,12 +93,6 @@ class MonteCarloEngine {
     factory_ = std::move(factory);
   }
 
-  /// Declares the transient the samples measure, enabling the batched path
-  /// (see McOptions::batch and McTransientSpec).
-  void setTransientMeasurement(McTransientSpec spec) {
-    tranSpec_ = std::move(spec);
-  }
-
   McResult run(std::vector<std::string> names, const McMeasure& measure);
 
  private:
@@ -129,7 +100,6 @@ class MonteCarloEngine {
   McOptions opt_;
   const CorrelatedMismatch* corr_ = nullptr;
   NetlistFactory factory_;
-  std::optional<McTransientSpec> tranSpec_;
 };
 
 }  // namespace psmn

@@ -44,8 +44,13 @@ void MnaSystem::evalDense(std::span<const Real> x, Real t, RealVector* f,
   }
 }
 
-void mnaRebuildPattern(RealSparse* m, size_t n,
-                       std::vector<Triplet<Real>>& trips, size_t diagonals) {
+namespace {
+
+/// Rebuilds `m` as a pattern matrix: union of its existing pattern, the
+/// accumulated triplets, and (for G) every node-diagonal slot. Values are
+/// zeroed; the caller re-stamps through the slots.
+void rebuildPattern(RealSparse* m, size_t n, std::vector<Triplet<Real>>& trips,
+                    size_t diagonals) {
   if (m == nullptr) return;
   if (m->rows() == n) {
     const auto ptr = m->colPointers();
@@ -62,6 +67,8 @@ void mnaRebuildPattern(RealSparse* m, size_t n,
   *m = RealSparse::fromTriplets(n, n, trips);
   m->zeroValues();
 }
+
+}  // namespace
 
 void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
                            RealVector* q, RealSparse* g, RealSparse* c,
@@ -80,8 +87,8 @@ void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
     s.setSourceScale(opt.sourceScale);
     s.setGmin(opt.gmin);
     for (const auto& dev : netlist_->devices()) dev->eval(s);
-    mnaRebuildPattern(g, n_, gTrips, nodeUnknowns_);
-    mnaRebuildPattern(c, n_, cTrips, 0);
+    rebuildPattern(g, n_, gTrips, nodeUnknowns_);
+    rebuildPattern(c, n_, cTrips, 0);
   }
 
   // Slot-stamping passes: normally one; a pattern miss (a device reaching a
@@ -107,8 +114,8 @@ void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
     ts.setSourceScale(opt.sourceScale);
     ts.setGmin(opt.gmin);
     for (const auto& dev : netlist_->devices()) dev->eval(ts);
-    mnaRebuildPattern(g, n_, gTrips, nodeUnknowns_);
-    mnaRebuildPattern(c, n_, cTrips, 0);
+    rebuildPattern(g, n_, gTrips, nodeUnknowns_);
+    rebuildPattern(c, n_, cTrips, 0);
   }
 
   if (opt.gshunt > 0.0) {

@@ -147,12 +147,4 @@ class MnaSystem {
   size_t nodeUnknowns_ = 0;
 };
 
-/// Rebuilds `m` as a pattern matrix: union of its existing pattern, the
-/// accumulated triplets, and `diagonals` leading diagonal slots (G gets the
-/// node diagonals so gshunt homotopy stamps in place). Values are zeroed;
-/// the caller re-stamps through the slots. Shared by MnaSystem::evalSparse
-/// and the batched evaluator (engine/batch_eval.cpp).
-void mnaRebuildPattern(RealSparse* m, size_t n,
-                       std::vector<Triplet<Real>>& trips, size_t diagonals);
-
 }  // namespace psmn

@@ -50,139 +50,135 @@ RealVector TransientResult::waveform(int mnaIndex) const {
   return w;
 }
 
-IntegrationMethod stepMethod(IntegrationMethod method, bool beStep,
-                             bool haveQm1) {
+bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
+                   Real t, Real h, RealVector& x, RealVector& q,
+                   RealVector& qd, const RealVector* qm1,
+                   const TranOptions& opt, TransientWorkspace& ws) {
+  TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
+  const size_t n = sys.size();
+  ws.chooseBackend(n, opt);
+  const Real t1 = t + h;
   IntegrationMethod m = beStep ? IntegrationMethod::kBackwardEuler : method;
-  if (m == IntegrationMethod::kGear2 && !haveQm1) {
+  if (m == IntegrationMethod::kGear2 && qm1 == nullptr) {
     m = IntegrationMethod::kBackwardEuler;
   }
-  return m;
-}
 
-Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
-                      const RealVector& qd, const RealVector* qm1,
-                      RealVector& rhsQ) {
   // Integration coefficients: R = f1 + a*q1 + rhsQ, J = G1 + a*C1.
-  const size_t n = q.size();
   Real a = 0.0;
-  rhsQ.resize(n);
+  ws.rhsQ.resize(n);
   switch (m) {
     case IntegrationMethod::kBackwardEuler:
       a = 1.0 / h;
-      for (size_t i = 0; i < n; ++i) rhsQ[i] = -q[i] / h;
+      for (size_t i = 0; i < n; ++i) ws.rhsQ[i] = -q[i] / h;
       break;
     case IntegrationMethod::kTrapezoidal:
       a = 2.0 / h;
-      for (size_t i = 0; i < n; ++i) rhsQ[i] = -2.0 * q[i] / h - qd[i];
+      for (size_t i = 0; i < n; ++i) ws.rhsQ[i] = -2.0 * q[i] / h - qd[i];
       break;
     case IntegrationMethod::kGear2:
       a = 1.5 / h;
       for (size_t i = 0; i < n; ++i) {
-        rhsQ[i] = (-4.0 * q[i] + (*qm1)[i]) / (2.0 * h);
+        ws.rhsQ[i] = (-4.0 * q[i] + (*qm1)[i]) / (2.0 * h);
       }
       break;
   }
-  return a;
-}
 
-NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
-                                      const TranOptions& opt,
-                                      TransientWorkspace& ws, Real a, Real t1,
-                                      int iter) {
-  const size_t n = sys.size();
-  // Assemble J = G + a*C from the evaluation the caller just wrote into ws.
-  if (ws.sparse) {
-    if (ws.jac.assemble(ws.gsp, ws.csp, a)) {
-      ws.sluSymbolic = false;  // pattern changed: next factor is symbolic
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      auto jrow = ws.j.row(i);
-      const auto crow = ws.c.row(i);
-      for (size_t col = 0; col < n; ++col) jrow[col] += a * crow[col];
-    }
-  }
-  ++ws.stats.evals;
-  ws.r.resize(n);
-  for (size_t i = 0; i < n; ++i) ws.r[i] = ws.f[i] + a * ws.q1[i] + ws.rhsQ[i];
-  const Real resNorm = maxAbsVec(ws.r);
-  // Non-finite residual early-out (matching newtonSolve): the iterate
-  // escaped the devices' range; further iteration cannot recover and a
-  // NaN would poison the factorization, so fail the step now and let the
-  // caller cut the timestep.
-  if (!std::isfinite(resNorm)) {
-    recordStepFailure(ws, sys, "tran-newton/non-finite-residual", iter,
-                      -1.0, t1, /*nonFinite=*/true);
-    return NewtonTailOutcome::kFailed;
-  }
+  ws.acceptedA = a;
+  ws.x1.assign(x.begin(), x.end());  // predictor: previous point
+  MnaSystem::EvalOptions eopt;
+  eopt.gshunt = opt.gshunt;
 
-  // Factor (sparse: numeric refactorization on the kept pivot sequence,
-  // full factor only on the first step or after a pivot breakdown).
-  try {
+  bool converged = false;
+  for (int iter = 0; iter < opt.maxNewton; ++iter) {
+    TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
+    // Evaluate and assemble J = G + a*C.
     if (ws.sparse) {
-      if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
-        ++ws.stats.refactorizations;
+      sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
+      if (ws.jac.assemble(ws.gsp, ws.csp, a)) {
+        ws.sluSymbolic = false;  // pattern changed: next factor is symbolic
+      }
+    } else {
+      sys.evalDense(ws.x1, t1, &ws.f, &ws.q1, &ws.j, &ws.c, eopt);
+      for (size_t i = 0; i < n; ++i) {
+        auto jrow = ws.j.row(i);
+        const auto crow = ws.c.row(i);
+        for (size_t col = 0; col < n; ++col) jrow[col] += a * crow[col];
+      }
+    }
+    ++ws.stats.evals;
+    ws.r.resize(n);
+    for (size_t i = 0; i < n; ++i) ws.r[i] = ws.f[i] + a * ws.q1[i] + ws.rhsQ[i];
+    const Real resNorm = maxAbsVec(ws.r);
+    // Non-finite residual early-out (matching newtonSolve): the iterate
+    // escaped the devices' range; further iteration cannot recover and a
+    // NaN would poison the factorization, so fail the step now and let the
+    // caller cut the timestep.
+    if (!std::isfinite(resNorm)) {
+      recordStepFailure(ws, sys, "tran-newton/non-finite-residual", iter,
+                        -1.0, t1, /*nonFinite=*/true);
+      return false;
+    }
+
+    // Factor (sparse: numeric refactorization on the kept pivot sequence,
+    // full factor only on the first step or after a pivot breakdown).
+    try {
+      if (ws.sparse) {
+        if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
+          ++ws.stats.refactorizations;
+        } else {
+          ws.slu.factor(ws.jac.matrix, 0.1, ws.ordering);
+          ws.sluSymbolic = true;
+          ++ws.stats.factorizations;
+        }
+        ws.stats.factorNnz = ws.slu.factorNonZeros();
       } else {
-        ws.slu.factor(ws.jac.matrix, 0.1, ws.ordering);
-        ws.sluSymbolic = true;
+        ws.dlu.factor(ws.j);
         ++ws.stats.factorizations;
       }
-      ws.stats.factorNnz = ws.slu.factorNonZeros();
-    } else {
-      ws.dlu.factor(ws.j);
-      ++ws.stats.factorizations;
+    } catch (const NumericalError&) {
+      recordStepFailure(ws, sys, "tran-newton/factorization", iter, resNorm,
+                        t1, /*nonFinite=*/false);
+      return false;
     }
-  } catch (const NumericalError&) {
-    recordStepFailure(ws, sys, "tran-newton/factorization", iter, resNorm,
+
+    // Newton direction, solved in place on the negated residual.
+    for (Real& v : ws.r) v = -v;
+    if (ws.sparse) ws.slu.solveInPlace(ws.r);
+    else ws.dlu.solveInPlace(ws.r);
+    ++ws.stats.solves;
+
+    const Real stepNorm = maxAbsVec(ws.r);
+    if (!std::isfinite(stepNorm)) {  // don't poison the iterate
+      recordStepFailure(ws, sys, "tran-newton/non-finite-step", iter, resNorm,
+                        t1, /*nonFinite=*/true);
+      return false;
+    }
+    Real scale = 1.0;
+    if (stepNorm > opt.maxStep) scale = opt.maxStep / stepNorm;
+    for (size_t i = 0; i < n; ++i) ws.x1[i] += scale * ws.r[i];
+    ++ws.stats.newtonIterations;
+    telemetryCount(Counter::kNewtonIterations);
+    if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
+      // Injected stagnation: refuse the acceptance and keep iterating (see
+      // the matching probe in newtonSolve).
+      if (faultShouldFire("tran.newton.converge")) continue;
+      // Accept x1 after this sub-updateTol correction, but keep the final
+      // iteration's q1/C/factored-J: they were evaluated a distance
+      // < updateTol from the accepted point, an O(dx) error the tolerances
+      // already admit, and skipping the re-evaluation removes one full
+      // system eval per step. The sensitivity engine reuses the same
+      // factorization, so each step factors the Jacobian exactly once.
+      converged = true;
+      break;
+    }
+  }
+  if (!converged) {
+    recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
                       t1, /*nonFinite=*/false);
-    return NewtonTailOutcome::kFailed;
+    return false;
   }
 
-  // Newton direction, solved in place on the negated residual.
-  for (Real& v : ws.r) v = -v;
-  if (ws.sparse) ws.slu.solveInPlace(ws.r);
-  else ws.dlu.solveInPlace(ws.r);
-  ++ws.stats.solves;
-
-  const Real stepNorm = maxAbsVec(ws.r);
-  if (!std::isfinite(stepNorm)) {  // don't poison the iterate
-    recordStepFailure(ws, sys, "tran-newton/non-finite-step", iter, resNorm,
-                      t1, /*nonFinite=*/true);
-    return NewtonTailOutcome::kFailed;
-  }
-  Real scale = 1.0;
-  if (stepNorm > opt.maxStep) scale = opt.maxStep / stepNorm;
-  for (size_t i = 0; i < n; ++i) ws.x1[i] += scale * ws.r[i];
-  ++ws.stats.newtonIterations;
-  telemetryCount(Counter::kNewtonIterations);
-  if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
-    // Injected stagnation: refuse the acceptance and keep iterating (see
-    // the matching probe in newtonSolve).
-    if (faultShouldFire("tran.newton.converge")) {
-      return NewtonTailOutcome::kContinue;
-    }
-    // Accept x1 after this sub-updateTol correction, but keep the final
-    // iteration's q1/C/factored-J: they were evaluated a distance
-    // < updateTol from the accepted point, an O(dx) error the tolerances
-    // already admit, and skipping the re-evaluation removes one full
-    // system eval per step. The sensitivity engine reuses the same
-    // factorization, so each step factors the Jacobian exactly once.
-    return NewtonTailOutcome::kConverged;
-  }
-  return NewtonTailOutcome::kContinue;
-}
-
-void recordNewtonStagnation(const MnaSystem& sys, const TranOptions& opt,
-                            TransientWorkspace& ws, Real t1) {
-  recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
-                    t1, /*nonFinite=*/false);
-}
-
-void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
-                           RealVector& q, RealVector& qd,
-                           const RealVector* qm1, TransientWorkspace& ws) {
   // Update the charge state from the accepted-point q1 (already evaluated).
-  const size_t n = q.size();
   ws.qd1.resize(n);
   switch (m) {
     case IntegrationMethod::kBackwardEuler:
@@ -204,45 +200,6 @@ void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
   std::swap(x, ws.x1);
   std::swap(q, ws.q1);
   std::swap(qd, ws.qd1);
-}
-
-bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
-                   Real t, Real h, RealVector& x, RealVector& q,
-                   RealVector& qd, const RealVector* qm1,
-                   const TranOptions& opt, TransientWorkspace& ws) {
-  TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
-  ws.chooseBackend(sys.size(), opt);
-  const Real t1 = t + h;
-  const IntegrationMethod m = stepMethod(method, beStep, qm1 != nullptr);
-  const Real a = stepCoefficients(m, h, q, qd, qm1, ws.rhsQ);
-
-  ws.acceptedA = a;
-  ws.x1.assign(x.begin(), x.end());  // predictor: previous point
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = opt.gshunt;
-
-  bool converged = false;
-  for (int iter = 0; iter < opt.maxNewton; ++iter) {
-    TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
-    if (ws.sparse) {
-      sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
-    } else {
-      sys.evalDense(ws.x1, t1, &ws.f, &ws.q1, &ws.j, &ws.c, eopt);
-    }
-    const NewtonTailOutcome outcome =
-        newtonIterationTail(sys, opt, ws, a, t1, iter);
-    if (outcome == NewtonTailOutcome::kFailed) return false;
-    if (outcome == NewtonTailOutcome::kConverged) {
-      converged = true;
-      break;
-    }
-  }
-  if (!converged) {
-    recordNewtonStagnation(sys, opt, ws, t1);
-    return false;
-  }
-
-  acceptIntegrationStep(m, h, x, q, qd, qm1, ws);
   return true;
 }
 
@@ -254,36 +211,6 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
   return integrateStep(sys, method, beStep, t, h, x, q, qd, qm1, opt, ws);
 }
 
-FailureDiagnostics stepFailureDiagnostics(const TransientWorkspace& ws,
-                                          Real t) {
-  FailureDiagnostics diag;
-  if (ws.haveFailure) diag = ws.lastFailure;
-  diag.analysis = "transient";
-  if (!diag.hasTime) {
-    diag.time = t;
-    diag.hasTime = true;
-  }
-  return diag;
-}
-
-std::vector<Real> transientStops(const MnaSystem& sys, Real t0, Real t1,
-                                 Real dt, bool useBreakpoints) {
-  // Segment the window at breakpoints; merge stops closer than a fraction
-  // of the nominal step (a breakpoint coinciding with t1 would otherwise
-  // create a degenerate femtosecond segment).
-  std::vector<Real> stops;
-  if (useBreakpoints) {
-    for (Real bp : sys.collectBreakpoints(t0, t1)) {
-      if (bp < t1 - 1e-3 * dt &&
-          (stops.empty() || bp - stops.back() > 1e-3 * dt)) {
-        stops.push_back(bp);
-      }
-    }
-  }
-  stops.push_back(t1);
-  return stops;
-}
-
 namespace {
 
 /// Builds and throws the run-level error from the workspace post-mortem: a
@@ -291,7 +218,13 @@ namespace {
 /// ConvergenceError.
 [[noreturn]] void throwStepFailure(const TransientWorkspace& ws, Real t,
                                    const std::string& what) {
-  FailureDiagnostics diag = stepFailureDiagnostics(ws, t);
+  FailureDiagnostics diag;
+  if (ws.haveFailure) diag = ws.lastFailure;
+  diag.analysis = "transient";
+  if (!diag.hasTime) {
+    diag.time = t;
+    diag.hasTime = true;
+  }
   const std::string msg = what + ": " + diag.describe();
   if (ws.haveFailure && ws.lastFailureNonFinite) {
     throw NumericalError(msg, std::move(diag));
@@ -303,16 +236,9 @@ namespace {
 
 TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
                              const TranOptions& opt) {
-  TransientWorkspace ws;
-  return runTransient(sys, t0, t1, dt, opt, ws);
-}
-
-TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
-                             const TranOptions& opt, TransientWorkspace& ws) {
   PSMN_CHECK(t1 > t0 && dt > 0.0, "bad transient window");
   TraceSpan span(Phase::kTransient, "transient");
   const size_t n = sys.size();
-  const SolveStats statsBefore = ws.stats;
   TransientResult result;
 
   // Initial state: DC operating point unless an explicit state is given.
@@ -340,16 +266,27 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     result.states.push_back(x);
   }
 
-  const std::vector<Real> stops =
-      transientStops(sys, t0, t1, dt, opt.useBreakpoints);
+  // Segment the window at breakpoints; merge stops closer than a fraction
+  // of the nominal step (a breakpoint coinciding with t1 would otherwise
+  // create a degenerate femtosecond segment).
+  std::vector<Real> stops;
+  if (opt.useBreakpoints) {
+    for (Real bp : sys.collectBreakpoints(t0, t1)) {
+      if (bp < t1 - 1e-3 * dt &&
+          (stops.empty() || bp - stops.back() > 1e-3 * dt)) {
+        stops.push_back(bp);
+      }
+    }
+  }
+  stops.push_back(t1);
 
   const Real dtMin = opt.dtMin > 0.0 ? opt.dtMin : dt * 1e-6;
   const Real dtMax = opt.dtMax > 0.0 ? opt.dtMax : dt * 4.0;
 
-  // The workspace (caller-owned or the wrapper's throwaway) carries the
-  // sparsity pattern, symbolic factorization, and step scratch across
-  // every step below. The save buffers are swapped (never moved-from) so
-  // the steady-state loop does not allocate.
+  // Per-run workspace: sparsity pattern, symbolic factorization, and step
+  // scratch persist across every step below. The save buffers are swapped
+  // (never moved-from) so the steady-state loop does not allocate.
+  TransientWorkspace ws;
   RealVector qSave, xSave, qdSave;
 
   Real t = t0;
@@ -429,7 +366,7 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     havePrev = false;
   }
 
-  result.stats = SolveStats::since(statsBefore, ws.stats);
+  result.stats = ws.stats;
   result.finalState = std::move(x);
   return result;
 }

@@ -116,22 +116,6 @@ struct TransientWorkspace {
     chosen = true;
   }
 
-  /// Prepares a long-lived workspace for a fresh run over new device
-  /// values (the process-sweep workers reuse one workspace across their
-  /// whole shard). Invalidates the cached pivot sequence so the run's
-  /// first factorization is a full SparseLU::factor — refactor() reuses
-  /// pivots chosen for a DIFFERENT matrix's values, which rounds
-  /// differently than a fresh factor and would break the bit-identity of
-  /// cached-context runs against fresh-workspace runs. What survives the
-  /// reset is exactly the value-independent state: buffer capacities, the
-  /// cached sparsity patterns, and the merged-pattern scatter maps.
-  void resetForNewValues() {
-    sluSymbolic = false;
-    haveFailure = false;
-    lastFailureNonFinite = false;
-    acceptedA = 0.0;
-  }
-
   /// Solves J y = b in place against the accepted-step factorization.
   void solveAcceptedInPlace(std::span<Real> b, size_t nrhs = 1) const {
     if (sparse) slu.solveManyInPlace(b, nrhs);
@@ -162,16 +146,6 @@ struct TransientResult {
 TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
                              const TranOptions& opt = {});
 
-/// Variant running against a caller-owned workspace so repeated runs over
-/// the same system reuse the pattern caches, scatter maps, and buffer
-/// allocations (the process-sweep workers' shard cache). The caller must
-/// call ws.resetForNewValues() between runs whose device values changed;
-/// results and SolveStats are then bit-identical to the fresh-workspace
-/// overload. result.stats reports this run's deltas, not the workspace's
-/// cumulative counters.
-TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
-                             const TranOptions& opt, TransientWorkspace& ws);
-
 /// Single integration step from (x0,q0,qd0,t) to t+h; updates all three.
 /// `beStep` forces backward Euler (first step, post-breakpoint). Returns
 /// false if Newton failed. qm1 is q at the pre-previous point (Gear2).
@@ -188,56 +162,5 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    Real t, Real h, RealVector& x, RealVector& q,
                    RealVector& qd, const RealVector* qm1,
                    const TranOptions& opt);
-
-// --- shared step-kernel pieces -------------------------------------------
-// integrateStep is decomposed into the helpers below so the scenario-batched
-// lockstep driver (engine/batch_eval.cpp) runs the SAME compiled code for
-// everything around the system evaluation. That is what makes batched
-// results bit-identical to scalar ones by construction: the only difference
-// between the paths is which loop calls the device stamps.
-
-/// Method actually used for a step: BE forcing (first step, post-breakpoint)
-/// and the Gear2 startup fallback when no q[n-2] exists yet.
-IntegrationMethod stepMethod(IntegrationMethod method, bool beStep,
-                             bool haveQm1);
-
-/// Integration coefficient `a` of R = f1 + a*q1 + rhsQ (J = G + a*C);
-/// fills rhsQ from the charge state.
-Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
-                      const RealVector& qd, const RealVector* qm1,
-                      RealVector& rhsQ);
-
-enum class NewtonTailOutcome { kContinue, kConverged, kFailed };
-
-/// One Newton iteration's post-evaluation tail: the caller has just
-/// evaluated the system at ws.x1/t1 into ws.f/ws.q1 and ws.gsp/ws.csp
-/// (sparse) or ws.j/ws.c (dense). Assembles J = G + a*C, forms the
-/// residual, factors, solves, and applies the clamped update to ws.x1.
-/// kFailed records the post-mortem on ws.
-NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
-                                      const TranOptions& opt,
-                                      TransientWorkspace& ws, Real a, Real t1,
-                                      int iter);
-
-/// Records the Newton-stagnation post-mortem on ws (the caller exhausted
-/// opt.maxNewton iterations without a kConverged tail).
-void recordNewtonStagnation(const MnaSystem& sys, const TranOptions& opt,
-                            TransientWorkspace& ws, Real t1);
-
-/// Accepted-step epilogue: updates the charge state from the accepted-point
-/// q1 and swaps (x, q, qd) with the workspace buffers.
-void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
-                           RealVector& q, RealVector& qd,
-                           const RealVector* qm1, TransientWorkspace& ws);
-
-/// The breakpoint-segmented stop list runTransient integrates over; the
-/// last entry is t1.
-std::vector<Real> transientStops(const MnaSystem& sys, Real t0, Real t1,
-                                 Real dt, bool useBreakpoints);
-
-/// Run-level failure post-mortem from the workspace (what runTransient
-/// folds into the error it throws; the batched driver records it per lane).
-FailureDiagnostics stepFailureDiagnostics(const TransientWorkspace& ws,
-                                          Real t);
 
 }  // namespace psmn

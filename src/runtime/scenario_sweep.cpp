@@ -1,6 +1,5 @@
 #include "runtime/scenario_sweep.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -12,37 +11,11 @@ namespace psmn {
 namespace {
 
 void runOneScenario(const SweepScenario& sc, SweepResult& out) {
-  // The private fresh stack (`make`) or the borrowed slot-confined cached
-  // one (`acquire`); the acquire path resets the workspace so the two are
-  // bit-identical (tests/test_runtime.cpp pins this across topologies).
-  std::unique_ptr<Netlist> owned;
-  TransientWorkspace localWs;
-  Netlist* nl = nullptr;
-  MnaSystem* sysPtr = nullptr;
-  std::unique_ptr<MnaSystem> ownedSys;
-  TransientWorkspace* ws = &localWs;
-  if (sc.acquire) {
-    PSMN_CHECK(sc.analysis == SweepAnalysis::kTransient ||
-                   sc.analysis == SweepAnalysis::kTransientSensitivity,
-               "acquire-path scenarios support transient analyses only");
-    ScenarioContext* ctx = sc.acquire();
-    PSMN_CHECK(ctx != nullptr && ctx->netlist != nullptr &&
-                   ctx->sys != nullptr,
-               "scenario acquire returned an incomplete context");
-    nl = ctx->netlist.get();
-    sysPtr = ctx->sys.get();
-    ws = &ctx->tran;
-    ws->resetForNewValues();
-  } else {
-    PSMN_CHECK(sc.make != nullptr, "scenario has no netlist factory");
-    owned = sc.make();
-    PSMN_CHECK(owned != nullptr, "scenario factory returned null");
-    owned->finalize();
-    nl = owned.get();
-    ownedSys = std::make_unique<MnaSystem>(*nl);
-    sysPtr = ownedSys.get();
-  }
-  MnaSystem& sys = *sysPtr;
+  PSMN_CHECK(sc.make != nullptr, "scenario has no netlist factory");
+  std::unique_ptr<Netlist> nl = sc.make();
+  PSMN_CHECK(nl != nullptr, "scenario factory returned null");
+  nl->finalize();
+  MnaSystem sys(*nl);
 
   int outIdx = -1;
   if (sc.analysis != SweepAnalysis::kMcBatch) {
@@ -54,7 +27,7 @@ void runOneScenario(const SweepScenario& sc, SweepResult& out) {
   switch (sc.analysis) {
     case SweepAnalysis::kTransient: {
       const TransientResult tr =
-          runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran, *ws);
+          runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran);
       out.times = tr.times;
       out.waveform = tr.waveform(outIdx);
       out.finalState = tr.finalState;
@@ -128,7 +101,7 @@ void resetAttemptOutputs(SweepResult& out) {
 
 std::vector<SweepResult> runScenarioSweep(
     std::span<const SweepScenario> scenarios, ThreadPool& pool,
-    const SweepProgressFn& onProgress, bool captureCounters) {
+    const SweepProgressFn& onProgress) {
   std::vector<SweepResult> results(scenarios.size());
   std::mutex progressMutex;
   // Chunk of 1: scenarios are coarse units of work, and slot order must
@@ -138,16 +111,6 @@ std::vector<SweepResult> runScenarioSweep(
       SweepResult& out = results[i];
       out.index = i;
       out.name = scenarios[i].name;
-      // Capture mode: a scenario-local registry shadows whatever binding
-      // the pool installed, so every probe of this scenario's attempts —
-      // all on this thread — lands in the local slot and travels with the
-      // result instead of dying with the process.
-      std::optional<TelemetryRegistry> localReg;
-      std::optional<TelemetryScope> localScope;
-      if (captureCounters) {
-        localReg.emplace(1);
-        localScope.emplace(*localReg, 0);
-      }
       TraceSpan span(Phase::kScenario, "scenario", scenarios[i].name);
       telemetryCount(Counter::kScenariosRun);
       // Armed faults live for all of this scenario's attempts: the scope's
@@ -185,114 +148,9 @@ std::vector<SweepResult> runScenarioSweep(
           tightenScenario(attempt, /*finalAttempt=*/a + 2 == maxAttempts);
         }
       }
-      if (captureCounters) {
-        out.hasCounters = true;
-        out.counters = localReg->totals().counters;
-      }
       if (onProgress) {
         std::lock_guard<std::mutex> lock(progressMutex);
         onProgress(out);
-      }
-    }
-  });
-  return results;
-}
-
-std::vector<SweepResult> runScenarioSweepBatched(
-    const BatchSweepSpec& spec, ThreadPool& pool,
-    const SweepProgressFn& onProgress) {
-  PSMN_CHECK(spec.make != nullptr, "batched sweep needs a deck factory");
-  PSMN_CHECK(spec.configure != nullptr,
-             "batched sweep needs a scenario configurator");
-  PSMN_CHECK(!spec.outNode.empty(), "batched sweep needs an output node");
-  PSMN_CHECK(spec.batch.lanes > 0, "batched sweep needs at least one lane");
-  std::vector<SweepResult> results(spec.count);
-  if (spec.count == 0) return results;
-
-  const size_t lanes = spec.batch.lanes;
-  const size_t tiles = (spec.count + lanes - 1) / lanes;
-  std::mutex progressMutex;
-  // Tiles are the coarse work units: each owns a private netlist/system/
-  // batch stack, so tile evaluation is self-contained and the sweep stays
-  // deterministic for every pool jobs count, like the scalar sweep.
-  pool.parallelFor(tiles, 1, [&](size_t tb, size_t te, size_t) {
-    for (size_t tile = tb; tile < te; ++tile) {
-      const size_t base = tile * lanes;
-      const size_t laneN = std::min(lanes, spec.count - base);
-
-      std::unique_ptr<Netlist> nl = spec.make();
-      PSMN_CHECK(nl != nullptr, "batched sweep factory returned null");
-      nl->finalize();
-      MnaSystem sys(*nl);
-      DeviceBatch db(*nl, laneN);
-      for (size_t l = 0; l < laneN; ++l) {
-        spec.configure(*nl, base + l);
-        db.captureLane(l);
-      }
-      const int outIdx = nl->nodeIndex(spec.outNode);
-      PSMN_CHECK(outIdx >= 0, "unknown output node '" + spec.outNode + "'");
-
-      std::vector<BatchLaneOutcome> outcomes =
-          runTransientBatch(sys, db, spec.t0, spec.t1, spec.dt, spec.tran);
-
-      // Lanes the batch could not finish are re-run wholesale through the
-      // scalar sweep: its first attempt fails bit-identically (same code,
-      // same values), and its retry ladder then escalates exactly as a
-      // scalar-only sweep would. The lane's batch output is discarded, so
-      // kScenariosRun for these lanes is counted by the fallback alone.
-      std::vector<SweepScenario> fallback;
-      std::vector<size_t> fallbackIdx;
-      for (size_t l = 0; l < laneN; ++l) {
-        const size_t k = base + l;
-        BatchLaneOutcome& lane = outcomes[l];
-        if (!lane.ok) {
-          SweepScenario sc;
-          sc.name = spec.namePrefix + std::to_string(k);
-          sc.make = [make = spec.make, configure = spec.configure, k]() {
-            std::unique_ptr<Netlist> nl2 = make();
-            nl2->finalize();
-            configure(*nl2, k);
-            return nl2;
-          };
-          sc.analysis = SweepAnalysis::kTransient;
-          sc.outNode = spec.outNode;
-          sc.t0 = spec.t0;
-          sc.t1 = spec.t1;
-          sc.dt = spec.dt;
-          sc.tran = spec.tran;
-          sc.retry = spec.retry;
-          fallback.push_back(std::move(sc));
-          fallbackIdx.push_back(k);
-          continue;
-        }
-        SweepResult& out = results[k];
-        out.index = k;
-        out.name = spec.namePrefix + std::to_string(k);
-        out.ok = true;
-        out.attempts = 1;
-        out.times = std::move(lane.result.times);
-        out.waveform = lane.result.waveform(outIdx);
-        out.finalState = std::move(lane.result.finalState);
-        out.stats = lane.result.stats;
-        telemetryCount(Counter::kScenariosRun);
-        if (onProgress) {
-          std::lock_guard<std::mutex> lock(progressMutex);
-          onProgress(out);
-        }
-      }
-      if (!fallback.empty()) {
-        // Nested parallelFor runs inline on this slot — the fallback does
-        // not disturb the deterministic tile schedule.
-        std::vector<SweepResult> fixed =
-            runScenarioSweep(fallback, pool, nullptr);
-        for (size_t j = 0; j < fixed.size(); ++j) {
-          fixed[j].index = fallbackIdx[j];
-          results[fallbackIdx[j]] = std::move(fixed[j]);
-          if (onProgress) {
-            std::lock_guard<std::mutex> lock(progressMutex);
-            onProgress(results[fallbackIdx[j]]);
-          }
-        }
       }
     }
   });

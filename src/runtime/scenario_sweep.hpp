@@ -13,17 +13,14 @@
 // reported in its SweepResult instead of aborting the sweep.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <span>
 
 #include "core/monte_carlo.hpp"
-#include "engine/batch_eval.hpp"
 #include "engine/transient.hpp"
 #include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/fault_injection.hpp"
-#include "util/telemetry.hpp"
 
 namespace psmn {
 
@@ -48,36 +45,11 @@ struct SweepRetryPolicy {
   bool robustFinalAttempt = true;
 };
 
-/// Slot-confined reusable execution context for scenarios that share a
-/// deck: the parsed netlist, the MnaSystem over it (whose cached CSC
-/// stamping pattern is the expensive value-independent symbolic state),
-/// and a transient workspace whose pattern caches, scatter maps, and
-/// buffer allocations persist across runs. The process-sweep workers hand
-/// one of these per (slot, deck) to SweepScenario::acquire; the sweep
-/// resets the workspace per scenario (TransientWorkspace::resetForNewValues)
-/// so results stay bit-identical to the fresh-stack `make` path.
-struct ScenarioContext {
-  std::unique_ptr<Netlist> netlist;
-  std::unique_ptr<MnaSystem> sys;
-  TransientWorkspace tran;
-};
-
 struct SweepScenario {
   std::string name;
   /// Builds this scenario's private netlist (finalize() is called by the
   /// sweep). Runs on the evaluating slot; must not touch shared state.
   NetlistFactory make;
-
-  /// Alternative to `make`: returns a borrowed, slot-confined context
-  /// whose netlist is already finalized and carries this scenario's
-  /// device values (e.g. its mismatch draw applied). The callee keeps
-  /// ownership and may hand the same context to every scenario on the
-  /// slot — the sweep resets the workspace per scenario, never caches
-  /// value-dependent state across scenarios, and supports the transient
-  /// analyses only on this path (kTransient, kTransientSensitivity).
-  /// Takes precedence over `make` when set. Called once per attempt, so
-  /// the draw must be re-applied idempotently (applyMismatchSample is).
-  std::function<ScenarioContext*()> acquire;
 
   SweepAnalysis analysis = SweepAnalysis::kTransient;
   /// Node whose waveform (and sigma(t)) is recorded; required for every
@@ -128,15 +100,6 @@ struct SweepResult {
   /// kMcBatch, whose per-sample costs stay internal to the batch engine).
   SolveStats stats;
 
-  /// Registry-counter deltas over ALL of this scenario's attempts,
-  /// captured when the sweep runs in counter-capture mode (see
-  /// runScenarioSweep). The process-sweep workers ship these with each
-  /// result so the parent's merged registry totals match an in-process
-  /// run exactly — including the counts of failed attempts, which
-  /// `stats` deliberately excludes. Zero when capture is off.
-  bool hasCounters = false;
-  std::array<uint64_t, kNumCounters> counters{};
-
   // Waveform analyses.
   std::vector<Real> times;
   RealVector waveform;  // outNode at each time point
@@ -156,49 +119,8 @@ using SweepProgressFn = std::function<void(const SweepResult&)>;
 /// returns results in input order. Deterministic: scenario evaluation is
 /// self-contained, so results are independent of the pool's job count (the
 /// optional progress callback observes completion order, which is not).
-///
-/// With `captureCounters` set, each scenario's registry-counter deltas are
-/// recorded into its SweepResult::counters instead of any bound registry:
-/// a scenario-local one-slot registry is bound around the attempts (every
-/// scenario runs wholly on its evaluating thread, so the local scope sees
-/// exactly that scenario's probes). The process-sweep workers run in this
-/// mode so completed scenarios' counters survive a later worker crash —
-/// they travel with the result frame, not with the process.
 std::vector<SweepResult> runScenarioSweep(
     std::span<const SweepScenario> scenarios, ThreadPool& pool,
-    const SweepProgressFn& onProgress = nullptr,
-    bool captureCounters = false);
-
-/// Specification of a homogeneous transient sweep — N scenarios that share
-/// one deck and differ only in mismatch/sweep parameter values — eligible
-/// for scenario-batched evaluation (engine/batch_eval.hpp). `configure`
-/// applies scenario k's parameter values to the shared netlist (it must be
-/// idempotent; applyMismatchSample is).
-struct BatchSweepSpec {
-  NetlistFactory make;                              // shared deck factory
-  std::function<void(Netlist&, size_t)> configure;  // scenario k's values
-  size_t count = 0;
-  std::string namePrefix = "mc";  // scenario k is named namePrefix + k
-  std::string outNode;
-  Real t0 = 0.0, t1 = 0.0, dt = 0.0;
-  TranOptions tran;
-  /// Applied by the scalar fallback only (see runScenarioSweepBatched).
-  SweepRetryPolicy retry;
-  BatchOptions batch;
-};
-
-/// Batched counterpart of runScenarioSweep for homogeneous transient
-/// sweeps: scenarios are tiled into batches of `spec.batch.lanes` lanes,
-/// tiles run in parallel on the pool (deterministic for every jobs count —
-/// tiles are self-contained, results land in input order), and each tile
-/// advances its lanes in lockstep through runTransientBatch. A lane that
-/// fails in the batch is re-run WHOLESALE through the scalar
-/// runScenarioSweep — including its retry escalation — so failed-scenario
-/// results (error text, diagnostics, attempts, recovered) are exactly what
-/// the scalar sweep would have reported. Successful lanes are bit-identical
-/// to the scalar path by the batch evaluator's construction.
-std::vector<SweepResult> runScenarioSweepBatched(
-    const BatchSweepSpec& spec, ThreadPool& pool,
     const SweepProgressFn& onProgress = nullptr);
 
 }  // namespace psmn

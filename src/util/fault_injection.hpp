@@ -25,21 +25,6 @@
 //   "mna.eval"            MnaSystem::evalDense/evalSparse poison f[0]=NaN
 //   "dc.newton.converge"  newtonSolve suppresses a convergence acceptance
 //   "tran.newton.converge" integrateStep suppresses an acceptance
-//   "ipc.frame"           buildFrame corrupts the frame checksum (the
-//                         receiver sees a malformed frame)
-//   "worker.exit"         a sweep worker dies by SIGKILL before writing a
-//                         completed scenario's result frame
-//
-// The two process-sweep sites differ from the in-solver sites in WHERE the
-// plan is armed: the parent arms "ipc.frame" with an ordinary FaultScope
-// around its own frame writes, while inside a worker both sites are
-// counted process-wide against the plan shipped in the hello frame
-// (ProcessSweepOptions::workerFaults) — a worker writes results from its
-// pool threads, so a thread-confined scope could not count them. Hit
-// indices there are result-write ordinals, which follow completion order:
-// deterministic for jobsPerWorker=1, scheduling-dependent above (the
-// recovery outcome stays correct either way; targeted tests pin
-// jobsPerWorker=1).
 #pragma once
 
 #include <string>

@@ -14,8 +14,6 @@ const char* counterName(Counter c) {
     case Counter::kStepsAccepted: return "steps_accepted";
     case Counter::kScenariosRun: return "scenarios_run";
     case Counter::kScenarioRetries: return "scenario_retries";
-    case Counter::kBatchEvals: return "batch_evals";
-    case Counter::kBatchSymbolicReuse: return "batch_symbolic_reuse";
     case Counter::kCount_: break;
   }
   return "unknown";
@@ -69,13 +67,6 @@ uint64_t TelemetryRegistry::counterTotal(Counter c) const {
   uint64_t total = 0;
   for (const Slot& s : slots_) total += s.counters[static_cast<size_t>(c)];
   return total;
-}
-
-void TelemetryRegistry::addExternalCounters(
-    const std::array<uint64_t, kNumCounters>& deltas) {
-  for (size_t i = 0; i < kNumCounters; ++i) {
-    slots_[0].counters[i] += deltas[i];
-  }
 }
 
 std::vector<TraceEvent> TelemetryRegistry::events() const {

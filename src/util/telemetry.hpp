@@ -1,8 +1,7 @@
 // Deterministic telemetry: a near-zero-overhead metrics registry plus
 // scoped trace spans, threaded through every layer of the solver stack
 // (LU kernels, MNA evaluation, the engines, the scenario sweep, the
-// runner). This is the observability surface the future distributed
-// sweep service exposes as its progress/metrics endpoint.
+// runner).
 //
 // Design constraints (mirroring util/fault_injection.hpp):
 //   * Zero overhead when disabled: every probe is one inline thread-local
@@ -101,8 +100,6 @@ enum class Counter : uint8_t {
   kStepsAccepted,      // accepted integration steps
   kScenariosRun,       // scenario sweep: scenarios evaluated
   kScenarioRetries,    // scenario sweep: extra attempts taken
-  kBatchEvals,         // batched eval: structural walks stamping many lanes
-  kBatchSymbolicReuse, // batched eval: lanes that reused a shared pattern
   kCount_
 };
 inline constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount_);
@@ -202,16 +199,6 @@ class TelemetryRegistry {
   };
   Totals totals() const;
   uint64_t counterTotal(Counter c) const;
-
-  /// Folds counter deltas produced OUTSIDE this registry — a sweep
-  /// worker's per-scenario captures shipped over the process-sweep pipe —
-  /// into slot 0. Caller contract matches TelemetryScope's: at most one
-  /// thread touches slot 0 at a time (the process-sweep coordinator calls
-  /// this from the merging thread only). Determinism is preserved because
-  /// the deltas are themselves deterministic per-scenario sums and
-  /// counter addition is commutative — the merged totals match what an
-  /// in-process run of the same scenarios would have recorded.
-  void addExternalCounters(const std::array<uint64_t, kNumCounters>& deltas);
 
   /// All recorded events, merged in slot order (then per-slot record
   /// order, which is the completion order on that slot).

@@ -2,10 +2,11 @@
 """CLI integration tests for the built netlist_runner binary.
 
 Each CTest `cli_<case>` invocation runs ONE case from this file against
-the real executable: card-mode runs, in-process and multi-process sweeps,
-run-report generation (validated with scripts/check_run_report.py's own
-checkers, so the CLI tier and CI enforce the identical schema), and the
-bad-input exit codes scripted flows depend on.
+the real executable: card-mode runs, seeded sweeps and their --jobs
+determinism, run-report generation (validated with
+scripts/check_run_report.py's own checkers, so the CLI tier and CI enforce
+the identical schema), and the bad-input exit codes scripted flows depend
+on.
 
 Usage: cli_test.py --runner <netlist_runner> --repo <repo root> <case>
 """
@@ -98,7 +99,6 @@ def case_card_deck(cli):
            "deck title missing", p)
     cli.check_report(metrics=metrics)
     doc = json.load(open(metrics))
-    expect(doc["procs"] == 1, "card mode must report procs=1", p)
     expect(doc["analyses"], "card mode must record analyses", p)
 
 
@@ -136,22 +136,7 @@ def case_sweep_mc(cli):
     sweep = doc["sweep"]
     expect(sweep["scenarios"] == 4, "expected 4 scenarios", p)
     expect(sweep["failed"] == 0, "unexpected scenario failures", p)
-    expect(doc["procs"] == 1, "in-process sweep must report procs=1", p)
     expect(len(sweep_lines(p.stdout)) == 5, "expected 4 results + summary", p)
-
-
-def case_sweep_procs(cli):
-    """Multi-process sweep smoke: same schema, procs field recorded."""
-    metrics = os.path.join(cli.tmp, "metrics.json")
-    p = cli.run(cli.deck(), *SWEEP, "--procs", "2", "--metrics", metrics)
-    expect(p.returncode == 0, "multi-process sweep failed", p)
-    expect("2 proc(s)" in p.stdout, "banner must name the topology", p)
-    cli.check_report(metrics=metrics)
-    doc = json.load(open(metrics))
-    expect(doc["procs"] == 2, "metrics must record --procs", p)
-    expect(doc["sweep"]["failed"] == 0, "unexpected scenario failures", p)
-    expect(all(sc["ok"] for sc in doc["sweep"]["per_scenario"]),
-           "every scenario must succeed", p)
 
 
 def case_sweep_trace(cli):
@@ -164,25 +149,28 @@ def case_sweep_trace(cli):
     cli.check_report(metrics=metrics, trace=trace)
 
 
-def case_sweep_procs_identity(cli):
+def case_sweep_jobs_identity(cli):
     """The determinism contract at the CLI surface: identical per-scenario
-    values, stats, and merged counters for procs=1 vs procs=2."""
+    values, sweep accounting, and merged counters for jobs=1 vs jobs=4."""
     out = {}
-    for procs in (1, 2):
-        metrics = os.path.join(cli.tmp, f"metrics{procs}.json")
-        p = cli.run(cli.deck(), *SWEEP, "--procs", str(procs),
-                    "--metrics", metrics)
-        expect(p.returncode == 0, f"procs={procs} sweep failed", p)
+    for jobs in (1, 4):
+        metrics = os.path.join(cli.tmp, f"metrics{jobs}.json")
+        p = cli.run(cli.deck(), "--sweep", "mc:8", "--jobs", str(jobs),
+                    "--seed", "1", "--probe", "out", "--metrics", metrics)
+        expect(p.returncode == 0, f"jobs={jobs} sweep failed", p)
         cli.check_report(metrics=metrics)
-        out[procs] = (json.load(open(metrics)), sweep_lines(p.stdout))
+        lines = sweep_lines(p.stdout)
+        expect(len(lines) == 9, f"jobs={jobs}: expected 8 results + summary",
+               p)
+        out[jobs] = (json.load(open(metrics)), lines)
     m1, lines1 = out[1]
-    m2, lines2 = out[2]
-    assert lines1 == lines2, (
-        f"printed sweep values differ:\n{lines1}\nvs\n{lines2}")
-    for key in ("sweep", "counters", "solve_stats"):
-        assert m1.get(key) == m2.get(key), (
-            f"metrics '{key}' differs between procs=1 and procs=2:\n"
-            f"{m1.get(key)}\nvs\n{m2.get(key)}")
+    m4, lines4 = out[4]
+    assert lines1 == lines4, (
+        f"printed sweep values differ:\n{lines1}\nvs\n{lines4}")
+    for key in ("sweep", "counters"):
+        assert m1.get(key) == m4.get(key), (
+            f"metrics '{key}' differs between jobs=1 and jobs=4:\n"
+            f"{m1.get(key)}\nvs\n{m4.get(key)}")
 
 
 def case_bad_inputs(cli):
@@ -214,19 +202,14 @@ def case_bad_inputs(cli):
     expect(p.returncode == 1 and "probe node" in p.stderr,
            "unknown probe node must exit 1", p)
 
-    p = cli.run(cli.deck(), "--procs", "0")
-    expect(p.returncode == 1 and "--procs" in p.stderr,
-           "--procs 0 must exit 1", p)
-
 
 CASES = {
     "card_demo": case_card_demo,
     "card_deck": case_card_deck,
     "card_pnoise_jobs": case_card_pnoise_jobs,
     "sweep_mc": case_sweep_mc,
-    "sweep_procs": case_sweep_procs,
     "sweep_trace": case_sweep_trace,
-    "sweep_procs_identity": case_sweep_procs_identity,
+    "sweep_jobs_identity": case_sweep_jobs_identity,
     "bad_inputs": case_bad_inputs,
 }
 

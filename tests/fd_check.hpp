@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/device_batch.hpp"
 #include "circuit/netlist.hpp"
 #include "numeric/dense_matrix.hpp"
 
@@ -275,175 +274,6 @@ inline std::vector<std::string> checkNetlist(Netlist& nl,
       failures.push_back(os.str());
     }
     if (failures.size() > 40) break;  // enough to diagnose
-  }
-  return failures;
-}
-
-// --- batched-lane verification (the engine/batch_eval.hpp contract) ------
-
-/// One batched assembly: every lane of `batch` stamped at the SAME iterate
-/// x through a single structural walk, into dense per-lane targets. (The
-/// per-device batched loops are backend-agnostic; the engine-level batch
-/// tests cover the sparse slot-stamping path.)
-inline void evalAllBatched(const Netlist& nl, const DeviceBatch& batch,
-                           const RealVector& x, const FdOptions& opt,
-                           std::vector<RealVector>& f,
-                           std::vector<RealVector>& q,
-                           std::vector<RealMatrix>& g,
-                           std::vector<RealMatrix>& c) {
-  const size_t n = nl.unknownCount();
-  const size_t lanes = batch.laneCount();
-  f.assign(lanes, RealVector(n, 0.0));
-  q.assign(lanes, RealVector(n, 0.0));
-  g.assign(lanes, RealMatrix());
-  c.assign(lanes, RealMatrix());
-  std::vector<Stamper> stampers;
-  stampers.reserve(lanes);
-  for (size_t l = 0; l < lanes; ++l) {
-    g[l].resize(n, n);
-    c[l].resize(n, n);
-    Stamper s(x, opt.time, n);
-    s.setGmin(opt.gmin);
-    s.attachVectors(&f[l], &q[l]);
-    s.attachDense(&g[l], &c[l]);
-    stampers.push_back(s);
-  }
-  const std::vector<unsigned char> active(lanes, 1);
-  batch.evalLanes(stampers, active);
-}
-
-/// Batched-lane sweep over a finalized netlist with `lanes` random
-/// per-lane mismatch draws. At each seeded bias point it verifies
-///  1. scalar-as-oracle bit-identity: every lane's batched F/Q/G/C equals
-///     a scalar eval() with that lane's deltas applied, bit for bit;
-///  2. Richardson FD through the batched path on one randomly chosen lane
-///     k: perturbing parameter p in lane k's SoA column produces exactly
-///     the analytic mismatch columns dF/dp, dQ/dp;
-///  3. lane-crosstalk: every one of those perturbed batched evaluations
-///     leaves every OTHER lane's stamps bit-unchanged (a perturbation in
-///     scenario k must never leak into lane w's stamps).
-inline std::vector<std::string> checkBatchedLanes(Netlist& nl, size_t lanes,
-                                                  const FdOptions& opt = {}) {
-  nl.finalize();
-  std::vector<std::string> failures;
-  std::mt19937_64 rng(opt.seed + 1);
-  DeviceBatch batch(nl, lanes);
-  const auto params = nl.mismatchParams();
-  std::uniform_real_distribution<Real> unit(-1.0, 1.0);
-  for (size_t l = 0; l < lanes; ++l) {
-    for (const auto& ref : params) {
-      const Real scale = ref.param.sigma > 0.0 ? ref.param.sigma : 1e-3;
-      ref.device->setMismatchDelta(ref.index, unit(rng) * scale);
-    }
-    batch.captureLane(l);
-  }
-
-  const size_t n = nl.unknownCount();
-  std::vector<RealVector> bf, bq;
-  std::vector<RealMatrix> bg, bc;
-  for (int p = 0; p < opt.biasPoints; ++p) {
-    const RealVector x = detail::randomIterate(nl, rng, opt);
-    evalAllBatched(nl, batch, x, opt, bf, bq, bg, bc);
-
-    // 1. Scalar-as-oracle bit-identity per lane.
-    RealVector sf, sq;
-    RealMatrix sg, sc;
-    for (size_t l = 0; l < lanes; ++l) {
-      batch.applyLane(l);
-      evalAll(nl, x, opt, sf, sq, &sg, &sc);
-      if (!(bf[l] == sf) || !(bq[l] == sq) || !(bg[l] == sg) ||
-          !(bc[l] == sc)) {
-        std::ostringstream os;
-        os << "lane " << l
-           << ": batched stamps differ from scalar eval at bias point " << p;
-        failures.push_back(os.str());
-      }
-    }
-    if (params.empty()) continue;
-
-    // 2 + 3. FD on a randomly chosen lane; crosstalk witness on the rest.
-    const size_t k =
-        std::uniform_int_distribution<size_t>(0, lanes - 1)(rng);
-    batch.applyLane(k);  // the netlist now carries lane k's deltas
-    for (const auto& ref : params) {
-      Device& dev = *ref.device;
-      const size_t pi = ref.index;
-      RealVector colF(n, 0.0), colQ(n, 0.0), scratch(n, 0.0);
-      {
-        Stamper s(x, opt.time, n);
-        s.setGmin(opt.gmin);
-        s.attachVectors(&colF, &scratch);
-        dev.mismatchStampF(pi, s);
-      }
-      scratch.assign(n, 0.0);
-      {
-        Stamper s(x, opt.time, n);
-        s.setGmin(opt.gmin);
-        s.attachVectors(&scratch, &colQ);
-        dev.mismatchStampQ(pi, s);
-      }
-
-      const Real d0 = dev.mismatchDelta(pi);
-      const Real hd = ref.param.sigma > 0.0 ? 1e-3 * ref.param.sigma : opt.h;
-      auto perturbedEval = [&](Real delta, std::vector<RealVector>& pf,
-                               std::vector<RealVector>& pq) {
-        dev.setMismatchDelta(pi, delta);
-        batch.captureLane(k);
-        std::vector<RealMatrix> pg, pc;
-        evalAllBatched(nl, batch, x, opt, pf, pq, pg, pc);
-        for (size_t w = 0; w < lanes; ++w) {
-          if (w == k) continue;
-          if (!(pf[w] == bf[w]) || !(pq[w] == bq[w]) || !(pg[w] == bg[w]) ||
-              !(pc[w] == bc[w])) {
-            std::ostringstream os;
-            os << "lane-crosstalk: perturbing " << ref.param.name
-               << " in lane " << k << " changed lane " << w << "'s stamps";
-            failures.push_back(os.str());
-          }
-        }
-      };
-      std::vector<RealVector> fp, qp, fm, qm, fp2, qp2, fm2, qm2;
-      perturbedEval(d0 + hd, fp, qp);
-      perturbedEval(d0 - hd, fm, qm);
-      perturbedEval(d0 + 0.5 * hd, fp2, qp2);
-      perturbedEval(d0 - 0.5 * hd, fm2, qm2);
-      dev.setMismatchDelta(pi, d0);
-      batch.captureLane(k);  // restore lane k's column bit-exactly
-
-      const Real fScale = detail::vectorScale(colF);
-      const Real qScale = detail::vectorScale(colQ);
-      for (size_t i = 0; i < n; ++i) {
-        const Real fdF = (8.0 * (fp2[k][i] - fm2[k][i]) -
-                          (fp[k][i] - fm[k][i])) /
-                         (6.0 * hd);
-        const Real fdQ = (8.0 * (qp2[k][i] - qm2[k][i]) -
-                          (qp[k][i] - qm[k][i])) /
-                         (6.0 * hd);
-        const Real noiseF = detail::kNoiseEps / hd *
-                            (std::fabs(fp[k][i]) + std::fabs(fm[k][i]) +
-                             std::fabs(fp2[k][i]) + std::fabs(fm2[k][i]));
-        const Real noiseQ = detail::kNoiseEps / hd *
-                            (std::fabs(qp[k][i]) + std::fabs(qm[k][i]) +
-                             std::fabs(qp2[k][i]) + std::fabs(qm2[k][i]));
-        if (!detail::entryOk(colF[i], fdF, fScale, noiseF, opt.relTol,
-                             opt.absTol)) {
-          std::ostringstream os;
-          os << "batched dF/dp[" << ref.param.name << "](lane " << k << ", "
-             << nl.unknownName(i) << "): analytic " << colF[i] << " vs FD "
-             << fdF;
-          failures.push_back(os.str());
-        }
-        if (!detail::entryOk(colQ[i], fdQ, qScale, noiseQ, opt.relTol,
-                             opt.absTol)) {
-          std::ostringstream os;
-          os << "batched dQ/dp[" << ref.param.name << "](lane " << k << ", "
-             << nl.unknownName(i) << "): analytic " << colQ[i] << " vs FD "
-             << fdQ;
-          failures.push_back(os.str());
-        }
-      }
-      if (failures.size() > 40) return failures;  // enough to diagnose
-    }
   }
   return failures;
 }

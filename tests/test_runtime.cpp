@@ -10,15 +10,12 @@
 #include <thread>
 #include <cmath>
 
-#include "circuit/parser.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
 #include "core/monte_carlo.hpp"
 #include "engine/transient.hpp"
 #include "engine/transient_sensitivity.hpp"
-#include "runtime/ipc.hpp"
-#include "runtime/process_sweep.hpp"
 #include "runtime/scenario_sweep.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -446,198 +443,6 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
   }
   const McResult repeat = runWithJobs(8);
   EXPECT_EQ(repeat.meanOf(0), runWithJobs(8).meanOf(0));
-}
-
-// -------------------------------------- multi-process topology matrix
-//
-// The distributed-sweep determinism contract (docs/architecture.md
-// "Distributed sweep"): per-scenario values, SolveStats, and captured
-// registry counters are byte-identical across EVERY jobs x procs
-// topology — in-process runScenarioSweep at jobs 1/2/8 and
-// runProcessSweep at procs 1/2/4 x jobsPerWorker 1/2 — including runs
-// where an injected worker crash forces a resend.
-
-constexpr const char* kMismatchDeck = R"(* process-sweep matrix deck
-v1 top 0 pulse(0 2 1n 0.5n 0.5n 6n 20n)
-r1 top mid 1k sigma=10
-r2 mid 0 1k sigma=10
-c1 mid 0 1p
-)";
-constexpr uint64_t kMatrixSeed = 11;
-constexpr int kMatrixScenarios = 8;
-
-/// Tests link gtest's main and cannot re-enter themselves with --worker;
-/// the build drops the dedicated worker binary next to the test
-/// executable for exactly this.
-std::string siblingWorkerExe() {
-  const std::string self = selfExecutablePath();
-  return self.substr(0, self.find_last_of('/') + 1) + "psmn_sweep_worker";
-}
-
-std::vector<ProcessScenario> matrixProcScenarios() {
-  std::vector<ProcessScenario> scenarios;
-  for (int k = 0; k < kMatrixScenarios; ++k) {
-    ProcessScenario ps;
-    ps.name = "mc" + std::to_string(k);
-    ps.deckIndex = 0;
-    ps.analysis = SweepAnalysis::kTransient;
-    ps.outNode = "mid";
-    ps.t1 = 20e-9;
-    ps.dt = 0.2e-9;
-    ps.applyMismatch = true;
-    ps.seed = kMatrixSeed;
-    ps.sampleIndex = size_t(k);
-    ps.retry.maxRetries = 2;
-    scenarios.push_back(std::move(ps));
-  }
-  return scenarios;
-}
-
-/// The in-process reference for the same draws: fresh-stack `make` path
-/// (finalize() is idempotent, so the sweep's own call is a no-op and the
-/// draw applied here sticks).
-std::vector<SweepScenario> matrixInProcessScenarios() {
-  std::vector<SweepScenario> scenarios;
-  for (int k = 0; k < kMatrixScenarios; ++k) {
-    SweepScenario sc;
-    sc.name = "mc" + std::to_string(k);
-    sc.make = [k] {
-      ParsedCircuit pc = parseNetlistString(kMismatchDeck);
-      pc.netlist->finalize();
-      applyMismatchSample(pc.netlist->mismatchParams(), nullptr, kMatrixSeed,
-                          size_t(k));
-      return std::move(pc.netlist);
-    };
-    sc.analysis = SweepAnalysis::kTransient;
-    sc.outNode = "mid";
-    sc.t1 = 20e-9;
-    sc.dt = 0.2e-9;
-    sc.retry.maxRetries = 2;
-    scenarios.push_back(std::move(sc));
-  }
-  return scenarios;
-}
-
-void expectSameSweepValues(const std::vector<SweepResult>& ref,
-                           const std::vector<SweepResult>& got,
-                           const std::string& what) {
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << what << " " << i << ": " << got[i].error;
-    EXPECT_EQ(got[i].index, i) << what;
-    EXPECT_EQ(got[i].name, ref[i].name) << what;
-    ASSERT_EQ(got[i].times.size(), ref[i].times.size()) << what << " " << i;
-    for (size_t t = 0; t < ref[i].times.size(); ++t) {
-      EXPECT_EQ(got[i].times[t], ref[i].times[t]) << what << " " << i;
-      EXPECT_EQ(got[i].waveform[t], ref[i].waveform[t])
-          << what << " scenario " << i << " point " << t;
-    }
-    ASSERT_EQ(got[i].finalState.size(), ref[i].finalState.size()) << what;
-    for (size_t r = 0; r < ref[i].finalState.size(); ++r) {
-      EXPECT_EQ(got[i].finalState[r], ref[i].finalState[r]) << what;
-    }
-    EXPECT_EQ(got[i].stats.newtonIterations, ref[i].stats.newtonIterations)
-        << what << " " << i;
-    EXPECT_EQ(got[i].stats.steps, ref[i].stats.steps) << what << " " << i;
-    EXPECT_EQ(got[i].stats.factorizations, ref[i].stats.factorizations)
-        << what << " " << i;
-    EXPECT_EQ(got[i].stats.refactorizations, ref[i].stats.refactorizations)
-        << what << " " << i;
-    EXPECT_EQ(got[i].stats.solves, ref[i].stats.solves) << what << " " << i;
-    EXPECT_EQ(got[i].stats.evals, ref[i].stats.evals) << what << " " << i;
-  }
-}
-
-std::array<uint64_t, kNumCounters> sumResultCounters(
-    const std::vector<SweepResult>& results) {
-  std::array<uint64_t, kNumCounters> sum{};
-  for (const SweepResult& r : results) {
-    EXPECT_TRUE(r.hasCounters) << r.name;
-    for (size_t i = 0; i < kNumCounters; ++i) sum[i] += r.counters[i];
-  }
-  return sum;
-}
-
-TEST(ProcessSweep, BitIdenticalAcrossJobsAndProcsTopologies) {
-  const auto procScenarios = matrixProcScenarios();
-  const auto inprocScenarios = matrixInProcessScenarios();
-  const std::vector<std::string> decks = {kMismatchDeck};
-
-  // Reference: in-process, serial, with counter capture.
-  ThreadPool p1(1);
-  const auto ref = runScenarioSweep(inprocScenarios, p1, nullptr,
-                                    /*captureCounters=*/true);
-  for (const auto& r : ref) ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
-  const auto refCounters = sumResultCounters(ref);
-
-  // In-process at higher job counts.
-  for (size_t jobs : {2u, 8u}) {
-    ThreadPool pool(jobs);
-    const auto got = runScenarioSweep(inprocScenarios, pool, nullptr, true);
-    expectSameSweepValues(ref, got, "jobs=" + std::to_string(jobs));
-    EXPECT_EQ(sumResultCounters(got), refCounters) << jobs;
-  }
-
-  // Multi-process at every procs x jobsPerWorker topology. The registry
-  // fold must reproduce the in-process counter totals exactly.
-  for (size_t procs : {1u, 2u, 4u}) {
-    for (size_t jobsPerWorker : {1u, 2u}) {
-      ProcessSweepOptions opt;
-      opt.procs = procs;
-      opt.jobsPerWorker = jobsPerWorker;
-      opt.workerExe = siblingWorkerExe();
-      TelemetryRegistry reg(1);
-      const auto got = runProcessSweep(decks, procScenarios, opt, &reg);
-      const std::string what = "procs=" + std::to_string(procs) +
-                               " jobsPerWorker=" +
-                               std::to_string(jobsPerWorker);
-      expectSameSweepValues(ref, got, what);
-      EXPECT_EQ(sumResultCounters(got), refCounters) << what;
-      EXPECT_EQ(reg.totals().counters, refCounters) << what;
-      for (const auto& r : got) {
-        EXPECT_EQ(r.attempts, 1) << what;
-        EXPECT_FALSE(r.recovered) << what;
-      }
-    }
-  }
-}
-
-TEST(ProcessSweep, CrashRetriedRunStaysBitIdentical) {
-  // Kill one worker with the injected "worker.exit" SIGKILL right before
-  // its second result write; the parent must strike + respawn + resend,
-  // and the merged values AND counter totals must equal the crash-free
-  // run's — the struck scenario only shows in attempts/recovered.
-  const auto procScenarios = matrixProcScenarios();
-  const std::vector<std::string> decks = {kMismatchDeck};
-
-  ThreadPool p1(1);
-  const auto ref = runScenarioSweep(matrixInProcessScenarios(), p1, nullptr,
-                                    /*captureCounters=*/true);
-  const auto refCounters = sumResultCounters(ref);
-
-  ProcessSweepOptions opt;
-  opt.procs = 2;
-  opt.jobsPerWorker = 1;
-  opt.workerExe = siblingWorkerExe();
-  FaultPoint fp;
-  fp.site = "worker.exit";
-  fp.firstHit = 1;  // the second result write in each spawned worker
-  fp.count = 1;
-  opt.workerFaults.points.push_back(fp);
-
-  TelemetryRegistry reg(1);
-  const auto got = runProcessSweep(decks, procScenarios, opt, &reg);
-  expectSameSweepValues(ref, got, "crash-retry");
-  EXPECT_EQ(sumResultCounters(got), refCounters);
-  EXPECT_EQ(reg.totals().counters, refCounters);
-  size_t recovered = 0;
-  for (const auto& r : got) {
-    if (r.recovered) {
-      ++recovered;
-      EXPECT_GE(r.attempts, 2) << r.name;
-    }
-  }
-  EXPECT_GT(recovered, 0u);
 }
 
 TEST(ScenarioSweep, McBatchScenarioMatchesDirectEngine) {
