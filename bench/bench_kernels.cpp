@@ -1,10 +1,13 @@
 // Microbenchmarks of the solver kernels (google-benchmark): dense/sparse
-// LU factor/refactor/multi-RHS, one MNA evaluation, dense-vs-sparse
-// transient steps and transient sensitivity, one shooting-PSS solve.
+// LU factor/refactor, real and complex multi-RHS solves, one MNA
+// evaluation, dense-vs-sparse transient steps and transient sensitivity,
+// one shooting-PSS solve.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <type_traits>
 
 #include "circuit/stdcell.hpp"
 #include "engine/transient.hpp"
@@ -135,33 +138,109 @@ BENCHMARK_CAPTURE(BM_FactorFill, chain_degree, false, OrderingKind::kDegree);
 BENCHMARK_CAPTURE(BM_FactorFill, ring_amd, true, OrderingKind::kAmd);
 BENCHMARK_CAPTURE(BM_FactorFill, ring_degree, true, OrderingKind::kDegree);
 
-void BM_SparseLuSolveMulti(benchmark::State& state) {
-  // Batched multi-RHS substitution (the sensitivity engine's inner kernel)
-  // vs. `nrhs` scattered solves at the same factorization.
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto nrhs = static_cast<size_t>(state.range(1));
-  const SparseLU<Real> lu(randomSparse(n, n));
-  RealVector batch(n * nrhs, 1.0);
-  for (auto _ : state) {
-    lu.solveManyInPlace(batch, nrhs);
-    benchmark::DoNotOptimize(batch);
+// Complex twin of a real matrix: same pattern, with a j-shift on the
+// diagonal like the LPTV step matrices K = G + (1/h + jw)C.
+CplxMatrix complexTwin(const RealMatrix& a) {
+  CplxMatrix c(a.rows(), a.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) {
+      if (a(i, j) != 0.0) c(i, j) = Cplx(a(i, j), i == j ? 1.0 : 0.5 * a(i, j));
+    }
   }
+  return c;
+}
+
+template <class T>
+DenseLU<T> denseLuFor(size_t n) {
+  const RealMatrix a = randomMatrix(n, n);
+  if constexpr (std::is_same_v<T, Real>) return DenseLU<Real>(a);
+  else return DenseLU<Cplx>(complexTwin(a));
+}
+
+template <class T>
+SparseLU<T> sparseLuFor(size_t n) {
+  const RealSparse a = randomSparse(n, n);
+  if constexpr (std::is_same_v<T, Real>) return SparseLU<Real>(a);
+  else return SparseLU<Cplx>(CplxSparse::fromDense(complexTwin(a.toDense())));
+}
+
+// The solve benches restore their block from this pristine copy on every
+// iteration: solving in place on one block drives it to denormals, then
+// to exact zeros, within a few hundred iterations.
+template <class T>
+std::vector<T> pristineBlock(size_t size) {
+  Rng rng(size);
+  std::vector<T> block(size);
+  for (auto& v : block) {
+    if constexpr (std::is_same_v<T, Real>) v = rng.uniform(-1.0, 1.0);
+    else v = Cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  }
+  return block;
+}
+
+size_t benchSize(const benchmark::State& state) {
+  return static_cast<size_t>(state.range(0));
+}
+
+// Batched multi-RHS substitution (the sensitivity, monodromy and LPTV
+// inner kernel) vs. `nrhs` scattered single-column solves on the same
+// factorization.
+template <class T, class Lu>
+void solveMultiBench(benchmark::State& state, const Lu& lu) {
+  const size_t n = lu.size();
+  const auto nrhs = static_cast<size_t>(state.range(1));
+  const std::vector<T> pristine = pristineBlock<T>(n * nrhs);
+  std::vector<T> batch = pristine;
+  for (auto _ : state) {
+    std::copy(pristine.begin(), pristine.end(), batch.begin());
+    lu.solveManyInPlace(batch, nrhs);
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+template <class T, class Lu>
+void solveScatteredBench(benchmark::State& state, const Lu& lu) {
+  const size_t n = lu.size();
+  const auto nrhs = static_cast<size_t>(state.range(1));
+  const std::vector<T> pristine = pristineBlock<T>(n * nrhs);
+  std::vector<T> batch = pristine;
+  for (auto _ : state) {
+    std::copy(pristine.begin(), pristine.end(), batch.begin());
+    for (size_t r = 0; r < nrhs; ++r) {
+      lu.solveInPlace(std::span<T>(batch.data() + r * n, n));
+    }
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SparseLuSolveMulti(benchmark::State& state) {
+  solveMultiBench<Real>(state, sparseLuFor<Real>(benchSize(state)));
+}
+void BM_SparseLuSolveMultiComplex(benchmark::State& state) {
+  solveMultiBench<Cplx>(state, sparseLuFor<Cplx>(benchSize(state)));
+}
+void BM_SparseLuSolveScattered(benchmark::State& state) {
+  solveScatteredBench<Real>(state, sparseLuFor<Real>(benchSize(state)));
+}
+void BM_SparseLuSolveScatteredComplex(benchmark::State& state) {
+  solveScatteredBench<Cplx>(state, sparseLuFor<Cplx>(benchSize(state)));
 }
 BENCHMARK(BM_SparseLuSolveMulti)->Args({128, 1})->Args({128, 16})->Args({128, 64});
-
-void BM_SparseLuSolveScattered(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto nrhs = static_cast<size_t>(state.range(1));
-  const SparseLU<Real> lu(randomSparse(n, n));
-  RealVector batch(n * nrhs, 1.0);
-  for (auto _ : state) {
-    for (size_t r = 0; r < nrhs; ++r) {
-      lu.solveInPlace(std::span<Real>(batch.data() + r * n, n));
-    }
-    benchmark::DoNotOptimize(batch);
-  }
-}
+BENCHMARK(BM_SparseLuSolveMultiComplex)->Args({128, 16})->Args({128, 64});
 BENCHMARK(BM_SparseLuSolveScattered)->Args({128, 16})->Args({128, 64});
+BENCHMARK(BM_SparseLuSolveScatteredComplex)->Args({128, 16})->Args({128, 64});
+
+// n = 16: the size of the paper circuits' dense factorizations.
+void BM_DenseLuSolveMulti(benchmark::State& state) {
+  solveMultiBench<Real>(state, denseLuFor<Real>(benchSize(state)));
+}
+void BM_DenseLuSolveMultiComplex(benchmark::State& state) {
+  solveMultiBench<Cplx>(state, denseLuFor<Cplx>(benchSize(state)));
+}
+BENCHMARK(BM_DenseLuSolveMulti)->Args({16, 16});
+BENCHMARK(BM_DenseLuSolveMultiComplex)->Args({16, 16});
 
 void BM_MnaEvalComparator(benchmark::State& state) {
   Netlist nl;

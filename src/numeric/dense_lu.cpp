@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "numeric/lu_block.hpp"
 #include "util/fault_injection.hpp"
 #include "util/telemetry.hpp"
 
@@ -157,9 +158,32 @@ void DenseLU<T>::solveManyInPlace(std::span<T> b, size_t nrhs,
                                   LuSolveScratch<T>& scratch) const {
   const size_t n = size();
   PSMN_CHECK(b.size() == n * nrhs, "LU solve: rhs block size mismatch");
-  for (size_t r = 0; r < nrhs; ++r) {
-    solveInPlace(b.subspan(r * n, n), scratch);
+  if (nrhs == 0) return;
+  if (nrhs == 1) {
+    solveInPlace(b, scratch);
+    return;
   }
+  telemetryCount(Counter::kSolveColumns, nrhs);
+  // RHS-interleaved block (see numeric/lu_block.hpp): every column runs
+  // solveInPlace's dot-product chains, as row updates over all columns.
+  const size_t m = nrhs;
+  scratch.x.resize(n * m);
+  T* w = scratch.x.data();
+  detail::interleaveBlock<T>(b, n, m, perm_.data(), w);
+  for (size_t i = 1; i < n; ++i) {
+    const auto irow = lu_.row(i);
+    for (size_t j = 0; j < i; ++j) {
+      detail::subtractScaledRow(w + i * m, w + j * m, irow[j], m);
+    }
+  }
+  for (size_t ii = n; ii-- > 0;) {
+    const auto irow = lu_.row(ii);
+    for (size_t j = ii + 1; j < n; ++j) {
+      detail::subtractScaledRow(w + ii * m, w + j * m, irow[j], m);
+    }
+    detail::divideRow(w + ii * m, irow[ii], m);
+  }
+  detail::deinterleaveBlock<T>(w, n, m, nullptr, b);
 }
 
 template <class T>
@@ -173,9 +197,29 @@ void DenseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
                                             LuSolveScratch<T>& scratch) const {
   const size_t n = size();
   PSMN_CHECK(b.size() == n * nrhs, "LU solveT: rhs block size mismatch");
-  for (size_t r = 0; r < nrhs; ++r) {
-    solveTransposedInPlace(b.subspan(r * n, n), scratch);
+  if (nrhs == 0) return;
+  if (nrhs == 1) {
+    solveTransposedInPlace(b, scratch);
+    return;
   }
+  telemetryCount(Counter::kSolveColumns, nrhs);
+  // Interleaved like solveManyInPlace, following solveTransposedInPlace.
+  const size_t m = nrhs;
+  scratch.x.resize(n * m);
+  T* w = scratch.x.data();
+  detail::interleaveBlock<T>(b, n, m, nullptr, w);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      detail::subtractScaledRow(w + i * m, w + j * m, lu_(j, i), m);
+    }
+    detail::divideRow(w + i * m, lu_(i, i), m);
+  }
+  for (size_t ii = n; ii-- > 0;) {
+    for (size_t j = ii + 1; j < n; ++j) {
+      detail::subtractScaledRow(w + ii * m, w + j * m, lu_(j, ii), m);
+    }
+  }
+  detail::deinterleaveBlock<T>(w, n, m, perm_.data(), b);
 }
 
 template <class T>

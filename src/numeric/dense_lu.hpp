@@ -37,7 +37,8 @@ class DenseLU {
   /// Concurrently callable variant (see solveInPlace above).
   void solveTransposedInPlace(std::span<T> b, LuSolveScratch<T>& scratch) const;
 
-  /// Batched transposed solve, column-major like solveManyInPlace (mirrors
+  /// Batched transposed solve, column-major like solveManyInPlace and run
+  /// through the same interleaved kernel (mirrors
   /// SparseLU::solveTransposedManyInPlace for backend switching).
   void solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant (see solveInPlace above).
@@ -49,7 +50,11 @@ class DenseLU {
 
   /// Batched in-place solve of `nrhs` right-hand sides stored column-major
   /// in `b` (column r occupies b[r*n .. r*n + n-1]); mirrors
-  /// SparseLU::solveManyInPlace so the engines can switch backends.
+  /// SparseLU::solveManyInPlace so the engines can switch backends. The
+  /// block stays column-major at this interface; for nrhs > 1 it is copied
+  /// RHS-interleaved into n*nrhs scratch (row i of every column
+  /// contiguous) and substituted row by row over all columns, bit-identical
+  /// to solveInPlace per column. nrhs == 1 is solveInPlace.
   void solveManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant (see solveInPlace above).
   void solveManyInPlace(std::span<T> b, size_t nrhs,

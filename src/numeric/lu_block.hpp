@@ -1,0 +1,71 @@
+// Row kernels shared by the blocked multi-RHS substitutions of DenseLU and
+// SparseLU (internal to numeric/).
+//
+// A block of m right-hand sides arrives column-major (column r at
+// b[r*n .. r*n + n-1]) and is copied into scratch RHS-interleaved: row i of
+// every column is contiguous at w[i*m .. i*m + m-1]. Each substitution step
+// then becomes one unit-stride row update over all m columns. Per column the
+// arithmetic is exactly the column-at-a-time substitution's, in the same
+// order, so the results are bit-identical to solving the columns one at a
+// time. That holds while the compiler does not contract a*b - c into fused
+// multiply-adds: true for the default x86-64 target (no FMA), but a build
+// with -march=native on an FMA machine contracts the two paths differently.
+#pragma once
+
+#include <cstddef>
+#include <span>
+
+#include "numeric/types.hpp"
+
+namespace psmn::detail {
+
+/// dst[r] -= a * src[r] for r < m (dst and src are distinct rows).
+inline void subtractScaledRow(Real* __restrict dst,
+                              const Real* __restrict src, Real a, size_t m) {
+  for (size_t r = 0; r < m; ++r) dst[r] -= a * src[r];
+}
+
+/// Complex variant with the product written out as
+/// (ar*xr - ai*xi, ar*xi + ai*xr): for finite operands these are the bits
+/// GCC's std::complex operator* produces, without its C99 Annex G NaN check
+/// (which can call __muldc3 and keeps the loop from vectorizing).
+inline void subtractScaledRow(Cplx* __restrict dst,
+                              const Cplx* __restrict src, Cplx a, size_t m) {
+  const Real ar = a.real();
+  const Real ai = a.imag();
+  for (size_t r = 0; r < m; ++r) {
+    const Real xr = src[r].real();
+    const Real xi = src[r].imag();
+    dst[r] = Cplx(dst[r].real() - (ar * xr - ai * xi),
+                  dst[r].imag() - (ar * xi + ai * xr));
+  }
+}
+
+/// row[r] /= pivot for r < m. A true division (std::complex's for Cplx):
+/// multiplying by a reciprocal would change bits.
+template <class T>
+inline void divideRow(T* row, T pivot, size_t m) {
+  for (size_t r = 0; r < m; ++r) row[r] /= pivot;
+}
+
+/// w[i*m + r] = b[r*n + from[i]] (from == nullptr: identity).
+template <class T>
+inline void interleaveBlock(std::span<const T> b, size_t n, size_t m,
+                            const int* from, T* w) {
+  for (size_t r = 0; r < m; ++r) {
+    const T* col = b.data() + r * n;
+    for (size_t i = 0; i < n; ++i) w[i * m + r] = col[from ? from[i] : i];
+  }
+}
+
+/// b[r*n + to[i]] = w[i*m + r] (to == nullptr: identity).
+template <class T>
+inline void deinterleaveBlock(const T* w, size_t n, size_t m, const int* to,
+                              std::span<T> b) {
+  for (size_t r = 0; r < m; ++r) {
+    T* col = b.data() + r * n;
+    for (size_t i = 0; i < n; ++i) col[to ? to[i] : i] = w[i * m + r];
+  }
+}
+
+}  // namespace psmn::detail

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "numeric/lu_block.hpp"
 #include "util/fault_injection.hpp"
 #include "util/telemetry.hpp"
 
@@ -303,41 +304,36 @@ void SparseLU<T>::solveManyInPlace(std::span<T> b, size_t nrhs,
     return;
   }
   telemetryCount(Counter::kSolveColumns, nrhs);
-  std::vector<T>& solveRhs_ = scratch.rhs;
-  std::vector<T>& solveX_ = scratch.x;
-  solveRhs_.assign(b.begin(), b.end());
-  solveX_.assign(n_ * nrhs, T{});
-  T* rhs = solveRhs_.data();
-  T* x = solveX_.data();
+  // RHS-interleaved blocks (see numeric/lu_block.hpp); per column this is
+  // solveInPlace's substitution without its skips of exact-zero values,
+  // which cannot change a finite result.
+  const size_t m = nrhs;
+  scratch.rhs.resize(n_ * m);
+  scratch.x.resize(n_ * m);
+  T* rhs = scratch.rhs.data();
+  T* x = scratch.x.data();
+  detail::interleaveBlock<T>(b, n_, m, nullptr, rhs);
   // Forward solve: one traversal of each L column updates every RHS.
   for (size_t t = 0; t < n_; ++t) {
-    const int pr = permRow_[t];
-    for (size_t r = 0; r < nrhs; ++r) x[r * n_ + t] = rhs[r * n_ + pr];
+    T* xt = x + t * m;
+    const T* src = rhs + static_cast<size_t>(permRow_[t]) * m;
+    std::copy(src, src + m, xt);
     for (int p = lPtr_[t]; p < lPtr_[t + 1]; ++p) {
-      const int idx = lIdx_[p];
-      const T lv = lVal_[p];
-      for (size_t r = 0; r < nrhs; ++r) {
-        rhs[r * n_ + idx] -= lv * x[r * n_ + t];
-      }
+      detail::subtractScaledRow(rhs + static_cast<size_t>(lIdx_[p]) * m, xt,
+                                lVal_[p], m);
     }
   }
   // Backward substitution, again amortizing the pattern walk over all RHS.
   for (size_t tt = n_; tt-- > 0;) {
     const int diagPos = uPtr_[tt + 1] - 1;
-    const T diag = uVal_[diagPos];
-    for (size_t r = 0; r < nrhs; ++r) x[r * n_ + tt] /= diag;
+    T* xt = x + tt * m;
+    detail::divideRow(xt, uVal_[diagPos], m);
     for (int p = uPtr_[tt]; p < diagPos; ++p) {
-      const int idx = uIdx_[p];
-      const T uv = uVal_[p];
-      for (size_t r = 0; r < nrhs; ++r) {
-        x[r * n_ + idx] -= uv * x[r * n_ + tt];
-      }
+      detail::subtractScaledRow(x + static_cast<size_t>(uIdx_[p]) * m, xt,
+                                uVal_[p], m);
     }
   }
-  for (size_t t = 0; t < n_; ++t) {
-    const int oc = colOrder_[t];
-    for (size_t r = 0; r < nrhs; ++r) b[r * n_ + oc] = x[r * n_ + t];
-  }
+  detail::deinterleaveBlock<T>(x, n_, m, colOrder_.data(), b);
 }
 
 template <class T>
@@ -395,35 +391,29 @@ void SparseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
     return;
   }
   telemetryCount(Counter::kSolveColumns, nrhs);
-  std::vector<T>& solveX_ = scratch.x;
-  solveX_.resize(n_ * nrhs);
-  T* x = solveX_.data();
-  for (size_t t = 0; t < n_; ++t) {
-    const int oc = colOrder_[t];
-    for (size_t r = 0; r < nrhs; ++r) x[r * n_ + t] = b[r * n_ + oc];
-  }
+  // Interleaved like solveManyInPlace, following solveTransposedInPlace.
+  const size_t m = nrhs;
+  scratch.x.resize(n_ * m);
+  T* x = scratch.x.data();
+  detail::interleaveBlock<T>(b, n_, m, colOrder_.data(), x);
   // One traversal of each U (then L) column serves every right-hand side.
   for (size_t t = 0; t < n_; ++t) {
     const int diagPos = uPtr_[t + 1] - 1;
-    const T diag = uVal_[diagPos];
+    T* xt = x + t * m;
     for (int p = uPtr_[t]; p < diagPos; ++p) {
-      const int idx = uIdx_[p];
-      const T uv = uVal_[p];
-      for (size_t r = 0; r < nrhs; ++r) x[r * n_ + t] -= uv * x[r * n_ + idx];
+      detail::subtractScaledRow(xt, x + static_cast<size_t>(uIdx_[p]) * m,
+                                uVal_[p], m);
     }
-    for (size_t r = 0; r < nrhs; ++r) x[r * n_ + t] /= diag;
+    detail::divideRow(xt, uVal_[diagPos], m);
   }
   for (size_t tt = n_; tt-- > 0;) {
+    T* xt = x + tt * m;
     for (int p = lPtr_[tt]; p < lPtr_[tt + 1]; ++p) {
-      const size_t idx = static_cast<size_t>(rowPerm_[lIdx_[p]]);
-      const T lv = lVal_[p];
-      for (size_t r = 0; r < nrhs; ++r) x[r * n_ + tt] -= lv * x[r * n_ + idx];
+      const auto row = static_cast<size_t>(rowPerm_[lIdx_[p]]);
+      detail::subtractScaledRow(xt, x + row * m, lVal_[p], m);
     }
   }
-  for (size_t t = 0; t < n_; ++t) {
-    const int pr = permRow_[t];
-    for (size_t r = 0; r < nrhs; ++r) b[r * n_ + pr] = x[r * n_ + t];
-  }
+  detail::deinterleaveBlock<T>(x, n_, m, permRow_.data(), b);
 }
 
 template <class T>

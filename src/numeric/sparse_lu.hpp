@@ -67,7 +67,12 @@ class SparseLU {
 
   /// Batched solve of `nrhs` right-hand sides stored column-major in `b`
   /// (column r occupies b[r*n .. r*n + n-1]); one traversal of the L/U
-  /// pattern serves all columns.
+  /// pattern serves all columns. The block stays column-major at this
+  /// interface; for nrhs > 1 it is copied RHS-interleaved into n*nrhs
+  /// scratch (row i of every column contiguous), so each L/U entry updates
+  /// one contiguous row of all columns. Per column the operations and
+  /// their order are solveInPlace's (less its skips of exact zeros), so
+  /// the values match it exactly. nrhs == 1 is solveInPlace.
   void solveManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant (see solveInPlace above). Chunking a
   /// column block across threads is bit-identical to one batched call:
@@ -84,7 +89,8 @@ class SparseLU {
   /// Concurrently callable variant (see solveInPlace above).
   void solveTransposedInPlace(std::span<T> b, LuSolveScratch<T>& scratch) const;
 
-  /// Batched transposed solve, column-major like solveManyInPlace.
+  /// Batched transposed solve, column-major and interleaved like
+  /// solveManyInPlace.
   void solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant; chunking a column block across threads
   /// is bit-identical to one batched call, like solveManyInPlace.

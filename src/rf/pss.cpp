@@ -208,13 +208,11 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
   return out;
 }
 
-PssResult packResult(const MnaSystem& sys, const RealVector& x0, Real t0,
-                     Real period, int steps, const PssOptions& opt,
-                     int shootIters, const SolveStats& shootStats,
-                     PssWorkspace& pw) {
-  PeriodIntegration fin = integratePeriod(sys, x0, t0, period, steps, opt,
-                                          /*wantMonodromy=*/true,
-                                          /*wantTrajectory=*/true, pw);
+/// Packs the converged shooting integration (monodromy and trajectory
+/// kept) into the result; `shootStats` already counts that integration.
+PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
+                     const PssOptions& opt, int shootIters,
+                     const SolveStats& shootStats, const PssWorkspace& pw) {
   PssResult res;
   res.period = period;
   res.t0 = t0;
@@ -228,7 +226,6 @@ PssResult packResult(const MnaSystem& sys, const RealVector& x0, Real t0,
   res.monodromy = std::move(fin.monodromy);
   res.shootingIterations = shootIters;
   res.stats = shootStats;
-  res.stats.add(fin.stats);
   const Real h = period / steps;
   res.times.resize(steps + 1);
   for (int k = 0; k <= steps; ++k) res.times[k] = t0 + h * k;
@@ -332,10 +329,12 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
   RealVector prevX0;
   bool haveUpdate = false;
   for (int iter = 0; iter < opt.maxShootingIterations; ++iter) {
+    // The trajectory is kept on every iteration: the converged one is the
+    // stored orbit, so no extra period is integrated after convergence.
     PeriodIntegration pi;
     try {
       pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, false, pw);
+                           true, true, pw);
     } catch (const ConvergenceError&) {
       // The last shooting update overshot into a region where the period
       // integration itself cannot converge; backtrack halfway and spend a
@@ -349,7 +348,7 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
     for (size_t i = 0; i < n; ++i) r[i] = pi.xEnd[i] - x0[i];
     const Real rNorm = maxAbsVec(r);
     if (rNorm < opt.shootingTol) {
-      return packResult(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
+      return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod, opt,
                         iter + 1, shootStats, pw);
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
@@ -382,10 +381,14 @@ struct AutonomousShoot {
 
 /// One autonomous shooting solve at the gshunt carried in `opt`. Returns
 /// false (with `diag` filled) instead of throwing when shooting stalls, so
-/// the relaxed-circuit homotopy ladder can re-anchor and retry.
+/// the relaxed-circuit homotopy ladder can re-anchor and retry. With
+/// `orbit` set, every iteration keeps its trajectory and the converged
+/// integration lands there (homotopy rungs pass nullptr: only their
+/// (x0, T) carries over).
 bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
                          int phaseIndex, const PssOptions& opt,
-                         PssWorkspace& pw, FailureDiagnostics& diag) {
+                         PssWorkspace& pw, FailureDiagnostics& diag,
+                         PeriodIntegration* orbit) {
   const size_t n = sys.size();
   RealVector& x0 = st.x0;
   Real& period = st.period;
@@ -411,7 +414,7 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     PeriodIntegration pi;
     try {
       pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, false, pw);
+                           true, orbit != nullptr, pw);
     } catch (const ConvergenceError&) {
       // Backtrack the last bordered update (see solvePssDriven); with no
       // update yet the guess itself is outside the integrable region.
@@ -427,6 +430,7 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     const Real phaseRes = x0[phaseIndex] - phaseLevel;
     if (rNorm < opt.shootingTol && std::fabs(phaseRes) < opt.shootingTol) {
       st.iterations += iter + 1;
+      if (orbit) *orbit = std::move(pi);
       return true;
     }
     // dx(T)/dT by finite-differencing the whole integration. The FD step
@@ -515,7 +519,8 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   st.x0 = x0guess;
   st.period = periodGuess;
   FailureDiagnostics diag;
-  bool ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag);
+  PeriodIntegration orbit;
+  bool ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag, &orbit);
   bool usedHomotopy = false;
 
   if (!ok && opt.shuntHomotopyRungs > 0) {
@@ -539,11 +544,12 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
       ropt.gshunt = g;
       AutonomousShoot rungSt = st;
       FailureDiagnostics rungDiag;
-      if (shootAutonomousCore(sys, rungSt, phaseIndex, ropt, pw, rungDiag)) {
+      if (shootAutonomousCore(sys, rungSt, phaseIndex, ropt, pw, rungDiag,
+                              nullptr)) {
         st = std::move(rungSt);
       }
     }
-    ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag);
+    ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag, &orbit);
     usedHomotopy = ok;
   }
   if (!ok) {
@@ -584,23 +590,21 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
     }
   }
 
-  PssResult res = packResult(sys, st.x0, 0.0, st.period, opt.stepsPerPeriod,
-                             opt, st.iterations, st.stats, pw);
+  // d x(T)/dT at the solution, for the adjoint period sensitivity; the
+  // converged integration is the base point.
+  const Real dT = 1e-4 * st.period;
+  const PeriodIntegration piT = integratePeriod(
+      sys, st.x0, 0.0, st.period + dT, opt.stepsPerPeriod, opt, false, false,
+      pw);
+  RealVector dxdT(n);
+  for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - orbit.xEnd[i]) / dT;
+  PssResult res = packResult(std::move(orbit), 0.0, st.period,
+                             opt.stepsPerPeriod, opt, st.iterations, st.stats,
+                             pw);
   res.autonomous = true;
   res.phaseIndex = phaseIndex;
   res.usedShuntHomotopy = usedHomotopy;
-  // d x(T)/dT at the solution, for the adjoint period sensitivity.
-  const Real dT = 1e-4 * st.period;
-  PeriodIntegration pi0 = integratePeriod(sys, st.x0, 0.0, st.period,
-                                          opt.stepsPerPeriod, opt, false,
-                                          false, pw);
-  PeriodIntegration piT = integratePeriod(sys, st.x0, 0.0, st.period + dT,
-                                          opt.stepsPerPeriod, opt, false,
-                                          false, pw);
-  res.dxdT.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    res.dxdT[i] = (piT.xEnd[i] - pi0.xEnd[i]) / dT;
-  }
+  res.dxdT = std::move(dxdT);
   return res;
 }
 

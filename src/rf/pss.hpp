@@ -117,11 +117,13 @@ struct PssResult {
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;
   int shootingIterations = 0;
-  /// Solve cost. Driven: everything after the warmup (shooting iterations
-  /// plus the final trajectory pass) — the old `newtonIterations` counting.
-  /// Autonomous: the whole solve including homotopy rungs. stats.steps
-  /// counts backward-Euler integration sub-steps of those periods;
-  /// stats.solves includes the monodromy fan-out columns.
+  /// Solve cost. Driven: everything after the warmup, i.e. the shooting
+  /// iterations (the converged one's integration is the stored orbit, so
+  /// stats.steps == shootingIterations * stepsPerPeriod when no integration
+  /// had to be retried). Autonomous: the whole solve including homotopy
+  /// rungs and the dx/dT integrations inside shooting. stats.steps counts
+  /// backward-Euler integration sub-steps of those periods; stats.solves
+  /// includes the monodromy fan-out columns.
   SolveStats stats;
   /// Autonomous only: plain shooting failed and the relaxed-circuit
   /// homotopy ladder produced this solution.

@@ -265,27 +265,6 @@ TEST(SparseLu, RefactorDeclinesAfterFailedFactor) {
   EXPECT_TRUE(lu.factored());
 }
 
-TEST(SparseLu, MultiRhsSolveMatchesScatteredSolves) {
-  const size_t n = 24;
-  const size_t nrhs = 7;
-  const auto a = patternedRandom(n, 11, 0);
-  SparseLU<Real> lu(a);
-  Rng rng(99);
-  RealVector batch(n * nrhs);
-  for (auto& v : batch) v = rng.uniform(-1.0, 1.0);
-  std::vector<RealVector> singles;
-  for (size_t r = 0; r < nrhs; ++r) {
-    singles.push_back(lu.solve(
-        std::span<const Real>(batch.data() + r * n, n)));
-  }
-  lu.solveManyInPlace(batch, nrhs);
-  for (size_t r = 0; r < nrhs; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_DOUBLE_EQ(batch[r * n + i], singles[r][i]);
-    }
-  }
-}
-
 TEST(SparseLu, TransposedSolveRecoversKnownSolution) {
   // b = A^T x for a known x; the transposed solve (used by the adjoint
   // LPTV and PPV sweeps) must recover x through the kept L/U pattern,
@@ -325,27 +304,6 @@ TEST(SparseLu, TransposedSolveComplexIsPlainTranspose) {
   const CplxVector x = lu.solveTransposed(b);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_LT(std::abs(x[i] - xTrue[i]), 1e-9);
-  }
-}
-
-TEST(SparseLu, TransposedMultiRhsMatchesScatteredSolves) {
-  const size_t n = 24;
-  const size_t nrhs = 6;
-  const auto a = patternedRandom(n, 29, 0);
-  SparseLU<Real> lu(a);
-  Rng rng(123);
-  RealVector batch(n * nrhs);
-  for (auto& v : batch) v = rng.uniform(-1.0, 1.0);
-  std::vector<RealVector> singles;
-  for (size_t r = 0; r < nrhs; ++r) {
-    singles.push_back(lu.solveTransposed(
-        std::span<const Real>(batch.data() + r * n, n)));
-  }
-  lu.solveTransposedManyInPlace(batch, nrhs);
-  for (size_t r = 0; r < nrhs; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(batch[r * n + i], singles[r][i], 1e-12);
-    }
   }
 }
 
@@ -534,24 +492,81 @@ TEST(AmdOrdering, ComplexFactorMatchesDense) {
   for (size_t i = 0; i < n; ++i) EXPECT_LT(std::abs(x[i] - xTrue[i]), 1e-8);
 }
 
-TEST(DenseLu, MultiRhsSolveMatchesScatteredSolves) {
-  const size_t n = 9;
-  const size_t nrhs = 4;
-  Rng rng(21);
-  const DenseLU<Real> lu(randomMatrix(n, rng));
-  RealVector batch(n * nrhs);
-  for (auto& v : batch) v = rng.uniform(-1.0, 1.0);
-  std::vector<RealVector> singles;
-  for (size_t r = 0; r < nrhs; ++r) {
-    singles.push_back(lu.solve(
-        std::span<const Real>(batch.data() + r * n, n)));
-  }
-  lu.solveManyInPlace(batch, nrhs);
-  for (size_t r = 0; r < nrhs; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_DOUBLE_EQ(batch[r * n + i], singles[r][i]);
+// ------------------------------------------ blocked multi-RHS solves
+
+// solveManyInPlace / solveTransposedManyInPlace run RHS-interleaved blocked
+// substitutions that must reproduce the column-at-a-time substitutions bit
+// for bit. The reference is the single-RHS path applied column by column:
+// it is the column-at-a-time substitution, and it fixes the per-column
+// operation order the blocked kernels keep. (The sparse single-RHS path
+// also skips updates scaled by an exact zero, which cannot change a finite
+// result.) A reciprocal-pivot kernel, for one, fails here.
+
+Real randomScalar(Rng& rng, Real) { return rng.uniform(-1.0, 1.0); }
+Cplx randomScalar(Rng& rng, Cplx) {
+  return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+}
+
+template <class T, class Lu>
+void expectBlockedSolvesExact(const Lu& lu, uint64_t seed) {
+  const size_t n = lu.size();
+  Rng rng(seed);
+  for (size_t nrhs : {2u, 3u, 17u, 64u}) {
+    for (bool transposed : {false, true}) {
+      std::vector<T> block(n * nrhs);
+      for (auto& v : block) v = randomScalar(rng, T{});
+      std::fill(block.begin() + n, block.begin() + 2 * n, T{});  // column 1
+      std::vector<T> expected = block;
+      for (size_t r = 0; r < nrhs; ++r) {
+        const std::span<T> col(expected.data() + r * n, n);
+        if (transposed) lu.solveTransposedInPlace(col);
+        else lu.solveInPlace(col);
+      }
+      if (transposed) lu.solveTransposedManyInPlace(block, nrhs);
+      else lu.solveManyInPlace(block, nrhs);
+      for (size_t k = 0; k < block.size(); ++k) {
+        ASSERT_EQ(std::real(block[k]), std::real(expected[k]))
+            << "nrhs=" << nrhs << " transposed=" << transposed << " k=" << k;
+        ASSERT_EQ(std::imag(block[k]), std::imag(expected[k]))
+            << "nrhs=" << nrhs << " transposed=" << transposed << " k=" << k;
+      }
     }
   }
+}
+
+// Complex matrix on x's symmetrized pattern: real part x, imaginary part
+// 0.3 x^T.
+CplxMatrix complexify(const RealMatrix& x) {
+  CplxMatrix a(x.rows(), x.cols());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) a(i, j) = Cplx(x(i, j), 0.3 * x(j, i));
+  }
+  return a;
+}
+
+TEST(DenseLu, BlockedMultiRhsSolvesMatchColumnSolvesExactly) {
+  Rng rng(21);
+  // Weak diagonal boost: partial pivoting swaps rows.
+  const RealMatrix a = randomMatrix(13, rng, 0.5);
+  expectBlockedSolvesExact<Real>(DenseLU<Real>(a), 1);
+  expectBlockedSolvesExact<Cplx>(DenseLU<Cplx>(complexify(a)), 2);
+}
+
+TEST(SparseLu, BlockedMultiRhsSolvesMatchColumnSolvesExactly) {
+  const size_t n = 40;
+  SparseLU<Real> lu(patternedRandom(n, 11, 0));
+  expectBlockedSolvesExact<Real>(lu, 3);
+  ASSERT_TRUE(lu.refactor(patternedRandom(n, 11, 1)));
+  expectBlockedSolvesExact<Real>(lu, 4);
+
+  const auto complexSparse = [&](uint64_t salt) {
+    return CplxSparse::fromDense(
+        complexify(patternedRandom(n, 11, salt).toDense()));
+  };
+  SparseLU<Cplx> clu(complexSparse(0));
+  expectBlockedSolvesExact<Cplx>(clu, 5);
+  ASSERT_TRUE(clu.refactor(complexSparse(1)));
+  expectBlockedSolvesExact<Cplx>(clu, 6);
 }
 
 // ------------------------------------------------------------- cholesky

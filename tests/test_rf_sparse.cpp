@@ -10,7 +10,8 @@
 // Also holds the regression fixture for the autonomous-shooting FD step:
 // shooting on the ring oscillator must converge in a handful of
 // iterations (the 1e-7*T finite-difference step once made it limp to the
-// iteration cap), the pool-vs-serial goldens of the RF fan-outs, and the
+// iteration cap), the exact checks that shooting stores its converged
+// integration, the pool-vs-serial goldens of the RF fan-outs, and the
 // exact check of the LPTV direct solve against the per-source algorithm.
 #include <gtest/gtest.h>
 
@@ -18,7 +19,10 @@
 #include <numbers>
 #include <string>
 
+#include "circuit/diode.hpp"
 #include "circuit/parser.hpp"
+#include "circuit/passives.hpp"
+#include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
 #include "numeric/dense_lu.hpp"
@@ -205,6 +209,69 @@ TEST(PssAutonomousGolden, ShootingConvergesFastOnRingOscillator) {
         ring.warm.state, pssOptions(solver, 300));
     EXPECT_LE(pss.shootingIterations, 20)
         << (solver == LinearSolverKind::kDense ? "dense" : "sparse");
+  }
+}
+
+// ------------------------------------------- the converged shooting orbit
+
+// Shooting keeps every iteration's trajectory and packs the converged
+// integration as the stored orbit: no period is integrated after
+// convergence, and the stored monodromy, trajectory and dx/dT are exactly
+// what a replay from the orbit's start point computes.
+
+TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
+  // Half-wave rectifier shot from its DC point: a few shooting iterations.
+  for (LinearSolverKind solver :
+       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
+    Netlist nl;
+    const NodeId in = nl.node("in");
+    const NodeId out = nl.node("out");
+    nl.add<VSource>("V1", in, kGround, SourceWave::sine(0.0, 1.0, 1e6), nl);
+    nl.add<Diode>("D1", in, out, DiodeModel{}, nl);
+    nl.add<Resistor>("RL", out, kGround, 10e3, nl);
+    nl.add<Capacitor>("CL", out, kGround, 100e-12, nl);
+    const MnaSystem sys(nl);
+    PssOptions opt = pssOptions(solver, 100);
+    opt.warmupCycles = 0;
+    const PssResult res = solvePssDriven(sys, 1e-6, opt);
+    EXPECT_GT(res.shootingIterations, 1);
+    EXPECT_EQ(res.stats.steps,
+              static_cast<uint64_t>(res.shootingIterations) *
+                  static_cast<uint64_t>(opt.stepsPerPeriod));
+
+    // The stored monodromy and end state are the converged integration's.
+    PssWorkspace ws;
+    RealVector x = res.states.front();
+    const RealMatrix phi =
+        integrateMonodromy(sys, x, 0.0, 1e-6, opt.stepsPerPeriod, opt, ws);
+    EXPECT_EQ(x, res.states.back());
+    ASSERT_EQ(phi.rows(), res.monodromy.rows());
+    for (size_t i = 0; i < phi.rows(); ++i) {
+      for (size_t j = 0; j < phi.cols(); ++j) {
+        EXPECT_EQ(phi(i, j), res.monodromy(i, j)) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
+  RingGolden ring(5, 30e-9, 10e-12);
+  const PssOptions opt = pssOptions(LinearSolverKind::kDense, 200);
+  const PssResult res =
+      solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
+                         ring.warm.phaseIndex, ring.warm.state, opt);
+  PssWorkspace ws;
+  RealVector xBase = res.states.front();
+  integratePeriodInPlace(*ring.sys, xBase, 0.0, res.period,
+                         opt.stepsPerPeriod, opt, ws);
+  EXPECT_EQ(xBase, res.states.back());
+  const Real dT = 1e-4 * res.period;
+  RealVector xT = res.states.front();
+  integratePeriodInPlace(*ring.sys, xT, 0.0, res.period + dT,
+                         opt.stepsPerPeriod, opt, ws);
+  ASSERT_EQ(res.dxdT.size(), xT.size());
+  for (size_t i = 0; i < xT.size(); ++i) {
+    EXPECT_EQ(res.dxdT[i], (xT[i] - xBase[i]) / dT) << "unknown " << i;
   }
 }
 
