@@ -46,6 +46,18 @@ TranOptions stepOptions(const PssOptions& opt) {
   return t;
 }
 
+/// DC operating point at t = 0 under the PSS solver settings: where driven
+/// shooting starts and where pssWarmup starts by default.
+RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
+  DcOptions dopt;
+  dopt.time = 0.0;
+  dopt.gshunt = opt.gshunt;
+  dopt.solver = opt.solver;
+  dopt.sparseThreshold = opt.sparseThreshold;
+  dopt.ordering = opt.ordering;
+  return solveDc(sys, dopt).x;
+}
+
 struct PeriodIntegration {
   RealVector xEnd;
   std::vector<RealVector> states;     // 0..M
@@ -209,10 +221,11 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
 }
 
 /// Packs the converged shooting integration (monodromy and trajectory
-/// kept) into the result; `shootStats` already counts that integration.
+/// kept) into the result; `stats` is the solve's cost, that integration
+/// included.
 PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
                      const PssOptions& opt, int shootIters,
-                     const SolveStats& shootStats, const PssWorkspace& pw) {
+                     const SolveStats& stats, const PssWorkspace& pw) {
   PssResult res;
   res.period = period;
   res.t0 = t0;
@@ -225,7 +238,7 @@ PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
   res.cSpMats = std::move(fin.cSpMats);
   res.monodromy = std::move(fin.monodromy);
   res.shootingIterations = shootIters;
-  res.stats = shootStats;
+  res.stats = stats;
   const Real h = period / steps;
   res.times.resize(steps + 1);
   for (int k = 0; k <= steps; ++k) res.times[k] = t0 + h * k;
@@ -294,18 +307,7 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
                      PssWorkspace* ws) {
   PssWorkspace local;
   PssWorkspace& pw = ws ? *ws : local;
-  RealVector x;
-  if (x0) {
-    x = *x0;
-  } else {
-    DcOptions dopt;
-    dopt.time = 0.0;
-    dopt.gshunt = opt.gshunt;
-    dopt.solver = opt.solver;
-    dopt.sparseThreshold = opt.sparseThreshold;
-    dopt.ordering = opt.ordering;
-    x = solveDc(sys, dopt).x;
-  }
+  RealVector x = x0 ? *x0 : dcStartPoint(sys, opt);
   for (int cyc = 0; cyc < cycles; ++cyc) {
     integratePeriodInPlace(sys, x, cyc * period, period, opt.stepsPerPeriod,
                            opt, pw);
@@ -313,19 +315,15 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
   return x;
 }
 
-PssResult solvePssDriven(const MnaSystem& sys, Real period,
-                         const PssOptions& opt, const RealVector* x0guess) {
-  PSMN_CHECK(period > 0.0, "period must be positive");
-  TraceSpan span(Phase::kPss, "pss_driven");
-  const size_t n = sys.size();
-  PssWorkspace pw;
-  RealVector x0 = x0guess
-                      ? *x0guess
-                      : pssWarmup(sys, period, opt.warmupCycles, opt, nullptr,
-                                  &pw);
-  PSMN_CHECK(x0.size() == n, "bad initial guess size");
+namespace {
 
-  SolveStats shootStats;
+/// Driven shooting Newton on x(T; x0) = x0 from `x0`, with the full
+/// maxShootingIterations budget, all integrations on `pw`. Throws
+/// ConvergenceError when the first integration fails (no update to back
+/// off from) or the budget runs out. `iterations` accumulates across calls.
+PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
+                      RealVector x0, PssWorkspace& pw, int& iterations) {
+  const size_t n = sys.size();
   RealVector prevX0;
   bool haveUpdate = false;
   for (int iter = 0; iter < opt.maxShootingIterations; ++iter) {
@@ -343,13 +341,15 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
       for (size_t i = 0; i < n; ++i) x0[i] = 0.5 * (x0[i] + prevX0[i]);
       continue;
     }
-    shootStats.add(pi.stats);
     RealVector r(n);
     for (size_t i = 0; i < n; ++i) r[i] = pi.xEnd[i] - x0[i];
     const Real rNorm = maxAbsVec(r);
     if (rNorm < opt.shootingTol) {
+      iterations += iter + 1;
+      // pw belongs to one solvePssDriven call: its tally is that solve's
+      // cost.
       return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod, opt,
-                        iter + 1, shootStats, pw);
+                        iterations, pw.tran.stats, pw);
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
     RealMatrix iMinusPhi = RealMatrix::identity(n);
@@ -360,7 +360,33 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
     haveUpdate = true;
     for (size_t i = 0; i < n; ++i) x0[i] += opt.relax * dx0[i];
   }
+  iterations += opt.maxShootingIterations;
   throw ConvergenceError("driven PSS shooting did not converge");
+}
+
+}  // namespace
+
+PssResult solvePssDriven(const MnaSystem& sys, Real period,
+                         const PssOptions& opt, const RealVector* x0guess) {
+  PSMN_CHECK(period > 0.0, "period must be positive");
+  TraceSpan span(Phase::kPss, "pss_driven");
+  const RealVector start = x0guess ? *x0guess : dcStartPoint(sys, opt);
+  PSMN_CHECK(start.size() == sys.size(), "bad initial guess size");
+
+  // Shoot first: from the DC point most driven circuits converge in a few
+  // iterations, so the settling transient is paid only when shooting fails.
+  PssWorkspace pw;
+  int iterations = 0;
+  try {
+    return shootDriven(sys, period, opt, start, pw, iterations);
+  } catch (const ConvergenceError&) {
+    if (opt.warmupCycles <= 0) throw;
+  }
+  // Fallback: warm up from the same start point and shoot again with a
+  // fresh budget — exactly the warm-started solve.
+  const RealVector warm =
+      pssWarmup(sys, period, opt.warmupCycles, opt, &start, &pw);
+  return shootDriven(sys, period, opt, warm, pw, iterations);
 }
 
 namespace {

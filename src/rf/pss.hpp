@@ -24,7 +24,10 @@ struct PssOptions {
   int stepsPerPeriod = 400;
   int maxShootingIterations = 60;
   Real shootingTol = 1e-9;   // on max|x(T) - x0|
-  int warmupCycles = 3;      // transient cycles to build the initial guess
+  /// Driven only: transient periods integrated from the start point when
+  /// shooting from it fails, before shooting again (0 disables the
+  /// fallback; the first attempt's error then propagates).
+  int warmupCycles = 3;
   Real gshunt = 0.0;
   Real relax = 1.0;          // damping on the shooting update
   // Inner Newton controls (per integration step).
@@ -52,7 +55,7 @@ struct PssOptions {
   int shuntHomotopyRungs = 3;
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
-  /// Linear-solver backend for the period integration, the warmup DC solve,
+  /// Linear-solver backend for the period integration, the DC start point,
   /// and the monodromy propagation; kAuto switches to sparse at
   /// sparseThreshold unknowns (same crossover as the transient engine).
   LinearSolverKind solver = LinearSolverKind::kAuto;
@@ -73,10 +76,10 @@ struct PssOptions {
 /// Reusable solver state for the shooting engines: the transient workspace
 /// (cached sparsity pattern, symbolic factorization, Newton scratch) plus
 /// the charge state and monodromy-propagation buffers. One PssWorkspace is
-/// shared across every period integration of a shooting solve — warmup
-/// cycles, shooting iterations, and the finite-difference period
-/// derivative all reuse the same symbolic factorization. Tied to one
-/// MnaSystem, like TransientWorkspace.
+/// shared across every period integration of a shooting solve — shooting
+/// iterations, the driven fallback's warm-up cycles, and the
+/// finite-difference period derivative all reuse the same symbolic
+/// factorization. Tied to one MnaSystem, like TransientWorkspace.
 struct PssWorkspace {
   TransientWorkspace tran;
   RealVector q, qd;        // charge state for the BE stepping kernel
@@ -117,13 +120,15 @@ struct PssResult {
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;
   int shootingIterations = 0;
-  /// Solve cost. Driven: everything after the warmup, i.e. the shooting
-  /// iterations (the converged one's integration is the stored orbit, so
-  /// stats.steps == shootingIterations * stepsPerPeriod when no integration
-  /// had to be retried). Autonomous: the whole solve including homotopy
-  /// rungs and the dx/dT integrations inside shooting. stats.steps counts
-  /// backward-Euler integration sub-steps of those periods; stats.solves
-  /// includes the monodromy fan-out columns.
+  /// Solve cost. Driven: every period integrated from the start point on —
+  /// both shooting attempts and the fallback's warm-up (the converged
+  /// iteration's integration is the stored orbit, so stats.steps ==
+  /// shootingIterations * stepsPerPeriod without a fallback, and
+  /// (shootingIterations + warmupCycles) * stepsPerPeriod after one, when
+  /// no integration failed partway). Autonomous: the whole solve including
+  /// homotopy rungs and the dx/dT integrations inside shooting. stats.steps
+  /// counts backward-Euler integration sub-steps of those periods;
+  /// stats.solves includes the monodromy fan-out columns.
   SolveStats stats;
   /// Autonomous only: plain shooting failed and the relaxed-circuit
   /// homotopy ladder produced this solution.
@@ -144,7 +149,11 @@ struct PssResult {
 };
 
 /// Driven PSS: sources must be periodic with the given period (or DC).
-/// `x0guess` overrides the DC+warmup initial guess.
+/// Shooting starts from the DC point, or from `x0guess` when given. Only if
+/// that attempt throws ConvergenceError (its first integration fails, or
+/// maxShootingIterations runs out) are opt.warmupCycles periods integrated
+/// from the same start point, and shooting runs again with a fresh budget.
+/// shootingIterations counts both attempts.
 PssResult solvePssDriven(const MnaSystem& sys, Real period,
                          const PssOptions& opt = {},
                          const RealVector* x0guess = nullptr);

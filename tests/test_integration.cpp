@@ -11,6 +11,7 @@
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
 #include "meas/measure.hpp"
+#include "rf/pss.hpp"
 
 namespace psmn {
 namespace {
@@ -30,6 +31,17 @@ TEST(ComparatorIntegration, OffsetSigmaMatchesMonteCarlo) {
   const VariationResult v = an.dcVariation(tb.vosIndex);
   EXPECT_GT(v.sigma(), 5e-3);
   EXPECT_LT(v.sigma(), 100e-3);
+
+  // Shooting starts from the DC point and converges without the 40-period
+  // warm-up, which stays the fallback's length. Its sigma is the
+  // warm-started solve's up to the shooting tolerance's footprint.
+  EXPECT_EQ(an.pss().shootingIterations, 3);
+  EXPECT_EQ(an.pss().stats.steps, 3u * 400u);
+  const RealVector warm = pssWarmup(sys, T, opt.pss.warmupCycles, opt.pss);
+  TransientMismatchAnalysis warmStarted(sys, opt);
+  warmStarted.runDriven(T, &warm);
+  const Real sigmaWarm = warmStarted.dcVariation(tb.vosIndex).sigma();
+  EXPECT_NEAR(v.sigma(), sigmaWarm, 1e-12 * sigmaWarm);
 
   // The input pair must dominate (paper Fig. 10).
   const Real inputShare = (v.varianceFromPrefix("M2.") +

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "circuit/diode.hpp"
@@ -19,6 +20,7 @@
 #include "rf/ppv.hpp"
 #include "rf/pss.hpp"
 #include "rf/timedomain_noise.hpp"
+#include "util/fault_injection.hpp"
 
 namespace psmn {
 namespace {
@@ -45,6 +47,33 @@ struct RcSineCircuit {
   }
   ~RcSineCircuit() { delete sys; }
 };
+
+// Half-wave rectifier: a diode into an RC load whose time constant is one
+// period of the 1 MHz drive.
+struct RectifierCircuit {
+  Netlist nl;
+  std::unique_ptr<MnaSystem> sys;
+  int outIdx = -1;
+  Real period = 1e-6;
+
+  RectifierCircuit() {
+    const NodeId in = nl.node("in");
+    const NodeId out = nl.node("out");
+    nl.add<VSource>("V1", in, kGround, SourceWave::sine(0.0, 1.0, 1e6), nl);
+    nl.add<Diode>("D1", in, out, DiodeModel{}, nl);
+    nl.add<Resistor>("RL", out, kGround, 10e3, nl);
+    nl.add<Capacitor>("CL", out, kGround, 100e-12, nl);
+    sys = std::make_unique<MnaSystem>(nl);
+    outIdx = nl.nodeIndex(out);
+  }
+};
+
+// The warm-up fallback of driven shooting is exactly the warm-started
+// solve: the same orbit and monodromy, bit for bit.
+void expectSameOrbit(const PssResult& got, const PssResult& want) {
+  EXPECT_TRUE(got.states == want.states);
+  EXPECT_TRUE(got.monodromy == want.monodromy);
+}
 
 TEST(PssDriven, LinearRcMatchesAcAnalysis) {
   RcSineCircuit ckt;
@@ -86,26 +115,76 @@ TEST(PssDriven, MonodromyOfRcIsExpMinusToverTau) {
 }
 
 TEST(PssDriven, DiodeRectifierReachesPeriodicState) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  nl.add<VSource>("V1", in, kGround, SourceWave::sine(0.0, 1.0, 1e6), nl);
-  nl.add<Diode>("D1", in, out, DiodeModel{}, nl);
-  nl.add<Resistor>("RL", out, kGround, 10e3, nl);
-  nl.add<Capacitor>("CL", out, kGround, 100e-12, nl);
-  MnaSystem sys(nl);
+  RectifierCircuit ckt;
   PssOptions opt;
   opt.stepsPerPeriod = 600;
   opt.warmupCycles = 2;
-  const PssResult pss = solvePssDriven(sys, 1e-6, opt);
-  for (size_t i = 0; i < sys.size(); ++i) {
+  const PssResult pss = solvePssDriven(*ckt.sys, ckt.period, opt);
+  for (size_t i = 0; i < ckt.sys->size(); ++i) {
     EXPECT_NEAR(pss.states.front()[i], pss.states.back()[i], 1e-7);
   }
   // Rectified output: positive DC with small ripple.
-  const Real vdc = pss.fourier(nl.nodeIndex(out), 0).real();
+  const Real vdc = pss.fourier(ckt.outIdx, 0).real();
   EXPECT_GT(vdc, 0.2);
-  const Real ripple = 2.0 * std::abs(pss.fourier(nl.nodeIndex(out), 1));
+  const Real ripple = 2.0 * std::abs(pss.fourier(ckt.outIdx, 1));
   EXPECT_LT(ripple, 0.5 * vdc);
+}
+
+TEST(PssDriven, FallsBackToWarmupWhenFirstIntegrationFails) {
+  // Every inner-Newton acceptance of the first shooting integration's first
+  // step is refused, so shooting from the DC point fails before its first
+  // update. The fallback warms up from the DC point and shoots again. The
+  // step's opening Newton iteration cannot converge (the drive moves), so
+  // the other maxNewton - 1 are all the acceptances there are to refuse:
+  // arming exactly those leaves the fallback's warm-up fault-free.
+  RectifierCircuit ckt;
+  for (LinearSolverKind solver :
+       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
+    PssOptions opt;
+    opt.stepsPerPeriod = 100;
+    opt.warmupCycles = 3;
+    opt.solver = solver;
+    const RealVector warm =
+        pssWarmup(*ckt.sys, ckt.period, opt.warmupCycles, opt);
+    const PssResult ref = solvePssDriven(*ckt.sys, ckt.period, opt, &warm);
+
+    FaultPlan plan;
+    plan.arm("tran.newton.converge", 0, opt.maxNewton - 1);
+    {
+      FaultScope scope(plan);
+      const PssResult res = solvePssDriven(*ckt.sys, ckt.period, opt);
+      EXPECT_EQ(scope.fired("tran.newton.converge"), opt.maxNewton - 1);
+      expectSameOrbit(res, ref);
+      EXPECT_EQ(res.shootingIterations, ref.shootingIterations);
+      EXPECT_EQ(res.stats.steps, 4u * 100u);
+    }
+
+    // With no warm-up to fall back on, the first attempt's error surfaces.
+    opt.warmupCycles = 0;
+    FaultScope scope(plan);
+    EXPECT_THROW(solvePssDriven(*ckt.sys, ckt.period, opt), ConvergenceError);
+  }
+}
+
+TEST(PssDriven, FallsBackToWarmupWhenBudgetRunsOut) {
+  // The comparator testbench needs 3 shooting iterations from its DC point
+  // (pinned in ComparatorIntegration.OffsetSigmaMatchesMonteCarlo). With a
+  // budget of one the first attempt runs out, and the fallback's 40-period
+  // warm-up brings the start within one iteration of the orbit.
+  Netlist nl;
+  const auto kit = ProcessKit::cmos130();
+  const auto tb = buildComparatorTestbench(nl, kit);
+  const MnaSystem sys(nl);
+  PssOptions opt;
+  opt.stepsPerPeriod = 400;
+  opt.warmupCycles = 40;
+  opt.maxShootingIterations = 1;
+  const RealVector warm = pssWarmup(sys, tb.clkPeriod, opt.warmupCycles, opt);
+  const PssResult ref = solvePssDriven(sys, tb.clkPeriod, opt, &warm);
+  const PssResult res = solvePssDriven(sys, tb.clkPeriod, opt);
+  expectSameOrbit(res, ref);
+  EXPECT_EQ(res.shootingIterations, 2);
+  EXPECT_EQ(res.stats.steps, (2u + 40u) * 400u);
 }
 
 TEST(PssDriven, ShootingBeatsSlowSettlingTransient) {

@@ -66,10 +66,10 @@ struct ChainFixture {
   int outIdx = -1;
   std::vector<InjectionSource> sources;
 
-  explicit ChainFixture(int rows) {
+  explicit ChainFixture(int rows, int stages = 8) {
     auto kit = ProcessKit::cmos130();
     InverterChainOptions copt;
-    copt.stages = 8;
+    copt.stages = stages;
     copt.rows = rows;
     const auto chain = buildInverterChain(nl, kit, copt);
     sys = std::make_unique<MnaSystem>(nl);
@@ -252,6 +252,20 @@ TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
       }
     }
   }
+}
+
+TEST(PssOrbit, WideChainShootsFromDcInOneIteration) {
+  // The 16-stage, 4-row chain (past the sparse crossover) returns to its DC
+  // point within one period: shooting from there converges on its first
+  // integration, and no warm-up period is integrated.
+  ChainFixture ckt(4, 16);
+  TelemetryRegistry reg(1);
+  TelemetryScope scope(reg, 0);
+  const PssResult res = solvePssDriven(*ckt.sys, ckt.period);
+  EXPECT_TRUE(res.sparseLinearizations);
+  EXPECT_EQ(res.shootingIterations, 1);
+  EXPECT_EQ(res.stats.steps, 400u);
+  EXPECT_EQ(reg.counterTotal(Counter::kStepsAccepted), 400u);
 }
 
 TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
