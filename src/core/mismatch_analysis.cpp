@@ -31,14 +31,12 @@ void TransientMismatchAnalysis::runDriven(Real period,
                                           const RealVector* x0guess) {
   pss_ = solvePssDriven(*sys_, period, opt_.pss, x0guess);
   pnoise_.emplace(*sys_, *pss_, opt_.pnoise);
-  pnoise_->run();
 }
 
 void TransientMismatchAnalysis::runAutonomous(Real periodGuess, int phaseIndex,
                                               const RealVector& x0guess) {
   pss_ = solvePssAutonomous(*sys_, periodGuess, phaseIndex, x0guess, opt_.pss);
   pnoise_.emplace(*sys_, *pss_, opt_.pnoise);
-  pnoise_->run();
 }
 
 const PssResult& TransientMismatchAnalysis::pss() const {
@@ -92,10 +90,8 @@ VariationResult TransientMismatchAnalysis::delayVariation(int outIndex) const {
 VariationResult TransientMismatchAnalysis::edgeDelayVariation(
     int outIndex, Real level, int direction, int occurrence) const {
   const PssResult& ps = pss();
-  const LptvSolution& sol = pnoise().solution();
   const auto& sources = pnoise().sources();
   const size_t m = ps.stepCount();
-  PSMN_CHECK(outIndex >= 0, "bad output index");
 
   // Locate the requested crossing on the periodic nominal waveform.
   const RealVector w = ps.waveform(outIndex);
@@ -125,9 +121,11 @@ VariationResult TransientMismatchAnalysis::edgeDelayVariation(
   VariationResult r;
   r.measurement = "edge-delay(" + sys_->netlist().unknownName(outIndex) + ")";
   const Real fOff = pnoise().offsetFreq();
+  const size_t points[2] = {k0, k1};
+  const CplxVector p = pnoise().samples(outIndex, points);
   for (size_t i = 0; i < sources.size(); ++i) {
-    const Cplx p0 = sol.envelopes[i][k0][outIndex];
-    const Cplx p1 = sol.envelopes[i][k1][outIndex];
+    const Cplx p0 = p[2 * i];
+    const Cplx p1 = p[2 * i + 1];
     const Real dv = ((1.0 - frac) * p0 + frac * p1).real();
     const Real s = -dv / slope;  // dtc/dp
     r.sourceNames.push_back(sources[i].name);

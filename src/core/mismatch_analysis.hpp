@@ -18,6 +18,13 @@
 // which is what Monte-Carlo converges to for small mismatch. The paper's
 // magnitude-based formulas (eq. 8, 9), which fold any residual AM power
 // into the same number, are reported alongside as `paperVariance`.
+//
+// run*() solves only the PSS; every readout then solves its own LPTV part
+// on demand. The sideband readouts (dc, delay, frequency) are one adjoint
+// solve each; an edge delay reads two envelope samples from a direct pass
+// that stops at the crossing. The readouts share the pnoise analysis'
+// cached step factors and closed cycle, so const readouts fill caches and
+// one analysis serves one thread at a time.
 #pragma once
 
 #include <optional>
@@ -86,7 +93,9 @@ class TransientMismatchAnalysis {
   /// the period. Uses the time-domain envelope at the crossing:
   ///   S_i = -Re p_i(tc) / vdot(tc)
   /// (the Fig. 8 statistical waveform evaluated at the edge), which is
-  /// exact for a single edge under the linear perturbation model.
+  /// exact for a single edge under the linear perturbation model. p_i is
+  /// interpolated between the two grid points around the crossing, read
+  /// through PnoiseAnalysis::samples.
   VariationResult edgeDelayVariation(int outIndex, Real level, int direction,
                                      int occurrence = 0) const;
 

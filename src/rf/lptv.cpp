@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -16,12 +17,10 @@ constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
 
 /// Per-slot scratch for the pool fan-outs: at most one column block runs
 /// per slot at a time (ThreadPool contract), so the injection evaluation
-/// buffers, the adjoint coupling vectors, and the LU solve scratch need no
-/// locking.
+/// buffers and the LU solve scratch need no locking.
 struct LptvSlotScratch {
   RealVector bf, bq;    // one source's injection at the current grid point
   RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
-  CplxVector col, dv;   // adjoint V_k column coupling
   LuSolveScratch<Cplx> lu;
 };
 
@@ -70,14 +69,13 @@ void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
 
 /// out = (C_{k-1}^T v) / h  (D_k^T for the adjoint sweep).
 void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
-             CplxVector& out, Real invH) {
+             std::span<Cplx> out, Real invH) {
   const size_t n = v.size();
   if (pss.sparseLinearizations) {
     const RealSparse& c = pss.cSpMats[k - 1];
     const auto ptr = c.colPointers();
     const auto idx = c.rowIndices();
     const auto val = c.values();
-    out.resize(n);
     for (size_t j = 0; j < n; ++j) {
       Cplx acc{};
       for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
@@ -85,7 +83,7 @@ void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
     }
   } else {
     const RealMatrix& c = pss.cMats[k - 1];
-    out.assign(n, Cplx{});
+    std::fill(out.begin(), out.end(), Cplx{});
     for (size_t i = 0; i < n; ++i) {
       const Cplx vi = v[i];
       if (vi == Cplx{}) continue;
@@ -133,7 +131,7 @@ class InjectionStream {
 };
 
 /// The LPTV factor cache: K_k = G_k + (1/h + j w) C_k factored for every
-/// grid step k = 1..M, kept for the closure and forward/adjoint passes.
+/// grid step k = 1..M, shared by the direct passes and the adjoint.
 /// Dense results use DenseLU as before; sparse results assemble K into one
 /// merged complex pattern (cached scatter maps, like the transient
 /// workspace's Jacobian) and factor with SparseLU — the symbolic
@@ -182,10 +180,6 @@ class StepFactors {
                         LuSolveScratch<Cplx>& scratch) const {
     if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
     else dense_[k - 1].solveManyInPlace(b, nrhs, scratch);
-  }
-  void solveTransposedInPlace(size_t k, std::span<Cplx> b) const {
-    if (sparse_) lus_[k - 1].solveTransposedInPlace(b);
-    else dense_[k - 1].solveTransposedInPlace(b);
   }
   void solveTransposedManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                                   LuSolveScratch<Cplx>& scratch) const {
@@ -259,20 +253,20 @@ class ClosureSolver {
     corrected_ = true;
   }
 
-  /// Solves (I - S') x = b on the caller's LU scratch, so slots sharing one
-  /// closure solve concurrently (one scratch per slot).
-  CplxVector solve(std::span<const Cplx> b,
-                   LuSolveScratch<Cplx>& scratch) const {
-    CplxVector x(b.begin(), b.end());
-    lu_.solveInPlace(x, scratch);
-    if (!corrected_) return x;
+  /// Solves (I - S') x = b in place (x holds b on entry) on the caller's
+  /// LU scratch, so slots sharing one closure solve concurrently (one
+  /// scratch per slot).
+  void solveInPlace(std::span<Cplx> x, LuSolveScratch<Cplx>& scratch) const {
     Cplx vb{};
-    for (size_t i = 0; i < b.size(); ++i) vb += v_[i] * b[i];
+    if (corrected_) {
+      for (size_t i = 0; i < x.size(); ++i) vb += v_[i] * x[i];
+    }
+    lu_.solveInPlace(x, scratch);
+    if (!corrected_) return;
     const Cplx oneMinusLam1 = Cplx(1.0, 0.0) - lam1_;
     const Cplx gain = vb * (oneMinusLam1 - oneMinusLamStar_) /
                       (oneMinusLam1 * oneMinusLamStar_);
     for (size_t i = 0; i < x.size(); ++i) x[i] += gain * u_[i];
-    return x;
   }
 
  private:
@@ -283,55 +277,36 @@ class ClosureSolver {
   Cplx oneMinusLamStar_{};
 };
 
-}  // namespace
-
-Cplx LptvSolution::harmonic(size_t sourceIdx, int outIndex, int n) const {
-  PSMN_CHECK(sourceIdx < envelopes.size(), "bad source index");
-  PSMN_CHECK(outIndex >= 0, "bad output index");
-  const auto& env = envelopes[sourceIdx];
-  Cplx acc{};
-  const size_t m = env.size();
-  for (size_t k = 0; k < m; ++k) {
-    const Real phase = -kTwoPi * n * static_cast<Real>(k) / m;
-    acc += env[k][outIndex] * Cplx(std::cos(phase), std::sin(phase));
+/// The first n columns of a column-major n-row buffer, as an n x n matrix.
+CplxMatrix leadingBlock(const CplxVector& cols, size_t n) {
+  CplxMatrix out(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < n; ++i) out(i, j) = cols[j * n + i];
   }
-  return acc / static_cast<Real>(m);
+  return out;
 }
 
-LptvSolver::LptvSolver(const MnaSystem& sys, const PssResult& pss,
-                       LptvOptions opt)
-    : sys_(&sys), pss_(&pss), opt_(opt) {
-  PSMN_CHECK(pss.stepCount() > 0, "empty PSS result");
-  const size_t stored = pss.sparseLinearizations ? pss.gSpMats.size()
-                                                 : pss.gMats.size();
-  PSMN_CHECK(stored == pss.times.size(),
-             "PSS result lacks stored linearizations");
-}
-
-LptvSolution LptvSolver::solveDirect(std::span<const InjectionSource> sources,
-                                     Real offsetFreq) const {
-  TraceSpan span(Phase::kLptv, "lptv_direct");
-  const size_t n = sys_->size();
-  const size_t m = pss_->stepCount();
-  const Real invH = 1.0 / pss_->stepSize();
-  const Cplx jw(0.0, kTwoPi * offsetFreq);
+/// Direct pass 1 and the cyclic closure: every source's periodic p_0,
+/// n x ns column-major.
+///
+/// Pass 1 runs the homogeneous part B and every source's particular part
+/// alpha as one recursion over the n + ns columns X = [B | alpha]:
+///   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
+/// Column j of X_k reads only column j of X_{k-1} (plus, for a source
+/// column, that source's streamed injection), so each slot carries one
+/// contiguous column block through all M steps with one batched solve per
+/// step, bit-identical for every partition (no pool = one block). A block
+/// ping-pongs between x and y; every block takes M steps, so X_M ends up in
+/// the same buffer for all of them. The closure (I - B_M) p_0 = alpha_M
+/// carries the phase-mode spectral correction for oscillators.
+CplxVector closedOrigins(const MnaSystem& sys, const PssResult& pss,
+                         std::span<const InjectionSource> sources,
+                         const StepFactors& lus, Real omega, ThreadPool* pool) {
+  const size_t n = sys.size();
+  const size_t m = pss.stepCount();
   const size_t ns = sources.size();
-  const InjectionStream stream(*sys_, *pss_, jw);
-
-  // Step-matrix factor cache K_k, k = 1..M (dense LU or pattern-sharing
-  // sparse LU depending on how the PSS stored its linearizations).
-  const StepFactors lus(*pss_, invH, jw);
-
-  // Pass 1: the homogeneous part B and every source's particular part
-  // alpha as one recursion over the n + ns columns X = [B | alpha]:
-  //   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
-  // Column j of X_k reads only column j of X_{k-1} (plus, for a source
-  // column, that source's streamed injection), so each slot carries one
-  // contiguous column block through all M steps with one batched solve
-  // per step, bit-identical for every partition (no pool = one block).
-  // A block ping-pongs between x and y; every block takes M steps, so X_M
-  // ends up in the same buffer for all of them.
-  ThreadPool* pool = opt_.pool;
+  const Real invH = 1.0 / pss.stepSize();
+  const InjectionStream stream(sys, pss, Cplx(0.0, omega));
   const size_t cols = n + ns;
   std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, cols));
   CplxVector x(n * cols, Cplx{}), y(n * cols);
@@ -350,7 +325,7 @@ LptvSolution LptvSolver::solveDirect(std::span<const InjectionSource> sources,
     for (size_t k = 1; k <= m; ++k) {
       for (size_t j = j0; j < j1; ++j) {
         const std::span<Cplx> out(next + (j - j0) * n, n);
-        applyD(*pss_, k, std::span<const Cplx>(cur + (j - j0) * n, n), out,
+        applyD(pss, k, std::span<const Cplx>(cur + (j - j0) * n, n), out,
                invH);
         if (j < n) continue;
         stream.step(sources[j - n], k, bqOf(j - n), sl,
@@ -363,196 +338,254 @@ LptvSolution LptvSolver::solveDirect(std::span<const InjectionSource> sources,
   });
   const CplxVector& xm = m % 2 == 0 ? x : y;
 
-  // Cyclic closure: (I - B_M) p_0 = alpha_M, with the phase-mode spectral
-  // correction for oscillators.
-  CplxMatrix bMat(n, n);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = 0; i < n; ++i) bMat(i, j) = xm[j * n + i];
+  const ClosureSolver closure(leadingBlock(xm, n), pss.autonomous, omega,
+                              pss.period);
+  CplxVector p0(xm.begin() + n * n, xm.end());  // alpha_M
+  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    for (size_t s = s0; s < s1; ++s) {
+      closure.solveInPlace(std::span<Cplx>(p0.data() + s * n, n),
+                           slotScratch[slot].lu);
+    }
+  });
+  return p0;
+}
+
+}  // namespace
+
+/// What the readouts share: the step factors (direct and adjoint) and,
+/// after the first direct readout, every source's closed p_0.
+struct LptvSolver::Cache {
+  StepFactors factors;
+  std::optional<CplxVector> p0;
+};
+
+Cplx LptvSolution::harmonic(size_t sourceIdx, int outIndex, int n) const {
+  PSMN_CHECK(sourceIdx < envelopes.size(), "bad source index");
+  const auto& env = envelopes[sourceIdx];
+  PSMN_CHECK(outIndex >= 0 && (env.empty() ||
+                               static_cast<size_t>(outIndex) < env[0].size()),
+             "bad output index");
+  Cplx acc{};
+  const size_t m = env.size();
+  for (size_t k = 0; k < m; ++k) {
+    const Real phase = -kTwoPi * n * static_cast<Real>(k) / m;
+    acc += env[k][outIndex] * Cplx(std::cos(phase), std::sin(phase));
   }
-  const ClosureSolver closure(bMat, pss_->autonomous, kTwoPi * offsetFreq,
-                              pss_->period);
+  return acc / static_cast<Real>(m);
+}
+
+LptvSolver::LptvSolver(const MnaSystem& sys, const PssResult& pss,
+                       std::vector<InjectionSource> sources, Real offsetFreq,
+                       LptvOptions opt)
+    : sys_(&sys),
+      pss_(&pss),
+      sources_(std::move(sources)),
+      offsetFreq_(offsetFreq),
+      opt_(opt) {
+  PSMN_CHECK(pss.stepCount() > 0, "empty PSS result");
+  const size_t stored = pss.sparseLinearizations ? pss.gSpMats.size()
+                                                 : pss.gMats.size();
+  PSMN_CHECK(stored == pss.times.size(),
+             "PSS result lacks stored linearizations");
+}
+
+LptvSolver::~LptvSolver() = default;
+LptvSolver::LptvSolver(LptvSolver&&) noexcept = default;
+LptvSolver& LptvSolver::operator=(LptvSolver&&) noexcept = default;
+
+LptvSolver::Cache& LptvSolver::cache() const {
+  if (!cache_) {
+    cache_ = std::make_unique<Cache>(
+        Cache{StepFactors(*pss_, 1.0 / pss_->stepSize(),
+                          Cplx(0.0, kTwoPi * offsetFreq_)),
+              std::nullopt});
+  }
+  return *cache_;
+}
+
+void LptvSolver::walkEnvelopes(
+    size_t last,
+    const std::function<void(size_t, size_t, std::span<const Cplx>)>& keep)
+    const {
+  const Real omega = kTwoPi * offsetFreq_;
+  ThreadPool* pool = opt_.pool;
+  if (!cache_ || !cache_->p0) {
+    TraceSpan span(Phase::kLptv, "lptv_direct");
+    Cache& c = cache();
+    c.p0 = closedOrigins(*sys_, *pss_, sources_, c.factors, omega, pool);
+  }
+  const Cache& c = *cache_;
 
   // Pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
-  // k = 1..M-1, from its closed p_0, fanned over sources the same way
-  // (closure solve included). p_{k-1} is read from the stored envelope;
-  // `p` holds each block's right-hand sides of the current step.
-  LptvSolution sol;
-  sol.omega = kTwoPi * offsetFreq;
-  sol.steps = m;
-  sol.envelopes.resize(ns);
-  CplxVector p(n * ns);
+  // k = 1..last, from its closed p_0, fanned over sources the same way as
+  // pass 1. Each block ping-pongs p_{k-1} -> p_k between x and y, and
+  // keep(s, k, p_k) sees each iterate once, on the slot that owns s.
+  TraceSpan span(Phase::kLptv, "lptv_envelopes");
+  const size_t n = sys_->size();
+  const size_t ns = sources_.size();
+  const Real invH = 1.0 / pss_->stepSize();
+  const InjectionStream stream(*sys_, *pss_, Cplx(0.0, omega));
+  std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, ns));
+  CplxVector x(*c.p0), y(n * ns);
+  RealVector bqPrev(n * ns);
+  const auto bqOf = [&](size_t s) {
+    return std::span<Real>(bqPrev.data() + s * n, n);
+  };
   forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     LptvSlotScratch& sl = slotScratch[slot];
+    Cplx* cur = x.data() + s0 * n;
+    Cplx* next = y.data() + s0 * n;
     for (size_t s = s0; s < s1; ++s) {
-      std::vector<CplxVector>& env = sol.envelopes[s];
-      env.reserve(m);
-      env.push_back(closure.solve(
-          std::span<const Cplx>(xm.data() + (n + s) * n, n), sl.lu));
-      stream.start(sources[s], bqOf(s), sl);
+      keep(s, 0, std::span<const Cplx>(cur + (s - s0) * n, n));
+      stream.start(sources_[s], bqOf(s), sl);
     }
-    for (size_t k = 1; k < m; ++k) {
+    for (size_t k = 1; k <= last; ++k) {
       for (size_t s = s0; s < s1; ++s) {
-        const std::span<Cplx> out(p.data() + s * n, n);
-        applyD(*pss_, k, sol.envelopes[s][k - 1], out, invH);
-        stream.step(sources[s], k, bqOf(s), sl,
+        const std::span<Cplx> out(next + (s - s0) * n, n);
+        applyD(*pss_, k, std::span<const Cplx>(cur + (s - s0) * n, n), out,
+               invH);
+        stream.step(sources_[s], k, bqOf(s), sl,
                     [&](size_t i, Cplx b) { out[i] += b; });
       }
-      lus.solveManyInPlace(k, std::span<Cplx>(p.data() + s0 * n, (s1 - s0) * n),
-                           s1 - s0, sl.lu);
+      c.factors.solveManyInPlace(k, std::span<Cplx>(next, (s1 - s0) * n),
+                                 s1 - s0, sl.lu);
       for (size_t s = s0; s < s1; ++s) {
-        sol.envelopes[s].emplace_back(p.begin() + s * n,
-                                      p.begin() + (s + 1) * n);
+        keep(s, k, std::span<const Cplx>(next + (s - s0) * n, n));
       }
+      std::swap(cur, next);
     }
+  });
+}
+
+LptvSolution LptvSolver::solveDirect() const {
+  const size_t m = pss_->stepCount();
+  LptvSolution sol;
+  sol.omega = kTwoPi * offsetFreq_;
+  sol.steps = m;
+  sol.envelopes.resize(sources_.size());
+  for (auto& env : sol.envelopes) env.reserve(m);
+  walkEnvelopes(m - 1, [&](size_t s, size_t, std::span<const Cplx> p) {
+    sol.envelopes[s].emplace_back(p.begin(), p.end());
   });
   return sol;
 }
 
-CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
-                                    Real offsetFreq, int outIndex,
-                                    int harmonic) const {
+CplxVector LptvSolver::sampleDirect(int outIndex,
+                                    std::span<const size_t> points) const {
+  const size_t np = points.size();
+  PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < sys_->size(),
+             "bad output index");
+  PSMN_CHECK(np > 0, "no grid points to sample");
+  const size_t last = *std::max_element(points.begin(), points.end());
+  PSMN_CHECK(last < pss_->stepCount(), "grid point out of range");
+  std::vector<std::vector<size_t>> requestsAt(last + 1);
+  for (size_t i = 0; i < np; ++i) requestsAt[points[i]].push_back(i);
+
+  const size_t out = static_cast<size_t>(outIndex);
+  CplxVector samples(sources_.size() * np);
+  walkEnvelopes(last, [&](size_t s, size_t k, std::span<const Cplx> p) {
+    for (size_t i : requestsAt[k]) samples[s * np + i] = p[out];
+  });
+  return samples;
+}
+
+CplxVector LptvSolver::solveAdjoint(int outIndex, int harmonic) const {
   TraceSpan span(Phase::kLptv, "lptv_adjoint");
   const size_t n = sys_->size();
   const size_t m = pss_->stepCount();
   const Real invH = 1.0 / pss_->stepSize();
-  const Cplx jw(0.0, kTwoPi * offsetFreq);
-  const size_t ns = sources.size();
-  PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(n),
+  const Real omega = kTwoPi * offsetFreq_;
+  const size_t ns = sources_.size();
+  PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < n,
              "bad output index");
+  const size_t out = static_cast<size_t>(outIndex);
+  const StepFactors& lus = cache().factors;
 
   // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
   // terms of unknowns p_1..p_M the weight of p_M is w_0.
-  auto weight = [&](size_t k) {
+  const auto weight = [&](size_t k) {
     const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
     return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
   };
+  // D_{k+1} with D_{M+1} == D_1 (the cyclic wrap of the adjoint coupling).
+  const auto nextD = [&](size_t k) { return k == m ? size_t{1} : k + 1; };
 
   // Adjoint cyclic system (plain transpose, matching the complex-linear
-  // functional):
-  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out   (k = 1..M-1)
-  //   K_M^T l_M - D_1^T   l_1       = w_0 e_out
-  // Parametrize l_k = u_k + V_k l_1 downward from k = M.
-  const StepFactors lus(*pss_, invH, jw);
-
-  // u_k and V_k, stored for k=1..M.
-  std::vector<CplxVector> u(m + 1, CplxVector(n, Cplx{}));
-  std::vector<CplxMatrix> vMat(m + 1);
-  CplxVector tmp(n);
-  CplxVector colBuf(n * n);
-  // Column fan-out for the V recursion: column j of V_k depends only on
-  // column j of V_{k+1}. The same slots later run the per-source transfers.
+  // functional), with l_{M+1} == l_1:
+  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
+  // Parametrize l_k = u_k + V_k l_1 and run the transpose of direct pass 1
+  // downward over the n + 1 columns Y = [V | u]:
+  //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
+  //   Y_{M+1} = [I | 0].
+  // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
+  // one column block through all M steps (u rides in the last block); only
+  // Y_1 survives.
   ThreadPool* pool = opt_.pool;
+  const size_t cols = n + 1;
   std::vector<LptvSlotScratch> slotScratch(
-      columnBlockSlots(pool, std::max(n, ns)));
-  const auto updateVColumns = [&](size_t k, const CplxMatrix& vNext,
-                                  CplxMatrix& vOut, size_t j0, size_t j1,
-                                  size_t slot) {
+      columnBlockSlots(pool, std::max(cols, ns)));
+  CplxVector x(n * cols, Cplx{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = Cplx(1.0, 0.0);
+  forEachColumnBlock(pool, cols, [&](size_t j0, size_t j1, size_t slot) {
     LptvSlotScratch& sl = slotScratch[slot];
-    sl.col.resize(n);
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) sl.col[i] = vNext(i, j);
-      applyDT(*pss_, k + 1, sl.col, sl.dv, invH);
-      std::copy(sl.dv.begin(), sl.dv.end(), colBuf.begin() + j * n);
-    }
-    lus.solveTransposedManyInPlace(k,
-                                   std::span<Cplx>(colBuf.data() + j0 * n,
-                                                   (j1 - j0) * n),
-                                   j1 - j0, sl.lu);
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) vOut(i, j) = colBuf[j * n + i];
-    }
-  };
-  // k = M:
-  {
-    CplxVector rhs(n, Cplx{});
-    rhs[outIndex] = weight(0);  // w_0 attaches to p_M
-    lus.solveTransposedInPlace(m, rhs);
-    u[m] = std::move(rhs);
-    // V_M = K_M^{-T} D_1^T. Column j of D_1^T is row j of D_1 = C_0/h;
-    // the sparse storage fills the whole column-major block in one CSC
-    // sweep: entry C_0(r, c) lands at block position (row c, column r).
-    // The assembly scatters across columns, so it stays serial; the
-    // transposed substitution partitions per column block.
-    std::fill(colBuf.begin(), colBuf.end(), Cplx{});
-    if (pss_->sparseLinearizations) {
-      const RealSparse& c0 = pss_->cSpMats[0];
-      const auto ptr = c0.colPointers();
-      const auto idx = c0.rowIndices();
-      const auto val = c0.values();
-      for (size_t cc = 0; cc < n; ++cc) {
-        for (int p = ptr[cc]; p < ptr[cc + 1]; ++p) {
-          colBuf[static_cast<size_t>(idx[p]) * n + cc] = val[p] * invH;
-        }
+    Cplx* cur = x.data() + j0 * n;
+    Cplx* next = y.data() + j0 * n;
+    for (size_t k = m; k >= 1; --k) {
+      for (size_t j = j0; j < j1; ++j) {
+        applyDT(*pss_, nextD(k), std::span<const Cplx>(cur + (j - j0) * n, n),
+                std::span<Cplx>(next + (j - j0) * n, n), invH);
       }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < n; ++i) {
-          colBuf[j * n + i] = pss_->cMats[0](j, i) * invH;
-        }
-      }
+      if (j1 == cols) next[(n - j0) * n + out] += weight(k);
+      lus.solveTransposedManyInPlace(k, std::span<Cplx>(next, (j1 - j0) * n),
+                                     j1 - j0, sl.lu);
+      std::swap(cur, next);
     }
-    CplxMatrix vm(n, n);
-    forEachColumnBlock(
-        pool, n, [&](size_t j0, size_t j1, size_t slot) {
-          lus.solveTransposedManyInPlace(
-              m,
-              std::span<Cplx>(colBuf.data() + j0 * n, (j1 - j0) * n),
-              j1 - j0, slotScratch[slot].lu);
-          for (size_t j = j0; j < j1; ++j) {
-            for (size_t i = 0; i < n; ++i) vm(i, j) = colBuf[j * n + i];
-          }
-        });
-    vMat[m] = std::move(vm);
-  }
-  for (size_t k = m - 1; k >= 1; --k) {
-    // l_k = K_k^{-T}(w_k e_out + D_{k+1}^T (u_{k+1} + V_{k+1} l_1)).
-    applyDT(*pss_, k + 1, u[k + 1], tmp, invH);
-    tmp[outIndex] += weight(k);
-    lus.solveTransposedInPlace(k, tmp);
-    u[k].assign(tmp.begin(), tmp.end());
-    // V_k = K_k^{-T} D_{k+1}^T V_{k+1}, batched over per-slot column
-    // blocks.
-    CplxMatrix vk(n, n);
-    forEachColumnBlock(pool, n,
-                       [&](size_t j0, size_t j1, size_t slot) {
-                         updateVColumns(k, vMat[k + 1], vk, j0, j1, slot);
-                       });
-    vMat[k] = std::move(vk);
-  }
+  });
+  const CplxVector& y1 = m % 2 == 0 ? x : y;
+
   // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
   // permutation-transpose of the forward one, so it shares the corrupted
-  // phase eigenvalue and receives the same spectral correction.
-  const ClosureSolver closure(vMat[1], pss_->autonomous,
-                              kTwoPi * offsetFreq, pss_->period);
-  CplxVector l1 = closure.solve(u[1], slotScratch[0].lu);
-
-  // Recover all lambda_k.
-  std::vector<CplxVector> lambda(m + 1);
-  lambda[1] = l1;
+  // phase eigenvalue and receives the same spectral correction. The
+  // forward closure applies it at the p_M -> p_0 cut and this one at the
+  // l_1 cut, so on an oscillator the two transfers differ by the
+  // correction's discretization error (1.6e-5 of the largest transfer on
+  // the ring), not by roundoff: the gap is the same at 40, 400 and 4000
+  // inverse iterations.
+  const ClosureSolver closure(leadingBlock(y1, n), pss_->autonomous, omega,
+                              pss_->period);
+  // l_k, k = 1..M, one column downward from l_{M+1} = l_1: lambda holds
+  // l_k at offset (k - 1) n.
+  CplxVector lambda(n * m);
+  std::copy(y1.begin() + n * n, y1.end(), lambda.begin());  // u_1
+  closure.solveInPlace(std::span<Cplx>(lambda.data(), n), slotScratch[0].lu);
   for (size_t k = m; k >= 2; --k) {
-    lambda[k] = u[k];
-    const CplxVector vl = matvec(vMat[k], std::span<const Cplx>(lambda[1]));
-    for (size_t i = 0; i < n; ++i) lambda[k][i] += vl[i];
+    const std::span<Cplx> lk(lambda.data() + (k - 1) * n, n);
+    applyDT(*pss_, nextD(k),
+            std::span<const Cplx>(lambda.data() + (k == m ? 0 : k * n), n),
+            lk, invH);
+    lk[out] += weight(k);
+    lus.solveTransposedManyInPlace(k, lk, 1, slotScratch[0].lu);
   }
 
-  // Transfer per source: TF_s = sum_k lambda_k^T b_{s,k}, each source's
+  // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
   // injections streamed along the orbit, sources fanned over the pool.
-  const InjectionStream stream(*sys_, *pss_, jw);
-  CplxVector out(ns, Cplx{});
+  const InjectionStream stream(*sys_, *pss_, Cplx(0.0, omega));
+  CplxVector tf(ns, Cplx{});
   forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     LptvSlotScratch& sl = slotScratch[slot];
     sl.bqPrev.resize(n);
     for (size_t s = s0; s < s1; ++s) {
-      stream.start(sources[s], sl.bqPrev, sl);
+      stream.start(sources_[s], sl.bqPrev, sl);
       Cplx acc{};
       for (size_t k = 1; k <= m; ++k) {
-        stream.step(sources[s], k, sl.bqPrev, sl,
-                    [&](size_t i, Cplx b) { acc += lambda[k][i] * b; });
+        const Cplx* lk = lambda.data() + (k - 1) * n;
+        stream.step(sources_[s], k, sl.bqPrev, sl,
+                    [&](size_t i, Cplx b) { acc += lk[i] * b; });
       }
-      out[s] = acc;
+      tf[s] = acc;
     }
   });
-  return out;
+  return tf;
 }
 
 }  // namespace psmn

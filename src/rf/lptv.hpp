@@ -7,16 +7,27 @@
 // Backward-Euler on the PSS grid gives the block-cyclic system
 //     K_k p_k - D_k p_{k-1} = b_k,   K_k = G_k + (1/h + j w) C_k,
 //     D_k = C_{k-1}/h,               k = 1..M,  p_0 = p_M.
-// Direct solve: propagate particular/homogeneous parts and close the cycle
-// via (I - B_M) p_0 = alpha_M, where B_M is the frequency-shifted monodromy.
-// Adjoint solve: one transposed cyclic solve yields the transfer of *every*
-// source into one output harmonic (the "breakdown at no extra cost" the
-// paper relies on, SS V).
+// Direct solve: pass 1 propagates the homogeneous and particular parts and
+// closes the cycle via (I - B_M) p_0 = alpha_M, where B_M is the
+// frequency-shifted monodromy; pass 2 walks each source's envelope from its
+// closed p_0. Adjoint solve: one transposed cyclic solve yields the
+// transfer of *every* source into one output harmonic (the "breakdown at no
+// extra cost" the paper relies on, SS V).
+//
+// Every readout solves on demand and pays only for what it reads: the
+// adjoint holds O(M n) state, and a sampled direct readout stops pass 2 at
+// the last grid point it reads and keeps only those samples. The step
+// factors and the closed p_0 of every source are cached on first use and
+// shared by later readouts, so const readouts fill caches: one solver
+// serves one thread at a time (its pool fans each solve out internally).
 //
 // Mismatch sources enter with b(t) = -dF/dp - (d/dt + j w) dq/dp evaluated
 // along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4);
 // physical noise sources enter with their sqrt-PSD-modulated stamps.
 #pragma once
+
+#include <functional>
+#include <memory>
 
 #include "engine/mna.hpp"
 #include "rf/pss.hpp"
@@ -24,14 +35,14 @@
 namespace psmn {
 
 struct LptvOptions {
-  /// Optional execution runtime. solveDirect partitions its n + ns columns
-  /// (the homogeneous B_k plus every source's particular part) and then
-  /// its ns envelope chains into one block per slot, each carried through
-  /// all M grid steps against the shared step factors; solveAdjoint
-  /// partitions its V_k columns per step and its per-source transfers.
-  /// Every column's arithmetic involves only that column, so results are
-  /// bit-identical for every jobs count (docs/architecture.md "RF
-  /// parallelism").
+  /// Optional execution runtime. Direct pass 1 partitions its n + ns
+  /// columns (the homogeneous B_k plus every source's particular part),
+  /// pass 2 its ns envelope chains, and the adjoint its n + 1 columns
+  /// [V_k | u_k] into one block per slot, each carried through all M grid
+  /// steps against the shared step factors; the adjoint then fans its
+  /// per-source transfers. Every column's arithmetic involves only that
+  /// column, so results are bit-identical for every jobs count
+  /// (docs/architecture.md "RF parallelism").
   ThreadPool* pool = nullptr;
 };
 
@@ -46,26 +57,48 @@ struct LptvSolution {
   Cplx harmonic(size_t sourceIdx, int outIndex, int n) const;
 };
 
+/// The cyclic LPTV system of one orbit, one source list and one offset
+/// frequency (Hz).
 class LptvSolver {
  public:
   LptvSolver(const MnaSystem& sys, const PssResult& pss,
+             std::vector<InjectionSource> sources, Real offsetFreq,
              LptvOptions opt = {});
-
-  /// Direct method: envelopes for all sources at offset frequency f (Hz).
-  LptvSolution solveDirect(std::span<const InjectionSource> sources,
-                           Real offsetFreq) const;
+  ~LptvSolver();
+  LptvSolver(LptvSolver&&) noexcept;
+  LptvSolver& operator=(LptvSolver&&) noexcept;
 
   /// Adjoint method: transfer coefficients P_N[outIndex] for all sources,
-  /// computed from one transposed cyclic solve.
-  CplxVector solveAdjoint(std::span<const InjectionSource> sources,
-                          Real offsetFreq, int outIndex, int harmonic) const;
+  /// from one transposed cyclic solve.
+  CplxVector solveAdjoint(int outIndex, int harmonic) const;
 
+  /// Direct method: every source's full envelope p_0..p_{M-1}.
+  LptvSolution solveDirect() const;
+
+  /// Direct method, sampled: out[s * points.size() + i] is
+  /// p_{points[i]}[outIndex] of source s. Pass 2 stops at the largest
+  /// point and keeps only these samples. The values equal solveDirect's
+  /// bit for bit.
+  CplxVector sampleDirect(int outIndex, std::span<const size_t> points) const;
+
+  const std::vector<InjectionSource>& sources() const { return sources_; }
+  Real offsetFreq() const { return offsetFreq_; }
   const PssResult& pss() const { return *pss_; }
 
  private:
+  struct Cache;
+  Cache& cache() const;
+  void walkEnvelopes(
+      size_t last,
+      const std::function<void(size_t, size_t, std::span<const Cplx>)>& keep)
+      const;
+
   const MnaSystem* sys_;
   const PssResult* pss_;
+  std::vector<InjectionSource> sources_;
+  Real offsetFreq_;
   LptvOptions opt_;
+  mutable std::unique_ptr<Cache> cache_;
 };
 
 }  // namespace psmn

@@ -13,60 +13,43 @@ PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
 PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                                std::vector<InjectionSource> sources,
                                PnoiseOptions opt)
-    : sys_(&sys),
-      pss_(&pss),
-      opt_(opt),
-      sources_(std::move(sources)),
-      solver_(sys, pss, LptvOptions{opt.pool}) {
-  PSMN_CHECK(opt_.offsetFreq > 0.0, "offset frequency must be positive");
-  PSMN_CHECK(!sources_.empty(), "no injection sources");
+    : solver_(sys, pss, std::move(sources), opt.offsetFreq,
+              LptvOptions{opt.pool}) {
+  PSMN_CHECK(opt.offsetFreq > 0.0, "offset frequency must be positive");
+  PSMN_CHECK(!solver_.sources().empty(), "no injection sources");
   const Real f0 = 1.0 / pss.period;
-  PSMN_CHECK(opt_.offsetFreq < 0.01 * f0,
+  PSMN_CHECK(opt.offsetFreq < 0.01 * f0,
              "offset frequency must be far below the fundamental");
 }
 
-void PnoiseAnalysis::run() {
-  TraceSpan span(Phase::kPnoise, "pnoise");
-  solution_ = solver_.solveDirect(sources_, opt_.offsetFreq);
-}
-
 const LptvSolution& PnoiseAnalysis::solution() const {
-  PSMN_CHECK(solution_.has_value(), "call run() first");
+  if (!solution_) {
+    TraceSpan span(Phase::kPnoise, "pnoise");
+    solution_ = solver_.solveDirect();
+  }
   return *solution_;
 }
 
 PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
-  PSMN_CHECK(solution_.has_value(), "call run() first");
+  TraceSpan span(Phase::kPnoise, "pnoise");
   PnoiseSideband sb;
   sb.harmonic = harmonic;
-  sb.offsetFreq = opt_.offsetFreq;
-  sb.transfer.reserve(sources_.size());
-  sb.contribution.reserve(sources_.size());
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    const Cplx tf = solution_->harmonic(s, outIndex, harmonic);
-    const Real contrib = std::norm(tf) * sources_[s].psd(opt_.offsetFreq);
-    sb.transfer.push_back(tf);
+  sb.offsetFreq = offsetFreq();
+  sb.transfer = solver_.solveAdjoint(outIndex, harmonic);
+  sb.contribution.reserve(sb.transfer.size());
+  for (size_t s = 0; s < sb.transfer.size(); ++s) {
+    const Real contrib =
+        std::norm(sb.transfer[s]) * sources()[s].psd(sb.offsetFreq);
     sb.contribution.push_back(contrib);
     sb.totalPsd += contrib;
   }
   return sb;
 }
 
-PnoiseSideband PnoiseAnalysis::sidebandAdjoint(int outIndex,
-                                               int harmonic) const {
-  PnoiseSideband sb;
-  sb.harmonic = harmonic;
-  sb.offsetFreq = opt_.offsetFreq;
-  sb.transfer =
-      solver_.solveAdjoint(sources_, opt_.offsetFreq, outIndex, harmonic);
-  sb.contribution.reserve(sources_.size());
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    const Real contrib =
-        std::norm(sb.transfer[s]) * sources_[s].psd(opt_.offsetFreq);
-    sb.contribution.push_back(contrib);
-    sb.totalPsd += contrib;
-  }
-  return sb;
+CplxVector PnoiseAnalysis::samples(int outIndex,
+                                   std::span<const size_t> points) const {
+  TraceSpan span(Phase::kPnoise, "pnoise");
+  return solver_.sampleDirect(outIndex, points);
 }
 
 }  // namespace psmn

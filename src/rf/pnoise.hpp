@@ -6,6 +6,12 @@
 // and per sideband N, the stationary-equivalent PSD at N*f0 + f together
 // with the per-source contribution breakdown (paper SS V, eq. 10-11).
 //
+// Readouts solve on demand and pay only for what they read: a sideband is
+// one adjoint solve, envelope samples stop the direct pass at the last grid
+// point they read, and only solution() stores every envelope. They share
+// the LPTV solver's cached step factors and closed cycle, so const readouts
+// fill caches and one analysis serves one thread at a time.
+//
 // The linear-solver backend follows the PSS result: a sparsely-integrated
 // orbit (PssOptions::solver, kAuto above the crossover) makes every cyclic
 // solve here ride the sparse LPTV factor cache; tests/test_rf_sparse.cpp
@@ -23,9 +29,8 @@ struct PnoiseOptions {
   bool includeMismatch = true;  // pseudo-noise sources from device mismatch
   bool includePhysical = false; // thermal/flicker device noise
   /// Optional execution runtime, forwarded to the LPTV solver
-  /// (LptvOptions::pool): the direct solve's fused B_k/alpha_k column
-  /// recursion and per-source envelope chains fan across the pool with
-  /// bit-identical results.
+  /// (LptvOptions::pool): its adjoint and direct column recursions and the
+  /// per-source chains fan across the pool with bit-identical results.
   ThreadPool* pool = nullptr;
 };
 
@@ -48,27 +53,31 @@ class PnoiseAnalysis {
   PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                  std::vector<InjectionSource> sources, PnoiseOptions opt = {});
 
-  /// Solves the LPTV system for all sources (direct method).
-  void run();
+  /// Solves nothing: every readout solves on demand. Kept for callers that
+  /// still time an LPTV stage of their own around it.
+  void run() {}
 
-  const std::vector<InjectionSource>& sources() const { return sources_; }
+  const std::vector<InjectionSource>& sources() const {
+    return solver_.sources();
+  }
+  /// Every source's full envelope (direct solve on first call, then kept).
   const LptvSolution& solution() const;
-  const PssResult& pss() const { return *pss_; }
-  Real offsetFreq() const { return opt_.offsetFreq; }
+  const PssResult& pss() const { return solver_.pss(); }
+  Real offsetFreq() const { return solver_.offsetFreq(); }
 
-  /// Readout at output unknown `outIndex`, sideband N (0 = baseband).
+  /// Readout at output unknown `outIndex`, sideband N (0 = baseband), from
+  /// one adjoint LPTV solve.
   PnoiseSideband sideband(int outIndex, int harmonic) const;
 
-  /// Same readout through the adjoint LPTV solve (cross-check / ablation).
-  PnoiseSideband sidebandAdjoint(int outIndex, int harmonic) const;
+  /// Envelope samples of every source at output `outIndex` and the grid
+  /// points `points` (LptvSolver::sampleDirect): out[s * points.size() + i]
+  /// is p_{points[i]}[outIndex] of source s, bit for bit the value in
+  /// solution().
+  CplxVector samples(int outIndex, std::span<const size_t> points) const;
 
  private:
-  const MnaSystem* sys_;
-  const PssResult* pss_;
-  PnoiseOptions opt_;
-  std::vector<InjectionSource> sources_;
   LptvSolver solver_;
-  std::optional<LptvSolution> solution_;
+  mutable std::optional<LptvSolution> solution_;
 };
 
 }  // namespace psmn

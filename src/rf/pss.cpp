@@ -287,6 +287,9 @@ RealMatrix integrateMonodromy(const MnaSystem& sys, RealVector& x, Real t0,
 
 RealVector PssResult::waveform(int mnaIndex) const {
   PSMN_CHECK(mnaIndex >= 0, "waveform of ground requested");
+  PSMN_CHECK(!states.empty() &&
+                 static_cast<size_t>(mnaIndex) < states.front().size(),
+             "waveform index out of range");
   const size_t m = stepCount();
   RealVector w(m);
   for (size_t k = 0; k < m; ++k) w[k] = states[k][mnaIndex];

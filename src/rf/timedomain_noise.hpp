@@ -5,6 +5,10 @@
 // envelope p^{(i)}(t) is the per-parameter sensitivity of the whole orbit,
 // so the point-wise standard deviation is
 //   sigma(t_k)^2 = sum_i |p^{(i)}_k[out]|^2 * sigma_i^2.
+// The readout solves on demand: it runs the direct LPTV pass once over the
+// period and keeps only the output's row p_k[out] of every source, never
+// the full envelopes. Like every pnoise readout it fills the analysis'
+// caches, so one analysis serves one thread at a time.
 // tests/test_mc_validation.cpp cross-checks this estimate against the
 // sample sigma of seeded Monte-Carlo PSS re-solves (the paper's Table II
 // comparison in miniature), and tests/test_rf_sparse.cpp pins the

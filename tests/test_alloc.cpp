@@ -1,20 +1,23 @@
 // Allocation-tracking tests: the transient stepping kernel must not touch
 // the heap in the steady state (after the first step has sized the
 // workspace, cached the sparsity pattern, and done the symbolic
-// factorization), and the LPTV direct solve allocates per source only the
-// envelopes it returns. Global operator new/delete are overridden in this
-// binary to count allocations; the counters are read only around the
-// measured stepping loops, so gtest's own bookkeeping does not interfere.
+// factorization), the LPTV direct solve allocates per source only the
+// envelopes it returns, and the scalar pnoise readouts store no envelope.
+// Global operator new/delete are overridden in this binary to count
+// allocations; the counters are read only around the measured loops, so
+// gtest's own bookkeeping does not interfere.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
 #include "rf/lptv.hpp"
+#include "rf/pnoise.hpp"
 #include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
@@ -36,6 +39,13 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++gAllocCount;
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -164,22 +174,75 @@ TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
   const auto sources = sys.collectSources(true, false);
   const size_t ns = 32;
   ASSERT_GE(sources.size(), ns);
-  const std::span<const InjectionSource> some(sources.data(), ns);
 
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const LptvSolver solver(sys, pss, LptvOptions{p});
-    const auto allocations = [&](std::span<const InjectionSource> srcs) {
+    // The source list is copied before the count starts.
+    const auto allocations = [&](size_t count) {
+      std::vector<InjectionSource> srcs(sources.begin(),
+                                        sources.begin() + count);
       const size_t before = gAllocCount.load();
-      solver.solveDirect(srcs, 1.0);
+      LptvSolver(sys, pss, std::move(srcs), 1.0, LptvOptions{p}).solveDirect();
       return gAllocCount.load() - before;
     };
-    allocations(some);  // warm: one-time lazy state stays out of the count
-    const size_t fixed = allocations({});
-    const size_t withSources = allocations(some);
+    allocations(ns);  // warm: one-time lazy state stays out of the count
+    const size_t fixed = allocations(0);
+    const size_t withSources = allocations(ns);
     const size_t slots = p ? p->jobCount() : 1;
     EXPECT_LE(withSources - fixed, ns * m + 4 * ns + 16 * slots)
         << "slots=" << slots << " M=" << m;
+  }
+}
+
+TEST(Allocation, ScalarReadoutsStoreNoEnvelopes) {
+  // A sideband readout (one adjoint solve) and an edge readout (two
+  // envelope samples of one output, from a direct pass truncated at the
+  // crossing) store no envelope. From PnoiseAnalysis construction through
+  // both, allocations stay linear in ns + M + slots: the step factors per
+  // grid step, O(1) per source, scratch per slot. Storing the
+  // envelopes would cost a vector per (source, step), ns * M.
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  InverterChainOptions copt;
+  copt.rows = 8;  // 66 MNA unknowns: the sparse orbit
+  const auto chain = buildInverterChain(nl, kit, copt);
+  MnaSystem sys(nl);
+  const int out = nl.nodeIndex(chain.taps.back());
+  const auto sources = sys.collectSources(true, false);
+  ASSERT_GE(sources.size(), 64u);
+
+  ThreadPool pool(4);
+  for (int steps : {60, 120}) {
+    PssOptions popt;
+    popt.stepsPerPeriod = steps;
+    const PssResult pss = solvePssDriven(sys, copt.period, popt);
+    const size_t m = pss.stepCount();
+    const size_t edge[] = {m / 2, m / 2 + 1};
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      // The source list is copied before the count starts.
+      const auto allocations = [&](size_t ns) {
+        std::vector<InjectionSource> srcs(sources.begin(),
+                                          sources.begin() + ns);
+        const size_t before = gAllocCount.load();
+        PnoiseOptions opt;
+        opt.pool = p;
+        PnoiseAnalysis pn(sys, pss, std::move(srcs), opt);
+        pn.run();
+        pn.sideband(out, 1);
+        pn.samples(out, edge);
+        return gAllocCount.load() - before;
+      };
+      allocations(8);  // warm: one-time lazy state stays out of the count
+      const size_t slots = p ? p->jobCount() : 1;
+      const size_t few = allocations(8);
+      const size_t many = allocations(64);
+      const std::string label =
+          "M=" + std::to_string(m) + " slots=" + std::to_string(slots);
+      // About 600 + 11 M + 25 slots on this fixture, nothing per source.
+      EXPECT_LE(many, 1024 + 24 * m + 4 * 64 + 64 * slots) << label;
+      // No term grows with ns * M: a source costs O(1) allocations.
+      EXPECT_LE(many - few, 2 * (64 - 8) + 8 * slots) << label;
+    }
   }
 }
 

@@ -119,7 +119,6 @@ TEST(MonteCarloValidation, PssStatisticalWaveformMatchesSampleSigma) {
   const PssResult pss = solvePssDriven(sys, period, popt);
 
   PnoiseAnalysis pn(sys, pss, PnoiseOptions{});
-  pn.run();
   const StatisticalWaveform sw = statisticalWaveform(pn, outIdx);
 
   const std::vector<size_t> probes{0, 30, 60, 90};

@@ -139,7 +139,6 @@ TEST(PnoiseCorrelated, CompositeSourcesReduceDividerVariance) {
 
   // Independent: sigma = sqrt(2)*5mV.
   PnoiseAnalysis indep(sys, pss, PnoiseOptions{});
-  indep.run();
   EXPECT_NEAR(std::sqrt(indep.sideband(nl.nodeIndex(mid), 0).totalPsd),
               std::sqrt(2.0) * 5e-3, 1e-5);
 
@@ -148,7 +147,6 @@ TEST(PnoiseCorrelated, CompositeSourcesReduceDividerVariance) {
   corr.addUniformCorrelationGroup({{&r1, 0}, {&r2, 0}}, 1.0);
   PnoiseAnalysis correlated(
       sys, pss, corr.transformSources(sys.collectSources(true, false)), {});
-  correlated.run();
   EXPECT_NEAR(std::sqrt(correlated.sideband(nl.nodeIndex(mid), 0).totalPsd),
               0.0, 1e-7);
 }

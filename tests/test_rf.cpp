@@ -2,14 +2,17 @@
 // (degenerate-LTI checks, adjoint == direct), PNOISE readouts, PPV.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <string>
 
 #include "circuit/diode.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
+#include "core/mismatch_analysis.hpp"
 #include "engine/ac.hpp"
 #include "engine/dc.hpp"
 #include "engine/noise.hpp"
@@ -214,12 +217,12 @@ TEST(Lptv, DegeneratesToAcTransferOnLtiCircuit) {
   PssOptions opt;
   opt.stepsPerPeriod = 400;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  LptvSolver solver(*ckt.sys, pss);
   const auto sources = ckt.sys->collectSources(true, false);
   ASSERT_EQ(sources.size(), 1u);
 
   const Real fOff = 1.0;
-  const LptvSolution sol = solver.solveDirect(sources, fOff);
+  const LptvSolution sol =
+      LptvSolver(*ckt.sys, pss, sources, fOff).solveDirect();
 
   // The resistor-mismatch source is NOT LTI (its modulation follows the
   // current through R1), so instead check via a dedicated LTI circuit: use
@@ -236,12 +239,11 @@ TEST(Lptv, AdjointMatchesDirectAcrossHarmonics) {
   PssOptions opt;
   opt.stepsPerPeriod = 300;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  LptvSolver solver(*ckt.sys, pss);
   const auto sources = ckt.sys->collectSources(true, false);
-  const LptvSolution direct = solver.solveDirect(sources, 1.0);
+  const LptvSolver solver(*ckt.sys, pss, sources, 1.0);
+  const LptvSolution direct = solver.solveDirect();
   for (int harmonic : {0, 1, 2, -1}) {
-    const CplxVector adj =
-        solver.solveAdjoint(sources, 1.0, ckt.outIdx, harmonic);
+    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
     for (size_t s = 0; s < sources.size(); ++s) {
       const Cplx d = direct.harmonic(s, ckt.outIdx, harmonic);
       EXPECT_LT(std::abs(adj[s] - d), 1e-9 + 1e-6 * std::abs(d))
@@ -250,37 +252,108 @@ TEST(Lptv, AdjointMatchesDirectAcrossHarmonics) {
   }
 }
 
+// sideband()'s adjoint transfers against solution().harmonic() on one
+// orbit: every source within relTol * max_s |direct|.
+void expectAdjointMatchesDirect(const MnaSystem& sys, const PssResult& pss,
+                                int out, int harmonic, Real relTol,
+                                const std::string& what) {
+  const PnoiseAnalysis pn(sys, pss, PnoiseOptions{});
+  const PnoiseSideband sb = pn.sideband(out, harmonic);
+  const LptvSolution& direct = pn.solution();
+  ASSERT_EQ(sb.transfer.size(), pn.sources().size()) << what;
+  Real scale = 0.0;
+  for (size_t s = 0; s < sb.transfer.size(); ++s) {
+    scale = std::max(scale, std::abs(direct.harmonic(s, out, harmonic)));
+  }
+  ASSERT_GT(scale, 0.0) << what;
+  for (size_t s = 0; s < sb.transfer.size(); ++s) {
+    EXPECT_LE(std::abs(sb.transfer[s] - direct.harmonic(s, out, harmonic)),
+              relTol * scale)
+        << what << " harmonic " << harmonic << " " << pn.sources()[s].name;
+  }
+}
+
 TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
-  // A genuinely time-varying circuit: CMOS inverter driven by a clock.
   auto kit = ProcessKit::cmos130();
-  Netlist nl;
-  const NodeId vdd = nl.node("vdd");
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  nl.add<VSource>("VDD", vdd, kGround, SourceWave::dc(kit.vdd), nl);
-  const Real period = 4e-9;
-  nl.add<VSource>("VIN", in, kGround,
-                  SourceWave::pulse(0.0, kit.vdd, 0.0, period / 20,
-                                    period / 20, period * 0.45, period),
-                  nl);
-  addInverter(nl, "G1", in, out, vdd, kit, 0.6e-6, 1.2e-6);
-  nl.add<Capacitor>("CL", out, kGround, 10e-15, nl);
-  MnaSystem sys(nl);
-  PssOptions opt;
-  opt.stepsPerPeriod = 200;
-  const PssResult pss = solvePssDriven(sys, period, opt);
-  LptvSolver solver(sys, pss);
-  const auto sources = sys.collectSources(true, false);
-  ASSERT_EQ(sources.size(), 4u);
-  const LptvSolution direct = solver.solveDirect(sources, 1.0);
-  for (int harmonic : {0, 1}) {
-    const CplxVector adj =
-        solver.solveAdjoint(sources, 1.0, nl.nodeIndex(out), harmonic);
-    for (size_t s = 0; s < sources.size(); ++s) {
-      const Cplx d = direct.harmonic(s, nl.nodeIndex(out), harmonic);
-      EXPECT_LT(std::abs(adj[s] - d), 1e-12 + 1e-6 * std::abs(d))
-          << "harmonic " << harmonic << " source " << sources[s].name;
+  {
+    // A genuinely time-varying circuit: CMOS inverter driven by a clock.
+    Netlist nl;
+    const NodeId vdd = nl.node("vdd");
+    const NodeId in = nl.node("in");
+    const NodeId out = nl.node("out");
+    nl.add<VSource>("VDD", vdd, kGround, SourceWave::dc(kit.vdd), nl);
+    const Real period = 4e-9;
+    nl.add<VSource>("VIN", in, kGround,
+                    SourceWave::pulse(0.0, kit.vdd, 0.0, period / 20,
+                                      period / 20, period * 0.45, period),
+                    nl);
+    addInverter(nl, "G1", in, out, vdd, kit, 0.6e-6, 1.2e-6);
+    nl.add<Capacitor>("CL", out, kGround, 10e-15, nl);
+    MnaSystem sys(nl);
+    PssOptions opt;
+    opt.stepsPerPeriod = 200;
+    const PssResult pss = solvePssDriven(sys, period, opt);
+    ASSERT_EQ(sys.collectSources(true, false).size(), 4u);
+    for (int harmonic : {0, 1}) {
+      expectAdjointMatchesDirect(sys, pss, nl.nodeIndex(out), harmonic, 1e-12,
+                                 "inverter");
     }
+  }
+  {
+    // The paper's comparator testbench (Fig. 6), read at baseband.
+    Netlist nl;
+    const auto tb = buildComparatorTestbench(nl, kit);
+    MnaSystem sys(nl);
+    PssOptions opt;
+    opt.stepsPerPeriod = 400;
+    const PssResult pss = solvePssDriven(sys, tb.clkPeriod, opt);
+    expectAdjointMatchesDirect(sys, pss, tb.vosIndex, 0, 1e-12, "comparator");
+  }
+  {
+    // The Fig. 7 logic path on its 800-step grid, first sideband.
+    Netlist nl;
+    const auto lp = buildLogicPath(nl, kit, {});
+    MnaSystem sys(nl);
+    PssOptions opt;
+    opt.stepsPerPeriod = 800;
+    const PssResult pss = solvePssDriven(sys, lp.period, opt);
+    expectAdjointMatchesDirect(sys, pss, nl.nodeIndex(lp.outA), 1, 1e-12,
+                               "logic path");
+  }
+  {
+    // An inverter chain past the sparse crossover, on both orbit backends.
+    Netlist nl;
+    InverterChainOptions copt;
+    copt.stages = 8;
+    copt.rows = 8;
+    const auto chain = buildInverterChain(nl, kit, copt);
+    MnaSystem sys(nl);
+    for (LinearSolverKind solver :
+         {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
+      PssOptions opt;
+      opt.stepsPerPeriod = 80;
+      opt.solver = solver;
+      const PssResult pss = solvePssDriven(sys, copt.period, opt);
+      expectAdjointMatchesDirect(
+          sys, pss, nl.nodeIndex(chain.taps.back()), 1, 1e-12,
+          pss.sparseLinearizations ? "chain sparse" : "chain dense");
+    }
+  }
+  {
+    // The autonomous ring. Both closures restore the phase-mode eigenvalue
+    // with a rank-one correction, but the forward one applies it at the
+    // p_M -> p_0 cut and the adjoint at the l_1 cut, so the two transfers
+    // differ by the correction's discretization error, not by roundoff:
+    // the gap is the same at 40, 400 and 4000 inverse iterations.
+    Netlist nl;
+    const auto osc = buildRingOscillator(nl, kit);
+    MnaSystem sys(nl);
+    const RingWarmup warm = warmupRingOscillator(sys, osc);
+    PssOptions opt;
+    opt.stepsPerPeriod = 400;
+    const PssResult pss = solvePssAutonomous(
+        sys, warm.periodEstimate, warm.phaseIndex, warm.state, opt);
+    expectAdjointMatchesDirect(sys, pss, warm.phaseIndex, 1, 1e-4, "ring");
   }
 }
 
@@ -292,9 +365,9 @@ TEST(Lptv, BasebandEnvelopeIsQuasiStaticSensitivity) {
   PssOptions opt;
   opt.stepsPerPeriod = 400;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  LptvSolver solver(*ckt.sys, pss);
   const auto sources = ckt.sys->collectSources(true, false);
-  const LptvSolution sol = solver.solveDirect(sources, 1.0);
+  const LptvSolution sol =
+      LptvSolver(*ckt.sys, pss, sources, 1.0).solveDirect();
 
   const Real dr = 0.5;  // ohms
   ckt.r1->setMismatchDelta(0, dr);
@@ -330,7 +403,6 @@ TEST(Pnoise, BasebandVarianceMatchesDcSensitivityOnDivider) {
   const PssResult pss = solvePssDriven(sys, 1e-6, opt);
   PnoiseOptions popt;
   PnoiseAnalysis pn(sys, pss, popt);
-  pn.run();
   const PnoiseSideband sb = pn.sideband(nl.nodeIndex(mid), 0);
   // sigma_out = |dV/dR| * sigmaR * sqrt(2) = 0.5e-3 * 10 * 1.414 = 7.07e-3.
   const Real expected = 0.5e-3 * 10.0 * std::sqrt(2.0);
@@ -357,7 +429,6 @@ TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
   opt.stepsPerPeriod = 200;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
   PnoiseAnalysis pn(*ckt.sys, pss, PnoiseOptions{});
-  pn.run();
   const StatisticalWaveform sw = statisticalWaveform(pn, ckt.outIdx);
   ASSERT_EQ(sw.sigma.size(), pss.stepCount());
   // sigma(t) = |dvout(t)/dR| * sigmaR; check at a few points by FD.
@@ -375,6 +446,30 @@ TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
   }
   // Envelope helpers.
   EXPECT_NEAR(sw.upper3()[5] - sw.nominal[5], 3.0 * sw.sigma[5], 1e-15);
+}
+
+TEST(Pnoise, ReadoutsRejectOutOfRangeOutput) {
+  // Output index n names no unknown: every readout must refuse it instead
+  // of reading past the orbit states or the envelope vectors.
+  RcSineCircuit ckt;
+  MismatchAnalysisOptions opt;
+  opt.pss.stepsPerPeriod = 100;
+  TransientMismatchAnalysis an(*ckt.sys, opt);
+  an.runDriven(1.0 / ckt.freq);
+  const int n = static_cast<int>(ckt.sys->size());
+  const size_t points[] = {0, 1};
+  EXPECT_THROW(an.pss().waveform(n), Error);
+  EXPECT_THROW(an.dcVariation(n), Error);
+  EXPECT_THROW(an.delayVariation(n), Error);
+  EXPECT_THROW(an.frequencyVariation(n), Error);
+  EXPECT_THROW(an.edgeDelayVariation(n, 0.5, +1), Error);
+  EXPECT_THROW(statisticalWaveform(an.pnoise(), n), Error);
+  EXPECT_THROW(an.pnoise().samples(n, points), Error);
+  EXPECT_THROW(an.pnoise().solution().harmonic(0, n, 0), Error);
+  // A grid point past the period is refused too; in-range reads work.
+  const size_t pastEnd[] = {an.pss().stepCount()};
+  EXPECT_THROW(an.pnoise().samples(ckt.outIdx, pastEnd), Error);
+  EXPECT_EQ(an.pnoise().samples(ckt.outIdx, points).size(), 2u);
 }
 
 // ----------------------------------------------------------- oscillator
@@ -446,7 +541,6 @@ TEST(PssAutonomous, FrequencySensitivityViaPnoiseMatchesReshoot) {
   const PssResult pss = solvePssAutonomous(*ring.sys, ring.periodGuess,
                                            ring.phaseIdx, ring.x0, opt);
   PnoiseAnalysis pn(*ring.sys, pss, PnoiseOptions{});
-  pn.run();
   const PnoiseSideband sb = pn.sideband(ring.phaseIdx, 1);
   const auto& sources = pn.sources();
   const Cplx v1 = pss.fourier(ring.phaseIdx, 1);
@@ -483,7 +577,6 @@ TEST(Ppv, FrequencySensitivityMatchesPnoiseReadout) {
   const PpvResult ppv = computePpv(*ring.sys, pss);
 
   PnoiseAnalysis pn(*ring.sys, pss, PnoiseOptions{});
-  pn.run();
   const PnoiseSideband sb = pn.sideband(ring.phaseIdx, 1);
   const Cplx v1 = pss.fourier(ring.phaseIdx, 1);
   const auto& sources = pn.sources();

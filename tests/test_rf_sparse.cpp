@@ -24,6 +24,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
+#include "core/mismatch_analysis.hpp"
 #include "engine/dc.hpp"
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -299,12 +300,13 @@ TEST(LptvGolden, TransferAgreesAcrossBackendsOnLargeChain) {
   const PssResult sparse =
       solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kSparse, 80));
 
-  const std::span<const InjectionSource> srcs(ckt.sources.data(), 12);
-  LptvSolver denseSolver(*ckt.sys, dense);
-  LptvSolver sparseSolver(*ckt.sys, sparse);
+  const std::vector<InjectionSource> srcs(ckt.sources.begin(),
+                                          ckt.sources.begin() + 12);
   const Real fOff = 1.0;
-  const LptvSolution dSol = denseSolver.solveDirect(srcs, fOff);
-  const LptvSolution sSol = sparseSolver.solveDirect(srcs, fOff);
+  const LptvSolver denseSolver(*ckt.sys, dense, srcs, fOff);
+  const LptvSolver sparseSolver(*ckt.sys, sparse, srcs, fOff);
+  const LptvSolution dSol = denseSolver.solveDirect();
+  const LptvSolution sSol = sparseSolver.solveDirect();
   for (size_t s = 0; s < srcs.size(); ++s) {
     for (int harmonic : {0, 1, -1}) {
       const Cplx d = dSol.harmonic(s, ckt.outIdx, harmonic);
@@ -314,8 +316,8 @@ TEST(LptvGolden, TransferAgreesAcrossBackendsOnLargeChain) {
     }
   }
   // Adjoint path: sparse transposed solves against the dense adjoint.
-  const CplxVector dAdj = denseSolver.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
-  const CplxVector sAdj = sparseSolver.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
+  const CplxVector dAdj = denseSolver.solveAdjoint(ckt.outIdx, 0);
+  const CplxVector sAdj = sparseSolver.solveAdjoint(ckt.outIdx, 0);
   for (size_t s = 0; s < srcs.size(); ++s) {
     EXPECT_LT(std::abs(sAdj[s] - dAdj[s]), kGoldenTol + 1e-6 * std::abs(dAdj[s]));
   }
@@ -339,8 +341,6 @@ TEST(PnoiseGolden, SidebandPsdAndStatisticalWaveformAgree) {
                                     ckt.sources.begin() + 12);
   PnoiseAnalysis pnDense(*ckt.sys, dense, srcs, PnoiseOptions{});
   PnoiseAnalysis pnSparse(*ckt.sys, sparse, srcs, PnoiseOptions{});
-  pnDense.run();
-  pnSparse.run();
 
   for (int harmonic : {0, 1}) {
     const PnoiseSideband sbD = pnDense.sideband(ckt.outIdx, harmonic);
@@ -467,14 +467,15 @@ void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
                                std::span<const InjectionSource> srcs,
                                int outIdx, const std::string& what) {
   const Real fOff = 1.0;
+  const std::vector<InjectionSource> sources(srcs.begin(), srcs.end());
   TelemetryRegistry serialReg(1);
   LptvSolution sSol;
   CplxVector sAdj;
   {
     TelemetryScope scope(serialReg, 0);
-    const LptvSolver serial(sys, pss);
-    sSol = serial.solveDirect(srcs, fOff);
-    sAdj = serial.solveAdjoint(srcs, fOff, outIdx, 1);
+    const LptvSolver serial(sys, pss, sources, fOff);
+    sSol = serial.solveDirect();
+    sAdj = serial.solveAdjoint(outIdx, 1);
   }
   const uint64_t serialColumns =
       serialReg.counterTotal(Counter::kSolveColumns);
@@ -485,9 +486,9 @@ void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
     ThreadPool pool(jobs);
     pool.attachTelemetry(&reg);
     TelemetryScope scope(reg, 0);
-    const LptvSolver par(sys, pss, LptvOptions{&pool});
-    expectEnvelopesEqual(par.solveDirect(srcs, fOff), sSol, label);
-    const CplxVector pAdj = par.solveAdjoint(srcs, fOff, outIdx, 1);
+    const LptvSolver par(sys, pss, sources, fOff, LptvOptions{&pool});
+    expectEnvelopesEqual(par.solveDirect(), sSol, label);
+    const CplxVector pAdj = par.solveAdjoint(outIdx, 1);
     ASSERT_EQ(pAdj.size(), sAdj.size()) << label;
     for (size_t s = 0; s < sAdj.size(); ++s) {
       EXPECT_EQ(pAdj[s], sAdj[s]) << label << " s=" << s;
@@ -499,8 +500,9 @@ void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
 
 TEST(LptvParallelGolden, ChainDirectAndAdjointExactAcrossJobCounts) {
   // The direct solve fans its n + ns recursion columns and then its ns
-  // envelope chains across the pool; the adjoint fans its V_k columns and
-  // its per-source transfers. ns = 1 leaves the envelope pass one column
+  // envelope chains across the pool; the adjoint fans its n + 1 columns
+  // [V | u] through all M steps, then its per-source transfers. ns = 1
+  // leaves the envelope pass one column
   // (SparseLU's nrhs == 1 solveInPlace fallback); ns = 3 leaves slots
   // idle at jobs 4 and 8.
   for (LinearSolverKind solver :
@@ -704,13 +706,146 @@ C2 out 0 4p sigma=0.2p
       const LptvSolution want = perSourceReference(*c.sys, pss, c.srcs, 1.0);
       const std::string label =
           c.name + (pss.sparseLinearizations ? " sparse" : " dense");
-      expectEnvelopesEqual(LptvSolver(*c.sys, pss).solveDirect(c.srcs, 1.0),
+      const std::vector<InjectionSource> srcs(c.srcs.begin(), c.srcs.end());
+      expectEnvelopesEqual(LptvSolver(*c.sys, pss, srcs, 1.0).solveDirect(),
                            want, label + " no pool");
       ThreadPool pool(4);
       expectEnvelopesEqual(
-          LptvSolver(*c.sys, pss, LptvOptions{&pool}).solveDirect(c.srcs, 1.0),
+          LptvSolver(*c.sys, pss, srcs, 1.0, LptvOptions{&pool}).solveDirect(),
           want, label + " jobs=4");
     }
+  }
+}
+
+// --------------------------------------------- sampled direct readouts
+
+/// perfbench's traced edge readout (its edgeDelaySigma), before the sum of
+/// squares: the first crossing of `level` in `direction` on the nominal
+/// waveform, and every source's scaled delay sensitivity read from the
+/// stored envelopes at the two grid points around it.
+struct EnvelopeEdge {
+  size_t k0 = 0, k1 = 0;
+  RealVector scaled;
+};
+EnvelopeEdge edgeFromEnvelopes(const PnoiseAnalysis& pn, int out, Real level,
+                               int direction) {
+  const PssResult& ps = pn.pss();
+  const size_t m = ps.stepCount();
+  const RealVector w = ps.waveform(out);
+  int found = -1;
+  Real frac = 0.0;
+  for (size_t k = 0; k < m && found < 0; ++k) {
+    const Real y0 = w[k];
+    const Real y1 = w[(k + 1) % m];
+    const bool rising = y0 < level && y1 >= level;
+    const bool falling = y0 > level && y1 <= level;
+    if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
+      found = static_cast<int>(k);
+      frac = (level - y0) / (y1 - y0);
+    }
+  }
+  EnvelopeEdge e;
+  if (found < 0) return e;
+  e.k0 = static_cast<size_t>(found);
+  e.k1 = (e.k0 + 1) % m;
+  const Real slope = (w[e.k1] - w[e.k0]) / ps.stepSize();
+  const LptvSolution& sol = pn.solution();
+  for (size_t i = 0; i < pn.sources().size(); ++i) {
+    const Cplx p0 = sol.envelopes[i][e.k0][out];
+    const Cplx p1 = sol.envelopes[i][e.k1][out];
+    const Real dv = ((1.0 - frac) * p0 + frac * p1).real();
+    e.scaled.push_back(-dv / slope *
+                       std::sqrt(pn.sources()[i].psd(pn.offsetFreq())));
+  }
+  return e;
+}
+
+/// The contract the traced perfbench split relies on, for the edge pair
+/// (outA, outB): the wrapper's sampled edge readouts and sigma(t) equal the
+/// arithmetic on solution()'s stored envelopes bit for bit, and the second
+/// edge readout runs only its own truncated pass 2 — one batched solve of
+/// ns columns per grid step up to its crossing — so pass 1 and the closure
+/// ran once for both.
+void expectSampledReadoutsMatchEnvelopes(const MnaSystem& sys,
+                                         MismatchAnalysisOptions opt,
+                                         Real period, int outA, int outB,
+                                         Real level, int direction,
+                                         ThreadPool* pool,
+                                         const std::string& what) {
+  opt.pss.pool = pool;
+  opt.pnoise.pool = pool;
+  TransientMismatchAnalysis an(sys, opt);
+  an.runDriven(period);
+  TelemetryRegistry reg(pool ? pool->jobCount() : 1);
+  if (pool) pool->attachTelemetry(&reg);
+  VariationResult a, b;
+  uint64_t secondColumns = 0;
+  {
+    TelemetryScope scope(reg, 0);
+    a = an.edgeDelayVariation(outA, level, direction);
+    const uint64_t before = reg.counterTotal(Counter::kSolveColumns);
+    b = an.edgeDelayVariation(outB, level, direction);
+    secondColumns = reg.counterTotal(Counter::kSolveColumns) - before;
+  }
+  if (pool) pool->attachTelemetry(nullptr);
+
+  const PnoiseAnalysis& pn = an.pnoise();
+  const size_t ns = pn.sources().size();
+  const EnvelopeEdge ea = edgeFromEnvelopes(pn, outA, level, direction);
+  const EnvelopeEdge eb = edgeFromEnvelopes(pn, outB, level, direction);
+  ASSERT_EQ(a.scaledSens.size(), ns) << what;
+  ASSERT_EQ(ea.scaled.size(), ns) << what;
+  ASSERT_EQ(eb.scaled.size(), ns) << what;
+  for (size_t i = 0; i < ns; ++i) {
+    EXPECT_EQ(a.scaledSens[i], ea.scaled[i]) << what << " A source " << i;
+    EXPECT_EQ(b.scaledSens[i], eb.scaled[i]) << what << " B source " << i;
+  }
+  EXPECT_EQ(secondColumns, ns * std::max(eb.k0, eb.k1)) << what;
+
+  const StatisticalWaveform sw = an.statistical(outA);
+  const LptvSolution& sol = pn.solution();
+  ASSERT_EQ(sw.sigma.size(), sol.steps) << what;
+  for (size_t k = 0; k < sol.steps; ++k) {
+    Real var = 0.0;
+    for (size_t s = 0; s < ns; ++s) {
+      var += std::norm(sol.envelopes[s][k][outA]) *
+             pn.sources()[s].psd(pn.offsetFreq());
+    }
+    EXPECT_EQ(sw.sigma[k], std::sqrt(var)) << what << " k=" << k;
+  }
+}
+
+TEST(LptvSamplePath, LogicPathEdgesMatchStoredEnvelopes) {
+  // The Table I pair on the dense 800-step orbit.
+  Netlist nl;
+  const auto kit = ProcessKit::cmos130();
+  const auto lp = buildLogicPath(nl, kit, {});
+  MnaSystem sys(nl);
+  MismatchAnalysisOptions opt;
+  opt.pss.stepsPerPeriod = 800;
+  expectSampledReadoutsMatchEnvelopes(sys, opt, lp.period,
+                                      nl.nodeIndex(lp.outA),
+                                      nl.nodeIndex(lp.outB), kit.vdd / 2, -1,
+                                      nullptr, "logic path");
+}
+
+TEST(LptvSamplePath, SparseChainEdgesMatchStoredEnvelopes) {
+  // The 4-row, 16-stage chain (68 unknowns, 256 sources) on the sparse
+  // orbit: the last taps of rows 1 and 2, serial and on a 4-slot pool.
+  Netlist nl;
+  const auto kit = ProcessKit::cmos130();
+  InverterChainOptions copt;
+  copt.stages = 16;
+  copt.rows = 4;
+  buildInverterChain(nl, kit, copt);
+  MnaSystem sys(nl);
+  MismatchAnalysisOptions opt;
+  opt.pss.stepsPerPeriod = 200;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    expectSampledReadoutsMatchEnvelopes(
+        sys, opt, copt.period, nl.nodeIndex("chr116"), nl.nodeIndex("chr216"),
+        kit.vdd / 2, +1, p, p ? "chain jobs=4" : "chain serial");
   }
 }
 
