@@ -257,6 +257,23 @@ void BM_MnaEvalComparator(benchmark::State& state) {
 }
 BENCHMARK(BM_MnaEvalComparator);
 
+// The same netlist and iterate on the sparse backend: the shared slot
+// stamping loop into the CSC values of the system's declared pattern.
+void BM_MnaEvalComparatorSparse(benchmark::State& state) {
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  buildComparatorTestbench(nl, kit);
+  MnaSystem sys(nl);
+  RealVector x(sys.size(), 0.5);
+  RealVector f, q;
+  RealSparse g, c;
+  for (auto _ : state) {
+    sys.evalSparse(x, 0.0, &f, &q, &g, &c, {});
+    benchmark::DoNotOptimize(f);
+  }
+}
+BENCHMARK(BM_MnaEvalComparatorSparse);
+
 void BM_TransientRingOscPeriod(benchmark::State& state) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -435,7 +452,7 @@ const RingPssFixture& ringPssFixture(int stages) {
 /// One autonomous shooting solve on an N-stage ring oscillator (N + 2 MNA
 /// unknowns), per backend. The dense path factors every period-integration
 /// step at O(n^3) and accumulates the monodromy through dense solves; the
-/// sparse path rides the cached-pattern workspace, numeric
+/// sparse path rides the declared-pattern workspace, numeric
 /// refactorizations, and batched monodromy substitutions.
 void pssShootingBench(benchmark::State& state, LinearSolverKind solver) {
   const int stages = static_cast<int>(state.range(0));
@@ -466,7 +483,7 @@ void BM_PssShootingDense(benchmark::State& state) {
 void BM_PssShootingSparse(benchmark::State& state) {
   pssShootingBench(state, LinearSolverKind::kSparse);
 }
-// 15 stages = 17 unknowns (below the sparse crossover), 63 stages = 65
+// 15 stages = 17 unknowns (a paper-circuit size), 63 stages = 65
 // unknowns (the acceptance fixture: sparse shooting must beat dense).
 BENCHMARK(BM_PssShootingDense)->Arg(15)->Arg(63)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PssShootingSparse)->Arg(15)->Arg(63)->Unit(benchmark::kMillisecond);

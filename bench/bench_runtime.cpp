@@ -125,7 +125,7 @@ BENCHMARK(BM_SweepScalingRagged)
     ->Unit(benchmark::kMillisecond);
 
 /// Column-partitioned transient sensitivity on `rows` 8-stage chains
-/// (ns = 32*rows mismatch columns, sparse backend above 40 unknowns).
+/// (ns = 32*rows mismatch columns, sparse backend).
 void BM_SensitivityParallel(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const auto jobs = static_cast<size_t>(state.range(1));

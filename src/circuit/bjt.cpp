@@ -127,6 +127,27 @@ Bjt::Core Bjt::evalCore(Real vbe, Real vbc) const {
   return c;
 }
 
+void Bjt::declareStamps(StampPlan& plan) const {
+  // G slots 0-8: the junction Jacobian, in eval's order.
+  plan.g(ci_, bi_);
+  plan.g(ci_, ci_);
+  plan.g(ci_, ei_);
+  plan.g(bi_, bi_);
+  plan.g(bi_, ci_);
+  plan.g(bi_, ei_);
+  plan.g(ei_, bi_);
+  plan.g(ei_, ci_);
+  plan.g(ei_, ei_);
+  plan.conductance(bi_, ei_);  // 9-12: gmin across B-E
+  plan.conductance(bi_, ci_);  // 13-16: gmin across B-C
+  // 17 on: the series parasitics present, in eval's order.
+  if (ci_ != c_) plan.conductance(c_, ci_);
+  if (bi_ != b_) plan.conductance(b_, bi_);
+  if (ei_ != e_) plan.conductance(e_, ei_);
+  plan.capacitance(bi_, ei_);  // C 0-3
+  plan.capacitance(bi_, ci_);  // C 4-7
+}
+
 void Bjt::eval(Stamper& s) const {
   const Real sgn = model_->pnp ? -1.0 : 1.0;
   const Real vbe = sgn * (s.v(bi_) - s.v(ei_));
@@ -142,35 +163,37 @@ void Bjt::eval(Stamper& s) const {
 
   // Jacobian of the three node currents w.r.t. (vb, vc, ve); every row and
   // column sums to zero (KCL / ground invariance).
-  s.addG(ci_, bi_, c.gctBe + c.gctBc - c.gmu);
-  s.addG(ci_, ci_, -c.gctBc + c.gmu);
-  s.addG(ci_, ei_, -c.gctBe);
-  s.addG(bi_, bi_, c.gpi + c.gmu);
-  s.addG(bi_, ci_, -c.gmu);
-  s.addG(bi_, ei_, -c.gpi);
-  s.addG(ei_, bi_, -(c.gctBe + c.gctBc + c.gpi));
-  s.addG(ei_, ci_, c.gctBc);
-  s.addG(ei_, ei_, c.gctBe + c.gpi);
+  s.addG(0, c.gctBe + c.gctBc - c.gmu);
+  s.addG(1, -c.gctBc + c.gmu);
+  s.addG(2, -c.gctBe);
+  s.addG(3, c.gpi + c.gmu);
+  s.addG(4, -c.gmu);
+  s.addG(5, -c.gpi);
+  s.addG(6, -(c.gctBe + c.gctBc + c.gpi));
+  s.addG(7, c.gctBc);
+  s.addG(8, c.gctBe + c.gpi);
 
   // Convergence aid across both junctions (diode idiom).
   s.stampCurrent(bi_, ei_, s.gmin() * (s.v(bi_) - s.v(ei_)));
-  s.stampConductance(bi_, ei_, s.gmin());
+  s.stampConductance(9, s.gmin());
   s.stampCurrent(bi_, ci_, s.gmin() * (s.v(bi_) - s.v(ci_)));
-  s.stampConductance(bi_, ci_, s.gmin());
+  s.stampConductance(13, s.gmin());
 
   // Junction charges, + plate at the base in the internal frame.
   s.stampCharge(bi_, ei_, sgn * c.qbe);
-  s.stampCapacitance(bi_, ei_, c.cbe);
+  s.stampCapacitance(0, c.cbe);
   s.stampCharge(bi_, ci_, sgn * c.qbc);
-  s.stampCapacitance(bi_, ci_, c.cbc);
+  s.stampCapacitance(4, c.cbc);
 
   // Series parasitics: plain conductances, resistance scaled as R/area.
   const BjtModel& m = *model_;
-  auto series = [&s, this](int ext, int internal, Real r) {
+  int slot = 17;
+  auto series = [&s, &slot, this](int ext, int internal, Real r) {
     if (internal == ext) return;
     const Real g = area_ / r;
     s.stampCurrent(ext, internal, g * (s.v(ext) - s.v(internal)));
-    s.stampConductance(ext, internal, g);
+    s.stampConductance(slot, g);
+    slot += 4;
   };
   series(c_, ci_, m.rc);
   series(b_, bi_, m.rb);

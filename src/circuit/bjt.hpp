@@ -100,6 +100,7 @@ class Bjt : public Device {
   Bjt(std::string name, NodeId c, NodeId b, NodeId e,
       std::shared_ptr<const BjtModel> model, Real area, Netlist& nl);
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   // --- mismatch: k=0 is dIS/IS (relative), k=1 is dBF/BF (relative) ---

@@ -35,6 +35,7 @@ class Vcvs : public Device {
   void allocate(BranchAllocator& alloc) override {
     branch_ = alloc.allocate(name());
   }
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
   int branchIndex() const { return branch_; }
 
@@ -60,6 +61,7 @@ class Vccs : public Device {
       : Vccs(std::move(name), a, b, nl,
              {{nl.nodeIndex(cp), nl.nodeIndex(cn), gain}}) {}
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
  private:
@@ -81,6 +83,7 @@ class Ccvs : public Device {
   void allocate(BranchAllocator& alloc) override {
     branch_ = alloc.allocate(name());
   }
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
  private:
@@ -101,6 +104,7 @@ class Cccs : public Device {
         ctrl_(ctrlBranch),
         gain_(gain) {}
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
  private:

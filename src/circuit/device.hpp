@@ -10,6 +10,13 @@
 // Independent sources fold their (time-dependent) values into f with the
 // appropriate sign, so no separate source vector exists.
 //
+// Matrix stamps are slot-bound: each device declares, once, the G and C
+// positions its eval may touch (declareStamps into a StampPlan), and eval
+// stamps by the device-local index of a declaration. MnaSystem freezes the
+// sparsity pattern from those declarations and maps every slot to a value
+// index of the dense or the sparse storage, so both backends run the same
+// stamping arithmetic in the same order.
+//
 // Mismatch interface: a device exposes its random mismatch parameters
 // (e.g. a MOSFET's dVT and dbeta/beta under the Pelgrom model). Each
 // parameter p provides
@@ -27,7 +34,6 @@
 #include <vector>
 
 #include "numeric/dense_matrix.hpp"
-#include "numeric/sparse_matrix.hpp"
 #include "numeric/types.hpp"
 #include "util/status.hpp"
 
@@ -79,39 +85,69 @@ class BranchAllocator {
   std::vector<std::string> names_;
 };
 
-/// Accumulation target devices stamp into. Equation/variable indices are
-/// MNA indices; -1 denotes ground (contributions silently dropped).
-///
-/// Matrix accumulation has two backends: dense (G/C matrices) and triplet
-/// (for the sparse solver); vectors are always dense.
+/// The G and C positions a device's eval may stamp, declared once, in a
+/// fixed order, when MnaSystem is built (Device::declareStamps). The k-th
+/// declared G position is device-local G slot k, likewise for C; eval
+/// stamps through those indices (Stamper::addG/addC). Positions may
+/// repeat, and ground positions (-1) are kept so the indices stay fixed:
+/// their stamps are dropped.
+class StampPlan {
+ public:
+  struct Position {
+    int eq, var;
+  };
+
+  void g(int eq, int var) { g_.push_back({eq, var}); }
+  void c(int eq, int var) { c_.push_back({eq, var}); }
+  /// The four positions Stamper::stampConductance (stampCapacitance)
+  /// fills, in its order: (a,a), (b,b), (a,b), (b,a).
+  void conductance(int a, int b) {
+    g_.insert(g_.end(), {{a, a}, {b, b}, {a, b}, {b, a}});
+  }
+  void capacitance(int a, int b) {
+    c_.insert(c_.end(), {{a, a}, {b, b}, {a, b}, {b, a}});
+  }
+  /// The four G positions of a branch-current element between a and b
+  /// (Stamper::stampBranch): (a,br), (b,br), (br,a), (br,b).
+  void branch(int a, int b, int br) {
+    g_.insert(g_.end(), {{a, br}, {b, br}, {br, a}, {br, b}});
+  }
+
+  const std::vector<Position>& gPositions() const { return g_; }
+  const std::vector<Position>& cPositions() const { return c_; }
+
+ private:
+  std::vector<Position> g_, c_;
+};
+
+/// Accumulation target devices stamp into. Vector equation indices are MNA
+/// indices; -1 denotes ground (contributions silently dropped). Matrix
+/// stamps address the device's declared slots (StampPlan): the assembler
+/// binds, per device, the table mapping each slot to a value index of the
+/// attached storage (dense row-major offset or CSC value index, -1 for a
+/// ground position), so every backend stamps through the same
+/// `values[slot[k]] += v`.
 class Stamper {
  public:
   Stamper(std::span<const Real> x, Real time, size_t n)
       : x_(x), time_(time), n_(n) {}
 
   // --- configuration (assembler-side) ---
-  void attachDense(RealMatrix* g, RealMatrix* c) { gDense_ = g; cDense_ = c; }
-  void attachTriplets(std::vector<Triplet<Real>>* g,
-                      std::vector<Triplet<Real>>* c) {
-    gTrip_ = g;
-    cTrip_ = c;
-  }
-  /// Pattern-slot accumulation: stamps land in the preallocated CSC slots
-  /// of `g`/`c` (no heap traffic). A stamp whose (eq, var) position is
-  /// missing from the pattern sets sparseMiss() instead of being dropped,
-  /// so the assembler can rebuild the pattern and re-stamp.
-  void attachSparse(SparseMatrix<Real>* g, SparseMatrix<Real>* c) {
-    gSparse_ = g;
-    cSparse_ = c;
+  /// Value arrays G and C stamps accumulate into (null: not wanted).
+  void attachMatrices(Real* g, Real* c) { g_ = g; c_ = c; }
+  /// The current device's slot tables: device-local slot k stamps into
+  /// value index gSlots[k] / cSlots[k].
+  void bindSlots(const int* gSlots, const int* cSlots) {
+    gSlots_ = gSlots;
+    cSlots_ = cSlots;
   }
   void attachVectors(RealVector* f, RealVector* q) { f_ = f; q_ = q; }
   void setSourceScale(Real s) { sourceScale_ = s; }
   void setGmin(Real g) { gmin_ = g; }
-  /// Scales every subsequent contribution; used when accumulating weighted
-  /// injection stamps (composite correlated-mismatch sources) without a
-  /// temporary vector per component.
+  /// Scales every subsequent vector contribution; used when accumulating
+  /// weighted injection stamps (composite correlated-mismatch sources)
+  /// without a temporary vector per component.
   void setStampScale(Real w) { stampScale_ = w; }
-  bool sparseMiss() const { return sparseMiss_; }
 
   // --- device-side queries ---
   /// Voltage/current of unknown `idx` in the current iterate (0 for ground).
@@ -123,9 +159,6 @@ class Stamper {
   /// Convergence aid: conductance every nonlinear device should add from
   /// its non-ground terminals to ground.
   Real gmin() const { return gmin_; }
-  bool wantMatrices() const {
-    return gDense_ || cDense_ || gTrip_ || cTrip_ || gSparse_ || cSparse_;
-  }
   size_t size() const { return n_; }
 
   // --- device-side accumulation ---
@@ -135,37 +168,40 @@ class Stamper {
   void addQ(int eq, Real val) {
     if (eq >= 0 && q_) (*q_)[eq] += stampScale_ * val;
   }
-  void addG(int eq, int var, Real val) {
-    if (eq < 0 || var < 0) return;
-    if (gDense_) (*gDense_)(eq, var) += stampScale_ * val;
-    if (gTrip_) gTrip_->push_back({eq, var, stampScale_ * val});
-    if (gSparse_) {
-      if (Real* slot = gSparse_->find(eq, var)) *slot += stampScale_ * val;
-      else sparseMiss_ = true;
-    }
+  /// Adds `val` at the device's declared G (C) slot.
+  void addG(int slot, Real val) {
+    if (g_ == nullptr) return;
+    const int at = gSlots_[slot];
+    if (at >= 0) g_[at] += val;
   }
-  void addC(int eq, int var, Real val) {
-    if (eq < 0 || var < 0) return;
-    if (cDense_) (*cDense_)(eq, var) += stampScale_ * val;
-    if (cTrip_) cTrip_->push_back({eq, var, stampScale_ * val});
-    if (cSparse_) {
-      if (Real* slot = cSparse_->find(eq, var)) *slot += stampScale_ * val;
-      else sparseMiss_ = true;
-    }
+  void addC(int slot, Real val) {
+    if (c_ == nullptr) return;
+    const int at = cSlots_[slot];
+    if (at >= 0) c_[at] += val;
   }
 
-  /// Conductance stamp between unknowns a and b (the classic 4-entry stamp).
-  void stampConductance(int a, int b, Real g) {
-    addG(a, a, g);
-    addG(b, b, g);
-    addG(a, b, -g);
-    addG(b, a, -g);
+  /// The classic 4-entry stamp over the four slots from `slot` on that
+  /// StampPlan::conductance (capacitance) declared: +x, +x, -x, -x.
+  void stampConductance(int slot, Real g) {
+    addG(slot, g);
+    addG(slot + 1, g);
+    addG(slot + 2, -g);
+    addG(slot + 3, -g);
   }
-  void stampCapacitance(int a, int b, Real c) {
-    addC(a, a, c);
-    addC(b, b, c);
-    addC(a, b, -c);
-    addC(b, a, -c);
+  void stampCapacitance(int slot, Real c) {
+    addC(slot, c);
+    addC(slot + 1, c);
+    addC(slot + 2, -c);
+    addC(slot + 3, -c);
+  }
+  /// The branch incidence over the four slots from `slot` on that
+  /// StampPlan::branch declared: the branch current enters KCL at a (+1)
+  /// and b (-1), and the branch equation reads v(a) - v(b).
+  void stampBranch(int slot) {
+    addG(slot, 1.0);
+    addG(slot + 1, -1.0);
+    addG(slot + 2, 1.0);
+    addG(slot + 3, -1.0);
   }
   /// Static current `i` flowing from node a to node b through the device.
   void stampCurrent(int a, int b, Real i) {
@@ -185,13 +221,10 @@ class Stamper {
   Real sourceScale_ = 1.0;
   Real gmin_ = 0.0;
   Real stampScale_ = 1.0;
-  bool sparseMiss_ = false;
-  RealMatrix* gDense_ = nullptr;
-  RealMatrix* cDense_ = nullptr;
-  std::vector<Triplet<Real>>* gTrip_ = nullptr;
-  std::vector<Triplet<Real>>* cTrip_ = nullptr;
-  SparseMatrix<Real>* gSparse_ = nullptr;
-  SparseMatrix<Real>* cSparse_ = nullptr;
+  Real* g_ = nullptr;
+  Real* c_ = nullptr;
+  const int* gSlots_ = nullptr;
+  const int* cSlots_ = nullptr;
   RealVector* f_ = nullptr;
   RealVector* q_ = nullptr;
 };
@@ -209,7 +242,12 @@ class Device {
   /// Requests branch-current unknowns (called once by Netlist::finalize).
   virtual void allocate(BranchAllocator&) {}
 
-  /// Accumulates f, q, G, C at the iterate/time carried by the stamper.
+  /// Lists, in a fixed order, every G and C position eval may stamp
+  /// (called once per MnaSystem; the netlist is final by then). A device
+  /// whose stamp positions depend on the iterate declares all of them.
+  virtual void declareStamps(StampPlan& plan) const = 0;
+  /// Accumulates f, q, G, C at the iterate/time carried by the stamper,
+  /// stamping matrices by the slots declareStamps declared.
   virtual void eval(Stamper& s) const = 0;
 
   // --- mismatch interface (default: no mismatch) ---

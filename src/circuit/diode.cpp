@@ -4,6 +4,11 @@
 
 namespace psmn {
 
+void Diode::declareStamps(StampPlan& plan) const {
+  plan.conductance(a_, c_);
+  if (model_.cj0 > 0.0) plan.capacitance(a_, c_);
+}
+
 void Diode::eval(Stamper& s) const {
   const Real vt = model_.n * model_.thermalVoltage();
   const Real v = s.v(a_) - s.v(c_);
@@ -22,13 +27,13 @@ void Diode::eval(Stamper& s) const {
     id = model_.is * (e - 1.0) + gd * (v - vmax);
   }
   s.stampCurrent(a_, c_, id + s.gmin() * v);
-  s.stampConductance(a_, c_, gd + s.gmin());
+  s.stampConductance(0, gd + s.gmin());
 
   if (model_.cj0 > 0.0) {
     // Simple constant junction capacitance (bias dependence omitted; the
     // mismatch analysis depends on the linearization, not on cj(v) detail).
     s.stampCharge(a_, c_, model_.cj0 * v);
-    s.stampCapacitance(a_, c_, model_.cj0);
+    s.stampCapacitance(0, model_.cj0);
   }
 }
 

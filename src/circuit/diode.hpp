@@ -26,6 +26,7 @@ class Diode : public Device {
         c_(nl.nodeIndex(cathode)),
         model_(model) {}
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   const DiodeModel& model() const { return model_; }

@@ -1,6 +1,7 @@
 #include "circuit/mosfet.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace psmn {
 
@@ -101,6 +102,24 @@ Mosfet::Frame Mosfet::frame(const Stamper& s) const {
   return f;
 }
 
+void Mosfet::declareStamps(StampPlan& plan) const {
+  // G slots 0-7 in the unswapped frame (nd = d, ns = s), 8-15 in the
+  // swapped one (nd = s, ns = d): the same positions in eval's order.
+  for (const auto& [nd, ns] : {std::pair{d_, s_}, std::pair{s_, d_}}) {
+    for (int eq : {nd, ns}) {
+      plan.g(eq, g_);
+      plan.g(eq, nd);
+      plan.g(eq, b_);
+      plan.g(eq, ns);
+    }
+  }
+  // C slots 0-15: cgs, cgd, cdb, csb.
+  plan.capacitance(g_, s_);
+  plan.capacitance(g_, d_);
+  plan.capacitance(d_, b_);
+  plan.capacitance(s_, b_);
+}
+
 void Mosfet::eval(Stamper& s) const {
   const Frame fr = frame(s);
   const Real sgn = fr.sgn;
@@ -115,24 +134,25 @@ void Mosfet::eval(Stamper& s) const {
   s.addF(fr.nd, sgn * c.ids);
   s.addF(fr.ns, -sgn * c.ids);
   const Real gtot = c.gm + c.gds + c.gmb;
-  s.addG(fr.nd, fr.ng, c.gm);
-  s.addG(fr.nd, fr.nd, c.gds);
-  s.addG(fr.nd, fr.nb, c.gmb);
-  s.addG(fr.nd, fr.ns, -gtot);
-  s.addG(fr.ns, fr.ng, -c.gm);
-  s.addG(fr.ns, fr.nd, -c.gds);
-  s.addG(fr.ns, fr.nb, -c.gmb);
-  s.addG(fr.ns, fr.ns, gtot);
+  const int k = fr.swapped ? 8 : 0;
+  s.addG(k, c.gm);
+  s.addG(k + 1, c.gds);
+  s.addG(k + 2, c.gmb);
+  s.addG(k + 3, -gtot);
+  s.addG(k + 4, -c.gm);
+  s.addG(k + 5, -c.gds);
+  s.addG(k + 6, -c.gmb);
+  s.addG(k + 7, gtot);
 
   // Bias-independent capacitances on physical terminals.
-  auto cap = [&s](int a, int b, Real c0) {
+  auto cap = [&s](int a, int b, int slot, Real c0) {
     s.stampCharge(a, b, c0 * (s.v(a) - s.v(b)));
-    s.stampCapacitance(a, b, c0);
+    s.stampCapacitance(slot, c0);
   };
-  cap(g_, s_, cgs_);
-  cap(g_, d_, cgd_);
-  cap(d_, b_, cdb_);
-  cap(s_, b_, csb_);
+  cap(g_, s_, 0, cgs_);
+  cap(g_, d_, 4, cgd_);
+  cap(d_, b_, 8, cdb_);
+  cap(s_, b_, 12, csb_);
 }
 
 MosOpPoint Mosfet::opPoint(const Stamper& s) const {

@@ -84,6 +84,7 @@ class Mosfet : public Device {
          std::shared_ptr<const MosModel> model, Real w, Real l,
          const Netlist& nl);
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   // --- mismatch: k=0 is dVT (V), k=1 is dbeta/beta (relative) ---

@@ -35,6 +35,7 @@ class BehavioralMismatch : public Device {
     PSMN_CHECK(modulation_ != nullptr, "modulation required");
   }
 
+  void declareStamps(StampPlan&) const override {}
   void eval(Stamper& s) const override {
     if (delta_ == 0.0) return;
     // Jacobian of delta*m(x) w.r.t. x is omitted: deltas are small

@@ -6,11 +6,15 @@ namespace psmn {
 
 // ---------------------------------------------------------------- Resistor
 
+void Resistor::declareStamps(StampPlan& plan) const {
+  plan.conductance(a_, b_);
+}
+
 void Resistor::eval(Stamper& s) const {
   const Real g = 1.0 / resistance();
   const Real v = s.v(a_) - s.v(b_);
   s.stampCurrent(a_, b_, g * v);
-  s.stampConductance(a_, b_, g);
+  s.stampConductance(0, g);
 }
 
 MismatchParam Resistor::mismatchParam(size_t k) const {
@@ -56,11 +60,15 @@ Real Resistor::noiseShape(size_t k, Real) const {
 
 // --------------------------------------------------------------- Capacitor
 
+void Capacitor::declareStamps(StampPlan& plan) const {
+  plan.capacitance(a_, b_);
+}
+
 void Capacitor::eval(Stamper& s) const {
   const Real c = capacitance();
   const Real v = s.v(a_) - s.v(b_);
   s.stampCharge(a_, b_, c * v);
-  s.stampCapacitance(a_, b_, c);
+  s.stampCapacitance(0, c);
 }
 
 MismatchParam Capacitor::mismatchParam(size_t k) const {
@@ -87,21 +95,23 @@ void Capacitor::mismatchStampQ(size_t k, Stamper& s) const {
 
 // ---------------------------------------------------------------- Inductor
 
+void Inductor::declareStamps(StampPlan& plan) const {
+  plan.branch(a_, b_, branch_);
+  plan.c(branch_, branch_);
+}
+
 void Inductor::eval(Stamper& s) const {
   // KCL: branch current i flows a -> b.
   const Real i = s.v(branch_);
   s.addF(a_, i);
   s.addF(b_, -i);
-  s.addG(a_, branch_, 1.0);
-  s.addG(b_, branch_, -1.0);
   // Branch equation: v(a) - v(b) - d(phi)/dt = 0 with phi = L*i, expressed
   // as f_branch = v(a)-v(b), q_branch = -L*i.
   s.addF(branch_, s.v(a_) - s.v(b_));
-  s.addG(branch_, a_, 1.0);
-  s.addG(branch_, b_, -1.0);
+  s.stampBranch(0);
   const Real l = inductance();
   s.addQ(branch_, -l * i);
-  s.addC(branch_, branch_, -l);
+  s.addC(0, -l);
 }
 
 MismatchParam Inductor::mismatchParam(size_t k) const {

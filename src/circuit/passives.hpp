@@ -27,6 +27,7 @@ class Resistor : public Device {
     PSMN_CHECK(sigma >= 0.0, "sigma must be non-negative");
   }
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }
@@ -67,6 +68,7 @@ class Capacitor : public Device {
     PSMN_CHECK(sigma >= 0.0, "sigma must be non-negative");
   }
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }
@@ -102,6 +104,7 @@ class Inductor : public Device {
   void allocate(BranchAllocator& alloc) override {
     branch_ = alloc.allocate(name());
   }
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
 
   size_t mismatchCount() const override { return sigma_ > 0.0 ? 1 : 0; }

@@ -158,23 +158,26 @@ void SourceWave::collectBreakpoints(Real t0, Real t1,
   }
 }
 
+void VSource::declareStamps(StampPlan& plan) const {
+  plan.branch(a_, b_, branch_);
+}
+
 void VSource::eval(Stamper& s) const {
   // KCL: branch current flows a -> b through the source.
   const Real i = s.v(branch_);
   s.addF(a_, i);
   s.addF(b_, -i);
-  s.addG(a_, branch_, 1.0);
-  s.addG(b_, branch_, -1.0);
   // Branch equation: v(a) - v(b) - V(t) = 0.
   s.addF(branch_, s.v(a_) - s.v(b_) - wave_.value(s.time()) * s.sourceScale());
-  s.addG(branch_, a_, 1.0);
-  s.addG(branch_, b_, -1.0);
+  s.stampBranch(0);
 }
 
 void VSource::collectBreakpoints(Real t0, Real t1,
                                  std::vector<Real>& out) const {
   wave_.collectBreakpoints(t0, t1, out);
 }
+
+void ISource::declareStamps(StampPlan&) const {}
 
 void ISource::eval(Stamper& s) const {
   const Real i = wave_.value(s.time()) * s.sourceScale();

@@ -57,6 +57,7 @@ class VSource : public Device {
   void allocate(BranchAllocator& alloc) override {
     branch_ = alloc.allocate(name());
   }
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
   void collectBreakpoints(Real t0, Real t1,
                           std::vector<Real>& out) const override;
@@ -82,6 +83,7 @@ class ISource : public Device {
         b_(nl.nodeIndex(b)),
         wave_(std::move(wave)) {}
 
+  void declareStamps(StampPlan& plan) const override;
   void eval(Stamper& s) const override;
   void collectBreakpoints(Real t0, Real t1,
                           std::vector<Real>& out) const override;

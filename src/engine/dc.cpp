@@ -46,7 +46,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
                  Real sourceScale, Real gshunt, int* iterationsOut,
                  DcWorkspace* ws) {
   const size_t n = sys.size();
-  const bool sparse = useSparseSolver(opt.solver, n, opt.sparseThreshold);
+  const bool sparse = opt.solver == LinearSolverKind::kSparse;
   DcWorkspace local;
   if (ws == nullptr) ws = &local;
   RealVector& f = ws->f;
@@ -81,10 +81,6 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
     try {
       for (Real& v : f) v = -v;
       if (sparse) {
-        if (ws->gsp.nonZeros() != ws->patternNnz) {
-          ws->sluSymbolic = false;  // pattern was (re)built
-          ws->patternNnz = ws->gsp.nonZeros();
-        }
         if (!ws->sluSymbolic || !ws->slu.refactor(ws->gsp)) {
           ws->slu.factor(ws->gsp, 0.1, opt.ordering);
           ws->sluSymbolic = true;
@@ -139,7 +135,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   if (opt.arclengthSteps <= 0) return false;
   TraceSpan span(Phase::kDc, "dc_arclength");
   const size_t n = sys.size();
-  const bool sparse = useSparseSolver(opt.solver, n, opt.sparseThreshold);
+  const bool sparse = opt.solver == LinearSolverKind::kSparse;
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
   const Real dLamFd = 1e-6;  // FD step for f_lambda (lambda is O(1))
@@ -151,10 +147,6 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
     try {
       if (sparse) {
         sys.evalSparse(xe, opt.time, &ws.f, nullptr, &ws.gsp, nullptr, eopt);
-        if (ws.gsp.nonZeros() != ws.patternNnz) {
-          ws.sluSymbolic = false;
-          ws.patternNnz = ws.gsp.nonZeros();
-        }
         ++ws.stats.evals;
         if (!ws.sluSymbolic || !ws.slu.refactor(ws.gsp)) {
           ws.slu.factor(ws.gsp, 0.1, opt.ordering);

@@ -2,6 +2,9 @@
 // source-stepping homotopies as fallbacks, and — when both ladders stall —
 // a pseudo-arclength continuation that walks the source-scale homotopy
 // around turning points (folds) instead of trying to ramp through them.
+// Every Newton iteration, ladder rung and continuation corrector runs on
+// the sparse backend by default (DcOptions::solver): one symbolic
+// factorization of the system's declared pattern, refactored numerically.
 #pragma once
 
 #include "engine/mna.hpp"
@@ -21,11 +24,9 @@ struct DcOptions {
   int gminSteps = 12;        // homotopy ladder length (0 disables)
   int sourceSteps = 10;      // source-stepping ladder (0 disables)
   bool quiet = true;
-  /// Linear-solver backend; kAuto switches to sparse at sparseThreshold
-  /// unknowns (the sparse path reuses one symbolic factorization across
-  /// all Newton iterations).
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
+  /// Linear-solver backend (the sparse path reuses one symbolic
+  /// factorization across all Newton iterations and homotopy rungs).
+  LinearSolverKind solver = LinearSolverKind::kSparse;
   /// Fill-reducing column pre-ordering for the sparse backend.
   OrderingKind ordering = OrderingKind::kAmd;
 
@@ -54,7 +55,7 @@ struct DcResult {
   int arclengthSteps = 0;  // accepted continuation steps when used
 };
 
-/// Reusable Newton scratch: cached sparsity pattern, symbolic
+/// Reusable Newton scratch: the system's pattern matrix, symbolic
 /// factorization, and solve buffers shared across homotopy rungs (gmin /
 /// source stepping re-solve the same structure up to ~23 times).
 struct DcWorkspace {
@@ -64,7 +65,6 @@ struct DcWorkspace {
   RealSparse gsp;
   SparseLU<Real> slu;
   bool sluSymbolic = false;
-  size_t patternNnz = 0;
   /// Post-mortem of the most recent newtonSolve that returned false
   /// (iteration, residual, suspect unknowns). solveDc folds it into the
   /// ConvergenceError it throws; ladder rungs overwrite it freely.

@@ -14,6 +14,75 @@ MnaSystem::MnaSystem(Netlist& netlist) : netlist_(&netlist) {
   n_ = netlist.unknownCount();
   nodeUnknowns_ = netlist.nodeCount() - 1;
   PSMN_CHECK(n_ > 0, "empty netlist");
+
+  // Every device's declared positions, concatenated in netlist order.
+  using Position = StampPlan::Position;
+  std::vector<Position> gPos, cPos;
+  for (const auto& dev : netlist.devices()) {
+    gBegin_.push_back(gPos.size());
+    cBegin_.push_back(cPos.size());
+    StampPlan plan;
+    dev->declareStamps(plan);
+    gPos.insert(gPos.end(), plan.gPositions().begin(), plan.gPositions().end());
+    cPos.insert(cPos.end(), plan.cPositions().begin(), plan.cPositions().end());
+  }
+
+  const int n = static_cast<int>(n_);
+  const int diagonals = static_cast<int>(nodeUnknowns_);
+  auto freeze = [n](const std::vector<Position>& pos, int diag) {
+    std::vector<Triplet<Real>> trips;
+    for (const auto& [eq, var] : pos) {
+      if (eq >= 0 && var >= 0) trips.push_back({eq, var, 0.0});
+    }
+    for (int i = 0; i < diag; ++i) trips.push_back({i, i, 0.0});
+    return RealSparse::fromTriplets(static_cast<size_t>(n),
+                                    static_cast<size_t>(n), trips);
+  };
+  gPattern_ = freeze(gPos, diagonals);
+  cPattern_ = freeze(cPos, 0);
+
+  auto slotOf = [](RealSparse& pattern, int eq, int var) {
+    return static_cast<int>(pattern.find(eq, var) - pattern.values().data());
+  };
+  auto fill = [&](const std::vector<Position>& pos, RealSparse& pattern,
+                  std::vector<int>& sparse, std::vector<int>& dense) {
+    for (const auto& [eq, var] : pos) {
+      const bool ground = eq < 0 || var < 0;
+      sparse.push_back(ground ? -1 : slotOf(pattern, eq, var));
+      dense.push_back(ground ? -1 : eq * n + var);
+    }
+  };
+  fill(gPos, gPattern_, sparseSlots_.g, denseSlots_.g);
+  fill(cPos, cPattern_, sparseSlots_.c, denseSlots_.c);
+  for (int i = 0; i < diagonals; ++i) {
+    sparseSlots_.diag.push_back(slotOf(gPattern_, i, i));
+    denseSlots_.diag.push_back(i * n + i);
+  }
+}
+
+void MnaSystem::stamp(std::span<const Real> x, Real t, RealVector* f,
+                      RealVector* q, Real* g, Real* c,
+                      const SlotTables& slots, const EvalOptions& opt) const {
+  Stamper s(x, t, n_);
+  s.attachVectors(f, q);
+  s.attachMatrices(g, c);
+  s.setSourceScale(opt.sourceScale);
+  s.setGmin(opt.gmin);
+  const auto& devices = netlist_->devices();
+  for (size_t d = 0; d < devices.size(); ++d) {
+    s.bindSlots(slots.g.data() + gBegin_[d], slots.c.data() + cBegin_[d]);
+    devices[d]->eval(s);
+  }
+
+  if (opt.gshunt > 0.0) {
+    for (size_t i = 0; i < nodeUnknowns_; ++i) {
+      if (f) (*f)[i] += opt.gshunt * x[i];
+      if (g) g[slots.diag[i]] += opt.gshunt;
+    }
+  }
+  if (f && faultShouldFire("mna.eval")) {
+    (*f)[0] = std::numeric_limits<Real>::quiet_NaN();
+  }
 }
 
 void MnaSystem::evalDense(std::span<const Real> x, Real t, RealVector* f,
@@ -25,50 +94,9 @@ void MnaSystem::evalDense(std::span<const Real> x, Real t, RealVector* f,
   if (q) q->assign(n_, 0.0);
   if (g) g->resize(n_, n_);
   if (c) c->resize(n_, n_);
-
-  Stamper s(x, t, n_);
-  s.attachVectors(f, q);
-  s.attachDense(g, c);
-  s.setSourceScale(opt.sourceScale);
-  s.setGmin(opt.gmin);
-  for (const auto& dev : netlist_->devices()) dev->eval(s);
-
-  if (opt.gshunt > 0.0) {
-    for (size_t i = 0; i < nodeUnknowns_; ++i) {
-      if (f) (*f)[i] += opt.gshunt * x[i];
-      if (g) (*g)(i, i) += opt.gshunt;
-    }
-  }
-  if (f && faultShouldFire("mna.eval")) {
-    (*f)[0] = std::numeric_limits<Real>::quiet_NaN();
-  }
+  stamp(x, t, f, q, g ? g->data() : nullptr, c ? c->data() : nullptr,
+        denseSlots_, opt);
 }
-
-namespace {
-
-/// Rebuilds `m` as a pattern matrix: union of its existing pattern, the
-/// accumulated triplets, and (for G) every node-diagonal slot. Values are
-/// zeroed; the caller re-stamps through the slots.
-void rebuildPattern(RealSparse* m, size_t n, std::vector<Triplet<Real>>& trips,
-                    size_t diagonals) {
-  if (m == nullptr) return;
-  if (m->rows() == n) {
-    const auto ptr = m->colPointers();
-    const auto idx = m->rowIndices();
-    for (size_t c = 0; c < n; ++c) {
-      for (int k = ptr[c]; k < ptr[c + 1]; ++k) {
-        trips.push_back({idx[k], static_cast<int>(c), 0.0});
-      }
-    }
-  }
-  for (size_t i = 0; i < diagonals; ++i) {
-    trips.push_back({static_cast<int>(i), static_cast<int>(i), 0.0});
-  }
-  *m = RealSparse::fromTriplets(n, n, trips);
-  m->zeroValues();
-}
-
-}  // namespace
 
 void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
                            RealVector* q, RealSparse* g, RealSparse* c,
@@ -77,56 +105,18 @@ void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
   telemetryCount(Counter::kMnaEvals);
   PSMN_CHECK(g != nullptr || c != nullptr,
              "evalSparse needs a matrix target; use evalDense for f/q only");
-
-  // One-time symbolic pass: run the devices in triplet mode at the current
-  // iterate to discover the pattern.
-  if ((g && g->rows() != n_) || (c && c->rows() != n_)) {
-    std::vector<Triplet<Real>> gTrips, cTrips;
-    Stamper s(x, t, n_);
-    s.attachTriplets(g ? &gTrips : nullptr, c ? &cTrips : nullptr);
-    s.setSourceScale(opt.sourceScale);
-    s.setGmin(opt.gmin);
-    for (const auto& dev : netlist_->devices()) dev->eval(s);
-    rebuildPattern(g, n_, gTrips, nodeUnknowns_);
-    rebuildPattern(c, n_, cTrips, 0);
-  }
-
-  // Slot-stamping passes: normally one; a pattern miss (a device reaching a
-  // position the symbolic pass never saw) extends the pattern and retries.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (f) f->assign(n_, 0.0);
-    if (q) q->assign(n_, 0.0);
-    if (g) g->zeroValues();
-    if (c) c->zeroValues();
-
-    Stamper s(x, t, n_);
-    s.attachVectors(f, q);
-    s.attachSparse(g, c);
-    s.setSourceScale(opt.sourceScale);
-    s.setGmin(opt.gmin);
-    for (const auto& dev : netlist_->devices()) dev->eval(s);
-
-    if (!s.sparseMiss()) break;
-    PSMN_CHECK(attempt == 0, "evalSparse: pattern miss after rebuild");
-    std::vector<Triplet<Real>> gTrips, cTrips;
-    Stamper ts(x, t, n_);
-    ts.attachTriplets(g ? &gTrips : nullptr, c ? &cTrips : nullptr);
-    ts.setSourceScale(opt.sourceScale);
-    ts.setGmin(opt.gmin);
-    for (const auto& dev : netlist_->devices()) dev->eval(ts);
-    rebuildPattern(g, n_, gTrips, nodeUnknowns_);
-    rebuildPattern(c, n_, cTrips, 0);
-  }
-
-  if (opt.gshunt > 0.0) {
-    for (size_t i = 0; i < nodeUnknowns_; ++i) {
-      if (f) (*f)[i] += opt.gshunt * x[i];
-      if (g) *g->find(static_cast<int>(i), static_cast<int>(i)) += opt.gshunt;
-    }
-  }
-  if (f && faultShouldFire("mna.eval")) {
-    (*f)[0] = std::numeric_limits<Real>::quiet_NaN();
-  }
+  if (f) f->assign(n_, 0.0);
+  if (q) q->assign(n_, 0.0);
+  auto values = [this](RealSparse* m, const RealSparse& pattern) -> Real* {
+    if (m == nullptr) return nullptr;
+    if (m->rows() != n_) *m = pattern;
+    PSMN_CHECK(m->cols() == n_ && m->nonZeros() == pattern.nonZeros(),
+               "evalSparse: matrix is not on this system's pattern");
+    m->zeroValues();
+    return m->values().data();
+  };
+  stamp(x, t, f, q, values(g, gPattern_), values(c, cPattern_), sparseSlots_,
+        opt);
 }
 
 void MnaSystem::evalInjection(const InjectionSource& src,

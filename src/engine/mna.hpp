@@ -2,7 +2,9 @@
 //     F(x,t) = f(x,t) + d/dt q(x)
 // pieces (f, q) and Jacobians (G = df/dx, C = dq/dx) into dense or sparse
 // storage, and provides the mismatch/noise injection vectors used by the
-// sensitivity, noise, and LPTV analyses.
+// sensitivity, noise, and LPTV analyses. The sparsity pattern is declared
+// by the devices and frozen at construction; both storages are stamped by
+// slot through one loop (see device.hpp).
 #pragma once
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 
 #include "circuit/netlist.hpp"
 #include "numeric/dense_matrix.hpp"
+#include "numeric/sparse_matrix.hpp"
 
 namespace psmn {
 
@@ -60,25 +63,12 @@ struct InjectionSource {
   }
 };
 
-/// Linear-solver backend selection shared by the DC and transient engines.
-/// kAuto picks sparse once the system is large enough that the O(n^3)
-/// dense factorization loses to the pattern-reusing sparse LU.
-enum class LinearSolverKind { kAuto, kDense, kSparse };
-
-/// Default kAuto crossover (MNA unknowns). Below this the dense path's
-/// cache friendliness wins; above it the sparse path's O(nnz) assembly and
-/// near-linear refactorization take over (see bench_kernels).
-inline constexpr size_t kSparseSolverThreshold = 40;
-
-inline bool useSparseSolver(LinearSolverKind kind, size_t n,
-                            size_t threshold = kSparseSolverThreshold) {
-  switch (kind) {
-    case LinearSolverKind::kDense: return false;
-    case LinearSolverKind::kSparse: return true;
-    case LinearSolverKind::kAuto: return n >= threshold;
-  }
-  return false;
-}
+/// Linear-solver backend of the Newton kernels (DC, transient, PSS). The
+/// sparse kernel -- SparseLU on the system's declared pattern, numerically
+/// refactored across Newton iterations and time steps -- is the default at
+/// every size. kDense factors the dense G + a*C with DenseLU; it is kept as
+/// an explicit option and as the tests' cross-check oracle.
+enum class LinearSolverKind { kSparse, kDense };
 
 /// Options for one MNA evaluation pass.
 struct MnaEvalOptions {
@@ -92,6 +82,12 @@ struct MnaEvalOptions {
 
 class MnaSystem {
  public:
+  /// Finalizes the netlist, collects every device's declared stamp
+  /// positions (Device::declareStamps) and freezes the canonical G and C
+  /// sparsity patterns from them -- G also holds every node diagonal, so
+  /// gshunt stamps in place -- together with two immutable slot tables:
+  /// each declared position's CSC value index and its dense row-major
+  /// offset (-1 for a ground position in both).
   explicit MnaSystem(Netlist& netlist);
 
   Netlist& netlist() { return *netlist_; }
@@ -106,15 +102,14 @@ class MnaSystem {
                  RealMatrix* g, RealMatrix* c,
                  const EvalOptions& opt = {}) const;
 
-  /// Sparse evaluation into caller-owned pattern matrices. On the first
-  /// call (`g`/`c` empty) a symbolic pass runs the devices in triplet mode
-  /// and freezes the union sparsity pattern — including every node-diagonal
-  /// slot, so gshunt homotopy stamps in place. Subsequent calls zero the
-  /// stored values and stamp straight into the CSC slots: no heap
-  /// allocation. A stamp landing outside the cached pattern (e.g. a MOSFET
-  /// drain/source swap reaching a new position) triggers an automatic
-  /// pattern extension and re-stamp, so results are always exact; callers
-  /// caching factorizations should watch nonZeros() for pattern growth.
+  /// Sparse evaluation into caller-owned pattern matrices. An empty `g`/`c`
+  /// receives a copy of the system's frozen pattern; later calls zero the
+  /// stored values and stamp straight into the CSC slots, with no heap
+  /// allocation. The pattern never changes, so factorizations of matrices
+  /// assembled from it can be refactored for the life of the system. Both
+  /// evaluations run the same stamping loop over their slot tables: every
+  /// G, C, f and q entry receives the same terms in the same order, so the
+  /// two backends agree bit for bit.
   void evalSparse(std::span<const Real> x, Real t, RealVector* f,
                   RealVector* q, RealSparse* g, RealSparse* c,
                   const EvalOptions& opt = {}) const;
@@ -142,9 +137,25 @@ class MnaSystem {
                                            size_t count = 3) const;
 
  private:
+  /// One backend's slot tables: for every declared G / C position (all
+  /// devices, in netlist order) the value index it stamps into, and the G
+  /// value index of each node diagonal (gshunt).
+  struct SlotTables {
+    std::vector<int> g, c, diag;
+  };
+
+  /// The stamping loop both evaluations share: devices stamp f/q by MNA
+  /// index and G/C through `slots` into the value arrays `g`/`c`.
+  void stamp(std::span<const Real> x, Real t, RealVector* f, RealVector* q,
+             Real* g, Real* c, const SlotTables& slots,
+             const EvalOptions& opt) const;
+
   Netlist* netlist_;
   size_t n_ = 0;
   size_t nodeUnknowns_ = 0;
+  std::vector<size_t> gBegin_, cBegin_;  // each device's first slot
+  RealSparse gPattern_, cPattern_;       // frozen patterns, values zero
+  SlotTables sparseSlots_, denseSlots_;
 };
 
 }  // namespace psmn

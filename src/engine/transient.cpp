@@ -43,6 +43,9 @@ void recordStepFailure(TransientWorkspace& ws, const MnaSystem& sys,
 
 RealVector TransientResult::waveform(int mnaIndex) const {
   PSMN_CHECK(mnaIndex >= 0, "waveform of ground requested");
+  PSMN_CHECK(states.empty() ||
+                 static_cast<size_t>(mnaIndex) < states.front().size(),
+             "waveform index out of range");
   RealVector w(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
     w[i] = states[i][static_cast<size_t>(mnaIndex)];
@@ -56,7 +59,7 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    const TranOptions& opt, TransientWorkspace& ws) {
   TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
   const size_t n = sys.size();
-  ws.chooseBackend(n, opt);
+  ws.chooseBackend(opt);
   const Real t1 = t + h;
   IntegrationMethod m = beStep ? IntegrationMethod::kBackwardEuler : method;
   if (m == IntegrationMethod::kGear2 && qm1 == nullptr) {
@@ -94,9 +97,7 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
     // Evaluate and assemble J = G + a*C.
     if (ws.sparse) {
       sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
-      if (ws.jac.assemble(ws.gsp, ws.csp, a)) {
-        ws.sluSymbolic = false;  // pattern changed: next factor is symbolic
-      }
+      ws.jac.assemble(ws.gsp, ws.csp, a);
     } else {
       sys.evalDense(ws.x1, t1, &ws.f, &ws.q1, &ws.j, &ws.c, eopt);
       for (size_t i = 0; i < n; ++i) {
@@ -251,7 +252,6 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     dopt.time = t0;
     dopt.gshunt = opt.gshunt;
     dopt.solver = opt.solver;
-    dopt.sparseThreshold = opt.sparseThreshold;
     dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }

@@ -6,11 +6,11 @@
 // integration (no DAE ringing) and breakpoints restart cleanly with a BE
 // step.
 //
-// The Newton kernel runs on one of two linear-solver backends selected by
-// system size (TranOptions::solver): the dense path factors G + a*C with
-// DenseLU each iteration; the sparse path stamps into a cached sparsity
+// The Newton kernel runs on the sparse linear-solver backend by default
+// (TranOptions::solver): it stamps into the system's declared sparsity
 // pattern and reuses the symbolic factorization (SparseLU::refactor) across
-// iterations and time steps. All per-step scratch lives in a
+// iterations and time steps. The dense path (kDense) factors G + a*C with
+// DenseLU each iteration. All per-step scratch lives in a
 // TransientWorkspace so the steady-state stepping loop performs no heap
 // allocation (tests/test_alloc.cpp pins this down).
 #pragma once
@@ -35,10 +35,8 @@ struct TranOptions {
   Real gshunt = 0.0;
   bool useBreakpoints = true;
   bool storeStates = true;
-  /// Linear-solver backend; kAuto switches to sparse at sparseThreshold
-  /// unknowns.
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
+  /// Linear-solver backend of the Newton kernel.
+  LinearSolverKind solver = LinearSolverKind::kSparse;
   /// Fill-reducing column pre-ordering used by the sparse backend's
   /// symbolic analysis (numeric refactorizations inherit it).
   OrderingKind ordering = OrderingKind::kAmd;
@@ -60,7 +58,7 @@ struct TranOptions {
 
 /// Reusable scratch + cached solver state for the stepping kernel. Create
 /// one per (system, run) and pass it to every integrateStep call: the
-/// sparsity pattern, symbolic factorization, and all vectors/matrices are
+/// pattern matrices, symbolic factorization, and all vectors/matrices are
 /// reused, so steps after the first do not allocate.
 ///
 /// After a successful step the workspace exposes the accepted-point
@@ -82,8 +80,8 @@ struct TransientWorkspace {
   RealMatrix j, c;
   DenseLU<Real> dlu;
 
-  // Sparse backend: cached-pattern G/C and the cached-pattern Jacobian
-  // assembler (J = G + a*C with precomputed value-scatter maps).
+  // Sparse backend: G/C on the system's pattern and the Jacobian assembler
+  // (J = G + a*C with value-scatter maps built on the first step).
   RealSparse gsp, csp;
   MergedSparseAssembler<Real> jac;
   SparseLU<Real> slu;
@@ -109,9 +107,9 @@ struct TransientWorkspace {
   bool haveFailure = false;
   bool lastFailureNonFinite = false;
 
-  void chooseBackend(size_t n, const TranOptions& opt) {
+  void chooseBackend(const TranOptions& opt) {
     if (chosen) return;
-    sparse = useSparseSolver(opt.solver, n, opt.sparseThreshold);
+    sparse = opt.solver == LinearSolverKind::kSparse;
     ordering = opt.ordering;
     chosen = true;
   }

@@ -37,7 +37,7 @@ TransientSensitivityResult runTransientSensitivity(
   // mostly numeric refactorizations), and the sensitivity update below
   // reuses that factorization for all `ns` injection columns at once.
   TransientWorkspace ws;
-  ws.chooseBackend(n, stepOpt);
+  ws.chooseBackend(stepOpt);
 
   // Initial state: DC operating point (or caller-provided), with initial
   // sensitivities from the DC system: G s = -df/dp.
@@ -48,7 +48,6 @@ TransientSensitivityResult runTransientSensitivity(
     DcOptions dopt;
     dopt.time = t0;
     dopt.solver = opt.solver;
-    dopt.sparseThreshold = opt.sparseThreshold;
     dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }
@@ -197,7 +196,9 @@ Real TransientSensitivityResult::crossingTimeSensitivity(size_t sourceIndex,
                                                          Real level,
                                                          int direction) const {
   PSMN_CHECK(sourceIndex < sens.size(), "bad source index");
-  PSMN_CHECK(outIndex >= 0, "bad output index");
+  PSMN_CHECK(outIndex >= 0 && !states.empty() &&
+                 static_cast<size_t>(outIndex) < states.front().size(),
+             "bad output index");
   const auto& sv = sens[sourceIndex];
   for (size_t k = 1; k < times.size(); ++k) {
     const Real y0 = states[k - 1][outIndex];

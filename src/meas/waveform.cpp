@@ -42,6 +42,9 @@ Waveform makeWaveform(const std::vector<Real>& times,
                       const std::vector<RealVector>& states, int index) {
   PSMN_CHECK(index >= 0, "waveform of ground requested");
   PSMN_CHECK(times.size() == states.size(), "times/states length mismatch");
+  PSMN_CHECK(states.empty() ||
+                 static_cast<size_t>(index) < states.front().size(),
+             "waveform index out of range");
   Waveform w;
   w.times = times;
   w.values.resize(states.size());

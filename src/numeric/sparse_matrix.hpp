@@ -103,9 +103,10 @@ void mergeSparsePatterns(const SparseMatrix<U>& a, const SparseMatrix<U>& b,
 /// two same-shape sparse inputs (transient Jacobian J = G + a*C, LPTV step
 /// matrix K = G + (1/h + jw)*C, PPV sweep J = G + C/h). Re-stamping into
 /// the cached merged pattern is allocation-free; a pattern change in the
-/// inputs (detected by nonzero count — evalSparse patterns only ever grow)
-/// rebuilds the merge. Callers holding a factorization of `matrix` must
-/// treat it as stale whenever assemble() returns true.
+/// inputs (detected by nonzero count) rebuilds the merge. Callers holding a
+/// factorization of `matrix` must treat it as stale whenever assemble()
+/// returns true. Inputs from one MnaSystem never change pattern (it is
+/// frozen at construction), so for them only the first call rebuilds.
 template <class T>
 struct MergedSparseAssembler {
   SparseMatrix<T> matrix;

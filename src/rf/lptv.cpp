@@ -153,22 +153,17 @@ class StepFactors {
     lus_.resize(m);
     const Cplx coef = invH + jw;
     MergedSparseAssembler<Cplx> kAsm;
-    bool symbolic = false;
     for (size_t k = 1; k <= m; ++k) {
-      // A pattern change along the orbit (an evalSparse extension mid-run)
-      // rebuilds the merge and restarts the symbolic reuse chain.
-      if (kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], coef)) {
-        symbolic = false;
-      }
+      // Every orbit point carries the system's one declared pattern.
+      kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], coef);
       SparseLU<Cplx>& lu = lus_[k - 1];
-      if (symbolic) {
+      if (k > 1) {
         lu = lus_[k - 2];  // inherit the symbolic factorization
         if (!lu.refactor(kAsm.matrix)) {
           lu.factor(kAsm.matrix, 0.1, pss.ordering);
         }
       } else {
         lu.factor(kAsm.matrix, 0.1, pss.ordering);
-        symbolic = true;
       }
     }
   }

@@ -13,9 +13,9 @@
 // fill caches and one analysis serves one thread at a time.
 //
 // The linear-solver backend follows the PSS result: a sparsely-integrated
-// orbit (PssOptions::solver, kAuto above the crossover) makes every cyclic
-// solve here ride the sparse LPTV factor cache; tests/test_rf_sparse.cpp
-// pins dense-vs-sparse agreement of the PSD readouts.
+// orbit (PssOptions::solver, kSparse by default) makes every cyclic solve
+// here ride the sparse LPTV factor cache; tests/test_rf_sparse.cpp pins
+// dense-vs-sparse agreement of the PSD readouts.
 #pragma once
 
 #include <optional>

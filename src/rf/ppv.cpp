@@ -27,7 +27,7 @@ void sweepStepDense(const PssResult& pss, size_t k, Real h, RealVector& y,
 }
 
 /// Sparse backward sweep: assembles J_k = G_k + C_k/h into one merged
-/// cached pattern and reuses the symbolic factorization downward through
+/// pattern (every orbit point carries the system's pattern) and reuses the symbolic factorization downward through
 /// the orbit (numeric refactor per step, exactly like the transient
 /// workspace), with the transposed solve gathering over the kept pattern.
 struct SparseSweep {
@@ -37,9 +37,7 @@ struct SparseSweep {
 
   void step(const PssResult& pss, size_t k, Real h, RealVector& y,
             RealVector& zk) {
-    if (jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h)) {
-      symbolic = false;
-    }
+    jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h);
     if (!symbolic || !lu.refactor(jAsm.matrix)) {
       lu.factor(jAsm.matrix, 0.1, pss.ordering);
       symbolic = true;

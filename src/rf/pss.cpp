@@ -41,7 +41,6 @@ TranOptions stepOptions(const PssOptions& opt) {
   t.maxStep = opt.newtonMaxStep;
   t.gshunt = opt.gshunt;
   t.solver = opt.solver;
-  t.sparseThreshold = opt.sparseThreshold;
   t.ordering = opt.ordering;
   return t;
 }
@@ -53,7 +52,6 @@ RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
   dopt.time = 0.0;
   dopt.gshunt = opt.gshunt;
   dopt.solver = opt.solver;
-  dopt.sparseThreshold = opt.sparseThreshold;
   dopt.ordering = opt.ordering;
   return solveDc(sys, dopt).x;
 }
@@ -152,7 +150,7 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
   const Real h = period / steps;
   const TranOptions topt = stepOptions(opt);
   TransientWorkspace& ws = pw.tran;
-  ws.chooseBackend(n, topt);
+  ws.chooseBackend(topt);
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
 
@@ -253,7 +251,7 @@ void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
   const size_t n = sys.size();
   const Real h = period / steps;
   const TranOptions topt = stepOptions(opt);
-  pw.tran.chooseBackend(n, topt);
+  pw.tran.chooseBackend(topt);
   // Charge at the starting point (vector outputs only; the stepping kernel
   // owns the matrix evaluations).
   pw.q.resize(n);

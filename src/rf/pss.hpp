@@ -56,10 +56,9 @@ struct PssOptions {
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
   /// Linear-solver backend for the period integration, the DC start point,
-  /// and the monodromy propagation; kAuto switches to sparse at
-  /// sparseThreshold unknowns (same crossover as the transient engine).
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
+  /// and the monodromy propagation; it also picks the form of the stored
+  /// orbit linearizations (PssResult::sparseLinearizations).
+  LinearSolverKind solver = LinearSolverKind::kSparse;
   /// Fill-reducing ordering for every sparse factorization downstream of
   /// this solve: the period integration, and — via PssResult::ordering —
   /// the LPTV step factors, pnoise, and the PPV backward sweep.
@@ -74,7 +73,7 @@ struct PssOptions {
 };
 
 /// Reusable solver state for the shooting engines: the transient workspace
-/// (cached sparsity pattern, symbolic factorization, Newton scratch) plus
+/// (pattern matrices, symbolic factorization, Newton scratch) plus
 /// the charge state and monodromy-propagation buffers. One PssWorkspace is
 /// shared across every period integration of a shooting solve — shooting
 /// iterations, the driven fallback's warm-up cycles, and the
@@ -107,7 +106,7 @@ struct PssResult {
   std::vector<Real> times;
   std::vector<RealVector> states;
   /// Linearization along the orbit at times[k], k=0..M, in ONE of two
-  /// backends: dense gMats/cMats, or (sparseLinearizations) cached-pattern
+  /// backends: dense gMats/cMats, or (sparseLinearizations) system-pattern
   /// gSpMats/cSpMats from the sparse workspace. The LPTV and PPV solvers
   /// consume whichever is present.
   bool sparseLinearizations = false;
@@ -176,7 +175,7 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
 /// Integrates one period [t0, t0+T] with `steps` backward-Euler steps,
 /// advancing `x` in place — the inner kernel of the shooting engines,
 /// exposed for reuse and for the allocation tests: once the workspace is
-/// warm (pattern cached, symbolic factorization kept, buffers sized) a
+/// warm (pattern copied, symbolic factorization kept, buffers sized) a
 /// call performs no heap allocation.
 void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
                             Real period, int steps, const PssOptions& opt,

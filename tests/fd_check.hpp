@@ -7,7 +7,10 @@
 //     match central differences of F/Q under setMismatchDelta.
 // This is the netlist-level contract the Newton solvers and the
 // sensitivity/pseudo-noise flows rely on: any analytic-derivative typo in
-// any device shows up as a disagreement here.
+// any device shows up as a disagreement here. Every evaluation goes
+// through MnaSystem, i.e. through the devices' declared stamp slots, and
+// at each bias point the sparse evaluation must equal the dense one
+// exactly -- so a wrong or missing declaration fails here too.
 //
 // Numerics: differences use Richardson-extrapolated central differences
 // (steps h and h/2, error O(h^4)); plain O(h^2) differencing is not enough
@@ -38,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "circuit/netlist.hpp"
+#include "engine/mna.hpp"
 #include "numeric/dense_matrix.hpp"
 
 namespace psmn::fdcheck {
@@ -62,22 +65,14 @@ struct FdOptions {
   Real time = 0.0;
 };
 
-/// One full assembly at iterate x: F, Q and (optionally) dense G, C.
-inline void evalAll(const Netlist& nl, const RealVector& x,
+/// One full assembly at iterate x through the system's slot path: F, Q
+/// and (optionally) dense G, C.
+inline void evalAll(const MnaSystem& sys, const RealVector& x,
                     const FdOptions& opt, RealVector& f, RealVector& q,
                     RealMatrix* g, RealMatrix* c) {
-  const size_t n = nl.unknownCount();
-  f.assign(n, 0.0);
-  q.assign(n, 0.0);
-  Stamper s(x, opt.time, n);
-  s.setGmin(opt.gmin);
-  s.attachVectors(&f, &q);
-  if (g && c) {
-    g->resize(n, n);
-    c->resize(n, n);
-    s.attachDense(g, c);
-  }
-  for (const auto& dev : nl.devices()) dev->eval(s);
+  MnaSystem::EvalOptions eopt;
+  eopt.gmin = opt.gmin;
+  sys.evalDense(x, opt.time, &f, &q, g, c, eopt);
 }
 
 namespace detail {
@@ -122,28 +117,47 @@ inline RealVector randomIterate(const Netlist& nl, std::mt19937_64& rng,
 
 }  // namespace detail
 
-/// Checks G == dF/dx and C == dQ/dx at iterate x. Appends one message per
-/// offending matrix entry (capped) to `failures`.
-inline void checkJacobiansAt(const Netlist& nl, const RealVector& x,
+/// Checks G == dF/dx and C == dQ/dx at iterate x, and that the sparse
+/// evaluation's G, C, F, Q equal the dense ones exactly. Appends one
+/// message per offending entry (capped) to `failures`.
+inline void checkJacobiansAt(const MnaSystem& sys, const RealVector& x,
                              const FdOptions& opt,
                              std::vector<std::string>& failures) {
-  const size_t n = nl.unknownCount();
+  const Netlist& nl = sys.netlist();
+  const size_t n = sys.size();
   RealVector f0, q0;
   RealMatrix g, c;
-  evalAll(nl, x, opt, f0, q0, &g, &c);
+  evalAll(sys, x, opt, f0, q0, &g, &c);
+
+  RealVector fs, qs;
+  RealSparse gs, cs;
+  MnaSystem::EvalOptions eopt;
+  eopt.gmin = opt.gmin;
+  sys.evalSparse(x, opt.time, &fs, &qs, &gs, &cs, eopt);
+  const RealMatrix gsd = gs.toDense(), csd = cs.toDense();
+  for (size_t i = 0; i < n; ++i) {
+    bool same = fs[i] == f0[i] && qs[i] == q0[i];
+    for (size_t j = 0; j < n; ++j) {
+      same = same && gsd(i, j) == g(i, j) && csd(i, j) == c(i, j);
+    }
+    if (!same) {
+      failures.push_back("sparse evaluation differs from dense in row " +
+                         nl.unknownName(i));
+    }
+  }
 
   RealVector fp1, qp1, fm1, qm1, fp2, qp2, fm2, qm2;
   for (size_t j = 0; j < n; ++j) {
     const Real hj = opt.h * (1.0 + std::fabs(x[j]));
     RealVector xs = x;
     xs[j] = x[j] + hj;
-    evalAll(nl, xs, opt, fp1, qp1, nullptr, nullptr);
+    evalAll(sys, xs, opt, fp1, qp1, nullptr, nullptr);
     xs[j] = x[j] - hj;
-    evalAll(nl, xs, opt, fm1, qm1, nullptr, nullptr);
+    evalAll(sys, xs, opt, fm1, qm1, nullptr, nullptr);
     xs[j] = x[j] + 0.5 * hj;
-    evalAll(nl, xs, opt, fp2, qp2, nullptr, nullptr);
+    evalAll(sys, xs, opt, fp2, qp2, nullptr, nullptr);
     xs[j] = x[j] - 0.5 * hj;
-    evalAll(nl, xs, opt, fm2, qm2, nullptr, nullptr);
+    evalAll(sys, xs, opt, fm2, qm2, nullptr, nullptr);
     const Real gScale = detail::columnScale(g, j);
     const Real cScale = detail::columnScale(c, j);
     for (size_t i = 0; i < n; ++i) {
@@ -179,10 +193,12 @@ inline void checkJacobiansAt(const Netlist& nl, const RealVector& x,
 /// Checks every device's dF/dp and dQ/dp columns against central
 /// differences of the assembled F/Q under setMismatchDelta (centered at
 /// the current deltas, normally zero).
-inline void checkMismatchDerivativesAt(const Netlist& nl, const RealVector& x,
+inline void checkMismatchDerivativesAt(const MnaSystem& sys,
+                                       const RealVector& x,
                                        const FdOptions& opt,
                                        std::vector<std::string>& failures) {
-  const size_t n = nl.unknownCount();
+  const Netlist& nl = sys.netlist();
+  const size_t n = sys.size();
   RealVector bf(n), bq(n), scratch(n);
   RealVector fp, qp, fm, qm;
   for (const auto& ref : nl.mismatchParams()) {
@@ -215,13 +231,13 @@ inline void checkMismatchDerivativesAt(const Netlist& nl, const RealVector& x,
         ref.param.sigma > 0.0 ? 1e-3 * ref.param.sigma : opt.h;
     RealVector fp2, qp2, fm2, qm2;
     dev.setMismatchDelta(k, d0 + hd);
-    evalAll(nl, x, opt, fp, qp, nullptr, nullptr);
+    evalAll(sys, x, opt, fp, qp, nullptr, nullptr);
     dev.setMismatchDelta(k, d0 - hd);
-    evalAll(nl, x, opt, fm, qm, nullptr, nullptr);
+    evalAll(sys, x, opt, fm, qm, nullptr, nullptr);
     dev.setMismatchDelta(k, d0 + 0.5 * hd);
-    evalAll(nl, x, opt, fp2, qp2, nullptr, nullptr);
+    evalAll(sys, x, opt, fp2, qp2, nullptr, nullptr);
     dev.setMismatchDelta(k, d0 - 0.5 * hd);
-    evalAll(nl, x, opt, fm2, qm2, nullptr, nullptr);
+    evalAll(sys, x, opt, fm2, qm2, nullptr, nullptr);
     dev.setMismatchDelta(k, d0);
 
     const Real fScale = detail::vectorScale(bf);
@@ -259,14 +275,14 @@ inline void checkMismatchDerivativesAt(const Netlist& nl, const RealVector& x,
 /// iterates. Returns human-readable failure messages (empty = pass).
 inline std::vector<std::string> checkNetlist(Netlist& nl,
                                              const FdOptions& opt = {}) {
-  nl.finalize();
+  const MnaSystem sys(nl);
   std::vector<std::string> failures;
   std::mt19937_64 rng(opt.seed);
   for (int p = 0; p < opt.biasPoints; ++p) {
     const RealVector x = detail::randomIterate(nl, rng, opt);
     const size_t before = failures.size();
-    checkJacobiansAt(nl, x, opt, failures);
-    checkMismatchDerivativesAt(nl, x, opt, failures);
+    checkJacobiansAt(sys, x, opt, failures);
+    checkMismatchDerivativesAt(sys, x, opt, failures);
     if (failures.size() > before) {
       std::ostringstream os;
       os << "(" << failures.size() - before << " failures at bias point " << p

@@ -84,8 +84,8 @@ TEST(BjtOpAmp, FdCleanAtOperatingPoint) {
   // entries (the OFF protection transistors) need the absolute floor.
   opt.absTol = 1e-14;
   std::vector<std::string> failures;
-  fdcheck::checkJacobiansAt(nl, dc.x, opt, failures);
-  fdcheck::checkMismatchDerivativesAt(nl, dc.x, opt, failures);
+  fdcheck::checkJacobiansAt(sys, dc.x, opt, failures);
+  fdcheck::checkMismatchDerivativesAt(sys, dc.x, opt, failures);
   for (const auto& msg : failures) ADD_FAILURE() << msg;
   EXPECT_TRUE(failures.empty());
 }

@@ -82,6 +82,27 @@ std::shared_ptr<const MosModel> mosModel(bool pmos) {
   return m;
 }
 
+/// The FD checks at one fixed bias point (d, g, s, b) where the MOSFET
+/// runs with drain and source swapped, i.e. stamps through the second
+/// orientation of its declared G slots.
+void expectFdCleanSwapped(bool pmos, Real vd, Real vg, Real vs, Real vb) {
+  Netlist nl;
+  const NodeId d = nl.node("d"), g = nl.node("g"), s = nl.node("s"),
+               b = nl.node("b");
+  const auto& m =
+      nl.add<Mosfet>("M1", d, g, s, b, mosModel(pmos), 2e-6, 0.13e-6, nl);
+  nl.add<Resistor>("Rd", d, kGround, 1e4, nl);
+  nl.add<Resistor>("Rs", s, kGround, 1e4, nl);
+  const MnaSystem sys(nl);
+  const RealVector x = {vd, vg, vs, vb};
+  ASSERT_TRUE(m.opPoint(Stamper(x, 0.0, sys.size())).swapped);
+  std::vector<std::string> failures;
+  fdcheck::checkJacobiansAt(sys, x, {}, failures);
+  fdcheck::checkMismatchDerivativesAt(sys, x, {}, failures);
+  for (const auto& msg : failures) ADD_FAILURE() << msg;
+  EXPECT_TRUE(failures.empty());
+}
+
 TEST(DeviceFd, MosfetNmos) {
   Netlist nl;
   const NodeId d = nl.node("d"), g = nl.node("g"), s = nl.node("s"),
@@ -90,6 +111,8 @@ TEST(DeviceFd, MosfetNmos) {
   nl.add<Resistor>("Rd", d, kGround, 1e4, nl);
   nl.add<Resistor>("Rs", s, kGround, 1e4, nl);
   expectFdClean(nl);
+  // vds < 0: the NMOS conducts with its physical source as drain.
+  expectFdCleanSwapped(false, 0.2, 1.1, 0.9, -0.1);
 }
 
 TEST(DeviceFd, MosfetPmos) {
@@ -100,6 +123,8 @@ TEST(DeviceFd, MosfetPmos) {
   nl.add<Resistor>("Rd", d, kGround, 1e4, nl);
   nl.add<Resistor>("Rs", s, kGround, 1e4, nl);
   expectFdClean(nl);
+  // vds > 0 on a PMOS: swapped in its sign-flipped frame.
+  expectFdCleanSwapped(true, 0.9, -0.3, 0.2, 1.0);
 }
 
 std::shared_ptr<const BjtModel> bjtModel(bool pnp) {

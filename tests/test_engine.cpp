@@ -492,5 +492,30 @@ TEST(TransientSensitivity, RcCrossingTimeMatchesFd) {
   EXPECT_NEAR(sDelay, fd, 0.05 * std::fabs(fd));
 }
 
+TEST(TransientReadouts, RejectOutOfRangeOutput) {
+  // Output index n names no unknown: every transient readout must refuse
+  // it instead of reading past the states (and sensitivity vectors).
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  const NodeId out = nl.node("out");
+  nl.add<VSource>("V1", in, kGround,
+                  SourceWave::pulse(0.0, 1.0, 10e-9, 1e-9, 1e-9, 1e-3, 0.0),
+                  nl);
+  nl.add<Resistor>("R1", in, out, 1e3, nl, 10.0);
+  nl.add<Capacitor>("C1", out, kGround, 1e-9, nl);
+  MnaSystem sys(nl);
+  const int n = static_cast<int>(sys.size());
+  const TransientResult tr = runTransient(sys, 0.0, 100e-9, 2e-9, {});
+  const TransientSensitivityResult ts = runTransientSensitivity(
+      sys, 0.0, 100e-9, 2e-9, sys.collectSources(true, false), {});
+  EXPECT_THROW(tr.waveform(n), Error);
+  EXPECT_THROW(makeWaveform(tr.times, tr.states, n), Error);
+  EXPECT_THROW(ts.crossingTimeSensitivity(0, n, 0.5, +1), Error);
+  // In-range reads work.
+  EXPECT_EQ(tr.waveform(n - 1).size(), tr.states.size());
+  EXPECT_EQ(makeWaveform(tr.times, tr.states, n - 1).values.size(),
+            tr.states.size());
+}
+
 }  // namespace
 }  // namespace psmn

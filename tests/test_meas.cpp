@@ -76,9 +76,9 @@ TEST(Measure, ValueAtInterpolates) {
 
 // ------------------------------------------------ sparse assembly path
 
-TEST(SparseAssembly, TripletStampsMatchDenseOnLadder) {
-  // A 60-node RC ladder: assemble G via the triplet backend and check the
-  // sparse LU solution of G x = b against the dense path.
+TEST(SparseAssembly, SlotStampsMatchDenseOnLadder) {
+  // A 60-node RC ladder: assemble G on the system's declared pattern and
+  // check the sparse LU solution of G x = b against the dense path.
   Netlist nl;
   NodeId prev = nl.node("in");
   nl.add<VSource>("V1", prev, kGround, SourceWave::dc(1.0), nl);
@@ -98,16 +98,13 @@ TEST(SparseAssembly, TripletStampsMatchDenseOnLadder) {
   RealVector f;
   sys.evalDense(x, 0.0, &f, nullptr, &gDense, nullptr, {});
 
-  // Triplet path through the Stamper directly.
-  std::vector<Triplet<Real>> trips;
-  RealVector f2(n, 0.0);
-  Stamper st(x, 0.0, n);
-  st.attachVectors(&f2, nullptr);
-  st.attachTriplets(&trips, nullptr);
-  for (const auto& dev : nl.devices()) dev->eval(st);
-  const auto gSparse = RealSparse::fromTriplets(n, n, trips);
+  // Sparse path: the same slot-stamping loop into the CSC values.
+  RealSparse gSparse;
+  RealVector f2;
+  sys.evalSparse(x, 0.0, &f2, nullptr, &gSparse, nullptr, {});
 
-  EXPECT_LT(maxAbsDiff(gSparse.toDense(), gDense), 1e-14);
+  EXPECT_EQ(gSparse.toDense(), gDense);
+  EXPECT_EQ(f2, f);
   // Sparsity is real: the ladder G has ~4 entries per row.
   EXPECT_LT(gSparse.nonZeros(), n * 6);
 

@@ -321,7 +321,7 @@ TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
                                "logic path");
   }
   {
-    // An inverter chain past the sparse crossover, on both orbit backends.
+    // A 68-unknown inverter chain, on both orbit backends.
     Netlist nl;
     InverterChainOptions copt;
     copt.stages = 8;

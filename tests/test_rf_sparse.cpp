@@ -2,10 +2,10 @@
 // (driven and autonomous), the LPTV solver, periodic noise, and the
 // time-domain statistical waveform must produce the same answers through
 // the dense per-step factorizations and through the sparse
-// TransientWorkspace path (cached pattern, SparseLU refactorization,
-// batched monodromy/closure solves). Fixtures sit on both sides of the
-// kAuto crossover so the sparse path is exercised where it is the default
-// and where it is forced.
+// TransientWorkspace path (declared pattern, SparseLU refactorization,
+// batched monodromy/closure solves). The sparse path is the default at
+// every size; fixtures span small (12-unknown) and large (68-unknown)
+// circuits, with the dense path forced as the oracle.
 //
 // Also holds the regression fixture for the autonomous-shooting FD step:
 // shooting on the ring oscillator must converge in a handful of
@@ -109,23 +109,21 @@ TEST_P(PssDrivenGolden, DenseAndSparseAgree) {
             1e-9);
 }
 
-// Below (rows=1: ~12 unknowns) and above (rows=8: ~66 unknowns) the kAuto
-// sparse crossover.
+// Small (rows=1: 12 unknowns) and large (rows=8: 68 unknowns) chains.
 INSTANTIATE_TEST_SUITE_P(ChainSizes, PssDrivenGolden, ::testing::Values(1, 8));
 
-TEST(PssDrivenGolden, AutoSelectsSparseAboveThreshold) {
-  ChainFixture big(8);
-  ASSERT_GT(big.sys->size(), kSparseSolverThreshold);
-  const PssResult pss =
-      solvePssDriven(*big.sys, big.period, pssOptions(LinearSolverKind::kAuto, 60));
-  EXPECT_TRUE(pss.sparseLinearizations);
-  EXPECT_TRUE(pss.gMats.empty());  // no dense orbit storage on the sparse path
-
-  ChainFixture small(1);
-  ASSERT_LT(small.sys->size(), kSparseSolverThreshold);
-  const PssResult pssSmall =
-      solvePssDriven(*small.sys, small.period, pssOptions(LinearSolverKind::kAuto, 60));
-  EXPECT_FALSE(pssSmall.sparseLinearizations);
+TEST(PssDrivenGolden, DefaultOptionsSolveSparseAtEverySize) {
+  for (const auto& [rows, unknowns] : {std::pair{1, 12u}, std::pair{8, 68u}}) {
+    ChainFixture ckt(rows);
+    ASSERT_EQ(ckt.sys->size(), unknowns);
+    PssOptions opt;
+    opt.stepsPerPeriod = 60;
+    const PssResult pss = solvePssDriven(*ckt.sys, ckt.period, opt);
+    EXPECT_TRUE(pss.sparseLinearizations) << ckt.sys->size() << " unknowns";
+    // No dense orbit storage on the sparse path.
+    EXPECT_TRUE(pss.gMats.empty()) << ckt.sys->size() << " unknowns";
+    EXPECT_FALSE(pss.gSpMats.empty()) << ckt.sys->size() << " unknowns";
+  }
 }
 
 // -------------------------------------------------------- autonomous PSS
@@ -169,7 +167,7 @@ void expectAutonomousAgree(RingGolden& ring, Real periodGuess,
 }
 
 TEST(PssAutonomousGolden, SmallRingDenseAndSparseAgree) {
-  // 7 unknowns: below the crossover. Both backends run the full shooting
+  // 7 unknowns, the paper ring. Both backends run the full shooting
   // sequence from the transient warmup state.
   RingGolden ring(5, 30e-9, 10e-12);
   expectAutonomousAgree(ring, ring.warm.periodEstimate, ring.warm.state, 300,
@@ -177,9 +175,9 @@ TEST(PssAutonomousGolden, SmallRingDenseAndSparseAgree) {
 }
 
 TEST(PssAutonomousGolden, LargeRingDenseAndSparseAgree) {
-  // 63 stages = 65 unknowns: above the crossover. The alternating kick
-  // settles onto a multi-wave rotating mode: (Phi - I) is badly
-  // conditioned and the phase level is crossed once per wave, so distinct
+  // 63 stages = 65 unknowns. The alternating kick settles onto a
+  // multi-wave rotating mode: (Phi - I) is badly conditioned and the
+  // phase level is crossed once per wave, so distinct
   // far-from-orbit starts can legitimately lock onto different (time
   // shifted) solutions. For a meaningful golden comparison, shoot once
   // with the cheap sparse path to land on the orbit, then let both
@@ -256,7 +254,7 @@ TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
 }
 
 TEST(PssOrbit, WideChainShootsFromDcInOneIteration) {
-  // The 16-stage, 4-row chain (past the sparse crossover) returns to its DC
+  // The 16-stage, 4-row chain (68 unknowns) returns to its DC
   // point within one period: shooting from there converges on its first
   // integration, and no warm-up period is integrated.
   ChainFixture ckt(4, 16);
@@ -294,7 +292,7 @@ TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
 
 TEST(LptvGolden, TransferAgreesAcrossBackendsOnLargeChain) {
   ChainFixture ckt(8);
-  ASSERT_GT(ckt.sys->size(), kSparseSolverThreshold);
+  ASSERT_EQ(ckt.sys->size(), 68u);
   const PssResult dense =
       solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kDense, 80));
   const PssResult sparse =

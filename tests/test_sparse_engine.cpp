@@ -1,5 +1,5 @@
 // Golden agreement tests for the sparse solver path: the sparse engines
-// (cached-pattern assembly + SparseLU refactorization + batched multi-RHS
+// (declared-pattern assembly + SparseLU refactorization + batched multi-RHS
 // sensitivity solves) must reproduce the dense path on the benchmark
 // fixtures to near machine precision. Newton tolerances are tightened so
 // both backends converge to the same discrete solution and the comparison
@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
+#include "circuit/bjt_opamp.hpp"
+#include "circuit/mosfet.hpp"
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
@@ -29,38 +34,89 @@ TranOptions tightOptions(LinearSolverKind solver) {
 
 // ------------------------------------------------------------- assembly
 
-TEST(SparseMna, EvalSparseMatchesEvalDense) {
-  Netlist nl;
-  auto kit = ProcessKit::cmos130();
-  buildComparatorTestbench(nl, kit);
-  MnaSystem sys(nl);
-  const size_t n = sys.size();
-  RealVector x(n);
-  for (size_t i = 0; i < n; ++i) x[i] = 0.3 + 0.05 * static_cast<Real>(i % 7);
-
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = 1e-6;  // exercises the node-diagonal slots
-  RealVector fd, qd, fs, qs;
-  RealMatrix g, c;
-  RealSparse gsp, csp;
-  sys.evalDense(x, 0.7e-9, &fd, &qd, &g, &c, eopt);
-  sys.evalSparse(x, 0.7e-9, &fs, &qs, &gsp, &csp, eopt);
-
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(fs[i], fd[i], 1e-14) << "f[" << i << "]";
-    EXPECT_NEAR(qs[i], qd[i], 1e-14) << "q[" << i << "]";
+/// MOSFETs of `nl` running with drain and source swapped at iterate x,
+/// i.e. stamping through the second orientation of their declared slots.
+size_t swappedMosfets(const Netlist& nl, const RealVector& x) {
+  const Stamper at(x, 0.0, x.size());
+  size_t swapped = 0;
+  for (const auto& dev : nl.devices()) {
+    if (const auto* m = dynamic_cast<const Mosfet*>(dev.get())) {
+      swapped += m->opPoint(at).swapped ? 1 : 0;
+    }
   }
-  EXPECT_LT(maxAbsDiff(gsp.toDense(), g), 1e-14);
-  EXPECT_LT(maxAbsDiff(csp.toDense(), c), 1e-14);
+  return swapped;
+}
 
-  // Re-stamping at a different iterate reuses the pattern and still agrees.
-  const size_t nnzG = gsp.nonZeros();
-  for (size_t i = 0; i < n; ++i) x[i] = 0.9 - 0.04 * static_cast<Real>(i % 5);
-  sys.evalDense(x, 1.3e-9, &fd, &qd, &g, &c, eopt);
-  sys.evalSparse(x, 1.3e-9, &fs, &qs, &gsp, &csp, eopt);
-  EXPECT_EQ(gsp.nonZeros(), nnzG);  // cached pattern, not rebuilt
-  EXPECT_LT(maxAbsDiff(gsp.toDense(), g), 1e-14);
-  for (size_t i = 0; i < n; ++i) EXPECT_NEAR(fs[i], fd[i], 1e-14);
+// Both evaluations run one stamping loop over their slot tables, so every
+// f, q, G and C entry must agree bit for bit, at every iterate, with and
+// without gshunt (the node-diagonal slots), on the four paper circuits and
+// the 16x4 chain.
+TEST(SparseMna, EvalSparseMatchesEvalDense) {
+  const auto kit = ProcessKit::cmos130();
+  const std::vector<std::pair<std::string, std::function<void(Netlist&)>>>
+      circuits = {
+          {"comparator testbench",
+           [&](Netlist& nl) { buildComparatorTestbench(nl, kit); }},
+          {"logic path", [&](Netlist& nl) { buildLogicPath(nl, kit); }},
+          {"ring", [&](Netlist& nl) { buildRingOscillator(nl, kit); }},
+          {"bjt follower",
+           [](Netlist& nl) { buildBjtFollower(nl, BjtKit::bipolar5()); }},
+          {"16x4 chain",
+           [&](Netlist& nl) {
+             InverterChainOptions copt;
+             copt.stages = 16;
+             copt.rows = 4;
+             buildInverterChain(nl, kit, copt);
+           }},
+      };
+  for (const auto& [name, build] : circuits) {
+    SCOPED_TRACE(name);
+    Netlist nl;
+    build(nl);
+    MnaSystem sys(nl);
+    const size_t n = sys.size();
+    // Three iterates: a ramp, its mirror, and an alternating one that puts
+    // neighbouring nodes far apart (reversed-vds MOSFETs).
+    std::vector<RealVector> points(3, RealVector(n));
+    for (size_t i = 0; i < n; ++i) {
+      points[0][i] = 0.3 + 0.05 * static_cast<Real>(i % 7);
+      points[1][i] = 0.9 - 0.04 * static_cast<Real>(i % 5);
+      points[2][i] = i % 2 == 0 ? 1.1 : 0.1;
+    }
+    size_t swapped = 0;
+    for (const auto& x : points) swapped += swappedMosfets(nl, x);
+    if (name != "bjt follower") EXPECT_GT(swapped, 0u);
+
+    RealVector fd, qd, fs, qs;
+    RealMatrix g, c;
+    RealSparse gsp, csp;
+    size_t nnzG = 0;
+    for (size_t p = 0; p < points.size(); ++p) {
+      for (Real gshunt : {0.0, 1e-6}) {
+        MnaSystem::EvalOptions eopt;
+        eopt.gshunt = gshunt;
+        const Real t = 0.7e-9 * static_cast<Real>(p + 1);
+        sys.evalDense(points[p], t, &fd, &qd, &g, &c, eopt);
+        sys.evalSparse(points[p], t, &fs, &qs, &gsp, &csp, eopt);
+        // The pattern is the system's own, frozen at construction.
+        if (nnzG == 0) nnzG = gsp.nonZeros();
+        EXPECT_EQ(gsp.nonZeros(), nnzG);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(fs[i], fd[i]) << "f[" << i << "] point " << p;
+          EXPECT_EQ(qs[i], qd[i]) << "q[" << i << "] point " << p;
+        }
+        const RealMatrix gs = gsp.toDense(), cs = csp.toDense();
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(gs(i, j), g(i, j))
+                << "G(" << i << "," << j << ") point " << p;
+            EXPECT_EQ(cs(i, j), c(i, j))
+                << "C(" << i << "," << j << ") point " << p;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- DC
