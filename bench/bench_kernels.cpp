@@ -1,7 +1,7 @@
 // Microbenchmarks of the solver kernels (google-benchmark): dense/sparse
 // LU factor/refactor, real and complex multi-RHS solves, one MNA
-// evaluation, dense-vs-sparse transient steps and transient sensitivity,
-// one shooting-PSS solve.
+// evaluation, transient steps and transient sensitivity on the sparse
+// Newton kernel, one shooting-PSS solve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -295,13 +295,13 @@ void BM_TransientRingOscPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientRingOscPeriod);
 
-// ------------------------------------------------- dense vs sparse engines
+// --------------------------------------------------------- Newton engines
 
 /// One BE transient step (Newton + linear solves) on an N-stage ring
-/// oscillator, per backend. The argument is the stage count; MNA unknowns
-/// = stages + 2. The sparse path's cached-pattern assembly and symbolic
-/// reuse make this scale near-linearly where dense grows as n^3.
-void transientStepBench(benchmark::State& state, LinearSolverKind solver) {
+/// oscillator. The argument is the stage count; MNA unknowns = stages + 2.
+/// The cached-pattern assembly and symbolic reuse make this scale
+/// near-linearly in n.
+void transientStepBench(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -313,7 +313,6 @@ void transientStepBench(benchmark::State& state, LinearSolverKind solver) {
 
   TranOptions opt;
   opt.method = IntegrationMethod::kBackwardEuler;
-  opt.solver = solver;
   RealVector x0 = solveDc(sys, {}).x;
   for (size_t i = 0; i < osc.stages.size(); ++i) {
     x0[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.2 : -0.2);
@@ -340,17 +339,11 @@ void transientStepBench(benchmark::State& state, LinearSolverKind solver) {
   }
   state.counters["unknowns"] = static_cast<double>(n);
   state.counters["steps"] = static_cast<double>(steps);
-  if (ws.sparse) {
-    state.counters["factor_nnz"] =
-        static_cast<double>(ws.slu.factorNonZeros());
-  }
+  state.counters["factor_nnz"] = static_cast<double>(ws.slu.factorNonZeros());
 }
 
-void BM_TransientStepDense(benchmark::State& state) {
-  transientStepBench(state, LinearSolverKind::kDense);
-}
 void BM_TransientStepSparse(benchmark::State& state) {
-  transientStepBench(state, LinearSolverKind::kSparse);
+  transientStepBench(state);
 }
 /// The stepping loop with a metrics registry bound (counters + phase
 /// timers, no event collection): the acceptance bar is <2% over the
@@ -359,9 +352,8 @@ void BM_TransientStepSparse(benchmark::State& state) {
 void BM_TransientStepSparseTelemetry(benchmark::State& state) {
   TelemetryRegistry reg(1);
   TelemetryScope scope(reg, 0);
-  transientStepBench(state, LinearSolverKind::kSparse);
+  transientStepBench(state);
 }
-BENCHMARK(BM_TransientStepDense)->Arg(15)->Arg(31)->Arg(63)->Arg(127);
 BENCHMARK(BM_TransientStepSparse)->Arg(15)->Arg(31)->Arg(63)->Arg(127);
 BENCHMARK(BM_TransientStepSparseTelemetry)->Arg(63)->Arg(127);
 
@@ -369,7 +361,7 @@ BENCHMARK(BM_TransientStepSparseTelemetry)->Arg(63)->Arg(127);
 /// chains (2 mismatch sources per MOSFET, so ns = 32*rows columns):
 /// exercises the shared accepted-step factorization and the batched
 /// multi-RHS solve. Unknowns = 8*rows + 2.
-void tranSensBench(benchmark::State& state, LinearSolverKind solver) {
+void BM_TranSensSparse(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -382,7 +374,6 @@ void tranSensBench(benchmark::State& state, LinearSolverKind solver) {
 
   TranOptions opt;
   opt.method = IntegrationMethod::kBackwardEuler;
-  opt.solver = solver;
   SolveStats stats;
   for (auto _ : state) {
     const auto res =
@@ -399,22 +390,14 @@ void tranSensBench(benchmark::State& state, LinearSolverKind solver) {
   state.counters["lu_refactors"] = static_cast<double>(stats.refactorizations);
 }
 
-void BM_TranSensDense(benchmark::State& state) {
-  tranSensBench(state, LinearSolverKind::kDense);
-}
-void BM_TranSensSparse(benchmark::State& state) {
-  tranSensBench(state, LinearSolverKind::kSparse);
-}
-BENCHMARK(BM_TranSensDense)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TranSensSparse)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------ shooting PSS
 
 /// Shared per-stage-count warmup + seed orbit for the PSS shooting
-/// benchmark: computed once (with the sparse engine) and reused by both
-/// backends, so each benchmark iteration measures one full shooting solve
-/// from the same near-orbit guess — period integrations, monodromy
-/// accumulation, bordered Newton, and the trajectory pack.
+/// benchmark: computed once, so each benchmark iteration measures one full
+/// shooting solve from the same near-orbit guess — period integrations,
+/// monodromy accumulation, bordered Newton, and the trajectory pack.
 struct RingPssFixture {
   Netlist nl;
   std::unique_ptr<MnaSystem> sys;
@@ -440,7 +423,6 @@ const RingPssFixture& ringPssFixture(int stages) {
     slot->phaseIndex = warm.phaseIndex;
     PssOptions opt;
     opt.stepsPerPeriod = 180;
-    opt.solver = LinearSolverKind::kSparse;
     const PssResult seed = solvePssAutonomous(
         *slot->sys, warm.periodEstimate, warm.phaseIndex, warm.state, opt);
     slot->x0 = seed.states[0];
@@ -450,16 +432,13 @@ const RingPssFixture& ringPssFixture(int stages) {
 }
 
 /// One autonomous shooting solve on an N-stage ring oscillator (N + 2 MNA
-/// unknowns), per backend. The dense path factors every period-integration
-/// step at O(n^3) and accumulates the monodromy through dense solves; the
-/// sparse path rides the declared-pattern workspace, numeric
-/// refactorizations, and batched monodromy substitutions.
-void pssShootingBench(benchmark::State& state, LinearSolverKind solver) {
+/// unknowns): the declared-pattern workspace, numeric refactorizations,
+/// and batched monodromy substitutions.
+void BM_PssShootingSparse(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));
   const RingPssFixture& fx = ringPssFixture(stages);
   PssOptions opt;
   opt.stepsPerPeriod = 180;
-  opt.solver = solver;
   size_t iters = 0;
   SolveStats stats;
   for (auto _ : state) {
@@ -477,15 +456,7 @@ void pssShootingBench(benchmark::State& state, LinearSolverKind solver) {
   state.counters["lu_refactors"] = static_cast<double>(stats.refactorizations);
 }
 
-void BM_PssShootingDense(benchmark::State& state) {
-  pssShootingBench(state, LinearSolverKind::kDense);
-}
-void BM_PssShootingSparse(benchmark::State& state) {
-  pssShootingBench(state, LinearSolverKind::kSparse);
-}
-// 15 stages = 17 unknowns (a paper-circuit size), 63 stages = 65
-// unknowns (the acceptance fixture: sparse shooting must beat dense).
-BENCHMARK(BM_PssShootingDense)->Arg(15)->Arg(63)->Unit(benchmark::kMillisecond);
+// 15 stages = 17 unknowns (a paper-circuit size), 63 stages = 65 unknowns.
 BENCHMARK(BM_PssShootingSparse)->Arg(15)->Arg(63)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -125,7 +125,7 @@ BENCHMARK(BM_SweepScalingRagged)
     ->Unit(benchmark::kMillisecond);
 
 /// Column-partitioned transient sensitivity on `rows` 8-stage chains
-/// (ns = 32*rows mismatch columns, sparse backend).
+/// (ns = 32*rows mismatch columns).
 void BM_SensitivityParallel(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const auto jobs = static_cast<size_t>(state.range(1));
@@ -198,7 +198,6 @@ void BM_MonodromyParallel(benchmark::State& state) {
   ThreadPool pool(jobs);
   PssOptions opt;
   opt.stepsPerPeriod = 180;
-  opt.solver = LinearSolverKind::kSparse;
   opt.pool = jobs > 1 ? &pool : nullptr;  // jobs=1: the plain serial path
   PssWorkspace ws;
   for (auto _ : state) {

@@ -292,9 +292,14 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       }
       report.analyses.emplace_back(".op", dc.stats);
     } else if (card.kind == "tran" && card.args.size() >= 2) {
-      const Real dt = *parseSpiceNumber(card.args[0]);
-      const Real tstop = *parseSpiceNumber(card.args[1]);
-      const TransientResult tr = runTransient(sys, 0.0, tstop, dt, {});
+      const auto dt = parseSpiceNumber(card.args[0]);
+      const auto tstop = parseSpiceNumber(card.args[1]);
+      if (!dt || !tstop) {
+        std::fprintf(stderr, "bad .tran card: '%s %s'\n",
+                     card.args[0].c_str(), card.args[1].c_str());
+        return 1;
+      }
+      const TransientResult tr = runTransient(sys, 0.0, *tstop, *dt, {});
       std::printf(".tran %s %s: %llu steps, final state:\n",
                   card.args[0].c_str(), card.args[1].c_str(),
                   static_cast<unsigned long long>(tr.stats.steps));
@@ -304,7 +309,12 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       }
       report.analyses.emplace_back(".tran", tr.stats);
     } else if (card.kind == "pss" && !card.args.empty()) {
-      pssPeriod = *parseSpiceNumber(card.args[0]);
+      const auto period = parseSpiceNumber(card.args[0]);
+      if (!period) {
+        std::fprintf(stderr, "bad .pss card: '%s'\n", card.args[0].c_str());
+        return 1;
+      }
+      pssPeriod = *period;
       std::printf(".pss period=%ss (deferred until .pnoise)\n",
                   formatEng(pssPeriod).c_str());
     } else if (card.kind == "pnoise" && !card.args.empty()) {

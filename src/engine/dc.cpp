@@ -46,7 +46,6 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
                  Real sourceScale, Real gshunt, int* iterationsOut,
                  DcWorkspace* ws) {
   const size_t n = sys.size();
-  const bool sparse = opt.solver == LinearSolverKind::kSparse;
   DcWorkspace local;
   if (ws == nullptr) ws = &local;
   RealVector& f = ws->f;
@@ -58,11 +57,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
   Real lastRes = -1.0;
   for (int iter = 0; iter < opt.maxIterations; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
-    if (sparse) {
-      sys.evalSparse(x, opt.time, &f, nullptr, &ws->gsp, nullptr, eopt);
-    } else {
-      sys.evalDense(x, opt.time, &f, nullptr, &ws->g, nullptr, eopt);
-    }
+    sys.evalSparse(x, opt.time, &f, nullptr, &ws->gsp, nullptr, eopt);
     ++ws->stats.evals;
     const Real resNorm = maxAbsVec(f);
     // A non-finite residual means the iterate escaped the devices' range
@@ -75,26 +70,20 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
     }
     lastRes = resNorm;
 
-    // Solve G dx = -f in place; the sparse branch reuses the pivot order
-    // and fill pattern cached in the workspace (across iterations and,
-    // when the caller passes one, across homotopy rungs).
+    // Solve G dx = -f in place, reusing the pivot order and fill pattern
+    // cached in the workspace (across iterations and, when the caller
+    // passes one, across homotopy rungs).
     try {
       for (Real& v : f) v = -v;
-      if (sparse) {
-        if (!ws->sluSymbolic || !ws->slu.refactor(ws->gsp)) {
-          ws->slu.factor(ws->gsp, 0.1, opt.ordering);
-          ws->sluSymbolic = true;
-          ++ws->stats.factorizations;
-        } else {
-          ++ws->stats.refactorizations;
-        }
-        ws->stats.factorNnz = ws->slu.factorNonZeros();
-        ws->slu.solveInPlace(f);
-      } else {
-        ws->dlu.factor(ws->g);
+      if (!ws->sluSymbolic || !ws->slu.refactor(ws->gsp)) {
+        ws->slu.factor(ws->gsp, 0.1, opt.ordering);
+        ws->sluSymbolic = true;
         ++ws->stats.factorizations;
-        ws->dlu.solveInPlace(f);
+      } else {
+        ++ws->stats.refactorizations;
       }
+      ws->stats.factorNnz = ws->slu.factorNonZeros();
+      ws->slu.solveInPlace(f);
       ++ws->stats.solves;
     } catch (const NumericalError&) {
       for (Real& v : f) v = -v;  // restore f for the suspect report
@@ -135,7 +124,6 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   if (opt.arclengthSteps <= 0) return false;
   TraceSpan span(Phase::kDc, "dc_arclength");
   const size_t n = sys.size();
-  const bool sparse = opt.solver == LinearSolverKind::kSparse;
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
   const Real dLamFd = 1e-6;  // FD step for f_lambda (lambda is O(1))
@@ -145,31 +133,23 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   auto factorAt = [&](const RealVector& xe, Real lambda) -> bool {
     eopt.sourceScale = lambda;
     try {
-      if (sparse) {
-        sys.evalSparse(xe, opt.time, &ws.f, nullptr, &ws.gsp, nullptr, eopt);
-        ++ws.stats.evals;
-        if (!ws.sluSymbolic || !ws.slu.refactor(ws.gsp)) {
-          ws.slu.factor(ws.gsp, 0.1, opt.ordering);
-          ws.sluSymbolic = true;
-          ++ws.stats.factorizations;
-        } else {
-          ++ws.stats.refactorizations;
-        }
-        ws.stats.factorNnz = ws.slu.factorNonZeros();
-      } else {
-        sys.evalDense(xe, opt.time, &ws.f, nullptr, &ws.g, nullptr, eopt);
-        ++ws.stats.evals;
-        ws.dlu.factor(ws.g);
+      sys.evalSparse(xe, opt.time, &ws.f, nullptr, &ws.gsp, nullptr, eopt);
+      ++ws.stats.evals;
+      if (!ws.sluSymbolic || !ws.slu.refactor(ws.gsp)) {
+        ws.slu.factor(ws.gsp, 0.1, opt.ordering);
+        ws.sluSymbolic = true;
         ++ws.stats.factorizations;
+      } else {
+        ++ws.stats.refactorizations;
       }
+      ws.stats.factorNnz = ws.slu.factorNonZeros();
     } catch (const NumericalError&) {
       return false;
     }
     return std::isfinite(maxAbsVec(ws.f));
   };
   auto solveJ = [&](RealVector& rhs) {
-    if (sparse) ws.slu.solveInPlace(rhs);
-    else ws.dlu.solveInPlace(rhs);
+    ws.slu.solveInPlace(rhs);
     ++ws.stats.solves;
   };
   // f_lambda at (xe, lambda) by forward difference against fAt (= f there).
@@ -249,8 +229,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
         // One batched 2-column solve against the factorization.
         for (size_t i = 0; i < n; ++i) ab[i] = ws.f[i];
         for (size_t i = 0; i < n; ++i) ab[n + i] = fl[i];
-        if (sparse) ws.slu.solveManyInPlace(ab, 2);
-        else ws.dlu.solveManyInPlace(ab, 2);
+        ws.slu.solveManyInPlace(ab, 2);
         ws.stats.solves += 2;
         const std::span<const Real> a(ab.data(), n);
         const std::span<const Real> b(ab.data() + n, n);

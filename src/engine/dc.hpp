@@ -2,13 +2,12 @@
 // source-stepping homotopies as fallbacks, and — when both ladders stall —
 // a pseudo-arclength continuation that walks the source-scale homotopy
 // around turning points (folds) instead of trying to ramp through them.
-// Every Newton iteration, ladder rung and continuation corrector runs on
-// the sparse backend by default (DcOptions::solver): one symbolic
-// factorization of the system's declared pattern, refactored numerically.
+// Every Newton iteration, ladder rung and continuation corrector factors
+// the sparse G with SparseLU: one symbolic factorization of the system's
+// declared pattern, refactored numerically.
 #pragma once
 
 #include "engine/mna.hpp"
-#include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "util/telemetry.hpp"
 
@@ -24,10 +23,8 @@ struct DcOptions {
   int gminSteps = 12;        // homotopy ladder length (0 disables)
   int sourceSteps = 10;      // source-stepping ladder (0 disables)
   bool quiet = true;
-  /// Linear-solver backend (the sparse path reuses one symbolic
-  /// factorization across all Newton iterations and homotopy rungs).
-  LinearSolverKind solver = LinearSolverKind::kSparse;
-  /// Fill-reducing column pre-ordering for the sparse backend.
+  /// Fill-reducing column pre-ordering of the one symbolic factorization
+  /// that every Newton iteration and homotopy rung reuses.
   OrderingKind ordering = OrderingKind::kAmd;
 
   // Pseudo-arclength continuation (the escalation behind the ladders).
@@ -60,8 +57,6 @@ struct DcResult {
 /// source stepping re-solve the same structure up to ~23 times).
 struct DcWorkspace {
   RealVector f;
-  RealMatrix g;
-  DenseLU<Real> dlu;
   RealSparse gsp;
   SparseLU<Real> slu;
   bool sluSymbolic = false;

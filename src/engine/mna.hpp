@@ -4,7 +4,9 @@
 // storage, and provides the mismatch/noise injection vectors used by the
 // sensitivity, noise, and LPTV analyses. The sparsity pattern is declared
 // by the devices and frozen at construction; both storages are stamped by
-// slot through one loop (see device.hpp).
+// slot through one loop (see device.hpp). The Newton kernels (DC,
+// transient, PSS) factor the sparse form; the dense form serves f/q-only
+// callers, the small-signal analyses and test references.
 #pragma once
 
 #include <algorithm>
@@ -62,13 +64,6 @@ struct InjectionSource {
     return 0.0;
   }
 };
-
-/// Linear-solver backend of the Newton kernels (DC, transient, PSS). The
-/// sparse kernel -- SparseLU on the system's declared pattern, numerically
-/// refactored across Newton iterations and time steps -- is the default at
-/// every size. kDense factors the dense G + a*C with DenseLU; it is kept as
-/// an explicit option and as the tests' cross-check oracle.
-enum class LinearSolverKind { kSparse, kDense };
 
 /// Options for one MNA evaluation pass.
 struct MnaEvalOptions {

@@ -59,7 +59,6 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    const TranOptions& opt, TransientWorkspace& ws) {
   TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
   const size_t n = sys.size();
-  ws.chooseBackend(opt);
   const Real t1 = t + h;
   IntegrationMethod m = beStep ? IntegrationMethod::kBackwardEuler : method;
   if (m == IntegrationMethod::kGear2 && qm1 == nullptr) {
@@ -86,7 +85,6 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
       break;
   }
 
-  ws.acceptedA = a;
   ws.x1.assign(x.begin(), x.end());  // predictor: previous point
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
@@ -95,17 +93,8 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
   for (int iter = 0; iter < opt.maxNewton; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
     // Evaluate and assemble J = G + a*C.
-    if (ws.sparse) {
-      sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
-      ws.jac.assemble(ws.gsp, ws.csp, a);
-    } else {
-      sys.evalDense(ws.x1, t1, &ws.f, &ws.q1, &ws.j, &ws.c, eopt);
-      for (size_t i = 0; i < n; ++i) {
-        auto jrow = ws.j.row(i);
-        const auto crow = ws.c.row(i);
-        for (size_t col = 0; col < n; ++col) jrow[col] += a * crow[col];
-      }
-    }
+    sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
+    ws.jac.assemble(ws.gsp, ws.csp, a);
     ++ws.stats.evals;
     ws.r.resize(n);
     for (size_t i = 0; i < n; ++i) ws.r[i] = ws.f[i] + a * ws.q1[i] + ws.rhsQ[i];
@@ -120,22 +109,17 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
       return false;
     }
 
-    // Factor (sparse: numeric refactorization on the kept pivot sequence,
-    // full factor only on the first step or after a pivot breakdown).
+    // Factor: numeric refactorization on the kept pivot sequence, full
+    // factor only on the first step or after a pivot breakdown.
     try {
-      if (ws.sparse) {
-        if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
-          ++ws.stats.refactorizations;
-        } else {
-          ws.slu.factor(ws.jac.matrix, 0.1, ws.ordering);
-          ws.sluSymbolic = true;
-          ++ws.stats.factorizations;
-        }
-        ws.stats.factorNnz = ws.slu.factorNonZeros();
+      if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
+        ++ws.stats.refactorizations;
       } else {
-        ws.dlu.factor(ws.j);
+        ws.slu.factor(ws.jac.matrix, 0.1, opt.ordering);
+        ws.sluSymbolic = true;
         ++ws.stats.factorizations;
       }
+      ws.stats.factorNnz = ws.slu.factorNonZeros();
     } catch (const NumericalError&) {
       recordStepFailure(ws, sys, "tran-newton/factorization", iter, resNorm,
                         t1, /*nonFinite=*/false);
@@ -144,8 +128,7 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
 
     // Newton direction, solved in place on the negated residual.
     for (Real& v : ws.r) v = -v;
-    if (ws.sparse) ws.slu.solveInPlace(ws.r);
-    else ws.dlu.solveInPlace(ws.r);
+    ws.slu.solveInPlace(ws.r);
     ++ws.stats.solves;
 
     const Real stepNorm = maxAbsVec(ws.r);
@@ -251,7 +234,6 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     DcOptions dopt;
     dopt.time = t0;
     dopt.gshunt = opt.gshunt;
-    dopt.solver = opt.solver;
     dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }

@@ -6,18 +6,15 @@
 // integration (no DAE ringing) and breakpoints restart cleanly with a BE
 // step.
 //
-// The Newton kernel runs on the sparse linear-solver backend by default
-// (TranOptions::solver): it stamps into the system's declared sparsity
-// pattern and reuses the symbolic factorization (SparseLU::refactor) across
-// iterations and time steps. The dense path (kDense) factors G + a*C with
-// DenseLU each iteration. All per-step scratch lives in a
-// TransientWorkspace so the steady-state stepping loop performs no heap
-// allocation (tests/test_alloc.cpp pins this down).
+// The Newton kernel stamps G and C into the system's declared sparsity
+// pattern, assembles J = G + a*C, and reuses one symbolic factorization
+// (SparseLU::refactor) across iterations and time steps. All per-step
+// scratch lives in a TransientWorkspace so the steady-state stepping loop
+// performs no heap allocation (tests/test_alloc.cpp pins this down).
 #pragma once
 
 #include "engine/dc.hpp"
 #include "engine/mna.hpp"
-#include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 
 namespace psmn {
@@ -35,10 +32,8 @@ struct TranOptions {
   Real gshunt = 0.0;
   bool useBreakpoints = true;
   bool storeStates = true;
-  /// Linear-solver backend of the Newton kernel.
-  LinearSolverKind solver = LinearSolverKind::kSparse;
-  /// Fill-reducing column pre-ordering used by the sparse backend's
-  /// symbolic analysis (numeric refactorizations inherit it).
+  /// Fill-reducing column pre-ordering of the Newton kernel's symbolic
+  /// analysis (numeric refactorizations inherit it).
   OrderingKind ordering = OrderingKind::kAmd;
   /// Adaptive timestep control (fixed grid when false). The nominal dt is
   /// the starting step; it shrinks/grows within [dtMin, dtMax].
@@ -62,36 +57,21 @@ struct TranOptions {
 /// reused, so steps after the first do not allocate.
 ///
 /// After a successful step the workspace exposes the accepted-point
-/// linearization: `dlu`/`slu` hold the factored J = G + a*C at the
-/// accepted (x, t+h) (a = 1/h for the BE steps the sensitivity engine
-/// takes), and `c`/`csp` hold C there. The sensitivity engine solves
-/// against it via solveAcceptedInPlace() instead of re-evaluating and
-/// re-factoring.
+/// linearization: `slu` holds the factored J = G + a*C at the accepted
+/// (x, t+h) (a = 1/h for the BE steps the sensitivity engine takes), and
+/// `gsp`/`csp` hold G and C there. The sensitivity and monodromy updates
+/// solve against `slu` instead of re-evaluating and re-factoring; its
+/// LuSolveScratch overloads let threads share it, one scratch per thread.
 struct TransientWorkspace {
-  // Backend and ordering, fixed on first use.
-  bool sparse = false;
-  bool chosen = false;
-  OrderingKind ordering = OrderingKind::kAmd;
-
   // Scratch vectors.
   RealVector f, q1, r, rhsQ, x1, qd1;
 
-  // Dense backend: j accumulates G then J = G + a*C in place; c holds C.
-  RealMatrix j, c;
-  DenseLU<Real> dlu;
-
-  // Sparse backend: G/C on the system's pattern and the Jacobian assembler
-  // (J = G + a*C with value-scatter maps built on the first step).
+  // G/C on the system's pattern and the Jacobian assembler (J = G + a*C
+  // with value-scatter maps built on the first step).
   RealSparse gsp, csp;
   MergedSparseAssembler<Real> jac;
   SparseLU<Real> slu;
   bool sluSymbolic = false;  // slu carries a reusable symbolic factorization
-
-  // Integration coefficient `a` of the most recent step (J = G + a*C; 1/h
-  // for BE). Lets consumers of the accepted-step linearization recover
-  // G = J - a*C from the dense workspace without a re-evaluation (the
-  // sparse workspace keeps G and C separately). Set by integrateStep.
-  Real acceptedA = 0.0;
 
   // Cost counters, cumulative over the workspace lifetime (the old
   // fullFactorizations/refactorizations fields live on as
@@ -106,26 +86,6 @@ struct TransientWorkspace {
   FailureDiagnostics lastFailure;
   bool haveFailure = false;
   bool lastFailureNonFinite = false;
-
-  void chooseBackend(const TranOptions& opt) {
-    if (chosen) return;
-    sparse = opt.solver == LinearSolverKind::kSparse;
-    ordering = opt.ordering;
-    chosen = true;
-  }
-
-  /// Solves J y = b in place against the accepted-step factorization.
-  void solveAcceptedInPlace(std::span<Real> b, size_t nrhs = 1) const {
-    if (sparse) slu.solveManyInPlace(b, nrhs);
-    else dlu.solveManyInPlace(b, nrhs);
-  }
-  /// Concurrently callable variant: threads sharing the accepted-step
-  /// factorization solve disjoint column blocks, one scratch per thread.
-  void solveAcceptedInPlace(std::span<Real> b, size_t nrhs,
-                            LuSolveScratch<Real>& scratch) const {
-    if (sparse) slu.solveManyInPlace(b, nrhs, scratch);
-    else dlu.solveManyInPlace(b, nrhs, scratch);
-  }
 };
 
 struct TransientResult {

@@ -33,11 +33,10 @@ TransientSensitivityResult runTransientSensitivity(
   stepOpt.method = IntegrationMethod::kBackwardEuler;
 
   // One workspace for the whole run: the Newton kernel factors the
-  // accepted-step Jacobian J = G1 + C1/h exactly once per step (sparse:
-  // mostly numeric refactorizations), and the sensitivity update below
+  // accepted-step Jacobian J = G1 + C1/h exactly once per step (mostly
+  // numeric refactorizations), and the sensitivity update below
   // reuses that factorization for all `ns` injection columns at once.
   TransientWorkspace ws;
-  ws.chooseBackend(stepOpt);
 
   // Initial state: DC operating point (or caller-provided), with initial
   // sensitivities from the DC system: G s = -df/dp.
@@ -47,7 +46,6 @@ TransientSensitivityResult runTransientSensitivity(
   } else {
     DcOptions dopt;
     dopt.time = t0;
-    dopt.solver = opt.solver;
     dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }
@@ -55,11 +53,7 @@ TransientSensitivityResult runTransientSensitivity(
   // Initial linearization: q, G (initial sensitivities), and C (the C0 of
   // the first step's charge-derivative term).
   RealVector q, bf, bq;
-  if (ws.sparse) {
-    sys.evalSparse(x, t0, nullptr, &q, &ws.gsp, &ws.csp, {});
-  } else {
-    sys.evalDense(x, t0, nullptr, &q, &ws.j, &ws.c, {});
-  }
+  sys.evalSparse(x, t0, nullptr, &q, &ws.gsp, &ws.csp, {});
 
   std::vector<RealVector> s(ns, RealVector(n, 0.0));
   std::vector<RealVector> qp(ns, RealVector(n, 0.0));  // dq/dp at t
@@ -70,13 +64,8 @@ TransientSensitivityResult runTransientSensitivity(
     qp[i] = bq;
   }
   if (opt.initialState == nullptr && ns > 0) {
-    if (ws.sparse) {
-      SparseLU<Real> lu(ws.gsp, 0.1, opt.ordering);
-      lu.solveManyInPlace(rhsAll, ns);
-    } else {
-      DenseLU<Real> lu(ws.j);
-      lu.solveManyInPlace(rhsAll, ns);
-    }
+    SparseLU<Real> lu(ws.gsp, 0.1, opt.ordering);
+    lu.solveManyInPlace(rhsAll, ns);
     ++result.stats.factorizations;
     result.stats.solves += ns;
     for (size_t i = 0; i < ns; ++i) {
@@ -84,13 +73,10 @@ TransientSensitivityResult runTransientSensitivity(
     }
   }
 
-  // C at the latest accepted point ("C0" in the recursion). A full-matrix
-  // copy, refreshed each step from the workspace; the assignments reuse
-  // capacity, so the steady-state loop stays heap-quiet.
-  RealSparse cPrevSp;
-  RealMatrix cPrevDn;
-  if (ws.sparse) cPrevSp = ws.csp;
-  else cPrevDn = ws.c;
+  // C at the latest accepted point ("C0" in the recursion). A copy on the
+  // system's pattern, refreshed each step from the workspace; the
+  // assignments reuse capacity, so the steady-state loop stays heap-quiet.
+  RealSparse cPrev = ws.csp;
 
   result.times.push_back(t0);
   result.states.push_back(x);
@@ -126,16 +112,7 @@ TransientSensitivityResult runTransientSensitivity(
     SensSlotScratch& sl = slotScratch[slot];
     for (size_t i = i0; i < i1; ++i) {
       sys.evalInjection(sources[i], x, t, &sl.bf, &sl.bq);
-      if (ws.sparse) {
-        cPrevSp.multiplyInto(s[i], sl.c0s);
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          const auto row = cPrevDn.row(r);
-          Real acc = 0.0;
-          for (size_t cc = 0; cc < n; ++cc) acc += row[cc] * s[i][cc];
-          sl.c0s[r] = acc;
-        }
-      }
+      cPrev.multiplyInto(s[i], sl.c0s);
       Real* col = rhsAll.data() + i * n;
       const Real h = hCur;  // the segment's accepted step size
       for (size_t r = 0; r < n; ++r) {
@@ -143,7 +120,7 @@ TransientSensitivityResult runTransientSensitivity(
       }
       qp[i] = sl.bq;
     }
-    ws.solveAcceptedInPlace({rhsAll.data() + i0 * n, (i1 - i0) * n},
+    ws.slu.solveManyInPlace({rhsAll.data() + i0 * n, (i1 - i0) * n},
                             i1 - i0, sl.lu);
     for (size_t i = i0; i < i1; ++i) {
       s[i].assign(rhsAll.begin() + i * n, rhsAll.begin() + (i + 1) * n);
@@ -180,8 +157,7 @@ TransientSensitivityResult runTransientSensitivity(
       result.stats.solves += ns;
       ++result.stats.steps;
       telemetryCount(Counter::kStepsAccepted);
-      if (ws.sparse) cPrevSp = ws.csp;
-      else cPrevDn = ws.c;
+      cPrev = ws.csp;
       result.times.push_back(t);
       result.states.push_back(x);
       for (size_t i = 0; i < ns; ++i) result.sens[i].push_back(s[i]);

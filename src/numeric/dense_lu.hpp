@@ -39,7 +39,7 @@ class DenseLU {
 
   /// Batched transposed solve, column-major like solveManyInPlace and run
   /// through the same interleaved kernel (mirrors
-  /// SparseLU::solveTransposedManyInPlace for backend switching).
+  /// SparseLU::solveTransposedManyInPlace).
   void solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant (see solveInPlace above).
   void solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
@@ -50,11 +50,11 @@ class DenseLU {
 
   /// Batched in-place solve of `nrhs` right-hand sides stored column-major
   /// in `b` (column r occupies b[r*n .. r*n + n-1]); mirrors
-  /// SparseLU::solveManyInPlace so the engines can switch backends. The
-  /// block stays column-major at this interface; for nrhs > 1 it is copied
-  /// RHS-interleaved into n*nrhs scratch (row i of every column
-  /// contiguous) and substituted row by row over all columns, bit-identical
-  /// to solveInPlace per column. nrhs == 1 is solveInPlace.
+  /// SparseLU::solveManyInPlace. The block stays column-major at this
+  /// interface; for nrhs > 1 it is copied RHS-interleaved into n*nrhs
+  /// scratch (row i of every column contiguous) and substituted row by row
+  /// over all columns, bit-identical to solveInPlace per column. nrhs == 1
+  /// is solveInPlace.
   void solveManyInPlace(std::span<T> b, size_t nrhs) const;
   /// Concurrently callable variant (see solveInPlace above).
   void solveManyInPlace(std::span<T> b, size_t nrhs,
@@ -75,10 +75,9 @@ class DenseLU {
   std::vector<int> perm_;
   double pivotRatio_ = 0.0;
   // Member solve scratch, reused so repeated solves on a kept factorization
-  // are allocation-free (the transient engine's steady state relies on
-  // this). Consequence: the scratch-less const solve methods are not
-  // thread-safe per object — concurrent callers must pass their own
-  // LuSolveScratch via the explicit overloads.
+  // are allocation-free. Consequence: the scratch-less const solve methods
+  // are not thread-safe per object — concurrent callers must pass their
+  // own LuSolveScratch via the explicit overloads.
   mutable LuSolveScratch<T> scratch_;
 };
 

@@ -1,8 +1,8 @@
 // Sparse LU factorization: left-looking Gilbert–Peierls with threshold
 // partial pivoting and a fill-reducing column pre-ordering (AMD by
-// default; see numeric/ordering.hpp). This is the Newton kernels' default
-// solver at every circuit size; DenseLU remains the explicit alternative,
-// and tests assert that the two agree.
+// default; see numeric/ordering.hpp). This is the Newton kernels' solver
+// at every circuit size; the tests check what they return against DenseLU
+// (tests/dense_oracle.hpp).
 //
 // Designed around the transient engine's access pattern:
 //   * factor() once does the symbolic work (column ordering, pivot
@@ -81,8 +81,8 @@ class SparseLU {
                         LuSolveScratch<T>& scratch) const;
 
   /// Solves A^T x = b (plain transpose; for complex T this is A^T, not
-  /// A^H — mirrors DenseLU::solveTransposed so the adjoint LPTV/PPV
-  /// engines can switch backends). The transposed substitution gathers
+  /// A^H, like DenseLU::solveTransposed; the adjoint LPTV and PPV sweeps
+  /// use it). The transposed substitution gathers
   /// instead of scattering, so it reuses the same stored L/U pattern.
   std::vector<T> solveTransposed(std::span<const T> b) const;
   void solveTransposedInPlace(std::span<T> b) const;

@@ -101,32 +101,31 @@ void mergeSparsePatterns(const SparseMatrix<U>& a, const SparseMatrix<U>& b,
 
 /// Cached-pattern assembler for the ubiquitous `M = A + coef*B` stamp over
 /// two same-shape sparse inputs (transient Jacobian J = G + a*C, LPTV step
-/// matrix K = G + (1/h + jw)*C, PPV sweep J = G + C/h). Re-stamping into
-/// the cached merged pattern is allocation-free; a pattern change in the
-/// inputs (detected by nonzero count) rebuilds the merge. Callers holding a
-/// factorization of `matrix` must treat it as stale whenever assemble()
-/// returns true. Inputs from one MnaSystem never change pattern (it is
-/// frozen at construction), so for them only the first call rebuilds.
+/// matrix K = G + (1/h + jw)*C, PPV sweep J = G + C/h). The first call
+/// merges the two patterns and builds the scatter maps; later calls
+/// re-stamp into that merged pattern without allocating, so a factorization
+/// of `matrix` stays refactorable. The inputs must keep their patterns --
+/// those of one MnaSystem do, being frozen at construction -- and an input
+/// whose nonzero count differs from the first call's is rejected.
 template <class T>
 struct MergedSparseAssembler {
   SparseMatrix<T> matrix;
 
-  /// Stamps matrix = a + coef*b; returns true when the cached pattern had
-  /// to be rebuilt (symbolic factorizations of `matrix` are then stale).
-  bool assemble(const SparseMatrix<Real>& a, const SparseMatrix<Real>& b,
+  /// Stamps matrix = a + coef*b. Throws Error when a or b is not on the
+  /// pattern the first call merged.
+  void assemble(const SparseMatrix<Real>& a, const SparseMatrix<Real>& b,
                 T coef) {
-    bool rebuilt = false;
-    if (a.nonZeros() != aMap_.size() || b.nonZeros() != bMap_.size()) {
+    if (matrix.cols() == 0) {
       mergeSparsePatterns(a, b, matrix, aMap_, bMap_);
-      rebuilt = true;
     }
+    PSMN_CHECK(a.nonZeros() == aMap_.size() && b.nonZeros() == bMap_.size(),
+               "MergedSparseAssembler: input is not on the merged pattern");
     matrix.zeroValues();
     const auto av = a.values();
     const auto bv = b.values();
     const auto mv = matrix.values();
     for (size_t k = 0; k < av.size(); ++k) mv[aMap_[k]] += av[k];
     for (size_t k = 0; k < bv.size(); ++k) mv[bMap_[k]] += coef * bv[k];
-    return rebuilt;
   }
 
  private:

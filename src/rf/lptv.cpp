@@ -24,45 +24,23 @@ struct LptvSlotScratch {
   LuSolveScratch<Cplx> lu;
 };
 
-CplxMatrix stepMatrix(const RealMatrix& g, const RealMatrix& c, Real invH,
-                      Cplx jw) {
-  const size_t n = g.rows();
-  CplxMatrix k(n, n);
-  const Cplx coef = invH + jw;
-  for (size_t i = 0; i < n; ++i)
-    for (size_t j = 0; j < n; ++j) k(i, j) = g(i, j) + coef * c(i, j);
-  return k;
-}
-
 // ---------------------------------------------------------------------
-// Backend-agnostic access to the PSS orbit linearizations: the PSS result
-// stores G_k/C_k either dense or in the sparse workspace's cached pattern;
-// the cyclic solves below only touch them through these kernels.
+// The step coupling D_k = C_{k-1}/h on the stored orbit linearizations.
 
 /// out = (C_{k-1} v) / h  (the step coupling D_k applied to a complex
 /// envelope; C is real, so this is two real sparse multiplies in one).
 void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
             std::span<Cplx> out, Real invH) {
   const size_t n = v.size();
-  if (pss.sparseLinearizations) {
-    std::fill(out.begin(), out.end(), Cplx{});
-    const RealSparse& c = pss.cSpMats[k - 1];
-    const auto ptr = c.colPointers();
-    const auto idx = c.rowIndices();
-    const auto val = c.values();
-    for (size_t j = 0; j < n; ++j) {
-      const Cplx xj = v[j];
-      if (xj == Cplx{}) continue;
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * xj;
-    }
-  } else {
-    const RealMatrix& c = pss.cMats[k - 1];
-    for (size_t i = 0; i < n; ++i) {
-      Cplx acc{};
-      const auto row = c.row(i);
-      for (size_t j = 0; j < n; ++j) acc += row[j] * v[j];
-      out[i] = acc;
-    }
+  std::fill(out.begin(), out.end(), Cplx{});
+  const RealSparse& c = pss.cSpMats[k - 1];
+  const auto ptr = c.colPointers();
+  const auto idx = c.rowIndices();
+  const auto val = c.values();
+  for (size_t j = 0; j < n; ++j) {
+    const Cplx xj = v[j];
+    if (xj == Cplx{}) continue;
+    for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * xj;
   }
   for (auto& o : out) o *= invH;
 }
@@ -71,26 +49,14 @@ void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
 void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
              std::span<Cplx> out, Real invH) {
   const size_t n = v.size();
-  if (pss.sparseLinearizations) {
-    const RealSparse& c = pss.cSpMats[k - 1];
-    const auto ptr = c.colPointers();
-    const auto idx = c.rowIndices();
-    const auto val = c.values();
-    for (size_t j = 0; j < n; ++j) {
-      Cplx acc{};
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
-      out[j] = acc * invH;
-    }
-  } else {
-    const RealMatrix& c = pss.cMats[k - 1];
-    std::fill(out.begin(), out.end(), Cplx{});
-    for (size_t i = 0; i < n; ++i) {
-      const Cplx vi = v[i];
-      if (vi == Cplx{}) continue;
-      const auto row = c.row(i);
-      for (size_t j = 0; j < n; ++j) out[j] += row[j] * vi;
-    }
-    for (auto& o : out) o *= invH;
+  const RealSparse& c = pss.cSpMats[k - 1];
+  const auto ptr = c.colPointers();
+  const auto idx = c.rowIndices();
+  const auto val = c.values();
+  for (size_t j = 0; j < n; ++j) {
+    Cplx acc{};
+    for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
+    out[j] = acc * invH;
   }
 }
 
@@ -131,25 +97,15 @@ class InjectionStream {
 };
 
 /// The LPTV factor cache: K_k = G_k + (1/h + j w) C_k factored for every
-/// grid step k = 1..M, shared by the direct passes and the adjoint.
-/// Dense results use DenseLU as before; sparse results assemble K into one
-/// merged complex pattern (cached scatter maps, like the transient
-/// workspace's Jacobian) and factor with SparseLU — the symbolic
-/// factorization of step 1 is inherited by every later step through a
-/// copy + numeric refactor, so the O(n^3)-per-step dense cost collapses to
-/// O(fill) per step.
+/// grid step k = 1..M, shared by the direct passes and the adjoint. K is
+/// assembled into one merged complex pattern (cached scatter maps, like the
+/// transient workspace's Jacobian) and factored with SparseLU — the
+/// symbolic factorization of step 1 is inherited by every later step
+/// through a copy + numeric refactor, so each step costs O(fill).
 class StepFactors {
  public:
   StepFactors(const PssResult& pss, Real invH, Cplx jw) {
     const size_t m = pss.stepCount();
-    sparse_ = pss.sparseLinearizations;
-    if (!sparse_) {
-      dense_.reserve(m);
-      for (size_t k = 1; k <= m; ++k) {
-        dense_.emplace_back(stepMatrix(pss.gMats[k], pss.cMats[k], invH, jw));
-      }
-      return;
-    }
     lus_.resize(m);
     const Cplx coef = invH + jw;
     MergedSparseAssembler<Cplx> kAsm;
@@ -173,18 +129,14 @@ class StepFactors {
   // k solve disjoint column blocks, one scratch per slot.
   void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                         LuSolveScratch<Cplx>& scratch) const {
-    if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
-    else dense_[k - 1].solveManyInPlace(b, nrhs, scratch);
+    lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
   }
   void solveTransposedManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                                   LuSolveScratch<Cplx>& scratch) const {
-    if (sparse_) lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
-    else dense_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
+    lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
   }
 
  private:
-  bool sparse_ = false;
-  std::vector<DenseLU<Cplx>> dense_;
   std::vector<SparseLU<Cplx>> lus_;
 };
 
@@ -378,9 +330,8 @@ LptvSolver::LptvSolver(const MnaSystem& sys, const PssResult& pss,
       offsetFreq_(offsetFreq),
       opt_(opt) {
   PSMN_CHECK(pss.stepCount() > 0, "empty PSS result");
-  const size_t stored = pss.sparseLinearizations ? pss.gSpMats.size()
-                                                 : pss.gMats.size();
-  PSMN_CHECK(stored == pss.times.size(),
+  PSMN_CHECK(pss.gSpMats.size() == pss.times.size() &&
+                 pss.cSpMats.size() == pss.times.size(),
              "PSS result lacks stored linearizations");
 }
 

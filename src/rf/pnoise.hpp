@@ -12,10 +12,9 @@
 // the LPTV solver's cached step factors and closed cycle, so const readouts
 // fill caches and one analysis serves one thread at a time.
 //
-// The linear-solver backend follows the PSS result: a sparsely-integrated
-// orbit (PssOptions::solver, kSparse by default) makes every cyclic solve
-// here ride the sparse LPTV factor cache; tests/test_rf_sparse.cpp pins
-// dense-vs-sparse agreement of the PSD readouts.
+// Every cyclic solve here rides the LPTV solver's sparse step factors on
+// the orbit's stored linearizations; tests/test_rf_sparse.cpp checks the
+// PSD readouts against a DenseLU rebuild of the same cyclic system.
 #pragma once
 
 #include <optional>

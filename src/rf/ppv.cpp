@@ -6,58 +6,6 @@
 #include "numeric/sparse_lu.hpp"
 
 namespace psmn {
-namespace {
-
-/// One backward-sweep step on dense linearizations:
-/// z_k = (G_k + C_k/h)^{-T} y_k;  y_{k-1} = (C_{k-1}/h)^T z_k.
-void sweepStepDense(const PssResult& pss, size_t k, Real h, RealVector& y,
-                    RealVector& zk) {
-  const size_t n = y.size();
-  RealMatrix j = pss.gMats[k];
-  for (size_t r = 0; r < n; ++r) {
-    auto jr = j.row(r);
-    const auto cr = pss.cMats[k].row(r);
-    for (size_t c = 0; c < n; ++c) jr[c] += cr[c] / h;
-  }
-  DenseLU<Real> luJ(j);
-  zk = luJ.solveTransposed(y);
-  RealVector yPrev = matvecT(pss.cMats[k - 1], std::span<const Real>(zk));
-  for (Real& v : yPrev) v /= h;
-  y = std::move(yPrev);
-}
-
-/// Sparse backward sweep: assembles J_k = G_k + C_k/h into one merged
-/// pattern (every orbit point carries the system's pattern) and reuses the symbolic factorization downward through
-/// the orbit (numeric refactor per step, exactly like the transient
-/// workspace), with the transposed solve gathering over the kept pattern.
-struct SparseSweep {
-  MergedSparseAssembler<Real> jAsm;
-  SparseLU<Real> lu;
-  bool symbolic = false;
-
-  void step(const PssResult& pss, size_t k, Real h, RealVector& y,
-            RealVector& zk) {
-    jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h);
-    if (!symbolic || !lu.refactor(jAsm.matrix)) {
-      lu.factor(jAsm.matrix, 0.1, pss.ordering);
-      symbolic = true;
-    }
-    zk = lu.solveTransposed(y);
-    // y_{k-1} = (C_{k-1}^T z_k)/h: a gather over each CSC column.
-    const RealSparse& cPrev = pss.cSpMats[k - 1];
-    const auto ptr = cPrev.colPointers();
-    const auto idx = cPrev.rowIndices();
-    const auto val = cPrev.values();
-    const size_t n = y.size();
-    for (size_t j = 0; j < n; ++j) {
-      Real acc = 0.0;
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * zk[idx[p]];
-      y[j] = acc / h;
-    }
-  }
-};
-
-}  // namespace
 
 PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   PSMN_CHECK(pss.autonomous && pss.phaseIndex >= 0 && !pss.dxdT.empty(),
@@ -87,14 +35,32 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   res.wT = w[n];
 
   // Backward sweep: y_M = w_x; z_k = J_k^{-T} y_k; y_{k-1} = D_k^T z_k.
+  // J_k = G_k + C_k/h is assembled into one merged pattern (every orbit
+  // point carries the system's pattern) and the symbolic factorization is
+  // reused downward through the orbit (numeric refactor per step, exactly
+  // like the transient workspace); the transposed solve gathers over the
+  // kept pattern.
   res.z.assign(m + 1, RealVector());
   RealVector y = res.wx;
-  SparseSweep sweep;
+  MergedSparseAssembler<Real> jAsm;
+  SparseLU<Real> jLu;
   for (size_t k = m; k >= 1; --k) {
-    RealVector zk;
-    if (pss.sparseLinearizations) sweep.step(pss, k, h, y, zk);
-    else sweepStepDense(pss, k, h, y, zk);
-    res.z[k] = std::move(zk);
+    jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h);
+    if (k == m || !jLu.refactor(jAsm.matrix)) {
+      jLu.factor(jAsm.matrix, 0.1, pss.ordering);
+    }
+    res.z[k] = jLu.solveTransposed(y);
+    const RealVector& zk = res.z[k];
+    // y_{k-1} = (C_{k-1}^T z_k)/h: a gather over each CSC column.
+    const RealSparse& cPrev = pss.cSpMats[k - 1];
+    const auto ptr = cPrev.colPointers();
+    const auto idx = cPrev.rowIndices();
+    const auto val = cPrev.values();
+    for (size_t j = 0; j < n; ++j) {
+      Real acc = 0.0;
+      for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * zk[idx[p]];
+      y[j] = acc / h;
+    }
   }
   return res;
 }

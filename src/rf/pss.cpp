@@ -7,7 +7,6 @@
 
 #include "engine/dc.hpp"
 #include "meas/measure.hpp"
-#include "numeric/dense_lu.hpp"
 #include "numeric/fourier.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/fault_injection.hpp"
@@ -40,7 +39,6 @@ TranOptions stepOptions(const PssOptions& opt) {
   t.updateTol = opt.newtonUpdateTol;
   t.maxStep = opt.newtonMaxStep;
   t.gshunt = opt.gshunt;
-  t.solver = opt.solver;
   t.ordering = opt.ordering;
   return t;
 }
@@ -51,7 +49,6 @@ RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
   DcOptions dopt;
   dopt.time = 0.0;
   dopt.gshunt = opt.gshunt;
-  dopt.solver = opt.solver;
   dopt.ordering = opt.ordering;
   return solveDc(sys, dopt).x;
 }
@@ -59,9 +56,7 @@ RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
 struct PeriodIntegration {
   RealVector xEnd;
   std::vector<RealVector> states;     // 0..M
-  std::vector<RealMatrix> gMats;      // 0..M (dense backend)
-  std::vector<RealMatrix> cMats;
-  std::vector<RealSparse> gSpMats;    // 0..M (sparse backend)
+  std::vector<RealSparse> gSpMats;    // 0..M
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;               // only when wanted
   SolveStats stats;  // cost delta of this integration (workspace snapshot)
@@ -70,14 +65,14 @@ struct PeriodIntegration {
 /// Propagates the monodromy through one accepted step:
 ///   Phi <- J_k^{-1} (C_{k-1}/h) Phi
 /// against the factorization the Newton kernel just produced (no extra
-/// evaluation or factorization). Both backends assemble the n-column
-/// right-hand-side block column-major in pw.rhsBuf and run the batched
-/// accepted-step substitution. With a pool the columns fan out into
-/// per-slot blocks: column j's assembly reads only Phi column j, its
-/// triangular solve touches only RHS column j, and the write-back lands
-/// only in Phi column j — so every partition computes the same bits as
-/// the serial batched call (one LuSolveScratch per slot, ThreadPool's
-/// at-most-one-chunk-per-slot contract).
+/// evaluation or factorization). The n-column right-hand-side block is
+/// assembled column-major in pw.rhsBuf for the batched accepted-step
+/// substitution. With a pool the columns fan out into per-slot blocks:
+/// column j's assembly reads only Phi column j, its triangular solve
+/// touches only RHS column j, and the write-back lands only in Phi column
+/// j — so every partition computes the same bits as the serial batched
+/// call (one LuSolveScratch per slot, ThreadPool's at-most-one-chunk-per-
+/// slot contract).
 void propagateMonodromy(PssWorkspace& pw, RealMatrix& phi, Real h,
                         ThreadPool* pool) {
   const size_t n = phi.rows();
@@ -89,37 +84,24 @@ void propagateMonodromy(PssWorkspace& pw, RealMatrix& phi, Real h,
 
   const auto processColumns = [&](size_t j0, size_t j1, size_t slot) {
     Real* buf = pw.rhsBuf.data();
-    if (ws.sparse) {
-      const auto ptr = pw.cPrevSparse.colPointers();
-      const auto idx = pw.cPrevSparse.rowIndices();
-      const auto val = pw.cPrevSparse.values();
-      for (size_t j = j0; j < j1; ++j) {
-        // rhs(r, j) = sum_col C(r, col)/h * Phi(col, j): one CSC sweep of
-        // C_{k-1} scattered into this block's column.
-        Real* dst = buf + j * n;
-        std::fill(dst, dst + n, 0.0);
-        for (size_t col = 0; col < n; ++col) {
-          const Real xj = phi(col, j);
-          if (xj == 0.0) continue;
-          for (int p = ptr[col]; p < ptr[col + 1]; ++p) {
-            dst[idx[p]] += val[p] * invH * xj;
-          }
-        }
-      }
-    } else {
-      for (size_t j = j0; j < j1; ++j) {
-        Real* dst = buf + j * n;
-        for (size_t i = 0; i < n; ++i) {
-          Real acc = 0.0;
-          const auto row = pw.cPrevDense.row(i);
-          for (size_t col = 0; col < n; ++col) acc += row[col] * phi(col, j);
-          dst[i] = acc * invH;
+    const auto ptr = pw.cPrev.colPointers();
+    const auto idx = pw.cPrev.rowIndices();
+    const auto val = pw.cPrev.values();
+    for (size_t j = j0; j < j1; ++j) {
+      // rhs(r, j) = sum_col C(r, col)/h * Phi(col, j): one CSC sweep of
+      // C_{k-1} scattered into this block's column.
+      Real* dst = buf + j * n;
+      std::fill(dst, dst + n, 0.0);
+      for (size_t col = 0; col < n; ++col) {
+        const Real xj = phi(col, j);
+        if (xj == 0.0) continue;
+        for (int p = ptr[col]; p < ptr[col + 1]; ++p) {
+          dst[idx[p]] += val[p] * invH * xj;
         }
       }
     }
-    ws.solveAcceptedInPlace(
-        std::span<Real>(buf + j0 * n, (j1 - j0) * n), j1 - j0,
-        pw.solveScratch[slot]);
+    ws.slu.solveManyInPlace(std::span<Real>(buf + j0 * n, (j1 - j0) * n),
+                            j1 - j0, pw.solveScratch[slot]);
     // Safe in-body write-back: no other block ever reads these columns.
     for (size_t j = j0; j < j1; ++j) {
       for (size_t i = 0; i < n; ++i) phi(i, j) = buf[j * n + i];
@@ -130,9 +112,9 @@ void propagateMonodromy(PssWorkspace& pw, RealMatrix& phi, Real h,
 }
 
 /// Integrates one period from x0, optionally accumulating the monodromy
-/// matrix and storing the trajectory with its linearizations (in the
-/// workspace's backend). All solver state lives in `pw` and is reused
-/// across calls — shooting iterations share one symbolic factorization.
+/// matrix and storing the trajectory with its linearizations. All solver
+/// state lives in `pw` and is reused across calls — shooting iterations
+/// share one symbolic factorization.
 PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
                                   Real t0, Real period, int steps,
                                   const PssOptions& opt, bool wantMonodromy,
@@ -150,7 +132,6 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
   const Real h = period / steps;
   const TranOptions topt = stepOptions(opt);
   TransientWorkspace& ws = pw.tran;
-  ws.chooseBackend(topt);
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
 
@@ -158,22 +139,13 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
   // factor, G_0/C_0 the stored trajectory.
   RealVector& x = out.xEnd;
   pw.q.resize(n);
-  if (ws.sparse) {
-    sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, eopt);
-    if (wantMonodromy) pw.cPrevSparse = ws.csp;
-    if (wantTrajectory) {
-      out.gSpMats.push_back(ws.gsp);
-      out.cSpMats.push_back(ws.csp);
-    }
-  } else {
-    sys.evalDense(x, t0, nullptr, &pw.q, &ws.j, &ws.c, eopt);
-    if (wantMonodromy) pw.cPrevDense = ws.c;
-    if (wantTrajectory) {
-      out.gMats.push_back(ws.j);  // ws.j holds plain G here (no a*C added)
-      out.cMats.push_back(ws.c);
-    }
+  sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, eopt);
+  if (wantMonodromy) pw.cPrev = ws.csp;
+  if (wantTrajectory) {
+    out.gSpMats.push_back(ws.gsp);
+    out.cSpMats.push_back(ws.csp);
+    out.states.push_back(x);
   }
-  if (wantTrajectory) out.states.push_back(x);
   if (wantMonodromy) out.monodromy = RealMatrix::identity(n);
   ++ws.stats.evals;  // the initial linearization evaluated above
   pw.qd.assign(n, 0.0);
@@ -192,26 +164,12 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
       // Fan-out accounting on the dispatching side: the n monodromy
       // columns solve on worker threads, but the total is deterministic.
       ws.stats.solves += n;
-      if (ws.sparse) pw.cPrevSparse = ws.csp;
-      else pw.cPrevDense = ws.c;
+      pw.cPrev = ws.csp;
     }
     if (wantTrajectory) {
       out.states.push_back(x);
-      if (ws.sparse) {
-        out.gSpMats.push_back(ws.gsp);
-        out.cSpMats.push_back(ws.csp);
-      } else {
-        // Recover G = J - a*C from the accepted-step workspace (the kernel
-        // assembled J = G + a*C in place over G).
-        RealMatrix g = ws.j;
-        for (size_t i = 0; i < n; ++i) {
-          auto gr = g.row(i);
-          const auto cr = ws.c.row(i);
-          for (size_t jj = 0; jj < n; ++jj) gr[jj] -= ws.acceptedA * cr[jj];
-        }
-        out.gMats.push_back(std::move(g));
-        out.cMats.push_back(ws.c);
-      }
+      out.gSpMats.push_back(ws.gsp);
+      out.cSpMats.push_back(ws.csp);
     }
   }
   out.stats = SolveStats::since(before, pw.tran.stats);
@@ -223,15 +181,12 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
 /// included.
 PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
                      const PssOptions& opt, int shootIters,
-                     const SolveStats& stats, const PssWorkspace& pw) {
+                     const SolveStats& stats) {
   PssResult res;
   res.period = period;
   res.t0 = t0;
   res.states = std::move(fin.states);
-  res.sparseLinearizations = pw.tran.sparse;
   res.ordering = opt.ordering;
-  res.gMats = std::move(fin.gMats);
-  res.cMats = std::move(fin.cMats);
   res.gSpMats = std::move(fin.gSpMats);
   res.cSpMats = std::move(fin.cSpMats);
   res.monodromy = std::move(fin.monodromy);
@@ -251,7 +206,6 @@ void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
   const size_t n = sys.size();
   const Real h = period / steps;
   const TranOptions topt = stepOptions(opt);
-  pw.tran.chooseBackend(topt);
   // Charge at the starting point (vector outputs only; the stepping kernel
   // owns the matrix evaluations).
   pw.q.resize(n);
@@ -350,7 +304,7 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
       // pw belongs to one solvePssDriven call: its tally is that solve's
       // cost.
       return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod, opt,
-                        iterations, pw.tran.stats, pw);
+                        iterations, pw.tran.stats);
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
     RealMatrix iMinusPhi = RealMatrix::identity(n);
@@ -626,8 +580,8 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   RealVector dxdT(n);
   for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - orbit.xEnd[i]) / dT;
   PssResult res = packResult(std::move(orbit), 0.0, st.period,
-                             opt.stepsPerPeriod, opt, st.iterations, st.stats,
-                             pw);
+                             opt.stepsPerPeriod, opt, st.iterations,
+                             st.stats);
   res.autonomous = true;
   res.phaseIndex = phaseIndex;
   res.usedShuntHomotopy = usedHomotopy;

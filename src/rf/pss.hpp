@@ -17,6 +17,11 @@
 #include "circuit/stdcell.hpp"
 #include "engine/mna.hpp"
 #include "engine/transient.hpp"
+// DenseLU factors the dense systems built from a PssResult: the shooting
+// (I - Phi) and bordered Jacobians here, the LPTV closure and the PPV
+// bordered adjoint downstream. Kept in this header because its includers
+// (perfbench/harness.cpp among them) reach DenseLU only through it.
+#include "numeric/dense_lu.hpp"
 
 namespace psmn {
 
@@ -55,10 +60,6 @@ struct PssOptions {
   int shuntHomotopyRungs = 3;
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
-  /// Linear-solver backend for the period integration, the DC start point,
-  /// and the monodromy propagation; it also picks the form of the stored
-  /// orbit linearizations (PssResult::sparseLinearizations).
-  LinearSolverKind solver = LinearSolverKind::kSparse;
   /// Fill-reducing ordering for every sparse factorization downstream of
   /// this solve: the period integration, and — via PssResult::ordering —
   /// the LPTV step factors, pnoise, and the PPV backward sweep.
@@ -83,12 +84,11 @@ struct PssWorkspace {
   TransientWorkspace tran;
   RealVector q, qd;        // charge state for the BE stepping kernel
   // Monodromy propagation scratch: n*n column-major right-hand-side block
-  // for the batched accepted-step solve (both backends), plus one LU solve
-  // scratch per pool slot for the column-partitioned fan-out.
+  // for the batched accepted-step solve, plus one LU solve scratch per pool
+  // slot for the column-partitioned fan-out.
   RealVector rhsBuf;
   std::vector<LuSolveScratch<Real>> solveScratch;
-  RealMatrix cPrevDense;   // C at the previous grid point
-  RealSparse cPrevSparse;
+  RealSparse cPrev;        // C at the previous grid point
 };
 
 struct PssResult {
@@ -105,16 +105,12 @@ struct PssResult {
   /// to shooting tolerance.
   std::vector<Real> times;
   std::vector<RealVector> states;
-  /// Linearization along the orbit at times[k], k=0..M, in ONE of two
-  /// backends: dense gMats/cMats, or (sparseLinearizations) system-pattern
-  /// gSpMats/cSpMats from the sparse workspace. The LPTV and PPV solvers
-  /// consume whichever is present.
-  bool sparseLinearizations = false;
-  /// Ordering the orbit was factored with; consumers of the stored sparse
+  /// Ordering the orbit was factored with; consumers of the stored
   /// linearizations (LPTV step factors, PPV sweep) apply the same one.
   OrderingKind ordering = OrderingKind::kAmd;
-  std::vector<RealMatrix> gMats;
-  std::vector<RealMatrix> cMats;
+  /// Linearization along the orbit at times[k], k=0..M: G_k and C_k on
+  /// the system's pattern, as the period integration evaluated them. The
+  /// LPTV and PPV solvers factor their step matrices from these.
   std::vector<RealSparse> gSpMats;
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;

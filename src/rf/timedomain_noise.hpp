@@ -11,8 +11,8 @@
 // caches, so one analysis serves one thread at a time.
 // tests/test_mc_validation.cpp cross-checks this estimate against the
 // sample sigma of seeded Monte-Carlo PSS re-solves (the paper's Table II
-// comparison in miniature), and tests/test_rf_sparse.cpp pins the
-// dense-vs-sparse backend agreement of sigma(t).
+// comparison in miniature), and tests/test_rf_sparse.cpp checks sigma(t)
+// against a DenseLU rebuild of the cyclic system.
 #pragma once
 
 #include "rf/pnoise.hpp"

@@ -44,7 +44,7 @@ namespace psmn {
 /// fields (DcResult::iterations, PssResult::newtonIterations, the
 /// TransientWorkspace factorization counters). All counts are cumulative
 /// over the producing call; `factorNnz` is the nnz(L+U) of the most
-/// recent sparse factorization (0 on the dense backend).
+/// recent sparse factorization (0 when the call made none).
 struct SolveStats {
   uint64_t newtonIterations = 0;  // Newton iterations (all strategies)
   uint64_t steps = 0;             // accepted integration steps
@@ -94,7 +94,7 @@ enum class Counter : uint8_t {
   kSparseFactors,      // SparseLU<T>::factor (symbolic + numeric)
   kSparseRefactors,    // SparseLU<T>::refactor (successful)
   kFactorNnzTotal,     // sum of nnz(L+U) over all sparse (re)factors
-  kSolveColumns,       // triangular-solve RHS columns (both backends)
+  kSolveColumns,       // triangular-solve RHS columns (DenseLU and SparseLU)
   kMnaEvals,           // MnaSystem::evalDense / evalSparse
   kNewtonIterations,   // DC + transient + PSS-inner Newton iterations
   kStepsAccepted,      // accepted integration steps

@@ -202,6 +202,16 @@ def case_bad_inputs(cli):
     expect(p.returncode == 1 and "probe node" in p.stderr,
            "unknown probe node must exit 1", p)
 
+    # Card mode validates the analysis values the way sweep mode does.
+    for card, cause in ((".tran abc 1n", "bad .tran card"),
+                        (".pss xyz", "bad .pss card")):
+        deck = os.path.join(cli.tmp, "bad_card.sp")
+        with open(deck, "w") as f:
+            f.write(f"* bad analysis card\nr1 a 0 1k\nv1 a 0 1\n{card}\n.end\n")
+        p = cli.run(deck)
+        expect(p.returncode == 1 and cause in p.stderr,
+               f"'{card}' must exit 1 with '{cause}'", p)
+
 
 CASES = {
     "card_demo": case_card_demo,

@@ -65,8 +65,7 @@ namespace {
 
 // Steps the system `warmup + measured` times with a persistent workspace
 // and returns the number of allocations during the measured tail.
-size_t allocationsPerSteadyState(LinearSolverKind solver, size_t warmup,
-                                 size_t measured) {
+size_t allocationsPerSteadyState(size_t warmup, size_t measured) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   RingOscillatorOptions oopt;
@@ -85,7 +84,6 @@ size_t allocationsPerSteadyState(LinearSolverKind solver, size_t warmup,
 
   TranOptions opt;
   opt.method = IntegrationMethod::kBackwardEuler;
-  opt.solver = solver;
   TransientWorkspace ws;
   const Real h = 5e-12;
   Real t = 0.0;
@@ -105,15 +103,11 @@ size_t allocationsPerSteadyState(LinearSolverKind solver, size_t warmup,
 }
 
 TEST(Allocation, SparseSteadyStateStepsAreHeapFree) {
-  EXPECT_EQ(allocationsPerSteadyState(LinearSolverKind::kSparse, 20, 100), 0u);
-}
-
-TEST(Allocation, DenseSteadyStateStepsAreHeapFree) {
-  EXPECT_EQ(allocationsPerSteadyState(LinearSolverKind::kDense, 20, 100), 0u);
+  EXPECT_EQ(allocationsPerSteadyState(20, 100), 0u);
 }
 
 TEST(Allocation, TelemetryProbesStayHeapFree) {
-  // The two tests above already pin the telemetry-DISABLED case (no
+  // The test above already pins the telemetry-DISABLED case (no
   // registry is bound, every probe is one thread-local pointer test). A
   // BOUND registry must not regress the steady state either: counters are
   // plain adds into preallocated slots and spans above the configured
@@ -121,7 +115,7 @@ TEST(Allocation, TelemetryProbesStayHeapFree) {
   // (--trace) is allowed to allocate, which is why it is opt-in.
   TelemetryRegistry reg(1);  // counters + phase timers, no events
   TelemetryScope scope(reg, 0);
-  EXPECT_EQ(allocationsPerSteadyState(LinearSolverKind::kSparse, 20, 100), 0u);
+  EXPECT_EQ(allocationsPerSteadyState(20, 100), 0u);
   EXPECT_GT(reg.counterTotal(Counter::kNewtonIterations), 0u);
   EXPECT_GT(reg.counterTotal(Counter::kSparseRefactors), 0u);
 }
@@ -144,7 +138,6 @@ TEST(Allocation, SparsePssPeriodIntegrationIsHeapFree) {
   }
 
   PssOptions opt;
-  opt.solver = LinearSolverKind::kSparse;
   PssWorkspace ws;
   const Real period = 1e-9;
   const int steps = 100;

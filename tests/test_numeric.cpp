@@ -192,6 +192,31 @@ TEST(SparseMatrix, FindLocatesPatternSlots) {
   EXPECT_DOUBLE_EQ(m.toDense()(0, 0), 0.0);
 }
 
+// The assembler merges the two patterns once; later calls re-stamp into
+// that merged pattern, and an input off it is an error, not a silent
+// re-merge under a caller's factorization.
+TEST(SparseMatrix, MergedAssemblerRejectsAForeignPattern) {
+  const std::vector<Triplet<Real>> gTrips{{0, 0, 2.0}, {1, 1, 3.0}};
+  const std::vector<Triplet<Real>> cTrips{{0, 0, 1.0}, {0, 1, -1.0}};
+  const auto g = RealSparse::fromTriplets(2, 2, gTrips);
+  const auto c = RealSparse::fromTriplets(2, 2, cTrips);
+  MergedSparseAssembler<Real> jac;
+  jac.assemble(g, c, 10.0);
+  EXPECT_EQ(jac.matrix.nonZeros(), 3u);
+  EXPECT_DOUBLE_EQ(jac.matrix.toDense()(0, 0), 12.0);
+  EXPECT_DOUBLE_EQ(jac.matrix.toDense()(0, 1), -10.0);
+  jac.assemble(g, c, 2.0);  // same patterns: re-stamped in place
+  EXPECT_DOUBLE_EQ(jac.matrix.toDense()(0, 0), 4.0);
+
+  const std::vector<Triplet<Real>> wider{{0, 0, 2.0}, {1, 0, 1.0}, {1, 1, 3.0}};
+  EXPECT_THROW(jac.assemble(RealSparse::fromTriplets(2, 2, wider), c, 2.0),
+               Error);
+  const std::vector<Triplet<Real>> narrower{{0, 0, 1.0}};
+  EXPECT_THROW(jac.assemble(g, RealSparse::fromTriplets(2, 2, narrower), 2.0),
+               Error);
+  EXPECT_EQ(jac.matrix.nonZeros(), 3u);  // the merged pattern is kept
+}
+
 // Returns a random sparse matrix with the same pattern for every `salt`,
 // so refactor() sees identical structure with fresh values.
 RealSparse patternedRandom(size_t n, uint64_t seed, uint64_t salt) {

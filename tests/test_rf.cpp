@@ -141,32 +141,28 @@ TEST(PssDriven, FallsBackToWarmupWhenFirstIntegrationFails) {
   // the other maxNewton - 1 are all the acceptances there are to refuse:
   // arming exactly those leaves the fallback's warm-up fault-free.
   RectifierCircuit ckt;
-  for (LinearSolverKind solver :
-       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-    PssOptions opt;
-    opt.stepsPerPeriod = 100;
-    opt.warmupCycles = 3;
-    opt.solver = solver;
-    const RealVector warm =
-        pssWarmup(*ckt.sys, ckt.period, opt.warmupCycles, opt);
-    const PssResult ref = solvePssDriven(*ckt.sys, ckt.period, opt, &warm);
+  PssOptions opt;
+  opt.stepsPerPeriod = 100;
+  opt.warmupCycles = 3;
+  const RealVector warm =
+      pssWarmup(*ckt.sys, ckt.period, opt.warmupCycles, opt);
+  const PssResult ref = solvePssDriven(*ckt.sys, ckt.period, opt, &warm);
 
-    FaultPlan plan;
-    plan.arm("tran.newton.converge", 0, opt.maxNewton - 1);
-    {
-      FaultScope scope(plan);
-      const PssResult res = solvePssDriven(*ckt.sys, ckt.period, opt);
-      EXPECT_EQ(scope.fired("tran.newton.converge"), opt.maxNewton - 1);
-      expectSameOrbit(res, ref);
-      EXPECT_EQ(res.shootingIterations, ref.shootingIterations);
-      EXPECT_EQ(res.stats.steps, 4u * 100u);
-    }
-
-    // With no warm-up to fall back on, the first attempt's error surfaces.
-    opt.warmupCycles = 0;
+  FaultPlan plan;
+  plan.arm("tran.newton.converge", 0, opt.maxNewton - 1);
+  {
     FaultScope scope(plan);
-    EXPECT_THROW(solvePssDriven(*ckt.sys, ckt.period, opt), ConvergenceError);
+    const PssResult res = solvePssDriven(*ckt.sys, ckt.period, opt);
+    EXPECT_EQ(scope.fired("tran.newton.converge"), opt.maxNewton - 1);
+    expectSameOrbit(res, ref);
+    EXPECT_EQ(res.shootingIterations, ref.shootingIterations);
+    EXPECT_EQ(res.stats.steps, 4u * 100u);
   }
+
+  // With no warm-up to fall back on, the first attempt's error surfaces.
+  opt.warmupCycles = 0;
+  FaultScope scope(plan);
+  EXPECT_THROW(solvePssDriven(*ckt.sys, ckt.period, opt), ConvergenceError);
 }
 
 TEST(PssDriven, FallsBackToWarmupWhenBudgetRunsOut) {
@@ -321,23 +317,18 @@ TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
                                "logic path");
   }
   {
-    // A 68-unknown inverter chain, on both orbit backends.
+    // A 68-unknown inverter chain.
     Netlist nl;
     InverterChainOptions copt;
     copt.stages = 8;
     copt.rows = 8;
     const auto chain = buildInverterChain(nl, kit, copt);
     MnaSystem sys(nl);
-    for (LinearSolverKind solver :
-         {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-      PssOptions opt;
-      opt.stepsPerPeriod = 80;
-      opt.solver = solver;
-      const PssResult pss = solvePssDriven(sys, copt.period, opt);
-      expectAdjointMatchesDirect(
-          sys, pss, nl.nodeIndex(chain.taps.back()), 1, 1e-12,
-          pss.sparseLinearizations ? "chain sparse" : "chain dense");
-    }
+    PssOptions opt;
+    opt.stepsPerPeriod = 80;
+    const PssResult pss = solvePssDriven(sys, copt.period, opt);
+    expectAdjointMatchesDirect(sys, pss, nl.nodeIndex(chain.taps.back()), 1,
+                               1e-12, "chain");
   }
   {
     // The autonomous ring. Both closures restore the phase-mode eigenvalue

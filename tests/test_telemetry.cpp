@@ -147,9 +147,7 @@ TEST(SolveStats, SparseTransientReusesThePatternAndReportsFactorNnz) {
   auto nl = makeChainNetlist(4e-15);
   nl->finalize();
   MnaSystem sys(*nl);
-  TranOptions opt;
-  opt.solver = LinearSolverKind::kSparse;
-  const TransientResult tr = runTransient(sys, 0.0, 2e-9, 20e-12, opt);
+  const TransientResult tr = runTransient(sys, 0.0, 2e-9, 20e-12, {});
   // One symbolic factorization, everything else rides the pivot sequence.
   EXPECT_EQ(tr.stats.factorizations, 1u);
   EXPECT_EQ(tr.stats.refactorizations, tr.stats.newtonIterations - 1);
