@@ -33,7 +33,7 @@ int main() {
   MnaSystem sys(nl);
   const int aIdx = nl.nodeIndex(lp.outA);
   const Real half = kit.vdd / 2;
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   std::printf("logic path: %zu mismatch parameters\n\n", sources.size());
 
   // 1. LPTV (the paper's method).
@@ -133,7 +133,7 @@ int main() {
   const double tOscLptv = swo.seconds();
   Stopwatch swp;
   const PpvResult ppv = computePpv(syso, ano.pss());
-  const auto oSources = syso.collectSources(true, false);
+  const auto oSources = syso.collectSources();
   Real varPpv = 0.0, maxRelOsc = 0.0;
   for (size_t i = 0; i < oSources.size(); ++i) {
     const Real s = ppv.frequencySensitivity(syso, ano.pss(), oSources[i]) *

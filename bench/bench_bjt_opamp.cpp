@@ -78,7 +78,7 @@ void BM_BjtOpAmpSensitivity(benchmark::State& state) {
   Netlist nl;
   buildBjtFollower(nl, BjtKit::bipolar5());
   MnaSystem sys(nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   TranOptions topt;
   topt.method = IntegrationMethod::kBackwardEuler;
   SolveStats stats;

@@ -1,5 +1,5 @@
 // Microbenchmarks of the solver kernels (google-benchmark): dense/sparse
-// LU factor/refactor, real and complex multi-RHS solves, one MNA
+// LU factor/refactor, real and complex sparse multi-RHS solves, one MNA
 // evaluation, transient steps and transient sensitivity on the sparse
 // Newton kernel, one shooting-PSS solve.
 #include <benchmark/benchmark.h>
@@ -99,13 +99,13 @@ void BM_SparseLuRefactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(32)->Arg(128)->Arg(512);
 
-/// Factor-fill tracker on the acceptance fixtures: one full factor
-/// (ordering + symbolic + numeric) of the transient Jacobian J = G + C/h
-/// under the given column ordering. The `factor_nnz` counter feeds the
-/// fill-trend check in scripts/check_bench_trend.py — nnz is a pure
-/// function of the pattern and ordering, so unlike the timings it is
-/// machine-independent and tracked un-normalized.
-void BM_FactorFill(benchmark::State& state, bool ring, OrderingKind kind) {
+/// Factor-fill tracker on the acceptance fixtures: one full factor (AMD
+/// ordering + symbolic + numeric) of the transient Jacobian J = G + C/h.
+/// The `factor_nnz` counter feeds the fill-trend check in
+/// scripts/check_bench_trend.py — nnz is a pure function of the pattern
+/// and the ordering, so unlike the timings it is machine-independent and
+/// tracked un-normalized.
+void BM_FactorFill(benchmark::State& state, bool ring) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   if (ring) {
@@ -126,17 +126,15 @@ void BM_FactorFill(benchmark::State& state, bool ring, OrderingKind kind) {
   jac.assemble(gsp, csp, 1.0 / 5e-12);
   size_t nnz = 0;
   for (auto _ : state) {
-    SparseLU<Real> lu(jac.matrix, 0.1, kind);
+    SparseLU<Real> lu(jac.matrix);
     nnz = lu.factorNonZeros();
     benchmark::DoNotOptimize(lu);
   }
   state.counters["unknowns"] = static_cast<double>(sys.size());
   state.counters["factor_nnz"] = static_cast<double>(nnz);
 }
-BENCHMARK_CAPTURE(BM_FactorFill, chain_amd, false, OrderingKind::kAmd);
-BENCHMARK_CAPTURE(BM_FactorFill, chain_degree, false, OrderingKind::kDegree);
-BENCHMARK_CAPTURE(BM_FactorFill, ring_amd, true, OrderingKind::kAmd);
-BENCHMARK_CAPTURE(BM_FactorFill, ring_degree, true, OrderingKind::kDegree);
+BENCHMARK_CAPTURE(BM_FactorFill, chain_amd, false);
+BENCHMARK_CAPTURE(BM_FactorFill, ring_amd, true);
 
 // Complex twin of a real matrix: same pattern, with a j-shift on the
 // diagonal like the LPTV step matrices K = G + (1/h + jw)C.
@@ -148,13 +146,6 @@ CplxMatrix complexTwin(const RealMatrix& a) {
     }
   }
   return c;
-}
-
-template <class T>
-DenseLU<T> denseLuFor(size_t n) {
-  const RealMatrix a = randomMatrix(n, n);
-  if constexpr (std::is_same_v<T, Real>) return DenseLU<Real>(a);
-  else return DenseLU<Cplx>(complexTwin(a));
 }
 
 template <class T>
@@ -231,16 +222,6 @@ BENCHMARK(BM_SparseLuSolveMulti)->Args({128, 1})->Args({128, 16})->Args({128, 64
 BENCHMARK(BM_SparseLuSolveMultiComplex)->Args({128, 16})->Args({128, 64});
 BENCHMARK(BM_SparseLuSolveScattered)->Args({128, 16})->Args({128, 64});
 BENCHMARK(BM_SparseLuSolveScatteredComplex)->Args({128, 16})->Args({128, 64});
-
-// n = 16: the size of the paper circuits' dense factorizations.
-void BM_DenseLuSolveMulti(benchmark::State& state) {
-  solveMultiBench<Real>(state, denseLuFor<Real>(benchSize(state)));
-}
-void BM_DenseLuSolveMultiComplex(benchmark::State& state) {
-  solveMultiBench<Cplx>(state, denseLuFor<Cplx>(benchSize(state)));
-}
-BENCHMARK(BM_DenseLuSolveMulti)->Args({16, 16});
-BENCHMARK(BM_DenseLuSolveMultiComplex)->Args({16, 16});
 
 void BM_MnaEvalComparator(benchmark::State& state) {
   Netlist nl;
@@ -370,7 +351,7 @@ void BM_TranSensSparse(benchmark::State& state) {
   copt.rows = rows;
   buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
 
   TranOptions opt;
   opt.method = IntegrationMethod::kBackwardEuler;

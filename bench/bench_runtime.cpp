@@ -132,7 +132,7 @@ void BM_SensitivityParallel(benchmark::State& state) {
   auto nl = makeChain(8, rows, 5e-15);
   nl->finalize();
   MnaSystem sys(*nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
 
   ThreadPool pool(jobs);
   TranOptions opt;

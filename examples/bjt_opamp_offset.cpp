@@ -30,7 +30,7 @@ std::unique_ptr<Netlist> makeFollower() {
 int main() {
   auto nl = makeFollower();
   MnaSystem sys(*nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const int out = nl->nodeIndex("out");
   std::printf("bjt op-amp follower: %zu devices, %zu unknowns, "
               "%zu mismatch sources\n",

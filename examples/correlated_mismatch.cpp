@@ -39,7 +39,7 @@ int main() {
 
     // Pseudo-noise path: composite sources, DC-match flavour.
     const auto sources =
-        corr.transformSources(sys.collectSources(true, false));
+        corr.transformSources(sys.collectSources());
     const DcResult dc = solveDc(sys);
     const RealVector sens = solveDcSensitivity(sys, dc.x, outIdx, sources);
     Real var = 0.0;

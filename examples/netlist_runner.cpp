@@ -13,7 +13,8 @@
 //
 // Results are reported in scenario order and are bit-identical for every
 // --jobs value (per-scenario RNG streams are derived from the scenario
-// index, never from thread timing).
+// index, never from thread timing). Every numeric flag value is a whole
+// unsigned decimal; --jobs is at most kMaxJobs (0 = one job per core).
 //
 // Observability flags (docs/user_guide.md "Run reports"):
 //   --metrics out.json          machine-readable run report (counters,
@@ -22,6 +23,8 @@
 //                               or Perfetto)
 //   --trace-detail phase|step|kernel   span granularity (default phase)
 //   --progress                  one line per scenario as it completes
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +60,9 @@ C2 out 0 4p
 .end
 )";
 
+/// Upper bound of --jobs: one pool thread per job is started up front.
+constexpr uint64_t kMaxJobs = 256;
+
 struct RunnerArgs {
   std::string deckPath;
   size_t jobs = 1;        // --jobs N (0 = hardware)
@@ -77,6 +83,22 @@ struct RunReport {
   std::vector<SweepResult> sweep;
 };
 
+/// Parses `text` as a whole unsigned decimal no larger than `max`: digits
+/// only, so a sign, a blank, a fraction or trailing text is rejected (the
+/// strtoul family would wrap "-1" and stop silently at "2x").
+bool parseUnsigned(const char* text, uint64_t max, uint64_t& out) {
+  if (*text == '\0') return false;
+  uint64_t v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    const auto digit = static_cast<uint64_t>(*p - '0');
+    if (v > (max - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  out = v;
+  return true;
+}
+
 bool parseArgs(int argc, char** argv, RunnerArgs& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -88,9 +110,24 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
       return argv[++i];
     };
     if (a == "--jobs") {
-      args.jobs = std::strtoul(value("--jobs"), nullptr, 10);
+      const char* text = value("--jobs");
+      uint64_t jobs = 0;
+      if (!parseUnsigned(text, kMaxJobs, jobs)) {
+        std::fprintf(stderr,
+                     "--jobs expects a whole number from 0 to %llu "
+                     "(0 = every core), got '%s'\n",
+                     static_cast<unsigned long long>(kMaxJobs), text);
+        return false;
+      }
+      args.jobs = static_cast<size_t>(jobs);
     } else if (a == "--seed") {
-      args.seed = std::strtoull(value("--seed"), nullptr, 10);
+      const char* text = value("--seed");
+      if (!parseUnsigned(text, UINT64_MAX, args.seed)) {
+        std::fprintf(stderr,
+                     "--seed expects a whole unsigned decimal, got '%s'\n",
+                     text);
+        return false;
+      }
     } else if (a == "--probe") {
       args.probe = value("--probe");
     } else if (a == "--metrics") {
@@ -120,11 +157,15 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
                      spec.c_str());
         return false;
       }
-      args.sweepSamples = std::strtoul(spec.c_str() + 3, nullptr, 10);
-      if (args.sweepSamples == 0) {
-        std::fprintf(stderr, "--sweep mc:<N> needs N >= 1\n");
+      uint64_t samples = 0;
+      if (!parseUnsigned(spec.c_str() + 3, SIZE_MAX, samples) ||
+          samples == 0) {
+        std::fprintf(stderr,
+                     "--sweep mc:<N> needs a whole N >= 1, got '%s'\n",
+                     spec.c_str());
         return false;
       }
+      args.sweepSamples = static_cast<size_t>(samples);
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return false;
@@ -310,8 +351,10 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       report.analyses.emplace_back(".tran", tr.stats);
     } else if (card.kind == "pss" && !card.args.empty()) {
       const auto period = parseSpiceNumber(card.args[0]);
-      if (!period) {
-        std::fprintf(stderr, "bad .pss card: '%s'\n", card.args[0].c_str());
+      if (!period || !std::isfinite(*period) || *period <= 0.0) {
+        std::fprintf(stderr,
+                     "bad .pss card: '%s' (the period must be positive)\n",
+                     card.args[0].c_str());
         return 1;
       }
       pssPeriod = *period;

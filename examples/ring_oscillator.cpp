@@ -37,7 +37,7 @@ int main() {
 
   // Independent cross-check: discrete-adjoint PPV period sensitivities.
   const PpvResult ppv = computePpv(sys, analysis.pss());
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   Real var = 0.0;
   for (size_t i = 0; i < sources.size(); ++i) {
     const Real s =

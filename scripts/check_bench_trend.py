@@ -49,8 +49,8 @@ import json
 import sys
 
 # The benchmarks that guard the product's hot paths: transient stepping,
-# multi-RHS solves (sensitivity, monodromy and LPTV columns; real and
-# complex), sparse refactorization, shooting PSS, the
+# sparse multi-RHS solves (sensitivity, monodromy and LPTV columns; real
+# and complex), sparse refactorization, shooting PSS, the
 # end-to-end BJT op-amp deck (bench_bjt_opamp, gated in its own CI step),
 # and the parallel-runtime fan-outs (bench_runtime, gated in its own CI
 # step with --anchor BM_SweepScaling/8/1 — each suite normalizes by an
@@ -60,7 +60,6 @@ HOT_PREFIXES = (
     "BM_TranSens",
     "BM_SparseLuRefactor",
     "BM_SparseLuSolveMulti",
-    "BM_DenseLuSolveMulti",
     "BM_PssShooting",
     "BM_BjtOpAmp",
     "BM_SweepScaling",

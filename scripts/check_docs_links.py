@@ -19,6 +19,13 @@ verifies that
     ``solveTransposed[Many]InPlace`` checks both ``solveTransposedInPlace``
     and ``solveTransposedManyInPlace``. ``std::``-qualified names are
     skipped (the C++ standard library is not in ``src/``).
+  - bare camelCase / PascalCase names with an inner capital
+    (``runTransient``, ``SparseLU``, ``BM_FactorFill``, ``solveDc()``;
+    trailing call arguments are ignored) — must appear as a word in the
+    C++ sources under ``src/``, ``tests/``, ``bench/`` or ``examples/``
+    (benchmark and test names live outside ``src/``). Lower-case words,
+    ALL-CAPS names and single-capital words (``Netlist``) are not
+    checked: they are too often plain English, flags or file names.
   - repo paths (``src/runtime/``, ``scripts/check_bench_trend.py``,
     ``src/numeric/ordering.*``) — must glob-resolve against the repo
     root, like relative links.
@@ -47,6 +54,11 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 QUALIFIED_RE = re.compile(
     r"^~?[A-Za-z_][A-Za-z0-9_]*"
     r"(::~?[A-Za-z_][A-Za-z0-9_]*(\[[A-Za-z0-9_]+\])?[A-Za-z0-9_]*)+$")
+# Bare identifiers with a lower-case letter and a capital past the first
+# character (camelCase, PascalCase with an inner capital, BM_ bench names).
+BARE_NAME_RE = re.compile(r"^(?=\w*[a-z])[A-Za-z_]\w*?[A-Z]\w*$")
+# Directories whose C++ words a bare name may resolve against.
+NAME_DIRS = ("src", "tests", "bench", "examples")
 # Repo paths inside code spans: first segment must be a tracked top-level
 # directory (bare filenames and flag-looking spans are not checked).
 PATH_SPAN_RE = re.compile(r"^[A-Za-z0-9_.*/-]+$")
@@ -111,31 +123,28 @@ def collect_code_spans(path):
 
 
 class SourceIndex:
-    """Word lookup over everything under src/ (lazy, cached)."""
+    """Word lookup over the C++ sources under `dirs` (lazy, cached)."""
 
-    def __init__(self, repo_root):
+    def __init__(self, repo_root, dirs=("src",)):
         self.repo_root = repo_root
-        self._corpus = None
-        self._words = {}
+        self.dirs = dirs
+        self._words = None
 
     def _load(self):
-        if self._corpus is not None:
+        if self._words is not None:
             return
-        texts = []
-        for dirpath, _, names in os.walk(os.path.join(self.repo_root, "src")):
-            for name in sorted(names):
-                if name.endswith((".hpp", ".cpp", ".h")):
-                    with open(os.path.join(dirpath, name),
-                              encoding="utf-8") as f:
-                        texts.append(f.read())
-        self._corpus = "\n".join(texts)
+        self._words = set()
+        for top in self.dirs:
+            for dirpath, _, names in os.walk(os.path.join(self.repo_root, top)):
+                for name in sorted(names):
+                    if name.endswith((".hpp", ".cpp", ".h")):
+                        with open(os.path.join(dirpath, name),
+                                  encoding="utf-8") as f:
+                            self._words.update(re.findall(r"\w+", f.read()))
 
     def has_word(self, word):
-        if word not in self._words:
-            self._load()
-            self._words[word] = re.search(
-                r"\b" + re.escape(word) + r"\b", self._corpus) is not None
-        return self._words[word]
+        self._load()
+        return word in self._words
 
 
 def expand_optional_infix(component):
@@ -166,6 +175,13 @@ def check_symbol_span(span, index):
             if variant and not index.has_word(variant):
                 missing.append(variant)
     return missing
+
+
+def bare_name(span):
+    """The identifier of a bare-name span (call arguments dropped), or None
+    when the span is not a checkable bare camelCase/PascalCase name."""
+    name = re.sub(r"\(.*\)$", "", span)
+    return name if BARE_NAME_RE.match(name) else None
 
 
 def check_path_span(span, repo_root):
@@ -211,6 +227,7 @@ def main():
 
     anchor_cache = {}
     src_index = SourceIndex(repo_root)
+    name_index = SourceIndex(repo_root, NAME_DIRS)
 
     def anchors_of(path):
         if path not in anchor_cache:
@@ -255,6 +272,14 @@ def main():
                 errors.append(f"{rel_md}:{lineno}: stale symbol reference "
                               f"'`{span}`' ({', '.join(missing)} not found "
                               f"in src/)")
+                continue
+            name = bare_name(span)
+            if name is not None:
+                symbols_checked += 1
+                if not name_index.has_word(name):
+                    errors.append(f"{rel_md}:{lineno}: stale name reference "
+                                  f"'`{span}`' ({name} not found in "
+                                  f"{', '.join(d + '/' for d in NAME_DIRS)})")
                 continue
             path_err = check_path_span(span, repo_root)
             if path_err:

@@ -23,18 +23,6 @@ void Device::mismatchStampQ(size_t, Stamper&) const {
   // reactive mismatch (C, L) override this.
 }
 
-NoiseDesc Device::noiseDesc(size_t) const {
-  throw Error("device '" + name() + "' has no noise sources");
-}
-
-void Device::noiseStamp(size_t, Stamper&) const {
-  throw Error("device '" + name() + "' has no noise sources");
-}
-
-Real Device::noiseShape(size_t, Real) const {
-  throw Error("device '" + name() + "' has no noise sources");
-}
-
 void Device::collectBreakpoints(Real, Real, std::vector<Real>&) const {}
 
 }  // namespace psmn

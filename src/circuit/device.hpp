@@ -59,15 +59,6 @@ struct MismatchParam {
   bool areaScaled = false;  // sigma^2 proportional to 1/(W*L) (Pelgrom)
 };
 
-/// Physical noise kinds (paper footnote 1: physical noise can be simulated
-/// alongside the mismatch pseudo-noise and separated via the breakdown).
-enum class NoiseKind { kWhite, kFlicker };
-
-struct NoiseDesc {
-  std::string name;  // e.g. "M2.thermal"
-  NoiseKind kind = NoiseKind::kWhite;
-};
-
 /// Hands out branch-current unknowns during Netlist::finalize().
 class BranchAllocator {
  public:
@@ -262,15 +253,6 @@ class Device {
   virtual void mismatchStampF(size_t k, Stamper& s) const;
   /// ...and charge part into q-slots (zero for most parameters).
   virtual void mismatchStampQ(size_t k, Stamper& s) const;
-
-  // --- physical noise interface (default: noiseless) ---
-  virtual size_t noiseCount() const { return 0; }
-  virtual NoiseDesc noiseDesc(size_t k) const;
-  /// Stamps the sqrt-PSD-modulated injection direction m(x) into f-slots;
-  /// the stationary unit-PSD shape comes from noiseShape().
-  virtual void noiseStamp(size_t k, Stamper& s) const;
-  /// Stationary PSD shape: 1 for white, fRef/f for flicker.
-  virtual Real noiseShape(size_t k, Real f) const;
 
   /// Appends discontinuity times within (t0, t1] (pulse edges etc.).
   virtual void collectBreakpoints(Real t0, Real t1,

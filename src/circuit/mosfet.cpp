@@ -207,42 +207,4 @@ void Mosfet::mismatchStampF(size_t k, Stamper& s) const {
   s.addF(fr.ns, -sgn * dIdp);
 }
 
-size_t Mosfet::noiseCount() const {
-  return (model_->thermalNoise ? 1 : 0) + (model_->flickerNoise ? 1 : 0);
-}
-
-NoiseDesc Mosfet::noiseDesc(size_t k) const {
-  PSMN_CHECK(k < noiseCount(), "bad noise index");
-  if (model_->thermalNoise && k == 0) {
-    return {name() + ".thermal", NoiseKind::kWhite};
-  }
-  return {name() + ".flicker", NoiseKind::kFlicker};
-}
-
-void Mosfet::noiseStamp(size_t k, Stamper& s) const {
-  PSMN_CHECK(k < noiseCount(), "bad noise index");
-  const Frame fr = frame(s);
-  const Real sgn = fr.sgn;
-  const Core c = evalCore(sgn * (s.v(fr.ng) - s.v(fr.ns)),
-                          sgn * (s.v(fr.nd) - s.v(fr.ns)),
-                          sgn * (s.v(fr.nb) - s.v(fr.ns)));
-  const MosModel& m = *model_;
-  Real amp = 0.0;
-  if (m.thermalNoise && k == 0) {
-    amp = std::sqrt(4.0 * kBoltzmann * m.temperature * m.thermalGamma *
-                    std::max(c.gm, 0.0));
-  } else {
-    amp = std::sqrt(m.kf * std::pow(std::fabs(c.ids), m.af) /
-                    (m.cox * w_ * l_));
-  }
-  s.addF(fr.nd, amp);
-  s.addF(fr.ns, -amp);
-}
-
-Real Mosfet::noiseShape(size_t k, Real f) const {
-  PSMN_CHECK(k < noiseCount(), "bad noise index");
-  if (model_->thermalNoise && k == 0) return 1.0;
-  return 1.0 / std::max(f, 1e-30);  // flicker: PSD ~ 1/f, unity at 1 Hz
-}
-
 }  // namespace psmn

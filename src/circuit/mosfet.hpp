@@ -1,6 +1,6 @@
 // MOSFET: smoothed square-law (level-1 style) model with channel-length
 // modulation, body effect, constant gate/junction capacitances, Pelgrom
-// mismatch parameters (paper eq. 4-5) and thermal/flicker noise.
+// mismatch parameters (paper eq. 4-5).
 //
 // Model notes
 // -----------
@@ -47,15 +47,6 @@ struct MosModel {
   Real avt = 6.5e-9;       // V*m
   Real abeta = 3.25e-8;    // (relative)*m  (0.0325 * 1e-6)
 
-  // Physical noise (off by default; the paper's pseudo-noise analysis is
-  // run with mismatch sources only, see footnote 1).
-  bool thermalNoise = false;
-  Real thermalGamma = 2.0 / 3.0;
-  bool flickerNoise = false;
-  Real kf = 0.0;           // flicker coefficient (A^2*s? SPICE-style KF)
-  Real af = 1.0;
-  Real temperature = kRoomTempK;
-
   /// Mismatch-scaling helper used for global severity sweeps (Fig. 11/12):
   /// multiplies both AVT and Abeta.
   MosModel scaledMismatch(Real scale) const {
@@ -93,12 +84,6 @@ class Mosfet : public Device {
   void setMismatchDelta(size_t k, Real delta) override;
   Real mismatchDelta(size_t k) const override;
   void mismatchStampF(size_t k, Stamper& s) const override;
-
-  // --- physical noise ---
-  size_t noiseCount() const override;
-  NoiseDesc noiseDesc(size_t k) const override;
-  void noiseStamp(size_t k, Stamper& s) const override;
-  Real noiseShape(size_t k, Real f) const override;
 
   /// Operating point at the given stamper iterate.
   MosOpPoint opPoint(const Stamper& s) const;

@@ -82,16 +82,6 @@ std::vector<Netlist::MismatchRef> Netlist::mismatchParams() const {
   return out;
 }
 
-std::vector<Netlist::NoiseRef> Netlist::noiseSources() const {
-  std::vector<NoiseRef> out;
-  for (const auto& dev : devices_) {
-    for (size_t k = 0; k < dev->noiseCount(); ++k) {
-      out.push_back({dev.get(), k, dev->noiseDesc(k)});
-    }
-  }
-  return out;
-}
-
 void Netlist::clearMismatch() {
   for (const auto& dev : devices_) dev->clearMismatch();
 }

@@ -70,14 +70,6 @@ class Netlist {
   };
   std::vector<MismatchRef> mismatchParams() const;
 
-  /// All physical noise sources, flattened.
-  struct NoiseRef {
-    Device* device;
-    size_t index;
-    NoiseDesc desc;
-  };
-  std::vector<NoiseRef> noiseSources() const;
-
   /// Zeroes every device's mismatch deltas.
   void clearMismatch();
 

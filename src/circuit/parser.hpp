@@ -19,8 +19,8 @@
 //                    rb rc re ais abf   (ais/abf: relative mismatch
 //                    sigmas of IS and BF; area scales IS and the
 //                    junction capacitances)
-//   .tran <tstep> <tstop> | .op | .ac dec <n> <fstart> <fstop>
-//   .pss <period> | .pnoise <offset-freq> | .end
+//   .tran <tstep> <tstop> | .op | .pss <period> | .pnoise <out-node>
+//   .end
 //
 // Analysis cards are collected, not executed: the caller decides how to
 // run them (see examples/netlist_runner.cpp).
@@ -33,7 +33,7 @@
 namespace psmn {
 
 struct AnalysisCard {
-  std::string kind;                // "tran", "op", "ac", "pss", "pnoise"
+  std::string kind;                // "tran", "op", "pss", "pnoise"
   std::vector<std::string> args;   // raw argument tokens
 };
 

@@ -1,7 +1,5 @@
 #include "circuit/passives.hpp"
 
-#include <cmath>
-
 namespace psmn {
 
 // ---------------------------------------------------------------- Resistor
@@ -39,23 +37,6 @@ void Resistor::mismatchStampF(size_t k, Stamper& s) const {
   const Real r = resistance();
   const Real i = (s.v(a_) - s.v(b_)) / r;
   s.stampCurrent(a_, b_, -i / r);
-}
-
-NoiseDesc Resistor::noiseDesc(size_t k) const {
-  PSMN_CHECK(k == 0 && thermalNoise_, "bad noise index");
-  return {name() + ".thermal", NoiseKind::kWhite};
-}
-
-void Resistor::noiseStamp(size_t k, Stamper& s) const {
-  PSMN_CHECK(k == 0 && thermalNoise_, "bad noise index");
-  // Current noise with PSD 4kT/R (single-sided): amplitude sqrt(4kT/R).
-  const Real amp = std::sqrt(4.0 * kBoltzmann * temperature_ / resistance());
-  s.stampCurrent(a_, b_, amp);
-}
-
-Real Resistor::noiseShape(size_t k, Real) const {
-  PSMN_CHECK(k == 0 && thermalNoise_, "bad noise index");
-  return 1.0;
 }
 
 // --------------------------------------------------------------- Capacitor

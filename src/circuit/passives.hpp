@@ -36,13 +36,6 @@ class Resistor : public Device {
   Real mismatchDelta(size_t k) const override;
   void mismatchStampF(size_t k, Stamper& s) const override;
 
-  /// Thermal noise 4kT/R (always present).
-  size_t noiseCount() const override { return thermalNoise_ ? 1 : 0; }
-  NoiseDesc noiseDesc(size_t k) const override;
-  void noiseStamp(size_t k, Stamper& s) const override;
-  Real noiseShape(size_t k, Real f) const override;
-  void enableThermalNoise(bool on) { thermalNoise_ = on; }
-
   Real resistance() const { return ohms_ + delta_; }
   Real nominal() const { return ohms_; }
 
@@ -51,8 +44,6 @@ class Resistor : public Device {
   Real ohms_;
   Real sigma_;
   Real delta_ = 0.0;
-  bool thermalNoise_ = false;
-  Real temperature_ = kRoomTempK;
 };
 
 class Capacitor : public Device {

@@ -63,7 +63,6 @@ std::vector<InjectionSource> CorrelatedMismatch::compositeSources() const {
     const size_t n = g.params.size();
     for (size_t j = 0; j < n; ++j) {
       InjectionSource s;
-      s.kind = InjectionSource::Kind::kMismatch;
       s.name = "corr" + std::to_string(gi) + ".xi" + std::to_string(j);
       s.sigma = 1.0;  // xi_j is unit-variance; weights carry the units
       s.mkind = MismatchKind::kGeneric;
@@ -82,8 +81,7 @@ std::vector<InjectionSource> CorrelatedMismatch::transformSources(
     std::vector<InjectionSource> independent) const {
   std::vector<InjectionSource> out;
   for (auto& s : independent) {
-    if (s.kind == InjectionSource::Kind::kMismatch &&
-        s.components.size() == 1 &&
+    if (s.components.size() == 1 &&
         covers(s.components[0].device, s.components[0].index)) {
       continue;  // replaced by a composite source
     }

@@ -7,7 +7,7 @@ namespace psmn {
 VariationResult dcMatchAnalysis(const MnaSystem& sys, int outIndex,
                                 const DcOptions& dcOpt) {
   const DcResult dc = solveDc(sys, dcOpt);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const RealVector sens =
       solveDcSensitivity(sys, dc.x, outIndex, sources);
 

@@ -76,7 +76,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
     try {
       for (Real& v : f) v = -v;
       if (!ws->sluSymbolic || !ws->slu.refactor(ws->gsp)) {
-        ws->slu.factor(ws->gsp, 0.1, opt.ordering);
+        ws->slu.factor(ws->gsp);
         ws->sluSymbolic = true;
         ++ws->stats.factorizations;
       } else {
@@ -136,7 +136,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       sys.evalSparse(xe, opt.time, &ws.f, nullptr, &ws.gsp, nullptr, eopt);
       ++ws.stats.evals;
       if (!ws.sluSymbolic || !ws.slu.refactor(ws.gsp)) {
-        ws.slu.factor(ws.gsp, 0.1, opt.ordering);
+        ws.slu.factor(ws.gsp);
         ws.sluSymbolic = true;
         ++ws.stats.factorizations;
       } else {

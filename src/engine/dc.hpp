@@ -23,9 +23,6 @@ struct DcOptions {
   int gminSteps = 12;        // homotopy ladder length (0 disables)
   int sourceSteps = 10;      // source-stepping ladder (0 disables)
   bool quiet = true;
-  /// Fill-reducing column pre-ordering of the one symbolic factorization
-  /// that every Newton iteration and homotopy rung reuses.
-  OrderingKind ordering = OrderingKind::kAmd;
 
   // Pseudo-arclength continuation (the escalation behind the ladders).
   // Traces the curve H(x, lambda) = f(x; lambda-scaled sources) = 0 from

@@ -135,41 +135,24 @@ void MnaSystem::evalInjection(const InjectionSource& src,
     Stamper s(x, t, n_);
     s.attachVectors(bf, bq);
     s.setStampScale(comp.weight);
-    if (src.kind == InjectionSource::Kind::kMismatch) {
-      if (bf) comp.device->mismatchStampF(comp.index, s);
-      if (bq) comp.device->mismatchStampQ(comp.index, s);
-    } else if (bf) {
-      comp.device->noiseStamp(comp.index, s);
-      // Physical noise sources are current injections only (no charge part).
-    }
+    if (bf) comp.device->mismatchStampF(comp.index, s);
+    if (bq) comp.device->mismatchStampQ(comp.index, s);
   }
 }
 
 std::vector<InjectionSource> MnaSystem::collectSources(
     bool includeMismatch, bool includePhysical) const {
-  std::vector<InjectionSource> out;
-  if (includeMismatch) {
-    for (const auto& ref : netlist_->mismatchParams()) {
-      InjectionSource s;
-      s.kind = InjectionSource::Kind::kMismatch;
-      s.name = ref.param.name;
-      s.components = {{ref.device, ref.index, 1.0}};
-      s.sigma = ref.param.sigma;
-      s.mkind = ref.param.kind;
-      out.push_back(std::move(s));
-    }
+  if (!includeMismatch || includePhysical) {
+    throw Error("collectSources: mismatch is the only source kind");
   }
-  if (includePhysical) {
-    for (const auto& ref : netlist_->noiseSources()) {
-      InjectionSource s;
-      s.kind = ref.desc.kind == NoiseKind::kWhite
-                   ? InjectionSource::Kind::kPhysicalWhite
-                   : InjectionSource::Kind::kPhysicalFlicker;
-      s.name = ref.desc.name;
-      s.components = {{ref.device, ref.index, 1.0}};
-      s.sigma = 1.0;
-      out.push_back(std::move(s));
-    }
+  std::vector<InjectionSource> out;
+  for (const auto& ref : netlist_->mismatchParams()) {
+    InjectionSource s;
+    s.name = ref.param.name;
+    s.components = {{ref.device, ref.index, 1.0}};
+    s.sigma = ref.param.sigma;
+    s.mkind = ref.param.kind;
+    out.push_back(std::move(s));
   }
   return out;
 }

@@ -1,12 +1,12 @@
 // MNA system assembly: evaluates the netlist's residual
 //     F(x,t) = f(x,t) + d/dt q(x)
 // pieces (f, q) and Jacobians (G = df/dx, C = dq/dx) into dense or sparse
-// storage, and provides the mismatch/noise injection vectors used by the
-// sensitivity, noise, and LPTV analyses. The sparsity pattern is declared
+// storage, and provides the mismatch injection vectors used by the
+// sensitivity and LPTV analyses. The sparsity pattern is declared
 // by the devices and frozen at construction; both storages are stamped by
 // slot through one loop (see device.hpp). The Newton kernels (DC,
 // transient, PSS) factor the sparse form; the dense form serves f/q-only
-// callers, the small-signal analyses and test references.
+// callers, DC sensitivity and test references.
 #pragma once
 
 #include <algorithm>
@@ -18,10 +18,8 @@
 
 namespace psmn {
 
-/// One mismatch or physical-noise injection source, flattened out of the
-/// netlist. `sigma` is meaningful for mismatch sources (pseudo-noise PSD at
-/// 1 Hz is sigma^2); physical sources carry their magnitude inside the
-/// stamp and have sigma == 1.
+/// One mismatch injection source, flattened out of the netlist: its
+/// pseudo-noise PSD at 1 Hz is sigma^2.
 ///
 /// A source normally wraps a single device parameter (one component of
 /// weight 1). Correlated mismatch (paper SS III-C) is modeled by *composite*
@@ -29,18 +27,15 @@ namespace psmn {
 /// one InjectionSource whose components carry the column weights a_ij of
 /// the factor A with covariance = A A^T (paper eq. 6).
 struct InjectionSource {
-  enum class Kind { kMismatch, kPhysicalWhite, kPhysicalFlicker };
-
   struct Component {
     Device* device = nullptr;
-    size_t index = 0;   // device-local mismatch/noise index
+    size_t index = 0;   // device-local mismatch index
     Real weight = 1.0;  // parameter units per unit of this source
   };
 
-  Kind kind = Kind::kMismatch;
   std::string name;
   std::vector<Component> components;
-  Real sigma = 1.0;     // source std-dev (1 for composite & physical)
+  Real sigma = 1.0;     // source std-dev (1 for composite sources)
   MismatchKind mkind = MismatchKind::kGeneric;
 
   /// Convenience accessors for the common single-component case.
@@ -51,18 +46,9 @@ struct InjectionSource {
     return components.size() == 1 ? components[0].index : 0;
   }
 
-  /// Stationary PSD factor at frequency f: pseudo-noise is flicker-shaped
-  /// with PSD sigma^2 at 1 Hz (paper SS III); physical white is flat.
-  Real psd(Real f) const {
-    switch (kind) {
-      case Kind::kMismatch:
-      case Kind::kPhysicalFlicker:
-        return sigma * sigma / std::max(f, 1e-30);
-      case Kind::kPhysicalWhite:
-        return sigma * sigma;
-    }
-    return 0.0;
-  }
+  /// Stationary PSD at frequency f: pseudo-noise is flicker-shaped with
+  /// PSD sigma^2 at 1 Hz (paper SS III).
+  Real psd(Real f) const { return sigma * sigma / std::max(f, 1e-30); }
 };
 
 /// Options for one MNA evaluation pass.
@@ -115,7 +101,10 @@ class MnaSystem {
                      Real t, RealVector* bf, RealVector* bq) const;
 
   /// All mismatch pseudo-noise sources (paper's DC-mismatch -> AC noise
-  /// mapping), optionally plus physical device noise.
+  /// mapping). Mismatch is the only source kind: the only accepted
+  /// arguments are (true, false), and anything else throws Error. The two
+  /// parameters stay until the benchmark harness (perfbench/circuits.hpp)
+  /// stops spelling that pair out.
   std::vector<InjectionSource> collectSources(bool includeMismatch = true,
                                               bool includePhysical = false) const;
 

@@ -1,6 +1,5 @@
 #include "engine/sensitivity.hpp"
 
-#include "engine/ac.hpp"
 #include "numeric/dense_lu.hpp"
 
 namespace psmn {
@@ -11,7 +10,7 @@ RealVector solveDcSensitivity(const MnaSystem& sys, std::span<const Real> xop,
   PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(sys.size()),
              "bad output index");
   RealMatrix g;
-  linearize(sys, xop, &g, nullptr);
+  sys.evalDense(xop, 0.0, nullptr, nullptr, &g, nullptr);
   DenseLU<Real> lu(g);
 
   RealVector eout(sys.size(), 0.0);
@@ -36,7 +35,7 @@ RealVector solveDcSensitivityDirect(const MnaSystem& sys,
   PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(sys.size()),
              "bad output index");
   RealMatrix g;
-  linearize(sys, xop, &g, nullptr);
+  sys.evalDense(xop, 0.0, nullptr, nullptr, &g, nullptr);
   DenseLU<Real> lu(g);
 
   RealVector out;

@@ -115,7 +115,7 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
       if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
         ++ws.stats.refactorizations;
       } else {
-        ws.slu.factor(ws.jac.matrix, 0.1, opt.ordering);
+        ws.slu.factor(ws.jac.matrix);
         ws.sluSymbolic = true;
         ++ws.stats.factorizations;
       }
@@ -234,7 +234,6 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     DcOptions dopt;
     dopt.time = t0;
     dopt.gshunt = opt.gshunt;
-    dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }
   RealVector q;

@@ -32,9 +32,6 @@ struct TranOptions {
   Real gshunt = 0.0;
   bool useBreakpoints = true;
   bool storeStates = true;
-  /// Fill-reducing column pre-ordering of the Newton kernel's symbolic
-  /// analysis (numeric refactorizations inherit it).
-  OrderingKind ordering = OrderingKind::kAmd;
   /// Adaptive timestep control (fixed grid when false). The nominal dt is
   /// the starting step; it shrinks/grows within [dtMin, dtMax].
   bool adaptive = false;

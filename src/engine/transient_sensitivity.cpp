@@ -46,7 +46,6 @@ TransientSensitivityResult runTransientSensitivity(
   } else {
     DcOptions dopt;
     dopt.time = t0;
-    dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }
 
@@ -64,7 +63,7 @@ TransientSensitivityResult runTransientSensitivity(
     qp[i] = bq;
   }
   if (opt.initialState == nullptr && ns > 0) {
-    SparseLU<Real> lu(ws.gsp, 0.1, opt.ordering);
+    SparseLU<Real> lu(ws.gsp);
     lu.solveManyInPlace(rhsAll, ns);
     ++result.stats.factorizations;
     result.stats.solves += ns;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "numeric/lu_block.hpp"
 #include "util/fault_injection.hpp"
 #include "util/telemetry.hpp"
 
@@ -149,101 +148,13 @@ Matrix<T> DenseLU<T>::solveMatrix(const Matrix<T>& b) const {
 }
 
 template <class T>
-void DenseLU<T>::solveManyInPlace(std::span<T> b, size_t nrhs) const {
-  solveManyInPlace(b, nrhs, scratch_);
-}
-
-template <class T>
-void DenseLU<T>::solveManyInPlace(std::span<T> b, size_t nrhs,
-                                  LuSolveScratch<T>& scratch) const {
-  const size_t n = size();
-  PSMN_CHECK(b.size() == n * nrhs, "LU solve: rhs block size mismatch");
-  if (nrhs == 0) return;
-  if (nrhs == 1) {
-    solveInPlace(b, scratch);
-    return;
-  }
-  telemetryCount(Counter::kSolveColumns, nrhs);
-  // RHS-interleaved block (see numeric/lu_block.hpp): every column runs
-  // solveInPlace's dot-product chains, as row updates over all columns.
-  const size_t m = nrhs;
-  scratch.x.resize(n * m);
-  T* w = scratch.x.data();
-  detail::interleaveBlock<T>(b, n, m, perm_.data(), w);
-  for (size_t i = 1; i < n; ++i) {
-    const auto irow = lu_.row(i);
-    for (size_t j = 0; j < i; ++j) {
-      detail::subtractScaledRow(w + i * m, w + j * m, irow[j], m);
-    }
-  }
-  for (size_t ii = n; ii-- > 0;) {
-    const auto irow = lu_.row(ii);
-    for (size_t j = ii + 1; j < n; ++j) {
-      detail::subtractScaledRow(w + ii * m, w + j * m, irow[j], m);
-    }
-    detail::divideRow(w + ii * m, irow[ii], m);
-  }
-  detail::deinterleaveBlock<T>(w, n, m, nullptr, b);
-}
-
-template <class T>
-void DenseLU<T>::solveTransposedManyInPlace(std::span<T> b,
-                                            size_t nrhs) const {
-  solveTransposedManyInPlace(b, nrhs, scratch_);
-}
-
-template <class T>
-void DenseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
-                                            LuSolveScratch<T>& scratch) const {
-  const size_t n = size();
-  PSMN_CHECK(b.size() == n * nrhs, "LU solveT: rhs block size mismatch");
-  if (nrhs == 0) return;
-  if (nrhs == 1) {
-    solveTransposedInPlace(b, scratch);
-    return;
-  }
-  telemetryCount(Counter::kSolveColumns, nrhs);
-  // Interleaved like solveManyInPlace, following solveTransposedInPlace.
-  const size_t m = nrhs;
-  scratch.x.resize(n * m);
-  T* w = scratch.x.data();
-  detail::interleaveBlock<T>(b, n, m, nullptr, w);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      detail::subtractScaledRow(w + i * m, w + j * m, lu_(j, i), m);
-    }
-    detail::divideRow(w + i * m, lu_(i, i), m);
-  }
-  for (size_t ii = n; ii-- > 0;) {
-    for (size_t j = ii + 1; j < n; ++j) {
-      detail::subtractScaledRow(w + ii * m, w + j * m, lu_(j, ii), m);
-    }
-  }
-  detail::deinterleaveBlock<T>(w, n, m, perm_.data(), b);
-}
-
-template <class T>
-double DenseLU<T>::absDeterminant() const {
-  double logDet = 0.0;
-  for (size_t i = 0; i < size(); ++i) logDet += std::log(std::abs(lu_(i, i)));
-  return std::exp(logDet);
-}
-
-template <class T>
 std::vector<T> luSolve(const Matrix<T>& a, std::span<const T> b) {
   return DenseLU<T>(a).solve(b);
-}
-
-template <class T>
-Matrix<T> inverse(const Matrix<T>& a) {
-  return DenseLU<T>(a).solveMatrix(Matrix<T>::identity(a.rows()));
 }
 
 template class DenseLU<Real>;
 template class DenseLU<Cplx>;
 template std::vector<Real> luSolve(const Matrix<Real>&, std::span<const Real>);
 template std::vector<Cplx> luSolve(const Matrix<Cplx>&, std::span<const Cplx>);
-template Matrix<Real> inverse(const Matrix<Real>&);
-template Matrix<Cplx> inverse(const Matrix<Cplx>&);
 
 }  // namespace psmn

@@ -37,34 +37,11 @@ class DenseLU {
   /// Concurrently callable variant (see solveInPlace above).
   void solveTransposedInPlace(std::span<T> b, LuSolveScratch<T>& scratch) const;
 
-  /// Batched transposed solve, column-major like solveManyInPlace and run
-  /// through the same interleaved kernel (mirrors
-  /// SparseLU::solveTransposedManyInPlace).
-  void solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const;
-  /// Concurrently callable variant (see solveInPlace above).
-  void solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
-                                  LuSolveScratch<T>& scratch) const;
-
   /// Solves A X = B for a full matrix of right-hand sides.
   Matrix<T> solveMatrix(const Matrix<T>& b) const;
 
-  /// Batched in-place solve of `nrhs` right-hand sides stored column-major
-  /// in `b` (column r occupies b[r*n .. r*n + n-1]); mirrors
-  /// SparseLU::solveManyInPlace. The block stays column-major at this
-  /// interface; for nrhs > 1 it is copied RHS-interleaved into n*nrhs
-  /// scratch (row i of every column contiguous) and substituted row by row
-  /// over all columns, bit-identical to solveInPlace per column. nrhs == 1
-  /// is solveInPlace.
-  void solveManyInPlace(std::span<T> b, size_t nrhs) const;
-  /// Concurrently callable variant (see solveInPlace above).
-  void solveManyInPlace(std::span<T> b, size_t nrhs,
-                        LuSolveScratch<T>& scratch) const;
-
   size_t size() const { return lu_.rows(); }
   bool factored() const { return !lu_.empty(); }
-
-  /// |det A| estimate via the product of pivots (log-scaled internally).
-  double absDeterminant() const;
 
   /// The reciprocal of the max-pivot/min-pivot ratio; a cheap conditioning
   /// indicator (1 = perfectly conditioned, 0 = singular).
@@ -84,9 +61,5 @@ class DenseLU {
 /// Convenience one-shot solve.
 template <class T>
 std::vector<T> luSolve(const Matrix<T>& a, std::span<const T> b);
-
-/// Dense inverse (used in small shooting/correlation algebra only).
-template <class T>
-Matrix<T> inverse(const Matrix<T>& a);
 
 }  // namespace psmn

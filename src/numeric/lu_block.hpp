@@ -1,5 +1,5 @@
-// Row kernels shared by the blocked multi-RHS substitutions of DenseLU and
-// SparseLU (internal to numeric/).
+// Row kernels of SparseLU's blocked multi-RHS substitutions (internal to
+// numeric/).
 //
 // A block of m right-hand sides arrives column-major (column r at
 // b[r*n .. r*n + n-1]) and is copied into scratch RHS-interleaved: row i of

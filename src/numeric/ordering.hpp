@@ -1,20 +1,17 @@
-// Fill-reducing column orderings for the sparse LU factorization.
+// The fill-reducing column ordering of the sparse LU factorization.
 //
 // The factor cost of every sparse analysis (transient Newton, multi-RHS
 // sensitivity, shooting PSS, LPTV, PPV) is dominated by the nonzeros of
 // L+U, and those are a function of the column elimination order alone
-// (given the threshold pivoting keeps pivots near the diagonal). The
-// orderings here pre-compute that order from the matrix pattern:
-//
-//   * kNatural — the input order; optimal for banded assemblies.
-//   * kDegree  — columns sorted by nonzero count, a static stand-in for
-//     minimum degree (the pre-AMD default).
-//   * kAmd     — approximate minimum degree on the symmetrized pattern
-//     A + A^T: quotient-graph elimination with supervariable merging,
-//     mass elimination, element absorption, and approximate external
-//     degrees. MNA matrices are structurally near-symmetric, so AMD on
-//     the symmetrized pattern is the right model (same choice as KLU);
-//     it is the default ordering everywhere above the sparse threshold.
+// (given the threshold pivoting keeps pivots near the diagonal).
+// SparseLU::factor pre-computes that order from the matrix pattern by
+// approximate minimum degree on the symmetrized pattern A + A^T:
+// quotient-graph elimination with supervariable merging, mass elimination,
+// element absorption, and approximate external degrees. MNA matrices are
+// structurally near-symmetric, so AMD on the symmetrized pattern is the
+// right model (same choice as KLU). It is the only ordering:
+// docs/architecture.md records the fill it saves over the natural and
+// static-degree orders.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +19,6 @@
 #include <vector>
 
 namespace psmn {
-
-enum class OrderingKind { kNatural, kDegree, kAmd };
 
 /// Approximate-minimum-degree ordering of the undirected graph of
 /// A + A^T, given A's CSC pattern (`colPtr` size n+1, `rowIdx` size nnz;

@@ -2,55 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "numeric/lu_block.hpp"
+#include "numeric/ordering.hpp"
 #include "util/fault_injection.hpp"
 #include "util/telemetry.hpp"
 
 namespace psmn {
 namespace {
 
-// Static fill-reducing stand-in: sort columns by nonzero count. Kept as
-// OrderingKind::kDegree (the pre-AMD default) for comparison and as a
-// fallback; unlike AMD it never reacts to fill created mid-elimination.
-template <class T>
-std::vector<int> orderColumnsByDegree(const SparseMatrix<T>& a) {
-  const size_t n = a.cols();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const auto ptr = a.colPointers();
-  std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-    return (ptr[x + 1] - ptr[x]) < (ptr[y + 1] - ptr[y]);
-  });
-  return order;
-}
-
-template <class T>
-std::vector<int> orderColumns(const SparseMatrix<T>& a, OrderingKind kind) {
-  switch (kind) {
-    case OrderingKind::kNatural: {
-      std::vector<int> order(a.cols());
-      std::iota(order.begin(), order.end(), 0);
-      return order;
-    }
-    case OrderingKind::kDegree:
-      return orderColumnsByDegree(a);
-    case OrderingKind::kAmd:
-      return amdOrder(a.cols(), a.colPointers(), a.rowIndices());
-  }
-  PSMN_CHECK(false, "unknown ordering kind");
-  return {};
-}
+// Threshold partial pivoting: the diagonal stays the pivot while it is at
+// least this fraction of its column's largest candidate.
+constexpr double kPivotThreshold = 0.1;
 
 }  // namespace
 
 template <class T>
-void SparseLU<T>::factor(const SparseMatrix<T>& a, double pivotThreshold,
-                         OrderingKind ordering) {
+void SparseLU<T>::factor(const SparseMatrix<T>& a) {
   PSMN_CHECK(a.rows() == a.cols(), "sparse LU requires a square matrix");
-  PSMN_CHECK(pivotThreshold > 0.0 && pivotThreshold <= 1.0,
-             "pivot threshold must be in (0,1]");
   if (faultShouldFire("sparse_lu.factor")) {
     valid_ = false;
     throw NumericalError("sparse LU: injected pivot failure");
@@ -62,7 +31,7 @@ void SparseLU<T>::factor(const SparseMatrix<T>& a, double pivotThreshold,
   const auto aIdx = a.rowIndices();
   const auto aVal = a.values();
 
-  colOrder_ = orderColumns(a, ordering);
+  colOrder_ = amdOrder(n_, aPtr, aIdx);
   invColOrder_.assign(n_, 0);
   for (size_t k = 0; k < n_; ++k) invColOrder_[colOrder_[k]] = static_cast<int>(k);
 
@@ -126,8 +95,8 @@ void SparseLU<T>::factor(const SparseMatrix<T>& a, double pivotThreshold,
     int pivotRow = -1;
     double pivotMag = -1.0;
     // Prefer the diagonal entry when it passes the threshold test.
-    if (rowPerm_[j] < 0 && mark[j] && std::abs(work[j]) >= pivotThreshold * maxMag &&
-        work[j] != T{}) {
+    if (rowPerm_[j] < 0 && mark[j] &&
+        std::abs(work[j]) >= kPivotThreshold * maxMag && work[j] != T{}) {
       pivotRow = j;
       pivotMag = std::abs(work[j]);
     } else {
@@ -372,11 +341,6 @@ void SparseLU<T>::solveTransposedInPlace(std::span<T> b,
     solveX_[tt] = acc;
   }
   for (size_t t = 0; t < n_; ++t) b[permRow_[t]] = solveX_[t];
-}
-
-template <class T>
-void SparseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const {
-  solveTransposedManyInPlace(b, nrhs, scratch_);
 }
 
 template <class T>

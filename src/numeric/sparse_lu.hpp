@@ -1,6 +1,6 @@
 // Sparse LU factorization: left-looking Gilbert–Peierls with threshold
-// partial pivoting and a fill-reducing column pre-ordering (AMD by
-// default; see numeric/ordering.hpp). This is the Newton kernels' solver
+// partial pivoting (threshold 0.1) and the AMD fill-reducing column
+// pre-ordering (numeric/ordering.hpp). This is the Newton kernels' solver
 // at every circuit size; the tests check what they return against DenseLU
 // (tests/dense_oracle.hpp).
 //
@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "numeric/ordering.hpp"
 #include "numeric/sparse_matrix.hpp"
 
 namespace psmn {
@@ -35,18 +34,14 @@ class SparseLU {
  public:
   SparseLU() = default;
 
-  /// `pivotThreshold` in (0,1]: 1.0 is full partial pivoting; smaller values
-  /// trade stability for sparsity preservation (SPICE-style 0.001..0.1).
-  /// `ordering` selects the fill-reducing column pre-ordering computed
-  /// during symbolic analysis; refactor() reuses it along with the pivot
-  /// sequence and fill pattern.
-  explicit SparseLU(const SparseMatrix<T>& a, double pivotThreshold = 0.1,
-                    OrderingKind ordering = OrderingKind::kAmd) {
-    factor(a, pivotThreshold, ordering);
-  }
+  explicit SparseLU(const SparseMatrix<T>& a) { factor(a); }
 
-  void factor(const SparseMatrix<T>& a, double pivotThreshold = 0.1,
-              OrderingKind ordering = OrderingKind::kAmd);
+  /// Symbolic + numeric factorization: orders the columns by amdOrder on
+  /// A's pattern, then eliminates with threshold partial pivoting, keeping
+  /// the diagonal while it is at least 0.1 of its column's largest
+  /// candidate (SPICE-style; 1.0 would be full partial pivoting).
+  /// refactor() reuses the column order, pivot sequence and fill pattern.
+  void factor(const SparseMatrix<T>& a);
 
   /// Numeric-only refactorization: reuses the pivot sequence, column order,
   /// and fill pattern of the last factor(). `a` must have the same sparsity
@@ -90,10 +85,9 @@ class SparseLU {
   void solveTransposedInPlace(std::span<T> b, LuSolveScratch<T>& scratch) const;
 
   /// Batched transposed solve, column-major and interleaved like
+  /// solveManyInPlace, on the caller's scratch; chunking a column block
+  /// across threads is bit-identical to one batched call, like
   /// solveManyInPlace.
-  void solveTransposedManyInPlace(std::span<T> b, size_t nrhs) const;
-  /// Concurrently callable variant; chunking a column block across threads
-  /// is bit-identical to one batched call, like solveManyInPlace.
   void solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
                                   LuSolveScratch<T>& scratch) const;
 

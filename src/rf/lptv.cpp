@@ -115,11 +115,9 @@ class StepFactors {
       SparseLU<Cplx>& lu = lus_[k - 1];
       if (k > 1) {
         lu = lus_[k - 2];  // inherit the symbolic factorization
-        if (!lu.refactor(kAsm.matrix)) {
-          lu.factor(kAsm.matrix, 0.1, pss.ordering);
-        }
+        if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix);
       } else {
-        lu.factor(kAsm.matrix, 0.1, pss.ordering);
+        lu.factor(kAsm.matrix);
       }
     }
   }

@@ -22,8 +22,7 @@
 // serves one thread at a time (its pool fans each solve out internally).
 //
 // Mismatch sources enter with b(t) = -dF/dp - (d/dt + j w) dq/dp evaluated
-// along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4);
-// physical noise sources enter with their sqrt-PSD-modulated stamps.
+// along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4).
 #pragma once
 
 #include <functional>

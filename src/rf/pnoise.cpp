@@ -6,9 +6,7 @@ namespace psmn {
 
 PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                                PnoiseOptions opt)
-    : PnoiseAnalysis(
-          sys, pss,
-          sys.collectSources(opt.includeMismatch, opt.includePhysical), opt) {}
+    : PnoiseAnalysis(sys, pss, sys.collectSources(), opt) {}
 
 PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                                std::vector<InjectionSource> sources,

@@ -25,8 +25,6 @@ namespace psmn {
 
 struct PnoiseOptions {
   Real offsetFreq = 1.0;        // Hz; must be << f0
-  bool includeMismatch = true;  // pseudo-noise sources from device mismatch
-  bool includePhysical = false; // thermal/flicker device noise
   /// Optional execution runtime, forwarded to the LPTV solver
   /// (LptvOptions::pool): its adjoint and direct column recursions and the
   /// per-source chains fan across the pool with bit-identical results.

@@ -47,7 +47,7 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   for (size_t k = m; k >= 1; --k) {
     jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h);
     if (k == m || !jLu.refactor(jAsm.matrix)) {
-      jLu.factor(jAsm.matrix, 0.1, pss.ordering);
+      jLu.factor(jAsm.matrix);
     }
     res.z[k] = jLu.solveTransposed(y);
     const RealVector& zk = res.z[k];

@@ -39,7 +39,6 @@ TranOptions stepOptions(const PssOptions& opt) {
   t.updateTol = opt.newtonUpdateTol;
   t.maxStep = opt.newtonMaxStep;
   t.gshunt = opt.gshunt;
-  t.ordering = opt.ordering;
   return t;
 }
 
@@ -49,7 +48,6 @@ RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
   DcOptions dopt;
   dopt.time = 0.0;
   dopt.gshunt = opt.gshunt;
-  dopt.ordering = opt.ordering;
   return solveDc(sys, dopt).x;
 }
 
@@ -180,13 +178,11 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
 /// kept) into the result; `stats` is the solve's cost, that integration
 /// included.
 PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
-                     const PssOptions& opt, int shootIters,
-                     const SolveStats& stats) {
+                     int shootIters, const SolveStats& stats) {
   PssResult res;
   res.period = period;
   res.t0 = t0;
   res.states = std::move(fin.states);
-  res.ordering = opt.ordering;
   res.gSpMats = std::move(fin.gSpMats);
   res.cSpMats = std::move(fin.cSpMats);
   res.monodromy = std::move(fin.monodromy);
@@ -303,7 +299,7 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
       iterations += iter + 1;
       // pw belongs to one solvePssDriven call: its tally is that solve's
       // cost.
-      return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod, opt,
+      return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod,
                         iterations, pw.tran.stats);
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
@@ -580,8 +576,7 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   RealVector dxdT(n);
   for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - orbit.xEnd[i]) / dT;
   PssResult res = packResult(std::move(orbit), 0.0, st.period,
-                             opt.stepsPerPeriod, opt, st.iterations,
-                             st.stats);
+                             opt.stepsPerPeriod, st.iterations, st.stats);
   res.autonomous = true;
   res.phaseIndex = phaseIndex;
   res.usedShuntHomotopy = usedHomotopy;

@@ -60,10 +60,6 @@ struct PssOptions {
   int shuntHomotopyRungs = 3;
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
-  /// Fill-reducing ordering for every sparse factorization downstream of
-  /// this solve: the period integration, and — via PssResult::ordering —
-  /// the LPTV step factors, pnoise, and the PPV backward sweep.
-  OrderingKind ordering = OrderingKind::kAmd;
   /// Optional execution runtime. The monodromy propagation partitions its
   /// n right-hand-side columns across this pool's slots against the shared
   /// accepted-step factorization (every column's arithmetic involves only
@@ -105,9 +101,6 @@ struct PssResult {
   /// to shooting tolerance.
   std::vector<Real> times;
   std::vector<RealVector> states;
-  /// Ordering the orbit was factored with; consumers of the stored
-  /// linearizations (LPTV step factors, PPV sweep) apply the same one.
-  OrderingKind ordering = OrderingKind::kAmd;
   /// Linearization along the orbit at times[k], k=0..M: G_k and C_k on
   /// the system's pattern, as the period integration evaluated them. The
   /// LPTV and PPV solvers factor their step matrices from these.

@@ -35,7 +35,7 @@ void runOneScenario(const SweepScenario& sc, SweepResult& out) {
       break;
     }
     case SweepAnalysis::kTransientSensitivity: {
-      const auto sources = sys.collectSources(true, false);
+      const auto sources = sys.collectSources();
       const TransientSensitivityResult sr =
           runTransientSensitivity(sys, sc.t0, sc.t1, sc.dt, sources, sc.tran);
       out.times = sr.times;

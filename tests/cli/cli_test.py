@@ -194,6 +194,18 @@ def case_bad_inputs(cli):
     expect(p.returncode == 1 and "--sweep expects mc:<N>" in p.stderr,
            "bad sweep spec must exit 1", p)
 
+    # Numeric flag values are whole unsigned decimals: a sign, trailing
+    # text or a word is refused before anything runs (no wrap to ULONG_MAX,
+    # no silent prefix parse), and --jobs is capped at 256 threads.
+    for flag, val in (("--jobs", "-1"), ("--jobs", "abc"), ("--jobs", "2x"),
+                      ("--jobs", "257"), ("--seed", "banana"),
+                      ("--sweep", "mc:3x")):
+        p = cli.run(cli.deck(), flag, val)
+        expect(p.returncode == 1 and flag in p.stderr
+               and len(p.stderr.strip().splitlines()) == 1,
+               f"'{flag} {val}' must exit 1 with a one-line cause naming "
+               f"{flag}", p)
+
     p = cli.run(cli.deck(), "--sweep", "mc:2")
     expect(p.returncode == 1 and "--probe" in p.stderr,
            "sweep without probe must exit 1", p)
@@ -204,7 +216,8 @@ def case_bad_inputs(cli):
 
     # Card mode validates the analysis values the way sweep mode does.
     for card, cause in ((".tran abc 1n", "bad .tran card"),
-                        (".pss xyz", "bad .pss card")):
+                        (".pss xyz", "bad .pss card"),
+                        (".pss -1u", "bad .pss card")):
         deck = os.path.join(cli.tmp, "bad_card.sp")
         with open(deck, "w") as f:
             f.write(f"* bad analysis card\nr1 a 0 1k\nv1 a 0 1\n{card}\n.end\n")

@@ -164,7 +164,7 @@ TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
   popt.stepsPerPeriod = 60;
   const PssResult pss = solvePssDriven(sys, copt.period, popt);
   const size_t m = pss.stepCount();
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const size_t ns = 32;
   ASSERT_GE(sources.size(), ns);
 
@@ -201,7 +201,7 @@ TEST(Allocation, ScalarReadoutsStoreNoEnvelopes) {
   const auto chain = buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
   const int out = nl.nodeIndex(chain.taps.back());
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_GE(sources.size(), 64u);
 
   ThreadPool pool(4);

@@ -128,7 +128,7 @@ TEST(BjtOpAmp, SensitivitySigmaMatchesMonteCarlo) {
   TranOptions topt;
   topt.method = IntegrationMethod::kBackwardEuler;
 
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_EQ(sources.size(), 44u);
   const TransientSensitivityResult sens =
       runTransientSensitivity(sys, 0.0, t1, dt, sources, topt);

@@ -99,6 +99,23 @@ TEST(Netlist, MismatchParamEnumeration) {
   EXPECT_EQ(params[2].param.name, "M1.dbeta");
 }
 
+// Mismatch is the only injection-source kind: collectSources hands out one
+// source per mismatch parameter and rejects every other flag pair.
+TEST(Netlist, CollectSourcesAcceptsOnlyMismatch) {
+  Netlist nl;
+  const NodeId a = nl.node("a");
+  nl.add<Resistor>("R1", a, kGround, 1e3, nl, /*sigma=*/10.0);
+  MnaSystem sys(nl);
+  const auto sources = sys.collectSources(true, false);
+  ASSERT_EQ(sources.size(), 1u);
+  EXPECT_EQ(sources[0].name, "R1.dr");
+  EXPECT_EQ(sources[0].sigma, 10.0);
+  EXPECT_EQ(sys.collectSources().size(), 1u);
+  EXPECT_THROW(sys.collectSources(false, true), Error);
+  EXPECT_THROW(sys.collectSources(false, false), Error);
+  EXPECT_THROW(sys.collectSources(true, true), Error);
+}
+
 // ------------------------------------------------------------ waveforms
 
 TEST(SourceWave, PulseShape) {
@@ -344,7 +361,6 @@ TEST(Mosfet, MismatchStampMatchesFiniteDifference) {
     }
     for (size_t k = 0; k < 2; ++k) {
       InjectionSource src;
-      src.kind = InjectionSource::Kind::kMismatch;
       src.components = {{&fet, k, 1.0}};
       RealVector bf;
       sys.evalInjection(src, x, 0.0, &bf, nullptr);

@@ -180,7 +180,7 @@ TEST(CorrelatedMismatch, PerfectCorrelationCancelsInDivider) {
   EXPECT_TRUE(corr.covers(&r2, 0));
 
   // Pseudo-noise side: composite sources give (near) zero output variance.
-  const auto sources = corr.transformSources(sys.collectSources(true, false));
+  const auto sources = corr.transformSources(sys.collectSources());
   const DcResult dc = solveDc(sys);
   const RealVector sens =
       solveDcSensitivity(sys, dc.x, nl.nodeIndex(mid), sources);
@@ -219,7 +219,7 @@ TEST_P(CorrelatedRho, DividerVarianceInterpolatesWithRho) {
   const Real s = 5e-3;  // |dV/dRi| * sigma
   const Real expected = std::sqrt(2.0 * s * s - 2.0 * rho * s * s);
 
-  const auto sources = corr.transformSources(sys.collectSources(true, false));
+  const auto sources = corr.transformSources(sys.collectSources());
   const DcResult dc = solveDc(sys);
   const RealVector sens =
       solveDcSensitivity(sys, dc.x, nl.nodeIndex(mid), sources);

@@ -11,9 +11,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
-#include "engine/ac.hpp"
 #include "engine/dc.hpp"
-#include "engine/noise.hpp"
 #include "engine/sensitivity.hpp"
 #include "engine/transient.hpp"
 #include "engine/transient_sensitivity.hpp"
@@ -236,163 +234,6 @@ TEST(Transient, ChargeConservationOnCapDivider) {
   EXPECT_NEAR(tr.finalState[nl.nodeIndex(mid)], 2.0 / 3.0, 1e-3);
 }
 
-// --------------------------------------------------------------------- AC
-
-class AcFrequencies : public ::testing::TestWithParam<Real> {};
-
-TEST_P(AcFrequencies, RcLowpassTransfer) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  auto& vs = nl.add<VSource>("V1", in, kGround, SourceWave::dc(0.0), nl);
-  nl.add<Resistor>("R1", in, out, 1e3, nl);
-  nl.add<Capacitor>("C1", out, kGround, 1e-9, nl);
-  MnaSystem sys(nl);
-  const DcResult dc = solveDc(sys);
-  RealMatrix g, c;
-  linearize(sys, dc.x, &g, &c);
-  const Real f = GetParam();
-  const CplxVector rhs = acRhsForVSource(sys, vs);
-  const CplxVector x = solveAc(g, c, f, rhs);
-  const Cplx h = x[nl.nodeIndex(out)];
-  const Cplx expected =
-      1.0 / (Cplx(1.0, 2 * std::numbers::pi * f * 1e3 * 1e-9));
-  EXPECT_NEAR(std::abs(h), std::abs(expected), 1e-9);
-  EXPECT_NEAR(std::arg(h), std::arg(expected), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Decades, AcFrequencies,
-                         ::testing::Values(1e3, 1e4, 1e5, 159154.9431, 1e6,
-                                           1e7));
-
-TEST(Ac, RlcResonancePeak) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  auto& vs = nl.add<VSource>("V1", in, kGround, SourceWave::dc(0.0), nl);
-  nl.add<Resistor>("R1", in, out, 10.0, nl);
-  nl.add<Inductor>("L1", out, nl.node("m"), 1e-6, nl);
-  nl.add<Capacitor>("C1", nl.node("m"), kGround, 1e-9, nl);
-  MnaSystem sys(nl);
-  const DcResult dc = solveDc(sys);
-  const Real f0 = 1.0 / (2 * std::numbers::pi * std::sqrt(1e-6 * 1e-9));
-  // At series resonance the L-C impedance cancels, so the full source
-  // voltage drops across R: v(out) -> 0 and the cap sees the Q-multiplied
-  // voltage Q = sqrt(L/C)/R.
-  const auto resp =
-      solveAcSweep(sys, dc.x, std::vector<Real>{f0},
-                   acRhsForVSource(sys, vs));
-  EXPECT_NEAR(std::abs(resp[0][nl.nodeIndex(out)]), 0.0, 1e-6);
-  const Real q = std::sqrt(1e-6 / 1e-9) / 10.0;
-  EXPECT_NEAR(std::abs(resp[0][nl.nodeIndex("m")]), q, 1e-3 * q);
-}
-
-// ------------------------------------------------------------------ noise
-
-TEST(Noise, ResistorDividerThermalNoise) {
-  Netlist nl;
-  const NodeId mid = nl.node("mid");
-  auto& r1 = nl.add<Resistor>("R1", mid, kGround, 1e3, nl);
-  auto& r2 = nl.add<Resistor>("R2", mid, kGround, 1e3, nl);
-  r1.enableThermalNoise(true);
-  r2.enableThermalNoise(true);
-  MnaSystem sys(nl);
-  RealVector xop(sys.size(), 0.0);
-  const auto sources = sys.collectSources(false, true);
-  ASSERT_EQ(sources.size(), 2u);
-  const NoiseResult nr = solveNoise(sys, xop, nl.nodeIndex(mid), 1e3, sources);
-  // Parallel 500-ohm resistance: Svv = 4kT * 500.
-  const Real expected = 4.0 * kBoltzmann * kRoomTempK * 500.0;
-  EXPECT_NEAR(nr.totalPsd, expected, 1e-3 * expected);
-}
-
-TEST(Noise, KtOverCIntegral) {
-  // Integrated output noise of an RC lowpass must be kT/C regardless of R.
-  Netlist nl;
-  const NodeId out = nl.node("out");
-  auto& r1 = nl.add<Resistor>("R1", out, kGround, 7.7e3, nl);
-  r1.enableThermalNoise(true);
-  nl.add<Capacitor>("C1", out, kGround, 3e-12, nl);
-  MnaSystem sys(nl);
-  RealVector xop(sys.size(), 0.0);
-  const auto sources = sys.collectSources(false, true);
-  // Integrate the PSD over a log grid.
-  const RealVector freqs = logspace(1e3, 1e12, 40);
-  Real integral = 0.0;
-  Real prevF = 0.0, prevPsd = 0.0;
-  for (Real f : freqs) {
-    const NoiseResult nr =
-        solveNoise(sys, xop, nl.nodeIndex(out), f, sources);
-    if (prevF > 0.0) integral += 0.5 * (nr.totalPsd + prevPsd) * (f - prevF);
-    prevF = f;
-    prevPsd = nr.totalPsd;
-  }
-  const Real expected = kBoltzmann * kRoomTempK / 3e-12;
-  EXPECT_NEAR(integral, expected, 0.01 * expected);
-}
-
-TEST(Noise, AdjointMatchesDirect) {
-  // Property: the adjoint and direct noise analyses agree per source.
-  auto kit = ProcessKit::cmos130();
-  Netlist nl;
-  const NodeId vdd = nl.node("vdd");
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  nl.add<VSource>("VDD", vdd, kGround, SourceWave::dc(kit.vdd), nl);
-  nl.add<VSource>("VIN", in, kGround, SourceWave::dc(0.6), nl);
-  addInverter(nl, "G1", in, out, vdd, kit, 0.6e-6, 1.2e-6);
-  nl.add<Capacitor>("CL", out, kGround, 10e-15, nl);
-  MnaSystem sys(nl);
-  const DcResult dc = solveDc(sys);
-  const auto sources = sys.collectSources(true, false);
-  ASSERT_EQ(sources.size(), 4u);
-  for (Real f : {1.0, 1e6}) {
-    const NoiseResult adj =
-        solveNoise(sys, dc.x, nl.nodeIndex(out), f, sources);
-    const NoiseResult dir =
-        solveNoiseDirect(sys, dc.x, nl.nodeIndex(out), f, sources);
-    ASSERT_EQ(adj.contributions.size(), dir.contributions.size());
-    for (size_t i = 0; i < adj.contributions.size(); ++i) {
-      EXPECT_NEAR(adj.contributions[i].psd, dir.contributions[i].psd,
-                  1e-9 * (adj.totalPsd + 1e-300));
-    }
-    EXPECT_NEAR(adj.totalPsd, dir.totalPsd, 1e-9 * adj.totalPsd);
-  }
-}
-
-TEST(Noise, FlickerShapeIs1OverF) {
-  auto kit = ProcessKit::cmos130();
-  auto model = std::make_shared<MosModel>(*kit.nmos);
-  model->flickerNoise = true;
-  model->kf = 1e-24;
-  Netlist nl;
-  const NodeId d = nl.node("d");
-  nl.add<VSource>("VD", d, kGround, SourceWave::dc(1.0), nl);
-  const NodeId g = nl.node("g");
-  nl.add<VSource>("VG", g, kGround, SourceWave::dc(1.0), nl);
-  nl.add<Mosfet>("M1", d, g, kGround, kGround, model, 2e-6, 0.13e-6, nl);
-  MnaSystem sys(nl);
-  const DcResult dc = solveDc(sys);
-  const auto sources = sys.collectSources(false, true);
-  ASSERT_EQ(sources.size(), 1u);
-  // Observe the drain branch current noise through the source's own PSD:
-  // shape must scale as 1/f.
-  const int outIdx = static_cast<int>(sys.size()) - 1;  // i(VG) unused; use d
-  (void)outIdx;
-  const NoiseResult n1 =
-      solveNoise(sys, dc.x, nl.nodeIndex(d), 1.0, sources);
-  const NoiseResult n100 =
-      solveNoise(sys, dc.x, nl.nodeIndex(d), 100.0, sources);
-  // v(d) is pinned by VD, so look at the branch current of VD instead.
-  (void)n1;
-  (void)n100;
-  const int ivd = static_cast<int>(nl.nodeCount()) - 1;  // first branch
-  const NoiseResult i1 = solveNoise(sys, dc.x, ivd, 1.0, sources);
-  const NoiseResult i100 = solveNoise(sys, dc.x, ivd, 100.0, sources);
-  EXPECT_GT(i1.totalPsd, 0.0);
-  EXPECT_NEAR(i1.totalPsd / i100.totalPsd, 100.0, 1.0);
-}
-
 // ------------------------------------------------------------ sensitivity
 
 TEST(Sensitivity, DividerMatchesAnalyticAndFd) {
@@ -404,7 +245,7 @@ TEST(Sensitivity, DividerMatchesAnalyticAndFd) {
   nl.add<Resistor>("R2", mid, kGround, 1e3, nl, 10.0);
   MnaSystem sys(nl);
   const DcResult dc = solveDc(sys);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_EQ(sources.size(), 2u);
   const RealVector sens =
       solveDcSensitivity(sys, dc.x, nl.nodeIndex(mid), sources);
@@ -441,7 +282,7 @@ TEST(Sensitivity, MosfetBiasSensitivityMatchesFd) {
   addInverter(nl, "G1", in, out, vdd, kit, 0.6e-6, 1.2e-6);
   MnaSystem sys(nl);
   const DcResult dc = solveDc(sys);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const RealVector sens =
       solveDcSensitivity(sys, dc.x, nl.nodeIndex(out), sources);
   DcOptions fdOpt;
@@ -471,7 +312,7 @@ TEST(TransientSensitivity, RcCrossingTimeMatchesFd) {
   auto& r1 = nl.add<Resistor>("R1", in, out, 1e3, nl, 10.0);
   nl.add<Capacitor>("C1", out, kGround, 1e-9, nl);
   MnaSystem sys(nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_EQ(sources.size(), 1u);
   const TransientSensitivityResult ts =
       runTransientSensitivity(sys, 0.0, 5e-6, 2e-9, sources, {});
@@ -507,7 +348,7 @@ TEST(TransientReadouts, RejectOutOfRangeOutput) {
   const int n = static_cast<int>(sys.size());
   const TransientResult tr = runTransient(sys, 0.0, 100e-9, 2e-9, {});
   const TransientSensitivityResult ts = runTransientSensitivity(
-      sys, 0.0, 100e-9, 2e-9, sys.collectSources(true, false), {});
+      sys, 0.0, 100e-9, 2e-9, sys.collectSources(), {});
   EXPECT_THROW(tr.waveform(n), Error);
   EXPECT_THROW(makeWaveform(tr.times, tr.states, n), Error);
   EXPECT_THROW(ts.crossingTimeSensitivity(0, n, 0.5, +1), Error);

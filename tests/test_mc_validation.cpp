@@ -52,7 +52,7 @@ TEST(MonteCarloValidation, TransientSigmaMatchesSampleSigma) {
   topt.method = IntegrationMethod::kBackwardEuler;
 
   // Paper estimate: forward sensitivities of the whole waveform.
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_EQ(sources.size(), 2u);
   const TransientSensitivityResult sens =
       runTransientSensitivity(sys, 0.0, t1, dt, sources, topt);

@@ -143,7 +143,7 @@ TEST(PnoiseCorrelated, CompositeSourcesReduceDividerVariance) {
   CorrelatedMismatch corr;
   corr.addUniformCorrelationGroup({{&r1, 0}, {&r2, 0}}, 1.0);
   PnoiseAnalysis correlated(
-      sys, pss, corr.transformSources(sys.collectSources(true, false)), {});
+      sys, pss, corr.transformSources(sys.collectSources()), {});
   EXPECT_NEAR(std::sqrt(correlated.sideband(nl.nodeIndex(mid), 0).totalPsd),
               0.0, 1e-7);
 }

@@ -13,9 +13,7 @@
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
 #include "core/mismatch_analysis.hpp"
-#include "engine/ac.hpp"
 #include "engine/dc.hpp"
-#include "engine/noise.hpp"
 #include "engine/transient.hpp"
 #include "meas/measure.hpp"
 #include "rf/lptv.hpp"
@@ -213,7 +211,7 @@ TEST(Lptv, DegeneratesToAcTransferOnLtiCircuit) {
   PssOptions opt;
   opt.stepsPerPeriod = 400;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  const auto sources = ckt.sys->collectSources(true, false);
+  const auto sources = ckt.sys->collectSources();
   ASSERT_EQ(sources.size(), 1u);
 
   const Real fOff = 1.0;
@@ -235,7 +233,7 @@ TEST(Lptv, AdjointMatchesDirectAcrossHarmonics) {
   PssOptions opt;
   opt.stepsPerPeriod = 300;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  const auto sources = ckt.sys->collectSources(true, false);
+  const auto sources = ckt.sys->collectSources();
   const LptvSolver solver(*ckt.sys, pss, sources, 1.0);
   const LptvSolution direct = solver.solveDirect();
   for (int harmonic : {0, 1, 2, -1}) {
@@ -289,7 +287,7 @@ TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
     PssOptions opt;
     opt.stepsPerPeriod = 200;
     const PssResult pss = solvePssDriven(sys, period, opt);
-    ASSERT_EQ(sys.collectSources(true, false).size(), 4u);
+    ASSERT_EQ(sys.collectSources().size(), 4u);
     for (int harmonic : {0, 1}) {
       expectAdjointMatchesDirect(sys, pss, nl.nodeIndex(out), harmonic, 1e-12,
                                  "inverter");
@@ -356,7 +354,7 @@ TEST(Lptv, BasebandEnvelopeIsQuasiStaticSensitivity) {
   PssOptions opt;
   opt.stepsPerPeriod = 400;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  const auto sources = ckt.sys->collectSources(true, false);
+  const auto sources = ckt.sys->collectSources();
   const LptvSolution sol =
       LptvSolver(*ckt.sys, pss, sources, 1.0).solveDirect();
 

@@ -156,7 +156,7 @@ struct ChainFixture {
     sys = std::make_unique<MnaSystem>(nl);
     period = copt.period;
     outIdx = nl.nodeIndex(chain.taps.back());
-    sources = sys->collectSources(true, false);
+    sources = sys->collectSources();
   }
 };
 
@@ -682,7 +682,7 @@ TEST(LptvParallelGolden, AutonomousRingExactAcrossJobCounts) {
   // The autonomous orbit takes the phase-corrected closure, which every
   // slot of the envelope pass solves on its own LU scratch.
   RingGolden ring(5, 30e-9, 10e-12);
-  const auto sources = ring.sys->collectSources(true, false);
+  const auto sources = ring.sys->collectSources();
   const int outIdx = ring.nl.nodeIndex(ring.osc.stages[0]);
   const PssResult pss = solvePssAutonomous(
       *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
@@ -714,9 +714,9 @@ LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
     SparseLU<Cplx>& lu = lus[k - 1];
     if (k > 1) {
       lu = lus[k - 2];
-      if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix, 0.1, pss.ordering);
+      if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix);
     } else {
-      lu.factor(kAsm.matrix, 0.1, pss.ordering);
+      lu.factor(kAsm.matrix);
     }
   }
   // (C_{k-1} v) / h, in the library's operation order.
@@ -794,7 +794,7 @@ C2 out 0 4p sigma=0.2p
 .end
 )");
   const MnaSystem rcSys(*rc.netlist);
-  const auto rcSources = rcSys.collectSources(true, false);
+  const auto rcSources = rcSys.collectSources();
   struct Case {
     const MnaSystem* sys;
     Real period;
@@ -973,7 +973,7 @@ TEST(PpvGolden, FrequencySensitivityMatchesDenseOracle) {
     y = matvecT(stepCoupling(pss, k), std::span<const Real>(ref.z[k]));
   }
 
-  const auto sources = ring.sys->collectSources(true, false);
+  const auto sources = ring.sys->collectSources();
   ASSERT_FALSE(sources.empty());
   for (const InjectionSource& src : sources) {
     const Real want = ref.frequencySensitivity(*ring.sys, pss, src);

@@ -332,7 +332,7 @@ TEST(ScenarioSweep, SensitivityScenarioMatchesDirectEngineCall) {
   nl->finalize();
   MnaSystem sys(*nl);
   const int mid = nl->nodeIndex("mid");
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const auto ref =
       runTransientSensitivity(sys, 0.0, sc.t1, sc.dt, sources, sc.tran);
   ASSERT_EQ(results[0].times.size(), ref.times.size());
@@ -354,7 +354,7 @@ void expectSensitivityBitIdentical(int stages, int rows) {
   auto nl = makeChainNetlist(stages, rows, 5e-15);
   nl->finalize();
   MnaSystem sys(*nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_GE(sources.size(), 8u);
 
   TranOptions opt;

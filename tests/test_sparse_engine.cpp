@@ -4,7 +4,8 @@
 // DenseLU on evalDense matrices sees them (tests/dense_oracle.hpp), on the
 // benchmark fixtures, to near machine precision. Newton tolerances are
 // tightened to 1e-12 so the oracle threshold of 1e-10 is meaningful. Also
-// pins evalSparse == evalDense bit for bit and the fill-reducing orderings.
+// pins evalSparse == evalDense bit for bit and AMD's fill against the
+// static-degree order (counted in tests/fill_count.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
 #include "engine/transient_sensitivity.hpp"
+#include "fill_count.hpp"
 
 namespace psmn {
 namespace {
@@ -308,7 +310,7 @@ TEST(SparseSensitivity, InverterChainMatchesDenseOracle) {
   copt.stages = 10;
   buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   ASSERT_GT(sources.size(), 10u);  // two mismatch params per MOSFET
 
   const TransientSensitivityResult res = runTransientSensitivity(
@@ -329,7 +331,7 @@ TEST(SparseSensitivity, RingOscillatorMatchesDenseOracle) {
   auto kit = ProcessKit::cmos130();
   const auto osc = buildRingOscillator(nl, kit);
   MnaSystem sys(nl);
-  const auto sources = sys.collectSources(true, false);
+  const auto sources = sys.collectSources();
   const RealVector kick = kickedRing(sys, nl, osc);
 
   TranOptions opt = tightOptions();
@@ -346,16 +348,22 @@ TEST(SparseSensitivity, RingOscillatorMatchesDenseOracle) {
 
 // ------------------------------------------------- fill-reducing ordering
 
-// Assembles the transient Jacobian pattern J = G + a*C of a system at a
-// given state and reports nnz(L+U) under the requested column ordering.
-size_t jacobianFactorNnz(const MnaSystem& sys, const RealVector& x,
-                         OrderingKind kind) {
+// The transient Jacobian J = G + C/h of a system at a given state.
+RealSparse transientJacobian(const MnaSystem& sys, const RealVector& x) {
   RealSparse gsp, csp;
   sys.evalSparse(x, 0.0, nullptr, nullptr, &gsp, &csp, {});
   MergedSparseAssembler<Real> jac;
   jac.assemble(gsp, csp, 1.0 / 5e-12);
-  SparseLU<Real> lu(jac.matrix, 0.1, kind);
-  return lu.factorNonZeros();
+  return jac.matrix;
+}
+
+// SparseLU's nnz(L+U) (AMD order) against the elimination-game fill of
+// J + J^T under the static degree sort.
+size_t amdFactorNnz(const RealSparse& j) {
+  return SparseLU<Real>(j).factorNonZeros();
+}
+size_t degreeFill(const RealSparse& j) {
+  return fill::eliminationFill(j, fill::degreeOrder(j));
 }
 
 // The acceptance fixture: 16 rows x 8 stages = 130+ unknowns. The chain
@@ -370,17 +378,16 @@ TEST(SparseOrdering, AmdReducesFillOnInverterChain) {
   buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
   ASSERT_GE(sys.size(), 129u);
-  const RealVector x = solveDc(sys, {}).x;
-
-  const size_t amd = jacobianFactorNnz(sys, x, OrderingKind::kAmd);
-  const size_t degree = jacobianFactorNnz(sys, x, OrderingKind::kDegree);
-  EXPECT_LT(amd, degree);
+  const RealSparse j = transientJacobian(sys, solveDc(sys, {}).x);
+  EXPECT_LT(amdFactorNnz(j), degreeFill(j));
 }
 
 // 63-stage ring: the Jacobian graph is a wheel (cycle + vdd hub), whose
 // minimum fill is exactly the n-3-edge cycle triangulation. The degree
-// ordering already achieves it, so AMD can only match — the assertion is
-// that it never does worse, on top of hitting the known optimum.
+// ordering already achieves it (438 nonzeros as SparseLU factors it, 439
+// counted on the symmetrized J + J^T), so AMD can only match — the
+// assertion is that it never does worse, on top of hitting the known
+// optimum.
 TEST(SparseOrdering, AmdMatchesOptimalFillOnRing) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -388,45 +395,8 @@ TEST(SparseOrdering, AmdMatchesOptimalFillOnRing) {
   oopt.stages = 63;
   buildRingOscillator(nl, kit, oopt);
   MnaSystem sys(nl);
-  RealVector x(sys.size(), 0.6);
-
-  const size_t amd = jacobianFactorNnz(sys, x, OrderingKind::kAmd);
-  const size_t degree = jacobianFactorNnz(sys, x, OrderingKind::kDegree);
-  EXPECT_LE(amd, degree);
-}
-
-// Golden agreement across orderings: the ordering changes roundoff, not
-// the converged solution. Under all three orderings the trajectory passes
-// the dense oracle, and it matches the AMD one to kGoldenTol: under each
-// ordering every step lands within 8e-13 of its discrete equation, so the
-// trajectories differ only by roundoff carried along the run.
-TEST(SparseOrdering, TransientAgreesAcrossOrderings) {
-  Netlist nl;
-  auto kit = ProcessKit::cmos130();
-  InverterChainOptions copt;
-  copt.stages = 12;
-  buildInverterChain(nl, kit, copt);
-  MnaSystem sys(nl);
-
-  const Real t1 = 1e-9, dt = 5e-12;
-  const TransientResult amd = runTransient(sys, 0.0, t1, dt, tightOptions());
-  for (OrderingKind kind : {OrderingKind::kNatural, OrderingKind::kDegree,
-                            OrderingKind::kAmd}) {
-    TranOptions sopt = tightOptions();
-    sopt.ordering = kind;
-    const TransientResult tr = runTransient(sys, 0.0, t1, dt, sopt);
-    EXPECT_LT(oracle::beTrajectoryDistance(sys, tr.times, tr.states),
-              kGoldenTol)
-        << "ordering " << static_cast<int>(kind);
-    ASSERT_EQ(amd.times.size(), tr.times.size());
-    for (size_t k = 0; k < amd.times.size(); ++k) {
-      for (size_t i = 0; i < sys.size(); ++i) {
-        EXPECT_NEAR(tr.states[k][i], amd.states[k][i], kGoldenTol)
-            << "ordering " << static_cast<int>(kind) << " t="
-            << amd.times[k] << " unknown " << i;
-      }
-    }
-  }
+  const RealSparse j = transientJacobian(sys, RealVector(sys.size(), 0.6));
+  EXPECT_LE(amdFactorNnz(j), degreeFill(j));
 }
 
 // Refactor-after-reorder: one workspace steps the ring for many steps;
@@ -440,8 +410,7 @@ TEST(SparseOrdering, WorkspaceReusesAmdSymbolicAcrossSteps) {
   MnaSystem sys(nl);
   const RealVector kick = kickedRing(sys, nl, osc);
 
-  TranOptions sopt = tightOptions();
-  sopt.ordering = OrderingKind::kAmd;
+  const TranOptions sopt = tightOptions();
 
   const size_t n = sys.size();
   TransientWorkspace ws;
