@@ -378,7 +378,8 @@ BENCHMARK(BM_TranSensSparse)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMilliseco
 /// Shared per-stage-count warmup + seed orbit for the PSS shooting
 /// benchmark: computed once, so each benchmark iteration measures one full
 /// shooting solve from the same near-orbit guess — period integrations,
-/// monodromy accumulation, bordered Newton, and the trajectory pack.
+/// the monodromy sweeps of iterations that do not close, bordered Newton,
+/// and the trajectory pack.
 struct RingPssFixture {
   Netlist nl;
   std::unique_ptr<MnaSystem> sys;
@@ -413,8 +414,11 @@ const RingPssFixture& ringPssFixture(int stages) {
 }
 
 /// One autonomous shooting solve on an N-stage ring oscillator (N + 2 MNA
-/// unknowns): the declared-pattern workspace, numeric refactorizations,
-/// and batched monodromy substitutions.
+/// unknowns): the declared-pattern workspace and numeric refactorizations.
+/// From the converged orbit's start point shooting closes on its first
+/// period, so no monodromy is swept: `solve_cols` (stats.solves) is the
+/// Newton iterations' one column each, and a solve that swept the
+/// converged period would add n x M.
 void BM_PssShootingSparse(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));
   const RingPssFixture& fx = ringPssFixture(stages);
@@ -435,6 +439,7 @@ void BM_PssShootingSparse(benchmark::State& state) {
   state.counters["newton_iters"] = static_cast<double>(stats.newtonIterations);
   state.counters["lu_factors"] = static_cast<double>(stats.factorizations);
   state.counters["lu_refactors"] = static_cast<double>(stats.refactorizations);
+  state.counters["solve_cols"] = static_cast<double>(stats.solves);
 }
 
 // 15 stages = 17 unknowns (a paper-circuit size), 63 stages = 65 unknowns.

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "circuit/parser.hpp"
@@ -96,6 +97,28 @@ bool parseUnsigned(const char* text, uint64_t max, uint64_t& out) {
     v = v * 10 + digit;
   }
   out = v;
+  return true;
+}
+
+/// Reads a .tran card's step and stop time, the one check card and sweep
+/// mode share. False, after printing the one-line cause, unless both are
+/// finite and positive (the engine would otherwise stop on an internal
+/// check).
+bool parseTranCard(const AnalysisCard& card, Real& dt, Real& tstop) {
+  const auto step = parseSpiceNumber(card.args[0]);
+  const auto stop = parseSpiceNumber(card.args[1]);
+  const auto positive = [](const std::optional<Real>& v) {
+    return v && std::isfinite(*v) && *v > 0.0;
+  };
+  if (!positive(step) || !positive(stop)) {
+    std::fprintf(stderr,
+                 "bad .tran card: '%s %s' (the step and stop time must be "
+                 "positive)\n",
+                 card.args[0].c_str(), card.args[1].c_str());
+    return false;
+  }
+  dt = *step;
+  tstop = *stop;
   return true;
 }
 
@@ -185,15 +208,7 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
   std::string probe = args.probe;
   for (const auto& card : pc.analyses) {
     if (card.kind == "tran" && card.args.size() >= 2) {
-      const auto dtv = parseSpiceNumber(card.args[0]);
-      const auto stopv = parseSpiceNumber(card.args[1]);
-      if (!dtv || !stopv) {
-        std::fprintf(stderr, "bad .tran card: '%s %s'\n",
-                     card.args[0].c_str(), card.args[1].c_str());
-        return 1;
-      }
-      dt = *dtv;
-      tstop = *stopv;
+      if (!parseTranCard(card, dt, tstop)) return 1;
     } else if (card.kind == "pnoise" && !card.args.empty() && probe.empty()) {
       probe = card.args[0];
     }
@@ -311,10 +326,10 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
   std::printf("%zu devices, %zu unknowns, %zu mismatch parameters\n\n",
               nl.devices().size(), sys.size(), nl.mismatchParams().size());
 
-  // --jobs also accelerates the card path: the .pnoise flow fans the PSS
-  // monodromy columns, the LPTV B_k recursion, and the per-source envelope
-  // chains across this pool (results are bit-identical for every jobs
-  // count).
+  // --jobs also accelerates the card path: the .pnoise flow fans the
+  // monodromy sweeps of the shooting iterations that do not close, the LPTV
+  // B_k recursion, and the per-source envelope chains across this pool
+  // (results are bit-identical for every jobs count).
   std::unique_ptr<ThreadPool> pool;
   if (args.jobs != 1) {
     pool = std::make_unique<ThreadPool>(args.jobs);
@@ -333,14 +348,9 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       }
       report.analyses.emplace_back(".op", dc.stats);
     } else if (card.kind == "tran" && card.args.size() >= 2) {
-      const auto dt = parseSpiceNumber(card.args[0]);
-      const auto tstop = parseSpiceNumber(card.args[1]);
-      if (!dt || !tstop) {
-        std::fprintf(stderr, "bad .tran card: '%s %s'\n",
-                     card.args[0].c_str(), card.args[1].c_str());
-        return 1;
-      }
-      const TransientResult tr = runTransient(sys, 0.0, *tstop, *dt, {});
+      Real dt = 0.0, tstop = 0.0;
+      if (!parseTranCard(card, dt, tstop)) return 1;
+      const TransientResult tr = runTransient(sys, 0.0, tstop, dt, {});
       std::printf(".tran %s %s: %llu steps, final state:\n",
                   card.args[0].c_str(), card.args[1].c_str(),
                   static_cast<unsigned long long>(tr.stats.steps));

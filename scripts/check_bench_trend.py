@@ -25,6 +25,10 @@ the baseline (they are pure functions of the algorithm, not the runner):
   (``BM_TranSens*``, ``BM_PssShooting*``, the op-amp deck), from the
   engines' SolveStats. A regression means convergence got worse or a
   pattern-reuse path stopped being taken.
+* ``solve_cols`` — triangular-solve columns of ``BM_PssShootingSparse``
+  (SolveStats::solves). Its solves close on the first period, so the count
+  is the Newton iterations' one column each; sweeping the monodromy of the
+  converged period again would multiply it several times over.
 
 All counter gates share ``--counter-threshold`` (default 1.05, the
 ``factor_nnz`` precedent — deterministic, so the bar is tight).
@@ -49,8 +53,8 @@ import json
 import sys
 
 # The benchmarks that guard the product's hot paths: transient stepping,
-# sparse multi-RHS solves (sensitivity, monodromy and LPTV columns; real
-# and complex), sparse refactorization, shooting PSS, the
+# sparse multi-RHS solves (sensitivity, monodromy-sweep and LPTV columns;
+# real and complex), sparse refactorization, shooting PSS, the
 # end-to-end BJT op-amp deck (bench_bjt_opamp, gated in its own CI step),
 # and the parallel-runtime fan-outs (bench_runtime, gated in its own CI
 # step with --anchor BM_SweepScaling/8/1 — each suite normalizes by an
@@ -69,7 +73,8 @@ HOT_PREFIXES = (
 ANCHOR = "BM_DenseLuFactor/64"
 
 # Machine-independent counters gated un-normalized against the baseline.
-GATED_COUNTERS = ("factor_nnz", "newton_iters", "lu_factors", "lu_refactors")
+GATED_COUNTERS = ("factor_nnz", "newton_iters", "lu_factors", "lu_refactors",
+                  "solve_cols")
 
 
 def load(path):

@@ -56,9 +56,11 @@ struct TranOptions {
 /// After a successful step the workspace exposes the accepted-point
 /// linearization: `slu` holds the factored J = G + a*C at the accepted
 /// (x, t+h) (a = 1/h for the BE steps the sensitivity engine takes), and
-/// `gsp`/`csp` hold G and C there. The sensitivity and monodromy updates
-/// solve against `slu` instead of re-evaluating and re-factoring; its
-/// LuSolveScratch overloads let threads share it, one scratch per thread.
+/// `gsp`/`csp` hold G and C there. The sensitivity update solves against
+/// `slu` instead of re-evaluating and re-factoring (its LuSolveScratch
+/// overloads let threads share it, one scratch per thread), and the
+/// shooting monodromy sweep starts its step factors from `slu`'s symbolic
+/// factorization.
 struct TransientWorkspace {
   // Scratch vectors.
   RealVector f, q1, r, rhsQ, x1, qd1;

@@ -1,5 +1,6 @@
-// Row kernels of SparseLU's blocked multi-RHS substitutions (internal to
-// numeric/).
+// Row kernels of SparseLU's substitutions (internal to numeric/): the
+// blocked multi-RHS paths use them on interleaved rows, and the
+// single-column paths take their pivot step through the same divideRow.
 //
 // A block of m right-hand sides arrives column-major (column r at
 // b[r*n .. r*n + n-1]) and is copied into scratch RHS-interleaved: row i of
@@ -41,11 +42,27 @@ inline void subtractScaledRow(Cplx* __restrict dst,
   }
 }
 
-/// row[r] /= pivot for r < m. A true division (std::complex's for Cplx):
-/// multiplying by a reciprocal would change bits.
-template <class T>
-inline void divideRow(T* row, T pivot, size_t m) {
+/// row[r] /= pivot for r < m: the pivot step of every SparseLU
+/// substitution, blocked (m columns of one interleaved row) and
+/// single-column (m == 1) alike, so the two stay bit-identical. Real pivots
+/// divide: the Newton, transient-sensitivity and shooting bits rest on it.
+inline void divideRow(Real* row, Real pivot, size_t m) {
   for (size_t r = 0; r < m; ++r) row[r] /= pivot;
+}
+
+/// Complex variant: the reciprocal pivot is formed once (one std::complex
+/// division) and every entry is multiplied by it, the product written out
+/// as in subtractScaledRow. Dividing each entry would cost one libgcc
+/// __divdc3 call per entry; the reciprocal moves a quotient by a few ulps.
+inline void divideRow(Cplx* row, Cplx pivot, size_t m) {
+  const Cplx inv = Cplx(1.0, 0.0) / pivot;
+  const Real ar = inv.real();
+  const Real ai = inv.imag();
+  for (size_t r = 0; r < m; ++r) {
+    const Real xr = row[r].real();
+    const Real xi = row[r].imag();
+    row[r] = Cplx(ar * xr - ai * xi, ar * xi + ai * xr);
+  }
 }
 
 /// w[i*m + r] = b[r*n + from[i]] (from == nullptr: identity).

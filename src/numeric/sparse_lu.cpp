@@ -241,12 +241,12 @@ void SparseLU<T>::solveInPlace(std::span<T> b,
     }
   }
   // Column-oriented backward substitution: process columns from last to
-  // first; after dividing by the diagonal, scatter updates to earlier rows.
+  // first; after dividing by the diagonal (detail::divideRow, the blocked
+  // path's pivot step), scatter updates to earlier rows.
   for (size_t tt = n_; tt-- > 0;) {
     const int diagPos = uPtr_[tt + 1] - 1;
-    const T diag = uVal_[diagPos];
-    const T xt = solveX_[tt] / diag;
-    solveX_[tt] = xt;
+    detail::divideRow(&solveX_[tt], uVal_[diagPos], 1);
+    const T xt = solveX_[tt];
     if (xt == T{}) continue;
     for (int p = uPtr_[tt]; p < diagPos; ++p) {
       solveX_[uIdx_[p]] -= uVal_[p] * xt;
@@ -329,7 +329,8 @@ void SparseLU<T>::solveTransposedInPlace(std::span<T> b,
     const int diagPos = uPtr_[t + 1] - 1;
     T acc = solveX_[t];
     for (int p = uPtr_[t]; p < diagPos; ++p) acc -= uVal_[p] * solveX_[uIdx_[p]];
-    solveX_[t] = acc / uVal_[diagPos];
+    solveX_[t] = acc;
+    detail::divideRow(&solveX_[t], uVal_[diagPos], 1);
   }
   // Backward solve L^T v = w (unit diagonal): column t of L holds entries at
   // original rows r that are eliminated later (rowPerm_[r] > t).

@@ -14,6 +14,13 @@
 //   * solveInPlace()/solveManyInPlace() reuse member scratch so repeated
 //     solves (multi-RHS sensitivity columns) never touch the heap.
 //
+// Every substitution, blocked or single-column, forward or transposed,
+// takes its pivot step through one kernel (numeric/lu_block.hpp): a real
+// pivot divides, a complex pivot multiplies by its reciprocal, formed once
+// per pivot row (std::complex division is a libgcc call per entry). So
+// the blocked and single-column solves agree bit for bit, and a complex
+// solve sits within a few ulps of the true-division one.
+//
 // Thread safety: the scratch-less const solve methods mutate member
 // scratch and stay single-threaded per object. The LuSolveScratch
 // overloads touch only the (read-only) factorization, the RHS, and the

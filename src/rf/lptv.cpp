@@ -7,6 +7,7 @@
 
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
+#include "rf/step_factors.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
 
@@ -23,42 +24,6 @@ struct LptvSlotScratch {
   RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
   LuSolveScratch<Cplx> lu;
 };
-
-// ---------------------------------------------------------------------
-// The step coupling D_k = C_{k-1}/h on the stored orbit linearizations.
-
-/// out = (C_{k-1} v) / h  (the step coupling D_k applied to a complex
-/// envelope; C is real, so this is two real sparse multiplies in one).
-void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
-            std::span<Cplx> out, Real invH) {
-  const size_t n = v.size();
-  std::fill(out.begin(), out.end(), Cplx{});
-  const RealSparse& c = pss.cSpMats[k - 1];
-  const auto ptr = c.colPointers();
-  const auto idx = c.rowIndices();
-  const auto val = c.values();
-  for (size_t j = 0; j < n; ++j) {
-    const Cplx xj = v[j];
-    if (xj == Cplx{}) continue;
-    for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * xj;
-  }
-  for (auto& o : out) o *= invH;
-}
-
-/// out = (C_{k-1}^T v) / h  (D_k^T for the adjoint sweep).
-void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
-             std::span<Cplx> out, Real invH) {
-  const size_t n = v.size();
-  const RealSparse& c = pss.cSpMats[k - 1];
-  const auto ptr = c.colPointers();
-  const auto idx = c.rowIndices();
-  const auto val = c.values();
-  for (size_t j = 0; j < n; ++j) {
-    Cplx acc{};
-    for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
-    out[j] = acc * invH;
-  }
-}
 
 /// One source's periodic injection envelope, streamed along the orbit:
 ///   b_k = -bf_k - (bq_k - bq_{k-1}) / h - j w bq_k,   k = 1..M,
@@ -94,48 +59,6 @@ class InjectionStream {
   const PssResult* pss_;
   Real h_;
   Cplx jw_;
-};
-
-/// The LPTV factor cache: K_k = G_k + (1/h + j w) C_k factored for every
-/// grid step k = 1..M, shared by the direct passes and the adjoint. K is
-/// assembled into one merged complex pattern (cached scatter maps, like the
-/// transient workspace's Jacobian) and factored with SparseLU — the
-/// symbolic factorization of step 1 is inherited by every later step
-/// through a copy + numeric refactor, so each step costs O(fill).
-class StepFactors {
- public:
-  StepFactors(const PssResult& pss, Real invH, Cplx jw) {
-    const size_t m = pss.stepCount();
-    lus_.resize(m);
-    const Cplx coef = invH + jw;
-    MergedSparseAssembler<Cplx> kAsm;
-    for (size_t k = 1; k <= m; ++k) {
-      // Every orbit point carries the system's one declared pattern.
-      kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], coef);
-      SparseLU<Cplx>& lu = lus_[k - 1];
-      if (k > 1) {
-        lu = lus_[k - 2];  // inherit the symbolic factorization
-        if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix);
-      } else {
-        lu.factor(kAsm.matrix);
-      }
-    }
-  }
-
-  // k = 1..M selects the step factor, matching the cyclic system indexing.
-  // The block solves are concurrently callable: threads sharing step factor
-  // k solve disjoint column blocks, one scratch per slot.
-  void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
-                        LuSolveScratch<Cplx>& scratch) const {
-    lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
-  }
-  void solveTransposedManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
-                                  LuSolveScratch<Cplx>& scratch) const {
-    lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
-  }
-
- private:
-  std::vector<SparseLU<Cplx>> lus_;
 };
 
 /// Cyclic-closure solver with the oscillator phase-mode correction.
@@ -239,18 +162,19 @@ CplxMatrix leadingBlock(const CplxVector& cols, size_t n) {
 ///   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
 /// Column j of X_k reads only column j of X_{k-1} (plus, for a source
 /// column, that source's streamed injection), so each slot carries one
-/// contiguous column block through all M steps with one batched solve per
-/// step, bit-identical for every partition (no pool = one block). A block
-/// ping-pongs between x and y; every block takes M steps, so X_M ends up in
-/// the same buffer for all of them. The closure (I - B_M) p_0 = alpha_M
-/// carries the phase-mode spectral correction for oscillators.
+/// contiguous column block through all M steps (StepFactors::carry, the
+/// monodromy sweep's recursion with R_k added), bit-identical for every
+/// partition (no pool = one block). Every block takes M steps, so X_M ends
+/// up in the same one of x and y for all of them. The closure
+/// (I - B_M) p_0 = alpha_M carries the phase-mode spectral correction for
+/// oscillators.
 CplxVector closedOrigins(const MnaSystem& sys, const PssResult& pss,
                          std::span<const InjectionSource> sources,
-                         const StepFactors& lus, Real omega, ThreadPool* pool) {
+                         const StepFactors<Cplx>& lus, Real omega,
+                         ThreadPool* pool) {
   const size_t n = sys.size();
   const size_t m = pss.stepCount();
   const size_t ns = sources.size();
-  const Real invH = 1.0 / pss.stepSize();
   const InjectionStream stream(sys, pss, Cplx(0.0, omega));
   const size_t cols = n + ns;
   std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, cols));
@@ -265,21 +189,14 @@ CplxVector closedOrigins(const MnaSystem& sys, const PssResult& pss,
     for (size_t j = std::max(j0, n); j < j1; ++j) {
       stream.start(sources[j - n], bqOf(j - n), sl);
     }
-    Cplx* cur = x.data() + j0 * n;
-    Cplx* next = y.data() + j0 * n;
-    for (size_t k = 1; k <= m; ++k) {
-      for (size_t j = j0; j < j1; ++j) {
-        const std::span<Cplx> out(next + (j - j0) * n, n);
-        applyD(pss, k, std::span<const Cplx>(cur + (j - j0) * n, n), out,
-               invH);
-        if (j < n) continue;
-        stream.step(sources[j - n], k, bqOf(j - n), sl,
-                    [&](size_t i, Cplx b) { out[i] += b; });
-      }
-      lus.solveManyInPlace(k, std::span<Cplx>(next, (j1 - j0) * n), j1 - j0,
-                           sl.lu);
-      std::swap(cur, next);
-    }
+    const auto inject = [&](size_t j, size_t k, std::span<Cplx> out) {
+      if (j0 + j < n) return;  // a homogeneous column
+      const size_t s = j0 + j - n;
+      stream.step(sources[s], k, bqOf(s), sl,
+                  [&](size_t i, Cplx b) { out[i] += b; });
+    };
+    lus.carry(x.data() + j0 * n, y.data() + j0 * n, j1 - j0, m, sl.lu,
+              inject, [](size_t, const Cplx*) {});
   });
   const CplxVector& xm = m % 2 == 0 ? x : y;
 
@@ -300,7 +217,7 @@ CplxVector closedOrigins(const MnaSystem& sys, const PssResult& pss,
 /// What the readouts share: the step factors (direct and adjoint) and,
 /// after the first direct readout, every source's closed p_0.
 struct LptvSolver::Cache {
-  StepFactors factors;
+  StepFactors<Cplx> factors;
   std::optional<CplxVector> p0;
 };
 
@@ -339,10 +256,11 @@ LptvSolver& LptvSolver::operator=(LptvSolver&&) noexcept = default;
 
 LptvSolver::Cache& LptvSolver::cache() const {
   if (!cache_) {
-    cache_ = std::make_unique<Cache>(
-        Cache{StepFactors(*pss_, 1.0 / pss_->stepSize(),
-                          Cplx(0.0, kTwoPi * offsetFreq_)),
-              std::nullopt});
+    const Real h = pss_->stepSize();
+    cache_ = std::make_unique<Cache>(Cache{
+        StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
+                          1.0 / h + Cplx(0.0, kTwoPi * offsetFreq_)),
+        std::nullopt});
   }
   return *cache_;
 }
@@ -367,7 +285,6 @@ void LptvSolver::walkEnvelopes(
   TraceSpan span(Phase::kLptv, "lptv_envelopes");
   const size_t n = sys_->size();
   const size_t ns = sources_.size();
-  const Real invH = 1.0 / pss_->stepSize();
   const InjectionStream stream(*sys_, *pss_, Cplx(0.0, omega));
   std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, ns));
   CplxVector x(*c.p0), y(n * ns);
@@ -377,27 +294,21 @@ void LptvSolver::walkEnvelopes(
   };
   forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     LptvSlotScratch& sl = slotScratch[slot];
-    Cplx* cur = x.data() + s0 * n;
-    Cplx* next = y.data() + s0 * n;
     for (size_t s = s0; s < s1; ++s) {
-      keep(s, 0, std::span<const Cplx>(cur + (s - s0) * n, n));
+      keep(s, 0, std::span<const Cplx>(x.data() + s * n, n));
       stream.start(sources_[s], bqOf(s), sl);
     }
-    for (size_t k = 1; k <= last; ++k) {
+    const auto inject = [&](size_t j, size_t k, std::span<Cplx> out) {
+      stream.step(sources_[s0 + j], k, bqOf(s0 + j), sl,
+                  [&](size_t i, Cplx b) { out[i] += b; });
+    };
+    const auto visit = [&](size_t k, const Cplx* pk) {
       for (size_t s = s0; s < s1; ++s) {
-        const std::span<Cplx> out(next + (s - s0) * n, n);
-        applyD(*pss_, k, std::span<const Cplx>(cur + (s - s0) * n, n), out,
-               invH);
-        stream.step(sources_[s], k, bqOf(s), sl,
-                    [&](size_t i, Cplx b) { out[i] += b; });
+        keep(s, k, std::span<const Cplx>(pk + (s - s0) * n, n));
       }
-      c.factors.solveManyInPlace(k, std::span<Cplx>(next, (s1 - s0) * n),
-                                 s1 - s0, sl.lu);
-      for (size_t s = s0; s < s1; ++s) {
-        keep(s, k, std::span<const Cplx>(next + (s - s0) * n, n));
-      }
-      std::swap(cur, next);
-    }
+    };
+    c.factors.carry(x.data() + s0 * n, y.data() + s0 * n, s1 - s0, last,
+                    sl.lu, inject, visit);
   });
 }
 
@@ -437,13 +348,12 @@ CplxVector LptvSolver::solveAdjoint(int outIndex, int harmonic) const {
   TraceSpan span(Phase::kLptv, "lptv_adjoint");
   const size_t n = sys_->size();
   const size_t m = pss_->stepCount();
-  const Real invH = 1.0 / pss_->stepSize();
   const Real omega = kTwoPi * offsetFreq_;
   const size_t ns = sources_.size();
   PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < n,
              "bad output index");
   const size_t out = static_cast<size_t>(outIndex);
-  const StepFactors& lus = cache().factors;
+  const StepFactors<Cplx>& lus = cache().factors;
 
   // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
   // terms of unknowns p_1..p_M the weight of p_M is w_0.
@@ -476,8 +386,8 @@ CplxVector LptvSolver::solveAdjoint(int outIndex, int harmonic) const {
     Cplx* next = y.data() + j0 * n;
     for (size_t k = m; k >= 1; --k) {
       for (size_t j = j0; j < j1; ++j) {
-        applyDT(*pss_, nextD(k), std::span<const Cplx>(cur + (j - j0) * n, n),
-                std::span<Cplx>(next + (j - j0) * n, n), invH);
+        lus.applyDT(nextD(k), std::span<const Cplx>(cur + (j - j0) * n, n),
+                    std::span<Cplx>(next + (j - j0) * n, n));
       }
       if (j1 == cols) next[(n - j0) * n + out] += weight(k);
       lus.solveTransposedManyInPlace(k, std::span<Cplx>(next, (j1 - j0) * n),
@@ -504,9 +414,9 @@ CplxVector LptvSolver::solveAdjoint(int outIndex, int harmonic) const {
   closure.solveInPlace(std::span<Cplx>(lambda.data(), n), slotScratch[0].lu);
   for (size_t k = m; k >= 2; --k) {
     const std::span<Cplx> lk(lambda.data() + (k - 1) * n, n);
-    applyDT(*pss_, nextD(k),
-            std::span<const Cplx>(lambda.data() + (k == m ? 0 : k * n), n),
-            lk, invH);
+    lus.applyDT(nextD(k),
+                std::span<const Cplx>(lambda.data() + (k == m ? 0 : k * n), n),
+                lk);
     lk[out] += weight(k);
     lus.solveTransposedManyInPlace(k, lk, 1, slotScratch[0].lu);
   }

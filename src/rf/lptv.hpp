@@ -17,9 +17,11 @@
 // Every readout solves on demand and pays only for what it reads: the
 // adjoint holds O(M n) state, and a sampled direct readout stops pass 2 at
 // the last grid point it reads and keeps only those samples. The step
-// factors and the closed p_0 of every source are cached on first use and
-// shared by later readouts, so const readouts fill caches: one solver
-// serves one thread at a time (its pool fans each solve out internally).
+// factors (rf/step_factors.hpp, the store the shooting monodromy sweeps
+// on, here complex) and the closed p_0 of every source are cached on first
+// use and shared by later readouts, so const readouts fill caches: one
+// solver serves one thread at a time (its pool fans each solve out
+// internally).
 //
 // Mismatch sources enter with b(t) = -dF/dp - (d/dt + j w) dq/dp evaluated
 // along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4).

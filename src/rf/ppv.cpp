@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "numeric/dense_lu.hpp"
-#include "numeric/sparse_lu.hpp"
+#include "rf/step_factors.hpp"
 
 namespace psmn {
 
@@ -13,13 +13,17 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   const size_t n = sys.size();
   const size_t m = pss.stepCount();
   const Real h = pss.stepSize();
+  // J_k = G_k + C_k/h for every step, factored once: the monodromy sweep
+  // and the backward sweep below share them.
+  const StepFactors<Real> steps(pss.gSpMats, pss.cSpMats, h, 1.0 / h);
+  const RealMatrix phi = sweepMonodromy(steps, nullptr);
 
   // Transposed bordered system:
   //   [ (Phi - I)^T  e_p ] [w_x]   [0]
   //   [ dxdT^T       0   ] [w_T] = [1]
   RealMatrix a(n + 1, n + 1);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) a(i, j) = pss.monodromy(j, i);
+    for (size_t j = 0; j < n; ++j) a(i, j) = phi(j, i);
     a(i, i) -= 1.0;
   }
   for (size_t j = 0; j < n; ++j) a(n, j) = pss.dxdT[j];  // row n: dxdT^T
@@ -34,33 +38,15 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   res.wx.assign(w.begin(), w.begin() + n);
   res.wT = w[n];
 
-  // Backward sweep: y_M = w_x; z_k = J_k^{-T} y_k; y_{k-1} = D_k^T z_k.
-  // J_k = G_k + C_k/h is assembled into one merged pattern (every orbit
-  // point carries the system's pattern) and the symbolic factorization is
-  // reused downward through the orbit (numeric refactor per step, exactly
-  // like the transient workspace); the transposed solve gathers over the
-  // kept pattern.
+  // Backward sweep: y_M = w_x; z_k = J_k^{-T} y_k; y_{k-1} = D_k^T z_k, the
+  // transposed solves gathering over the kept pattern.
   res.z.assign(m + 1, RealVector());
   RealVector y = res.wx;
-  MergedSparseAssembler<Real> jAsm;
-  SparseLU<Real> jLu;
+  LuSolveScratch<Real> scratch;
   for (size_t k = m; k >= 1; --k) {
-    jAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], 1.0 / h);
-    if (k == m || !jLu.refactor(jAsm.matrix)) {
-      jLu.factor(jAsm.matrix);
-    }
-    res.z[k] = jLu.solveTransposed(y);
-    const RealVector& zk = res.z[k];
-    // y_{k-1} = (C_{k-1}^T z_k)/h: a gather over each CSC column.
-    const RealSparse& cPrev = pss.cSpMats[k - 1];
-    const auto ptr = cPrev.colPointers();
-    const auto idx = cPrev.rowIndices();
-    const auto val = cPrev.values();
-    for (size_t j = 0; j < n; ++j) {
-      Real acc = 0.0;
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * zk[idx[p]];
-      y[j] = acc / h;
-    }
+    res.z[k] = y;
+    steps.solveTransposedManyInPlace(k, res.z[k], 1, scratch);
+    steps.applyDT(k, res.z[k], y);
   }
   return res;
 }

@@ -8,7 +8,7 @@
 #include "engine/dc.hpp"
 #include "meas/measure.hpp"
 #include "numeric/fourier.hpp"
-#include "runtime/thread_pool.hpp"
+#include "rf/step_factors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/telemetry.hpp"
 
@@ -53,74 +53,24 @@ RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
 
 struct PeriodIntegration {
   RealVector xEnd;
-  std::vector<RealVector> states;     // 0..M
+  std::vector<RealVector> states;     // 0..M, when the trajectory is kept
   std::vector<RealSparse> gSpMats;    // 0..M
   std::vector<RealSparse> cSpMats;
-  RealMatrix monodromy;               // only when wanted
   SolveStats stats;  // cost delta of this integration (workspace snapshot)
 };
 
-/// Propagates the monodromy through one accepted step:
-///   Phi <- J_k^{-1} (C_{k-1}/h) Phi
-/// against the factorization the Newton kernel just produced (no extra
-/// evaluation or factorization). The n-column right-hand-side block is
-/// assembled column-major in pw.rhsBuf for the batched accepted-step
-/// substitution. With a pool the columns fan out into per-slot blocks:
-/// column j's assembly reads only Phi column j, its triangular solve
-/// touches only RHS column j, and the write-back lands only in Phi column
-/// j — so every partition computes the same bits as the serial batched
-/// call (one LuSolveScratch per slot, ThreadPool's at-most-one-chunk-per-
-/// slot contract).
-void propagateMonodromy(PssWorkspace& pw, RealMatrix& phi, Real h,
-                        ThreadPool* pool) {
-  const size_t n = phi.rows();
-  const TransientWorkspace& ws = pw.tran;
-  const Real invH = 1.0 / h;
-  pw.rhsBuf.resize(n * n);
-  const size_t slots = columnBlockSlots(pool, n);
-  if (pw.solveScratch.size() < slots) pw.solveScratch.resize(slots);
-
-  const auto processColumns = [&](size_t j0, size_t j1, size_t slot) {
-    Real* buf = pw.rhsBuf.data();
-    const auto ptr = pw.cPrev.colPointers();
-    const auto idx = pw.cPrev.rowIndices();
-    const auto val = pw.cPrev.values();
-    for (size_t j = j0; j < j1; ++j) {
-      // rhs(r, j) = sum_col C(r, col)/h * Phi(col, j): one CSC sweep of
-      // C_{k-1} scattered into this block's column.
-      Real* dst = buf + j * n;
-      std::fill(dst, dst + n, 0.0);
-      for (size_t col = 0; col < n; ++col) {
-        const Real xj = phi(col, j);
-        if (xj == 0.0) continue;
-        for (int p = ptr[col]; p < ptr[col + 1]; ++p) {
-          dst[idx[p]] += val[p] * invH * xj;
-        }
-      }
-    }
-    ws.slu.solveManyInPlace(std::span<Real>(buf + j0 * n, (j1 - j0) * n),
-                            j1 - j0, pw.solveScratch[slot]);
-    // Safe in-body write-back: no other block ever reads these columns.
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) phi(i, j) = buf[j * n + i];
-    }
-  };
-
-  forEachColumnBlock(pool, n, processColumns);
-}
-
-/// Integrates one period from x0, optionally accumulating the monodromy
-/// matrix and storing the trajectory with its linearizations. All solver
-/// state lives in `pw` and is reused across calls — shooting iterations
-/// share one symbolic factorization.
+/// Integrates one period from x0, optionally storing the trajectory with
+/// its linearizations (what a monodromy sweep and the stored orbit need).
+/// All solver state lives in `pw` and is reused across calls — shooting
+/// iterations share one symbolic factorization.
 PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
                                   Real t0, Real period, int steps,
-                                  const PssOptions& opt, bool wantMonodromy,
-                                  bool wantTrajectory, PssWorkspace& pw) {
+                                  const PssOptions& opt, bool wantTrajectory,
+                                  PssWorkspace& pw) {
   PeriodIntegration out;
   out.xEnd = x0;
   const SolveStats before = pw.tran.stats;
-  if (!wantMonodromy && !wantTrajectory) {
+  if (!wantTrajectory) {
     integratePeriodInPlace(sys, out.xEnd, t0, period, steps, opt, pw);
     out.stats = SolveStats::since(before, pw.tran.stats);
     return out;
@@ -133,18 +83,13 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
 
-  // Initial linearization at (x0, t0): C_0 seeds the first monodromy
-  // factor, G_0/C_0 the stored trajectory.
+  // Initial linearization at (x0, t0): C_0 is the first step's coupling.
   RealVector& x = out.xEnd;
   pw.q.resize(n);
   sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, eopt);
-  if (wantMonodromy) pw.cPrev = ws.csp;
-  if (wantTrajectory) {
-    out.gSpMats.push_back(ws.gsp);
-    out.cSpMats.push_back(ws.csp);
-    out.states.push_back(x);
-  }
-  if (wantMonodromy) out.monodromy = RealMatrix::identity(n);
+  out.gSpMats.push_back(ws.gsp);
+  out.cSpMats.push_back(ws.csp);
+  out.states.push_back(x);
   ++ws.stats.evals;  // the initial linearization evaluated above
   pw.qd.assign(n, 0.0);
 
@@ -157,26 +102,32 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
     }
     ++ws.stats.steps;
     telemetryCount(Counter::kStepsAccepted);
-    if (wantMonodromy) {
-      propagateMonodromy(pw, out.monodromy, h, opt.pool);
-      // Fan-out accounting on the dispatching side: the n monodromy
-      // columns solve on worker threads, but the total is deterministic.
-      ws.stats.solves += n;
-      pw.cPrev = ws.csp;
-    }
-    if (wantTrajectory) {
-      out.states.push_back(x);
-      out.gSpMats.push_back(ws.gsp);
-      out.cSpMats.push_back(ws.csp);
-    }
+    out.states.push_back(x);
+    out.gSpMats.push_back(ws.gsp);
+    out.cSpMats.push_back(ws.csp);
   }
   out.stats = SolveStats::since(before, pw.tran.stats);
   return out;
 }
 
-/// Packs the converged shooting integration (monodromy and trajectory
-/// kept) into the result; `stats` is the solve's cost, that integration
-/// included.
+/// Sweeps Phi over one integrated period's stored linearization. The step
+/// factors start from the workspace's symbolic factorization and only
+/// refactor: the integration's Newton kernel factored these same J_k on it,
+/// so the factor counts and, in practice, the factors are the kernel's. The
+/// sweep's cost (M step factors, n * M solve columns) lands in `stats`.
+RealMatrix periodMonodromy(const PeriodIntegration& pi, Real h,
+                           const PssWorkspace& pw, ThreadPool* pool,
+                           SolveStats& stats) {
+  const StepFactors<Real> steps(pi.gSpMats, pi.cSpMats, h, 1.0 / h,
+                                &pw.tran.slu);
+  stats.factorizations += steps.factorizations();
+  stats.refactorizations += steps.refactorizations();
+  stats.solves += steps.size() * steps.steps();
+  return sweepMonodromy(steps, pool);
+}
+
+/// Packs the converged shooting integration (its trajectory) into the
+/// result; `stats` is the solve's cost, that integration included.
 PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
                      int shootIters, const SolveStats& stats) {
   PssResult res;
@@ -185,7 +136,6 @@ PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
   res.states = std::move(fin.states);
   res.gSpMats = std::move(fin.gSpMats);
   res.cSpMats = std::move(fin.cSpMats);
-  res.monodromy = std::move(fin.monodromy);
   res.shootingIterations = shootIters;
   res.stats = stats;
   const Real h = period / steps;
@@ -226,11 +176,19 @@ void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
 RealMatrix integrateMonodromy(const MnaSystem& sys, RealVector& x, Real t0,
                               Real period, int steps, const PssOptions& opt,
                               PssWorkspace& ws) {
-  PeriodIntegration pi =
-      integratePeriod(sys, x, t0, period, steps, opt,
-                      /*wantMonodromy=*/true, /*wantTrajectory=*/false, ws);
+  PeriodIntegration pi = integratePeriod(sys, x, t0, period, steps, opt,
+                                         /*wantTrajectory=*/true, ws);
   x = std::move(pi.xEnd);
-  return std::move(pi.monodromy);
+  return periodMonodromy(pi, period / steps, ws, opt.pool, ws.tran.stats);
+}
+
+RealMatrix orbitMonodromy(const PssResult& pss, ThreadPool* pool) {
+  PSMN_CHECK(pss.stepCount() > 0 && pss.gSpMats.size() == pss.times.size() &&
+                 pss.cSpMats.size() == pss.times.size(),
+             "PSS result lacks stored linearizations");
+  const Real h = pss.stepSize();
+  return sweepMonodromy(
+      StepFactors<Real>(pss.gSpMats, pss.cSpMats, h, 1.0 / h), pool);
 }
 
 RealVector PssResult::waveform(int mnaIndex) const {
@@ -247,10 +205,6 @@ RealVector PssResult::waveform(int mnaIndex) const {
 Cplx PssResult::fourier(int mnaIndex, int harmonic) const {
   const RealVector w = waveform(mnaIndex);
   return fourierCoefficient(w, harmonic);
-}
-
-Real PssResult::fundamentalAmplitude(int mnaIndex) const {
-  return 2.0 * std::abs(fourier(mnaIndex, 1));
 }
 
 RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
@@ -279,11 +233,12 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
   bool haveUpdate = false;
   for (int iter = 0; iter < opt.maxShootingIterations; ++iter) {
     // The trajectory is kept on every iteration: the converged one is the
-    // stored orbit, so no extra period is integrated after convergence.
+    // stored orbit, so no extra period is integrated after convergence, and
+    // any other one sweeps its monodromy over it.
     PeriodIntegration pi;
     try {
       pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, true, pw);
+                           true, pw);
     } catch (const ConvergenceError&) {
       // The last shooting update overshot into a region where the period
       // integration itself cannot converge; backtrack halfway and spend a
@@ -304,7 +259,8 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
     RealMatrix iMinusPhi = RealMatrix::identity(n);
-    iMinusPhi -= pi.monodromy;
+    iMinusPhi -= periodMonodromy(pi, period / opt.stepsPerPeriod, pw,
+                                 opt.pool, pw.tran.stats);
     DenseLU<Real> lu(iMinusPhi);
     const RealVector dx0 = lu.solve(r);
     prevX0 = x0;
@@ -358,10 +314,10 @@ struct AutonomousShoot {
 
 /// One autonomous shooting solve at the gshunt carried in `opt`. Returns
 /// false (with `diag` filled) instead of throwing when shooting stalls, so
-/// the relaxed-circuit homotopy ladder can re-anchor and retry. With
-/// `orbit` set, every iteration keeps its trajectory and the converged
-/// integration lands there (homotopy rungs pass nullptr: only their
-/// (x0, T) carries over).
+/// the relaxed-circuit homotopy ladder can re-anchor and retry. Every
+/// iteration keeps its trajectory (an iteration that does not close sweeps
+/// its monodromy over it); with `orbit` set the converged integration lands
+/// there (homotopy rungs pass nullptr: only their (x0, T) carries over).
 bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
                          int phaseIndex, const PssOptions& opt,
                          PssWorkspace& pw, FailureDiagnostics& diag,
@@ -391,7 +347,7 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     PeriodIntegration pi;
     try {
       pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, orbit != nullptr, pw);
+                           true, pw);
     } catch (const ConvergenceError&) {
       // Backtrack the last bordered update (see solvePssDriven); with no
       // update yet the guess itself is outside the integrable region.
@@ -419,7 +375,7 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     PeriodIntegration piT;
     try {
       piT = integratePeriod(sys, x0, 0.0, period + dT, opt.stepsPerPeriod,
-                            opt, false, false, pw);
+                            opt, false, pw);
     } catch (const ConvergenceError&) {
       // The base integration converged but the dT-perturbed one did not:
       // the iterate sits on the edge of the integrable region. Backtrack
@@ -436,9 +392,11 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     // Bordered Newton system on (x0, T):
     //   [ Phi - I   dxdT ] [dx0]   [ -r        ]
     //   [ e_p^T     0    ] [dT ] = [ -phaseRes ]
+    const RealMatrix phi = periodMonodromy(
+        pi, period / opt.stepsPerPeriod, pw, opt.pool, st.stats);
     RealMatrix a(n + 1, n + 1);
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) a(i, j) = pi.monodromy(i, j);
+      for (size_t j = 0; j < n; ++j) a(i, j) = phi(i, j);
       a(i, i) -= 1.0;
       a(i, n) = dxdT[i];
     }
@@ -571,8 +529,7 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   // converged integration is the base point.
   const Real dT = 1e-4 * st.period;
   const PeriodIntegration piT = integratePeriod(
-      sys, st.x0, 0.0, st.period + dT, opt.stepsPerPeriod, opt, false, false,
-      pw);
+      sys, st.x0, 0.0, st.period + dT, opt.stepsPerPeriod, opt, false, pw);
   RealVector dxdT(n);
   for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - orbit.xEnd[i]) / dT;
   PssResult res = packResult(std::move(orbit), 0.0, st.period,

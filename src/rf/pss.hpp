@@ -8,6 +8,10 @@
 //   x_{k+1}: (G_{k+1} + C_{k+1}/h) dx_{k+1} = (C_k/h) dx_k
 //   =>  Phi = prod_k J_k^{-1} (C_{k-1}/h).
 // Shooting solves x(T; x0) = x0 by Newton on x0 with Jacobian (Phi - I).
+// Each period integration stores its linearization (G_k, C_k); only an
+// iteration that did not close sweeps Phi over it afterwards, in one pooled
+// pass (rf/step_factors.hpp). The converged orbit sweeps nothing:
+// orbitMonodromy computes its Phi on demand.
 // Stability of the orbit is NOT required (the comparator's regenerative
 // metastable orbit has a Floquet multiplier >> 1 and converges fine),
 // which is exactly why the paper's comparator testbench (Fig. 6) is
@@ -60,31 +64,26 @@ struct PssOptions {
   int shuntHomotopyRungs = 3;
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
-  /// Optional execution runtime. The monodromy propagation partitions its
-  /// n right-hand-side columns across this pool's slots against the shared
-  /// accepted-step factorization (every column's arithmetic involves only
-  /// that column, so results are bit-identical for every jobs count — see
-  /// docs/architecture.md "RF parallelism"). The period integration itself
-  /// stays serial: a single Newton path has no column parallelism.
+  /// Optional execution runtime. The monodromy sweep of a shooting
+  /// iteration that did not close splits its n columns into one block per
+  /// slot, each carried through all M steps against the shared step factors
+  /// (every column's arithmetic involves only that column, so results are
+  /// bit-identical for every jobs count — see docs/architecture.md "RF
+  /// parallelism"). The period integration itself stays serial: a single
+  /// Newton path has no column parallelism.
   ThreadPool* pool = nullptr;
 };
 
 /// Reusable solver state for the shooting engines: the transient workspace
-/// (pattern matrices, symbolic factorization, Newton scratch) plus
-/// the charge state and monodromy-propagation buffers. One PssWorkspace is
-/// shared across every period integration of a shooting solve — shooting
-/// iterations, the driven fallback's warm-up cycles, and the
-/// finite-difference period derivative all reuse the same symbolic
-/// factorization. Tied to one MnaSystem, like TransientWorkspace.
+/// (pattern matrices, symbolic factorization, Newton scratch) plus the
+/// charge state. One PssWorkspace is shared across every period integration
+/// of a shooting solve — shooting iterations, the driven fallback's warm-up
+/// cycles, and the finite-difference period derivative all reuse the same
+/// symbolic factorization, and the monodromy sweeps start their step
+/// factors from it. Tied to one MnaSystem, like TransientWorkspace.
 struct PssWorkspace {
   TransientWorkspace tran;
   RealVector q, qd;        // charge state for the BE stepping kernel
-  // Monodromy propagation scratch: n*n column-major right-hand-side block
-  // for the batched accepted-step solve, plus one LU solve scratch per pool
-  // slot for the column-partitioned fan-out.
-  RealVector rhsBuf;
-  std::vector<LuSolveScratch<Real>> solveScratch;
-  RealSparse cPrev;        // C at the previous grid point
 };
 
 struct PssResult {
@@ -103,10 +102,10 @@ struct PssResult {
   std::vector<RealVector> states;
   /// Linearization along the orbit at times[k], k=0..M: G_k and C_k on
   /// the system's pattern, as the period integration evaluated them. The
-  /// LPTV and PPV solvers factor their step matrices from these.
+  /// monodromy (orbitMonodromy), LPTV and PPV solvers factor their step
+  /// matrices from these.
   std::vector<RealSparse> gSpMats;
   std::vector<RealSparse> cSpMats;
-  RealMatrix monodromy;
   int shootingIterations = 0;
   /// Solve cost. Driven: every period integrated from the start point on —
   /// both shooting attempts and the fallback's warm-up (the converged
@@ -116,7 +115,9 @@ struct PssResult {
   /// no integration failed partway). Autonomous: the whole solve including
   /// homotopy rungs and the dx/dT integrations inside shooting. stats.steps
   /// counts backward-Euler integration sub-steps of those periods;
-  /// stats.solves includes the monodromy fan-out columns.
+  /// stats.solves and stats.refactorizations include the monodromy sweeps
+  /// of the iterations that did not close (n * M columns and M step
+  /// factors each); the converged iteration sweeps none.
   SolveStats stats;
   /// Autonomous only: plain shooting failed and the relaxed-circuit
   /// homotopy ladder produced this solution.
@@ -132,8 +133,6 @@ struct PssResult {
   RealVector waveform(int mnaIndex) const;
   /// Fourier coefficient X_N of that waveform.
   Cplx fourier(int mnaIndex, int harmonic) const;
-  /// Amplitude of the fundamental, Ac = 2|X_1| (paper eq. 7).
-  Real fundamentalAmplitude(int mnaIndex) const;
 };
 
 /// Driven PSS: sources must be periodic with the given period (or DC).
@@ -170,13 +169,22 @@ void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
                             Real period, int steps, const PssOptions& opt,
                             PssWorkspace& ws);
 
-/// Integrates one period like integratePeriodInPlace and additionally
-/// accumulates the monodromy Phi = prod_k J_k^{-1} (C_{k-1}/h) — the
-/// shooting-Jacobian building block, exposed for the parallel-monodromy
-/// benches and goldens (`opt.pool` fans the column blocks out).
+/// Integrates one period like integratePeriodInPlace, then sweeps the
+/// monodromy Phi = prod_k J_k^{-1} (C_{k-1}/h) over the period's stored
+/// linearization — what a shooting iteration that did not close does,
+/// exposed for the parallel-monodromy benches and goldens (`opt.pool` fans
+/// the column blocks out). The step factors start from `ws`'s symbolic
+/// factorization.
 RealMatrix integrateMonodromy(const MnaSystem& sys, RealVector& x, Real t0,
                               Real period, int steps, const PssOptions& opt,
                               PssWorkspace& ws);
+
+/// The monodromy Phi = prod_k J_k^{-1} (C_{k-1}/h) of a solved orbit, swept
+/// on demand over its stored linearization with fresh step factors (one
+/// factorization, then numeric refactors). `pool` fans the n columns out,
+/// one block per slot through all M steps: bit-identical for every jobs
+/// count.
+RealMatrix orbitMonodromy(const PssResult& pss, ThreadPool* pool = nullptr);
 
 /// Kicks a ring oscillator from its (metastable) DC point, free-runs it to
 /// the limit cycle with backward Euler, and returns the warm state plus a

@@ -1,6 +1,6 @@
 // Work-stealing thread pool and deterministic data-parallel helpers — the
 // execution runtime under the scenario sweep, the parallel multi-RHS
-// sensitivity columns, the shooting-PSS monodromy blocks, and the
+// sensitivity columns, the shooting-PSS monodromy sweep, and the
 // Monte-Carlo sample batches.
 //
 // Design rules (see docs/architecture.md "The parallel runtime"):
@@ -108,7 +108,7 @@ inline size_t columnBlockSlots(const ThreadPool* pool, size_t n) {
 
 /// Fans body(j0, j1, slot) over [0, n) in one contiguous block per slot —
 /// the canonical dispatch for per-column-independent batched solves (the
-/// multi-RHS sensitivity columns, the shooting monodromy block, the LPTV
+/// multi-RHS sensitivity columns, the monodromy sweep, the LPTV
 /// B_k/V_k recursions). Serial (no pool, or n <= 1) runs inline as a
 /// single block, which is bit-identical to any partition because every
 /// column's arithmetic involves only that column.

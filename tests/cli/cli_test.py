@@ -214,16 +214,33 @@ def case_bad_inputs(cli):
     expect(p.returncode == 1 and "probe node" in p.stderr,
            "unknown probe node must exit 1", p)
 
-    # Card mode validates the analysis values the way sweep mode does.
+    # Card mode validates the analysis values the way sweep mode does, with
+    # a one-line cause: a .tran step or stop time that is not positive never
+    # reaches the engine's internal check.
     for card, cause in ((".tran abc 1n", "bad .tran card"),
+                        (".tran 1n -1u", "bad .tran card"),
+                        (".tran 0 1u", "bad .tran card"),
                         (".pss xyz", "bad .pss card"),
                         (".pss -1u", "bad .pss card")):
         deck = os.path.join(cli.tmp, "bad_card.sp")
         with open(deck, "w") as f:
             f.write(f"* bad analysis card\nr1 a 0 1k\nv1 a 0 1\n{card}\n.end\n")
         p = cli.run(deck)
-        expect(p.returncode == 1 and cause in p.stderr,
-               f"'{card}' must exit 1 with '{cause}'", p)
+        expect(p.returncode == 1 and cause in p.stderr
+               and len(p.stderr.strip().splitlines()) == 1,
+               f"'{card}' must exit 1 with a one-line '{cause}'", p)
+
+    # Sweep mode reads the .tran card through the same check.
+    for card in (".tran 1n -1u", ".tran 0 1u"):
+        deck = os.path.join(cli.tmp, "bad_sweep.sp")
+        with open(deck, "w") as f:
+            f.write(f"* bad sweep card\nr1 a 0 1k sigma=10\nv1 a 0 1\n"
+                    f"{card}\n.end\n")
+        p = cli.run(deck, "--sweep", "mc:2", "--probe", "a")
+        expect(p.returncode == 1 and "bad .tran card" in p.stderr
+               and len(p.stderr.strip().splitlines()) == 1,
+               f"'{card}' under --sweep must exit 1 with a one-line "
+               "'bad .tran card'", p)
 
 
 CASES = {

@@ -532,8 +532,9 @@ TEST(AmdOrdering, ComplexFactorMatchesDense) {
 // single-RHS path applied column by column: it is the column-at-a-time
 // substitution, and it fixes the per-column operation order the blocked
 // kernels keep. (The single-RHS path also skips updates scaled by an exact
-// zero, which cannot change a finite result.) A reciprocal-pivot kernel,
-// for one, fails here.
+// zero, which cannot change a finite result.) Both take their pivot step
+// through one kernel: a true division for Real, a multiply by the
+// reciprocal pivot for Cplx. A pivot step on one path only fails here.
 
 Real randomScalar(Rng& rng, Real) { return rng.uniform(-1.0, 1.0); }
 Cplx randomScalar(Rng& rng, Cplx) {
@@ -578,6 +579,41 @@ CplxMatrix complexify(const RealMatrix& x) {
   return a;
 }
 
+// The complex reciprocal pivot moves a quotient by a few ulps, so every
+// complex solve must stay within 1e-14 (relative to its largest entry) of
+// the true-division solution: DenseLU's, which divides by each pivot and
+// shares no code with the sparse substitutions. Blocked and single-column,
+// forward and transposed.
+void expectComplexSolvesMatchTrueDivision(const CplxSparse& a,
+                                          const SparseLU<Cplx>& lu,
+                                          uint64_t seed) {
+  const size_t n = lu.size();
+  const DenseLU<Cplx> ref(a.toDense());
+  Rng rng(seed);
+  LuSolveScratch<Cplx> scratch;
+  for (size_t nrhs : {1u, 17u}) {
+    for (bool transposed : {false, true}) {
+      CplxVector block(n * nrhs);
+      for (auto& v : block) v = randomScalar(rng, Cplx{});
+      CplxVector want = block;
+      if (transposed) lu.solveTransposedManyInPlace(block, nrhs, scratch);
+      else lu.solveManyInPlace(block, nrhs);
+      for (size_t r = 0; r < nrhs; ++r) {
+        const std::span<Cplx> col(want.data() + r * n, n);
+        if (transposed) ref.solveTransposedInPlace(col);
+        else ref.solveInPlace(col);
+        Real scale = 0.0, gap = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          scale = std::max(scale, std::abs(col[i]));
+          gap = std::max(gap, std::abs(block[r * n + i] - col[i]));
+        }
+        EXPECT_LE(gap, 1e-14 * scale)
+            << "nrhs=" << nrhs << " transposed=" << transposed << " r=" << r;
+      }
+    }
+  }
+}
+
 TEST(SparseLu, BlockedMultiRhsSolvesMatchColumnSolvesExactly) {
   const size_t n = 40;
   SparseLU<Real> lu(patternedRandom(n, 11, 0));
@@ -591,8 +627,10 @@ TEST(SparseLu, BlockedMultiRhsSolvesMatchColumnSolvesExactly) {
   };
   SparseLU<Cplx> clu(complexSparse(0));
   expectBlockedSolvesExact<Cplx>(clu, 5);
+  expectComplexSolvesMatchTrueDivision(complexSparse(0), clu, 7);
   ASSERT_TRUE(clu.refactor(complexSparse(1)));
   expectBlockedSolvesExact<Cplx>(clu, 6);
+  expectComplexSolvesMatchTrueDivision(complexSparse(1), clu, 8);
 }
 
 // ------------------------------------------------------------- cholesky

@@ -1,8 +1,8 @@
 // Dense-oracle tests for the RF engines: shooting PSS (driven and
 // autonomous), the LPTV solver, periodic noise, the time-domain
 // statistical waveform and the PPV sweep run on the sparse Newton path
-// (declared pattern, SparseLU refactorization, batched monodromy and
-// column solves). Each answer is checked against a reference that never
+// (declared pattern, SparseLU refactorization, the monodromy sweep over the
+// stored step factors, batched column solves). Each answer is checked against a reference that never
 // runs that sparse linear algebra: the BE orbit against DenseLU Newton
 // corrections of its evalDense residuals (tests/dense_oracle.hpp), and the
 // monodromy, dx/dT, LPTV transfers, sidebands, sigma(t) and PPV sweep
@@ -13,8 +13,9 @@
 // shooting on the ring oscillator must converge in a handful of
 // iterations (the 1e-7*T finite-difference step once made it limp to the
 // iteration cap), the exact checks that shooting stores its converged
-// integration, the pool-vs-serial goldens of the RF fan-outs, and the
-// exact check of the LPTV direct solve against the per-source algorithm.
+// integration and sweeps the monodromy only on the iterations that did not
+// close, the pool-vs-serial goldens of the RF fan-outs, and the exact check
+// of the LPTV direct solve against the per-source algorithm.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,16 +47,6 @@ PssOptions pssOptions(int stepsPerPeriod) {
   PssOptions opt;
   opt.stepsPerPeriod = stepsPerPeriod;
   return opt;
-}
-
-void expectStatesMatch(const PssResult& a, const PssResult& b, Real tol) {
-  ASSERT_EQ(a.states.size(), b.states.size());
-  for (size_t k = 0; k < a.states.size(); ++k) {
-    for (size_t i = 0; i < a.states[k].size(); ++i) {
-      EXPECT_NEAR(a.states[k][i], b.states[k][i], tol)
-          << "k=" << k << " unknown " << i;
-    }
-  }
 }
 
 // ------------------------------------------------------ dense references
@@ -104,7 +95,7 @@ RealMatrix denseMonodromy(const PssResult& pss) {
 /// states (bit for bit at k = 0, where both are evaluated at the start
 /// point through one stamping loop; elsewhere they were evaluated at the
 /// last Newton iterate, within newtonUpdateTol of the state, so to 1e-6
-/// relative), and the stored monodromy equal to the DenseLU rebuild.
+/// relative), and orbitMonodromy's sweep equal to the DenseLU rebuild.
 void expectOrbitMatchesDenseOracle(const MnaSystem& sys, const PssResult& pss,
                                    const PssOptions& opt,
                                    const std::string& what) {
@@ -135,7 +126,7 @@ void expectOrbitMatchesDenseOracle(const MnaSystem& sys, const PssResult& pss,
   }
 
   const RealMatrix phi = denseMonodromy(pss);
-  EXPECT_LT(maxAbsDiff(pss.monodromy, phi), kMonodromyTol * maxAbs(phi));
+  EXPECT_LT(maxAbsDiff(orbitMonodromy(pss), phi), kMonodromyTol * maxAbs(phi));
 }
 
 // ------------------------------------------------------------ driven PSS
@@ -275,8 +266,9 @@ TEST(PssAutonomousGolden, ShootingConvergesFastOnRingOscillator) {
 
 // Shooting keeps every iteration's trajectory and packs the converged
 // integration as the stored orbit: no period is integrated after
-// convergence, and the stored monodromy, trajectory and dx/dT are exactly
-// what a replay from the orbit's start point computes.
+// convergence, only the iterations that did not close sweep a monodromy,
+// and the stored trajectory, its monodromy and dx/dT are exactly what a
+// replay from the orbit's start point computes.
 
 TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
   // Half-wave rectifier shot from its DC point: a few shooting iterations.
@@ -292,20 +284,30 @@ TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
   opt.warmupCycles = 0;
   const PssResult res = solvePssDriven(sys, 1e-6, opt);
   EXPECT_GT(res.shootingIterations, 1);
+  const auto steps = static_cast<uint64_t>(opt.stepsPerPeriod);
+  const auto sweeps = static_cast<uint64_t>(res.shootingIterations - 1);
   EXPECT_EQ(res.stats.steps,
-            static_cast<uint64_t>(res.shootingIterations) *
-                static_cast<uint64_t>(opt.stepsPerPeriod));
+            static_cast<uint64_t>(res.shootingIterations) * steps);
+  // Every Newton iteration factors and solves one column; each iteration
+  // that did not close sweeps n columns through M step factors, and the
+  // converged one sweeps nothing.
+  EXPECT_EQ(res.stats.solves - res.stats.newtonIterations,
+            sweeps * sys.size() * steps);
+  EXPECT_EQ(res.stats.totalFactorizations() - res.stats.newtonIterations,
+            sweeps * steps);
 
-  // The stored monodromy and end state are the converged integration's.
+  // The stored end state is the converged integration's, and the sweep
+  // over the stored orbit is the sweep over that integration replayed.
   PssWorkspace ws;
   RealVector x = res.states.front();
   const RealMatrix phi =
       integrateMonodromy(sys, x, 0.0, 1e-6, opt.stepsPerPeriod, opt, ws);
   EXPECT_EQ(x, res.states.back());
-  ASSERT_EQ(phi.rows(), res.monodromy.rows());
+  const RealMatrix stored = orbitMonodromy(res);
+  ASSERT_EQ(phi.rows(), stored.rows());
   for (size_t i = 0; i < phi.rows(); ++i) {
     for (size_t j = 0; j < phi.cols(); ++j) {
-      EXPECT_EQ(phi(i, j), res.monodromy(i, j)) << i << "," << j;
+      EXPECT_EQ(phi(i, j), stored(i, j)) << i << "," << j;
     }
   }
 }
@@ -313,14 +315,20 @@ TEST(PssOrbit, DrivenCountsOnlyShootingIntegrations) {
 TEST(PssOrbit, WideChainShootsFromDcInOneIteration) {
   // The 16-stage, 4-row chain (68 unknowns) returns to its DC
   // point within one period: shooting from there converges on its first
-  // integration, and no warm-up period is integrated.
+  // integration, no warm-up period is integrated, and no monodromy is
+  // swept — the solve's triangular solves are its Newton iterations' one
+  // column each (sweeping the converged period would add 68 x 400).
   ChainFixture ckt(4, 16);
+  const RealVector dc = solveDc(*ckt.sys, {}).x;
   TelemetryRegistry reg(1);
   TelemetryScope scope(reg, 0);
-  const PssResult res = solvePssDriven(*ckt.sys, ckt.period);
+  const PssResult res = solvePssDriven(*ckt.sys, ckt.period, {}, &dc);
   EXPECT_EQ(res.shootingIterations, 1);
   EXPECT_EQ(res.stats.steps, 400u);
   EXPECT_EQ(reg.counterTotal(Counter::kStepsAccepted), 400u);
+  EXPECT_EQ(res.stats.solves, res.stats.newtonIterations);
+  EXPECT_EQ(reg.counterTotal(Counter::kSolveColumns),
+            res.stats.newtonIterations);
 }
 
 TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
@@ -534,31 +542,45 @@ TEST(PnoiseGolden, SidebandsAndStatisticalWaveformMatchDenseOracle) {
 
 // ------------------------------------- parallel RF paths (pool handles)
 
-constexpr Real kParallelTol = 1e-12;
+/// EXPECT_EQ on every entry of two monodromies.
+void expectMonodromyEqual(const RealMatrix& got, const RealMatrix& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (size_t i = 0; i < want.rows(); ++i) {
+    for (size_t j = 0; j < want.cols(); ++j) {
+      EXPECT_EQ(got(i, j), want(i, j)) << what << " (" << i << "," << j << ")";
+    }
+  }
+}
+
+// The monodromy sweep splits its n columns into one block per pool slot,
+// each carried through all M steps against the shared step factors: every
+// column's arithmetic involves only that column, so every jobs count gives
+// the serial bits, in the shooting iterations that sweep and in
+// orbitMonodromy alike.
+constexpr size_t kJobCounts[] = {1, 2, 3, 4, 8};
 
 TEST(PssParallelGolden, DrivenMonodromyMatchesSerialAcrossJobCounts) {
-  // The parallel monodromy partitions the column block across pool slots
-  // against the shared accepted-step factorization: each column's
-  // assembly, solve, and write-back involve only that column, so the
-  // whole shooting solve must match the serial path to the last bit —
-  // asserted here at 1e-12 on several jobs counts.
+  // The 68-unknown chain shot from 50 mV off its DC point: the first
+  // period does not close, so shooting sweeps (pooled) before converging.
   ChainFixture ckt(8);
   const PssOptions sopt = pssOptions(60);
-  const PssResult serial = solvePssDriven(*ckt.sys, ckt.period, sopt);
-  for (size_t jobs : {2u, 4u}) {
+  RealVector start = solveDc(*ckt.sys, {}).x;
+  for (size_t i = 0; i < start.size(); i += 3) start[i] += 0.05;
+  const PssResult serial = solvePssDriven(*ckt.sys, ckt.period, sopt, &start);
+  ASSERT_GE(serial.shootingIterations, 2);
+  const RealMatrix serialPhi = orbitMonodromy(serial);
+  for (size_t jobs : kJobCounts) {
+    const std::string label = "jobs=" + std::to_string(jobs);
     ThreadPool pool(jobs);
     PssOptions popt = sopt;
     popt.pool = &pool;
-    const PssResult par = solvePssDriven(*ckt.sys, ckt.period, popt);
-    EXPECT_EQ(par.shootingIterations, serial.shootingIterations);
-    expectStatesMatch(serial, par, kParallelTol);
-    for (size_t i = 0; i < ckt.sys->size(); ++i) {
-      for (size_t j = 0; j < ckt.sys->size(); ++j) {
-        EXPECT_NEAR(par.monodromy(i, j), serial.monodromy(i, j),
-                    kParallelTol)
-            << "jobs=" << jobs << " (" << i << "," << j << ")";
-      }
-    }
+    const PssResult par = solvePssDriven(*ckt.sys, ckt.period, popt, &start);
+    EXPECT_EQ(par.shootingIterations, serial.shootingIterations) << label;
+    EXPECT_TRUE(par.states == serial.states) << label;
+    EXPECT_TRUE(par.stats == serial.stats) << label;
+    expectMonodromyEqual(orbitMonodromy(par, &pool), serialPhi, label);
   }
 }
 
@@ -568,20 +590,26 @@ TEST(PssParallelGolden, AutonomousShootingMatchesSerialWithPool) {
   const PssResult serial =
       solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
                          ring.warm.phaseIndex, ring.warm.state, sopt);
-  ThreadPool pool(4);
-  PssOptions popt = sopt;
-  popt.pool = &pool;
-  const PssResult par =
-      solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
-                         ring.warm.phaseIndex, ring.warm.state, popt);
-  EXPECT_EQ(par.shootingIterations, serial.shootingIterations);
-  EXPECT_NEAR(par.period, serial.period, kParallelTol * serial.period);
-  expectStatesMatch(serial, par, kParallelTol);
+  ASSERT_GE(serial.shootingIterations, 2);
+  const RealMatrix serialPhi = orbitMonodromy(serial);
+  for (size_t jobs : kJobCounts) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    ThreadPool pool(jobs);
+    PssOptions popt = sopt;
+    popt.pool = &pool;
+    const PssResult par =
+        solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
+                           ring.warm.phaseIndex, ring.warm.state, popt);
+    EXPECT_EQ(par.shootingIterations, serial.shootingIterations) << label;
+    EXPECT_EQ(par.period, serial.period) << label;
+    EXPECT_TRUE(par.states == serial.states) << label;
+    expectMonodromyEqual(orbitMonodromy(par, &pool), serialPhi, label);
+  }
 }
 
 TEST(PssParallelGolden, IntegrateMonodromyMatchesSerialOnWarmOrbit) {
-  // The exposed kernel (what BM_MonodromyParallel times): one period of
-  // monodromy accumulation from a warm state, pool vs serial.
+  // The exposed kernel (what BM_MonodromyParallel times): one period
+  // integrated from a warm state, then its monodromy swept, pool vs serial.
   RingGolden ring(5, 30e-9, 10e-12);
   PssOptions opt = pssOptions(200);
   PssWorkspace wsSerial;
@@ -589,18 +617,16 @@ TEST(PssParallelGolden, IntegrateMonodromyMatchesSerialOnWarmOrbit) {
   const RealMatrix serial =
       integrateMonodromy(*ring.sys, xSerial, 0.0, ring.warm.periodEstimate,
                          opt.stepsPerPeriod, opt, wsSerial);
-  ThreadPool pool(4);
-  opt.pool = &pool;
-  PssWorkspace wsPar;
-  RealVector xPar = ring.warm.state;
-  const RealMatrix par =
-      integrateMonodromy(*ring.sys, xPar, 0.0, ring.warm.periodEstimate,
-                         opt.stepsPerPeriod, opt, wsPar);
-  for (size_t i = 0; i < ring.sys->size(); ++i) {
-    EXPECT_EQ(xPar[i], xSerial[i]) << i;  // integration itself is serial
-    for (size_t j = 0; j < ring.sys->size(); ++j) {
-      EXPECT_NEAR(par(i, j), serial(i, j), kParallelTol);
-    }
+  for (size_t jobs : kJobCounts) {
+    ThreadPool pool(jobs);
+    opt.pool = &pool;
+    PssWorkspace wsPar;
+    RealVector xPar = ring.warm.state;
+    const RealMatrix par =
+        integrateMonodromy(*ring.sys, xPar, 0.0, ring.warm.periodEstimate,
+                           opt.stepsPerPeriod, opt, wsPar);
+    EXPECT_EQ(xPar, xSerial);  // the integration itself is serial
+    expectMonodromyEqual(par, serial, "jobs=" + std::to_string(jobs));
   }
 }
 
@@ -728,9 +754,10 @@ LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
     const auto val = c.values();
     for (size_t j = 0; j < n; ++j) {
       if (v[j] == Cplx{}) continue;
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * v[j];
+      for (int p = ptr[j]; p < ptr[j + 1]; ++p) {
+        out[idx[p]] += val[p] * invH * v[j];
+      }
     }
-    for (auto& o : out) o *= invH;
     return out;
   };
 
