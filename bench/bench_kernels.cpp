@@ -398,8 +398,10 @@ const RingPssFixture& ringPssFixture(int stages) {
     oopt.stages = stages;
     const auto osc = buildRingOscillator(slot->nl, kit, oopt);
     slot->sys = std::make_unique<MnaSystem>(slot->nl);
-    const Real runTime = stages > 20 ? 400e-9 : 30e-9;
-    const Real dt = stages > 20 ? 20e-12 : 10e-12;
+    // Long rings warm up at a step near the 180-step shooting grid's
+    // (15.8 ps at 63 stages), the seed solvePssAutonomous needs.
+    const Real runTime = stages > 20 ? 100e-9 : 30e-9;
+    const Real dt = stages > 20 ? 16e-12 : 10e-12;
     const RingWarmup warm =
         warmupRingOscillator(*slot->sys, osc, runTime, dt);
     slot->phaseIndex = warm.phaseIndex;

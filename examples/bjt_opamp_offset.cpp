@@ -57,7 +57,7 @@ int main() {
   std::printf("largest contributors (S_i * sigma_i):\n");
   for (size_t i = 0; i < sources.size(); ++i) {
     if (std::fabs(scaled[i]) < 0.1 * sigma) continue;
-    std::printf("  %-10s %+sV\n", sources[i].name.c_str(),
+    std::printf("  %-10s %sV\n", sources[i].name.c_str(),
                 formatEng(scaled[i], 3).c_str());
   }
 

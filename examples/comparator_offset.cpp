@@ -36,7 +36,7 @@ int main() {
   std::printf("per-source contributions (S_i * sigma_i):\n");
   for (size_t i = 0; i < v.sourceNames.size(); ++i) {
     if (std::fabs(v.scaledSens[i]) < 0.02 * v.sigma()) continue;
-    std::printf("  %-10s %+sV\n", v.sourceNames[i].c_str(),
+    std::printf("  %-10s %sV\n", v.sourceNames[i].c_str(),
                 formatEng(v.scaledSens[i], 3).c_str());
   }
 

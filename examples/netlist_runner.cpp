@@ -386,7 +386,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       std::printf(".pnoise at v(%s): baseband sigma = %sV; breakdown:\n",
                   card.args[0].c_str(), formatEng(dc.sigma()).c_str());
       for (size_t i = 0; i < dc.sourceNames.size(); ++i) {
-        std::printf("  %-10s %+sV\n", dc.sourceNames[i].c_str(),
+        std::printf("  %-10s %sV\n", dc.sourceNames[i].c_str(),
                     formatEng(dc.scaledSens[i], 3).c_str());
       }
     } else {

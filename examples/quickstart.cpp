@@ -52,7 +52,7 @@ int main() {
               formatEng(std::sqrt(delayVar.paperVariance)).c_str());
   std::printf("  breakdown:\n");
   for (size_t i = 0; i < delayVar.sourceNames.size(); ++i) {
-    std::printf("    %-8s %+ss\n", delayVar.sourceNames[i].c_str(),
+    std::printf("    %-8s %ss\n", delayVar.sourceNames[i].c_str(),
                 formatEng(delayVar.scaledSens[i]).c_str());
   }
 

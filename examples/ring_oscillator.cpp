@@ -51,7 +51,7 @@ int main() {
   std::printf("\ntop contributors:\n");
   for (size_t i = 0; i < fv.sourceNames.size(); ++i) {
     if (std::fabs(fv.scaledSens[i]) < 0.15 * fv.sigma()) continue;
-    std::printf("  %-10s %+sHz\n", fv.sourceNames[i].c_str(),
+    std::printf("  %-10s %sHz\n", fv.sourceNames[i].c_str(),
                 formatEng(fv.scaledSens[i], 3).c_str());
   }
   return 0;

@@ -49,31 +49,4 @@ void Vccs::eval(Stamper& s) const {
   s.addF(b_, -i);
 }
 
-void Ccvs::declareStamps(StampPlan& plan) const {
-  plan.branch(a_, b_, branch_);
-  plan.g(branch_, ctrl_);
-}
-
-void Ccvs::eval(Stamper& s) const {
-  const Real i = s.v(branch_);
-  s.addF(a_, i);
-  s.addF(b_, -i);
-  s.addF(branch_, s.v(a_) - s.v(b_) - r_ * s.v(ctrl_));
-  s.stampBranch(0);
-  s.addG(4, -r_);
-}
-
-void Cccs::declareStamps(StampPlan& plan) const {
-  plan.g(a_, ctrl_);
-  plan.g(b_, ctrl_);
-}
-
-void Cccs::eval(Stamper& s) const {
-  const Real i = gain_ * s.v(ctrl_);
-  s.addF(a_, i);
-  s.addF(b_, -i);
-  s.addG(0, gain_);
-  s.addG(1, -gain_);
-}
-
 }  // namespace psmn

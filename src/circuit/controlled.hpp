@@ -69,48 +69,4 @@ class Vccs : public Device {
   std::vector<ControlTerm> terms_;
 };
 
-/// CCVS (H): v(a)-v(b) = r * i(controlling VSource-like branch).
-class Ccvs : public Device {
- public:
-  Ccvs(std::string name, NodeId a, NodeId b, int ctrlBranch, Real r,
-       const Netlist& nl)
-      : Device(std::move(name)),
-        a_(nl.nodeIndex(a)),
-        b_(nl.nodeIndex(b)),
-        ctrl_(ctrlBranch),
-        r_(r) {}
-
-  void allocate(BranchAllocator& alloc) override {
-    branch_ = alloc.allocate(name());
-  }
-  void declareStamps(StampPlan& plan) const override;
-  void eval(Stamper& s) const override;
-
- private:
-  int a_, b_;
-  int ctrl_;
-  int branch_ = -1;
-  Real r_;
-};
-
-/// CCCS (F): current a->b = gain * i(controlling branch).
-class Cccs : public Device {
- public:
-  Cccs(std::string name, NodeId a, NodeId b, int ctrlBranch, Real gain,
-       const Netlist& nl)
-      : Device(std::move(name)),
-        a_(nl.nodeIndex(a)),
-        b_(nl.nodeIndex(b)),
-        ctrl_(ctrlBranch),
-        gain_(gain) {}
-
-  void declareStamps(StampPlan& plan) const override;
-  void eval(Stamper& s) const override;
-
- private:
-  int a_, b_;
-  int ctrl_;
-  Real gain_;
-};
-
 }  // namespace psmn

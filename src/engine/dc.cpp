@@ -9,6 +9,9 @@
 namespace psmn {
 namespace {
 
+constexpr int kMaxIterations = 150;  // Newton iterations per solve
+constexpr Real kMaxStep = 0.5;       // Newton step clamp (V per iteration)
+
 // Max-norm that propagates non-finites: std::max drops NaN (the comparison
 // is false), so a poisoned residual would otherwise read as norm 0 and be
 // accepted as converged.
@@ -55,7 +58,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
 
   TraceSpan rungSpan(Phase::kStep, "newton_solve", TraceDetail::kStep);
   Real lastRes = -1.0;
-  for (int iter = 0; iter < opt.maxIterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
     sys.evalSparse(x, opt.time, &f, nullptr, &ws->gsp, nullptr, eopt);
     ++ws->stats.evals;
@@ -63,7 +66,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
     // A non-finite residual means the iterate escaped the devices' range
     // (exp overflow on a deep logic chain rung): no amount of further
     // iteration recovers, so report failure immediately and let the
-    // homotopy ladder backtrack instead of burning maxIterations factors.
+    // homotopy ladder backtrack instead of burning kMaxIterations factors.
     if (!std::isfinite(resNorm)) {
       recordFailure(*ws, sys, "newton/non-finite-residual", iter, lastRes, f);
       return false;
@@ -99,7 +102,7 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
       return false;
     }
     Real scale = 1.0;
-    if (stepNorm > opt.maxStep) scale = opt.maxStep / stepNorm;
+    if (stepNorm > kMaxStep) scale = kMaxStep / stepNorm;
     for (size_t i = 0; i < n; ++i) x[i] += scale * dx[i];
 
     if (iterationsOut) *iterationsOut = iter + 1;
@@ -107,13 +110,13 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
     telemetryCount(Counter::kNewtonIterations);
     if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
       // Injected stagnation: refuse this acceptance and keep iterating, so
-      // the kernel exhausts maxIterations exactly like a genuinely stuck
+      // the kernel exhausts kMaxIterations exactly like a genuinely stuck
       // Newton (the recovery paths cannot tell the difference).
       if (faultShouldFire("dc.newton.converge")) continue;
       return true;
     }
   }
-  recordFailure(*ws, sys, "newton/stagnation", opt.maxIterations, lastRes,
+  recordFailure(*ws, sys, "newton/stagnation", kMaxIterations, lastRes,
                 ws->f);
   return false;
 }
@@ -121,11 +124,14 @@ bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
 bool solveDcArclength(const MnaSystem& sys, RealVector& x,
                       const DcOptions& opt, DcWorkspace& ws,
                       int* iterationsOut, int* stepsOut) {
-  if (opt.arclengthSteps <= 0) return false;
   TraceSpan span(Phase::kDc, "dc_arclength");
+  constexpr int kSteps = 200;      // predictor-corrector steps per trace
+  constexpr Real kDs = 0.1;        // initial arc step (V-ish units)
+  constexpr Real kDsMin = 1e-6;    // give up when the step collapses
+  constexpr Real kDsMax = 0.5;     // growth cap after easy correctors
+  constexpr int kCorrectorIterations = 20;
   const size_t n = sys.size();
   MnaSystem::EvalOptions eopt;
-  eopt.gshunt = opt.gshunt;
   const Real dLamFd = 1e-6;  // FD step for f_lambda (lambda is O(1))
 
   // Evaluates f and factors J = df/dx at (xe, lambda) into the shared
@@ -167,7 +173,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   // Anchor the curve at lambda = 0 (all independent sources off). If even
   // that fails there is nothing to continue from.
   x.assign(n, 0.0);
-  if (!newtonSolve(sys, x, opt, 0.0, opt.gshunt, iterationsOut, &ws)) {
+  if (!newtonSolve(sys, x, opt, 0.0, 0.0, iterationsOut, &ws)) {
     return false;
   }
   const RealVector xAnchor = x;
@@ -182,10 +188,10 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   Real lam = 0.0;
   RealVector tx(n, 0.0);  // tangent, x part (previous step's, for
   Real tl = orient;       // orientation); seeded along `orient`
-  Real ds = opt.arclengthDs;
+  Real ds = kDs;
   int accepted = 0;
 
-  for (int step = 0; step < opt.arclengthSteps; ++step) {
+  for (int step = 0; step < kSteps; ++step) {
     // --- Tangent at the accepted point: J w = -f_lambda, t ~ (w, 1).
     if (!factorAt(x, lam)) {
       recordFailure(ws, sys, "arclength/tangent", step, -1.0, ws.f);
@@ -218,7 +224,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       lamc = lam + ds * tl;
 
       bool converged = false;
-      for (int it = 0; it < opt.arclengthNewton; ++it) {
+      for (int it = 0; it < kCorrectorIterations; ++it) {
         if (!factorAt(xc, lamc)) break;
         const Real resNorm = maxAbsVec(ws.f);
         evalFLambda(xc, lamc, ws.f, fl);
@@ -244,7 +250,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
         }
         if (!std::isfinite(stepNorm)) break;
         Real scale = 1.0;
-        if (stepNorm > opt.maxStep) scale = opt.maxStep / stepNorm;
+        if (stepNorm > kMaxStep) scale = kMaxStep / stepNorm;
         for (size_t i = 0; i < n; ++i) {
           xc[i] += scale * (-a[i] - dl * b[i]);
         }
@@ -255,7 +261,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
         if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
           converged = true;
           // Grow the arc step after an easy corrector (few iterations).
-          if (it <= 3) ds = std::min(ds * 1.5, opt.arclengthDsMax);
+          if (it <= 3) ds = std::min(ds * 1.5, kDsMax);
           break;
         }
       }
@@ -263,7 +269,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
         stepAccepted = true;
       } else {
         ds *= 0.5;
-        if (ds < opt.arclengthDsMin) {
+        if (ds < kDsMin) {
           recordFailure(ws, sys, "arclength/step-collapse", step, -1.0, ws.f);
           return false;
         }
@@ -277,7 +283,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       const Real frac = (1.0 - lam) / (lamc - lam);
       RealVector xi(n);
       for (size_t i = 0; i < n; ++i) xi[i] = x[i] + frac * (xc[i] - x[i]);
-      if (newtonSolve(sys, xi, opt, 1.0, opt.gshunt, iterationsOut, &ws)) {
+      if (newtonSolve(sys, xi, opt, 1.0, 0.0, iterationsOut, &ws)) {
         x = xi;
         if (stepsOut) *stepsOut = accepted + 1;
         return true;
@@ -294,8 +300,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       return false;
     }
   }
-  recordFailure(ws, sys, "arclength/out-of-steps", opt.arclengthSteps, -1.0,
-                ws.f);
+  recordFailure(ws, sys, "arclength/out-of-steps", kSteps, -1.0, ws.f);
   return false;
   };  // traceFrom
 
@@ -323,7 +328,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
   DcWorkspace ws;
 
   // Plain Newton first.
-  if (newtonSolve(sys, result.x, opt, 1.0, opt.gshunt, nullptr, &ws)) {
+  if (newtonSolve(sys, result.x, opt, 1.0, 0.0, nullptr, &ws)) {
     result.stats = ws.stats;
     return result;
   }
@@ -369,12 +374,11 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
         g = std::max(gGood * relax, kGminFloor);
       }
     }
-    // Final solve with the caller's shunt only.
+    // Final solve without the shunt.
     if (haveGood) {
       x = xGood;
-      if (newtonSolve(sys, x, opt, 1.0, opt.gshunt, nullptr, &ws)) {
+      if (newtonSolve(sys, x, opt, 1.0, 0.0, nullptr, &ws)) {
         result.x = x;
-        result.usedGminStepping = true;
         result.stats = ws.stats;
         return result;
       }
@@ -384,18 +388,19 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
   // Source stepping with backtracking: ramp all independent sources from
   // zero; a failed rung reverts to the last converged scale and halves the
   // ramp increment instead of aborting.
-  if (opt.sourceSteps > 0) {
+  {
+    constexpr int kSourceSteps = 10;  // nominal ladder length
     RealVector x(sys.size(), 0.0);
     RealVector xGood(sys.size(), 0.0);
     Real scale = 0.0;
-    const Real dsNominal = 1.0 / opt.sourceSteps;
+    const Real dsNominal = 1.0 / kSourceSteps;
     Real ds = dsNominal;
     constexpr Real kDsMin = 1e-4;
     bool stalled = false;
-    for (int attempt = 0; attempt < 8 * opt.sourceSteps && scale < 1.0;
+    for (int attempt = 0; attempt < 8 * kSourceSteps && scale < 1.0;
          ++attempt) {
       const Real target = std::min(1.0, scale + ds);
-      if (newtonSolve(sys, x, opt, target, opt.gshunt, nullptr, &ws)) {
+      if (newtonSolve(sys, x, opt, target, 0.0, nullptr, &ws)) {
         scale = target;
         xGood = x;
         ds = std::min(ds * 2.0, dsNominal);  // re-widen after success
@@ -410,7 +415,6 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
     }
     if (!stalled && scale >= 1.0) {
       result.x = x;
-      result.usedSourceStepping = true;
       result.stats = ws.stats;
       return result;
     }
@@ -434,10 +438,12 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
   if (ws.haveFailure) diag = ws.lastFailure;
   diag.analysis = "dc";
   if (diag.stage.empty()) diag.stage = "ladder";
-  throw ConvergenceError(
+  // Built before the throw: the error's diagnostics parameter may be moved
+  // from diag before a describe() in the same argument list runs.
+  const std::string msg =
       "DC operating point failed to converge (gmin/source ladders and "
-      "arclength continuation exhausted): " + diag.describe(),
-      std::move(diag));
+      "arclength continuation exhausted): " + diag.describe();
+  throw ConvergenceError(msg, std::move(diag));
 }
 
 }  // namespace psmn

@@ -14,26 +14,10 @@
 namespace psmn {
 
 struct DcOptions {
-  int maxIterations = 150;
   Real residualTol = 1e-9;   // max |f| (A)
   Real updateTol = 1e-9;     // max |dx| (V / A)
-  Real maxStep = 0.5;        // Newton step clamp (V per iteration)
-  Real gshunt = 0.0;         // extra shunt held during the solve
   Real time = 0.0;           // sources evaluated at this time
   int gminSteps = 12;        // homotopy ladder length (0 disables)
-  int sourceSteps = 10;      // source-stepping ladder (0 disables)
-  bool quiet = true;
-
-  // Pseudo-arclength continuation (the escalation behind the ladders).
-  // Traces the curve H(x, lambda) = f(x; lambda-scaled sources) = 0 from
-  // (x(0), 0) by predictor-corrector steps of arclength ds, so a fold in
-  // lambda — where the ramped ladders lose their branch and stall — is
-  // walked around: lambda decreases through the turn and recovers.
-  int arclengthSteps = 200;    // max predictor-corrector steps (0 disables)
-  Real arclengthDs = 0.1;      // initial arc step (V-ish units)
-  Real arclengthDsMin = 1e-6;  // give up when the step collapses below this
-  Real arclengthDsMax = 0.5;   // growth cap after easy correctors
-  int arclengthNewton = 20;    // corrector iterations per step
 };
 
 struct DcResult {
@@ -43,8 +27,6 @@ struct DcResult {
   /// `iterations` field reported only the last newtonSolve's count;
   /// `stats.newtonIterations` is the true total.
   SolveStats stats;
-  bool usedGminStepping = false;
-  bool usedSourceStepping = false;
   bool usedArclength = false;
   int arclengthSteps = 0;  // accepted continuation steps when used
 };

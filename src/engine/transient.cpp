@@ -86,14 +86,12 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
   }
 
   ws.x1.assign(x.begin(), x.end());  // predictor: previous point
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = opt.gshunt;
 
   bool converged = false;
   for (int iter = 0; iter < opt.maxNewton; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
     // Evaluate and assemble J = G + a*C.
-    sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
+    sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, {});
     ws.jac.assemble(ws.gsp, ws.csp, a);
     ++ws.stats.evals;
     ws.r.resize(n);
@@ -137,8 +135,10 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                         t1, /*nonFinite=*/true);
       return false;
     }
+    // Newton dx clamp (V); vital for regenerative latches.
+    constexpr Real kMaxStep = 0.5;
     Real scale = 1.0;
-    if (stepNorm > opt.maxStep) scale = opt.maxStep / stepNorm;
+    if (stepNorm > kMaxStep) scale = kMaxStep / stepNorm;
     for (size_t i = 0; i < n; ++i) ws.x1[i] += scale * ws.r[i];
     ++ws.stats.newtonIterations;
     telemetryCount(Counter::kNewtonIterations);
@@ -233,7 +233,6 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
   } else {
     DcOptions dopt;
     dopt.time = t0;
-    dopt.gshunt = opt.gshunt;
     x = solveDc(sys, dopt).x;
   }
   RealVector q;
@@ -251,96 +250,44 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
   // of the nominal step (a breakpoint coinciding with t1 would otherwise
   // create a degenerate femtosecond segment).
   std::vector<Real> stops;
-  if (opt.useBreakpoints) {
-    for (Real bp : sys.collectBreakpoints(t0, t1)) {
-      if (bp < t1 - 1e-3 * dt &&
-          (stops.empty() || bp - stops.back() > 1e-3 * dt)) {
-        stops.push_back(bp);
-      }
+  for (Real bp : sys.collectBreakpoints(t0, t1)) {
+    if (bp < t1 - 1e-3 * dt &&
+        (stops.empty() || bp - stops.back() > 1e-3 * dt)) {
+      stops.push_back(bp);
     }
   }
   stops.push_back(t1);
 
-  const Real dtMin = opt.dtMin > 0.0 ? opt.dtMin : dt * 1e-6;
-  const Real dtMax = opt.dtMax > 0.0 ? opt.dtMax : dt * 4.0;
-
   // Per-run workspace: sparsity pattern, symbolic factorization, and step
-  // scratch persist across every step below. The save buffers are swapped
+  // scratch persist across every step below. The save buffer is swapped
   // (never moved-from) so the steady-state loop does not allocate.
   TransientWorkspace ws;
-  RealVector qSave, xSave, qdSave;
+  RealVector qSave;
 
   Real t = t0;
-  Real h = dt;
   bool forceBE = true;  // first step and first step after each breakpoint
   for (Real stop : stops) {
     if (stop <= t) continue;
-    if (!opt.adaptive) {
-      // Uniform grid within the segment.
-      const auto count = static_cast<size_t>(
-          std::max<Real>(1.0, std::ceil((stop - t) / dt - 1e-9)));
-      const Real hseg = (stop - t) / static_cast<Real>(count);
-      for (size_t k = 0; k < count; ++k) {
-        qSave.assign(q.begin(), q.end());
-        if (!integrateStep(sys, opt.method, forceBE, t, hseg, x, q, qd,
-                           havePrev ? &qPrev : nullptr, opt, ws)) {
-          throwStepFailure(ws, t + hseg, "transient Newton failed at t=" +
-                                             formatEng(t + hseg) + "s");
-        }
-        std::swap(qPrev, qSave);
-        havePrev = true;
-        forceBE = false;
-        t += hseg;
-        ++ws.stats.steps;
-        telemetryCount(Counter::kStepsAccepted);
-        if (opt.storeStates) {
-          result.times.push_back(t);
-          result.states.push_back(x);
-        }
+    // Uniform grid within the segment.
+    const auto count = static_cast<size_t>(
+        std::max<Real>(1.0, std::ceil((stop - t) / dt - 1e-9)));
+    const Real hseg = (stop - t) / static_cast<Real>(count);
+    for (size_t k = 0; k < count; ++k) {
+      qSave.assign(q.begin(), q.end());
+      if (!integrateStep(sys, opt.method, forceBE, t, hseg, x, q, qd,
+                         havePrev ? &qPrev : nullptr, opt, ws)) {
+        throwStepFailure(ws, t + hseg, "transient Newton failed at t=" +
+                                           formatEng(t + hseg) + "s");
       }
-    } else {
-      while (t < stop - 1e-15 * (t1 - t0)) {
-        Real hTry = std::min({h, dtMax, stop - t});
-        hTry = std::max(hTry, dtMin);
-        xSave.assign(x.begin(), x.end());
-        qSave.assign(q.begin(), q.end());
-        qdSave.assign(qd.begin(), qd.end());
-        bool ok = integrateStep(sys, opt.method, forceBE, t, hTry, x, q, qd,
-                                havePrev ? &qPrev : nullptr, opt, ws);
-        Real err = 0.0;
-        if (ok) {
-          // Step-size control from the local charge-derivative change; a
-          // cheap curvature proxy that needs no extra evaluations.
-          for (size_t i = 0; i < n; ++i) {
-            const Real dqd = std::fabs(qd[i] - qdSave[i]) * hTry;
-            const Real scale = opt.reltol * std::fabs(q[i]) + opt.abstol;
-            err = std::max(err, dqd / scale);
-          }
-        }
-        if (!ok || (err > 2.0 && hTry > dtMin * 1.01)) {
-          // Reject and retry with half the step.
-          std::swap(x, xSave);
-          std::swap(q, qSave);
-          std::swap(qd, qdSave);
-          h = std::max(hTry * 0.5, dtMin);
-          if (!ok && hTry <= dtMin * 1.01) {
-            throwStepFailure(ws, t + hTry,
-                             "transient Newton failed at minimum step");
-          }
-          continue;
-        }
-        std::swap(qPrev, qSave);
-        havePrev = true;
-        forceBE = false;
-        t += hTry;
-        ++ws.stats.steps;
-        telemetryCount(Counter::kStepsAccepted);
-        if (opt.storeStates) {
-          result.times.push_back(t);
-          result.states.push_back(x);
-        }
-        if (err < 0.5) h = std::min(hTry * 1.5, dtMax);
-        else h = hTry;
+      std::swap(qPrev, qSave);
+      havePrev = true;
+      forceBE = false;
+      t += hseg;
+      ++ws.stats.steps;
+      telemetryCount(Counter::kStepsAccepted);
+      if (opt.storeStates) {
+        result.times.push_back(t);
+        result.states.push_back(x);
       }
     }
     forceBE = true;  // restart the integrator after each breakpoint

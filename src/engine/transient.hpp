@@ -28,17 +28,7 @@ struct TranOptions {
   int maxNewton = 60;
   Real residualTol = 1e-9;
   Real updateTol = 1e-9;
-  Real maxStep = 0.5;  // Newton dx clamp (V); vital for regenerative latches
-  Real gshunt = 0.0;
-  bool useBreakpoints = true;
   bool storeStates = true;
-  /// Adaptive timestep control (fixed grid when false). The nominal dt is
-  /// the starting step; it shrinks/grows within [dtMin, dtMax].
-  bool adaptive = false;
-  Real reltol = 1e-3;
-  Real abstol = 1e-6;
-  Real dtMin = 0.0;   // 0 -> dt/1e6
-  Real dtMax = 0.0;   // 0 -> 4*dt
   /// Start from this state instead of a DC solve (SPICE "UIC").
   const RealVector* initialState = nullptr;
   /// Optional execution runtime. runTransientSensitivity partitions its
@@ -91,15 +81,17 @@ struct TransientResult {
   std::vector<Real> times;
   std::vector<RealVector> states;  // one state per accepted time point
   RealVector finalState;
-  /// Run cost: stats.steps counts accepted steps, stats.newtonIterations
-  /// every Newton iteration including rejected adaptive attempts. The
-  /// initial DC solve is not included (matching the old counters).
+  /// Run cost: stats.steps counts steps, stats.newtonIterations every
+  /// Newton iteration. The initial DC solve is not included.
   SolveStats stats;
 
   /// Extracts the waveform of one MNA unknown.
   RealVector waveform(int mnaIndex) const;
 };
 
+/// Integrates [t0, t1] on a uniform grid of step at most dt within each
+/// segment between the sources' breakpoints; every segment starts with a
+/// backward-Euler step.
 TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
                              const TranOptions& opt = {});
 

@@ -19,9 +19,6 @@ void DenseLU<T>::factor(const Matrix<T>& a) {
   perm_.resize(n);
   for (size_t i = 0; i < n; ++i) perm_[i] = static_cast<int>(i);
 
-  double minPivot = std::numeric_limits<double>::infinity();
-  double maxPivot = 0.0;
-
   for (size_t k = 0; k < n; ++k) {
     // Partial pivoting: find the largest magnitude entry in column k.
     size_t pivotRow = k;
@@ -42,8 +39,6 @@ void DenseLU<T>::factor(const Matrix<T>& a) {
       for (size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(pivotRow, j));
     }
     const T pivot = lu_(k, k);
-    minPivot = std::min(minPivot, std::abs(pivot));
-    maxPivot = std::max(maxPivot, std::abs(pivot));
     for (size_t i = k + 1; i < n; ++i) {
       const T factor = lu_(i, k) / pivot;
       lu_(i, k) = factor;
@@ -53,7 +48,6 @@ void DenseLU<T>::factor(const Matrix<T>& a) {
       for (size_t j = k + 1; j < n; ++j) irow[j] -= factor * krow[j];
     }
   }
-  pivotRatio_ = (maxPivot > 0.0) ? minPivot / maxPivot : 0.0;
   telemetryCount(Counter::kDenseFactors);
 }
 

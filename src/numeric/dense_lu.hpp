@@ -43,14 +43,9 @@ class DenseLU {
   size_t size() const { return lu_.rows(); }
   bool factored() const { return !lu_.empty(); }
 
-  /// The reciprocal of the max-pivot/min-pivot ratio; a cheap conditioning
-  /// indicator (1 = perfectly conditioned, 0 = singular).
-  double pivotRatio() const { return pivotRatio_; }
-
  private:
   Matrix<T> lu_;
   std::vector<int> perm_;
-  double pivotRatio_ = 0.0;
   // Member solve scratch, reused so repeated solves on a kept factorization
   // are allocation-free. Consequence: the scratch-less const solve methods
   // are not thread-safe per object — concurrent callers must pass their

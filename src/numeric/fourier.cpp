@@ -22,37 +22,4 @@ Cplx fourierCoefficient(std::span<const Real> samples, int harmonic) {
   return acc / static_cast<Real>(m);
 }
 
-Cplx fourierCoefficient(std::span<const Cplx> samples, int harmonic) {
-  PSMN_CHECK(!samples.empty(), "fourierCoefficient: empty sample set");
-  const size_t m = samples.size();
-  Cplx acc{};
-  for (size_t k = 0; k < m; ++k) {
-    const Real phase = -kTwoPi * harmonic * static_cast<Real>(k) / m;
-    acc += samples[k] * Cplx(std::cos(phase), std::sin(phase));
-  }
-  return acc / static_cast<Real>(m);
-}
-
-CplxVector fourierCoefficients(std::span<const Real> samples, int count) {
-  CplxVector out(count);
-  for (int n = 0; n < count; ++n) out[n] = fourierCoefficient(samples, n);
-  return out;
-}
-
-Real fourierEval(std::span<const Cplx> coeffs, Real u) {
-  if (coeffs.empty()) return 0.0;
-  Real value = coeffs[0].real();
-  for (size_t n = 1; n < coeffs.size(); ++n) {
-    const Real phase = kTwoPi * static_cast<Real>(n) * u;
-    value += 2.0 * (coeffs[n].real() * std::cos(phase) -
-                    coeffs[n].imag() * std::sin(phase));
-  }
-  return value;
-}
-
-Real harmonicAmplitude(std::span<const Real> samples, int harmonic) {
-  const Cplx x = fourierCoefficient(samples, harmonic);
-  return harmonic == 0 ? std::abs(x) : 2.0 * std::abs(x);
-}
-
 }  // namespace psmn

@@ -17,17 +17,4 @@ namespace psmn {
 /// Single Fourier coefficient X_N of a real periodic sample set.
 Cplx fourierCoefficient(std::span<const Real> samples, int harmonic);
 
-/// Single Fourier coefficient of a complex periodic sample set.
-Cplx fourierCoefficient(std::span<const Cplx> samples, int harmonic);
-
-/// All coefficients X_0..X_{count-1}.
-CplxVector fourierCoefficients(std::span<const Real> samples, int count);
-
-/// Reconstructs the real signal value at phase fraction u in [0,1) from
-/// coefficients X_0..X_{H-1} (using conjugate symmetry for negatives).
-Real fourierEval(std::span<const Cplx> coeffs, Real u);
-
-/// Amplitude of harmonic N of a real signal: 2|X_N| for N>0, |X_0| for N=0.
-Real harmonicAmplitude(std::span<const Real> samples, int harmonic);
-
 }  // namespace psmn

@@ -27,30 +27,6 @@ Real maxAbsVec(std::span<const Real> v) {
   return m;
 }
 
-/// Maps the PSS Newton controls onto the transient stepping kernel. The
-/// period integration is plain fixed-step backward Euler, so the kernel's
-/// accepted-step linearization (factored J = G + C/h, plus C) is exactly
-/// the per-step companion Jacobian the monodromy product needs.
-TranOptions stepOptions(const PssOptions& opt) {
-  TranOptions t;
-  t.method = IntegrationMethod::kBackwardEuler;
-  t.maxNewton = opt.maxNewton;
-  t.residualTol = opt.newtonResidualTol;
-  t.updateTol = opt.newtonUpdateTol;
-  t.maxStep = opt.newtonMaxStep;
-  t.gshunt = opt.gshunt;
-  return t;
-}
-
-/// DC operating point at t = 0 under the PSS solver settings: where driven
-/// shooting starts and where pssWarmup starts by default.
-RealVector dcStartPoint(const MnaSystem& sys, const PssOptions& opt) {
-  DcOptions dopt;
-  dopt.time = 0.0;
-  dopt.gshunt = opt.gshunt;
-  return solveDc(sys, dopt).x;
-}
-
 struct PeriodIntegration {
   RealVector xEnd;
   std::vector<RealVector> states;     // 0..M, when the trajectory is kept
@@ -78,15 +54,13 @@ PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
 
   const size_t n = sys.size();
   const Real h = period / steps;
-  const TranOptions topt = stepOptions(opt);
+  const TranOptions topt = shootingStepOptions(opt);
   TransientWorkspace& ws = pw.tran;
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = opt.gshunt;
 
   // Initial linearization at (x0, t0): C_0 is the first step's coupling.
   RealVector& x = out.xEnd;
   pw.q.resize(n);
-  sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, eopt);
+  sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, {});
   out.gSpMats.push_back(ws.gsp);
   out.cSpMats.push_back(ws.csp);
   out.states.push_back(x);
@@ -146,18 +120,31 @@ PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
 
 }  // namespace
 
+// The period integration is plain fixed-step backward Euler, so the
+// kernel's accepted-step linearization (factored J = G + C/h, plus C) is
+// exactly the per-step companion Jacobian the monodromy product needs. The
+// tolerances sit 10x below the transient defaults: shooting converges on
+// max|x(T) - x0| < shootingTol (1e-9), which per-step Newton noise at 1e-9
+// would swamp.
+TranOptions shootingStepOptions(const PssOptions& opt) {
+  TranOptions t;
+  t.method = IntegrationMethod::kBackwardEuler;
+  t.maxNewton = opt.maxNewton;
+  t.residualTol = 1e-10;
+  t.updateTol = 1e-10;
+  return t;
+}
+
 void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
                             Real period, int steps, const PssOptions& opt,
                             PssWorkspace& pw) {
   const size_t n = sys.size();
   const Real h = period / steps;
-  const TranOptions topt = stepOptions(opt);
+  const TranOptions topt = shootingStepOptions(opt);
   // Charge at the starting point (vector outputs only; the stepping kernel
   // owns the matrix evaluations).
   pw.q.resize(n);
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = opt.gshunt;
-  sys.evalDense(x, t0, nullptr, &pw.q, nullptr, nullptr, eopt);
+  sys.evalDense(x, t0, nullptr, &pw.q, nullptr, nullptr, {});
   ++pw.tran.stats.evals;
   pw.qd.resize(n);
   std::fill(pw.qd.begin(), pw.qd.end(), 0.0);
@@ -212,7 +199,7 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
                      PssWorkspace* ws) {
   PssWorkspace local;
   PssWorkspace& pw = ws ? *ws : local;
-  RealVector x = x0 ? *x0 : dcStartPoint(sys, opt);
+  RealVector x = x0 ? *x0 : solveDc(sys, {}).x;
   for (int cyc = 0; cyc < cycles; ++cyc) {
     integratePeriodInPlace(sys, x, cyc * period, period, opt.stepsPerPeriod,
                            opt, pw);
@@ -265,7 +252,7 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
     const RealVector dx0 = lu.solve(r);
     prevX0 = x0;
     haveUpdate = true;
-    for (size_t i = 0; i < n; ++i) x0[i] += opt.relax * dx0[i];
+    for (size_t i = 0; i < n; ++i) x0[i] += dx0[i];
   }
   iterations += opt.maxShootingIterations;
   throw ConvergenceError("driven PSS shooting did not converge");
@@ -277,7 +264,7 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
                          const PssOptions& opt, const RealVector* x0guess) {
   PSMN_CHECK(period > 0.0, "period must be positive");
   TraceSpan span(Phase::kPss, "pss_driven");
-  const RealVector start = x0guess ? *x0guess : dcStartPoint(sys, opt);
+  const RealVector start = x0guess ? *x0guess : solveDc(sys, {}).x;
   PSMN_CHECK(start.size() == sys.size(), "bad initial guess size");
 
   // Shoot first: from the DC point most driven circuits converge in a few
@@ -298,50 +285,51 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
 
 namespace {
 
-/// State threaded through shootAutonomousCore across homotopy rungs:
-/// (x0, T) is both the guess in and the solution out; the counters
-/// accumulate across calls.
-struct AutonomousShoot {
-  RealVector x0;
-  Real period = 0.0;
-  int iterations = 0;
-  SolveStats stats;
-  /// Conditioning of the last bordered shooting Jacobian (1 = perfect,
-  /// 0 = singular). A degenerate multi-wave orbit — extra Floquet
-  /// multipliers at 1 — drives this toward 0.
-  Real borderedPivotRatio = 1.0;
-};
+/// Throws the autonomous shooting failure with its post-mortem: the stage,
+/// the shooting iteration, the last orbit residual max|x(T) - x0| (when an
+/// integration got that far) and the unknowns with the largest entries of
+/// that residual.
+[[noreturn]] void throwShootingFailure(const MnaSystem& sys, const char* stage,
+                                       int iteration, Real residual,
+                                       std::span<const Real> r) {
+  FailureDiagnostics diag;
+  diag.analysis = "pss";
+  diag.stage = stage;
+  diag.iteration = iteration;
+  if (residual >= 0.0) diag.residual = residual;
+  diag.suspectNodes = sys.suspectUnknowns(r);
+  diag.injectedFault = lastFiredFaultSite();
+  // The message is built first: the error's diagnostics parameter may be
+  // moved from diag before a describe() in the same argument list runs.
+  const std::string msg =
+      "autonomous PSS shooting did not converge: " + diag.describe();
+  throw ConvergenceError(msg, std::move(diag));
+}
 
-/// One autonomous shooting solve at the gshunt carried in `opt`. Returns
-/// false (with `diag` filled) instead of throwing when shooting stalls, so
-/// the relaxed-circuit homotopy ladder can re-anchor and retry. Every
-/// iteration keeps its trajectory (an iteration that does not close sweeps
-/// its monodromy over it); with `orbit` set the converged integration lands
-/// there (homotopy rungs pass nullptr: only their (x0, T) carries over).
-bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
-                         int phaseIndex, const PssOptions& opt,
-                         PssWorkspace& pw, FailureDiagnostics& diag,
-                         PeriodIntegration* orbit) {
+}  // namespace
+
+PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
+                             int phaseIndex, const RealVector& x0guess,
+                             const PssOptions& opt) {
+  PSMN_CHECK(periodGuess > 0.0, "period guess must be positive");
+  TraceSpan span(Phase::kPss, "pss_autonomous");
   const size_t n = sys.size();
-  RealVector& x0 = st.x0;
-  Real& period = st.period;
-  const Real phaseLevel = x0[phaseIndex];
+  PSMN_CHECK(phaseIndex >= 0 && phaseIndex < static_cast<int>(n),
+             "bad phase index");
+  PSMN_CHECK(x0guess.size() == n, "bad initial guess size");
 
+  // Every iteration keeps its trajectory: the converged one is the stored
+  // orbit, and any other one sweeps its monodromy over it.
+  PssWorkspace pw;
+  SolveStats stats;
+  RealVector x0 = x0guess;
+  Real period = periodGuess;
+  const Real phaseLevel = x0[phaseIndex];
   RealVector prevX0;
   Real prevPeriod = period;
   bool haveUpdate = false;
   Real lastRes = -1.0;
   RealVector r(n, 0.0);
-  auto fail = [&](const char* stage, int iter) {
-    diag = {};
-    diag.analysis = "pss";
-    diag.stage = stage;
-    diag.iteration = iter;
-    if (lastRes >= 0.0) diag.residual = lastRes;
-    diag.suspectNodes = sys.suspectUnknowns(r);
-    diag.injectedFault = lastFiredFaultSite();
-    return false;
-  };
 
   for (int iter = 0; iter < opt.maxShootingIterations; ++iter) {
     PeriodIntegration pi;
@@ -351,20 +339,32 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     } catch (const ConvergenceError&) {
       // Backtrack the last bordered update (see solvePssDriven); with no
       // update yet the guess itself is outside the integrable region.
-      if (!haveUpdate) return fail("shooting/integration", iter);
+      if (!haveUpdate) {
+        throwShootingFailure(sys, "shooting/integration", iter, lastRes, r);
+      }
       for (size_t i = 0; i < n; ++i) x0[i] = 0.5 * (x0[i] + prevX0[i]);
       period = 0.5 * (period + prevPeriod);
       continue;
     }
-    st.stats.add(pi.stats);
+    stats.add(pi.stats);
     for (size_t i = 0; i < n; ++i) r[i] = pi.xEnd[i] - x0[i];
     const Real rNorm = maxAbsVec(r);
     lastRes = rNorm;
     const Real phaseRes = x0[phaseIndex] - phaseLevel;
     if (rNorm < opt.shootingTol && std::fabs(phaseRes) < opt.shootingTol) {
-      st.iterations += iter + 1;
-      if (orbit) *orbit = std::move(pi);
-      return true;
+      // d x(T)/dT at the solution, for the adjoint period sensitivity; the
+      // converged integration is the base point.
+      const Real dT = 1e-4 * period;
+      const PeriodIntegration piT = integratePeriod(
+          sys, x0, 0.0, period + dT, opt.stepsPerPeriod, opt, false, pw);
+      RealVector dxdT(n);
+      for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - pi.xEnd[i]) / dT;
+      PssResult res = packResult(std::move(pi), 0.0, period,
+                                 opt.stepsPerPeriod, iter + 1, stats);
+      res.autonomous = true;
+      res.phaseIndex = phaseIndex;
+      res.dxdT = std::move(dxdT);
+      return res;
     }
     // dx(T)/dT by finite-differencing the whole integration. The FD step
     // must sit well above the inner Newton noise floor (~updateTol per
@@ -380,20 +380,22 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
       // The base integration converged but the dT-perturbed one did not:
       // the iterate sits on the edge of the integrable region. Backtrack
       // like a failed base integration instead of aborting the solve.
-      if (!haveUpdate) return fail("shooting/integration", iter);
+      if (!haveUpdate) {
+        throwShootingFailure(sys, "shooting/integration", iter, lastRes, r);
+      }
       for (size_t i = 0; i < n; ++i) x0[i] = 0.5 * (x0[i] + prevX0[i]);
       period = 0.5 * (period + prevPeriod);
       continue;
     }
-    st.stats.add(piT.stats);
+    stats.add(piT.stats);
     RealVector dxdT(n);
     for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - pi.xEnd[i]) / dT;
 
     // Bordered Newton system on (x0, T):
     //   [ Phi - I   dxdT ] [dx0]   [ -r        ]
     //   [ e_p^T     0    ] [dT ] = [ -phaseRes ]
-    const RealMatrix phi = periodMonodromy(
-        pi, period / opt.stepsPerPeriod, pw, opt.pool, st.stats);
+    const RealMatrix phi =
+        periodMonodromy(pi, period / opt.stepsPerPeriod, pw, opt.pool, stats);
     RealMatrix a(n + 1, n + 1);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) a(i, j) = phi(i, j);
@@ -404,155 +406,53 @@ bool shootAutonomousCore(const MnaSystem& sys, AutonomousShoot& st,
     RealVector rhs(n + 1);
     for (size_t i = 0; i < n; ++i) rhs[i] = -r[i];
     rhs[n] = -phaseRes;
-    DenseLU<Real> lu(a);
-    st.borderedPivotRatio = lu.pivotRatio();
-    const RealVector upd = lu.solve(rhs);
+    const RealVector upd = DenseLU<Real>(a).solve(rhs);
     prevX0 = x0;
     prevPeriod = period;
     haveUpdate = true;
     // Trust region on the state update (the shooting analog of the inner
-    // Newton's dx clamp): long rings carry near-marginal Floquet modes
-    // (multipliers crowding 1), so Phi - I is nearly singular along them
-    // and an unclamped bordered step can launch the iterate tens of volts
-    // off the orbit.
+    // Newton's dx clamp, in V): long rings carry near-marginal Floquet
+    // modes (multipliers crowding 1), so Phi - I is nearly singular along
+    // them and an unclamped bordered step can launch the iterate tens of
+    // volts off the orbit.
+    constexpr Real kMaxStateStep = 0.5;
     Real updNorm = 0.0;
     for (size_t i = 0; i < n; ++i) {
       updNorm = std::max(updNorm, std::fabs(upd[i]));
     }
     const Real updScale =
-        updNorm > opt.newtonMaxStep ? opt.newtonMaxStep / updNorm : 1.0;
-    for (size_t i = 0; i < n; ++i) x0[i] += opt.relax * updScale * upd[i];
-    // Trust region on the period update (the analog of the inner Newton's
-    // dx clamp): far from the orbit the bordered Jacobian can demand a
-    // huge dT — on multi-wave ring modes it once drove the period negative
-    // or let shooting "converge" onto the DC equilibrium with a
-    // seconds-long period. Capping |dT| keeps the iteration inside the
-    // basin while leaving converged results untouched.
-    Real dPeriod = opt.relax * upd[n];
-    const Real maxDT = opt.periodMaxRelStep * period;
+        updNorm > kMaxStateStep ? kMaxStateStep / updNorm : 1.0;
+    for (size_t i = 0; i < n; ++i) x0[i] += updScale * upd[i];
+    // Trust region on the period update, as a fraction of the period: far
+    // from the orbit the bordered Jacobian can demand a huge dT (once
+    // driving the period negative, or letting shooting "converge" onto the
+    // DC equilibrium with a seconds-long period). Capping |dT| keeps the
+    // iteration inside the basin while leaving converged results untouched.
+    constexpr Real kMaxPeriodRelStep = 0.1;
+    Real dPeriod = upd[n];
+    const Real maxDT = kMaxPeriodRelStep * period;
     if (std::fabs(dPeriod) > maxDT) dPeriod = std::copysign(maxDT, dPeriod);
     period += dPeriod;
     PSMN_CHECK(period > 0.0, "autonomous shooting drove the period negative");
   }
-  return fail("shooting/stagnation", opt.maxShootingIterations);
+  throwShootingFailure(sys, "shooting/stagnation", opt.maxShootingIterations,
+                       lastRes, r);
 }
 
-}  // namespace
-
-PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
-                             int phaseIndex, const RealVector& x0guess,
-                             const PssOptions& opt) {
-  PSMN_CHECK(periodGuess > 0.0, "period guess must be positive");
-  TraceSpan span(Phase::kPss, "pss_autonomous");
-  const size_t n = sys.size();
-  PSMN_CHECK(phaseIndex >= 0 && phaseIndex < static_cast<int>(n),
-             "bad phase index");
-  PSMN_CHECK(x0guess.size() == n, "bad initial guess size");
-
-  PssWorkspace pw;
-  AutonomousShoot st;
-  st.x0 = x0guess;
-  st.period = periodGuess;
-  FailureDiagnostics diag;
-  PeriodIntegration orbit;
-  bool ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag, &orbit);
-  bool usedHomotopy = false;
-
-  if (!ok && opt.shuntHomotopyRungs > 0) {
-    // Relaxed-circuit shooting homotopy: a node shunt damps the orbit into
-    // something smoother and more sinusoidal that shooting handles from a
-    // rough guess, then the shunt is walked back toward opt.gshunt with
-    // (x0, T) carried rung to rung. A failed rung keeps the previous
-    // anchor — the next (milder) rung may still converge from it.
-    std::vector<Real> rungs;
-    for (Real g = opt.shuntHomotopyStart;
-         static_cast<int>(rungs.size()) < opt.shuntHomotopyRungs &&
-         g > opt.gshunt;
-         g *= 0.1) {
-      rungs.push_back(g);
-    }
-    st = {};
-    st.x0 = x0guess;
-    st.period = periodGuess;
-    for (Real g : rungs) {
-      PssOptions ropt = opt;
-      ropt.gshunt = g;
-      AutonomousShoot rungSt = st;
-      FailureDiagnostics rungDiag;
-      if (shootAutonomousCore(sys, rungSt, phaseIndex, ropt, pw, rungDiag,
-                              nullptr)) {
-        st = std::move(rungSt);
-      }
-    }
-    ok = shootAutonomousCore(sys, st, phaseIndex, opt, pw, diag, &orbit);
-    usedHomotopy = ok;
-  }
-  if (!ok) {
-    throw ConvergenceError(
-        "autonomous PSS shooting did not converge: " + diag.describe(),
-        std::move(diag));
-  }
-
-  // Converged-period bracket guard: a multi-wave ring mode converges
-  // perfectly well — to the wrong orbit, with period near guess/k. Reject
-  // it here so drivers (solveRingPss) can restart from a mode-corrected
-  // warmup instead of silently reporting the k-wave solution.
-  if (opt.periodBracketRel > 0.0) {
-    const Real dev = std::fabs(st.period - periodGuess);
-    if (dev > opt.periodBracketRel * periodGuess) {
-      const Real k = std::round(periodGuess / std::max(st.period, 1e-300));
-      const bool subharmonic =
-          k >= 2.0 && std::fabs(st.period * k - periodGuess) <=
-                          opt.periodBracketRel * periodGuess;
-      FailureDiagnostics d;
-      d.analysis = "pss";
-      d.stage = subharmonic ? "shooting/multiwave-mode"
-                            : "shooting/period-bracket";
-      d.iteration = st.iterations;
-      d.residual = st.period;  // the offending period
-      throw ConvergenceError(
-          "autonomous PSS converged outside the period bracket (period " +
-              std::to_string(st.period) + " vs guess " +
-              std::to_string(periodGuess) +
-              (subharmonic ? ", consistent with a " +
-                                 std::to_string(static_cast<int>(k)) +
-                                 "-wave mode" +
-                                 ", bordered pivot ratio " +
-                                 std::to_string(st.borderedPivotRatio)
-                           : std::string())
-              + ")",
-          std::move(d));
-    }
-  }
-
-  // d x(T)/dT at the solution, for the adjoint period sensitivity; the
-  // converged integration is the base point.
-  const Real dT = 1e-4 * st.period;
-  const PeriodIntegration piT = integratePeriod(
-      sys, st.x0, 0.0, st.period + dT, opt.stepsPerPeriod, opt, false, pw);
-  RealVector dxdT(n);
-  for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - orbit.xEnd[i]) / dT;
-  PssResult res = packResult(std::move(orbit), 0.0, st.period,
-                             opt.stepsPerPeriod, st.iterations, st.stats);
-  res.autonomous = true;
-  res.phaseIndex = phaseIndex;
-  res.usedShuntHomotopy = usedHomotopy;
-  res.dxdT = std::move(dxdT);
-  return res;
-}
-
-namespace {
-
-/// Free-runs the ring from `start` to its limit cycle and measures the
-/// period at stage 0 — the shared tail of both warmup flavors.
-RingWarmup settleRing(const MnaSystem& sys, const RingOscillatorCircuit& osc,
-                      const RealVector& start, Real runTime, Real dt) {
+RingWarmup warmupRingOscillator(const MnaSystem& sys,
+                                const RingOscillatorCircuit& osc,
+                                Real runTime, Real dt) {
   const Netlist& nl = sys.netlist();
+  RealVector kick = solveDc(sys, {}).x;
+  for (size_t i = 0; i < osc.stages.size(); ++i) {
+    kick[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.25 : -0.25);
+  }
+  // Free-run to the limit cycle and measure the period at stage 0.
   RingWarmup w;
   const int stage0 = nl.nodeIndex(osc.stages[0]);
   TranOptions topt;
   topt.method = IntegrationMethod::kBackwardEuler;
-  topt.initialState = &start;
+  topt.initialState = &kick;
   const TransientResult tr = runTransient(sys, 0.0, runTime, dt, topt);
   const Waveform wave = makeWaveform(tr.times, tr.states, stage0);
   const Real lo = *std::min_element(wave.values.begin(), wave.values.end());
@@ -576,88 +476,6 @@ RingWarmup settleRing(const MnaSystem& sys, const RingOscillatorCircuit& osc,
     }
   }
   return w;
-}
-
-}  // namespace
-
-RingWarmup warmupRingOscillator(const MnaSystem& sys,
-                                const RingOscillatorCircuit& osc,
-                                Real runTime, Real dt) {
-  const Netlist& nl = sys.netlist();
-  RealVector kick = solveDc(sys, {}).x;
-  for (size_t i = 0; i < osc.stages.size(); ++i) {
-    kick[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.25 : -0.25);
-  }
-  return settleRing(sys, osc, kick, runTime, dt);
-}
-
-int countRingModes(const MnaSystem& sys, const RingOscillatorCircuit& osc,
-                   std::span<const Real> state) {
-  const Netlist& nl = sys.netlist();
-  const int vddIdx = nl.nodeIndex(osc.vddNode);
-  const Real vdd = vddIdx >= 0 ? state[vddIdx] : 1.0;
-  const Real mid = 0.5 * vdd;
-  const size_t nStages = osc.stages.size();
-  int defects = 0;
-  for (size_t i = 0; i < nStages; ++i) {
-    const bool hi0 = state[nl.nodeIndex(osc.stages[i])] > mid;
-    const bool hi1 = state[nl.nodeIndex(osc.stages[(i + 1) % nStages])] > mid;
-    if (hi0 == hi1) ++defects;
-  }
-  return defects;
-}
-
-RingWarmup modeCorrectedRingWarmup(const MnaSystem& sys,
-                                   const RingOscillatorCircuit& osc,
-                                   Real runTime, Real dt) {
-  const Netlist& nl = sys.netlist();
-  RealVector x = solveDc(sys, {}).x;
-  const int vddIdx = nl.nodeIndex(osc.vddNode);
-  const Real vdd = vddIdx >= 0 ? x[vddIdx] : 1.0;
-  // Railed alternating state: odd stage count makes exactly one adjacent
-  // same-polarity pair, i.e. one circulating front — the fundamental.
-  for (size_t i = 0; i < osc.stages.size(); ++i) {
-    x[nl.nodeIndex(osc.stages[i])] = (i % 2) ? vdd : 0.0;
-  }
-  return settleRing(sys, osc, x, runTime, dt);
-}
-
-PssResult solveRingPss(const MnaSystem& sys, const RingOscillatorCircuit& osc,
-                       const PssOptions& opt, Real warmRunTime, Real warmDt) {
-  PssOptions o = opt;
-  if (o.periodBracketRel <= 0.0) o.periodBracketRel = 0.35;
-  int restarts = 0;
-  RingWarmup w = warmupRingOscillator(sys, osc, warmRunTime, warmDt);
-  for (int attempt = 0;; ++attempt) {
-    if (countRingModes(sys, osc, w.state) != 1) {
-      // The kicked warmup settled on a multi-wave orbit (long rings do
-      // this routinely); rebuild from the railed alternating state, with
-      // a longer settle on each retry.
-      w = modeCorrectedRingWarmup(sys, osc, warmRunTime * (attempt + 1),
-                                  warmDt);
-      ++restarts;
-    }
-    try {
-      PssResult res =
-          solvePssAutonomous(sys, w.periodEstimate, w.phaseIndex, w.state, o);
-      if (!res.states.empty() &&
-          countRingModes(sys, osc, res.states.front()) != 1) {
-        FailureDiagnostics d;
-        d.analysis = "pss";
-        d.stage = "shooting/multiwave-mode";
-        d.residual = res.period;
-        throw ConvergenceError(
-            "ring PSS converged onto a multi-wave orbit", std::move(d));
-      }
-      res.modeRestarts = restarts;
-      return res;
-    } catch (const ConvergenceError&) {
-      if (attempt >= 2) throw;
-      w = modeCorrectedRingWarmup(sys, osc, warmRunTime * (attempt + 2),
-                                  warmDt);
-      ++restarts;
-    }
-  }
 }
 
 }  // namespace psmn

@@ -37,33 +37,9 @@ struct PssOptions {
   /// shooting from it fails, before shooting again (0 disables the
   /// fallback; the first attempt's error then propagates).
   int warmupCycles = 3;
-  Real gshunt = 0.0;
-  Real relax = 1.0;          // damping on the shooting update
-  // Inner Newton controls (per integration step).
+  /// Newton iteration cap per integration step (shootingStepOptions holds
+  /// the step's tolerances).
   int maxNewton = 60;
-  Real newtonResidualTol = 1e-10;
-  Real newtonUpdateTol = 1e-10;
-  Real newtonMaxStep = 0.5;  // dx clamp (V)
-  /// Autonomous shooting only: per-iteration trust region on the period
-  /// update, as a fraction of the current period (the dT analog of
-  /// newtonMaxStep; keeps far-off starts from running away).
-  Real periodMaxRelStep = 0.1;
-  /// Autonomous only: converged-period bracket guard (0 disables). When
-  /// set, a converged period farther than this relative distance from the
-  /// period guess is rejected with ConvergenceError — and classified as a
-  /// multi-wave / subharmonic mode collapse when it lands near guess/k for
-  /// integer k >= 2 (the signature of a ring settling on k circulating
-  /// waves; the bordered-Jacobian pivot ratio lands in the diagnostics as
-  /// supporting evidence, since a degenerate mode drives it toward 0).
-  Real periodBracketRel = 0.0;
-  /// Autonomous only: relaxed-circuit shooting homotopy used when plain
-  /// shooting fails (0 disables). The solve is re-anchored on a damped
-  /// variant of the circuit (gshunt = shuntHomotopyStart, smoother and more
-  /// sinusoidal orbit), then the shunt is relaxed rung by rung toward
-  /// opt.gshunt with (x0, T) carried forward as the next rung's guess.
-  int shuntHomotopyRungs = 3;
-  Real shuntHomotopyStart = 1e-4;
-  bool quiet = true;
   /// Optional execution runtime. The monodromy sweep of a shooting
   /// iteration that did not close splits its n columns into one block per
   /// slot, each carried through all M steps against the shared step factors
@@ -112,19 +88,14 @@ struct PssResult {
   /// iteration's integration is the stored orbit, so stats.steps ==
   /// shootingIterations * stepsPerPeriod without a fallback, and
   /// (shootingIterations + warmupCycles) * stepsPerPeriod after one, when
-  /// no integration failed partway). Autonomous: the whole solve including
-  /// homotopy rungs and the dx/dT integrations inside shooting. stats.steps
-  /// counts backward-Euler integration sub-steps of those periods;
-  /// stats.solves and stats.refactorizations include the monodromy sweeps
-  /// of the iterations that did not close (n * M columns and M step
-  /// factors each); the converged iteration sweeps none.
+  /// no integration failed partway). Autonomous: the period and dx/dT
+  /// integrations of every shooting iteration (not the one that gives the
+  /// solution's dxdT). stats.steps counts backward-Euler integration
+  /// sub-steps of those periods; stats.solves and stats.refactorizations
+  /// include the monodromy sweeps of the iterations that did not close
+  /// (n * M columns and M step factors each); the converged iteration
+  /// sweeps none.
   SolveStats stats;
-  /// Autonomous only: plain shooting failed and the relaxed-circuit
-  /// homotopy ladder produced this solution.
-  bool usedShuntHomotopy = false;
-  /// solveRingPss only: how many times the warmup orbit was rebuilt from
-  /// the railed alternating state to escape a multi-wave mode.
-  int modeRestarts = 0;
 
   size_t stepCount() const { return times.empty() ? 0 : times.size() - 1; }
   Real stepSize() const { return period / static_cast<Real>(stepCount()); }
@@ -145,13 +116,29 @@ PssResult solvePssDriven(const MnaSystem& sys, Real period,
                          const PssOptions& opt = {},
                          const RealVector* x0guess = nullptr);
 
-/// Autonomous PSS: period is solved for. `phaseIndex` selects the unknown
-/// whose initial value is frozen as the phase condition; `x0guess` must be
-/// a point near the orbit (e.g. from a warmup transient) and `periodGuess`
-/// within roughly 20% of the true period.
+/// Autonomous PSS: period is solved for by bordered shooting Newton on
+/// (x0, T). `phaseIndex` selects the unknown whose initial value is frozen
+/// as the phase condition. `x0guess` must be a point near the orbit and
+/// `periodGuess` within roughly 20% of the true period: take both from a
+/// warm-up transient (warmupRingOscillator). There is no recovery ladder,
+/// so the guess must come from a warm-up stepped near the shooting grid's
+/// step, period / stepsPerPeriod, wherever the orbit depends on the step:
+/// the 63-stage ring warmed up at 20 ps settles 3% off the period of its
+/// 15.8 ps grid and shooting from it stalls, while a 16 ps warm-up
+/// converges in 6 iterations. (The 5-stage paper ring converges in 5 from
+/// its default 10 ps warm-up on a 0.6 ps grid.) Throws ConvergenceError
+/// when shooting does not close, with FailureDiagnostics: stage
+/// "shooting/integration" or "shooting/stagnation", the iteration, and the
+/// last orbit residual max|x(T) - x0|.
 PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
                              int phaseIndex, const RealVector& x0guess,
                              const PssOptions& opt = {});
+
+/// The per-step Newton settings of every period integration (backward
+/// Euler, opt.maxNewton, and the shooting engines' own 1e-10 tolerances).
+/// Exposed so that a test replaying a period on integrateStep uses the
+/// engine's settings.
+TranOptions shootingStepOptions(const PssOptions& opt);
 
 /// Utility: runs an `initCycles`-long transient at fixed step and returns
 /// the final state (the standard way to seed shooting). `ws` (optional)
@@ -187,8 +174,10 @@ RealMatrix integrateMonodromy(const MnaSystem& sys, RealVector& x, Real t0,
 RealMatrix orbitMonodromy(const PssResult& pss, ThreadPool* pool = nullptr);
 
 /// Kicks a ring oscillator from its (metastable) DC point, free-runs it to
-/// the limit cycle with backward Euler, and returns the warm state plus a
-/// measured period estimate — the standard seed for solvePssAutonomous.
+/// the limit cycle with backward Euler at step dt, and returns the warm
+/// state plus a measured period estimate — the standard seed for
+/// solvePssAutonomous. The phase index is the stage closest to mid-swing
+/// at the final state.
 struct RingWarmup {
   RealVector state;
   Real periodEstimate = 0.0;
@@ -197,31 +186,5 @@ struct RingWarmup {
 RingWarmup warmupRingOscillator(const MnaSystem& sys,
                                 const RingOscillatorCircuit& osc,
                                 Real runTime = 30e-9, Real dt = 10e-12);
-
-/// Number of circulating waves on a ring-oscillator state: counts the
-/// adjacent same-polarity stage pairs around the cycle (1 = fundamental).
-/// An odd-N inverter ring cannot alternate perfectly, so every snapshot
-/// has an odd number of "defect" adjacencies — one per circulating
-/// transition front, and the count is conserved as the fronts travel.
-/// Long rings kicked from DC routinely settle on mode 3 or 5.
-int countRingModes(const MnaSystem& sys, const RingOscillatorCircuit& osc,
-                   std::span<const Real> state);
-
-/// Warmup that forces the fundamental mode: starts from the railed
-/// alternating state (stage i at vdd/0), whose single defect — automatic
-/// from odd parity — seeds exactly one circulating front, then free-runs
-/// to the limit cycle like warmupRingOscillator.
-RingWarmup modeCorrectedRingWarmup(const MnaSystem& sys,
-                                   const RingOscillatorCircuit& osc,
-                                   Real runTime = 30e-9, Real dt = 10e-12);
-
-/// Fundamental-mode-anchored autonomous PSS for ring oscillators: warmup,
-/// mode check (countRingModes), shooting with the period-bracket guard
-/// armed, and — when the warmup or the converged orbit lands on a
-/// multi-wave mode — a bounded restart from modeCorrectedRingWarmup.
-/// PssResult::modeRestarts reports the rebuilds.
-PssResult solveRingPss(const MnaSystem& sys, const RingOscillatorCircuit& osc,
-                       const PssOptions& opt = {}, Real warmRunTime = 30e-9,
-                       Real warmDt = 10e-12);
 
 }  // namespace psmn

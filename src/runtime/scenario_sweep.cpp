@@ -75,17 +75,15 @@ void runOneScenario(const SweepScenario& sc, SweepResult& out) {
   out.ok = true;
 }
 
-/// One rung of the bounded escalation: tighter stepping, bigger Newton
-/// budgets; the final rung may fall back to backward Euler.
+/// One rung of the bounded escalation: half the timestep, bigger Newton
+/// budgets; the final rung also falls back to backward Euler.
 void tightenScenario(SweepScenario& sc, bool finalAttempt) {
-  const Real f = sc.retry.tightenFactor;
-  if (sc.dt > 0.0 && f > 0.0 && f < 1.0) sc.dt *= f;
+  constexpr Real kDtFactor = 0.5;
+  sc.dt *= kDtFactor;
   sc.tran.maxNewton *= 2;
   sc.pss.maxNewton *= 2;
   sc.pss.maxShootingIterations += sc.pss.maxShootingIterations / 2;
-  if (finalAttempt && sc.retry.robustFinalAttempt) {
-    sc.tran.method = IntegrationMethod::kBackwardEuler;
-  }
+  if (finalAttempt) sc.tran.method = IntegrationMethod::kBackwardEuler;
 }
 
 void resetAttemptOutputs(SweepResult& out) {

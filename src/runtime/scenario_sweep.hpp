@@ -33,16 +33,14 @@ enum class SweepAnalysis {
 
 /// Per-scenario bounded-escalation retry policy. Retry k (k = 1..
 /// maxRetries) reruns the failed scenario with the timestep scaled by
-/// tightenFactor^k and the Newton budgets doubled; when robustFinalAttempt
-/// is set the last retry additionally falls back to the backward-Euler
-/// integrator (the most heavily damped one). DC solves inside the analysis
-/// escalate on their own through the gmin/source ladders into arclength
-/// continuation (engine/dc). A scenario that still fails reports its
-/// FailureDiagnostics in the SweepResult instead of aborting the sweep.
+/// 0.5^k and the Newton budgets doubled; the last retry also falls back
+/// to the backward-Euler integrator (the most heavily damped one). DC
+/// solves inside the analysis escalate on their own through the
+/// gmin/source ladders into arclength continuation (engine/dc). A scenario
+/// that still fails reports its FailureDiagnostics in the SweepResult
+/// instead of aborting the sweep.
 struct SweepRetryPolicy {
-  int maxRetries = 0;        // extra attempts after the first (0 = off)
-  Real tightenFactor = 0.5;  // dt multiplier per retry
-  bool robustFinalAttempt = true;
+  int maxRetries = 0;  // extra attempts after the first (0 = off)
 };
 
 struct SweepScenario {

@@ -48,13 +48,11 @@ inline Real dcDistance(const MnaSystem& sys, const RealVector& x,
 /// with BE a = 1/h, rhsQ = -q_prev/h; trapezoidal a = 2/h,
 /// rhsQ = -2 q_prev/h - qd_prev. `q` (optional) receives q(x).
 inline Real stepDistance(const MnaSystem& sys, const RealVector& x, Real t,
-                         Real a, std::span<const Real> rhsQ, Real gshunt = 0.0,
+                         Real a, std::span<const Real> rhsQ,
                          RealVector* q = nullptr) {
   RealVector f, qx;
   RealMatrix g, c;
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = gshunt;
-  sys.evalDense(x, t, &f, &qx, &g, &c, eopt);
+  sys.evalDense(x, t, &f, &qx, &g, &c, {});
   for (size_t i = 0; i < f.size(); ++i) {
     f[i] += a * qx[i] + rhsQ[i];
     for (size_t j = 0; j < f.size(); ++j) g(i, j) += a * c(i, j);
@@ -67,18 +65,15 @@ inline Real stepDistance(const MnaSystem& sys, const RealVector& x, Real t,
 /// states[k-1] to states[k] with h = times[k] - times[k-1].
 inline Real beTrajectoryDistance(const MnaSystem& sys,
                                  std::span<const Real> times,
-                                 std::span<const RealVector> states,
-                                 Real gshunt = 0.0) {
-  MnaSystem::EvalOptions eopt;
-  eopt.gshunt = gshunt;
+                                 std::span<const RealVector> states) {
   RealVector qPrev, rhsQ(sys.size());
-  sys.evalDense(states[0], times[0], nullptr, &qPrev, nullptr, nullptr, eopt);
+  sys.evalDense(states[0], times[0], nullptr, &qPrev, nullptr, nullptr, {});
   Real worst = 0.0;
   for (size_t k = 1; k < states.size(); ++k) {
     const Real h = times[k] - times[k - 1];
     for (size_t i = 0; i < rhsQ.size(); ++i) rhsQ[i] = -qPrev[i] / h;
     worst = std::max(worst, stepDistance(sys, states[k], times[k], 1.0 / h,
-                                         rhsQ, gshunt, &qPrev));
+                                         rhsQ, &qPrev));
   }
   return worst;
 }

@@ -194,29 +194,6 @@ TEST(Transient, BreakpointsHitPulseEdges) {
   EXPECT_TRUE(found);
 }
 
-TEST(Transient, AdaptiveProducesAccurateRc) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  nl.add<VSource>("V1", in, kGround,
-                  SourceWave::pulse(0.0, 1.0, 1e-9, 1e-10, 1e-10, 1.0, 0.0),
-                  nl);
-  nl.add<Resistor>("R1", in, out, 1e3, nl);
-  nl.add<Capacitor>("C1", out, kGround, 1e-9, nl);
-  MnaSystem sys(nl);
-  TranOptions opt;
-  opt.adaptive = true;
-  opt.method = IntegrationMethod::kTrapezoidal;
-  const TransientResult tr = runTransient(sys, 0.0, 5e-6, 10e-9, opt);
-  const Waveform w = makeWaveform(tr.times, tr.states, nl.nodeIndex(out));
-  const Real tau = 1e-6;
-  for (size_t k = 0; k < w.size(); ++k) {
-    const Real t = w.times[k] - 1e-9;
-    const Real expected = t <= 0 ? 0.0 : 1.0 - std::exp(-t / tau);
-    EXPECT_NEAR(w.values[k], expected, 5e-3);
-  }
-}
-
 TEST(Transient, ChargeConservationOnCapDivider) {
   // Two series caps driven by a step: final voltages split by 1/C.
   Netlist nl;

@@ -292,7 +292,9 @@ TEST(SparseLu, TransposedSolveRecoversKnownSolution) {
   SparseLU<Real> lu(patternedRandom(n, 17, 0));
   for (uint64_t salt = 0; salt <= 2; ++salt) {
     const auto a = patternedRandom(n, 17, salt);
-    if (salt > 0) ASSERT_TRUE(lu.refactor(a));
+    if (salt > 0) {
+      ASSERT_TRUE(lu.refactor(a));
+    }
     RealVector xTrue(n);
     Rng rng(300 + salt);
     for (auto& v : xTrue) v = rng.uniform(-2.0, 2.0);
@@ -701,27 +703,12 @@ TEST(Fourier, RecoversSingleTone) {
   EXPECT_NEAR(2.0 * std::abs(c3), amp, 1e-12);
   EXPECT_NEAR(std::arg(c3), phase, 1e-12);
   EXPECT_NEAR(std::abs(fourierCoefficient(x, 1)), 0.0, 1e-12);
-  EXPECT_NEAR(harmonicAmplitude(x, 3), amp, 1e-12);
 }
 
 TEST(Fourier, DcCoefficientIsMean) {
   RealVector x{1.0, 2.0, 3.0, 4.0};
   EXPECT_NEAR(fourierCoefficient(x, 0).real(), 2.5, 1e-14);
   EXPECT_NEAR(fourierCoefficient(x, 0).imag(), 0.0, 1e-14);
-}
-
-TEST(Fourier, EvalReconstructsSamples) {
-  const int m = 32;
-  RealVector x(m);
-  for (int k = 0; k < m; ++k) {
-    const Real u = static_cast<Real>(k) / m;
-    x[k] = 0.4 + std::sin(2 * std::numbers::pi * u) -
-           0.3 * std::cos(2 * std::numbers::pi * 2 * u);
-  }
-  const auto coeffs = fourierCoefficients(x, 8);
-  for (int k = 0; k < m; ++k) {
-    EXPECT_NEAR(fourierEval(coeffs, static_cast<Real>(k) / m), x[k], 1e-10);
-  }
 }
 
 // ------------------------------------------------------------ statistics

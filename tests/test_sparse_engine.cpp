@@ -99,7 +99,9 @@ TEST(SparseMna, EvalSparseMatchesEvalDense) {
     }
     size_t swapped = 0;
     for (const auto& x : points) swapped += swappedMosfets(nl, x);
-    if (name != "bjt follower") EXPECT_GT(swapped, 0u);
+    if (name != "bjt follower") {
+      EXPECT_GT(swapped, 0u);
+    }
 
     RealVector fd, qd, fs, qs;
     RealMatrix g, c;
@@ -186,17 +188,17 @@ TEST(SparseTransient, RingOscillatorMatchesDenseOracle) {
   EXPECT_LT(oracle::beTrajectoryDistance(sys, tr.times, tr.states), kGoldenTol);
 }
 
-// A trapezoidal run with a varying step does not keep the charge state it
-// integrates (qd), so its discrete equations cannot be rebuilt from the
-// returned trajectory. Step integrateStep here instead, with the step
-// sizes an adaptive run takes (a BE start, growth to 4 dt, halvings), and
+// A trapezoidal run does not return the charge state it integrates (qd),
+// so its discrete equations cannot be rebuilt from the returned
+// trajectory. Step integrateStep here instead, with varying step sizes
+// (a BE start, growth to 4 dt, halvings), and
 // check every accepted step against dense references: the assembled
 // J = G + a*C equals G and C as stamped (exactly: 0 + g + a*c on both
 // sides), SparseLU on J solves like DenseLU on J.toDense() (1e-12
 // relative: two LU factorizations of a well-conditioned J), and the step
 // lands within kGoldenTol of the solution of its trapezoidal equation
 // (measured 4e-16: here the oracle shares the kernel's charge history).
-TEST(SparseTransient, TrapezoidalAdaptiveStepsMatchDenseOracle) {
+TEST(SparseTransient, TrapezoidalVaryingStepsMatchDenseOracle) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   InverterChainOptions copt;
