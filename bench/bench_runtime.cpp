@@ -31,6 +31,7 @@
 
 #include "circuit/stdcell.hpp"
 #include "engine/transient_sensitivity.hpp"
+#include "rf/pss.hpp"
 #include "runtime/scenario_sweep.hpp"
 
 namespace psmn {
@@ -56,7 +57,6 @@ void BM_SweepScaling(benchmark::State& state) {
     sc.name = "corner" + std::to_string(i);
     const Real cLoad = 2e-15 * (i % 8 + 1);
     sc.make = [cLoad] { return makeChain(8, 1, cLoad); };
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = "ch8";
     sc.t1 = 2e-9;
     sc.dt = 10e-12;
@@ -99,7 +99,6 @@ void BM_SweepScalingRagged(benchmark::State& state) {
     const int stages = outlier ? 16 : 4;
     const Real cLoad = 2e-15 * (i % 4 + 1);
     sc.make = [stages, cLoad] { return makeChain(stages, 1, cLoad); };
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = "ch" + std::to_string(stages);
     sc.t1 = outlier ? 4e-9 : 1e-9;
     sc.dt = 10e-12;

@@ -242,7 +242,6 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
       applyMismatchSample(spc.netlist->mismatchParams(), nullptr, seed, k);
       return std::move(spc.netlist);
     };
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = probe;
     sc.t1 = tstop;
     sc.dt = dt;

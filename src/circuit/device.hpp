@@ -134,7 +134,6 @@ class Stamper {
   }
   void attachVectors(RealVector* f, RealVector* q) { f_ = f; q_ = q; }
   void setSourceScale(Real s) { sourceScale_ = s; }
-  void setGmin(Real g) { gmin_ = g; }
   /// Scales every subsequent vector contribution; used when accumulating
   /// weighted injection stamps (composite correlated-mismatch sources)
   /// without a temporary vector per component.
@@ -147,9 +146,9 @@ class Stamper {
   /// Global scale applied by source-stepping homotopy; independent sources
   /// must multiply their values by this.
   Real sourceScale() const { return sourceScale_; }
-  /// Convergence aid: conductance every nonlinear device should add from
-  /// its non-ground terminals to ground.
-  Real gmin() const { return gmin_; }
+  /// Convergence aid: the junction conductance every nonlinear device adds
+  /// across its junctions.
+  static constexpr Real gmin() { return 1e-12; }
   size_t size() const { return n_; }
 
   // --- device-side accumulation ---
@@ -210,7 +209,6 @@ class Stamper {
   Real time_ = 0.0;
   size_t n_ = 0;
   Real sourceScale_ = 1.0;
-  Real gmin_ = 0.0;
   Real stampScale_ = 1.0;
   Real* g_ = nullptr;
   Real* c_ = nullptr;

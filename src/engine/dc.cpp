@@ -1,28 +1,11 @@
 #include "engine/dc.hpp"
 
 #include <cmath>
-#include <limits>
-
-#include "util/fault_injection.hpp"
-#include "util/telemetry.hpp"
 
 namespace psmn {
 namespace {
 
 constexpr int kMaxIterations = 150;  // Newton iterations per solve
-constexpr Real kMaxStep = 0.5;       // Newton step clamp (V per iteration)
-
-// Max-norm that propagates non-finites: std::max drops NaN (the comparison
-// is false), so a poisoned residual would otherwise read as norm 0 and be
-// accepted as converged.
-Real maxAbsVec(std::span<const Real> v) {
-  Real m = 0.0;
-  for (Real x : v) {
-    if (!std::isfinite(x)) return std::numeric_limits<Real>::quiet_NaN();
-    m = std::max(m, std::fabs(x));
-  }
-  return m;
-}
 
 Real dotVec(std::span<const Real> a, std::span<const Real> b) {
   Real s = 0.0;
@@ -30,100 +13,37 @@ Real dotVec(std::span<const Real> a, std::span<const Real> b) {
   return s;
 }
 
-/// Cold-path failure recorder for newtonSolve / the arclength corrector.
-void recordFailure(DcWorkspace& ws, const MnaSystem& sys, const char* stage,
-                   int iteration, Real residual, std::span<const Real> f) {
-  ws.lastFailure = {};
-  ws.lastFailure.analysis = "dc";
-  ws.lastFailure.stage = stage;
-  ws.lastFailure.iteration = iteration;
-  if (std::isfinite(residual)) ws.lastFailure.residual = residual;
-  ws.lastFailure.suspectNodes = sys.suspectUnknowns(f);
-  ws.lastFailure.injectedFault = lastFiredFaultSite();
-  ws.haveFailure = true;
+/// One damped-Newton solve of f(x) = 0 at the given source scale and node
+/// shunt, on the shared workspace. False on failure, with the post-mortem
+/// in ws.lastFailure.
+bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
+                 Real sourceScale, Real gshunt, NewtonWorkspace& ws) {
+  TraceSpan rungSpan(Phase::kStep, "newton_solve", TraceDetail::kStep);
+  MnaSystem::EvalOptions eopt;
+  eopt.sourceScale = sourceScale;
+  eopt.gshunt = gshunt;
+  const NewtonSpec spec{kMaxIterations, opt.residualTol, opt.updateTol, "dc",
+                        "newton", "dc.newton.converge"};
+  return dampedNewton(sys, x, spec, ws,
+                      [&](const RealVector& xi) -> const RealSparse& {
+                        sys.evalSparse(xi, opt.time, &ws.r, nullptr, &ws.gsp,
+                                       nullptr, eopt);
+                        return ws.gsp;
+                      });
+}
+
+/// Cold-path failure recorder for the arclength trace.
+void recordFailure(NewtonWorkspace& ws, const MnaSystem& sys,
+                   const char* stage, int iteration,
+                   std::span<const Real> f) {
+  ws.recordFailure(sys, "dc", stage, iteration, -1.0, f);
 }
 
 }  // namespace
 
-bool newtonSolve(const MnaSystem& sys, RealVector& x, const DcOptions& opt,
-                 Real sourceScale, Real gshunt, int* iterationsOut,
-                 DcWorkspace* ws) {
-  const size_t n = sys.size();
-  DcWorkspace local;
-  if (ws == nullptr) ws = &local;
-  RealVector& f = ws->f;
-  MnaSystem::EvalOptions eopt;
-  eopt.sourceScale = sourceScale;
-  eopt.gshunt = gshunt;
-
-  TraceSpan rungSpan(Phase::kStep, "newton_solve", TraceDetail::kStep);
-  Real lastRes = -1.0;
-  for (int iter = 0; iter < kMaxIterations; ++iter) {
-    TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
-    sys.evalSparse(x, opt.time, &f, nullptr, &ws->gsp, nullptr, eopt);
-    ++ws->stats.evals;
-    const Real resNorm = maxAbsVec(f);
-    // A non-finite residual means the iterate escaped the devices' range
-    // (exp overflow on a deep logic chain rung): no amount of further
-    // iteration recovers, so report failure immediately and let the
-    // homotopy ladder backtrack instead of burning kMaxIterations factors.
-    if (!std::isfinite(resNorm)) {
-      recordFailure(*ws, sys, "newton/non-finite-residual", iter, lastRes, f);
-      return false;
-    }
-    lastRes = resNorm;
-
-    // Solve G dx = -f in place, reusing the pivot order and fill pattern
-    // cached in the workspace (across iterations and, when the caller
-    // passes one, across homotopy rungs).
-    try {
-      for (Real& v : f) v = -v;
-      if (!ws->sluSymbolic || !ws->slu.refactor(ws->gsp)) {
-        ws->slu.factor(ws->gsp);
-        ws->sluSymbolic = true;
-        ++ws->stats.factorizations;
-      } else {
-        ++ws->stats.refactorizations;
-      }
-      ws->stats.factorNnz = ws->slu.factorNonZeros();
-      ws->slu.solveInPlace(f);
-      ++ws->stats.solves;
-    } catch (const NumericalError&) {
-      for (Real& v : f) v = -v;  // restore f for the suspect report
-      recordFailure(*ws, sys, "newton/factorization", iter, resNorm, f);
-      return false;
-    }
-    const RealVector& dx = f;
-
-    // Clamp the Newton step to keep exponential devices in range.
-    const Real stepNorm = maxAbsVec(dx);
-    if (!std::isfinite(stepNorm)) {  // don't poison the iterate
-      recordFailure(*ws, sys, "newton/non-finite-step", iter, resNorm, {});
-      return false;
-    }
-    Real scale = 1.0;
-    if (stepNorm > kMaxStep) scale = kMaxStep / stepNorm;
-    for (size_t i = 0; i < n; ++i) x[i] += scale * dx[i];
-
-    if (iterationsOut) *iterationsOut = iter + 1;
-    ++ws->stats.newtonIterations;
-    telemetryCount(Counter::kNewtonIterations);
-    if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
-      // Injected stagnation: refuse this acceptance and keep iterating, so
-      // the kernel exhausts kMaxIterations exactly like a genuinely stuck
-      // Newton (the recovery paths cannot tell the difference).
-      if (faultShouldFire("dc.newton.converge")) continue;
-      return true;
-    }
-  }
-  recordFailure(*ws, sys, "newton/stagnation", kMaxIterations, lastRes,
-                ws->f);
-  return false;
-}
-
 bool solveDcArclength(const MnaSystem& sys, RealVector& x,
-                      const DcOptions& opt, DcWorkspace& ws,
-                      int* iterationsOut, int* stepsOut) {
+                      const DcOptions& opt, NewtonWorkspace& ws,
+                      int* stepsOut) {
   TraceSpan span(Phase::kDc, "dc_arclength");
   constexpr int kSteps = 200;      // predictor-corrector steps per trace
   constexpr Real kDs = 0.1;        // initial arc step (V-ish units)
@@ -134,29 +54,18 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   MnaSystem::EvalOptions eopt;
   const Real dLamFd = 1e-6;  // FD step for f_lambda (lambda is O(1))
 
-  // Evaluates f and factors J = df/dx at (xe, lambda) into the shared
-  // workspace. False on a pivot breakdown or a non-finite residual.
+  // Evaluates f into ws.r and factors J = df/dx at (xe, lambda) on the
+  // shared workspace. False on a pivot breakdown or a non-finite residual.
   auto factorAt = [&](const RealVector& xe, Real lambda) -> bool {
     eopt.sourceScale = lambda;
     try {
-      sys.evalSparse(xe, opt.time, &ws.f, nullptr, &ws.gsp, nullptr, eopt);
+      sys.evalSparse(xe, opt.time, &ws.r, nullptr, &ws.gsp, nullptr, eopt);
       ++ws.stats.evals;
-      if (!ws.sluSymbolic || !ws.slu.refactor(ws.gsp)) {
-        ws.slu.factor(ws.gsp);
-        ws.sluSymbolic = true;
-        ++ws.stats.factorizations;
-      } else {
-        ++ws.stats.refactorizations;
-      }
-      ws.stats.factorNnz = ws.slu.factorNonZeros();
+      ws.factor(ws.gsp);
     } catch (const NumericalError&) {
       return false;
     }
-    return std::isfinite(maxAbsVec(ws.f));
-  };
-  auto solveJ = [&](RealVector& rhs) {
-    ws.slu.solveInPlace(rhs);
-    ++ws.stats.solves;
+    return std::isfinite(maxAbsVec(ws.r));
   };
   // f_lambda at (xe, lambda) by forward difference against fAt (= f there).
   RealVector fPert;
@@ -173,7 +82,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   // Anchor the curve at lambda = 0 (all independent sources off). If even
   // that fails there is nothing to continue from.
   x.assign(n, 0.0);
-  if (!newtonSolve(sys, x, opt, 0.0, 0.0, iterationsOut, &ws)) {
+  if (!newtonSolve(sys, x, opt, 0.0, 0.0, ws)) {
     return false;
   }
   const RealVector xAnchor = x;
@@ -194,17 +103,17 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
   for (int step = 0; step < kSteps; ++step) {
     // --- Tangent at the accepted point: J w = -f_lambda, t ~ (w, 1).
     if (!factorAt(x, lam)) {
-      recordFailure(ws, sys, "arclength/tangent", step, -1.0, ws.f);
+      recordFailure(ws, sys, "arclength/tangent", step, ws.r);
       return false;
     }
-    fAccept = ws.f;
+    fAccept = ws.r;
     evalFLambda(x, lam, fAccept, fl);
     w.assign(fl.begin(), fl.end());
     for (Real& v : w) v = -v;
-    solveJ(w);
+    ws.solve(w);
     Real norm = std::sqrt(dotVec(w, w) + 1.0);
     if (!std::isfinite(norm) || norm == 0.0) {
-      recordFailure(ws, sys, "arclength/tangent", step, -1.0, fAccept);
+      recordFailure(ws, sys, "arclength/tangent", step, fAccept);
       return false;
     }
     Real tauL = 1.0 / norm;
@@ -226,17 +135,16 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       bool converged = false;
       for (int it = 0; it < kCorrectorIterations; ++it) {
         if (!factorAt(xc, lamc)) break;
-        const Real resNorm = maxAbsVec(ws.f);
-        evalFLambda(xc, lamc, ws.f, fl);
+        const Real resNorm = maxAbsVec(ws.r);
+        evalFLambda(xc, lamc, ws.r, fl);
         // Bordered system by block elimination on the factored J:
         //   [ J    f_l ] [dx ]   [ -f ]        J a = f,  J b = f_l
         //   [ tx^T tl  ] [dl ] = [ -N ]   =>   dl = (tx.a - N)/(tl - tx.b)
         //                                      dx = -a - dl*b
         // One batched 2-column solve against the factorization.
-        for (size_t i = 0; i < n; ++i) ab[i] = ws.f[i];
+        for (size_t i = 0; i < n; ++i) ab[i] = ws.r[i];
         for (size_t i = 0; i < n; ++i) ab[n + i] = fl[i];
-        ws.slu.solveManyInPlace(ab, 2);
-        ws.stats.solves += 2;
+        ws.solve(ab, 2);
         const std::span<const Real> a(ab.data(), n);
         const std::span<const Real> b(ab.data() + n, n);
         Real bigN = tl * (lamc - lam) - ds;
@@ -250,14 +158,12 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
         }
         if (!std::isfinite(stepNorm)) break;
         Real scale = 1.0;
-        if (stepNorm > kMaxStep) scale = kMaxStep / stepNorm;
+        if (stepNorm > kMaxNewtonStep) scale = kMaxNewtonStep / stepNorm;
         for (size_t i = 0; i < n; ++i) {
           xc[i] += scale * (-a[i] - dl * b[i]);
         }
         lamc += scale * dl;
-        if (iterationsOut) ++*iterationsOut;
-        ++ws.stats.newtonIterations;
-        telemetryCount(Counter::kNewtonIterations);
+        ws.countIteration();
         if (resNorm < opt.residualTol && stepNorm * scale < opt.updateTol) {
           converged = true;
           // Grow the arc step after an easy corrector (few iterations).
@@ -270,7 +176,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       } else {
         ds *= 0.5;
         if (ds < kDsMin) {
-          recordFailure(ws, sys, "arclength/step-collapse", step, -1.0, ws.f);
+          recordFailure(ws, sys, "arclength/step-collapse", step, ws.r);
           return false;
         }
       }
@@ -283,7 +189,7 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
       const Real frac = (1.0 - lam) / (lamc - lam);
       RealVector xi(n);
       for (size_t i = 0; i < n; ++i) xi[i] = x[i] + frac * (xc[i] - x[i]);
-      if (newtonSolve(sys, xi, opt, 1.0, 0.0, iterationsOut, &ws)) {
+      if (newtonSolve(sys, xi, opt, 1.0, 0.0, ws)) {
         x = xi;
         if (stepsOut) *stepsOut = accepted + 1;
         return true;
@@ -296,11 +202,11 @@ bool solveDcArclength(const MnaSystem& sys, RealVector& x,
     // Runaway guard: a trace this far outside the homotopy interval is
     // following a disconnected branch and will not reach lambda = 1.
     if (lam < -1.0 || lam > 3.0) {
-      recordFailure(ws, sys, "arclength/lambda-escape", step, -1.0, ws.f);
+      recordFailure(ws, sys, "arclength/lambda-escape", step, ws.r);
       return false;
     }
   }
-  recordFailure(ws, sys, "arclength/out-of-steps", kSteps, -1.0, ws.f);
+  recordFailure(ws, sys, "arclength/out-of-steps", kSteps, ws.r);
   return false;
   };  // traceFrom
 
@@ -325,10 +231,10 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
 
   // One workspace for every strategy below: the sparsity pattern and
   // symbolic factorization survive across homotopy rungs.
-  DcWorkspace ws;
+  NewtonWorkspace ws;
 
   // Plain Newton first.
-  if (newtonSolve(sys, result.x, opt, 1.0, 0.0, nullptr, &ws)) {
+  if (newtonSolve(sys, result.x, opt, 1.0, 0.0, ws)) {
     result.stats = ws.stats;
     return result;
   }
@@ -351,7 +257,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
     // Rung budget including retries: the plain ladder used gminSteps rungs;
     // backtracking may re-walk hard levels at a finer stride.
     for (int attempt = 0; attempt < 6 * opt.gminSteps; ++attempt) {
-      if (newtonSolve(sys, x, opt, 1.0, g, nullptr, &ws)) {
+      if (newtonSolve(sys, x, opt, 1.0, g, ws)) {
         xGood = x;
         gGood = g;
         haveGood = true;
@@ -377,7 +283,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
     // Final solve without the shunt.
     if (haveGood) {
       x = xGood;
-      if (newtonSolve(sys, x, opt, 1.0, 0.0, nullptr, &ws)) {
+      if (newtonSolve(sys, x, opt, 1.0, 0.0, ws)) {
         result.x = x;
         result.stats = ws.stats;
         return result;
@@ -400,7 +306,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
     for (int attempt = 0; attempt < 8 * kSourceSteps && scale < 1.0;
          ++attempt) {
       const Real target = std::min(1.0, scale + ds);
-      if (newtonSolve(sys, x, opt, target, 0.0, nullptr, &ws)) {
+      if (newtonSolve(sys, x, opt, target, 0.0, ws)) {
         scale = target;
         xGood = x;
         ds = std::min(ds * 2.0, dsNominal);  // re-widen after success
@@ -425,8 +331,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
   // Trace the solution curve itself instead.
   {
     RealVector x;
-    if (solveDcArclength(sys, x, opt, ws, nullptr,
-                         &result.arclengthSteps)) {
+    if (solveDcArclength(sys, x, opt, ws, &result.arclengthSteps)) {
       result.x = x;
       result.usedArclength = true;
       result.stats = ws.stats;
@@ -434,8 +339,7 @@ DcResult solveDc(const MnaSystem& sys, const DcOptions& opt,
     }
   }
 
-  FailureDiagnostics diag;
-  if (ws.haveFailure) diag = ws.lastFailure;
+  FailureDiagnostics diag = ws.lastFailure;
   diag.analysis = "dc";
   if (diag.stage.empty()) diag.stage = "ladder";
   // Built before the throw: the error's diagnostics parameter may be moved

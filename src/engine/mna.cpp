@@ -67,7 +67,6 @@ void MnaSystem::stamp(std::span<const Real> x, Real t, RealVector* f,
   s.attachVectors(f, q);
   s.attachMatrices(g, c);
   s.setSourceScale(opt.sourceScale);
-  s.setGmin(opt.gmin);
   const auto& devices = netlist_->devices();
   for (size_t d = 0; d < devices.size(); ++d) {
     s.bindSlots(slots.g.data() + gBegin_[d], slots.c.data() + cBegin_[d]);

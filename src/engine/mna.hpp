@@ -57,8 +57,6 @@ struct MnaEvalOptions {
   /// Shunt conductance from every node (not branch) unknown to ground;
   /// used by gmin-stepping homotopy and as a convergence aid.
   Real gshunt = 0.0;
-  /// Junction gmin handed to devices.
-  Real gmin = 1e-12;
 };
 
 class MnaSystem {

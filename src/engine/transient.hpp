@@ -6,16 +6,17 @@
 // integration (no DAE ringing) and breakpoints restart cleanly with a BE
 // step.
 //
-// The Newton kernel stamps G and C into the system's declared sparsity
-// pattern, assembles J = G + a*C, and reuses one symbolic factorization
+// Each step stamps G and C into the system's declared sparsity pattern,
+// assembles J = G + a*C and the step residual, and runs the damped-Newton
+// kernel (engine/newton.hpp) on them, reusing one symbolic factorization
 // (SparseLU::refactor) across iterations and time steps. All per-step
 // scratch lives in a TransientWorkspace so the steady-state stepping loop
 // performs no heap allocation (tests/test_alloc.cpp pins this down).
 #pragma once
 
+#include <functional>
+
 #include "engine/dc.hpp"
-#include "engine/mna.hpp"
-#include "numeric/sparse_lu.hpp"
 
 namespace psmn {
 
@@ -38,10 +39,14 @@ struct TranOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Reusable scratch + cached solver state for the stepping kernel. Create
-/// one per (system, run) and pass it to every integrateStep call: the
-/// pattern matrices, symbolic factorization, and all vectors/matrices are
-/// reused, so steps after the first do not allocate.
+/// The Newton workspace plus the step's own scratch. Create one per
+/// (system, run) and pass it to every integrateStep call: the pattern
+/// matrices, symbolic factorization, and all vectors/matrices are reused,
+/// so steps after the first do not allocate. `stats` tallies the cost of
+/// every step run through it; after a failed step `lastFailure` carries the
+/// kernel's post-mortem and the step's end time, and runTransient throws a
+/// NaN/Inf escape (`lastFailureNonFinite`) as NumericalError, a stall as
+/// ConvergenceError.
 ///
 /// After a successful step the workspace exposes the accepted-point
 /// linearization: `slu` holds the factored J = G + a*C at the accepted
@@ -51,30 +56,11 @@ struct TranOptions {
 /// overloads let threads share it, one scratch per thread), and the
 /// shooting monodromy sweep starts its step factors from `slu`'s symbolic
 /// factorization.
-struct TransientWorkspace {
-  // Scratch vectors.
-  RealVector f, q1, r, rhsQ, x1, qd1;
-
-  // G/C on the system's pattern and the Jacobian assembler (J = G + a*C
-  // with value-scatter maps built on the first step).
-  RealSparse gsp, csp;
+struct TransientWorkspace : NewtonWorkspace {
+  RealVector q1, rhsQ, x1, qd1;
+  RealSparse csp;  // C on the system's pattern
+  // J = G + a*C, with value-scatter maps built on the first step.
   MergedSparseAssembler<Real> jac;
-  SparseLU<Real> slu;
-  bool sluSymbolic = false;  // slu carries a reusable symbolic factorization
-
-  // Cost counters, cumulative over the workspace lifetime (the old
-  // fullFactorizations/refactorizations fields live on as
-  // stats.factorizations/stats.refactorizations).
-  SolveStats stats;
-
-  /// Post-mortem of the most recent integrateStep that returned false
-  /// (iteration, residual, suspect unknowns). runTransient folds it into
-  /// the error it throws; `lastFailureNonFinite` distinguishes a NaN/Inf
-  /// escape (surfaced as NumericalError) from plain Newton stagnation
-  /// (ConvergenceError).
-  FailureDiagnostics lastFailure;
-  bool haveFailure = false;
-  bool lastFailureNonFinite = false;
 };
 
 struct TransientResult {
@@ -95,6 +81,19 @@ struct TransientResult {
 TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
                              const TranOptions& opt = {});
 
+/// Called at the initial point (h == 0) and after every accepted step of
+/// size h, with the time and state there; the workspace then holds G and C
+/// at that point (and, after a step, the factored step Jacobian).
+using TransientStepHook =
+    std::function<void(Real t, Real h, const RealVector& x)>;
+
+/// runTransient's initial state, breakpoint segmentation and step loop on
+/// the caller's workspace, calling `onPoint` (when set) at every point:
+/// the loop runTransientSensitivity rides on.
+TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
+                             const TranOptions& opt, TransientWorkspace& ws,
+                             const TransientStepHook& onPoint);
+
 /// Single integration step from (x0,q0,qd0,t) to t+h; updates all three.
 /// `beStep` forces backward Euler (first step, post-breakpoint). Returns
 /// false if Newton failed. qm1 is q at the pre-previous point (Gear2).
@@ -104,12 +103,5 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    Real t, Real h, RealVector& x, RealVector& q,
                    RealVector& qd, const RealVector* qm1,
                    const TranOptions& opt, TransientWorkspace& ws);
-
-/// Convenience overload with a throwaway workspace (one-off steps; the
-/// engines hold a workspace across steps instead).
-bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
-                   Real t, Real h, RealVector& x, RealVector& q,
-                   RealVector& qd, const RealVector* qm1,
-                   const TranOptions& opt);
 
 }  // namespace psmn

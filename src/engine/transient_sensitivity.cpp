@@ -1,8 +1,5 @@
 #include "engine/transient_sensitivity.hpp"
 
-#include <cmath>
-
-#include "engine/dc.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace psmn {
@@ -23,14 +20,16 @@ struct SensSlotScratch {
 TransientSensitivityResult runTransientSensitivity(
     const MnaSystem& sys, Real t0, Real t1, Real dt,
     std::span<const InjectionSource> sources, const TranOptions& opt) {
-  PSMN_CHECK(t1 > t0 && dt > 0.0, "bad transient window");
   TraceSpan span(Phase::kSensitivity, "transient_sensitivity");
   const size_t n = sys.size();
   const size_t ns = sources.size();
   TransientSensitivityResult result;
 
+  // runTransient's loop in fixed-step backward Euler (the recursion below is
+  // BE's), keeping the states crossingTimeSensitivity reads.
   TranOptions stepOpt = opt;
   stepOpt.method = IntegrationMethod::kBackwardEuler;
+  stepOpt.storeStates = true;
 
   // One workspace for the whole run: the Newton kernel factors the
   // accepted-step Jacobian J = G1 + C1/h exactly once per step (mostly
@@ -38,64 +37,16 @@ TransientSensitivityResult runTransientSensitivity(
   // reuses that factorization for all `ns` injection columns at once.
   TransientWorkspace ws;
 
-  // Initial state: DC operating point (or caller-provided), with initial
-  // sensitivities from the DC system: G s = -df/dp.
-  RealVector x;
-  if (opt.initialState) {
-    x = *opt.initialState;
-  } else {
-    DcOptions dopt;
-    dopt.time = t0;
-    x = solveDc(sys, dopt).x;
-  }
-
-  // Initial linearization: q, G (initial sensitivities), and C (the C0 of
-  // the first step's charge-derivative term).
-  RealVector q, bf, bq;
-  sys.evalSparse(x, t0, nullptr, &q, &ws.gsp, &ws.csp, {});
-
   std::vector<RealVector> s(ns, RealVector(n, 0.0));
   std::vector<RealVector> qp(ns, RealVector(n, 0.0));  // dq/dp at t
   RealVector rhsAll(n * ns, 0.0);  // column-major batch of all ns columns
-  for (size_t i = 0; i < ns; ++i) {
-    sys.evalInjection(sources[i], x, t0, &bf, &bq);
-    for (size_t r = 0; r < n; ++r) rhsAll[i * n + r] = -bf[r];
-    qp[i] = bq;
-  }
-  if (opt.initialState == nullptr && ns > 0) {
-    SparseLU<Real> lu(ws.gsp);
-    lu.solveManyInPlace(rhsAll, ns);
-    ++result.stats.factorizations;
-    result.stats.solves += ns;
-    for (size_t i = 0; i < ns; ++i) {
-      s[i].assign(rhsAll.begin() + i * n, rhsAll.begin() + (i + 1) * n);
-    }
-  }
-
   // C at the latest accepted point ("C0" in the recursion). A copy on the
   // system's pattern, refreshed each step from the workspace; the
   // assignments reuse capacity, so the steady-state loop stays heap-quiet.
-  RealSparse cPrev = ws.csp;
-
-  result.times.push_back(t0);
-  result.states.push_back(x);
-  result.sens.assign(ns, {});
-  for (size_t i = 0; i < ns; ++i) result.sens[i].push_back(s[i]);
-
-  // Fixed-step backward Euler with breakpoint-aligned segments.
-  // Merge near-coincident stops (see runTransient for the rationale).
-  std::vector<Real> stops;
-  for (Real bp : sys.collectBreakpoints(t0, t1)) {
-    if (bp < t1 - 1e-3 * dt &&
-        (stops.empty() || bp - stops.back() > 1e-3 * dt)) {
-      stops.push_back(bp);
-    }
-  }
-  stops.push_back(t1);
-
-  Real t = t0;
-  Real hCur = dt;  // step size seen by the column update (set per segment)
-  RealVector qd(n, 0.0);
+  RealSparse cPrev;
+  // The initial DC-sensitivity factorization and the column solves: costs
+  // the Newton workspace does not see, counted on the dispatching side.
+  SolveStats sensCost;
 
   // Column partition across the execution runtime: the update below is
   // embarrassingly parallel over injection sources — the accepted-step
@@ -107,13 +58,13 @@ TransientSensitivityResult runTransientSensitivity(
   const size_t slots = columnBlockSlots(opt.pool, ns);
   std::vector<SensSlotScratch> slotScratch(slots);
   for (auto& sl : slotScratch) sl.c0s.resize(n);
-  const auto updateColumns = [&](size_t i0, size_t i1, size_t slot) {
+  const auto updateColumns = [&](const RealVector& x, Real t, Real h,
+                                  size_t i0, size_t i1, size_t slot) {
     SensSlotScratch& sl = slotScratch[slot];
     for (size_t i = i0; i < i1; ++i) {
       sys.evalInjection(sources[i], x, t, &sl.bf, &sl.bq);
       cPrev.multiplyInto(s[i], sl.c0s);
       Real* col = rhsAll.data() + i * n;
-      const Real h = hCur;  // the segment's accepted step size
       for (size_t r = 0; r < n; ++r) {
         col[r] = sl.c0s[r] / h - sl.bf[r] - (sl.bq[r] - qp[i][r]) / h;
       }
@@ -126,18 +77,27 @@ TransientSensitivityResult runTransientSensitivity(
     }
   };
 
-  for (Real stop : stops) {
-    if (stop <= t) continue;
-    const auto count = static_cast<size_t>(
-        std::max<Real>(1.0, std::ceil((stop - t) / dt - 1e-9)));
-    const Real h = (stop - t) / static_cast<Real>(count);
-    for (size_t k = 0; k < count; ++k) {
-      if (!integrateStep(sys, IntegrationMethod::kBackwardEuler, true, t, h, x,
-                         q, qd, nullptr, stepOpt, ws)) {
-        throw ConvergenceError("transient-sensitivity Newton failed at t=" +
-                               std::to_string(t + h));
+  result.sens.assign(ns, {});
+  const auto onPoint = [&](Real t, Real h, const RealVector& x) {
+    if (h == 0.0) {
+      // Initial sensitivities from the DC system, G s = -df/dp (zero from
+      // a caller-provided state); the workspace holds G and C at t0.
+      RealVector bf, bq;
+      for (size_t i = 0; i < ns; ++i) {
+        sys.evalInjection(sources[i], x, t, &bf, &bq);
+        for (size_t r = 0; r < n; ++r) rhsAll[i * n + r] = -bf[r];
+        qp[i] = bq;
       }
-      t += h;
+      if (opt.initialState == nullptr && ns > 0) {
+        SparseLU<Real> lu(ws.gsp);
+        lu.solveManyInPlace(rhsAll, ns);
+        ++sensCost.factorizations;
+        sensCost.solves += ns;
+        for (size_t i = 0; i < ns; ++i) {
+          s[i].assign(rhsAll.begin() + i * n, rhsAll.begin() + (i + 1) * n);
+        }
+      }
+    } else {
       // Sensitivity update at the accepted point:
       //   (G1 + C1/h) s1 = (C0/h) s0 - [bf1 + (bq1 - bq0)/h]
       // with C0 s0 linearized around the previous accepted point; we store
@@ -149,20 +109,22 @@ TransientSensitivityResult runTransientSensitivity(
       // update costs no extra evaluation or factorization, just the
       // multi-RHS substitutions for all ns injection columns — fanned
       // across the pool's slots when the caller supplied one.
-      hCur = h;
-      forEachColumnBlock(opt.pool, ns, updateColumns);
-      // Fan-out accounting on the dispatching side: the per-slot solves run
-      // on worker threads, but their column total is deterministic.
-      result.stats.solves += ns;
-      ++result.stats.steps;
-      telemetryCount(Counter::kStepsAccepted);
-      cPrev = ws.csp;
-      result.times.push_back(t);
-      result.states.push_back(x);
-      for (size_t i = 0; i < ns; ++i) result.sens[i].push_back(s[i]);
+      forEachColumnBlock(opt.pool, ns, [&](size_t i0, size_t i1, size_t slot) {
+        updateColumns(x, t, h, i0, i1, slot);
+      });
+      // The per-slot solves run on worker threads, but their column total
+      // is deterministic.
+      sensCost.solves += ns;
     }
-  }
-  result.stats.add(ws.stats);
+    cPrev = ws.csp;
+    for (size_t i = 0; i < ns; ++i) result.sens[i].push_back(s[i]);
+  };
+
+  TransientResult tr = runTransient(sys, t0, t1, dt, stepOpt, ws, onPoint);
+  result.times = std::move(tr.times);
+  result.states = std::move(tr.states);
+  result.stats = tr.stats;
+  result.stats.add(sensCost);
   return result;
 }
 

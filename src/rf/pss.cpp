@@ -15,107 +15,33 @@
 namespace psmn {
 namespace {
 
-// Max-norm that propagates non-finites: std::max drops NaN (the comparison
-// is false), so a poisoned residual would otherwise read as norm 0 and be
-// accepted as converged.
-Real maxAbsVec(std::span<const Real> v) {
-  Real m = 0.0;
-  for (Real x : v) {
-    if (!std::isfinite(x)) return std::numeric_limits<Real>::quiet_NaN();
-    m = std::max(m, std::fabs(x));
-  }
-  return m;
-}
-
-struct PeriodIntegration {
-  RealVector xEnd;
-  std::vector<RealVector> states;     // 0..M, when the trajectory is kept
-  std::vector<RealSparse> gSpMats;    // 0..M
-  std::vector<RealSparse> cSpMats;
-  SolveStats stats;  // cost delta of this integration (workspace snapshot)
-};
-
-/// Integrates one period from x0, optionally storing the trajectory with
-/// its linearizations (what a monodromy sweep and the stored orbit need).
-/// All solver state lives in `pw` and is reused across calls — shooting
-/// iterations share one symbolic factorization.
-PeriodIntegration integratePeriod(const MnaSystem& sys, const RealVector& x0,
-                                  Real t0, Real period, int steps,
-                                  const PssOptions& opt, bool wantTrajectory,
-                                  PssWorkspace& pw) {
-  PeriodIntegration out;
-  out.xEnd = x0;
-  const SolveStats before = pw.tran.stats;
-  if (!wantTrajectory) {
-    integratePeriodInPlace(sys, out.xEnd, t0, period, steps, opt, pw);
-    out.stats = SolveStats::since(before, pw.tran.stats);
-    return out;
-  }
-
-  const size_t n = sys.size();
-  const Real h = period / steps;
-  const TranOptions topt = shootingStepOptions(opt);
-  TransientWorkspace& ws = pw.tran;
-
-  // Initial linearization at (x0, t0): C_0 is the first step's coupling.
-  RealVector& x = out.xEnd;
-  pw.q.resize(n);
-  sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, {});
-  out.gSpMats.push_back(ws.gsp);
-  out.cSpMats.push_back(ws.csp);
-  out.states.push_back(x);
-  ++ws.stats.evals;  // the initial linearization evaluated above
-  pw.qd.assign(n, 0.0);
-
-  for (int k = 1; k <= steps; ++k) {
-    if (!integrateStep(sys, IntegrationMethod::kBackwardEuler, true,
-                       t0 + h * (k - 1), h, x, pw.q, pw.qd, nullptr, topt,
-                       ws)) {
-      throw ConvergenceError("PSS inner Newton failed at step " +
-                             std::to_string(k));
-    }
-    ++ws.stats.steps;
-    telemetryCount(Counter::kStepsAccepted);
-    out.states.push_back(x);
-    out.gSpMats.push_back(ws.gsp);
-    out.cSpMats.push_back(ws.csp);
-  }
-  out.stats = SolveStats::since(before, pw.tran.stats);
-  return out;
-}
-
 /// Sweeps Phi over one integrated period's stored linearization. The step
 /// factors start from the workspace's symbolic factorization and only
 /// refactor: the integration's Newton kernel factored these same J_k on it,
 /// so the factor counts and, in practice, the factors are the kernel's. The
-/// sweep's cost (M step factors, n * M solve columns) lands in `stats`.
-RealMatrix periodMonodromy(const PeriodIntegration& pi, Real h,
-                           const PssWorkspace& pw, ThreadPool* pool,
-                           SolveStats& stats) {
-  const StepFactors<Real> steps(pi.gSpMats, pi.cSpMats, h, 1.0 / h,
+/// sweep's cost (M step factors, n * M solve columns) lands in the
+/// workspace tally.
+RealMatrix periodMonodromy(const PssResult& orbit, Real h, PssWorkspace& pw,
+                           ThreadPool* pool) {
+  const StepFactors<Real> steps(orbit.gSpMats, orbit.cSpMats, h, 1.0 / h,
                                 &pw.tran.slu);
+  SolveStats& stats = pw.tran.stats;
   stats.factorizations += steps.factorizations();
   stats.refactorizations += steps.refactorizations();
   stats.solves += steps.size() * steps.steps();
   return sweepMonodromy(steps, pool);
 }
 
-/// Packs the converged shooting integration (its trajectory) into the
+/// Completes the converged shooting integration's trajectory into the
 /// result; `stats` is the solve's cost, that integration included.
-PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
-                     int shootIters, const SolveStats& stats) {
-  PssResult res;
-  res.period = period;
-  res.t0 = t0;
-  res.states = std::move(fin.states);
-  res.gSpMats = std::move(fin.gSpMats);
-  res.cSpMats = std::move(fin.cSpMats);
-  res.shootingIterations = shootIters;
-  res.stats = stats;
+void finishOrbit(PssResult& orbit, Real period, int steps, int shootIters,
+                 const SolveStats& stats) {
+  orbit.period = period;
+  orbit.shootingIterations = shootIters;
+  orbit.stats = stats;
   const Real h = period / steps;
-  res.times.resize(steps + 1);
-  for (int k = 0; k <= steps; ++k) res.times[k] = t0 + h * k;
-  return res;
+  orbit.times.resize(steps + 1);
+  for (int k = 0; k <= steps; ++k) orbit.times[k] = h * k;
 }
 
 }  // namespace
@@ -126,47 +52,51 @@ PssResult packResult(PeriodIntegration&& fin, Real t0, Real period, int steps,
 // tolerances sit 10x below the transient defaults: shooting converges on
 // max|x(T) - x0| < shootingTol (1e-9), which per-step Newton noise at 1e-9
 // would swamp.
-TranOptions shootingStepOptions(const PssOptions& opt) {
+TranOptions shootingStepOptions() {
   TranOptions t;
   t.method = IntegrationMethod::kBackwardEuler;
-  t.maxNewton = opt.maxNewton;
+  t.maxNewton = 60;
   t.residualTol = 1e-10;
   t.updateTol = 1e-10;
   return t;
 }
 
-void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
-                            Real period, int steps, const PssOptions& opt,
-                            PssWorkspace& pw) {
-  const size_t n = sys.size();
+void integratePeriod(const MnaSystem& sys, RealVector& x, Real t0,
+                     Real period, int steps, PssWorkspace& pw,
+                     PssResult* orbit) {
   const Real h = period / steps;
-  const TranOptions topt = shootingStepOptions(opt);
-  // Charge at the starting point (vector outputs only; the stepping kernel
-  // owns the matrix evaluations).
-  pw.q.resize(n);
-  sys.evalDense(x, t0, nullptr, &pw.q, nullptr, nullptr, {});
-  ++pw.tran.stats.evals;
-  pw.qd.resize(n);
-  std::fill(pw.qd.begin(), pw.qd.end(), 0.0);
+  const TranOptions topt = shootingStepOptions();
+  TransientWorkspace& ws = pw.tran;
+  const auto record = [&] {
+    if (orbit == nullptr) return;
+    orbit->states.push_back(x);
+    orbit->gSpMats.push_back(ws.gsp);
+    orbit->cSpMats.push_back(ws.csp);
+  };
+  // The starting point's charge, G and C: C_0 is the first step's coupling.
+  sys.evalSparse(x, t0, nullptr, &pw.q, &ws.gsp, &ws.csp, {});
+  ++ws.stats.evals;
+  pw.qd.assign(sys.size(), 0.0);
+  record();
   for (int k = 1; k <= steps; ++k) {
     if (!integrateStep(sys, IntegrationMethod::kBackwardEuler, true,
                        t0 + h * (k - 1), h, x, pw.q, pw.qd, nullptr, topt,
-                       pw.tran)) {
+                       ws)) {
       throw ConvergenceError("PSS inner Newton failed at step " +
                              std::to_string(k));
     }
-    ++pw.tran.stats.steps;
+    ++ws.stats.steps;
     telemetryCount(Counter::kStepsAccepted);
+    record();
   }
 }
 
 RealMatrix integrateMonodromy(const MnaSystem& sys, RealVector& x, Real t0,
                               Real period, int steps, const PssOptions& opt,
                               PssWorkspace& ws) {
-  PeriodIntegration pi = integratePeriod(sys, x, t0, period, steps, opt,
-                                         /*wantTrajectory=*/true, ws);
-  x = std::move(pi.xEnd);
-  return periodMonodromy(pi, period / steps, ws, opt.pool, ws.tran.stats);
+  PssResult orbit;
+  integratePeriod(sys, x, t0, period, steps, ws, &orbit);
+  return periodMonodromy(orbit, period / steps, ws, opt.pool);
 }
 
 RealMatrix orbitMonodromy(const PssResult& pss, ThreadPool* pool) {
@@ -201,8 +131,7 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
   PssWorkspace& pw = ws ? *ws : local;
   RealVector x = x0 ? *x0 : solveDc(sys, {}).x;
   for (int cyc = 0; cyc < cycles; ++cyc) {
-    integratePeriodInPlace(sys, x, cyc * period, period, opt.stepsPerPeriod,
-                           opt, pw);
+    integratePeriod(sys, x, cyc * period, period, opt.stepsPerPeriod, pw);
   }
   return x;
 }
@@ -222,10 +151,10 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
     // The trajectory is kept on every iteration: the converged one is the
     // stored orbit, so no extra period is integrated after convergence, and
     // any other one sweeps its monodromy over it.
-    PeriodIntegration pi;
+    PssResult orbit;
+    RealVector xEnd = x0;
     try {
-      pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, pw);
+      integratePeriod(sys, xEnd, 0.0, period, opt.stepsPerPeriod, pw, &orbit);
     } catch (const ConvergenceError&) {
       // The last shooting update overshot into a region where the period
       // integration itself cannot converge; backtrack halfway and spend a
@@ -235,19 +164,20 @@ PssResult shootDriven(const MnaSystem& sys, Real period, const PssOptions& opt,
       continue;
     }
     RealVector r(n);
-    for (size_t i = 0; i < n; ++i) r[i] = pi.xEnd[i] - x0[i];
+    for (size_t i = 0; i < n; ++i) r[i] = xEnd[i] - x0[i];
     const Real rNorm = maxAbsVec(r);
     if (rNorm < opt.shootingTol) {
       iterations += iter + 1;
       // pw belongs to one solvePssDriven call: its tally is that solve's
       // cost.
-      return packResult(std::move(pi), 0.0, period, opt.stepsPerPeriod,
-                        iterations, pw.tran.stats);
+      finishOrbit(orbit, period, opt.stepsPerPeriod, iterations,
+                  pw.tran.stats);
+      return orbit;
     }
     // Newton: dx0 = (I - Phi)^{-1} r.
     RealMatrix iMinusPhi = RealMatrix::identity(n);
-    iMinusPhi -= periodMonodromy(pi, period / opt.stepsPerPeriod, pw,
-                                 opt.pool, pw.tran.stats);
+    iMinusPhi -=
+        periodMonodromy(orbit, period / opt.stepsPerPeriod, pw, opt.pool);
     DenseLU<Real> lu(iMinusPhi);
     const RealVector dx0 = lu.solve(r);
     prevX0 = x0;
@@ -319,9 +249,9 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   PSMN_CHECK(x0guess.size() == n, "bad initial guess size");
 
   // Every iteration keeps its trajectory: the converged one is the stored
-  // orbit, and any other one sweeps its monodromy over it.
+  // orbit, and any other one sweeps its monodromy over it. The solve's cost
+  // is the workspace tally, as in driven shooting.
   PssWorkspace pw;
-  SolveStats stats;
   RealVector x0 = x0guess;
   Real period = periodGuess;
   const Real phaseLevel = x0[phaseIndex];
@@ -332,10 +262,10 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
   RealVector r(n, 0.0);
 
   for (int iter = 0; iter < opt.maxShootingIterations; ++iter) {
-    PeriodIntegration pi;
+    PssResult orbit;
+    RealVector xEnd = x0;
     try {
-      pi = integratePeriod(sys, x0, 0.0, period, opt.stepsPerPeriod, opt,
-                           true, pw);
+      integratePeriod(sys, xEnd, 0.0, period, opt.stepsPerPeriod, pw, &orbit);
     } catch (const ConvergenceError&) {
       // Backtrack the last bordered update (see solvePssDriven); with no
       // update yet the guess itself is outside the integrable region.
@@ -346,36 +276,33 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
       period = 0.5 * (period + prevPeriod);
       continue;
     }
-    stats.add(pi.stats);
-    for (size_t i = 0; i < n; ++i) r[i] = pi.xEnd[i] - x0[i];
+    for (size_t i = 0; i < n; ++i) r[i] = xEnd[i] - x0[i];
     const Real rNorm = maxAbsVec(r);
     lastRes = rNorm;
     const Real phaseRes = x0[phaseIndex] - phaseLevel;
-    if (rNorm < opt.shootingTol && std::fabs(phaseRes) < opt.shootingTol) {
-      // d x(T)/dT at the solution, for the adjoint period sensitivity; the
-      // converged integration is the base point.
-      const Real dT = 1e-4 * period;
-      const PeriodIntegration piT = integratePeriod(
-          sys, x0, 0.0, period + dT, opt.stepsPerPeriod, opt, false, pw);
-      RealVector dxdT(n);
-      for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - pi.xEnd[i]) / dT;
-      PssResult res = packResult(std::move(pi), 0.0, period,
-                                 opt.stepsPerPeriod, iter + 1, stats);
-      res.autonomous = true;
-      res.phaseIndex = phaseIndex;
-      res.dxdT = std::move(dxdT);
-      return res;
-    }
     // dx(T)/dT by finite-differencing the whole integration. The FD step
     // must sit well above the inner Newton noise floor (~updateTol per
     // step): 1e-4*T gives a ~1e-4 V signal against ~1e-9 V noise, keeping
     // the bordered Jacobian clean (1e-7*T made shooting limp to the
     // iteration cap).
     const Real dT = 1e-4 * period;
-    PeriodIntegration piT;
+    RealVector xT = x0;
+    if (rNorm < opt.shootingTol && std::fabs(phaseRes) < opt.shootingTol) {
+      // d x(T)/dT at the solution, for the adjoint period sensitivity; the
+      // converged integration is the base point. Its cost is not the
+      // solve's.
+      const SolveStats stats = pw.tran.stats;
+      integratePeriod(sys, xT, 0.0, period + dT, opt.stepsPerPeriod, pw);
+      RealVector dxdT(n);
+      for (size_t i = 0; i < n; ++i) dxdT[i] = (xT[i] - xEnd[i]) / dT;
+      finishOrbit(orbit, period, opt.stepsPerPeriod, iter + 1, stats);
+      orbit.autonomous = true;
+      orbit.phaseIndex = phaseIndex;
+      orbit.dxdT = std::move(dxdT);
+      return orbit;
+    }
     try {
-      piT = integratePeriod(sys, x0, 0.0, period + dT, opt.stepsPerPeriod,
-                            opt, false, pw);
+      integratePeriod(sys, xT, 0.0, period + dT, opt.stepsPerPeriod, pw);
     } catch (const ConvergenceError&) {
       // The base integration converged but the dT-perturbed one did not:
       // the iterate sits on the edge of the integrable region. Backtrack
@@ -387,15 +314,14 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
       period = 0.5 * (period + prevPeriod);
       continue;
     }
-    stats.add(piT.stats);
     RealVector dxdT(n);
-    for (size_t i = 0; i < n; ++i) dxdT[i] = (piT.xEnd[i] - pi.xEnd[i]) / dT;
+    for (size_t i = 0; i < n; ++i) dxdT[i] = (xT[i] - xEnd[i]) / dT;
 
     // Bordered Newton system on (x0, T):
     //   [ Phi - I   dxdT ] [dx0]   [ -r        ]
     //   [ e_p^T     0    ] [dT ] = [ -phaseRes ]
     const RealMatrix phi =
-        periodMonodromy(pi, period / opt.stepsPerPeriod, pw, opt.pool, stats);
+        periodMonodromy(orbit, period / opt.stepsPerPeriod, pw, opt.pool);
     RealMatrix a(n + 1, n + 1);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) a(i, j) = phi(i, j);

@@ -8,10 +8,10 @@
 //   x_{k+1}: (G_{k+1} + C_{k+1}/h) dx_{k+1} = (C_k/h) dx_k
 //   =>  Phi = prod_k J_k^{-1} (C_{k-1}/h).
 // Shooting solves x(T; x0) = x0 by Newton on x0 with Jacobian (Phi - I).
-// Each period integration stores its linearization (G_k, C_k); only an
-// iteration that did not close sweeps Phi over it afterwards, in one pooled
-// pass (rf/step_factors.hpp). The converged orbit sweeps nothing:
-// orbitMonodromy computes its Phi on demand.
+// Each shooting iteration's period integration stores its linearization
+// (G_k, C_k); only an iteration that did not close sweeps Phi over it
+// afterwards, in one pooled pass (rf/step_factors.hpp). The converged
+// orbit sweeps nothing: orbitMonodromy computes its Phi on demand.
 // Stability of the orbit is NOT required (the comparator's regenerative
 // metastable orbit has a Floquet multiplier >> 1 and converges fine),
 // which is exactly why the paper's comparator testbench (Fig. 6) is
@@ -37,9 +37,6 @@ struct PssOptions {
   /// shooting from it fails, before shooting again (0 disables the
   /// fallback; the first attempt's error then propagates).
   int warmupCycles = 3;
-  /// Newton iteration cap per integration step (shootingStepOptions holds
-  /// the step's tolerances).
-  int maxNewton = 60;
   /// Optional execution runtime. The monodromy sweep of a shooting
   /// iteration that did not close splits its n columns into one block per
   /// slot, each carried through all M steps against the shared step factors
@@ -83,18 +80,19 @@ struct PssResult {
   std::vector<RealSparse> gSpMats;
   std::vector<RealSparse> cSpMats;
   int shootingIterations = 0;
-  /// Solve cost. Driven: every period integrated from the start point on —
-  /// both shooting attempts and the fallback's warm-up (the converged
-  /// iteration's integration is the stored orbit, so stats.steps ==
-  /// shootingIterations * stepsPerPeriod without a fallback, and
-  /// (shootingIterations + warmupCycles) * stepsPerPeriod after one, when
-  /// no integration failed partway). Autonomous: the period and dx/dT
-  /// integrations of every shooting iteration (not the one that gives the
-  /// solution's dxdT). stats.steps counts backward-Euler integration
-  /// sub-steps of those periods; stats.solves and stats.refactorizations
-  /// include the monodromy sweeps of the iterations that did not close
-  /// (n * M columns and M step factors each); the converged iteration
-  /// sweeps none.
+  /// Solve cost: the tally of the solve's one workspace, so it includes
+  /// the partial work of period integrations that failed. Driven: every
+  /// period integrated from the start point on — both shooting attempts
+  /// and the fallback's warm-up (the converged iteration's integration is
+  /// the stored orbit, so stats.steps == shootingIterations *
+  /// stepsPerPeriod without a fallback, and (shootingIterations +
+  /// warmupCycles) * stepsPerPeriod after one, when no integration failed
+  /// partway). Autonomous: the period and dx/dT integrations of every
+  /// shooting iteration (not the one that gives the solution's dxdT).
+  /// stats.steps counts backward-Euler integration sub-steps of those
+  /// periods; stats.solves and stats.refactorizations include the
+  /// monodromy sweeps of the iterations that did not close (n * M columns
+  /// and M step factors each); the converged iteration sweeps none.
   SolveStats stats;
 
   size_t stepCount() const { return times.empty() ? 0 : times.size() - 1; }
@@ -135,10 +133,10 @@ PssResult solvePssAutonomous(const MnaSystem& sys, Real periodGuess,
                              const PssOptions& opt = {});
 
 /// The per-step Newton settings of every period integration (backward
-/// Euler, opt.maxNewton, and the shooting engines' own 1e-10 tolerances).
-/// Exposed so that a test replaying a period on integrateStep uses the
-/// engine's settings.
-TranOptions shootingStepOptions(const PssOptions& opt);
+/// Euler, 60 Newton iterations, and the shooting engines' own 1e-10
+/// tolerances). Exposed so that a test replaying a period on integrateStep
+/// uses the engine's settings.
+TranOptions shootingStepOptions();
 
 /// Utility: runs an `initCycles`-long transient at fixed step and returns
 /// the final state (the standard way to seed shooting). `ws` (optional)
@@ -148,15 +146,17 @@ RealVector pssWarmup(const MnaSystem& sys, Real period, int cycles,
                      PssWorkspace* ws = nullptr);
 
 /// Integrates one period [t0, t0+T] with `steps` backward-Euler steps,
-/// advancing `x` in place — the inner kernel of the shooting engines,
-/// exposed for reuse and for the allocation tests: once the workspace is
-/// warm (pattern copied, symbolic factorization kept, buffers sized) a
-/// call performs no heap allocation.
-void integratePeriodInPlace(const MnaSystem& sys, RealVector& x, Real t0,
-                            Real period, int steps, const PssOptions& opt,
-                            PssWorkspace& ws);
+/// advancing `x` in place — the inner loop of the shooting engines. With
+/// `orbit`, appends each of the steps + 1 points' state, G and C to its
+/// states/gSpMats/cSpMats (what a monodromy sweep and the stored orbit
+/// read). Without, once the workspace is warm (pattern copied, symbolic
+/// factorization kept, buffers sized) a call performs no heap allocation.
+/// Throws ConvergenceError when a step's Newton fails.
+void integratePeriod(const MnaSystem& sys, RealVector& x, Real t0,
+                     Real period, int steps, PssWorkspace& ws,
+                     PssResult* orbit = nullptr);
 
-/// Integrates one period like integratePeriodInPlace, then sweeps the
+/// Integrates one period like integratePeriod, then sweeps the
 /// monodromy Phi = prod_k J_k^{-1} (C_{k-1}/h) over the period's stored
 /// linearization — what a shooting iteration that did not close does,
 /// exposed for the parallel-monodromy benches and goldens (`opt.pool` fans

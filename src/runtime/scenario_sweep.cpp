@@ -1,10 +1,8 @@
 #include "runtime/scenario_sweep.hpp"
 
-#include <cmath>
 #include <mutex>
 #include <optional>
 
-#include "engine/transient_sensitivity.hpp"
 #include "util/telemetry.hpp"
 
 namespace psmn {
@@ -17,81 +15,31 @@ void runOneScenario(const SweepScenario& sc, SweepResult& out) {
   nl->finalize();
   MnaSystem sys(*nl);
 
-  int outIdx = -1;
-  if (sc.analysis != SweepAnalysis::kMcBatch) {
-    PSMN_CHECK(!sc.outNode.empty(), "scenario needs an output node");
-    outIdx = nl->nodeIndex(sc.outNode);
-    PSMN_CHECK(outIdx >= 0, "unknown output node '" + sc.outNode + "'");
-  }
+  PSMN_CHECK(!sc.outNode.empty(), "scenario needs an output node");
+  const int outIdx = nl->nodeIndex(sc.outNode);
+  PSMN_CHECK(outIdx >= 0, "unknown output node '" + sc.outNode + "'");
 
-  switch (sc.analysis) {
-    case SweepAnalysis::kTransient: {
-      const TransientResult tr =
-          runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran);
-      out.times = tr.times;
-      out.waveform = tr.waveform(outIdx);
-      out.finalState = tr.finalState;
-      out.stats = tr.stats;
-      break;
-    }
-    case SweepAnalysis::kTransientSensitivity: {
-      const auto sources = sys.collectSources();
-      const TransientSensitivityResult sr =
-          runTransientSensitivity(sys, sc.t0, sc.t1, sc.dt, sources, sc.tran);
-      out.times = sr.times;
-      out.waveform.resize(sr.states.size());
-      out.sigma.assign(sr.times.size(), 0.0);
-      for (size_t k = 0; k < sr.times.size(); ++k) {
-        out.waveform[k] = sr.states[k][outIdx];
-        Real var = 0.0;
-        for (size_t i = 0; i < sources.size(); ++i) {
-          const Real d = sr.sens[i][k][outIdx] * sources[i].sigma;
-          var += d * d;
-        }
-        out.sigma[k] = std::sqrt(var);
-      }
-      if (!sr.states.empty()) out.finalState = sr.states.back();
-      out.stats = sr.stats;
-      break;
-    }
-    case SweepAnalysis::kPssDriven: {
-      PSMN_CHECK(sc.period > 0.0, "PSS scenario needs a period");
-      const PssResult pss = solvePssDriven(sys, sc.period, sc.pss);
-      out.waveform = pss.waveform(outIdx);  // M periodic samples
-      out.times.assign(pss.times.begin(),
-                       pss.times.begin() + out.waveform.size());
-      if (!pss.states.empty()) out.finalState = pss.states.front();
-      out.stats = pss.stats;
-      break;
-    }
-    case SweepAnalysis::kMcBatch: {
-      PSMN_CHECK(sc.mcMeasure != nullptr, "MC scenario needs a measurement");
-      MonteCarloEngine engine(sys, sc.mc);
-      engine.setNetlistFactory(sc.make);
-      out.mc = engine.run(sc.mcNames, sc.mcMeasure);
-      break;
-    }
-  }
+  const TransientResult tr = runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran);
+  out.times = tr.times;
+  out.waveform = tr.waveform(outIdx);
+  out.finalState = tr.finalState;
+  out.stats = tr.stats;
   out.ok = true;
 }
 
-/// One rung of the bounded escalation: half the timestep, bigger Newton
-/// budgets; the final rung also falls back to backward Euler.
+/// One rung of the bounded escalation: half the timestep, a bigger Newton
+/// budget; the final rung also falls back to backward Euler.
 void tightenScenario(SweepScenario& sc, bool finalAttempt) {
   constexpr Real kDtFactor = 0.5;
   sc.dt *= kDtFactor;
   sc.tran.maxNewton *= 2;
-  sc.pss.maxNewton *= 2;
-  sc.pss.maxShootingIterations += sc.pss.maxShootingIterations / 2;
   if (finalAttempt) sc.tran.method = IntegrationMethod::kBackwardEuler;
 }
 
 void resetAttemptOutputs(SweepResult& out) {
   out.times.clear();
   out.waveform.clear();
-  out.sigma.clear();
   out.finalState.clear();
-  out.mc = {};
   out.stats = {};
 }
 

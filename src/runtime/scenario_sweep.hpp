@@ -1,12 +1,12 @@
-// Scenario sweep: fans one analysis specification across N scenarios on
-// the execution runtime — corners, mismatch configurations, seeded MC
-// batches — the production sign-off loop around the paper's single
+// Scenario sweep: fans one transient specification across N scenarios on
+// the execution runtime — corners, mismatch configurations, Monte-Carlo
+// samples — the production sign-off loop around the paper's single
 // sensitivity solve.
 //
 // Ownership rules (docs/architecture.md "The parallel runtime"): every
 // scenario owns its full stack — a private Netlist built by its factory on
-// the evaluating slot, the MnaSystem over it, and the engine workspaces
-// (TransientWorkspace/PssWorkspace) the analyses allocate internally.
+// the evaluating slot, the MnaSystem over it, and the TransientWorkspace
+// the analysis allocates internally.
 // Nothing is shared between scenarios, so device mutation (mismatch
 // deltas) and workspace reuse need no locking. Results land in input
 // order; a failing scenario (ConvergenceError, NumericalError, ...) is
@@ -16,24 +16,16 @@
 #include <functional>
 #include <span>
 
-#include "core/monte_carlo.hpp"
+#include "core/monte_carlo.hpp"  // NetlistFactory
 #include "engine/transient.hpp"
-#include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/fault_injection.hpp"
 
 namespace psmn {
 
-enum class SweepAnalysis {
-  kTransient,             // waveform of `outNode`
-  kTransientSensitivity,  // waveform + mismatch sigma(t) of `outNode`
-  kPssDriven,             // periodic steady-state waveform of `outNode`
-  kMcBatch,               // seeded Monte-Carlo batch (mcMeasure/mcNames)
-};
-
 /// Per-scenario bounded-escalation retry policy. Retry k (k = 1..
 /// maxRetries) reruns the failed scenario with the timestep scaled by
-/// 0.5^k and the Newton budgets doubled; the last retry also falls back
+/// 0.5^k and the step's Newton budget doubled; the last retry also falls back
 /// to the backward-Euler integrator (the most heavily damped one). DC
 /// solves inside the analysis escalate on their own through the
 /// gmin/source ladders into arclength continuation (engine/dc). A scenario
@@ -49,27 +41,13 @@ struct SweepScenario {
   /// sweep). Runs on the evaluating slot; must not touch shared state.
   NetlistFactory make;
 
-  SweepAnalysis analysis = SweepAnalysis::kTransient;
-  /// Node whose waveform (and sigma(t)) is recorded; required for every
-  /// analysis except kMcBatch.
+  /// Node whose transient waveform is recorded.
   std::string outNode;
 
-  // kTransient / kTransientSensitivity window and engine options. The
-  // TranOptions::pool field is ignored here: scenarios already occupy the
-  // pool, and nested parallelFor would serialize anyway.
+  // Transient window and engine options. The TranOptions::pool field is
+  // ignored here: runTransient has no column fan-out to give it.
   Real t0 = 0.0, t1 = 0.0, dt = 0.0;
   TranOptions tran;
-
-  // kPssDriven.
-  Real period = 0.0;
-  PssOptions pss;
-
-  // kMcBatch: the batch engine runs on this scenario's netlist; `make` is
-  // reused as the engine's factory, so mc.jobs > 1 works — though inside a
-  // sweep the scenario fan-out is normally parallelism enough.
-  McOptions mc;
-  std::vector<std::string> mcNames;
-  McMeasure mcMeasure;
 
   /// Retry escalation when this scenario's analysis throws.
   SweepRetryPolicy retry;
@@ -94,18 +72,12 @@ struct SweepResult {
   bool hasDiagnostics = false;
   FailureDiagnostics diagnostics;
 
-  /// Cost counters of the successful attempt (zero when !ok, and for
-  /// kMcBatch, whose per-sample costs stay internal to the batch engine).
+  /// Cost counters of the successful attempt (zero when !ok).
   SolveStats stats;
 
-  // Waveform analyses.
   std::vector<Real> times;
   RealVector waveform;  // outNode at each time point
-  RealVector sigma;     // kTransientSensitivity: mismatch sigma(t)
   RealVector finalState;
-
-  // kMcBatch.
-  McResult mc;
 };
 
 /// Called (serialized under an internal mutex) as each scenario finishes,

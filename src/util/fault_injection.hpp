@@ -23,8 +23,9 @@
 //   "sparse_lu.factor"    SparseLU<T>::factor throws NumericalError
 //   "sparse_lu.refactor"  SparseLU<T>::refactor reports pivot failure
 //   "mna.eval"            MnaSystem::evalDense/evalSparse poison f[0]=NaN
-//   "dc.newton.converge"  newtonSolve suppresses a convergence acceptance
-//   "tran.newton.converge" integrateStep suppresses an acceptance
+//   "dc.newton.converge"  the Newton kernel refuses a DC acceptance
+//   "tran.newton.converge" the Newton kernel refuses a transient-step
+//                          acceptance
 #pragma once
 
 #include <string>

@@ -26,9 +26,11 @@
 //     when a registry is attached).
 //   * SolveStats: the per-result cost counters embedded in DcResult,
 //     TransientResult, TransientSensitivityResult, PssResult, and
-//     SweepResult. These are maintained explicitly by the engines on the
-//     calling thread (parallel fan-outs add their deterministic totals
-//     from the dispatching side), so a result's stats are bit-identical
+//     SweepResult. The Newton workspace (engine/newton.hpp) tallies every
+//     eval, factor, solve and iteration of the Newton kernel on the calling
+//     thread; the few costs outside it (step counts, monodromy sweeps,
+//     sensitivity columns) are added by their engine, parallel fan-outs
+//     from the dispatching side, so a result's stats are bit-identical
 //     across jobs counts, with or without a registry bound.
 #pragma once
 
@@ -67,20 +69,6 @@ struct SolveStats {
     solves += o.solves;
     evals += o.evals;
     if (o.factorNnz != 0) factorNnz = o.factorNnz;
-  }
-
-  /// Counter deltas `now - before` of one workspace between two snapshots
-  /// (factorNnz reports `now`'s value — it is a level, not a count).
-  static SolveStats since(const SolveStats& before, const SolveStats& now) {
-    SolveStats d;
-    d.newtonIterations = now.newtonIterations - before.newtonIterations;
-    d.steps = now.steps - before.steps;
-    d.factorizations = now.factorizations - before.factorizations;
-    d.refactorizations = now.refactorizations - before.refactorizations;
-    d.solves = now.solves - before.solves;
-    d.evals = now.evals - before.evals;
-    d.factorNnz = now.factorNnz;
-    return d;
   }
 
   bool operator==(const SolveStats&) const = default;

@@ -61,7 +61,6 @@ struct FdOptions {
   uint64_t seed = 20070604;  // fixed: deterministic, kink-free points
   Real biasSpan = 1.0;      // node voltages uniform in [-span, span]
   Real branchSpan = 1e-3;   // branch currents uniform in [-span, span]
-  Real gmin = 1e-12;        // stamped like the assembler would
   Real time = 0.0;
 };
 
@@ -70,9 +69,7 @@ struct FdOptions {
 inline void evalAll(const MnaSystem& sys, const RealVector& x,
                     const FdOptions& opt, RealVector& f, RealVector& q,
                     RealMatrix* g, RealMatrix* c) {
-  MnaSystem::EvalOptions eopt;
-  eopt.gmin = opt.gmin;
-  sys.evalDense(x, opt.time, &f, &q, g, c, eopt);
+  sys.evalDense(x, opt.time, &f, &q, g, c);
 }
 
 namespace detail {
@@ -131,9 +128,7 @@ inline void checkJacobiansAt(const MnaSystem& sys, const RealVector& x,
 
   RealVector fs, qs;
   RealSparse gs, cs;
-  MnaSystem::EvalOptions eopt;
-  eopt.gmin = opt.gmin;
-  sys.evalSparse(x, opt.time, &fs, &qs, &gs, &cs, eopt);
+  sys.evalSparse(x, opt.time, &fs, &qs, &gs, &cs);
   const RealMatrix gsd = gs.toDense(), csd = cs.toDense();
   for (size_t i = 0; i < n; ++i) {
     bool same = fs[i] == f0[i] && qs[i] == q0[i];
@@ -209,7 +204,6 @@ inline void checkMismatchDerivativesAt(const MnaSystem& sys,
     scratch.assign(n, 0.0);
     {
       Stamper s(x, opt.time, n);
-      s.setGmin(opt.gmin);
       s.attachVectors(&bf, &scratch);
       dev.mismatchStampF(k, s);
     }
@@ -218,7 +212,6 @@ inline void checkMismatchDerivativesAt(const MnaSystem& sys,
     {
       // mismatchStampQ uses addQ, so bq rides in the stamper's q slot.
       Stamper s(x, opt.time, n);
-      s.setGmin(opt.gmin);
       s.attachVectors(&scratch, &bq);
       dev.mismatchStampQ(k, s);
     }

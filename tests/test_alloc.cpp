@@ -137,13 +137,12 @@ TEST(Allocation, SparsePssPeriodIntegrationIsHeapFree) {
     x[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.2 : -0.2);
   }
 
-  PssOptions opt;
   PssWorkspace ws;
   const Real period = 1e-9;
   const int steps = 100;
-  integratePeriodInPlace(sys, x, 0.0, period, steps, opt, ws);  // warm
+  integratePeriod(sys, x, 0.0, period, steps, ws);  // warm
   const size_t before = gAllocCount.load();
-  integratePeriodInPlace(sys, x, period, period, steps, opt, ws);
+  integratePeriod(sys, x, period, period, steps, ws);
   EXPECT_EQ(gAllocCount.load() - before, 0u);
 }
 

@@ -146,12 +146,13 @@ TEST(PssDriven, FallsBackToWarmupWhenFirstIntegrationFails) {
       pssWarmup(*ckt.sys, ckt.period, opt.warmupCycles, opt);
   const PssResult ref = solvePssDriven(*ckt.sys, ckt.period, opt, &warm);
 
+  const int maxNewton = shootingStepOptions().maxNewton;
   FaultPlan plan;
-  plan.arm("tran.newton.converge", 0, opt.maxNewton - 1);
+  plan.arm("tran.newton.converge", 0, maxNewton - 1);
   {
     FaultScope scope(plan);
     const PssResult res = solvePssDriven(*ckt.sys, ckt.period, opt);
-    EXPECT_EQ(scope.fired("tran.newton.converge"), opt.maxNewton - 1);
+    EXPECT_EQ(scope.fired("tran.newton.converge"), maxNewton - 1);
     expectSameOrbit(res, ref);
     EXPECT_EQ(res.shootingIterations, ref.shootingIterations);
     EXPECT_EQ(res.stats.steps, 4u * 100u);

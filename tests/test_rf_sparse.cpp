@@ -199,7 +199,7 @@ void expectAutonomousMatchesDenseOracle(RingGolden& ring, Real periodGuess,
   expectOrbitMatchesDenseOracle(sys, pss, opt, "ring");
   EXPECT_NEAR(pss.states.front()[p], x0[p], opt.shootingTol);
 
-  const TranOptions topt = shootingStepOptions(opt);
+  const TranOptions topt = shootingStepOptions();
   const Real dT = 1e-4 * pss.period;
   const Real h = (pss.period + dT) / stepsPerPeriod;
   std::vector<Real> times{0.0};
@@ -332,13 +332,12 @@ TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
                          ring.warm.phaseIndex, ring.warm.state, opt);
   PssWorkspace ws;
   RealVector xBase = res.states.front();
-  integratePeriodInPlace(*ring.sys, xBase, 0.0, res.period,
-                         opt.stepsPerPeriod, opt, ws);
+  integratePeriod(*ring.sys, xBase, 0.0, res.period, opt.stepsPerPeriod, ws);
   EXPECT_EQ(xBase, res.states.back());
   const Real dT = 1e-4 * res.period;
   RealVector xT = res.states.front();
-  integratePeriodInPlace(*ring.sys, xT, 0.0, res.period + dT,
-                         opt.stepsPerPeriod, opt, ws);
+  integratePeriod(*ring.sys, xT, 0.0, res.period + dT, opt.stepsPerPeriod,
+                  ws);
   ASSERT_EQ(res.dxdT.size(), xT.size());
   for (size_t i = 0; i < xT.size(); ++i) {
     EXPECT_EQ(res.dxdT[i], (xT[i] - xBase[i]) / dT) << "unknown " << i;

@@ -113,6 +113,44 @@ TEST(FaultInjection, TransientNanSurfacesAsNumericalError) {
   EXPECT_EQ(scope.fired("mna.eval"), 1);
 }
 
+TEST(SolverDiagnostics, TransientStagnationRanksTheLastResidual) {
+  // One Newton iteration cannot settle a step from the kicked ring, so the
+  // step stalls. Its post-mortem reports the last residual norm, and the
+  // suspects rank that residual, not the Newton step solved from it. With
+  // BE from q = q(x) and h a power of two, the residual at the predictor
+  // x is exactly f(x, t + h).
+  auto kit = ProcessKit::cmos130();
+  Netlist nl;
+  const RingOscillatorCircuit osc = buildRingOscillator(nl, kit);
+  MnaSystem sys(nl);
+  RealVector x = solveDc(sys).x;
+  for (size_t i = 0; i < osc.stages.size(); ++i) {
+    x[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.2 : -0.2);
+  }
+  RealVector q, qd(sys.size(), 0.0);
+  sys.evalDense(x, 0.0, nullptr, &q, nullptr, nullptr);
+  const Real h = std::ldexp(1.0, -38);  // ~3.6 ps
+  RealVector f;
+  sys.evalDense(x, h, &f, nullptr, nullptr, nullptr);
+
+  TranOptions opt;
+  opt.method = IntegrationMethod::kBackwardEuler;
+  opt.maxNewton = 1;
+  TransientWorkspace ws;
+  RealVector xStep = x;
+  ASSERT_FALSE(integrateStep(sys, opt.method, true, 0.0, h, xStep, q, qd,
+                             nullptr, opt, ws));
+  const FailureDiagnostics& d = ws.lastFailure;
+  EXPECT_EQ(d.analysis, "transient");
+  EXPECT_EQ(d.stage, "tran-newton/stagnation");
+  EXPECT_EQ(d.iteration, 1);
+  EXPECT_GE(d.residual, 0.0);
+  EXPECT_TRUE(d.hasTime);
+  EXPECT_EQ(d.time, h);
+  EXPECT_FALSE(d.suspectNodes.empty());
+  EXPECT_EQ(d.suspectNodes, sys.suspectUnknowns(f));
+}
+
 TEST(SolverDiagnostics, AutonomousShootingStagnationCarriesDiagnostics) {
   // One shooting iteration from the paper ring's warm state does not close
   // the orbit to 1e-9, so solvePssAutonomous throws, with the post-mortem
@@ -169,10 +207,10 @@ TEST(DcArclength, TraversesFoldWithTwoSidedTrace) {
   MnaSystem sys(nl);
 
   DcOptions opt;
-  DcWorkspace ws;
+  NewtonWorkspace ws;
   RealVector x;
-  int iterations = 0, steps = 0;
-  ASSERT_TRUE(solveDcArclength(sys, x, opt, ws, &iterations, &steps));
+  int steps = 0;
+  ASSERT_TRUE(solveDcArclength(sys, x, opt, ws, &steps));
   EXPECT_GT(steps, 0);
   // The lambda = 1 solution lies on the diode-clamped upper branch.
   EXPECT_GT(x[nl.nodeIndex(a)], 0.5);
@@ -237,7 +275,6 @@ std::vector<SweepScenario> armedScenarios(const RealVector& uic) {
     SweepScenario sc;
     sc.name = "sc" + std::to_string(k);
     sc.make = makeRcNetlist;
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = "out";
     sc.t1 = 1e-6;
     sc.dt = 1e-8;
@@ -364,7 +401,6 @@ TEST(SweepRetry, BjtDeckRecoversInjectedNewtonStall) {
   SweepScenario sc;
   sc.name = "bjt-ce";
   sc.make = makeBjtCeAmp;
-  sc.analysis = SweepAnalysis::kTransient;
   sc.outNode = "out";
   sc.t1 = 300e-9;
   sc.dt = 1e-9;

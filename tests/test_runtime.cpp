@@ -219,7 +219,6 @@ std::vector<SweepScenario> chainTransientScenarios() {
     sc.name = "cload_" + std::to_string(i);
     const Real cLoad = 2e-15 * (i + 1);
     sc.make = [cLoad] { return makeChainNetlist(4, 1, cLoad); };
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = "ch4";  // last tap of the chain (see buildInverterChain)
     sc.t0 = 0.0;
     sc.t1 = 2e-9;
@@ -269,7 +268,6 @@ TEST(ScenarioSweep, RaggedMixBitIdenticalAcrossJobCounts) {
     sc.make = [stages, outlier] {
       return makeChainNetlist(stages, outlier ? 2 : 1, 4e-15);
     };
-    sc.analysis = SweepAnalysis::kTransient;
     sc.outNode = outlier ? "chr1" + std::to_string(stages)
                          : "ch" + std::to_string(stages);
     sc.t1 = outlier ? 4e-9 : 2e-9;
@@ -310,40 +308,6 @@ TEST(ScenarioSweep, FailuresAreReportedInPlaceNotThrown) {
     } else {
       EXPECT_TRUE(results[i].ok) << results[i].error;
     }
-  }
-}
-
-TEST(ScenarioSweep, SensitivityScenarioMatchesDirectEngineCall) {
-  SweepScenario sc;
-  sc.name = "rc_sens";
-  sc.make = makeRcDividerNetlist;
-  sc.analysis = SweepAnalysis::kTransientSensitivity;
-  sc.outNode = "mid";
-  sc.t1 = 4e-9;
-  sc.dt = 50e-12;
-  sc.tran.method = IntegrationMethod::kBackwardEuler;
-
-  ThreadPool pool(2);
-  const auto results = runScenarioSweep({&sc, 1}, pool);
-  ASSERT_TRUE(results[0].ok) << results[0].error;
-
-  // Reference: the same analysis run directly.
-  auto nl = makeRcDividerNetlist();
-  nl->finalize();
-  MnaSystem sys(*nl);
-  const int mid = nl->nodeIndex("mid");
-  const auto sources = sys.collectSources();
-  const auto ref =
-      runTransientSensitivity(sys, 0.0, sc.t1, sc.dt, sources, sc.tran);
-  ASSERT_EQ(results[0].times.size(), ref.times.size());
-  for (size_t k = 0; k < ref.times.size(); ++k) {
-    Real var = 0.0;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      const Real d = ref.sens[i][k][mid] * sources[i].sigma;
-      var += d * d;
-    }
-    EXPECT_EQ(results[0].sigma[k], std::sqrt(var)) << k;
-    EXPECT_EQ(results[0].waveform[k], ref.states[k][mid]) << k;
   }
 }
 
@@ -441,30 +405,6 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
   }
   const McResult repeat = runWithJobs(8);
   EXPECT_EQ(repeat.meanOf(0), runWithJobs(8).meanOf(0));
-}
-
-TEST(ScenarioSweep, McBatchScenarioMatchesDirectEngine) {
-  SweepScenario sc;
-  sc.name = "mc_batch";
-  sc.make = makeRcDividerNetlist;
-  sc.analysis = SweepAnalysis::kMcBatch;
-  sc.mc.samples = 16;
-  sc.mc.seed = 7;
-  sc.mcNames = {"mid"};
-  sc.mcMeasure = measureMidFinal;
-
-  ThreadPool pool(4);
-  const auto results = runScenarioSweep({&sc, 1}, pool);
-  ASSERT_TRUE(results[0].ok) << results[0].error;
-
-  auto nl = makeRcDividerNetlist();
-  nl->finalize();
-  MnaSystem sys(*nl);
-  MonteCarloEngine mc(sys, sc.mc);
-  const McResult ref = mc.run({"mid"}, measureMidFinal);
-  EXPECT_EQ(results[0].mc.failedSamples, ref.failedSamples);
-  EXPECT_EQ(results[0].mc.meanOf(0), ref.meanOf(0));
-  EXPECT_EQ(results[0].mc.sigma(0), ref.sigma(0));
 }
 
 }  // namespace
