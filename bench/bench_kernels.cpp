@@ -426,18 +426,19 @@ void BM_PssShootingSparse(benchmark::State& state) {
   const RingPssFixture& fx = ringPssFixture(stages);
   PssOptions opt;
   opt.stepsPerPeriod = 180;
-  size_t iters = 0;
+  int iters = 0;
   SolveStats stats;
   for (auto _ : state) {
     const PssResult pss = solvePssAutonomous(*fx.sys, fx.period,
                                              fx.phaseIndex, fx.x0, opt);
-    iters += pss.shootingIterations;
+    iters = pss.shootingIterations;
     stats = pss.stats;
     benchmark::DoNotOptimize(pss);
   }
   state.counters["unknowns"] = static_cast<double>(fx.sys->size());
+  // Per-run counters of the last solve; all but shooting_iters are gated
+  // by scripts/check_bench_trend.py.
   state.counters["shooting_iters"] = static_cast<double>(iters);
-  // Per-run cost counters, gated by scripts/check_bench_trend.py.
   state.counters["newton_iters"] = static_cast<double>(stats.newtonIterations);
   state.counters["lu_factors"] = static_cast<double>(stats.factorizations);
   state.counters["lu_refactors"] = static_cast<double>(stats.refactorizations);

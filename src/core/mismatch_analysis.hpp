@@ -2,15 +2,17 @@
 //
 //   1. map device mismatch to low-frequency pseudo-noise sources,
 //   2. find the periodic steady state (shooting Newton),
-//   3. run LPTV noise analysis at a 1 Hz offset,
+//   3. run LPTV noise analysis at a 1 Hz offset (on a driven orbit: its
+//      quasi-static limit w = 0, in real arithmetic),
 //   4. interpret sideband PSDs as performance variations (SS V):
 //        N=0 baseband  -> variation of a DC-like quantity (offset voltage)
 //        N=1 sideband  -> variation of delay (eq. 8) or frequency (eq. 9)
 //
 // Readout conventions. Because the 1 Hz pseudo-noise is quasi-static, the
 // per-source envelope P_N^{(i)} is the (complex) sensitivity of the N-th
-// Fourier coefficient of the output to parameter i. This library's primary
-// readout projects out the phase/time-shift component exactly:
+// Fourier coefficient of the output to parameter i (P_0 real on a driven
+// orbit). This library's primary readout projects out the phase/time-shift
+// component exactly:
 //   DC:        S_i = Re(P_0)
 //   delay:     S_i = Re[ P_1 / (-j 2 pi f0 V_1) ]   (time-shift projection)
 //   frequency: S_i = Re[ P_1 * f_off / V_1 ]

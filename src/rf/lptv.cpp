@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -16,28 +18,52 @@ namespace {
 
 constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
 
+template <class T>
+constexpr bool kComplex = std::is_same_v<T, Cplx>;
+
+/// The recursion's w: the offset on an oscillator, 0 on a driven orbit.
+Real recursionOmega(const PssResult& pss, Real offsetFreq) {
+  return pss.autonomous ? kTwoPi * offsetFreq : 0.0;
+}
+
+/// What every recursion on one orbit reads. `omega` is the recursion's w:
+/// 0 for a real (driven) recursion.
+struct LptvInputs {
+  const MnaSystem& sys;
+  const PssResult& pss;
+  std::span<const InjectionSource> sources;
+  Real omega;
+  ThreadPool* pool;
+};
+
 /// Per-slot scratch for the pool fan-outs: at most one column block runs
 /// per slot at a time (ThreadPool contract), so the injection evaluation
 /// buffers and the LU solve scratch need no locking.
+template <class T>
 struct LptvSlotScratch {
   RealVector bf, bq;    // one source's injection at the current grid point
   RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
-  LuSolveScratch<Cplx> lu;
+  LuSolveScratch<T> lu;
 };
 
 /// One source's periodic injection envelope, streamed along the orbit:
 ///   b_k = -bf_k - (bq_k - bq_{k-1}) / h - j w bq_k,   k = 1..M,
-/// evaluated at grid point k when a chain needs it. The caller keeps the
-/// rolling bq_{k-1} (n reals per live chain), so no ns x M x n envelope
-/// store is ever built; the per-point evaluation buffers are per slot.
+/// evaluated at grid point k when a chain needs it; a real recursion runs
+/// at w = 0 and drops the last term. The caller keeps the rolling
+/// bq_{k-1} (n reals per live chain), so no ns x M x n envelope store is
+/// ever built; the per-point evaluation buffers are per slot.
+template <class T>
 class InjectionStream {
  public:
-  InjectionStream(const MnaSystem& sys, const PssResult& pss, Cplx jw)
-      : sys_(&sys), pss_(&pss), h_(pss.stepSize()), jw_(jw) {}
+  explicit InjectionStream(const LptvInputs& in)
+      : sys_(&in.sys),
+        pss_(&in.pss),
+        h_(in.pss.stepSize()),
+        jw_(0.0, in.omega) {}
 
   /// Starts a chain at the grid origin: bqPrev = bq_0.
   void start(const InjectionSource& src, std::span<Real> bqPrev,
-             LptvSlotScratch& sl) const {
+             LptvSlotScratch<T>& sl) const {
     sys_->evalInjection(src, pss_->states[0], pss_->times[0], nullptr, &sl.bq);
     std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
   }
@@ -46,10 +72,15 @@ class InjectionStream {
   /// bq_{k-1} to bq_k. Steps of one chain must come in order k = 1, 2, ...
   template <class Visit>
   void step(const InjectionSource& src, size_t k, std::span<Real> bqPrev,
-            LptvSlotScratch& sl, const Visit& visit) const {
+            LptvSlotScratch<T>& sl, const Visit& visit) const {
     sys_->evalInjection(src, pss_->states[k], pss_->times[k], &sl.bf, &sl.bq);
     for (size_t i = 0; i < bqPrev.size(); ++i) {
-      visit(i, -sl.bf[i] - (sl.bq[i] - bqPrev[i]) / h_ - jw_ * sl.bq[i]);
+      const Real b = -sl.bf[i] - (sl.bq[i] - bqPrev[i]) / h_;
+      if constexpr (kComplex<T>) {
+        visit(i, b - jw_ * sl.bq[i]);
+      } else {
+        visit(i, b);
+      }
     }
     std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
   }
@@ -58,7 +89,7 @@ class InjectionStream {
   const MnaSystem* sys_;
   const PssResult* pss_;
   Real h_;
-  Cplx jw_;
+  Cplx jw_;  // read by the complex recursion only
 };
 
 /// Cyclic-closure solver with the oscillator phase-mode correction.
@@ -78,13 +109,11 @@ class InjectionStream {
 /// catastrophic cancellation of 1 - cos(wT).
 class ClosureSolver {
  public:
-  ClosureSolver(const CplxMatrix& s, bool phaseCorrect, Real omega,
-                Real period) {
+  ClosureSolver(const CplxMatrix& s, Real omega, Real period) {
     const size_t n = s.rows();
     CplxMatrix iMinusS = CplxMatrix::identity(n);
     iMinusS -= s;
     lu_.factor(iMinusS);
-    if (!phaseCorrect) return;
 
     const Real theta = omega * period;
     const Real sh = std::sin(0.5 * theta);
@@ -118,7 +147,6 @@ class ClosureSolver {
     PSMN_CHECK(std::abs(vu) > 1e-12, "degenerate phase-mode eigenvectors");
     lam1_ = vsu / vu;
     for (Cplx& x : v_) x /= vu;
-    corrected_ = true;
   }
 
   /// Solves (I - S') x = b in place (x holds b on entry) on the caller's
@@ -126,11 +154,8 @@ class ClosureSolver {
   /// scratch per slot).
   void solveInPlace(std::span<Cplx> x, LuSolveScratch<Cplx>& scratch) const {
     Cplx vb{};
-    if (corrected_) {
-      for (size_t i = 0; i < x.size(); ++i) vb += v_[i] * x[i];
-    }
+    for (size_t i = 0; i < x.size(); ++i) vb += v_[i] * x[i];
     lu_.solveInPlace(x, scratch);
-    if (!corrected_) return;
     const Cplx oneMinusLam1 = Cplx(1.0, 0.0) - lam1_;
     const Cplx gain = vb * (oneMinusLam1 - oneMinusLamStar_) /
                       (oneMinusLam1 * oneMinusLamStar_);
@@ -139,15 +164,30 @@ class ClosureSolver {
 
  private:
   DenseLU<Cplx> lu_;
-  bool corrected_ = false;
   CplxVector u_, v_;
   Cplx lam1_{};
   Cplx oneMinusLamStar_{};
 };
 
+/// The cycle closure (I - S) x = b of a recursion: on a driven orbit (real,
+/// w = 0) a plain LU of I - S, whose S is the monodromy; on an oscillator
+/// the phase-corrected ClosureSolver. Both solve in place on a slot's LU
+/// scratch.
+template <class T>
+auto cycleClosure(const Matrix<T>& s, const LptvInputs& in) {
+  if constexpr (kComplex<T>) {
+    return ClosureSolver(s, in.omega, in.pss.period);
+  } else {
+    RealMatrix iMinusS = RealMatrix::identity(s.rows());
+    iMinusS -= s;
+    return DenseLU<Real>(iMinusS);
+  }
+}
+
 /// The first n columns of a column-major n-row buffer, as an n x n matrix.
-CplxMatrix leadingBlock(const CplxVector& cols, size_t n) {
-  CplxMatrix out(n, n);
+template <class T>
+Matrix<T> leadingBlock(const std::vector<T>& cols, size_t n) {
+  Matrix<T> out(n, n);
   for (size_t j = 0; j < n; ++j) {
     for (size_t i = 0; i < n; ++i) out(i, j) = cols[j * n + i];
   }
@@ -168,57 +208,212 @@ CplxMatrix leadingBlock(const CplxVector& cols, size_t n) {
 /// up in the same one of x and y for all of them. The closure
 /// (I - B_M) p_0 = alpha_M carries the phase-mode spectral correction for
 /// oscillators.
-CplxVector closedOrigins(const MnaSystem& sys, const PssResult& pss,
-                         std::span<const InjectionSource> sources,
-                         const StepFactors<Cplx>& lus, Real omega,
-                         ThreadPool* pool) {
-  const size_t n = sys.size();
-  const size_t m = pss.stepCount();
-  const size_t ns = sources.size();
-  const InjectionStream stream(sys, pss, Cplx(0.0, omega));
+template <class T>
+std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
+  const size_t n = in.sys.size();
+  const size_t m = in.pss.stepCount();
+  const size_t ns = in.sources.size();
+  const InjectionStream<T> stream(in);
   const size_t cols = n + ns;
-  std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, cols));
-  CplxVector x(n * cols, Cplx{}), y(n * cols);
-  for (size_t j = 0; j < n; ++j) x[j * n + j] = Cplx(1.0, 0.0);
+  std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, cols));
+  std::vector<T> x(n * cols, T{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
   RealVector bqPrev(n * ns);  // each live chain's rolling bq_{k-1}
   const auto bqOf = [&](size_t s) {
     return std::span<Real>(bqPrev.data() + s * n, n);
   };
-  forEachColumnBlock(pool, cols, [&](size_t j0, size_t j1, size_t slot) {
-    LptvSlotScratch& sl = slotScratch[slot];
+  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
     for (size_t j = std::max(j0, n); j < j1; ++j) {
-      stream.start(sources[j - n], bqOf(j - n), sl);
+      stream.start(in.sources[j - n], bqOf(j - n), sl);
     }
-    const auto inject = [&](size_t j, size_t k, std::span<Cplx> out) {
+    const auto inject = [&](size_t j, size_t k, std::span<T> out) {
       if (j0 + j < n) return;  // a homogeneous column
       const size_t s = j0 + j - n;
-      stream.step(sources[s], k, bqOf(s), sl,
-                  [&](size_t i, Cplx b) { out[i] += b; });
+      stream.step(in.sources[s], k, bqOf(s), sl,
+                  [&](size_t i, T b) { out[i] += b; });
     };
     lus.carry(x.data() + j0 * n, y.data() + j0 * n, j1 - j0, m, sl.lu,
-              inject, [](size_t, const Cplx*) {});
+              inject, [](size_t, const T*) {});
   });
-  const CplxVector& xm = m % 2 == 0 ? x : y;
+  const std::vector<T>& xm = m % 2 == 0 ? x : y;
 
-  const ClosureSolver closure(leadingBlock(xm, n), pss.autonomous, omega,
-                              pss.period);
-  CplxVector p0(xm.begin() + n * n, xm.end());  // alpha_M
-  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+  const auto closure = cycleClosure(leadingBlock(xm, n), in);
+  std::vector<T> p0(xm.begin() + n * n, xm.end());  // alpha_M
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     for (size_t s = s0; s < s1; ++s) {
-      closure.solveInPlace(std::span<Cplx>(p0.data() + s * n, n),
+      closure.solveInPlace(std::span<T>(p0.data() + s * n, n),
                            slotScratch[slot].lu);
     }
   });
   return p0;
 }
 
+/// Direct pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
+/// k = 1..last, from its closed p_0, fanned over sources the same way as
+/// pass 1. Each block ping-pongs p_{k-1} -> p_k between x and y, and
+/// keep(s, k, p_k) sees each iterate once, on the slot that owns s.
+template <class T, class Keep>
+void envelopePass(const LptvInputs& in, const StepFactors<T>& lus,
+                  const std::vector<T>& p0, size_t last, const Keep& keep) {
+  const size_t n = in.sys.size();
+  const size_t ns = in.sources.size();
+  const InjectionStream<T> stream(in);
+  std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, ns));
+  std::vector<T> x(p0), y(n * ns);
+  RealVector bqPrev(n * ns);
+  const auto bqOf = [&](size_t s) {
+    return std::span<Real>(bqPrev.data() + s * n, n);
+  };
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    for (size_t s = s0; s < s1; ++s) {
+      keep(s, 0, std::span<const T>(x.data() + s * n, n));
+      stream.start(in.sources[s], bqOf(s), sl);
+    }
+    const auto inject = [&](size_t j, size_t k, std::span<T> out) {
+      stream.step(in.sources[s0 + j], k, bqOf(s0 + j), sl,
+                  [&](size_t i, T b) { out[i] += b; });
+    };
+    const auto visit = [&](size_t k, const T* pk) {
+      for (size_t s = s0; s < s1; ++s) {
+        keep(s, k, std::span<const T>(pk + (s - s0) * n, n));
+      }
+    };
+    lus.carry(x.data() + s0 * n, y.data() + s0 * n, s1 - s0, last, sl.lu,
+              inject, visit);
+  });
+}
+
+/// The adjoint transfers P_N[out] of every source (see solveAdjoint).
+template <class T>
+CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
+                            size_t out, int harmonic) {
+  const size_t n = in.sys.size();
+  const size_t m = in.pss.stepCount();
+  const size_t ns = in.sources.size();
+
+  // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
+  // terms of unknowns p_1..p_M the weight of p_M is w_0. A complex
+  // recursion carries the complex w_k in one column. A real one carries
+  // Re w_k, and for N != 0 Im w_k in a second column (weight c = 0, 1):
+  // the adjoint operator is real, so the two parts never mix.
+  const size_t nw = !kComplex<T> && harmonic != 0 ? 2 : 1;
+  const auto weight = [&](size_t k, size_t c) -> T {
+    const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
+    if constexpr (kComplex<T>) {
+      return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
+    } else {
+      return (c == 0 ? std::cos(phase) : std::sin(phase)) /
+             static_cast<Real>(m);
+    }
+  };
+  // D_{k+1} with D_{M+1} == D_1 (the cyclic wrap of the adjoint coupling).
+  const auto nextD = [&](size_t k) { return k == m ? size_t{1} : k + 1; };
+
+  // Adjoint cyclic system (plain transpose, matching the complex-linear
+  // functional), with l_{M+1} == l_1:
+  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
+  // Parametrize l_k = u_k + V_k l_1 and run the transpose of direct pass 1
+  // downward over the n + nw columns Y = [V | u]:
+  //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
+  //   Y_{M+1} = [I | 0].
+  // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
+  // one column block through all M steps (u rides in the last block or
+  // two); only Y_1 survives.
+  const size_t cols = n + nw;
+  std::vector<LptvSlotScratch<T>> slotScratch(
+      columnBlockSlots(in.pool, std::max(cols, ns)));
+  std::vector<T> x(n * cols, T{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
+  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    T* cur = x.data() + j0 * n;
+    T* next = y.data() + j0 * n;
+    for (size_t k = m; k >= 1; --k) {
+      for (size_t j = j0; j < j1; ++j) {
+        lus.applyDT(nextD(k), std::span<const T>(cur + (j - j0) * n, n),
+                    std::span<T>(next + (j - j0) * n, n));
+      }
+      for (size_t j = std::max(j0, n); j < j1; ++j) {
+        next[(j - j0) * n + out] += weight(k, j - n);
+      }
+      lus.solveTransposedManyInPlace(k, std::span<T>(next, (j1 - j0) * n),
+                                     j1 - j0, sl.lu);
+      std::swap(cur, next);
+    }
+  });
+  const std::vector<T>& y1 = m % 2 == 0 ? x : y;
+
+  // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
+  // permutation-transpose of the forward one, so on an oscillator it shares
+  // the corrupted phase eigenvalue and receives the same spectral
+  // correction. The forward closure applies it at the p_M -> p_0 cut and
+  // this one at the l_1 cut, so on an oscillator the two transfers differ
+  // by the correction's discretization error (1.6e-5 of the largest
+  // transfer on the ring), not by roundoff: the gap is the same at 40, 400
+  // and 4000 inverse iterations.
+  const auto closure = cycleClosure(leadingBlock(y1, n), in);
+  // l_k, k = 1..M, nw columns downward from l_{M+1} = l_1: lambda holds
+  // l_k's columns at offset (k - 1) n nw.
+  const size_t ln = n * nw;
+  std::vector<T> lambda(ln * m);
+  std::copy(y1.begin() + n * n, y1.end(), lambda.begin());  // u_1
+  for (size_t c = 0; c < nw; ++c) {
+    closure.solveInPlace(std::span<T>(lambda.data() + c * n, n),
+                         slotScratch[0].lu);
+  }
+  for (size_t k = m; k >= 2; --k) {
+    T* lk = lambda.data() + (k - 1) * ln;
+    const T* lNext = lambda.data() + (k == m ? 0 : k * ln);
+    for (size_t c = 0; c < nw; ++c) {
+      lus.applyDT(nextD(k), std::span<const T>(lNext + c * n, n),
+                  std::span<T>(lk + c * n, n));
+      lk[c * n + out] += weight(k, c);
+    }
+    lus.solveTransposedManyInPlace(k, std::span<T>(lk, ln), nw,
+                                   slotScratch[0].lu);
+  }
+
+  // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
+  // injections streamed along the orbit, sources fanned over the pool.
+  const InjectionStream<T> stream(in);
+  CplxVector tf(ns, Cplx{});
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    sl.bqPrev.resize(n);
+    for (size_t s = s0; s < s1; ++s) {
+      stream.start(in.sources[s], sl.bqPrev, sl);
+      T acc[2] = {};
+      for (size_t k = 1; k <= m; ++k) {
+        const T* lk = lambda.data() + (k - 1) * ln;
+        stream.step(in.sources[s], k, sl.bqPrev, sl, [&](size_t i, T b) {
+          for (size_t c = 0; c < nw; ++c) acc[c] += lk[c * n + i] * b;
+        });
+      }
+      if constexpr (kComplex<T>) {
+        tf[s] = acc[0];
+      } else {
+        tf[s] = Cplx(acc[0], acc[1]);
+      }
+    }
+  });
+  return tf;
+}
+
+/// What the readouts of one orbit share, in the orbit's scalar: the step
+/// factors (direct and adjoint) and, after the first direct readout,
+/// every source's closed p_0.
+template <class T>
+struct Cycle {
+  StepFactors<T> factors;
+  std::optional<std::vector<T>> p0;
+};
+
 }  // namespace
 
-/// What the readouts share: the step factors (direct and adjoint) and,
-/// after the first direct readout, every source's closed p_0.
 struct LptvSolver::Cache {
-  StepFactors<Cplx> factors;
-  std::optional<CplxVector> p0;
+  std::variant<Cycle<Real>, Cycle<Cplx>> cycle;
 };
 
 Cplx LptvSolution::harmonic(size_t sourceIdx, int outIndex, int n) const {
@@ -257,69 +452,47 @@ LptvSolver& LptvSolver::operator=(LptvSolver&&) noexcept = default;
 LptvSolver::Cache& LptvSolver::cache() const {
   if (!cache_) {
     const Real h = pss_->stepSize();
-    cache_ = std::make_unique<Cache>(Cache{
-        StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
-                          1.0 / h + Cplx(0.0, kTwoPi * offsetFreq_)),
-        std::nullopt});
+    const Real omega = recursionOmega(*pss_, offsetFreq_);
+    if (pss_->autonomous) {
+      cache_ = std::make_unique<Cache>(Cache{Cycle<Cplx>{
+          StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
+                            1.0 / h + Cplx(0.0, omega)),
+          std::nullopt}});
+    } else {
+      cache_ = std::make_unique<Cache>(Cache{Cycle<Real>{
+          StepFactors<Real>(pss_->gSpMats, pss_->cSpMats, h, 1.0 / h),
+          std::nullopt}});
+    }
   }
   return *cache_;
 }
 
-void LptvSolver::walkEnvelopes(
-    size_t last,
-    const std::function<void(size_t, size_t, std::span<const Cplx>)>& keep)
-    const {
-  const Real omega = kTwoPi * offsetFreq_;
-  ThreadPool* pool = opt_.pool;
-  if (!cache_ || !cache_->p0) {
+template <class Keep>
+void LptvSolver::walkEnvelopes(size_t last, const Keep& keep) const {
+  const LptvInputs in{*sys_, *pss_, sources_,
+                      recursionOmega(*pss_, offsetFreq_), opt_.pool};
+  const bool closed =
+      cache_ && std::visit([](const auto& cy) { return cy.p0.has_value(); },
+                           cache_->cycle);
+  if (!closed) {
     TraceSpan span(Phase::kLptv, "lptv_direct");
-    Cache& c = cache();
-    c.p0 = closedOrigins(*sys_, *pss_, sources_, c.factors, omega, pool);
+    std::visit([&](auto& cy) { cy.p0 = closedOrigins(in, cy.factors); },
+               cache().cycle);
   }
-  const Cache& c = *cache_;
-
-  // Pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
-  // k = 1..last, from its closed p_0, fanned over sources the same way as
-  // pass 1. Each block ping-pongs p_{k-1} -> p_k between x and y, and
-  // keep(s, k, p_k) sees each iterate once, on the slot that owns s.
   TraceSpan span(Phase::kLptv, "lptv_envelopes");
-  const size_t n = sys_->size();
-  const size_t ns = sources_.size();
-  const InjectionStream stream(*sys_, *pss_, Cplx(0.0, omega));
-  std::vector<LptvSlotScratch> slotScratch(columnBlockSlots(pool, ns));
-  CplxVector x(*c.p0), y(n * ns);
-  RealVector bqPrev(n * ns);
-  const auto bqOf = [&](size_t s) {
-    return std::span<Real>(bqPrev.data() + s * n, n);
-  };
-  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
-    LptvSlotScratch& sl = slotScratch[slot];
-    for (size_t s = s0; s < s1; ++s) {
-      keep(s, 0, std::span<const Cplx>(x.data() + s * n, n));
-      stream.start(sources_[s], bqOf(s), sl);
-    }
-    const auto inject = [&](size_t j, size_t k, std::span<Cplx> out) {
-      stream.step(sources_[s0 + j], k, bqOf(s0 + j), sl,
-                  [&](size_t i, Cplx b) { out[i] += b; });
-    };
-    const auto visit = [&](size_t k, const Cplx* pk) {
-      for (size_t s = s0; s < s1; ++s) {
-        keep(s, k, std::span<const Cplx>(pk + (s - s0) * n, n));
-      }
-    };
-    c.factors.carry(x.data() + s0 * n, y.data() + s0 * n, s1 - s0, last,
-                    sl.lu, inject, visit);
-  });
+  std::visit(
+      [&](const auto& cy) { envelopePass(in, cy.factors, *cy.p0, last, keep); },
+      cache_->cycle);
 }
 
 LptvSolution LptvSolver::solveDirect() const {
   const size_t m = pss_->stepCount();
   LptvSolution sol;
-  sol.omega = kTwoPi * offsetFreq_;
+  sol.omega = recursionOmega(*pss_, offsetFreq_);
   sol.steps = m;
   sol.envelopes.resize(sources_.size());
   for (auto& env : sol.envelopes) env.reserve(m);
-  walkEnvelopes(m - 1, [&](size_t s, size_t, std::span<const Cplx> p) {
+  walkEnvelopes(m - 1, [&](size_t s, size_t, auto p) {
     sol.envelopes[s].emplace_back(p.begin(), p.end());
   });
   return sol;
@@ -338,7 +511,7 @@ CplxVector LptvSolver::sampleDirect(int outIndex,
 
   const size_t out = static_cast<size_t>(outIndex);
   CplxVector samples(sources_.size() * np);
-  walkEnvelopes(last, [&](size_t s, size_t k, std::span<const Cplx> p) {
+  walkEnvelopes(last, [&](size_t s, size_t k, auto p) {
     for (size_t i : requestsAt[k]) samples[s * np + i] = p[out];
   });
   return samples;
@@ -346,100 +519,16 @@ CplxVector LptvSolver::sampleDirect(int outIndex,
 
 CplxVector LptvSolver::solveAdjoint(int outIndex, int harmonic) const {
   TraceSpan span(Phase::kLptv, "lptv_adjoint");
-  const size_t n = sys_->size();
-  const size_t m = pss_->stepCount();
-  const Real omega = kTwoPi * offsetFreq_;
-  const size_t ns = sources_.size();
-  PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < n,
+  PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < sys_->size(),
              "bad output index");
-  const size_t out = static_cast<size_t>(outIndex);
-  const StepFactors<Cplx>& lus = cache().factors;
-
-  // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
-  // terms of unknowns p_1..p_M the weight of p_M is w_0.
-  const auto weight = [&](size_t k) {
-    const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
-    return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
-  };
-  // D_{k+1} with D_{M+1} == D_1 (the cyclic wrap of the adjoint coupling).
-  const auto nextD = [&](size_t k) { return k == m ? size_t{1} : k + 1; };
-
-  // Adjoint cyclic system (plain transpose, matching the complex-linear
-  // functional), with l_{M+1} == l_1:
-  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
-  // Parametrize l_k = u_k + V_k l_1 and run the transpose of direct pass 1
-  // downward over the n + 1 columns Y = [V | u]:
-  //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
-  //   Y_{M+1} = [I | 0].
-  // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
-  // one column block through all M steps (u rides in the last block); only
-  // Y_1 survives.
-  ThreadPool* pool = opt_.pool;
-  const size_t cols = n + 1;
-  std::vector<LptvSlotScratch> slotScratch(
-      columnBlockSlots(pool, std::max(cols, ns)));
-  CplxVector x(n * cols, Cplx{}), y(n * cols);
-  for (size_t j = 0; j < n; ++j) x[j * n + j] = Cplx(1.0, 0.0);
-  forEachColumnBlock(pool, cols, [&](size_t j0, size_t j1, size_t slot) {
-    LptvSlotScratch& sl = slotScratch[slot];
-    Cplx* cur = x.data() + j0 * n;
-    Cplx* next = y.data() + j0 * n;
-    for (size_t k = m; k >= 1; --k) {
-      for (size_t j = j0; j < j1; ++j) {
-        lus.applyDT(nextD(k), std::span<const Cplx>(cur + (j - j0) * n, n),
-                    std::span<Cplx>(next + (j - j0) * n, n));
-      }
-      if (j1 == cols) next[(n - j0) * n + out] += weight(k);
-      lus.solveTransposedManyInPlace(k, std::span<Cplx>(next, (j1 - j0) * n),
-                                     j1 - j0, sl.lu);
-      std::swap(cur, next);
-    }
-  });
-  const CplxVector& y1 = m % 2 == 0 ? x : y;
-
-  // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
-  // permutation-transpose of the forward one, so it shares the corrupted
-  // phase eigenvalue and receives the same spectral correction. The
-  // forward closure applies it at the p_M -> p_0 cut and this one at the
-  // l_1 cut, so on an oscillator the two transfers differ by the
-  // correction's discretization error (1.6e-5 of the largest transfer on
-  // the ring), not by roundoff: the gap is the same at 40, 400 and 4000
-  // inverse iterations.
-  const ClosureSolver closure(leadingBlock(y1, n), pss_->autonomous, omega,
-                              pss_->period);
-  // l_k, k = 1..M, one column downward from l_{M+1} = l_1: lambda holds
-  // l_k at offset (k - 1) n.
-  CplxVector lambda(n * m);
-  std::copy(y1.begin() + n * n, y1.end(), lambda.begin());  // u_1
-  closure.solveInPlace(std::span<Cplx>(lambda.data(), n), slotScratch[0].lu);
-  for (size_t k = m; k >= 2; --k) {
-    const std::span<Cplx> lk(lambda.data() + (k - 1) * n, n);
-    lus.applyDT(nextD(k),
-                std::span<const Cplx>(lambda.data() + (k == m ? 0 : k * n), n),
-                lk);
-    lk[out] += weight(k);
-    lus.solveTransposedManyInPlace(k, lk, 1, slotScratch[0].lu);
-  }
-
-  // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
-  // injections streamed along the orbit, sources fanned over the pool.
-  const InjectionStream stream(*sys_, *pss_, Cplx(0.0, omega));
-  CplxVector tf(ns, Cplx{});
-  forEachColumnBlock(pool, ns, [&](size_t s0, size_t s1, size_t slot) {
-    LptvSlotScratch& sl = slotScratch[slot];
-    sl.bqPrev.resize(n);
-    for (size_t s = s0; s < s1; ++s) {
-      stream.start(sources_[s], sl.bqPrev, sl);
-      Cplx acc{};
-      for (size_t k = 1; k <= m; ++k) {
-        const Cplx* lk = lambda.data() + (k - 1) * n;
-        stream.step(sources_[s], k, sl.bqPrev, sl,
-                    [&](size_t i, Cplx b) { acc += lk[i] * b; });
-      }
-      tf[s] = acc;
-    }
-  });
-  return tf;
+  const LptvInputs in{*sys_, *pss_, sources_,
+                      recursionOmega(*pss_, offsetFreq_), opt_.pool};
+  return std::visit(
+      [&](const auto& cy) {
+        return adjointTransfers(in, cy.factors, static_cast<size_t>(outIndex),
+                                harmonic);
+      },
+      cache().cycle);
 }
 
 }  // namespace psmn

@@ -14,20 +14,28 @@
 // transfer of *every* source into one output harmonic (the "breakdown at no
 // extra cost" the paper relies on, SS V).
 //
+// The orbit picks the scalar. A driven orbit solves the quasi-static
+// system w = 0 in real arithmetic: K_k = G_k + C_k/h is the Jacobian
+// shooting factored, B_M is the monodromy Phi, and the closure is a plain
+// LU solve (the offset frequency only scales the sources' flicker PSDs,
+// and w h < 1e-10 at 1 Hz on every paper grid). An autonomous orbit keeps
+// the complex recursion at w = 2 pi offsetFreq, whose closure carries the
+// oscillator phase-mode correction. Either way the outputs are complex;
+// on a driven orbit every envelope and every N = 0 transfer has an exactly
+// zero imaginary part.
+//
 // Every readout solves on demand and pays only for what it reads: the
 // adjoint holds O(M n) state, and a sampled direct readout stops pass 2 at
 // the last grid point it reads and keeps only those samples. The step
 // factors (rf/step_factors.hpp, the store the shooting monodromy sweeps
-// on, here complex) and the closed p_0 of every source are cached on first
-// use and shared by later readouts, so const readouts fill caches: one
-// solver serves one thread at a time (its pool fans each solve out
-// internally).
+// on) and the closed p_0 of every source are cached on first use and
+// shared by later readouts, so const readouts fill caches: one solver
+// serves one thread at a time (its pool fans each solve out internally).
 //
 // Mismatch sources enter with b(t) = -dF/dp - (d/dt + j w) dq/dp evaluated
 // along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4).
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "engine/mna.hpp"
@@ -38,17 +46,20 @@ namespace psmn {
 struct LptvOptions {
   /// Optional execution runtime. Direct pass 1 partitions its n + ns
   /// columns (the homogeneous B_k plus every source's particular part),
-  /// pass 2 its ns envelope chains, and the adjoint its n + 1 columns
-  /// [V_k | u_k] into one block per slot, each carried through all M grid
-  /// steps against the shared step factors; the adjoint then fans its
-  /// per-source transfers. Every column's arithmetic involves only that
-  /// column, so results are bit-identical for every jobs count
-  /// (docs/architecture.md "RF parallelism").
+  /// pass 2 its ns envelope chains, and the adjoint its columns [V_k | u_k]
+  /// (n + 1, or n + 2 on a driven orbit at N != 0, where the complex
+  /// Fourier weights split into a real and an imaginary column) into one
+  /// block per slot, each carried through all M grid steps against the
+  /// shared step factors; the adjoint then fans its per-source transfers.
+  /// Every column's arithmetic involves only that column, so results are
+  /// bit-identical for every jobs count (docs/architecture.md "RF
+  /// parallelism").
   ThreadPool* pool = nullptr;
 };
 
 /// Periodic complex envelopes p_k, k = 0..M-1, one per source.
 struct LptvSolution {
+  /// The recursion's w: 0 on a driven orbit.
   Real omega = 0.0;
   size_t steps = 0;
   /// envelopes[s][k] is the full envelope vector of source s at grid k.
@@ -89,10 +100,10 @@ class LptvSolver {
  private:
   struct Cache;
   Cache& cache() const;
-  void walkEnvelopes(
-      size_t last,
-      const std::function<void(size_t, size_t, std::span<const Cplx>)>& keep)
-      const;
+  /// keep(s, k, p_k) sees every source's envelope p_k, k = 0..last, as a
+  /// span of the orbit's scalar.
+  template <class Keep>
+  void walkEnvelopes(size_t last, const Keep& keep) const;
 
   const MnaSystem* sys_;
   const PssResult* pss_;

@@ -4,7 +4,11 @@
 // Runs the LPTV solver at a small offset frequency (1 Hz by default, the
 // paper's "virtual DC") for every injection source and reports, per output
 // and per sideband N, the stationary-equivalent PSD at N*f0 + f together
-// with the per-source contribution breakdown (paper SS V, eq. 10-11).
+// with the per-source contribution breakdown (paper SS V, eq. 10-11). The
+// sources' flicker PSDs are read at the offset. On a driven orbit the
+// LPTV recursion itself runs at w = 0 in real arithmetic (the quasi-static
+// limit the 1 Hz probe stands for); an oscillator's runs complex at the
+// offset (rf/lptv.hpp).
 //
 // Readouts solve on demand and pay only for what they read: a sideband is
 // one adjoint solve, envelope samples stop the direct pass at the last grid
@@ -24,7 +28,9 @@
 namespace psmn {
 
 struct PnoiseOptions {
-  Real offsetFreq = 1.0;        // Hz; must be << f0
+  /// Hz; must be << f0. Where every source's flicker PSD is read, and an
+  /// oscillator's LPTV recursion frequency (a driven orbit's runs at 0).
+  Real offsetFreq = 1.0;
   /// Optional execution runtime, forwarded to the LPTV solver
   /// (LptvOptions::pool): its adjoint and direct column recursions and the
   /// per-source chains fan across the pool with bit-identical results.

@@ -6,8 +6,10 @@
 //   K_k = G_k + coef C_k,   D_k = C_{k-1}/h,   k = 1..M.
 // With coef = 1/h, K_k is the Jacobian J_k the period integration's Newton
 // kernel factored, and the homogeneous recursion X_k = K_k^{-1} D_k X_{k-1}
-// from X_0 = I ends in the monodromy Phi (sweepMonodromy). With
-// coef = 1/h + j w it is the LPTV step of the offset frequency w.
+// from X_0 = I ends in the monodromy Phi (sweepMonodromy); the PPV sweep
+// and a driven orbit's LPTV (w = 0) run on these real factors too. With
+// coef = 1/h + j w it is the LPTV step of an oscillator at offset w, the
+// only complex instantiation.
 #pragma once
 
 #include <span>

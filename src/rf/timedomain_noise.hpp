@@ -1,9 +1,10 @@
 // Time-domain cyclostationary noise: sigma(t) of an output along the
 // periodic steady state (paper Fig. 8 "statistical waveform").
 //
-// With quasi-static mismatch pseudo-noise (offset 1 Hz), the complex
-// envelope p^{(i)}(t) is the per-parameter sensitivity of the whole orbit,
-// so the point-wise standard deviation is
+// With quasi-static mismatch pseudo-noise (offset 1 Hz), the envelope
+// p^{(i)}(t) is the per-parameter sensitivity of the whole orbit (real on
+// a driven orbit, whose LPTV runs at w = 0), so the point-wise standard
+// deviation is
 //   sigma(t_k)^2 = sum_i |p^{(i)}_k[out]|^2 * sigma_i^2.
 // The readout solves on demand: it runs the direct LPTV pass once over the
 // period and keeps only the output's row p_k[out] of every source, never

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <numbers>
 #include <string>
+#include <type_traits>
 
 #include "circuit/diode.hpp"
 #include "circuit/parser.hpp"
@@ -346,38 +347,47 @@ TEST(PssOrbit, RingDxdTMatchesPeriodReplay) {
 
 // ------------------------------------------------------------- LPTV
 
-/// Every source's periodic injection envelope along the orbit,
+/// Every source's periodic injection envelope along the orbit at offset w,
 ///   b_{s,k} = -bf_k - (bq_k - bq_{k-1})/h - j w bq_k,   k = 1..M,
-/// stored out[s][k] (k = 0 unused).
-std::vector<std::vector<CplxVector>> injectionEnvelopes(
+/// stored out[s][k] (k = 0 unused). Real T evaluates the w = 0 envelope
+/// in the library's operation order, without the j w term.
+template <class T>
+std::vector<std::vector<std::vector<T>>> injectionEnvelopes(
     const MnaSystem& sys, const PssResult& pss,
-    std::span<const InjectionSource> sources, Cplx jw) {
+    std::span<const InjectionSource> sources, Real omega) {
   const size_t n = sys.size();
   const size_t m = pss.stepCount();
   const Real h = pss.stepSize();
-  std::vector<std::vector<CplxVector>> b(sources.size());
+  std::vector<std::vector<std::vector<T>>> b(sources.size());
   for (size_t s = 0; s < sources.size(); ++s) {
     std::vector<RealVector> bf(m + 1), bq(m + 1);
     for (size_t k = 0; k <= m; ++k) {
       sys.evalInjection(sources[s], pss.states[k], pss.times[k], &bf[k],
                         &bq[k]);
     }
-    b[s].assign(m + 1, CplxVector(n));
+    b[s].assign(m + 1, std::vector<T>(n));
     for (size_t k = 1; k <= m; ++k) {
       for (size_t i = 0; i < n; ++i) {
-        b[s][k][i] = -bf[k][i] - (bq[k][i] - bq[k - 1][i]) / h - jw * bq[k][i];
+        const Real v = -bf[k][i] - (bq[k][i] - bq[k - 1][i]) / h;
+        if constexpr (std::is_same_v<T, Cplx>) {
+          b[s][k][i] = v - Cplx(0.0, omega) * bq[k][i];
+        } else {
+          b[s][k][i] = v;
+        }
       }
     }
   }
   return b;
 }
 
-/// The LPTV direct solve of a driven orbit rebuilt densely from its stored
+/// The LPTV direct solve of a driven orbit at recursion frequency fOff
+/// (Hz), rebuilt densely in complex arithmetic from its stored
 /// linearizations: K_k = G_k + (1/h + j w) C_k and D_k = C_{k-1}/h from
 /// toDense(), factored with DenseLU; B_k = K_k^{-1} D_k B_{k-1} and every
 /// source's alpha_k = K_k^{-1}(D_k alpha_{k-1} + b_k) from B_0 = I,
 /// alpha_0 = 0; the cycle closed by (I - B_M) p_0 = alpha_M; then the
-/// envelopes p_k, k = 0..M-1.
+/// envelopes p_k, k = 0..M-1. fOff = 0 is the system the library solves
+/// on a driven orbit; fOff = 1 Hz is the paper's pseudo-noise probe.
 LptvSolution denseLptvReference(const MnaSystem& sys, const PssResult& pss,
                                 std::span<const InjectionSource> sources,
                                 Real fOff) {
@@ -386,7 +396,7 @@ LptvSolution denseLptvReference(const MnaSystem& sys, const PssResult& pss,
   const size_t m = pss.stepCount();
   const Cplx jw(0.0, 2.0 * std::numbers::pi_v<Real> * fOff);
   const Cplx coef = 1.0 / pss.stepSize() + jw;
-  const auto b = injectionEnvelopes(sys, pss, sources, jw);
+  const auto b = injectionEnvelopes<Cplx>(sys, pss, sources, jw.imag());
   std::vector<DenseLU<Cplx>> kLu;
   std::vector<CplxMatrix> d;
   for (size_t k = 1; k <= m; ++k) {
@@ -437,8 +447,9 @@ Real maxEnvelope(const LptvSolution& sol) {
 }
 
 // Direct envelopes at every grid point and unknown, their harmonics at the
-// output, and the adjoint transfers all match the dense reference to
-// kLptvTol relative to the largest envelope entry.
+// output, and the adjoint transfers all match the dense reference of the
+// system the library solves on a driven orbit (w = 0) to kLptvTol relative
+// to the largest envelope entry.
 TEST(LptvGolden, TransfersMatchDenseOracleOnLargeChain) {
   ChainFixture ckt(8);
   ASSERT_EQ(ckt.sys->size(), 68u);
@@ -446,10 +457,9 @@ TEST(LptvGolden, TransfersMatchDenseOracleOnLargeChain) {
       solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
   const std::vector<InjectionSource> srcs(ckt.sources.begin(),
                                           ckt.sources.begin() + 12);
-  const Real fOff = 1.0;
-  const LptvSolver solver(*ckt.sys, pss, srcs, fOff);
+  const LptvSolver solver(*ckt.sys, pss, srcs, 1.0);
   const LptvSolution sol = solver.solveDirect();
-  const LptvSolution ref = denseLptvReference(*ckt.sys, pss, srcs, fOff);
+  const LptvSolution ref = denseLptvReference(*ckt.sys, pss, srcs, 0.0);
   const Real scale = maxEnvelope(ref);
   ASSERT_GT(scale, 0.0);
 
@@ -472,22 +482,91 @@ TEST(LptvGolden, TransfersMatchDenseOracleOnLargeChain) {
     }
   }
   // Adjoint path: transposed sparse solves against the dense direct
-  // harmonic (the adjoint computes the same P_0 of every source).
-  const CplxVector adj = solver.solveAdjoint(ckt.outIdx, 0);
-  ASSERT_EQ(adj.size(), srcs.size());
+  // harmonics (the adjoint computes the same P_N of every source; N != 0
+  // carries the real and imaginary Fourier weights as two columns).
+  for (int harmonic : {0, 1}) {
+    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
+    ASSERT_EQ(adj.size(), srcs.size());
+    for (size_t s = 0; s < srcs.size(); ++s) {
+      EXPECT_LT(std::abs(adj[s] - ref.harmonic(s, ckt.outIdx, harmonic)),
+                kLptvTol * scale)
+          << "source " << s << " harmonic " << harmonic;
+    }
+  }
+}
+
+// The link to the paper's 1 Hz probe. On a driven orbit the library solves
+// the w = 0 system in real arithmetic: every envelope and every N = 0
+// transfer has an exactly zero imaginary part, and the envelopes and the
+// N = 0, +-1 transfers equal those of the real parts of the 1 Hz complex
+// dense oracle to kLptvTol. What the real recursion drops, the oracle's
+// imaginary part, is first order in w T: it stays below
+// kImagPerWT * 2 pi f_off T of the largest envelope entry (measured 0.075
+// on this chain, 1.9e-9 of the largest entry at w T = 2.5e-8).
+TEST(LptvGolden, DrivenEnvelopesAreRealPartsOfOneHertzOracle) {
+  constexpr Real kImagPerWT = 0.25;
+  ChainFixture ckt(8);
+  const PssResult pss =
+      solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
+  const std::vector<InjectionSource> srcs(ckt.sources.begin(),
+                                          ckt.sources.begin() + 12);
+  const Real fOff = 1.0;
+  const LptvSolver solver(*ckt.sys, pss, srcs, fOff);
+  const LptvSolution sol = solver.solveDirect();
+  EXPECT_EQ(sol.omega, 0.0);
+  const LptvSolution oracle = denseLptvReference(*ckt.sys, pss, srcs, fOff);
+  LptvSolution real = oracle;  // the oracle's real parts
+  Real imag = 0.0;
+  for (auto& env : real.envelopes) {
+    for (CplxVector& p : env) {
+      for (Cplx& v : p) {
+        imag = std::max(imag, std::fabs(v.imag()));
+        v = v.real();
+      }
+    }
+  }
+  const Real scale = maxEnvelope(real);
+  ASSERT_GT(scale, 0.0);
+  const Real wT = 2.0 * std::numbers::pi_v<Real> * fOff * pss.period;
+  EXPECT_GT(imag, 0.0) << "the oracle probes at 1 Hz";
+  EXPECT_LT(imag, kImagPerWT * wT * scale);
+
+  const size_t n = ckt.sys->size();
   for (size_t s = 0; s < srcs.size(); ++s) {
-    EXPECT_LT(std::abs(adj[s] - ref.harmonic(s, ckt.outIdx, 0)),
-              kLptvTol * scale)
-        << "source " << s;
+    Real worst = 0.0;
+    for (size_t k = 0; k < pss.stepCount(); ++k) {
+      for (size_t i = 0; i < n; ++i) {
+        const Cplx v = sol.envelopes[s][k][i];
+        EXPECT_EQ(v.imag(), 0.0) << "s=" << s << " k=" << k << " i=" << i;
+        worst = std::max(worst, std::abs(v - real.envelopes[s][k][i]));
+      }
+    }
+    EXPECT_LT(worst, kLptvTol * scale) << "source " << s;
+    EXPECT_EQ(sol.harmonic(s, ckt.outIdx, 0).imag(), 0.0) << "source " << s;
+  }
+  for (int harmonic : {0, 1, -1}) {
+    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
+    for (size_t s = 0; s < srcs.size(); ++s) {
+      const Cplx want = real.harmonic(s, ckt.outIdx, harmonic);
+      EXPECT_LT(std::abs(sol.harmonic(s, ckt.outIdx, harmonic) - want),
+                kLptvTol * scale)
+          << "direct, source " << s << " harmonic " << harmonic;
+      EXPECT_LT(std::abs(adj[s] - want), kLptvTol * scale)
+          << "adjoint, source " << s << " harmonic " << harmonic;
+      if (harmonic == 0) {
+        EXPECT_EQ(adj[s].imag(), 0.0) << "source " << s;
+      }
+    }
   }
 }
 
 // ----------------------------------------------------- noise / sigma(t)
 
 // The pnoise sidebands (adjoint transfers) and sigma(t) (sampled direct
-// envelopes) match the same arithmetic on the dense reference envelopes:
-// |P_N|^2 S(f) per source and sqrt(sum_s |p_k[out]|^2 S_s(f)) per grid
-// point, to kLptvTol relative (squares: 2 kLptvTol).
+// envelopes) match the same arithmetic on the dense reference envelopes of
+// the w = 0 system, with the PSDs read at the 1 Hz offset: |P_N|^2 S(f)
+// per source and sqrt(sum_s |p_k[out]|^2 S_s(f)) per grid point, to
+// kLptvTol relative (squares: 2 kLptvTol).
 TEST(PnoiseGolden, SidebandsAndStatisticalWaveformMatchDenseOracle) {
   ChainFixture ckt(8);
   const PssResult pss =
@@ -495,8 +574,8 @@ TEST(PnoiseGolden, SidebandsAndStatisticalWaveformMatchDenseOracle) {
   const std::vector<InjectionSource> srcs(ckt.sources.begin(),
                                           ckt.sources.begin() + 12);
   const PnoiseAnalysis pn(*ckt.sys, pss, srcs, PnoiseOptions{});
-  const Real f = pn.offsetFreq();
-  const LptvSolution ref = denseLptvReference(*ckt.sys, pss, srcs, f);
+  const Real f = pn.offsetFreq();  // where the sources' PSDs are read
+  const LptvSolution ref = denseLptvReference(*ckt.sys, pss, srcs, 0.0);
 
   for (int harmonic : {0, 1}) {
     const PnoiseSideband sb = pn.sideband(ckt.outIdx, harmonic);
@@ -710,26 +789,24 @@ TEST(LptvParallelGolden, AutonomousRingExactAcrossJobCounts) {
 }
 
 // The direct algorithm as it stood before the fused column recursion,
-// rebuilt from public pieces: a dense store of every source's injection
-// envelope b_{s,k}, serial per-source alpha and envelope chains on
-// one-column solves, and the batched B_k recursion, all on the same step
+// rebuilt from public pieces in the arithmetic a driven orbit solves in
+// (real, w = 0): a dense store of every source's injection envelope
+// b_{s,k}, serial per-source alpha and envelope chains on one-column
+// solves, and the batched B_k recursion, all on the same step
 // factorizations (the SparseLU chain that inherits step 1's symbolic
-// analysis).
+// analysis), closed by a plain DenseLU solve.
 LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
-                                std::span<const InjectionSource> sources,
-                                Real fOff) {
+                                std::span<const InjectionSource> sources) {
   const size_t n = sys.size();
   const size_t m = pss.stepCount();
   const size_t ns = sources.size();
   const Real invH = 1.0 / pss.stepSize();
-  const Cplx jw(0.0, 2.0 * std::numbers::pi_v<Real> * fOff);
-  const Cplx coef = invH + jw;
 
-  std::vector<SparseLU<Cplx>> lus(m);
-  MergedSparseAssembler<Cplx> kAsm;
+  std::vector<SparseLU<Real>> lus(m);
+  MergedSparseAssembler<Real> kAsm;
   for (size_t k = 1; k <= m; ++k) {
-    kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], coef);
-    SparseLU<Cplx>& lu = lus[k - 1];
+    kAsm.assemble(pss.gSpMats[k], pss.cSpMats[k], invH);
+    SparseLU<Real>& lu = lus[k - 1];
     if (k > 1) {
       lu = lus[k - 2];
       if (!lu.refactor(kAsm.matrix)) lu.factor(kAsm.matrix);
@@ -738,14 +815,14 @@ LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
     }
   }
   // (C_{k-1} v) / h, in the library's operation order.
-  const auto applyD = [&](size_t k, const CplxVector& v) {
-    CplxVector out(n, Cplx{});
+  const auto applyD = [&](size_t k, const RealVector& v) {
+    RealVector out(n, 0.0);
     const RealSparse& c = pss.cSpMats[k - 1];
     const auto ptr = c.colPointers();
     const auto idx = c.rowIndices();
     const auto val = c.values();
     for (size_t j = 0; j < n; ++j) {
-      if (v[j] == Cplx{}) continue;
+      if (v[j] == 0.0) continue;
       for (int p = ptr[j]; p < ptr[j + 1]; ++p) {
         out[idx[p]] += val[p] * invH * v[j];
       }
@@ -753,21 +830,21 @@ LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
     return out;
   };
 
-  const auto b = injectionEnvelopes(sys, pss, sources, jw);
-  CplxMatrix bMat = CplxMatrix::identity(n);
-  std::vector<CplxVector> alpha(ns, CplxVector(n, Cplx{}));
-  CplxVector block(n * n);
+  const auto b = injectionEnvelopes<Real>(sys, pss, sources, 0.0);
+  RealMatrix bMat = RealMatrix::identity(n);
+  std::vector<RealVector> alpha(ns, RealVector(n, 0.0));
+  RealVector block(n * n);
   for (size_t k = 1; k <= m; ++k) {
     for (size_t s = 0; s < ns; ++s) {
-      CplxVector dv = applyD(k, alpha[s]);
+      RealVector dv = applyD(k, alpha[s]);
       for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
       lus[k - 1].solveInPlace(dv);
       alpha[s] = dv;
     }
     for (size_t j = 0; j < n; ++j) {
-      CplxVector col(n);
+      RealVector col(n);
       for (size_t i = 0; i < n; ++i) col[i] = bMat(i, j);
-      const CplxVector dcol = applyD(k, col);
+      const RealVector dcol = applyD(k, col);
       std::copy(dcol.begin(), dcol.end(), block.begin() + j * n);
     }
     lus[k - 1].solveManyInPlace(block, n);
@@ -776,20 +853,23 @@ LptvSolution perSourceReference(const MnaSystem& sys, const PssResult& pss,
     }
   }
 
-  CplxMatrix iMinusB = CplxMatrix::identity(n);
+  RealMatrix iMinusB = RealMatrix::identity(n);
   iMinusB -= bMat;
-  const DenseLU<Cplx> closure(iMinusB);
+  const DenseLU<Real> closure(iMinusB);
   LptvSolution sol;
   sol.envelopes.assign(ns, std::vector<CplxVector>(m));
+  const auto keep = [&](size_t s, size_t k, const RealVector& p) {
+    sol.envelopes[s][k].assign(p.begin(), p.end());
+  };
   for (size_t s = 0; s < ns; ++s) {
-    CplxVector p = closure.solve(alpha[s]);
-    sol.envelopes[s][0] = p;
+    RealVector p = closure.solve(alpha[s]);
+    keep(s, 0, p);
     for (size_t k = 1; k < m; ++k) {
-      CplxVector dv = applyD(k, p);
+      RealVector dv = applyD(k, p);
       for (size_t i = 0; i < n; ++i) dv[i] += b[s][k][i];
       lus[k - 1].solveInPlace(dv);
       p = dv;
-      sol.envelopes[s][k] = p;
+      keep(s, k, p);
     }
   }
   return sol;
@@ -799,8 +879,8 @@ TEST(LptvDirect, MatchesPerSourceReference) {
   // The fused recursion reorders nothing inside a column: streamed
   // injections, batched instead of one-column solves, and the closure on
   // slot scratch must reproduce the stored-envelope algorithm bit for bit,
-  // with and without a pool (driven orbits: the closure is the plain
-  // (I - B_M) solve the reference rebuilds). The
+  // with and without a pool (driven orbits: the real w = 0 recursion, whose
+  // closure is the plain (I - B_M) solve the reference rebuilds). The
   // chain's MOSFET sources inject current only; the RC deck's capacitor
   // sources also inject charge, which runs the rolling bq_{k-1}.
   ChainFixture chain(8);
@@ -826,7 +906,7 @@ C2 out 0 4p sigma=0.2p
   for (const Case& c : cases) {
     const PssResult pss = solvePssDriven(*c.sys, c.period, pssOptions(60));
     ASSERT_FALSE(pss.autonomous);
-    const LptvSolution want = perSourceReference(*c.sys, pss, c.srcs, 1.0);
+    const LptvSolution want = perSourceReference(*c.sys, pss, c.srcs);
     const std::vector<InjectionSource> srcs(c.srcs.begin(), c.srcs.end());
     expectEnvelopesEqual(LptvSolver(*c.sys, pss, srcs, 1.0).solveDirect(),
                          want, c.name + " no pool");
