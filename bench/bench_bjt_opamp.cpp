@@ -11,8 +11,8 @@
 //
 // The committed baseline (bench/baseline/bench_bjt_opamp.json) rides the
 // same trend gate as the kernel benches: a regression in the Ebers-Moll
-// eval, the dense stamp path, or the sensitivity recursion shows up here
-// as a run-over-run slowdown.
+// eval, the slot-bound sparse stamping, or the sensitivity recursion shows
+// up here as a run-over-run slowdown.
 #include <benchmark/benchmark.h>
 
 #include "circuit/bjt_opamp.hpp"

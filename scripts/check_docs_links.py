@@ -26,6 +26,10 @@ verifies that
     (benchmark and test names live outside ``src/``). Lower-case words,
     ALL-CAPS names and single-capital words (``Netlist``) are not
     checked: they are too often plain English, flags or file names.
+  - program names (``bench_kernels``, ``test_rf_sparse``, ``bench_*``)
+    — a backticked ``bench_*`` or ``test_*`` name must be the stem of a
+    ``.cpp`` under ``bench/`` or ``tests/`` (a trailing ``*`` globs), so a
+    deleted benchmark or test binary cannot linger in a table of programs.
   - repo paths (``src/runtime/``, ``scripts/check_bench_trend.py``,
     ``src/numeric/ordering.*``) — must glob-resolve against the repo
     root, like relative links.
@@ -59,6 +63,10 @@ QUALIFIED_RE = re.compile(
 BARE_NAME_RE = re.compile(r"^(?=\w*[a-z])[A-Za-z_]\w*?[A-Z]\w*$")
 # Directories whose C++ words a bare name may resolve against.
 NAME_DIRS = ("src", "tests", "bench", "examples")
+# Program names: the stem of a .cpp under bench/ or tests/, one target each
+# in CMakeLists.txt; a trailing * globs.
+PROGRAM_RE = re.compile(r"^(bench|test)_\w*\*?$")
+PROGRAM_DIRS = ("bench", "tests")
 # Repo paths inside code spans: first segment must be a tracked top-level
 # directory (bare filenames and flag-looking spans are not checked).
 PATH_SPAN_RE = re.compile(r"^[A-Za-z0-9_.*/-]+$")
@@ -184,6 +192,13 @@ def bare_name(span):
     return name if BARE_NAME_RE.match(name) else None
 
 
+def program_exists(span, repo_root):
+    """True when a `bench_*`/`test_*` span names a .cpp stem under bench/
+    or tests/ (the span's trailing * globs)."""
+    return any(globmod.glob(os.path.join(repo_root, d, span + ".cpp"))
+               for d in PROGRAM_DIRS)
+
+
 def check_path_span(span, repo_root):
     """Returns an error string for a repo-path-looking span that does not
     glob-resolve, or None."""
@@ -272,6 +287,14 @@ def main():
                 errors.append(f"{rel_md}:{lineno}: stale symbol reference "
                               f"'`{span}`' ({', '.join(missing)} not found "
                               f"in src/)")
+                continue
+            if PROGRAM_RE.match(span):
+                symbols_checked += 1
+                if not program_exists(span, repo_root):
+                    errors.append(f"{rel_md}:{lineno}: stale program "
+                                  f"reference '`{span}`' (no .cpp under "
+                                  f"{', '.join(d + '/' for d in PROGRAM_DIRS)}"
+                                  f" has that stem)")
                 continue
             name = bare_name(span)
             if name is not None:

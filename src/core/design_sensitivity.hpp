@@ -8,8 +8,9 @@
 // (eq. 16; same form for L). This uses only the contribution breakdown —
 // no additional simulation — which is the paper's key optimization-loop
 // advantage over Monte-Carlo. Note it intentionally ignores the effect of
-// W on the *nominal* operating point (the paper's convention); the
-// finite-difference cross-check lives in bench_fig10_width_sensitivity.
+// W on the *nominal* operating point (the paper's convention);
+// DesignSensitivity.UpsizingReducesVarianceAsPredicted (tests/test_core.cpp)
+// re-runs the analysis at a doubled width to check it.
 #pragma once
 
 #include "circuit/mosfet.hpp"

@@ -30,21 +30,37 @@ void applyMismatchSample(const std::vector<Netlist::MismatchRef>& params,
 
 namespace {
 
-/// Applies sample k's draw, runs the measurement, and clears the deltas.
-/// Returns false on SampleFailure.
+/// Applies sample k's draw, runs the measurement, and clears the deltas on
+/// every exit, a throwing measurement included. Returns false on
+/// SampleFailure.
 bool evalSample(const MnaSystem& sys, Netlist& nl,
                 const std::vector<Netlist::MismatchRef>& params,
                 const CorrelatedMismatch* corr, uint64_t seed, size_t k,
                 const McMeasure& measure, RealVector& out) {
+  struct ClearOnExit {
+    Netlist& nl;
+    ~ClearOnExit() { nl.clearMismatch(); }
+  } clear{nl};
   applyMismatchSample(params, corr, seed, k);
-  bool ok = true;
   try {
     out = measure(sys);
   } catch (const SampleFailure&) {
-    ok = false;
+    return false;
   }
-  nl.clearMismatch();
-  return ok;
+  return true;
+}
+
+/// True when two netlists flatten to the same mismatch parameters (names,
+/// kinds and sigmas, in order), so sample k draws the same deltas on both.
+bool sameFlattening(const std::vector<Netlist::MismatchRef>& a,
+                    const std::vector<Netlist::MismatchRef>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Netlist::MismatchRef& x,
+                       const Netlist::MismatchRef& y) {
+                      return x.param.name == y.param.name &&
+                             x.param.kind == y.param.kind &&
+                             x.param.sigma == y.param.sigma;
+                    });
 }
 
 }  // namespace
@@ -54,14 +70,6 @@ Real McResult::correlationBetween(size_t i, size_t j) const {
   CorrelationAccumulator acc;
   for (const auto& row : samples) acc.add(row.at(i), row.at(j));
   return acc.correlation();
-}
-
-RealVector McResult::column(size_t j) const {
-  PSMN_CHECK(!samples.empty(), "sample matrix was not kept");
-  RealVector out;
-  out.reserve(samples.size());
-  for (const auto& row : samples) out.push_back(row.at(j));
-  return out;
 }
 
 MonteCarloEngine::MonteCarloEngine(const MnaSystem& sys, McOptions opt)
@@ -78,65 +86,66 @@ McResult MonteCarloEngine::run(std::vector<std::string> names,
   const size_t jobs = std::min(
       opt_.jobs == 0 ? ThreadPool::hardwareJobs() : opt_.jobs, opt_.samples);
 
-  // Streams one sample row into the statistics; called in sample order by
-  // both paths, so the accumulation is independent of evaluation order.
-  const auto accumulate = [&](bool ok, RealVector& row) {
-    if (!ok) {
-      ++result.failedSamples;
-      return;
-    }
-    PSMN_CHECK(row.size() == result.names.size(),
-               "measurement count mismatch");
-    for (size_t j = 0; j < row.size(); ++j) result.moments[j].add(row[j]);
-    if (opt_.keepSamples) result.samples.push_back(std::move(row));
+  // One execution slot per netlist: the factory's private netlists when
+  // the samples may fan out, otherwise the primary netlist alone, which
+  // ThreadPool(1) runs inline on the calling thread. Each sample's stream
+  // is seeded by its index, so the draw never depends on the slot.
+  struct SlotContext {
+    std::unique_ptr<Netlist> ownedNl;
+    std::unique_ptr<MnaSystem> ownedSys;
+    Netlist* nl = nullptr;
+    const MnaSystem* sys = nullptr;
+    std::vector<Netlist::MismatchRef> params;
   };
-
-  if (jobs > 1 && factory_ && corr_ == nullptr) {
-    // Parallel path: one private (netlist, system) per execution slot; the
-    // batches partition the sample index range, and each sample's stream
-    // is seeded by its index, so the draw never depends on the partition.
-    ThreadPool pool(jobs);
-    struct SlotContext {
-      std::unique_ptr<Netlist> nl;
-      std::unique_ptr<MnaSystem> sys;
-      std::vector<Netlist::MismatchRef> params;
-    };
-    std::vector<SlotContext> slots(pool.jobCount());
+  Netlist& primary = const_cast<Netlist&>(sys_->netlist());
+  const auto primaryParams = primary.mismatchParams();
+  const bool fanOut = jobs > 1 && factory_ && corr_ == nullptr;
+  std::vector<SlotContext> slots(fanOut ? jobs : 1);
+  if (fanOut) {
     for (auto& slot : slots) {
-      slot.nl = factory_();
-      PSMN_CHECK(slot.nl != nullptr, "netlist factory returned null");
-      slot.nl->finalize();
-      slot.sys = std::make_unique<MnaSystem>(*slot.nl);
-      PSMN_CHECK(slot.sys->size() == sys_->size(),
-                 "netlist factory built a different circuit");
+      slot.ownedNl = factory_();
+      PSMN_CHECK(slot.ownedNl != nullptr, "netlist factory returned null");
+      slot.ownedNl->finalize();
+      slot.ownedSys = std::make_unique<MnaSystem>(*slot.ownedNl);
+      slot.nl = slot.ownedNl.get();
+      slot.sys = slot.ownedSys.get();
       slot.params = slot.nl->mismatchParams();
+      PSMN_CHECK(slot.sys->size() == sys_->size() &&
+                     sameFlattening(slot.params, primaryParams),
+                 "netlist factory built a different circuit");
     }
-    // The fan-out buffers one row per sample so the post-pass can stream
-    // them in index order (O(samples) extra memory, parallel path only).
-    std::vector<RealVector> rows(opt_.samples);
-    std::vector<char> ok(opt_.samples, 0);
-    const size_t chunk =
-        std::max<size_t>(1, opt_.samples / (pool.jobCount() * 4));
-    pool.parallelFor(
-        opt_.samples, chunk, [&](size_t b, size_t e, size_t slotIdx) {
-          SlotContext& slot = slots[slotIdx];
-          for (size_t k = b; k < e; ++k) {
-            ok[k] = evalSample(*slot.sys, *slot.nl, slot.params, nullptr,
-                               opt_.seed, k, measure, rows[k]);
-          }
-        });
-    for (size_t k = 0; k < opt_.samples; ++k) accumulate(ok[k], rows[k]);
   } else {
-    // Serial path: one row in flight, as before this engine learned to
-    // fan out.
-    Netlist& nl = const_cast<Netlist&>(sys_->netlist());
-    const auto params = nl.mismatchParams();
-    RealVector row;
-    for (size_t k = 0; k < opt_.samples; ++k) {
-      const bool ok =
-          evalSample(*sys_, nl, params, corr_, opt_.seed, k, measure, row);
-      accumulate(ok, row);
+    slots[0].nl = &primary;
+    slots[0].sys = sys_;
+    slots[0].params = primaryParams;
+  }
+
+  // Rows are buffered per sample and streamed into the statistics in
+  // sample order after the fan-out, so the accumulation is independent of
+  // evaluation order and bit-identical for every jobs count.
+  ThreadPool pool(slots.size());
+  std::vector<RealVector> rows(opt_.samples);
+  std::vector<char> ok(opt_.samples, 0);
+  const size_t chunk = std::max<size_t>(1, opt_.samples / (slots.size() * 4));
+  pool.parallelFor(
+      opt_.samples, chunk, [&](size_t b, size_t e, size_t slotIdx) {
+        SlotContext& slot = slots[slotIdx];
+        for (size_t k = b; k < e; ++k) {
+          ok[k] = evalSample(*slot.sys, *slot.nl, slot.params, corr_,
+                             opt_.seed, k, measure, rows[k]);
+        }
+      });
+  for (size_t k = 0; k < opt_.samples; ++k) {
+    if (!ok[k]) {
+      ++result.failedSamples;
+      continue;
     }
+    PSMN_CHECK(rows[k].size() == result.names.size(),
+               "measurement count mismatch");
+    for (size_t j = 0; j < rows[k].size(); ++j) {
+      result.moments[j].add(rows[k][j]);
+    }
+    if (opt_.keepSamples) result.samples.push_back(std::move(rows[k]));
   }
   result.elapsedSeconds =
       std::chrono::duration<Real>(std::chrono::steady_clock::now() - tStart)

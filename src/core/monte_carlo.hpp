@@ -21,20 +21,23 @@ namespace psmn {
 struct McOptions {
   size_t samples = 1000;
   uint64_t seed = 1;
-  bool keepSamples = true;  // store the full sample matrix (histograms)
+  bool keepSamples = true;  // store the sample matrix (correlations)
   /// Concurrent sample evaluations (0 -> hardware). Values above 1 take
   /// effect only when a netlist factory is installed (each slot needs a
   /// private netlist to perturb) and no correlated-mismatch model is set
-  /// (its device references are bound to the primary netlist). Because
-  /// every sample's RNG stream is derived from (seed, sampleIndex) and the
-  /// statistics are accumulated in sample order after the fan-out, results
-  /// are bit-identical for every jobs count.
+  /// (its device references are bound to the primary netlist); otherwise
+  /// the primary netlist is the one slot. Because every sample's RNG
+  /// stream is derived from (seed, sampleIndex) and the statistics are
+  /// accumulated in sample order after the fan-out, results are
+  /// bit-identical for every jobs count.
   size_t jobs = 1;
 };
 
 /// Measurement callback: the netlist already carries this sample's mismatch
 /// deltas; returns one value per measured quantity. Throwing SampleFailure
-/// skips the sample (counted separately). With jobs > 1 the callback runs
+/// skips the sample (counted separately); any other exception ends the run
+/// and propagates. Either way the sample's deltas are cleared before the
+/// netlist is reused or handed back. With jobs > 1 the callback runs
 /// concurrently on different MnaSystems (one per slot), so it must not
 /// write captured state — measure through the passed-in system only.
 using McMeasure = std::function<RealVector(const MnaSystem&)>;
@@ -66,16 +69,14 @@ struct McResult {
   Real meanOf(size_t j = 0) const { return moments.at(j).mean(); }
   /// Pearson correlation between two measured quantities.
   Real correlationBetween(size_t i, size_t j) const;
-  /// One column of the sample matrix.
-  RealVector column(size_t j) const;
 };
 
-/// Rebuilds the engine's circuit from scratch — the parallel path calls it
+/// Rebuilds the engine's circuit from scratch — a fanned-out run calls it
 /// once per execution slot to give every thread a private netlist. It MUST
-/// construct the same circuit as the engine's primary netlist (same devices
-/// in the same order, so the mismatch-parameter flattening lines up);
-/// the determinism tests compare jobs=1 (primary netlist) against jobs=N
-/// (factory netlists), which catches a diverging factory.
+/// construct the same circuit as the engine's primary netlist: run() throws
+/// Error unless every factory netlist has the primary's unknown count and
+/// flattens to the primary's mismatch parameters (names, kinds and sigmas,
+/// in order), so that sample k draws the same deltas on every slot.
 using NetlistFactory = std::function<std::unique_ptr<Netlist>()>;
 
 class MonteCarloEngine {
@@ -83,11 +84,11 @@ class MonteCarloEngine {
   MonteCarloEngine(const MnaSystem& sys, McOptions opt = {});
 
   /// Optional correlated-mismatch model; parameters covered by it are drawn
-  /// jointly, the rest independently. Forces the serial path (see
-  /// McOptions::jobs).
+  /// jointly, the rest independently. Keeps every sample on the primary
+  /// netlist (see McOptions::jobs).
   void setCorrelatedMismatch(const CorrelatedMismatch* corr) { corr_ = corr; }
 
-  /// Enables the parallel path: each execution slot evaluates its samples
+  /// Lets the samples fan out: each execution slot evaluates its samples
   /// on a private netlist built by `factory`.
   void setNetlistFactory(NetlistFactory factory) {
     factory_ = std::move(factory);

@@ -4,9 +4,11 @@
 //
 // This is the method the paper argues *against* for mismatch analysis of
 // periodic measurements (SS IV): its cost grows with simulation length and
-// it wastes effort on the settling transient. It is implemented here as the
-// ablation baseline (bench_ablation_sens_methods) and as an independent
-// cross-check of the LPTV results.
+// it wastes effort on the settling transient. It is implemented here as an
+// estimator for aperiodic windows (the BJT op-amp's step response) and as
+// an independent cross-check of the LPTV results: the logic path's
+// edge-delay gains must equal crossingTimeSensitivity's
+// (tests/test_integration.cpp).
 #pragma once
 
 #include "engine/mna.hpp"

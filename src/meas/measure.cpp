@@ -1,7 +1,5 @@
 #include "meas/measure.hpp"
 
-#include <cmath>
-
 #include "util/status.hpp"
 
 namespace psmn {
@@ -26,35 +24,6 @@ Real measurePeriod(const Waveform& w, Real level, int cycles) {
 
 Real measureFrequency(const Waveform& w, Real level, int cycles) {
   return 1.0 / measurePeriod(w, level, cycles);
-}
-
-Real measureSettledValue(const Waveform& w, Real window) {
-  PSMN_CHECK(!w.empty(), "empty waveform");
-  const Real tEnd = w.times.back();
-  const Real tStart = tEnd - window;
-  Real acc = 0.0;
-  size_t count = 0;
-  for (size_t k = 0; k < w.size(); ++k) {
-    if (w.times[k] >= tStart) {
-      acc += w.values[k];
-      ++count;
-    }
-  }
-  PSMN_CHECK(count > 0, "settling window contains no samples");
-  return acc / static_cast<Real>(count);
-}
-
-bool isSettled(const Waveform& w, Real window, Real tol) {
-  if (w.empty()) return false;
-  const Real tEnd = w.times.back();
-  const Real tStart = tEnd - window;
-  const Real ref = w.values.back();
-  for (size_t k = 0; k < w.size(); ++k) {
-    if (w.times[k] >= tStart && std::fabs(w.values[k] - ref) > tol) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace psmn

@@ -1,6 +1,6 @@
-// Performance measurements on waveforms: delay, period/frequency, settled
-// value. These are what the Monte-Carlo baseline measures per sample; the
-// pseudo-noise analysis predicts their variations without sampling.
+// Performance measurements on waveforms: delay and period/frequency. These
+// are what the Monte-Carlo baseline measures per sample; the pseudo-noise
+// analysis predicts their variations without sampling.
 #pragma once
 
 #include "meas/waveform.hpp"
@@ -18,12 +18,5 @@ Real measureDelay(const Waveform& stimulus, const Waveform& response,
 Real measurePeriod(const Waveform& w, Real level, int cycles = 4);
 
 Real measureFrequency(const Waveform& w, Real level, int cycles = 4);
-
-/// Mean of the waveform over its final `window` span (settled DC value).
-Real measureSettledValue(const Waveform& w, Real window);
-
-/// True when the waveform stays within +-tol of its final value over the
-/// trailing `window`.
-bool isSettled(const Waveform& w, Real window, Real tol);
 
 }  // namespace psmn

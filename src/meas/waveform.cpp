@@ -5,10 +5,6 @@
 
 namespace psmn {
 
-Real Waveform::valueAt(Real t) const {
-  return interpLinear(times, values, t);
-}
-
 std::vector<Real> Waveform::crossings(Real level, int direction) const {
   std::vector<Real> out;
   for (size_t k = 1; k < times.size(); ++k) {

@@ -14,8 +14,6 @@ struct Waveform {
   size_t size() const { return times.size(); }
   bool empty() const { return times.empty(); }
 
-  Real valueAt(Real t) const;  // linear interpolation
-
   /// All times where the waveform crosses `level` in the given direction
   /// (+1 rising, -1 falling, 0 both), linearly interpolated.
   std::vector<Real> crossings(Real level, int direction = 0) const;

@@ -1,22 +1,8 @@
 #include "numeric/interp.hpp"
 
-#include <algorithm>
-
 #include "util/status.hpp"
 
 namespace psmn {
-
-Real interpLinear(std::span<const Real> xs, std::span<const Real> ys, Real x) {
-  PSMN_CHECK(xs.size() == ys.size() && !xs.empty(),
-             "interpLinear: bad input lengths");
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const size_t hi = static_cast<size_t>(it - xs.begin());
-  const size_t lo = hi - 1;
-  const Real t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
 
 Real crossingPoint(Real x0, Real y0, Real x1, Real y1, Real level) {
   PSMN_CHECK(y0 != y1, "crossingPoint: degenerate bracket");

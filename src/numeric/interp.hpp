@@ -1,15 +1,9 @@
-// Interpolation helpers shared by the measurement and transient modules.
+// Linear crossing interpolation shared by the waveform measurements.
 #pragma once
-
-#include <span>
 
 #include "numeric/types.hpp"
 
 namespace psmn {
-
-/// Linear interpolation of (xs, ys) at x. xs must be strictly increasing.
-/// Values outside the range clamp to the end values.
-Real interpLinear(std::span<const Real> xs, std::span<const Real> ys, Real x);
 
 /// Given bracketing samples (x0,y0), (x1,y1) with y0 != y1, returns the x at
 /// which the line crosses `level`.

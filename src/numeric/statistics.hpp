@@ -1,5 +1,5 @@
 // Streaming and batch statistics used by the Monte-Carlo baseline and by
-// the accuracy benchmarks (Fig. 9/11/12): mean, variance, skewness
+// its accuracy gates (Tables I-II, Figs. 11/12): mean, variance, skewness
 // (normalized as mu3^(1/3)/sigma per the paper §VIII), correlation, and
 // Monte-Carlo confidence intervals for sigma estimates.
 #pragma once

@@ -18,7 +18,8 @@
 // re-shooting to solver tolerance.
 //
 // Used as the independent cross-check of the paper's eq. 9 frequency
-// readout (tests + bench_ablation_sens_methods).
+// readout (Ppv.FrequencySensitivityMatchesPnoiseReadout in
+// tests/test_rf.cpp).
 #pragma once
 
 #include "engine/mna.hpp"

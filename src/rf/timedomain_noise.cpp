@@ -5,18 +5,6 @@
 
 namespace psmn {
 
-RealVector StatisticalWaveform::upper3() const {
-  RealVector out(nominal.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = nominal[i] + 3.0 * sigma[i];
-  return out;
-}
-
-RealVector StatisticalWaveform::lower3() const {
-  RealVector out(nominal.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = nominal[i] - 3.0 * sigma[i];
-  return out;
-}
-
 StatisticalWaveform statisticalWaveform(const PnoiseAnalysis& pnoise,
                                         int outIndex) {
   const PssResult& pss = pnoise.pss();

@@ -21,11 +21,9 @@
 namespace psmn {
 
 struct StatisticalWaveform {
-  std::vector<Real> times;    // one period
-  RealVector nominal;         // PSS waveform
-  RealVector sigma;           // sigma(t)
-  RealVector upper3() const;  // nominal + 3 sigma
-  RealVector lower3() const;  // nominal - 3 sigma
+  std::vector<Real> times;  // one period
+  RealVector nominal;       // PSS waveform
+  RealVector sigma;         // sigma(t)
 };
 
 StatisticalWaveform statisticalWaveform(const PnoiseAnalysis& pnoise,

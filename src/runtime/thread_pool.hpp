@@ -27,8 +27,6 @@
 //     captured (on whichever slot ran it, owner or thief), and after the
 //     loop joins, the exception of the *lowest* failed chunk is rethrown —
 //     independent of thread count and timing.
-//   * parallelReduce combines per-chunk partials in chunk order, so
-//     floating-point reductions are bit-identical across jobs counts.
 //   * Nesting on the SAME pool is safe but serial: a parallelFor issued
 //     from one of the pool's own workers runs its chunks on the calling
 //     slot (inner drivers would queue behind busy workers). A different
@@ -121,27 +119,6 @@ inline void forEachColumnBlock(
   } else if (n > 0) {
     body(0, n, 0);
   }
-}
-
-/// Deterministic chunked map-reduce: mapChunk(begin, end) produces one
-/// partial per chunk (on any slot, in any order — stealing included);
-/// partials are then combined strictly in chunk order, so the result is
-/// bit-identical for every jobs count, including 1.
-template <class R, class Map, class Combine>
-R parallelReduce(ThreadPool& pool, size_t n, size_t chunk, R init,
-                 const Map& mapChunk, const Combine& combine) {
-  PSMN_CHECK(chunk > 0, "parallelReduce: chunk must be positive");
-  if (n == 0) return init;
-  const size_t numChunks = (n + chunk - 1) / chunk;
-  std::vector<R> partials(numChunks);
-  pool.parallelFor(n, chunk, [&](size_t begin, size_t end, size_t) {
-    partials[begin / chunk] = mapChunk(begin, end);
-  });
-  R acc = std::move(init);
-  for (size_t c = 0; c < numChunks; ++c) {
-    acc = combine(std::move(acc), std::move(partials[c]));
-  }
-  return acc;
 }
 
 }  // namespace psmn

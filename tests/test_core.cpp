@@ -18,7 +18,6 @@
 #include "core/pseudo_noise.hpp"
 #include "engine/sensitivity.hpp"
 #include "engine/transient.hpp"
-#include "meas/histogram.hpp"
 #include "meas/measure.hpp"
 
 namespace psmn {
@@ -160,6 +159,37 @@ TEST(MonteCarlo, FailedSamplesAreCounted) {
   });
   EXPECT_EQ(r.failedSamples, 5u);
   EXPECT_EQ(r.moments[0].count(), 15u);
+}
+
+TEST(MonteCarlo, ThrowingMeasurementLeavesNoMismatch) {
+  // A measurement that throws anything but SampleFailure ends the run. The
+  // sample's draw must not outlive it on the caller's netlist, or every
+  // later analysis of that netlist would run on a mismatched circuit. With
+  // no netlist factory, jobs = 2 runs on the primary netlist too.
+  Netlist nl;
+  const NodeId top = nl.node("top");
+  const NodeId mid = nl.node("mid");
+  nl.add<VSource>("V1", top, kGround, SourceWave::dc(1.0), nl);
+  nl.add<Resistor>("R1", top, mid, 1e3, nl, 10.0);
+  nl.add<Resistor>("R2", mid, kGround, 1e3, nl, 10.0);
+  MnaSystem sys(nl);
+  for (size_t jobs : {1u, 2u}) {
+    McOptions mo;
+    mo.samples = 8;
+    mo.jobs = jobs;
+    int calls = 0;
+    const McMeasure measure = [&](const MnaSystem& s) {
+      if (++calls == 3) throw ConvergenceError("synthetic");
+      return RealVector{solveDc(s).x[nl.nodeIndex(mid)]};
+    };
+    EXPECT_THROW(MonteCarloEngine(sys, mo).run({"v"}, measure),
+                 ConvergenceError);
+    EXPECT_EQ(calls, 3) << "jobs=" << jobs;
+    for (const auto& p : nl.mismatchParams()) {
+      EXPECT_EQ(p.device->mismatchDelta(p.index), 0.0)
+          << p.param.name << " jobs=" << jobs;
+    }
+  }
 }
 
 // ------------------------------------------------- correlated mismatch
@@ -393,27 +423,6 @@ TEST(GaussianMixture, LinearCircuitReproducesMcOfBimodalParameter) {
   nl.clearMismatch();
   EXPECT_NEAR(dist.mean(), acc.mean(), 3e-3);
   EXPECT_NEAR(dist.sigma(), acc.stddev(), 0.05 * acc.stddev());
-}
-
-// ------------------------------------------------------------- histogram
-
-TEST(Histogram, BinsAndDensity) {
-  RealVector samples;
-  Rng rng(3);
-  for (int i = 0; i < 20000; ++i) samples.push_back(rng.gaussian(1.0, 0.5));
-  const Histogram h = Histogram::fromSamples(samples, 40);
-  EXPECT_EQ(h.total, samples.size());
-  // Density approximates the Gaussian PDF near the mean.
-  Real densAtMean = 0.0;
-  for (size_t i = 0; i < h.counts.size(); ++i) {
-    if (std::fabs(h.binCenter(i) - 1.0) < h.binWidth()) {
-      densAtMean = std::max(densAtMean, h.density(i));
-    }
-  }
-  EXPECT_NEAR(densAtMean, gaussPdf(1.0, 1.0, 0.5), 0.1);
-  const std::string art =
-      h.render(40, [](Real x) { return gaussPdf(x, 1.0, 0.5); });
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -54,26 +54,6 @@ TEST(Measure, DelayBetweenWaveforms) {
   EXPECT_THROW(measureDelay(resp, stim, 0.5, +1, -1), Error);
 }
 
-TEST(Measure, SettledValueAndDetection) {
-  Waveform w;
-  for (int k = 0; k <= 1000; ++k) {
-    const Real t = k * 1e-9;
-    w.times.push_back(t);
-    w.values.push_back(2.0 * (1.0 - std::exp(-t / 100e-9)));
-  }
-  EXPECT_NEAR(measureSettledValue(w, 50e-9), 2.0, 1e-3);
-  EXPECT_TRUE(isSettled(w, 50e-9, 1e-2));
-  EXPECT_FALSE(isSettled(w, 900e-9, 1e-3));
-}
-
-TEST(Measure, ValueAtInterpolates) {
-  Waveform w;
-  w.times = {0.0, 1.0, 2.0};
-  w.values = {0.0, 2.0, 0.0};
-  EXPECT_DOUBLE_EQ(w.valueAt(0.25), 0.5);
-  EXPECT_DOUBLE_EQ(w.valueAt(1.5), 1.0);
-}
-
 // ------------------------------------------------ sparse assembly path
 
 TEST(SparseAssembly, SlotStampsMatchDenseOnLadder) {

@@ -784,15 +784,6 @@ TEST(Rng, DeterministicPerSampleStreams) {
 
 // ------------------------------------------------------------ interp/units
 
-TEST(Interp, LinearInterpolation) {
-  RealVector xs{0.0, 1.0, 2.0};
-  RealVector ys{0.0, 10.0, 0.0};
-  EXPECT_DOUBLE_EQ(interpLinear(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interpLinear(xs, ys, 1.5), 5.0);
-  EXPECT_DOUBLE_EQ(interpLinear(xs, ys, -1.0), 0.0);  // clamps
-  EXPECT_DOUBLE_EQ(interpLinear(xs, ys, 3.0), 0.0);
-}
-
 TEST(Interp, CrossingPoint) {
   EXPECT_DOUBLE_EQ(crossingPoint(0.0, 0.0, 1.0, 2.0, 1.0), 0.5);
   EXPECT_DOUBLE_EQ(crossingPoint(2.0, 1.0, 4.0, -1.0, 0.0), 3.0);

@@ -434,8 +434,6 @@ TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
                     (2.0 * dr) * 10.0;  // * sigmaR
     EXPECT_NEAR(sw.sigma[k], fd, 0.01 * fd + 1e-9) << "k=" << k;
   }
-  // Envelope helpers.
-  EXPECT_NEAR(sw.upper3()[5] - sw.nominal[5], 3.0 * sw.sigma[5], 1e-15);
 }
 
 TEST(Pnoise, ReadoutsRejectOutOfRangeOutput) {

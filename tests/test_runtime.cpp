@@ -1,14 +1,12 @@
 // Parallel execution runtime tests: thread-pool coverage and failure
-// semantics, deterministic chunked reduction, and the PR's core promise —
-// scenario sweeps, parallel multi-RHS sensitivity, and Monte-Carlo batches
-// are bit-identical across jobs counts (1/2/8) and across repeated runs
-// with the same seed.
+// semantics, and the runtime's core promise — scenario sweeps, parallel
+// multi-RHS sensitivity, and Monte-Carlo batches are bit-identical across
+// jobs counts (1/2/8) and across repeated runs with the same seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <cmath>
 
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
@@ -46,25 +44,6 @@ TEST(ThreadPool, SingleJobRunsInlineAndZeroNIsANoop) {
   });
   EXPECT_EQ(calls, 10u);
   pool.parallelFor(0, 4, [&](size_t, size_t, size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ReduceIsBitIdenticalAcrossJobCounts) {
-  // A sum whose result depends on association order: identical partials
-  // combined in chunk order must give the same bits for every jobs count.
-  const auto mapChunk = [](size_t b, size_t e) {
-    Real acc = 0.0;
-    for (size_t i = b; i < e; ++i) {
-      acc += std::sin(static_cast<Real>(i)) * 1e-3 + 1.0 / (1.0 + i);
-    }
-    return acc;
-  };
-  const auto combine = [](Real a, Real b) { return a + b; };
-  ThreadPool p1(1), p2(2), p8(8);
-  const Real r1 = parallelReduce(p1, 4097, 64, 0.0, mapChunk, combine);
-  const Real r2 = parallelReduce(p2, 4097, 64, 0.0, mapChunk, combine);
-  const Real r8 = parallelReduce(p8, 4097, 64, 0.0, mapChunk, combine);
-  EXPECT_EQ(r1, r2);
-  EXPECT_EQ(r1, r8);
 }
 
 TEST(ThreadPool, LowestFailedChunkWinsDeterministically) {
@@ -196,7 +175,7 @@ std::unique_ptr<Netlist> makeChainNetlist(int stages, int rows, Real cLoad) {
   return nl;
 }
 
-std::unique_ptr<Netlist> makeRcDividerNetlist() {
+std::unique_ptr<Netlist> makeRcDividerNetlist(Real r2Sigma = 10.0) {
   auto nl = std::make_unique<Netlist>();
   const NodeId top = nl->node("top");
   const NodeId mid = nl->node("mid");
@@ -205,7 +184,7 @@ std::unique_ptr<Netlist> makeRcDividerNetlist() {
                                      20e-9),
                    *nl);
   nl->add<Resistor>("R1", top, mid, 1e3, *nl, /*sigma=*/10.0);
-  nl->add<Resistor>("R2", mid, kGround, 1e3, *nl, /*sigma=*/10.0);
+  nl->add<Resistor>("R2", mid, kGround, 1e3, *nl, /*sigma=*/r2Sigma);
   nl->add<Capacitor>("C1", mid, kGround, 1e-12, *nl);
   return nl;
 }
@@ -383,7 +362,7 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
     McOptions opt = base;
     opt.jobs = jobs;
     MonteCarloEngine mc(sys, opt);
-    mc.setNetlistFactory(makeRcDividerNetlist);
+    mc.setNetlistFactory([] { return makeRcDividerNetlist(); });
     return mc.run({"mid"}, measureMidFinal);
   };
 
@@ -405,6 +384,30 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
   }
   const McResult repeat = runWithJobs(8);
   EXPECT_EQ(repeat.meanOf(0), runWithJobs(8).meanOf(0));
+}
+
+TEST(ParallelMonteCarlo, FactoryMustFlattenLikeThePrimary) {
+  // The factory builds the primary's topology with R2's sigma doubled, as
+  // a factory that missed the primary's process-kit scale would: the same
+  // unknowns and parameter names, but sample k would draw other deltas at
+  // jobs > 1 than on the primary at jobs = 1. run() must refuse it before
+  // any sample runs.
+  auto nl = makeRcDividerNetlist();
+  nl->finalize();
+  MnaSystem sys(*nl);
+  McOptions opt;
+  opt.samples = 8;
+  opt.jobs = 2;
+  MonteCarloEngine mc(sys, opt);
+  mc.setNetlistFactory([] { return makeRcDividerNetlist(20.0); });
+  std::atomic<size_t> calls{0};
+  EXPECT_THROW(mc.run({"mid"},
+                      [&](const MnaSystem& s) {
+                        ++calls;
+                        return measureMidFinal(s);
+                      }),
+               Error);
+  EXPECT_EQ(calls.load(), 0u);
 }
 
 }  // namespace
