@@ -374,7 +374,23 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
         std::printf(".pnoise ignored: no preceding .pss card\n");
         continue;
       }
-      const int outIdx = nl.nodeIndex(card.args[0]);
+      // Like .tran and .pss, a card the analysis would stop on gets a
+      // one-line cause before anything runs.
+      const auto out = nl.findNode(card.args[0]);
+      if (!out || *out == kGround) {
+        std::fprintf(stderr,
+                     "bad .pnoise card: '%s' (the output must be a node of "
+                     "the deck other than ground)\n",
+                     card.args[0].c_str());
+        return 1;
+      }
+      if (nl.mismatchParams().empty()) {
+        std::fprintf(stderr,
+                     "bad .pnoise card: the deck has no mismatch source (give "
+                     "a device a sigma=)\n");
+        return 1;
+      }
+      const int outIdx = nl.nodeIndex(*out);
       MismatchAnalysisOptions opt;
       opt.pss.stepsPerPeriod = 500;
       opt.pss.pool = pool.get();

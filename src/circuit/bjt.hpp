@@ -70,14 +70,6 @@ struct BjtModel {
   Real thermalVoltage() const {
     return kBoltzmann * temperature / kElemCharge;
   }
-
-  /// Mismatch-severity helper (mirrors MosModel::scaledMismatch).
-  BjtModel scaledMismatch(Real scale) const {
-    BjtModel m = *this;
-    m.ais *= scale;
-    m.abf *= scale;
-    return m;
-  }
 };
 
 /// Operating-point information for measurements and reporting.

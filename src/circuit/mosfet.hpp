@@ -46,15 +46,6 @@ struct MosModel {
   // Abeta = 3.25 %*um for the assumed 0.13um process.
   Real avt = 6.5e-9;       // V*m
   Real abeta = 3.25e-8;    // (relative)*m  (0.0325 * 1e-6)
-
-  /// Mismatch-scaling helper used for global severity sweeps (Fig. 11/12):
-  /// multiplies both AVT and Abeta.
-  MosModel scaledMismatch(Real scale) const {
-    MosModel m = *this;
-    m.avt *= scale;
-    m.abeta *= scale;
-    return m;
-  }
 };
 
 /// Operating-point information exported for measurements, pseudo-noise

@@ -65,7 +65,6 @@ std::vector<InjectionSource> CorrelatedMismatch::compositeSources() const {
       InjectionSource s;
       s.name = "corr" + std::to_string(gi) + ".xi" + std::to_string(j);
       s.sigma = 1.0;  // xi_j is unit-variance; weights carry the units
-      s.mkind = MismatchKind::kGeneric;
       for (size_t i = j; i < n; ++i) {  // factor is lower triangular
         if (g.factor(i, j) == 0.0) continue;
         s.components.push_back(

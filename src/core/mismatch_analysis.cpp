@@ -57,8 +57,7 @@ VariationResult TransientMismatchAnalysis::dcVariation(int outIndex) const {
   r.paperVariance = sb.totalPsd;  // baseband PSD at 1 Hz == variance (SS V-A)
   for (size_t i = 0; i < sources.size(); ++i) {
     r.sourceNames.push_back(sources[i].name);
-    const Real psd = sources[i].psd(sb.offsetFreq);
-    r.scaledSens.push_back(sb.transfer[i].real() * std::sqrt(psd));
+    r.scaledSens.push_back(sb.transfer[i].real() * sources[i].sigma);
   }
   return r;
 }
@@ -80,9 +79,8 @@ VariationResult TransientMismatchAnalysis::delayVariation(int outIndex) const {
   r.paperVariance = 2.0 * sb.totalPsd / (w0 * w0 * ac * ac);
   for (size_t i = 0; i < sources.size(); ++i) {
     r.sourceNames.push_back(sources[i].name);
-    const Real psd = sources[i].psd(sb.offsetFreq);
     const Real s = (sb.transfer[i] * projector).real();
-    r.scaledSens.push_back(s * std::sqrt(psd));
+    r.scaledSens.push_back(s * sources[i].sigma);
   }
   return r;
 }
@@ -120,7 +118,6 @@ VariationResult TransientMismatchAnalysis::edgeDelayVariation(
 
   VariationResult r;
   r.measurement = "edge-delay(" + sys_->netlist().unknownName(outIndex) + ")";
-  const Real fOff = pnoise().offsetFreq();
   const size_t points[2] = {k0, k1};
   const CplxVector p = pnoise().samples(outIndex, points);
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -129,7 +126,7 @@ VariationResult TransientMismatchAnalysis::edgeDelayVariation(
     const Real dv = ((1.0 - frac) * p0 + frac * p1).real();
     const Real s = -dv / slope;  // dtc/dp
     r.sourceNames.push_back(sources[i].name);
-    r.scaledSens.push_back(s * std::sqrt(sources[i].psd(fOff)));
+    r.scaledSens.push_back(s * sources[i].sigma);
   }
   r.paperVariance = r.variance();
   return r;
@@ -141,7 +138,7 @@ VariationResult TransientMismatchAnalysis::frequencyVariation(
   const auto& sources = pnoise().sources();
   const Cplx v1 = pss().fourier(outIndex, 1);
   PSMN_CHECK(std::abs(v1) > 0.0, "output has no fundamental component");
-  const Real fOff = sb.offsetFreq;
+  const Real fOff = PnoiseOptions::offsetFreq;
 
   VariationResult r;
   r.measurement = "frequency(" + sys_->netlist().unknownName(outIndex) + ")";
@@ -150,16 +147,15 @@ VariationResult TransientMismatchAnalysis::frequencyVariation(
   r.paperVariance = 4.0 * fOff * fOff * sb.totalPsd / (ac * ac);
   for (size_t i = 0; i < sources.size(); ++i) {
     r.sourceNames.push_back(sources[i].name);
-    const Real psd = sources[i].psd(fOff);
     const Real s = (sb.transfer[i] * fOff / v1).real();
-    r.scaledSens.push_back(s * std::sqrt(psd));
+    r.scaledSens.push_back(s * sources[i].sigma);
   }
   return r;
 }
 
 StatisticalWaveform TransientMismatchAnalysis::statistical(
     int outIndex) const {
-  return statisticalWaveform(pnoise(), outIndex);
+  return pnoise().statistical(outIndex);
 }
 
 }  // namespace psmn

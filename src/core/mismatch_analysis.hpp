@@ -33,7 +33,6 @@
 #include <string>
 
 #include "rf/pnoise.hpp"
-#include "rf/timedomain_noise.hpp"
 
 namespace psmn {
 
@@ -104,7 +103,8 @@ class TransientMismatchAnalysis {
   /// SS V-C: sigma of the oscillation frequency (eq. 9), in Hz.
   VariationResult frequencyVariation(int outIndex) const;
 
-  /// Fig. 8: nominal waveform with the sigma(t) envelope.
+  /// Fig. 8: nominal waveform with the sigma(t) envelope
+  /// (PnoiseAnalysis::statistical).
   StatisticalWaveform statistical(int outIndex) const;
 
  private:

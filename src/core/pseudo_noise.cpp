@@ -59,11 +59,4 @@ Real relativeIdsSigma(const MosModel& model, Real w, Real l, Real veff) {
                    sigmaBeta * sigmaBeta);
 }
 
-Real mismatchScaleFor3SigmaIds(const MosModel& model, Real w, Real l,
-                               Real veff, Real target3Sigma) {
-  const Real nominal = 3.0 * relativeIdsSigma(model, w, l, veff);
-  PSMN_CHECK(nominal > 0.0, "model has zero mismatch");
-  return target3Sigma / nominal;
-}
-
 }  // namespace psmn

@@ -4,8 +4,8 @@
 // The mechanics of the mapping live in the device mismatch interface
 // (circuit/device.hpp) and MnaSystem::collectSources; this header provides
 // the reporting/validation layer: a human-readable description of every
-// pseudo-noise source and the Pelgrom-model calibration helpers used to
-// reproduce the paper's "3 sigma(IDS) = 14%" process anchor.
+// pseudo-noise source and the Pelgrom-model drain-current sigma that checks
+// a process kit against the paper's "3 sigma(IDS) = 14%" device anchor.
 #pragma once
 
 #include "circuit/mosfet.hpp"
@@ -30,12 +30,8 @@ std::string formatPseudoNoiseReport(const MnaSystem& sys);
 /// Relative drain-current sigma of a saturated MOSFET under the Pelgrom
 /// model at gate overdrive `veff`:
 ///   (sigma_I/I)^2 = (gm/I * sigma_VT)^2 + sigma_beta^2,  gm/I = 2/veff.
-/// Used to calibrate the process so that 3*sigma(IDS) matches the paper.
+/// It reads what a model's AVT/Abeta mean at the device level, e.g. the
+/// paper's 3*sigma(IDS) anchor at 8.32u/0.13u.
 Real relativeIdsSigma(const MosModel& model, Real w, Real l, Real veff);
-
-/// Mismatch scale factor that makes 3*sigma(IDS) equal `target3Sigma` for
-/// the given device geometry/overdrive (Fig. 11/12 sweeps).
-Real mismatchScaleFor3SigmaIds(const MosModel& model, Real w, Real l,
-                               Real veff, Real target3Sigma);
 
 }  // namespace psmn

@@ -150,7 +150,6 @@ std::vector<InjectionSource> MnaSystem::collectSources(
     s.name = ref.param.name;
     s.components = {{ref.device, ref.index, 1.0}};
     s.sigma = ref.param.sigma;
-    s.mkind = ref.param.kind;
     out.push_back(std::move(s));
   }
   return out;

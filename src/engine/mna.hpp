@@ -36,7 +36,6 @@ struct InjectionSource {
   std::string name;
   std::vector<Component> components;
   Real sigma = 1.0;     // source std-dev (1 for composite sources)
-  MismatchKind mkind = MismatchKind::kGeneric;
 
   /// Convenience accessors for the common single-component case.
   Device* device() const {

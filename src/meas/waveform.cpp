@@ -1,9 +1,19 @@
 #include "meas/waveform.hpp"
 
-#include "numeric/interp.hpp"
 #include "util/status.hpp"
 
 namespace psmn {
+namespace {
+
+/// Given bracketing samples (x0,y0), (x1,y1) with y0 != y1, returns the x at
+/// which the line crosses `level`.
+Real crossingPoint(Real x0, Real y0, Real x1, Real y1, Real level) {
+  PSMN_CHECK(y0 != y1, "crossingPoint: degenerate bracket");
+  const Real t = (level - y0) / (y1 - y0);
+  return x0 + t * (x1 - x0);
+}
+
+}  // namespace
 
 std::vector<Real> Waveform::crossings(Real level, int direction) const {
   std::vector<Real> out;

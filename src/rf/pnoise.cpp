@@ -1,8 +1,435 @@
 #include "rf/pnoise.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+#include <numeric>
+#include <type_traits>
+#include <variant>
+
+#include "numeric/dense_lu.hpp"
+#include "numeric/sparse_lu.hpp"
+#include "rf/step_factors.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
 
 namespace psmn {
+namespace {
+
+constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
+
+template <class T>
+constexpr bool kComplex = std::is_same_v<T, Cplx>;
+
+/// The recursion's w: the offset on an oscillator, 0 on a driven orbit.
+Real recursionOmega(const PssResult& pss) {
+  return pss.autonomous ? kTwoPi * PnoiseOptions::offsetFreq : 0.0;
+}
+
+/// What every recursion on one orbit reads. `omega` is the recursion's w:
+/// 0 for a real (driven) recursion.
+struct LptvInputs {
+  const MnaSystem& sys;
+  const PssResult& pss;
+  std::span<const InjectionSource> sources;
+  Real omega;
+  ThreadPool* pool;
+};
+
+/// Per-slot scratch for the pool fan-outs: at most one column block runs
+/// per slot at a time (ThreadPool contract), so the injection evaluation
+/// buffers and the LU solve scratch need no locking.
+template <class T>
+struct LptvSlotScratch {
+  RealVector bf, bq;    // one source's injection at the current grid point
+  RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
+  LuSolveScratch<T> lu;
+};
+
+/// One source's periodic injection envelope, streamed along the orbit:
+///   b_k = -bf_k - (bq_k - bq_{k-1}) / h - j w bq_k,   k = 1..M,
+/// evaluated at grid point k when a chain needs it; a real recursion runs
+/// at w = 0 and drops the last term. The caller keeps the rolling
+/// bq_{k-1} (n reals per live chain), so no ns x M x n envelope store is
+/// ever built; the per-point evaluation buffers are per slot.
+template <class T>
+class InjectionStream {
+ public:
+  explicit InjectionStream(const LptvInputs& in)
+      : sys_(&in.sys),
+        pss_(&in.pss),
+        h_(in.pss.stepSize()),
+        jw_(0.0, in.omega) {}
+
+  /// Starts a chain at the grid origin: bqPrev = bq_0.
+  void start(const InjectionSource& src, std::span<Real> bqPrev,
+             LptvSlotScratch<T>& sl) const {
+    sys_->evalInjection(src, pss_->states[0], pss_->times[0], nullptr, &sl.bq);
+    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
+  }
+
+  /// Calls visit(i, b_k[i]) for every unknown i, then rolls bqPrev from
+  /// bq_{k-1} to bq_k. Steps of one chain must come in order k = 1, 2, ...
+  template <class Visit>
+  void step(const InjectionSource& src, size_t k, std::span<Real> bqPrev,
+            LptvSlotScratch<T>& sl, const Visit& visit) const {
+    sys_->evalInjection(src, pss_->states[k], pss_->times[k], &sl.bf, &sl.bq);
+    for (size_t i = 0; i < bqPrev.size(); ++i) {
+      const Real b = -sl.bf[i] - (sl.bq[i] - bqPrev[i]) / h_;
+      if constexpr (kComplex<T>) {
+        visit(i, b - jw_ * sl.bq[i]);
+      } else {
+        visit(i, b);
+      }
+    }
+    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
+  }
+
+ private:
+  const MnaSystem* sys_;
+  const PssResult* pss_;
+  Real h_;
+  Cplx jw_;  // read by the complex recursion only
+};
+
+/// Cyclic-closure solver with the oscillator phase-mode correction.
+///
+/// For an autonomous PSS the continuous-time Floquet multiplier of the
+/// phase mode is exactly 1, so the closure matrix S(w) has an eigenvalue
+/// lamStar = exp(-j w T). The backward-Euler discretization perturbs it to
+/// lam1 = lamStar*(1 + O(h)); at a 1 Hz offset |1 - lamStar| = wT ~ 1e-9
+/// is far below that O(h) error, which would wipe out the 1/f phase-noise
+/// amplification entirely (the discrete closure looks regular). We restore
+/// the analytically-known eigenvalue with a rank-one spectral update
+///   S' = S + (lamStar - lam1) u v^T,  v^T u = 1,
+/// solved through the Sherman-Morrison identity:
+///   (I-S')^{-1} b = (I-S)^{-1} b
+///                   + u (v^T b) (lamStar - lam1) / ((1-lam1)(1-lamStar)).
+/// (1 - lamStar) is evaluated as 2 sin^2(wT/2) + j sin(wT) to avoid the
+/// catastrophic cancellation of 1 - cos(wT).
+class ClosureSolver {
+ public:
+  ClosureSolver(const CplxMatrix& s, Real omega, Real period) {
+    const size_t n = s.rows();
+    CplxMatrix iMinusS = CplxMatrix::identity(n);
+    iMinusS -= s;
+    lu_.factor(iMinusS);
+
+    const Real theta = omega * period;
+    const Real sh = std::sin(0.5 * theta);
+    oneMinusLamStar_ = Cplx(2.0 * sh * sh, std::sin(theta));
+    const Cplx lamStar = Cplx(1.0, 0.0) - oneMinusLamStar_;
+
+    // Right/left eigenvectors of S for the eigenvalue nearest lamStar via
+    // inverse iteration on (S - lamStar I).
+    CplxMatrix shifted = s;
+    for (size_t i = 0; i < n; ++i) shifted(i, i) -= lamStar;
+    DenseLU<Cplx> inv(shifted);
+    u_.assign(n, Cplx(1.0, 0.0));
+    v_.assign(n, Cplx(1.0, 0.0));
+    for (int it = 0; it < 40; ++it) {
+      inv.solveInPlace(u_);
+      inv.solveTransposedInPlace(v_);
+      Real nu = 0.0, nv = 0.0;
+      for (const Cplx& x : u_) nu = std::max(nu, std::abs(x));
+      for (const Cplx& x : v_) nv = std::max(nv, std::abs(x));
+      PSMN_CHECK(nu > 0.0 && nv > 0.0, "phase-mode inverse iteration died");
+      for (Cplx& x : u_) x /= nu;
+      for (Cplx& x : v_) x /= nv;
+    }
+    // Rayleigh quotient lam1 = v^T S u / v^T u and normalization v^T u = 1.
+    const CplxVector su = matvec(s, std::span<const Cplx>(u_));
+    Cplx vsu{}, vu{};
+    for (size_t i = 0; i < n; ++i) {
+      vsu += v_[i] * su[i];
+      vu += v_[i] * u_[i];
+    }
+    PSMN_CHECK(std::abs(vu) > 1e-12, "degenerate phase-mode eigenvectors");
+    lam1_ = vsu / vu;
+    for (Cplx& x : v_) x /= vu;
+  }
+
+  /// Solves (I - S') x = b in place (x holds b on entry) on the caller's
+  /// LU scratch, so slots sharing one closure solve concurrently (one
+  /// scratch per slot).
+  void solveInPlace(std::span<Cplx> x, LuSolveScratch<Cplx>& scratch) const {
+    Cplx vb{};
+    for (size_t i = 0; i < x.size(); ++i) vb += v_[i] * x[i];
+    lu_.solveInPlace(x, scratch);
+    const Cplx oneMinusLam1 = Cplx(1.0, 0.0) - lam1_;
+    const Cplx gain = vb * (oneMinusLam1 - oneMinusLamStar_) /
+                      (oneMinusLam1 * oneMinusLamStar_);
+    for (size_t i = 0; i < x.size(); ++i) x[i] += gain * u_[i];
+  }
+
+ private:
+  DenseLU<Cplx> lu_;
+  CplxVector u_, v_;
+  Cplx lam1_{};
+  Cplx oneMinusLamStar_{};
+};
+
+/// The cycle closure (I - S) x = b of a recursion: on a driven orbit (real,
+/// w = 0) a plain LU of I - S, whose S is the monodromy; on an oscillator
+/// the phase-corrected ClosureSolver. Both solve in place on a slot's LU
+/// scratch.
+template <class T>
+auto cycleClosure(const Matrix<T>& s, const LptvInputs& in) {
+  if constexpr (kComplex<T>) {
+    return ClosureSolver(s, in.omega, in.pss.period);
+  } else {
+    RealMatrix iMinusS = RealMatrix::identity(s.rows());
+    iMinusS -= s;
+    return DenseLU<Real>(iMinusS);
+  }
+}
+
+/// The first n columns of a column-major n-row buffer, as an n x n matrix.
+template <class T>
+Matrix<T> leadingBlock(const std::vector<T>& cols, size_t n) {
+  Matrix<T> out(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < n; ++i) out(i, j) = cols[j * n + i];
+  }
+  return out;
+}
+
+/// Direct pass 1 and the cyclic closure: every source's periodic p_0,
+/// n x ns column-major.
+///
+/// Pass 1 runs the homogeneous part B and every source's particular part
+/// alpha as one recursion over the n + ns columns X = [B | alpha]:
+///   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
+/// Column j of X_k reads only column j of X_{k-1} (plus, for a source
+/// column, that source's streamed injection), so each slot carries one
+/// contiguous column block through all M steps (StepFactors::carry, the
+/// monodromy sweep's recursion with R_k added), bit-identical for every
+/// partition (no pool = one block). Every block takes M steps, so X_M ends
+/// up in the same one of x and y for all of them. The closure
+/// (I - B_M) p_0 = alpha_M carries the phase-mode spectral correction for
+/// oscillators.
+template <class T>
+std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
+  const size_t n = in.sys.size();
+  const size_t m = in.pss.stepCount();
+  const size_t ns = in.sources.size();
+  const InjectionStream<T> stream(in);
+  const size_t cols = n + ns;
+  std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, cols));
+  std::vector<T> x(n * cols, T{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
+  RealVector bqPrev(n * ns);  // each live chain's rolling bq_{k-1}
+  const auto bqOf = [&](size_t s) {
+    return std::span<Real>(bqPrev.data() + s * n, n);
+  };
+  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    for (size_t j = std::max(j0, n); j < j1; ++j) {
+      stream.start(in.sources[j - n], bqOf(j - n), sl);
+    }
+    const auto inject = [&](size_t j, size_t k, std::span<T> out) {
+      if (j0 + j < n) return;  // a homogeneous column
+      const size_t s = j0 + j - n;
+      stream.step(in.sources[s], k, bqOf(s), sl,
+                  [&](size_t i, T b) { out[i] += b; });
+    };
+    lus.carry(x.data() + j0 * n, y.data() + j0 * n, j1 - j0, m, sl.lu,
+              inject, [](size_t, const T*) {});
+  });
+  const std::vector<T>& xm = m % 2 == 0 ? x : y;
+
+  const auto closure = cycleClosure(leadingBlock(xm, n), in);
+  std::vector<T> p0(xm.begin() + n * n, xm.end());  // alpha_M
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    for (size_t s = s0; s < s1; ++s) {
+      closure.solveInPlace(std::span<T>(p0.data() + s * n, n),
+                           slotScratch[slot].lu);
+    }
+  });
+  return p0;
+}
+
+/// Direct pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
+/// k = 1..last, from its closed p_0, fanned over sources the same way as
+/// pass 1. Each block ping-pongs p_{k-1} -> p_k between x and y, and
+/// keep(s, k, p_k) sees each iterate once, on the slot that owns s.
+template <class T, class Keep>
+void envelopePass(const LptvInputs& in, const StepFactors<T>& lus,
+                  const std::vector<T>& p0, size_t last, const Keep& keep) {
+  const size_t n = in.sys.size();
+  const size_t ns = in.sources.size();
+  const InjectionStream<T> stream(in);
+  std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, ns));
+  std::vector<T> x(p0), y(n * ns);
+  RealVector bqPrev(n * ns);
+  const auto bqOf = [&](size_t s) {
+    return std::span<Real>(bqPrev.data() + s * n, n);
+  };
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    for (size_t s = s0; s < s1; ++s) {
+      keep(s, 0, std::span<const T>(x.data() + s * n, n));
+      stream.start(in.sources[s], bqOf(s), sl);
+    }
+    const auto inject = [&](size_t j, size_t k, std::span<T> out) {
+      stream.step(in.sources[s0 + j], k, bqOf(s0 + j), sl,
+                  [&](size_t i, T b) { out[i] += b; });
+    };
+    const auto visit = [&](size_t k, const T* pk) {
+      for (size_t s = s0; s < s1; ++s) {
+        keep(s, k, std::span<const T>(pk + (s - s0) * n, n));
+      }
+    };
+    lus.carry(x.data() + s0 * n, y.data() + s0 * n, s1 - s0, last, sl.lu,
+              inject, visit);
+  });
+}
+
+/// The adjoint transfers P_N[out] of every source (PnoiseAnalysis::sideband).
+template <class T>
+CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
+                            size_t out, int harmonic) {
+  const size_t n = in.sys.size();
+  const size_t m = in.pss.stepCount();
+  const size_t ns = in.sources.size();
+
+  // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
+  // terms of unknowns p_1..p_M the weight of p_M is w_0. A complex
+  // recursion carries the complex w_k in one column. A real one carries
+  // Re w_k, and for N != 0 Im w_k in a second column (weight c = 0, 1):
+  // the adjoint operator is real, so the two parts never mix.
+  const size_t nw = !kComplex<T> && harmonic != 0 ? 2 : 1;
+  const auto weight = [&](size_t k, size_t c) -> T {
+    const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
+    if constexpr (kComplex<T>) {
+      return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
+    } else {
+      return (c == 0 ? std::cos(phase) : std::sin(phase)) /
+             static_cast<Real>(m);
+    }
+  };
+  // D_{k+1} with D_{M+1} == D_1 (the cyclic wrap of the adjoint coupling).
+  const auto nextD = [&](size_t k) { return k == m ? size_t{1} : k + 1; };
+
+  // Adjoint cyclic system (plain transpose, matching the complex-linear
+  // functional), with l_{M+1} == l_1:
+  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
+  // Parametrize l_k = u_k + V_k l_1 and run the transpose of direct pass 1
+  // downward over the n + nw columns Y = [V | u]:
+  //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
+  //   Y_{M+1} = [I | 0].
+  // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
+  // one column block through all M steps (u rides in the last block or
+  // two); only Y_1 survives.
+  const size_t cols = n + nw;
+  std::vector<LptvSlotScratch<T>> slotScratch(
+      columnBlockSlots(in.pool, std::max(cols, ns)));
+  std::vector<T> x(n * cols, T{}), y(n * cols);
+  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
+  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    T* cur = x.data() + j0 * n;
+    T* next = y.data() + j0 * n;
+    for (size_t k = m; k >= 1; --k) {
+      for (size_t j = j0; j < j1; ++j) {
+        lus.applyDT(nextD(k), std::span<const T>(cur + (j - j0) * n, n),
+                    std::span<T>(next + (j - j0) * n, n));
+      }
+      for (size_t j = std::max(j0, n); j < j1; ++j) {
+        next[(j - j0) * n + out] += weight(k, j - n);
+      }
+      lus.solveTransposedManyInPlace(k, std::span<T>(next, (j1 - j0) * n),
+                                     j1 - j0, sl.lu);
+      std::swap(cur, next);
+    }
+  });
+  const std::vector<T>& y1 = m % 2 == 0 ? x : y;
+
+  // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
+  // permutation-transpose of the forward one, so on an oscillator it shares
+  // the corrupted phase eigenvalue and receives the same spectral
+  // correction. The forward closure applies it at the p_M -> p_0 cut and
+  // this one at the l_1 cut, so on an oscillator the two transfers differ
+  // by the correction's discretization error (1.6e-5 of the largest
+  // transfer on the ring), not by roundoff: the gap is the same at 40, 400
+  // and 4000 inverse iterations.
+  const auto closure = cycleClosure(leadingBlock(y1, n), in);
+  // l_k, k = 1..M, nw columns downward from l_{M+1} = l_1: lambda holds
+  // l_k's columns at offset (k - 1) n nw.
+  const size_t ln = n * nw;
+  std::vector<T> lambda(ln * m);
+  std::copy(y1.begin() + n * n, y1.end(), lambda.begin());  // u_1
+  for (size_t c = 0; c < nw; ++c) {
+    closure.solveInPlace(std::span<T>(lambda.data() + c * n, n),
+                         slotScratch[0].lu);
+  }
+  for (size_t k = m; k >= 2; --k) {
+    T* lk = lambda.data() + (k - 1) * ln;
+    const T* lNext = lambda.data() + (k == m ? 0 : k * ln);
+    for (size_t c = 0; c < nw; ++c) {
+      lus.applyDT(nextD(k), std::span<const T>(lNext + c * n, n),
+                  std::span<T>(lk + c * n, n));
+      lk[c * n + out] += weight(k, c);
+    }
+    lus.solveTransposedManyInPlace(k, std::span<T>(lk, ln), nw,
+                                   slotScratch[0].lu);
+  }
+
+  // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
+  // injections streamed along the orbit, sources fanned over the pool.
+  const InjectionStream<T> stream(in);
+  CplxVector tf(ns, Cplx{});
+  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+    LptvSlotScratch<T>& sl = slotScratch[slot];
+    sl.bqPrev.resize(n);
+    for (size_t s = s0; s < s1; ++s) {
+      stream.start(in.sources[s], sl.bqPrev, sl);
+      T acc[2] = {};
+      for (size_t k = 1; k <= m; ++k) {
+        const T* lk = lambda.data() + (k - 1) * ln;
+        stream.step(in.sources[s], k, sl.bqPrev, sl, [&](size_t i, T b) {
+          for (size_t c = 0; c < nw; ++c) acc[c] += lk[c * n + i] * b;
+        });
+      }
+      if constexpr (kComplex<T>) {
+        tf[s] = acc[0];
+      } else {
+        tf[s] = Cplx(acc[0], acc[1]);
+      }
+    }
+  });
+  return tf;
+}
+
+/// What the readouts of one orbit share, in the orbit's scalar: the step
+/// factors (direct and adjoint) and, after the first direct readout,
+/// every source's closed p_0.
+template <class T>
+struct Cycle {
+  StepFactors<T> factors;
+  std::optional<std::vector<T>> p0;
+};
+
+}  // namespace
+
+struct PnoiseAnalysis::Cache {
+  std::variant<Cycle<Real>, Cycle<Cplx>> cycle;
+};
+
+Cplx LptvSolution::harmonic(size_t sourceIdx, int outIndex, int n) const {
+  PSMN_CHECK(sourceIdx < envelopes.size(), "bad source index");
+  const auto& env = envelopes[sourceIdx];
+  PSMN_CHECK(outIndex >= 0 && (env.empty() ||
+                               static_cast<size_t>(outIndex) < env[0].size()),
+             "bad output index");
+  Cplx acc{};
+  const size_t m = env.size();
+  for (size_t k = 0; k < m; ++k) {
+    const Real phase = -kTwoPi * n * static_cast<Real>(k) / m;
+    acc += env[k][outIndex] * Cplx(std::cos(phase), std::sin(phase));
+  }
+  return acc / static_cast<Real>(m);
+}
 
 PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                                PnoiseOptions opt)
@@ -11,19 +438,70 @@ PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
 PnoiseAnalysis::PnoiseAnalysis(const MnaSystem& sys, const PssResult& pss,
                                std::vector<InjectionSource> sources,
                                PnoiseOptions opt)
-    : solver_(sys, pss, std::move(sources), opt.offsetFreq,
-              LptvOptions{opt.pool}) {
-  PSMN_CHECK(opt.offsetFreq > 0.0, "offset frequency must be positive");
-  PSMN_CHECK(!solver_.sources().empty(), "no injection sources");
+    : sys_(&sys), pss_(&pss), sources_(std::move(sources)), pool_(opt.pool) {
+  PSMN_CHECK(pss.stepCount() > 0, "empty PSS result");
+  PSMN_CHECK(pss.gSpMats.size() == pss.times.size() &&
+                 pss.cSpMats.size() == pss.times.size(),
+             "PSS result lacks stored linearizations");
+  PSMN_CHECK(!sources_.empty(), "no injection sources");
+  // Only an oscillator's recursion runs at the offset.
   const Real f0 = 1.0 / pss.period;
-  PSMN_CHECK(opt.offsetFreq < 0.01 * f0,
+  PSMN_CHECK(!pss.autonomous || PnoiseOptions::offsetFreq < 0.01 * f0,
              "offset frequency must be far below the fundamental");
+}
+
+PnoiseAnalysis::~PnoiseAnalysis() = default;
+PnoiseAnalysis::PnoiseAnalysis(PnoiseAnalysis&&) noexcept = default;
+PnoiseAnalysis& PnoiseAnalysis::operator=(PnoiseAnalysis&&) noexcept = default;
+
+PnoiseAnalysis::Cache& PnoiseAnalysis::cache() const {
+  if (!cache_) {
+    const Real h = pss_->stepSize();
+    const Real omega = recursionOmega(*pss_);
+    if (pss_->autonomous) {
+      cache_ = std::make_unique<Cache>(Cache{Cycle<Cplx>{
+          StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
+                            1.0 / h + Cplx(0.0, omega)),
+          std::nullopt}});
+    } else {
+      cache_ = std::make_unique<Cache>(Cache{Cycle<Real>{
+          StepFactors<Real>(pss_->gSpMats, pss_->cSpMats, h, 1.0 / h),
+          std::nullopt}});
+    }
+  }
+  return *cache_;
+}
+
+template <class Keep>
+void PnoiseAnalysis::walkEnvelopes(size_t last, const Keep& keep) const {
+  const LptvInputs in{*sys_, *pss_, sources_, recursionOmega(*pss_), pool_};
+  const bool closed =
+      cache_ && std::visit([](const auto& cy) { return cy.p0.has_value(); },
+                           cache_->cycle);
+  if (!closed) {
+    TraceSpan span(Phase::kLptv, "lptv_direct");
+    std::visit([&](auto& cy) { cy.p0 = closedOrigins(in, cy.factors); },
+               cache().cycle);
+  }
+  TraceSpan span(Phase::kLptv, "lptv_envelopes");
+  std::visit(
+      [&](const auto& cy) { envelopePass(in, cy.factors, *cy.p0, last, keep); },
+      cache_->cycle);
 }
 
 const LptvSolution& PnoiseAnalysis::solution() const {
   if (!solution_) {
     TraceSpan span(Phase::kPnoise, "pnoise");
-    solution_ = solver_.solveDirect();
+    const size_t m = pss_->stepCount();
+    LptvSolution sol;
+    sol.omega = recursionOmega(*pss_);
+    sol.steps = m;
+    sol.envelopes.resize(sources_.size());
+    for (auto& env : sol.envelopes) env.reserve(m);
+    walkEnvelopes(m - 1, [&](size_t s, size_t, auto p) {
+      sol.envelopes[s].emplace_back(p.begin(), p.end());
+    });
+    solution_ = std::move(sol);
   }
   return *solution_;
 }
@@ -32,12 +510,23 @@ PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
   TraceSpan span(Phase::kPnoise, "pnoise");
   PnoiseSideband sb;
   sb.harmonic = harmonic;
-  sb.offsetFreq = offsetFreq();
-  sb.transfer = solver_.solveAdjoint(outIndex, harmonic);
+  {
+    TraceSpan lptv(Phase::kLptv, "lptv_adjoint");
+    PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < sys_->size(),
+               "bad output index");
+    const LptvInputs in{*sys_, *pss_, sources_, recursionOmega(*pss_),
+                        pool_};
+    sb.transfer = std::visit(
+        [&](const auto& cy) {
+          return adjointTransfers(in, cy.factors,
+                                  static_cast<size_t>(outIndex), harmonic);
+        },
+        cache().cycle);
+  }
   sb.contribution.reserve(sb.transfer.size());
   for (size_t s = 0; s < sb.transfer.size(); ++s) {
-    const Real contrib =
-        std::norm(sb.transfer[s]) * sources()[s].psd(sb.offsetFreq);
+    const Real sigma = sources_[s].sigma;
+    const Real contrib = std::norm(sb.transfer[s]) * (sigma * sigma);
     sb.contribution.push_back(contrib);
     sb.totalPsd += contrib;
   }
@@ -47,7 +536,41 @@ PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
 CplxVector PnoiseAnalysis::samples(int outIndex,
                                    std::span<const size_t> points) const {
   TraceSpan span(Phase::kPnoise, "pnoise");
-  return solver_.sampleDirect(outIndex, points);
+  const size_t np = points.size();
+  PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < sys_->size(),
+             "bad output index");
+  PSMN_CHECK(np > 0, "no grid points to sample");
+  const size_t last = *std::max_element(points.begin(), points.end());
+  PSMN_CHECK(last < pss_->stepCount(), "grid point out of range");
+  std::vector<std::vector<size_t>> requestsAt(last + 1);
+  for (size_t i = 0; i < np; ++i) requestsAt[points[i]].push_back(i);
+
+  const size_t out = static_cast<size_t>(outIndex);
+  CplxVector samples(sources_.size() * np);
+  walkEnvelopes(last, [&](size_t s, size_t k, auto p) {
+    for (size_t i : requestsAt[k]) samples[s * np + i] = p[out];
+  });
+  return samples;
+}
+
+StatisticalWaveform PnoiseAnalysis::statistical(int outIndex) const {
+  const size_t m = pss_->stepCount();
+  StatisticalWaveform w;
+  w.times.assign(pss_->times.begin(), pss_->times.begin() + m);
+  w.nominal = pss_->waveform(outIndex);
+  std::vector<size_t> grid(m);
+  std::iota(grid.begin(), grid.end(), size_t{0});
+  const CplxVector p = samples(outIndex, grid);  // p[s * m + k]
+  w.sigma.assign(m, 0.0);
+  for (size_t k = 0; k < m; ++k) {
+    Real var = 0.0;
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      const Real sigma = sources_[s].sigma;
+      var += std::norm(p[s * m + k]) * (sigma * sigma);
+    }
+    w.sigma[k] = std::sqrt(var);
+  }
+  return w;
 }
 
 }  // namespace psmn

@@ -62,10 +62,10 @@ struct PssWorkspace {
 struct PssResult {
   Real period = 0.0;
   Real t0 = 0.0;  // absolute start time of the stored period
-  /// True for oscillator solutions: the LPTV solver then runs complex at
-  /// the offset frequency and applies the phase-mode spectral correction
-  /// to the cyclic closure; on a driven orbit it runs real at w = 0 (see
-  /// lptv.hpp).
+  /// True for oscillator solutions: the LPTV recursion then runs complex
+  /// at the offset frequency and applies the phase-mode spectral
+  /// correction to the cyclic closure; on a driven orbit it runs real at
+  /// w = 0 (see rf/pnoise.hpp).
   bool autonomous = false;
   /// Autonomous only: the phase-condition unknown and d x(T)/dT at the
   /// solution (used by the discrete-adjoint period sensitivity, rf/ppv).

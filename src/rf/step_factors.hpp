@@ -1,5 +1,6 @@
 // The step operators of a stored periodic orbit, shared by shooting's
-// monodromy, the PPV sweep and the LPTV solver (internal to rf/).
+// monodromy, the PPV sweep and the LPTV recursions of rf/pnoise (internal to
+// rf/).
 //
 // A backward-Euler orbit stores G_k and C_k at its grid points k = 0..M,
 // step h. Every small-signal recursion on it runs over

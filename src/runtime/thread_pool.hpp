@@ -74,10 +74,6 @@ class ThreadPool {
   void attachTelemetry(TelemetryRegistry* registry) { telemetry_ = registry; }
   TelemetryRegistry* telemetry() const { return telemetry_; }
 
-  /// Enqueues a task on the work queue (fire-and-forget; exceptions from
-  /// queued tasks terminate, so wrap fallible work in parallelFor instead).
-  void post(std::function<void()> task);
-
   /// Runs body(begin, end, slot) over [0, n) in chunks of `chunk`, blocking
   /// until every chunk finished. Chunk boundaries are a pure function of
   /// (n, chunk), never of timing; idle slots steal queued chunks from busy
@@ -86,6 +82,10 @@ class ThreadPool {
                    const std::function<void(size_t, size_t, size_t)>& body);
 
  private:
+  /// Enqueues one of parallelFor's per-slot chunk loops on the work queue.
+  /// A task that throws terminates the process, so every task posted here
+  /// catches its chunks' exceptions itself.
+  void post(std::function<void()> task);
   void workerLoop();
 
   std::vector<std::thread> workers_;

@@ -230,6 +230,22 @@ def case_bad_inputs(cli):
                and len(p.stderr.strip().splitlines()) == 1,
                f"'{card}' must exit 1 with a one-line '{cause}'", p)
 
+    # A .pnoise card the analysis would stop on (an output that is no node
+    # of the deck or is ground, or a deck without a mismatch source) is
+    # refused the same way, before the PSS runs.
+    rc = ("VIN in 0 PULSE(0 1 0.1u 10n 10n 0.4u 1u)\n"
+          "R1 in out 10k{}\nC1 out 0 4p\n.pss 1u\n")
+    for body, card in ((rc.format(" sigma=200"), ".pnoise nosuchnode"),
+                       (rc.format(" sigma=200"), ".pnoise 0"),
+                       (rc.format(""), ".pnoise out")):
+        deck = os.path.join(cli.tmp, "bad_pnoise.sp")
+        with open(deck, "w") as f:
+            f.write(f"* bad pnoise card\n{body}{card}\n.end\n")
+        p = cli.run(deck)
+        expect(p.returncode == 1 and "bad .pnoise card" in p.stderr
+               and len(p.stderr.strip().splitlines()) == 1,
+               f"'{card}' must exit 1 with a one-line 'bad .pnoise card'", p)
+
     # Sweep mode reads the .tran card through the same check.
     for card in (".tran 1n -1u", ".tran 0 1u"):
         deck = os.path.join(cli.tmp, "bad_sweep.sp")

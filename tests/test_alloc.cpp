@@ -1,8 +1,9 @@
 // Allocation-tracking tests: the transient stepping kernel must not touch
 // the heap in the steady state (after the first step has sized the
 // workspace, cached the sparsity pattern, and done the symbolic
-// factorization), the LPTV direct solve allocates per source only the
-// envelopes it returns, and the scalar pnoise readouts store no envelope.
+// factorization), the LPTV direct solve behind PnoiseAnalysis::solution
+// allocates per source only the envelopes it returns, and the scalar
+// pnoise readouts store no envelope.
 // Global operator new/delete are overridden in this binary to count
 // allocations; the counters are read only around the measured loops, so
 // gtest's own bookkeeping does not interfere.
@@ -16,7 +17,6 @@
 #include "circuit/stdcell.hpp"
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
-#include "rf/lptv.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
@@ -147,12 +147,12 @@ TEST(Allocation, SparsePssPeriodIntegrationIsHeapFree) {
 }
 
 TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
-  // solveDirect streams every source's injection envelope b_{s,k} from the
-  // orbit instead of storing it. Beyond a source-free solve on the same
-  // orbit (step factors, B_k recursion, closure), a source may cost its M
-  // envelope vectors plus O(1), and the pool O(slots) scratch: ns*M + O(ns
-  // + slots). A dense ns x (M+1) store with per-source bf/bq temporaries
-  // costs about 4*ns*M.
+  // solution() streams every source's injection envelope b_{s,k} from the
+  // orbit instead of storing it. Beyond a one-source solve on the same
+  // orbit (step factors, B_k recursion, closure; an analysis refuses zero
+  // sources), each further source may cost its M envelope vectors plus
+  // O(1), and the pool O(slots) scratch: ns*M + O(ns + slots). A dense
+  // ns x (M+1) store with per-source bf/bq temporaries costs about 4*ns*M.
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   InverterChainOptions copt;
@@ -165,7 +165,7 @@ TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
   const size_t m = pss.stepCount();
   const auto sources = sys.collectSources();
   const size_t ns = 32;
-  ASSERT_GE(sources.size(), ns);
+  ASSERT_GE(sources.size(), ns + 1);
 
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -174,12 +174,12 @@ TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
       std::vector<InjectionSource> srcs(sources.begin(),
                                         sources.begin() + count);
       const size_t before = gAllocCount.load();
-      LptvSolver(sys, pss, std::move(srcs), 1.0, LptvOptions{p}).solveDirect();
+      PnoiseAnalysis(sys, pss, std::move(srcs), PnoiseOptions{p}).solution();
       return gAllocCount.load() - before;
     };
-    allocations(ns);  // warm: one-time lazy state stays out of the count
-    const size_t fixed = allocations(0);
-    const size_t withSources = allocations(ns);
+    allocations(ns + 1);  // warm: one-time lazy state stays out of the count
+    const size_t fixed = allocations(1);
+    const size_t withSources = allocations(ns + 1);
     const size_t slots = p ? p->jobCount() : 1;
     EXPECT_LE(withSources - fixed, ns * m + 4 * ns + 16 * slots)
         << "slots=" << slots << " M=" << m;

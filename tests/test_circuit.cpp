@@ -10,7 +10,6 @@
 #include "circuit/diode.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/netlist.hpp"
-#include "circuit/noise_source.hpp"
 #include "circuit/parser.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
@@ -415,29 +414,6 @@ TEST(Capacitor, MismatchChargeStamp) {
   RealVector bq;
   sys.evalInjection(src, x, 0.0, nullptr, &bq);
   EXPECT_NEAR(bq[0], 2.5, 1e-15);  // dQ/dC = v
-}
-
-TEST(BehavioralMismatch, StampUsesModulation) {
-  Netlist nl;
-  const NodeId a = nl.node("a");
-  nl.add<Resistor>("R1", a, kGround, 1e3, nl);
-  auto& bm = nl.add<BehavioralMismatch>(
-      "X1", a, kGround, 0.01,
-      [idx = nl.nodeIndex(a)](const Stamper& s) { return 2.0 * s.v(idx); },
-      nl);
-  MnaSystem sys(nl);
-  RealVector x{1.5};
-  InjectionSource src;
-  src.components = {{&bm, 0, 1.0}};
-  RealVector bf;
-  sys.evalInjection(src, x, 0.0, &bf, nullptr);
-  EXPECT_NEAR(bf[0], 3.0, 1e-15);  // modulation = 2*v(a)
-  // And eval applies delta * modulation as a real current.
-  bm.setMismatchDelta(0, 0.1);
-  RealVector f;
-  sys.evalDense(x, 0.0, &f, nullptr, nullptr, nullptr, {});
-  EXPECT_NEAR(f[0], 1.5e-3 + 0.1 * 3.0, 1e-12);
-  bm.setMismatchDelta(0, 0.0);
 }
 
 // --------------------------------------------------------------- parser

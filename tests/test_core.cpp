@@ -361,12 +361,6 @@ TEST(PseudoNoiseReport, IdsSigmaCalibration) {
   const Real s3 = 3.0 * relativeIdsSigma(*kit.nmos, 8.32e-6, 0.13e-6, 0.65);
   EXPECT_GT(s3, 0.05);
   EXPECT_LT(s3, 0.20);
-  // Scale helper inverts exactly.
-  const Real scale =
-      mismatchScaleFor3SigmaIds(*kit.nmos, 8.32e-6, 0.13e-6, 0.65, 0.14);
-  const MosModel scaled = kit.nmos->scaledMismatch(scale);
-  EXPECT_NEAR(3.0 * relativeIdsSigma(scaled, 8.32e-6, 0.13e-6, 0.65), 0.14,
-              1e-12);
 }
 
 // ------------------------------------------------------ gaussian mixture

@@ -11,7 +11,6 @@
 #include "circuit/controlled.hpp"
 #include "circuit/diode.hpp"
 #include "circuit/mosfet.hpp"
-#include "circuit/noise_source.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "fd_check.hpp"
@@ -175,25 +174,6 @@ TEST(DeviceFd, BjtAtNonzeroMismatchDeltas) {
   nl.add<Resistor>("Re", e, kGround, 1e4, nl);
   q.setMismatchDelta(0, 0.07);
   q.setMismatchDelta(1, -0.04);
-  expectFdClean(nl);
-}
-
-TEST(DeviceFd, BehavioralMismatchSource) {
-  // At delta = 0 the element contributes nothing to F/G (its documented
-  // Jacobian approximation only bites at nonzero delta), but its dF/dp
-  // column must equal the modulation current m(x).
-  Netlist nl;
-  const NodeId a = nl.node("a"), b = nl.node("b");
-  const int ia = nl.nodeIndex(a), ib = nl.nodeIndex(b);
-  nl.add<Resistor>("R1", a, kGround, 1e3, nl);
-  nl.add<Resistor>("R2", b, kGround, 1e3, nl);
-  nl.add<BehavioralMismatch>(
-      "X1", a, b, 1e-3,
-      [ia, ib](const Stamper& s) {
-        const Real v = s.v(ia) - s.v(ib);
-        return 1e-3 * v + 2e-4 * v * v;
-      },
-      nl);
   expectFdClean(nl);
 }
 

@@ -266,7 +266,7 @@ TEST(Sensitivity, MosfetBiasSensitivityMatchesFd) {
   for (size_t i = 0; i < sources.size(); ++i) {
     Device* dev = sources[i].components[0].device;
     const size_t k = sources[i].components[0].index;
-    const Real h = sources[i].mkind == MismatchKind::kVth ? 1e-5 : 1e-5;
+    const Real h = 1e-5;
     dev->setMismatchDelta(k, h);
     const Real vp = solveDc(sys, fdOpt, &dc.x).x[nl.nodeIndex(out)];
     dev->setMismatchDelta(k, -h);

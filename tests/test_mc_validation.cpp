@@ -25,7 +25,6 @@
 #include "engine/transient_sensitivity.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/pss.hpp"
-#include "rf/timedomain_noise.hpp"
 
 namespace psmn {
 namespace {
@@ -119,7 +118,7 @@ TEST(MonteCarloValidation, PssStatisticalWaveformMatchesSampleSigma) {
   const PssResult pss = solvePssDriven(sys, period, popt);
 
   PnoiseAnalysis pn(sys, pss, PnoiseOptions{});
-  const StatisticalWaveform sw = statisticalWaveform(pn, outIdx);
+  const StatisticalWaveform sw = pn.statistical(outIdx);
 
   const std::vector<size_t> probes{0, 30, 60, 90};
   McOptions mopt;

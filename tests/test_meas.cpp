@@ -40,6 +40,20 @@ TEST(Measure, CrossingsOfSine) {
   EXPECT_NEAR(measureFrequency(w, 0.0, 2), 1e6, 5e3);
 }
 
+TEST(Measure, CrossingsInterpolateBetweenBracketingSamples) {
+  // One rising and one falling bracket whose linear crossings are exact.
+  Waveform rise;
+  rise.times = {0.0, 1.0};
+  rise.values = {0.0, 2.0};
+  ASSERT_EQ(rise.crossings(1.0, +1).size(), 1u);
+  EXPECT_DOUBLE_EQ(rise.crossings(1.0, +1)[0], 0.5);
+  Waveform fall;
+  fall.times = {2.0, 4.0};
+  fall.values = {1.0, -1.0};
+  ASSERT_EQ(fall.crossings(0.0, -1).size(), 1u);
+  EXPECT_DOUBLE_EQ(fall.crossings(0.0, -1)[0], 3.0);
+}
+
 TEST(Measure, DelayBetweenWaveforms) {
   Waveform stim, resp;
   for (int k = 0; k <= 100; ++k) {

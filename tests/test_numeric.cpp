@@ -9,7 +9,6 @@
 #include "numeric/cholesky.hpp"
 #include "numeric/dense_lu.hpp"
 #include "numeric/fourier.hpp"
-#include "numeric/interp.hpp"
 #include "numeric/ordering.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/sparse_lu.hpp"
@@ -782,12 +781,7 @@ TEST(Rng, DeterministicPerSampleStreams) {
   EXPECT_NE(va, c.gaussian());
 }
 
-// ------------------------------------------------------------ interp/units
-
-TEST(Interp, CrossingPoint) {
-  EXPECT_DOUBLE_EQ(crossingPoint(0.0, 0.0, 1.0, 2.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(crossingPoint(2.0, 1.0, 4.0, -1.0, 0.0), 3.0);
-}
+// ------------------------------------------------------------------ units
 
 TEST(Units, ParsesSuffixes) {
   EXPECT_DOUBLE_EQ(*parseSpiceNumber("10p"), 1e-11);

@@ -1,5 +1,6 @@
-// RF-layer tests: shooting PSS (driven and autonomous), the LPTV solver
-// (degenerate-LTI checks, adjoint == direct), PNOISE readouts, PPV.
+// RF-layer tests: shooting PSS (driven and autonomous), the LPTV system
+// behind the pnoise readouts (degenerate-LTI checks, adjoint == direct),
+// PNOISE readouts, PPV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,9 @@
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
 #include "meas/measure.hpp"
-#include "rf/lptv.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/ppv.hpp"
 #include "rf/pss.hpp"
-#include "rf/timedomain_noise.hpp"
 #include "util/fault_injection.hpp"
 
 namespace psmn {
@@ -34,10 +33,12 @@ struct RcSineCircuit {
   MnaSystem* sys = nullptr;
   int outIdx = -1;
   Resistor* r1 = nullptr;
-  Real freq = 1e6;
-  Real r = 1e3, c = 20e-12;  // pole well above drive: partial attenuation
+  Real freq;
+  Real r = 1e3, c;  // pole well above drive: partial attenuation
 
-  RcSineCircuit() {
+  // A slower drive scales C by the same factor, which keeps the pole where
+  // it sits relative to the drive (50 Hz takes 0.4 uF).
+  explicit RcSineCircuit(Real f = 1e6, Real cap = 20e-12) : freq(f), c(cap) {
     const NodeId in = nl.node("in");
     const NodeId out = nl.node("out");
     nl.add<VSource>("V1", in, kGround, SourceWave::sine(0.5, 0.4, freq), nl);
@@ -215,9 +216,8 @@ TEST(Lptv, DegeneratesToAcTransferOnLtiCircuit) {
   const auto sources = ckt.sys->collectSources();
   ASSERT_EQ(sources.size(), 1u);
 
-  const Real fOff = 1.0;
-  const LptvSolution sol =
-      LptvSolver(*ckt.sys, pss, sources, fOff).solveDirect();
+  const PnoiseAnalysis pn(*ckt.sys, pss, sources);
+  const LptvSolution& sol = pn.solution();
 
   // The resistor-mismatch source is NOT LTI (its modulation follows the
   // current through R1), so instead check via a dedicated LTI circuit: use
@@ -235,10 +235,10 @@ TEST(Lptv, AdjointMatchesDirectAcrossHarmonics) {
   opt.stepsPerPeriod = 300;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
   const auto sources = ckt.sys->collectSources();
-  const LptvSolver solver(*ckt.sys, pss, sources, 1.0);
-  const LptvSolution direct = solver.solveDirect();
+  const PnoiseAnalysis pn(*ckt.sys, pss, sources);
+  const LptvSolution& direct = pn.solution();
   for (int harmonic : {0, 1, 2, -1}) {
-    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
+    const CplxVector adj = pn.sideband(ckt.outIdx, harmonic).transfer;
     for (size_t s = 0; s < sources.size(); ++s) {
       const Cplx d = direct.harmonic(s, ckt.outIdx, harmonic);
       EXPECT_LT(std::abs(adj[s] - d), 1e-9 + 1e-6 * std::abs(d))
@@ -355,9 +355,8 @@ TEST(Lptv, BasebandEnvelopeIsQuasiStaticSensitivity) {
   PssOptions opt;
   opt.stepsPerPeriod = 400;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  const auto sources = ckt.sys->collectSources();
-  const LptvSolution sol =
-      LptvSolver(*ckt.sys, pss, sources, 1.0).solveDirect();
+  const PnoiseAnalysis pn(*ckt.sys, pss);
+  const LptvSolution& sol = pn.solution();
 
   const Real dr = 0.5;  // ohms
   ckt.r1->setMismatchDelta(0, dr);
@@ -403,23 +402,14 @@ TEST(Pnoise, BasebandVarianceMatchesDcSensitivityOnDivider) {
               1e-6 * sb.contribution[0]);
 }
 
-TEST(Pnoise, RejectsOffsetTooCloseToFundamental) {
-  RcSineCircuit ckt;
-  PssOptions opt;
-  opt.stepsPerPeriod = 100;
-  const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  PnoiseOptions popt;
-  popt.offsetFreq = ckt.freq / 2.0;
-  EXPECT_THROW(PnoiseAnalysis(*ckt.sys, pss, popt), Error);
-}
-
-TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
-  RcSineCircuit ckt;
+// sigma(t) of the RC's output against the finite difference of re-shot
+// PSS orbits at R1 +- 0.5 ohm, within 1% at every 29th grid point.
+void expectStatisticalWaveformMatchesFd(RcSineCircuit& ckt) {
   PssOptions opt;
   opt.stepsPerPeriod = 200;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
   PnoiseAnalysis pn(*ckt.sys, pss, PnoiseOptions{});
-  const StatisticalWaveform sw = statisticalWaveform(pn, ckt.outIdx);
+  const StatisticalWaveform sw = pn.statistical(ckt.outIdx);
   ASSERT_EQ(sw.sigma.size(), pss.stepCount());
   // sigma(t) = |dvout(t)/dR| * sigmaR; check at a few points by FD.
   const Real dr = 0.5;
@@ -434,6 +424,19 @@ TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
                     (2.0 * dr) * 10.0;  // * sigmaR
     EXPECT_NEAR(sw.sigma[k], fd, 0.01 * fd + 1e-9) << "k=" << k;
   }
+}
+
+TEST(Pnoise, StatisticalWaveformMatchesFdEnvelope) {
+  RcSineCircuit ckt;
+  expectStatisticalWaveformMatchesFd(ckt);
+}
+
+TEST(Pnoise, AcceptsDrivenOrbitBelow100Hz) {
+  // A driven orbit's recursion runs at w = 0 and never sees the 1 Hz
+  // offset, so a 50 Hz drive (fundamental below 100 offsets) is read like
+  // the 1 MHz one.
+  RcSineCircuit ckt(50.0, 0.4e-6);
+  expectStatisticalWaveformMatchesFd(ckt);
 }
 
 TEST(Pnoise, ReadoutsRejectOutOfRangeOutput) {
@@ -451,7 +454,7 @@ TEST(Pnoise, ReadoutsRejectOutOfRangeOutput) {
   EXPECT_THROW(an.delayVariation(n), Error);
   EXPECT_THROW(an.frequencyVariation(n), Error);
   EXPECT_THROW(an.edgeDelayVariation(n, 0.5, +1), Error);
-  EXPECT_THROW(statisticalWaveform(an.pnoise(), n), Error);
+  EXPECT_THROW(an.pnoise().statistical(n), Error);
   EXPECT_THROW(an.pnoise().samples(n, points), Error);
   EXPECT_THROW(an.pnoise().solution().harmonic(0, n, 0), Error);
   // A grid point past the period is refused too; in-range reads work.
@@ -554,6 +557,22 @@ TEST(PssAutonomous, FrequencySensitivityViaPnoiseMatchesReshoot) {
     EXPECT_NEAR(sPnoise, fd, 0.03 * std::fabs(fd) + 1e-3)
         << sources[si].name;
   }
+}
+
+TEST(Pnoise, RejectsOscillatorBelow100Hz) {
+  // An oscillator's recursion runs at the 1 Hz offset, which must sit far
+  // below its fundamental. The guard reads only the period, so a solved
+  // ring's orbit relabelled to a 20 ms period (50 Hz) stands for a slow
+  // oscillator.
+  RingFixture ring;
+  PssOptions opt;
+  opt.stepsPerPeriod = 300;
+  PssResult pss = solvePssAutonomous(*ring.sys, ring.periodGuess,
+                                     ring.phaseIdx, ring.x0, opt);
+  ASSERT_TRUE(pss.autonomous);
+  EXPECT_NO_THROW(PnoiseAnalysis(*ring.sys, pss));
+  pss.period = 20e-3;
+  EXPECT_THROW(PnoiseAnalysis(*ring.sys, pss), Error);
 }
 
 TEST(Ppv, FrequencySensitivityMatchesPnoiseReadout) {

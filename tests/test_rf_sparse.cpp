@@ -1,5 +1,5 @@
 // Dense-oracle tests for the RF engines: shooting PSS (driven and
-// autonomous), the LPTV solver, periodic noise, the time-domain
+// autonomous), the LPTV recursions, periodic noise, the time-domain
 // statistical waveform and the PPV sweep run on the sparse Newton path
 // (declared pattern, SparseLU refactorization, the monodromy sweep over the
 // stored step factors, batched column solves). Each answer is checked against a reference that never
@@ -33,11 +33,9 @@
 #include "engine/dc.hpp"
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
-#include "rf/lptv.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/ppv.hpp"
 #include "rf/pss.hpp"
-#include "rf/timedomain_noise.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
 
@@ -457,8 +455,8 @@ TEST(LptvGolden, TransfersMatchDenseOracleOnLargeChain) {
       solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
   const std::vector<InjectionSource> srcs(ckt.sources.begin(),
                                           ckt.sources.begin() + 12);
-  const LptvSolver solver(*ckt.sys, pss, srcs, 1.0);
-  const LptvSolution sol = solver.solveDirect();
+  const PnoiseAnalysis pn(*ckt.sys, pss, srcs);
+  const LptvSolution& sol = pn.solution();
   const LptvSolution ref = denseLptvReference(*ckt.sys, pss, srcs, 0.0);
   const Real scale = maxEnvelope(ref);
   ASSERT_GT(scale, 0.0);
@@ -485,7 +483,7 @@ TEST(LptvGolden, TransfersMatchDenseOracleOnLargeChain) {
   // harmonics (the adjoint computes the same P_N of every source; N != 0
   // carries the real and imaginary Fourier weights as two columns).
   for (int harmonic : {0, 1}) {
-    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
+    const CplxVector adj = pn.sideband(ckt.outIdx, harmonic).transfer;
     ASSERT_EQ(adj.size(), srcs.size());
     for (size_t s = 0; s < srcs.size(); ++s) {
       EXPECT_LT(std::abs(adj[s] - ref.harmonic(s, ckt.outIdx, harmonic)),
@@ -510,9 +508,9 @@ TEST(LptvGolden, DrivenEnvelopesAreRealPartsOfOneHertzOracle) {
       solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
   const std::vector<InjectionSource> srcs(ckt.sources.begin(),
                                           ckt.sources.begin() + 12);
-  const Real fOff = 1.0;
-  const LptvSolver solver(*ckt.sys, pss, srcs, fOff);
-  const LptvSolution sol = solver.solveDirect();
+  const PnoiseAnalysis pn(*ckt.sys, pss, srcs);
+  const Real fOff = pn.offsetFreq();
+  const LptvSolution& sol = pn.solution();
   EXPECT_EQ(sol.omega, 0.0);
   const LptvSolution oracle = denseLptvReference(*ckt.sys, pss, srcs, fOff);
   LptvSolution real = oracle;  // the oracle's real parts
@@ -545,7 +543,7 @@ TEST(LptvGolden, DrivenEnvelopesAreRealPartsOfOneHertzOracle) {
     EXPECT_EQ(sol.harmonic(s, ckt.outIdx, 0).imag(), 0.0) << "source " << s;
   }
   for (int harmonic : {0, 1, -1}) {
-    const CplxVector adj = solver.solveAdjoint(ckt.outIdx, harmonic);
+    const CplxVector adj = pn.sideband(ckt.outIdx, harmonic).transfer;
     for (size_t s = 0; s < srcs.size(); ++s) {
       const Cplx want = real.harmonic(s, ckt.outIdx, harmonic);
       EXPECT_LT(std::abs(sol.harmonic(s, ckt.outIdx, harmonic) - want),
@@ -594,7 +592,7 @@ TEST(PnoiseGolden, SidebandsAndStatisticalWaveformMatchDenseOracle) {
     }
   }
 
-  const StatisticalWaveform sw = statisticalWaveform(pn, ckt.outIdx);
+  const StatisticalWaveform sw = pn.statistical(ckt.outIdx);
   ASSERT_EQ(sw.sigma.size(), pss.stepCount());
   RealVector sigma(pss.stepCount());
   for (size_t k = 0; k < sigma.size(); ++k) {
@@ -727,16 +725,15 @@ void expectEnvelopesEqual(const LptvSolution& got, const LptvSolution& want,
 void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
                                std::span<const InjectionSource> srcs,
                                int outIdx, const std::string& what) {
-  const Real fOff = 1.0;
   const std::vector<InjectionSource> sources(srcs.begin(), srcs.end());
   TelemetryRegistry serialReg(1);
   LptvSolution sSol;
   CplxVector sAdj;
   {
     TelemetryScope scope(serialReg, 0);
-    const LptvSolver serial(sys, pss, sources, fOff);
-    sSol = serial.solveDirect();
-    sAdj = serial.solveAdjoint(outIdx, 1);
+    const PnoiseAnalysis serial(sys, pss, sources);
+    sSol = serial.solution();
+    sAdj = serial.sideband(outIdx, 1).transfer;
   }
   const uint64_t serialColumns =
       serialReg.counterTotal(Counter::kSolveColumns);
@@ -747,9 +744,9 @@ void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
     ThreadPool pool(jobs);
     pool.attachTelemetry(&reg);
     TelemetryScope scope(reg, 0);
-    const LptvSolver par(sys, pss, sources, fOff, LptvOptions{&pool});
-    expectEnvelopesEqual(par.solveDirect(), sSol, label);
-    const CplxVector pAdj = par.solveAdjoint(outIdx, 1);
+    const PnoiseAnalysis par(sys, pss, sources, PnoiseOptions{&pool});
+    expectEnvelopesEqual(par.solution(), sSol, label);
+    const CplxVector pAdj = par.sideband(outIdx, 1).transfer;
     ASSERT_EQ(pAdj.size(), sAdj.size()) << label;
     for (size_t s = 0; s < sAdj.size(); ++s) {
       EXPECT_EQ(pAdj[s], sAdj[s]) << label << " s=" << s;
@@ -908,11 +905,11 @@ C2 out 0 4p sigma=0.2p
     ASSERT_FALSE(pss.autonomous);
     const LptvSolution want = perSourceReference(*c.sys, pss, c.srcs);
     const std::vector<InjectionSource> srcs(c.srcs.begin(), c.srcs.end());
-    expectEnvelopesEqual(LptvSolver(*c.sys, pss, srcs, 1.0).solveDirect(),
-                         want, c.name + " no pool");
+    expectEnvelopesEqual(PnoiseAnalysis(*c.sys, pss, srcs).solution(), want,
+                         c.name + " no pool");
     ThreadPool pool(4);
     expectEnvelopesEqual(
-        LptvSolver(*c.sys, pss, srcs, 1.0, LptvOptions{&pool}).solveDirect(),
+        PnoiseAnalysis(*c.sys, pss, srcs, PnoiseOptions{&pool}).solution(),
         want, c.name + " jobs=4");
   }
 }
