@@ -327,7 +327,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
 
   // --jobs also accelerates the card path: the .pnoise flow fans the
   // monodromy sweeps of the shooting iterations that do not close, the LPTV
-  // B_k recursion, and the per-source envelope chains across this pool
+  // closure sweep, and the per-source envelope chains across this pool
   // (results are bit-identical for every jobs count).
   std::unique_ptr<ThreadPool> pool;
   if (args.jobs != 1) {

@@ -16,8 +16,8 @@ verifies that
     word somewhere under ``src/``, so a rename breaks the docs job
     instead of silently rotting the prose. A bracketed segment names an
     optional infix covering two overload families at once:
-    ``solveTransposed[Many]InPlace`` checks both ``solveTransposedInPlace``
-    and ``solveTransposedManyInPlace``. ``std::``-qualified names are
+    ``solve[Many]InPlace`` checks both ``solveInPlace`` and
+    ``solveManyInPlace``. ``std::``-qualified names are
     skipped (the C++ standard library is not in ``src/``).
   - bare camelCase / PascalCase names with an inner capital
     (``runTransient``, ``SparseLU``, ``BM_FactorFill``, ``solveDc()``;

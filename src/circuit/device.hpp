@@ -27,6 +27,9 @@
 //     C d(dx)/dt + G dx = -(dF/dp) dp.
 // The charge part dq/dp is stamped separately since it enters the LPTV
 // right-hand side through a time derivative along the periodic orbit.
+// Both write only rows the device declared a G or C position in: the LPTV
+// streams evaluate and read an injection on those rows alone
+// (InjectionRows in engine/mna.hpp).
 #pragma once
 
 #include <memory>

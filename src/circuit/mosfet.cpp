@@ -29,6 +29,10 @@ void Mosfet::setWidth(Real w) {
   cgd_ = 0.5 * m.cox * w_ * l_ + m.cgdo * w_;
   cdb_ = m.cj * w_ * m.ldiff;
   csb_ = m.cj * w_ * m.ldiff;
+  kpWl_ = m.kp * (w_ / l_);
+  sqrtPhi_ = std::sqrt(m.phi);
+  vsmooth4_ = 4.0 * m.vsmooth * m.vsmooth;
+  body0_ = bodyEffect(0.0);
 }
 
 Real Mosfet::sigmaVt() const { return model_->avt / std::sqrt(w_ * l_); }
@@ -37,29 +41,32 @@ Real Mosfet::sigmaBetaRel() const {
   return model_->abeta / std::sqrt(w_ * l_);
 }
 
-Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs) const {
+Mosfet::Body Mosfet::bodyEffect(Real vbs) const {
   const MosModel& m = *model_;
-  // Body effect with a smooth clamp of (phi - vbs) at eps^2 to keep the
-  // sqrt real for forward-biased bulk excursions during Newton iterations.
+  if (!(m.gamma > 0.0)) return {0.0, 0.0};
+  // A smooth clamp of (phi - vbs) at eps^2 keeps the sqrt real for
+  // forward-biased bulk excursions during Newton iterations.
   const Real eps = 1e-3;
   const Real argRaw = m.phi - vbs;
   const Real argS = 0.5 * (argRaw + std::sqrt(argRaw * argRaw + 4.0 * eps * eps));
   const Real dArg = 0.5 * (1.0 + argRaw / std::sqrt(argRaw * argRaw + 4.0 * eps * eps));
   const Real sqrtArg = std::sqrt(argS);
-  const Real vth =
-      m.vt0 + dvt_ + (m.gamma > 0.0
-                          ? m.gamma * (sqrtArg - std::sqrt(m.phi))
-                          : 0.0);
   // dvth/dvbs = gamma * d(sqrt(argS))/dvbs = gamma/(2 sqrtArg) * dArg * (-1)
-  const Real dvthDvbs =
-      m.gamma > 0.0 ? -m.gamma * dArg / (2.0 * sqrtArg) : 0.0;
+  return {m.gamma * (sqrtArg - sqrtPhi_), -m.gamma * dArg / (2.0 * sqrtArg)};
+}
+
+Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs) const {
+  const MosModel& m = *model_;
+  const Body body = vbs == 0.0 ? body0_ : bodyEffect(vbs);
+  const Real vth = m.vt0 + dvt_ + body.vth;
+  const Real dvthDvbs = body.dvthDvbs;
 
   const Real vgst = vgs - vth;
-  const Real s2 = std::sqrt(vgst * vgst + 4.0 * m.vsmooth * m.vsmooth);
+  const Real s2 = std::sqrt(vgst * vgst + vsmooth4_);
   const Real veff = 0.5 * (vgst + s2);
   const Real dveff = 0.5 * (1.0 + vgst / s2);
 
-  const Real beta = m.kp * (w_ / l_) * (1.0 + dbeta_);
+  const Real beta = kpWl_ * (1.0 + dbeta_);
   const Real clm = 1.0 + m.lambda * vds;
 
   Core c{};
@@ -82,7 +89,6 @@ Mosfet::Core Mosfet::evalCore(Real vgs, Real vds, Real vbs) const {
   // vth depends on vbs; veff depends on vth.
   c.gmb = -dIdVeff * dveff * dvthDvbs;  // dvthDvbs <= 0 so gmb >= 0
   c.didvt = -dIdVeff * dveff;           // dIds/d(dvt), dvt adds to vth
-  c.didbeta = (1.0 + dbeta_) != 0.0 ? c.ids / (1.0 + dbeta_) : 0.0;
   return c;
 }
 
@@ -201,7 +207,11 @@ void Mosfet::mismatchStampF(size_t k, Stamper& s) const {
   const Core c = evalCore(sgn * (s.v(fr.ng) - s.v(fr.ns)),
                           sgn * (s.v(fr.nd) - s.v(fr.ns)),
                           sgn * (s.v(fr.nb) - s.v(fr.ns)));
-  const Real dIdp = (k == 0) ? c.didvt : c.didbeta;
+  Real dIdp = c.didvt;
+  if (k == 1) {
+    // beta carries the factor (1 + dbeta): dIds/d(dbeta) = Ids / (1 + dbeta).
+    dIdp = (1.0 + dbeta_) != 0.0 ? c.ids / (1.0 + dbeta_) : 0.0;
+  }
   // dF/dp: physical drain-node residual changes by sgn * dIdp.
   s.addF(fr.nd, sgn * dIdp);
   s.addF(fr.ns, -sgn * dIdp);

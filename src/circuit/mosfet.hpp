@@ -92,11 +92,15 @@ class Mosfet : public Device {
   struct Core {
     Real ids, gm, gds, gmb;  // internal-frame values
     Real didvt;              // dIds/d(dvt)
-    Real didbeta;            // dIds/d(dbeta)
     Real veff;
     bool saturated;
   };
   Core evalCore(Real vgs, Real vds, Real vbs) const;
+  /// The body effect at vbs: vth's shift and dvth/dvbs.
+  struct Body {
+    Real vth, dvthDvbs;
+  };
+  Body bodyEffect(Real vbs) const;
   /// Resolves hat-frame terminal assignment; returns (nD,nG,nS,nB) MNA
   /// indices with internal drain/source ordering and the sign factor.
   struct Frame {
@@ -113,6 +117,11 @@ class Mosfet : public Device {
   Real dbeta_ = 0.0;
   // Precomputed capacitances.
   Real cgs_ = 0.0, cgd_ = 0.0, cdb_ = 0.0, csb_ = 0.0;
+  // evalCore's per-device constants, set with the capacitances: kp W/L,
+  // sqrt(phi), 4 vsmooth^2, and the body effect at vbs = 0 (every device
+  // whose source is tied to its bulk).
+  Real kpWl_ = 0.0, sqrtPhi_ = 0.0, vsmooth4_ = 0.0;
+  Body body0_{};
 };
 
 }  // namespace psmn

@@ -120,10 +120,17 @@ void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
 
 void MnaSystem::evalInjection(const InjectionSource& src,
                               std::span<const Real> x, Real t, RealVector* bf,
-                              RealVector* bq) const {
+                              RealVector* bq,
+                              std::optional<std::span<const int>> rows) const {
   PSMN_CHECK(x.size() == n_, "state size mismatch");
-  if (bf) bf->assign(n_, 0.0);
-  if (bq) bq->assign(n_, 0.0);
+  for (RealVector* v : {bf, bq}) {
+    if (v == nullptr) continue;
+    if (!rows || v->size() != n_) {
+      v->assign(n_, 0.0);
+    } else {
+      for (int i : *rows) (*v)[static_cast<size_t>(i)] = 0.0;
+    }
+  }
   PSMN_CHECK(!src.components.empty(), "injection source has no components");
 
   // Weighted accumulation straight into the output vectors: the stamper's
@@ -136,6 +143,31 @@ void MnaSystem::evalInjection(const InjectionSource& src,
     s.setStampScale(comp.weight);
     if (bf) comp.device->mismatchStampF(comp.index, s);
     if (bq) comp.device->mismatchStampQ(comp.index, s);
+  }
+}
+
+InjectionRows::InjectionRows(std::span<const InjectionSource> sources) {
+  // One plan takes every source's declarations in turn: a source's are the
+  // positions appended since it began.
+  StampPlan plan;
+  const auto take = [&](const std::vector<StampPlan::Position>& list,
+                        size_t from) {
+    for (size_t i = from; i < list.size(); ++i) {
+      if (list[i].eq >= 0) flat.push_back(list[i].eq);
+    }
+  };
+  begin.reserve(sources.size() + 1);
+  begin.push_back(0);
+  for (const InjectionSource& src : sources) {
+    const size_t g0 = plan.gPositions().size();
+    const size_t c0 = plan.cPositions().size();
+    for (const auto& comp : src.components) comp.device->declareStamps(plan);
+    take(plan.gPositions(), g0);
+    take(plan.cPositions(), c0);
+    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(begin.back());
+    std::sort(first, flat.end());
+    flat.erase(std::unique(first, flat.end()), flat.end());
+    begin.push_back(flat.size());
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "circuit/netlist.hpp"
 #include "numeric/dense_matrix.hpp"
@@ -48,6 +49,20 @@ struct InjectionSource {
   /// Stationary PSD at frequency f: pseudo-noise is flicker-shaped with
   /// PSD sigma^2 at 1 Hz (paper SS III).
   Real psd(Real f) const { return sigma * sigma / std::max(f, 1e-30); }
+};
+
+/// Every source's injection rows, in one flat table: source s's are
+/// flat[begin[s] .. begin[s + 1]), the sorted, distinct equations of its
+/// devices' declared G and C positions, ground excluded. A source's
+/// injection (MnaSystem::evalInjection) is exactly zero outside them.
+struct InjectionRows {
+  std::vector<size_t> begin;
+  std::vector<int> flat;
+
+  explicit InjectionRows(std::span<const InjectionSource> sources);
+  std::span<const int> of(size_t s) const {
+    return {flat.data() + begin[s], begin[s + 1] - begin[s]};
+  }
 };
 
 /// Options for one MNA evaluation pass.
@@ -93,9 +108,14 @@ class MnaSystem {
                   const EvalOptions& opt = {}) const;
 
   /// dF/dp injection vectors for source `src` at iterate x: the static part
-  /// into `bf` and the charge part into `bq` (either may be null).
+  /// into `bf` and the charge part into `bq` (either may be null). With no
+  /// `rows` both are resized to n and zeroed. With `rows` (src's entry of
+  /// InjectionRows) only those entries are zeroed and stamped, once a
+  /// first call has sized the vectors: the entries outside them keep
+  /// whatever they held, so a caller reads `rows` only.
   void evalInjection(const InjectionSource& src, std::span<const Real> x,
-                     Real t, RealVector* bf, RealVector* bq) const;
+                     Real t, RealVector* bf, RealVector* bq,
+                     std::optional<std::span<const int>> rows = {}) const;
 
   /// All mismatch pseudo-noise sources (paper's DC-mismatch -> AC noise
   /// mapping). Mismatch is the only source kind: the only accepted

@@ -2,9 +2,10 @@
 // blocked multi-RHS paths use them on interleaved rows, and the
 // single-column paths take their pivot step through the same divideRow.
 //
-// A block of m right-hand sides arrives column-major (column r at
-// b[r*n .. r*n + n-1]) and is copied into scratch RHS-interleaved: row i of
-// every column is contiguous at w[i*m .. i*m + m-1]. Each substitution step
+// A block of m right-hand sides is solved RHS-interleaved: row i of every
+// column is contiguous at w[i*m .. i*m + m-1]. The forward solve copies a
+// column-major block (column r at b[r*n .. r*n + n-1]) into that layout;
+// the transposed solve takes it interleaved already. Each substitution step
 // then becomes one unit-stride row update over all m columns. Per column the
 // arithmetic is exactly the column-at-a-time substitution's, in the same
 // order, so the results are bit-identical to solving the columns one at a
@@ -65,23 +66,22 @@ inline void divideRow(Cplx* row, Cplx pivot, size_t m) {
   }
 }
 
-/// w[i*m + r] = b[r*n + from[i]] (from == nullptr: identity).
+/// w[i*m + r] = b[r*n + i].
 template <class T>
-inline void interleaveBlock(std::span<const T> b, size_t n, size_t m,
-                            const int* from, T* w) {
+inline void interleaveBlock(std::span<const T> b, size_t n, size_t m, T* w) {
   for (size_t r = 0; r < m; ++r) {
     const T* col = b.data() + r * n;
-    for (size_t i = 0; i < n; ++i) w[i * m + r] = col[from ? from[i] : i];
+    for (size_t i = 0; i < n; ++i) w[i * m + r] = col[i];
   }
 }
 
-/// b[r*n + to[i]] = w[i*m + r] (to == nullptr: identity).
+/// b[r*n + to[i]] = w[i*m + r].
 template <class T>
 inline void deinterleaveBlock(const T* w, size_t n, size_t m, const int* to,
                               std::span<T> b) {
   for (size_t r = 0; r < m; ++r) {
     T* col = b.data() + r * n;
-    for (size_t i = 0; i < n; ++i) col[to ? to[i] : i] = w[i * m + r];
+    for (size_t i = 0; i < n; ++i) col[to[i]] = w[i * m + r];
   }
 }
 

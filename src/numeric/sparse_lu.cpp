@@ -281,7 +281,7 @@ void SparseLU<T>::solveManyInPlace(std::span<T> b, size_t nrhs,
   scratch.x.resize(n_ * m);
   T* rhs = scratch.rhs.data();
   T* x = scratch.x.data();
-  detail::interleaveBlock<T>(b, n_, m, nullptr, rhs);
+  detail::interleaveBlock<T>(b, n_, m, rhs);
   // Forward solve: one traversal of each L column updates every RHS.
   for (size_t t = 0; t < n_; ++t) {
     T* xt = x + t * m;
@@ -345,8 +345,8 @@ void SparseLU<T>::solveTransposedInPlace(std::span<T> b,
 }
 
 template <class T>
-void SparseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
-                                             LuSolveScratch<T>& scratch) const {
+void SparseLU<T>::solveTransposedInterleavedInPlace(
+    std::span<T> b, size_t nrhs, LuSolveScratch<T>& scratch) const {
   PSMN_CHECK(b.size() == n_ * nrhs,
              "sparse LU solveT: rhs block size mismatch");
   PSMN_CHECK(valid_, "sparse LU solveT: not factored");
@@ -356,11 +356,15 @@ void SparseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
     return;
   }
   telemetryCount(Counter::kSolveColumns, nrhs);
-  // Interleaved like solveManyInPlace, following solveTransposedInPlace.
+  // The substitution of solveTransposedInPlace, one interleaved row of all
+  // m columns per step: permuted row t is row colOrder_[t] of b.
   const size_t m = nrhs;
   scratch.x.resize(n_ * m);
   T* x = scratch.x.data();
-  detail::interleaveBlock<T>(b, n_, m, colOrder_.data(), x);
+  for (size_t t = 0; t < n_; ++t) {
+    const T* row = b.data() + static_cast<size_t>(colOrder_[t]) * m;
+    std::copy(row, row + m, x + t * m);
+  }
   // One traversal of each U (then L) column serves every right-hand side.
   for (size_t t = 0; t < n_; ++t) {
     const int diagPos = uPtr_[t + 1] - 1;
@@ -378,7 +382,10 @@ void SparseLU<T>::solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
       detail::subtractScaledRow(xt, x + row * m, lVal_[p], m);
     }
   }
-  detail::deinterleaveBlock<T>(x, n_, m, permRow_.data(), b);
+  for (size_t t = 0; t < n_; ++t) {
+    const T* xt = x + t * m;
+    std::copy(xt, xt + m, b.data() + static_cast<size_t>(permRow_[t]) * m);
+  }
 }
 
 template <class T>

@@ -83,20 +83,24 @@ class SparseLU {
                         LuSolveScratch<T>& scratch) const;
 
   /// Solves A^T x = b (plain transpose; for complex T this is A^T, not
-  /// A^H, like DenseLU::solveTransposed; the adjoint LPTV and PPV sweeps
-  /// use it). The transposed substitution gathers
+  /// A^H, like DenseLU::solveTransposed; the transposed LPTV sweeps and
+  /// the PPV sweep use it). The transposed substitution gathers
   /// instead of scattering, so it reuses the same stored L/U pattern.
   std::vector<T> solveTransposed(std::span<const T> b) const;
   void solveTransposedInPlace(std::span<T> b) const;
   /// Concurrently callable variant (see solveInPlace above).
   void solveTransposedInPlace(std::span<T> b, LuSolveScratch<T>& scratch) const;
 
-  /// Batched transposed solve, column-major and interleaved like
-  /// solveManyInPlace, on the caller's scratch; chunking a column block
-  /// across threads is bit-identical to one batched call, like
-  /// solveManyInPlace.
-  void solveTransposedManyInPlace(std::span<T> b, size_t nrhs,
-                                  LuSolveScratch<T>& scratch) const;
+  /// Batched transposed solve of `nrhs` right-hand sides that arrive and
+  /// leave RHS-interleaved (row i of every column at b[i*nrhs ..
+  /// i*nrhs + nrhs-1]), on the caller's scratch: solveManyInPlace's blocked
+  /// substitution, transposed, with rows permuted but no column-major
+  /// copy in or out, so a recursion can keep its block interleaved from
+  /// step to step. Per column the values are solveTransposedInPlace's, and
+  /// chunking a column block across threads is bit-identical to one
+  /// batched call. nrhs == 1 is solveTransposedInPlace.
+  void solveTransposedInterleavedInPlace(std::span<T> b, size_t nrhs,
+                                         LuSolveScratch<T>& scratch) const;
 
   size_t size() const { return n_; }
   bool factored() const { return n_ > 0 && valid_; }

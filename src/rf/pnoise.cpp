@@ -32,6 +32,7 @@ struct LptvInputs {
   const MnaSystem& sys;
   const PssResult& pss;
   std::span<const InjectionSource> sources;
+  const InjectionRows& rows;
   Real omega;
   ThreadPool* pool;
 };
@@ -41,53 +42,55 @@ struct LptvInputs {
 /// buffers and the LU solve scratch need no locking.
 template <class T>
 struct LptvSlotScratch {
-  RealVector bf, bq;    // one source's injection at the current grid point
-  RealVector bqPrev;    // the adjoint transfer chain's rolling bq_{k-1}
+  RealVector bf, bq;  // one source's injection at the current grid point
+  RealVector bqPrev;  // a chain's rolling bq_{k-1}, on the source's rows
   LuSolveScratch<T> lu;
 };
 
 /// One source's periodic injection envelope, streamed along the orbit:
 ///   b_k = -bf_k - (bq_k - bq_{k-1}) / h - j w bq_k,   k = 1..M,
-/// evaluated at grid point k when a chain needs it; a real recursion runs
-/// at w = 0 and drops the last term. The caller keeps the rolling
-/// bq_{k-1} (n reals per live chain), so no ns x M x n envelope store is
-/// ever built; the per-point evaluation buffers are per slot.
+/// evaluated at grid point k when a chain needs it, on the source's rows
+/// only; a real recursion runs at w = 0 and drops the last term. The
+/// caller keeps the rolling bq_{k-1} (one real per row of each live
+/// chain), so no ns x M envelope store is ever built; the per-point
+/// evaluation buffers are per slot.
 template <class T>
 class InjectionStream {
  public:
   explicit InjectionStream(const LptvInputs& in)
-      : sys_(&in.sys),
-        pss_(&in.pss),
-        h_(in.pss.stepSize()),
-        jw_(0.0, in.omega) {}
+      : in_(&in), h_(in.pss.stepSize()), jw_(0.0, in.omega) {}
 
-  /// Starts a chain at the grid origin: bqPrev = bq_0.
-  void start(const InjectionSource& src, std::span<Real> bqPrev,
+  /// Starts source s's chain at grid point k: bqPrev = bq_k on its rows.
+  void start(size_t s, size_t k, std::span<Real> bqPrev,
              LptvSlotScratch<T>& sl) const {
-    sys_->evalInjection(src, pss_->states[0], pss_->times[0], nullptr, &sl.bq);
-    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
+    const std::span<const int> rows = in_->rows.of(s);
+    in_->sys.evalInjection(in_->sources[s], in_->pss.states[k],
+                           in_->pss.times[k], nullptr, &sl.bq, rows);
+    for (size_t r = 0; r < rows.size(); ++r) bqPrev[r] = sl.bq[rows[r]];
   }
 
-  /// Calls visit(i, b_k[i]) for every unknown i, then rolls bqPrev from
-  /// bq_{k-1} to bq_k. Steps of one chain must come in order k = 1, 2, ...
+  /// Calls visit(i, b_k[i]) for every row i of source s, ascending, and
+  /// rolls bqPrev from bq_{k-1} to bq_k. Steps of one chain come in order.
   template <class Visit>
-  void step(const InjectionSource& src, size_t k, std::span<Real> bqPrev,
+  void step(size_t s, size_t k, std::span<Real> bqPrev,
             LptvSlotScratch<T>& sl, const Visit& visit) const {
-    sys_->evalInjection(src, pss_->states[k], pss_->times[k], &sl.bf, &sl.bq);
-    for (size_t i = 0; i < bqPrev.size(); ++i) {
-      const Real b = -sl.bf[i] - (sl.bq[i] - bqPrev[i]) / h_;
+    const std::span<const int> rows = in_->rows.of(s);
+    in_->sys.evalInjection(in_->sources[s], in_->pss.states[k],
+                           in_->pss.times[k], &sl.bf, &sl.bq, rows);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const auto i = static_cast<size_t>(rows[r]);
+      const Real b = -sl.bf[i] - (sl.bq[i] - bqPrev[r]) / h_;
       if constexpr (kComplex<T>) {
         visit(i, b - jw_ * sl.bq[i]);
       } else {
         visit(i, b);
       }
+      bqPrev[r] = sl.bq[i];
     }
-    std::copy(sl.bq.begin(), sl.bq.end(), bqPrev.begin());
   }
 
  private:
-  const MnaSystem* sys_;
-  const PssResult* pss_;
+  const LptvInputs* in_;
   Real h_;
   Cplx jw_;  // read by the complex recursion only
 };
@@ -184,62 +187,99 @@ auto cycleClosure(const Matrix<T>& s, const LptvInputs& in) {
   }
 }
 
-/// The first n columns of a column-major n-row buffer, as an n x n matrix.
-template <class T>
-Matrix<T> leadingBlock(const std::vector<T>& cols, size_t n) {
-  Matrix<T> out(n, n);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = 0; i < n; ++i) out(i, j) = cols[j * n + i];
-  }
-  return out;
-}
-
-/// Direct pass 1 and the cyclic closure: every source's periodic p_0,
+/// The closure sweep and the cyclic closure: every source's periodic p_0,
 /// n x ns column-major.
 ///
-/// Pass 1 runs the homogeneous part B and every source's particular part
-/// alpha as one recursion over the n + ns columns X = [B | alpha]:
-///   X_k = K_k^{-1}(D_k X_{k-1} + R_k),  X_0 = [I | 0],  R_k = [0 | b_k].
-/// Column j of X_k reads only column j of X_{k-1} (plus, for a source
-/// column, that source's streamed injection), so each slot carries one
-/// contiguous column block through all M steps (StepFactors::carry, the
-/// monodromy sweep's recursion with R_k added), bit-identical for every
-/// partition (no pool = one block). Every block takes M steps, so X_M ends
-/// up in the same one of x and y for all of them. The closure
-/// (I - B_M) p_0 = alpha_M carries the phase-mode spectral correction for
-/// oscillators.
+/// p_0 solves (I - Phi) p_0 = alpha_M, where Phi = B_M is the recursion's
+/// monodromy and alpha_M = sum_k P_k b_k its particular part at step M,
+/// P_k = K_M^{-1} D_M ... K_{k+1}^{-1} D_{k+1} K_k^{-1}. One backward sweep
+/// of the n columns Y_k = P_k^T gives both, without carrying any source
+/// through the period:
+///   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + R_k),  Y_{M+1} = 0,  R_M = I
+/// (R_k = 0 below M, so Y_M = K_M^{-T}), then
+///   alpha_M = sum_k Y_k^T b_k,   Phi^T = D_1^T Y_1.
+/// A source's b_k is zero off its rows, so its share of step k is one row
+/// update of the block's alpha accumulators per nonzero row entry.
+///
+/// The sweep runs in windows of kWindow grid steps: every source's
+/// injections over the window, fanned over sources, then every column
+/// block down the window (StepFactors::stepTransposed, the block kept
+/// RHS-interleaved throughout), fanned over blocks; no store of every
+/// source at every step is built. A block keeps its Y and its alpha
+/// accumulators (acc[s w + c]) at offsets fixed by its first column, the
+/// accumulators kPad entries (a cache line of doubles) apart from the next
+/// block's, so no two slots add into one line; every block takes the same
+/// steps, so a window leaves every block's Y in the same one of ya and yb,
+/// swapped back into ya. Column c's Y and alpha entries read only column
+/// c, so every partition computes the same bits (no pool = one block). The
+/// closure carries the phase-mode spectral correction on oscillators.
 template <class T>
 std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
+  constexpr size_t kWindow = 32, kPad = 8;
   const size_t n = in.sys.size();
   const size_t m = in.pss.stepCount();
   const size_t ns = in.sources.size();
   const InjectionStream<T> stream(in);
-  const size_t cols = n + ns;
-  std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, cols));
-  std::vector<T> x(n * cols, T{}), y(n * cols);
-  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
-  RealVector bqPrev(n * ns);  // each live chain's rolling bq_{k-1}
-  const auto bqOf = [&](size_t s) {
-    return std::span<Real>(bqPrev.data() + s * n, n);
-  };
-  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
-    LptvSlotScratch<T>& sl = slotScratch[slot];
-    for (size_t j = std::max(j0, n); j < j1; ++j) {
-      stream.start(in.sources[j - n], bqOf(j - n), sl);
-    }
-    const auto inject = [&](size_t j, size_t k, std::span<T> out) {
-      if (j0 + j < n) return;  // a homogeneous column
-      const size_t s = j0 + j - n;
-      stream.step(in.sources[s], k, bqOf(s), sl,
-                  [&](size_t i, T b) { out[i] += b; });
-    };
-    lus.carry(x.data() + j0 * n, y.data() + j0 * n, j1 - j0, m, sl.lu,
-              inject, [](size_t, const T*) {});
-  });
-  const std::vector<T>& xm = m % 2 == 0 ? x : y;
+  std::vector<LptvSlotScratch<T>> slotScratch(
+      columnBlockSlots(in.pool, std::max(n, ns)));
+  std::vector<T> ya(n * n, T{}), yb(n * n);
+  std::vector<T> acc(n * (ns + kPad), T{});
+  // Source s's b_k, k = lo..hi, from window[begin[s] kWindow] on, one run
+  // of its rows per step.
+  std::vector<T> window(in.rows.flat.size() * kWindow);
+  Matrix<T> phi(n, n);
+  std::vector<T> p0(n * ns);
+  for (size_t hi = m; hi > 0;) {
+    const size_t lo = hi > kWindow ? hi - kWindow + 1 : 1;
+    forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
+      LptvSlotScratch<T>& sl = slotScratch[slot];
+      for (size_t s = s0; s < s1; ++s) {
+        sl.bqPrev.resize(in.rows.of(s).size());
+        T* out = window.data() + in.rows.begin[s] * kWindow;
+        stream.start(s, lo - 1, sl.bqPrev, sl);
+        for (size_t k = lo; k <= hi; ++k) {
+          stream.step(s, k, sl.bqPrev, sl, [&](size_t, T b) { *out++ = b; });
+        }
+      }
+    });
+    forEachColumnBlock(in.pool, n, [&](size_t j0, size_t j1, size_t slot) {
+      const size_t w = j1 - j0;
+      T* cur = ya.data() + j0 * n;
+      T* next = yb.data() + j0 * n;
+      T* a = acc.data() + j0 * (ns + kPad);
+      for (size_t k = hi; k >= lo; --k) {
+        lus.stepTransposed(k, cur, next, w, slotScratch[slot].lu, [&](T* r) {
+          if (k != m) return;
+          for (size_t c = 0; c < w; ++c) r[(j0 + c) * w + c] += T(1.0);
+        });
+        std::swap(cur, next);
+        for (size_t s = 0; s < ns; ++s) {
+          const std::span<const int> rows = in.rows.of(s);
+          const T* b = window.data() + in.rows.begin[s] * kWindow +
+                       (k - lo) * rows.size();
+          T* __restrict as = a + s * w;
+          for (size_t r = 0; r < rows.size(); ++r) {
+            const T br = b[r];
+            if (br == T{}) continue;
+            const T* __restrict y = cur + static_cast<size_t>(rows[r]) * w;
+            for (size_t c = 0; c < w; ++c) as[c] += y[c] * br;
+          }
+        }
+      }
+      if (lo > 1) return;
+      // Y_1 in hand: this block's rows of Phi (row i of D_1^T Y_1 is
+      // Phi's column i) and its entries of every alpha_M.
+      lus.applyDT(1, cur, next, w);
+      for (size_t c = 0; c < w; ++c) {
+        for (size_t i = 0; i < n; ++i) phi(j0 + c, i) = next[i * w + c];
+        for (size_t s = 0; s < ns; ++s) p0[s * n + j0 + c] = a[s * w + c];
+      }
+    });
+    if ((hi - lo) % 2 == 0) std::swap(ya, yb);  // an odd step count
+    hi = lo - 1;
+  }
 
-  const auto closure = cycleClosure(leadingBlock(xm, n), in);
-  std::vector<T> p0(xm.begin() + n * n, xm.end());  // alpha_M
+  const auto closure = cycleClosure(phi, in);
   forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     for (size_t s = s0; s < s1; ++s) {
       closure.solveInPlace(std::span<T>(p0.data() + s * n, n),
@@ -250,9 +290,10 @@ std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
 }
 
 /// Direct pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
-/// k = 1..last, from its closed p_0, fanned over sources the same way as
-/// pass 1. Each block ping-pongs p_{k-1} -> p_k between x and y, and
-/// keep(s, k, p_k) sees each iterate once, on the slot that owns s.
+/// k = 1..last, from its closed p_0, fanned over sources: each slot carries
+/// one block of source columns (StepFactors::carry), ping-ponging
+/// p_{k-1} -> p_k between x and y, and keep(s, k, p_k) sees each iterate
+/// once, on the slot that owns s.
 template <class T, class Keep>
 void envelopePass(const LptvInputs& in, const StepFactors<T>& lus,
                   const std::vector<T>& p0, size_t last, const Keep& keep) {
@@ -261,18 +302,19 @@ void envelopePass(const LptvInputs& in, const StepFactors<T>& lus,
   const InjectionStream<T> stream(in);
   std::vector<LptvSlotScratch<T>> slotScratch(columnBlockSlots(in.pool, ns));
   std::vector<T> x(p0), y(n * ns);
-  RealVector bqPrev(n * ns);
+  RealVector bqPrev(in.rows.flat.size());  // every chain's, on its rows
   const auto bqOf = [&](size_t s) {
-    return std::span<Real>(bqPrev.data() + s * n, n);
+    return std::span<Real>(bqPrev.data() + in.rows.begin[s],
+                           in.rows.of(s).size());
   };
   forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     LptvSlotScratch<T>& sl = slotScratch[slot];
     for (size_t s = s0; s < s1; ++s) {
       keep(s, 0, std::span<const T>(x.data() + s * n, n));
-      stream.start(in.sources[s], bqOf(s), sl);
+      stream.start(s, 0, bqOf(s), sl);
     }
     const auto inject = [&](size_t j, size_t k, std::span<T> out) {
-      stream.step(in.sources[s0 + j], k, bqOf(s0 + j), sl,
+      stream.step(s0 + j, k, bqOf(s0 + j), sl,
                   [&](size_t i, T b) { out[i] += b; });
     };
     const auto visit = [&](size_t k, const T* pk) {
@@ -308,42 +350,48 @@ CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
              static_cast<Real>(m);
     }
   };
-  // D_{k+1} with D_{M+1} == D_1 (the cyclic wrap of the adjoint coupling).
-  const auto nextD = [&](size_t k) { return k == m ? size_t{1} : k + 1; };
 
   // Adjoint cyclic system (plain transpose, matching the complex-linear
   // functional), with l_{M+1} == l_1:
   //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
-  // Parametrize l_k = u_k + V_k l_1 and run the transpose of direct pass 1
-  // downward over the n + nw columns Y = [V | u]:
+  // Parametrize l_k = u_k + V_k l_1 and run the transposed recursion
+  // (StepFactors::stepTransposed) downward over the n + nw columns
+  // Y = [V | u]:
   //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
   //   Y_{M+1} = [I | 0].
   // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
-  // one column block through all M steps (u rides in the last block or
-  // two); only Y_1 survives.
+  // one RHS-interleaved column block through all M steps (u rides in the
+  // last block or two); only Y_1 survives, as V_1 and u_1 (column-major).
   const size_t cols = n + nw;
   std::vector<LptvSlotScratch<T>> slotScratch(
       columnBlockSlots(in.pool, std::max(cols, ns)));
   std::vector<T> x(n * cols, T{}), y(n * cols);
-  for (size_t j = 0; j < n; ++j) x[j * n + j] = T(1.0);
+  Matrix<T> v1(n, n);
+  std::vector<T> u1(n * nw);
   forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
-    LptvSlotScratch<T>& sl = slotScratch[slot];
+    const size_t w = j1 - j0;
     T* cur = x.data() + j0 * n;
     T* next = y.data() + j0 * n;
+    for (size_t j = j0; j < std::min(j1, n); ++j) cur[j * w + j - j0] = 1.0;
     for (size_t k = m; k >= 1; --k) {
-      for (size_t j = j0; j < j1; ++j) {
-        lus.applyDT(nextD(k), std::span<const T>(cur + (j - j0) * n, n),
-                    std::span<T>(next + (j - j0) * n, n));
-      }
-      for (size_t j = std::max(j0, n); j < j1; ++j) {
-        next[(j - j0) * n + out] += weight(k, j - n);
-      }
-      lus.solveTransposedManyInPlace(k, std::span<T>(next, (j1 - j0) * n),
-                                     j1 - j0, sl.lu);
+      lus.stepTransposed(k, cur, next, w, slotScratch[slot].lu, [&](T* r) {
+        for (size_t j = std::max(j0, n); j < j1; ++j) {
+          r[out * w + j - j0] += weight(k, j - n);
+        }
+      });
       std::swap(cur, next);
     }
+    for (size_t j = j0; j < j1; ++j) {
+      for (size_t i = 0; i < n; ++i) {
+        const T v = cur[i * w + j - j0];
+        if (j < n) {
+          v1(i, j) = v;
+        } else {
+          u1[(j - n) * n + i] = v;
+        }
+      }
+    }
   });
-  const std::vector<T>& y1 = m % 2 == 0 ? x : y;
 
   // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
   // permutation-transpose of the forward one, so on an oscillator it shares
@@ -353,26 +401,26 @@ CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
   // by the correction's discretization error (1.6e-5 of the largest
   // transfer on the ring), not by roundoff: the gap is the same at 40, 400
   // and 4000 inverse iterations.
-  const auto closure = cycleClosure(leadingBlock(y1, n), in);
-  // l_k, k = 1..M, nw columns downward from l_{M+1} = l_1: lambda holds
-  // l_k's columns at offset (k - 1) n nw.
-  const size_t ln = n * nw;
-  std::vector<T> lambda(ln * m);
-  std::copy(y1.begin() + n * n, y1.end(), lambda.begin());  // u_1
+  const auto closure = cycleClosure(v1, in);
   for (size_t c = 0; c < nw; ++c) {
-    closure.solveInPlace(std::span<T>(lambda.data() + c * n, n),
+    closure.solveInPlace(std::span<T>(u1.data() + c * n, n),
                          slotScratch[0].lu);
   }
+  // l_k, k = 1..M, nw RHS-interleaved columns downward from l_{M+1} = l_1:
+  // lambda holds l_k's at offset (k - 1) n nw.
+  const size_t ln = n * nw;
+  std::vector<T> lambda(ln * m);
+  for (size_t c = 0; c < nw; ++c) {
+    for (size_t i = 0; i < n; ++i) lambda[i * nw + c] = u1[c * n + i];
+  }
   for (size_t k = m; k >= 2; --k) {
-    T* lk = lambda.data() + (k - 1) * ln;
     const T* lNext = lambda.data() + (k == m ? 0 : k * ln);
-    for (size_t c = 0; c < nw; ++c) {
-      lus.applyDT(nextD(k), std::span<const T>(lNext + c * n, n),
-                  std::span<T>(lk + c * n, n));
-      lk[c * n + out] += weight(k, c);
-    }
-    lus.solveTransposedManyInPlace(k, std::span<T>(lk, ln), nw,
-                                   slotScratch[0].lu);
+    lus.stepTransposed(k, lNext, lambda.data() + (k - 1) * ln, nw,
+                       slotScratch[0].lu, [&](T* r) {
+                         for (size_t c = 0; c < nw; ++c) {
+                           r[out * nw + c] += weight(k, c);
+                         }
+                       });
   }
 
   // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
@@ -381,14 +429,14 @@ CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
   CplxVector tf(ns, Cplx{});
   forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     LptvSlotScratch<T>& sl = slotScratch[slot];
-    sl.bqPrev.resize(n);
     for (size_t s = s0; s < s1; ++s) {
-      stream.start(in.sources[s], sl.bqPrev, sl);
+      sl.bqPrev.resize(in.rows.of(s).size());
+      stream.start(s, 0, sl.bqPrev, sl);
       T acc[2] = {};
       for (size_t k = 1; k <= m; ++k) {
         const T* lk = lambda.data() + (k - 1) * ln;
-        stream.step(in.sources[s], k, sl.bqPrev, sl, [&](size_t i, T b) {
-          for (size_t c = 0; c < nw; ++c) acc[c] += lk[c * n + i] * b;
+        stream.step(s, k, sl.bqPrev, sl, [&](size_t i, T b) {
+          for (size_t c = 0; c < nw; ++c) acc[c] += lk[i * nw + c] * b;
         });
       }
       if constexpr (kComplex<T>) {
@@ -413,6 +461,7 @@ struct Cycle {
 }  // namespace
 
 struct PnoiseAnalysis::Cache {
+  InjectionRows rows;
   std::variant<Cycle<Real>, Cycle<Cplx>> cycle;
 };
 
@@ -458,15 +507,19 @@ PnoiseAnalysis::Cache& PnoiseAnalysis::cache() const {
   if (!cache_) {
     const Real h = pss_->stepSize();
     const Real omega = recursionOmega(*pss_);
+    InjectionRows rows(sources_);
     if (pss_->autonomous) {
-      cache_ = std::make_unique<Cache>(Cache{Cycle<Cplx>{
-          StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
-                            1.0 / h + Cplx(0.0, omega)),
-          std::nullopt}});
+      cache_ = std::make_unique<Cache>(Cache{
+          std::move(rows),
+          Cycle<Cplx>{StepFactors<Cplx>(pss_->gSpMats, pss_->cSpMats, h,
+                                        1.0 / h + Cplx(0.0, omega)),
+                      std::nullopt}});
     } else {
-      cache_ = std::make_unique<Cache>(Cache{Cycle<Real>{
-          StepFactors<Real>(pss_->gSpMats, pss_->cSpMats, h, 1.0 / h),
-          std::nullopt}});
+      cache_ = std::make_unique<Cache>(Cache{
+          std::move(rows),
+          Cycle<Real>{
+              StepFactors<Real>(pss_->gSpMats, pss_->cSpMats, h, 1.0 / h),
+              std::nullopt}});
     }
   }
   return *cache_;
@@ -474,19 +527,21 @@ PnoiseAnalysis::Cache& PnoiseAnalysis::cache() const {
 
 template <class Keep>
 void PnoiseAnalysis::walkEnvelopes(size_t last, const Keep& keep) const {
-  const LptvInputs in{*sys_, *pss_, sources_, recursionOmega(*pss_), pool_};
   const bool closed =
       cache_ && std::visit([](const auto& cy) { return cy.p0.has_value(); },
                            cache_->cycle);
+  Cache& c = cache();
+  const LptvInputs in{*sys_, *pss_, sources_, c.rows, recursionOmega(*pss_),
+                      pool_};
   if (!closed) {
     TraceSpan span(Phase::kLptv, "lptv_direct");
     std::visit([&](auto& cy) { cy.p0 = closedOrigins(in, cy.factors); },
-               cache().cycle);
+               c.cycle);
   }
   TraceSpan span(Phase::kLptv, "lptv_envelopes");
   std::visit(
       [&](const auto& cy) { envelopePass(in, cy.factors, *cy.p0, last, keep); },
-      cache_->cycle);
+      c.cycle);
 }
 
 const LptvSolution& PnoiseAnalysis::solution() const {
@@ -514,14 +569,15 @@ PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
     TraceSpan lptv(Phase::kLptv, "lptv_adjoint");
     PSMN_CHECK(outIndex >= 0 && static_cast<size_t>(outIndex) < sys_->size(),
                "bad output index");
-    const LptvInputs in{*sys_, *pss_, sources_, recursionOmega(*pss_),
+    Cache& c = cache();
+    const LptvInputs in{*sys_, *pss_, sources_, c.rows, recursionOmega(*pss_),
                         pool_};
     sb.transfer = std::visit(
         [&](const auto& cy) {
           return adjointTransfers(in, cy.factors,
                                   static_cast<size_t>(outIndex), harmonic);
         },
-        cache().cycle);
+        c.cycle);
   }
   sb.contribution.reserve(sb.transfer.size());
   for (size_t s = 0; s < sb.transfer.size(); ++s) {

@@ -14,12 +14,14 @@
 // Backward-Euler on the PSS grid gives the block-cyclic system
 //     K_k p_k - D_k p_{k-1} = b_k,   K_k = G_k + (1/h + j w) C_k,
 //     D_k = C_{k-1}/h,               k = 1..M,  p_0 = p_M.
-// Direct solve: pass 1 propagates the homogeneous and particular parts and
-// closes the cycle via (I - B_M) p_0 = alpha_M, where B_M is the
-// frequency-shifted monodromy; pass 2 walks each source's envelope from its
-// closed p_0. Adjoint solve: one transposed cyclic solve yields the
-// transfer of *every* source into one output harmonic (the "breakdown at no
-// extra cost" the paper relies on, SS V).
+// Direct solve: one backward sweep of the n columns Y_k = P_k^T (P_k maps
+// b_k to the particular part at step M) gives the frequency-shifted
+// monodromy B_M and every source's alpha_M = sum_k Y_k^T b_k, with no
+// source carried through the period; the closure (I - B_M) p_0 = alpha_M
+// then yields each source's p_0, and pass 2 walks its envelope from there.
+// Adjoint solve: one transposed cyclic solve yields the transfer of
+// *every* source into one output harmonic (the "breakdown at no extra
+// cost" the paper relies on, SS V).
 //
 // The orbit picks the scalar. A driven orbit solves the quasi-static
 // system w = 0 in real arithmetic: K_k = G_k + C_k/h is the Jacobian
@@ -62,12 +64,13 @@ struct PnoiseOptions {
   /// sigma^2 / f equals sigma^2. It sets an oscillator's recursion
   /// frequency (a driven orbit's runs at 0) and nothing else.
   static constexpr Real offsetFreq = 1.0;
-  /// Optional execution runtime. Direct pass 1 partitions its n + ns
-  /// columns (the homogeneous B_k plus every source's particular part),
-  /// pass 2 its ns envelope chains, and the adjoint its columns [V_k | u_k]
+  /// Optional execution runtime. The direct closure sweep fans, one window
+  /// of grid steps at a time, every source's injections over the slots
+  /// and then its n columns Y_k in one block per slot; pass 2 partitions
+  /// its ns envelope chains, and the adjoint its columns [V_k | u_k]
   /// (n + 1, or n + 2 on a driven orbit at N != 0, where the complex
-  /// Fourier weights split into a real and an imaginary column) into one
-  /// block per slot, each carried through all M grid steps against the
+  /// Fourier weights split into a real and an imaginary column), into one
+  /// block per slot, each carried through all its grid steps against the
   /// shared step factors; the adjoint then fans its per-source transfers.
   /// Every column's arithmetic involves only that column, so results are
   /// bit-identical for every jobs count (docs/architecture.md "RF

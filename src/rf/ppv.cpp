@@ -45,8 +45,8 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   LuSolveScratch<Real> scratch;
   for (size_t k = m; k >= 1; --k) {
     res.z[k] = y;
-    steps.solveTransposedManyInPlace(k, res.z[k], 1, scratch);
-    steps.applyDT(k, res.z[k], y);
+    steps.solveTransposedInPlace(k, res.z[k], 1, scratch);
+    steps.applyDT(k, res.z[k].data(), y.data(), 1);
   }
   return res;
 }

@@ -48,17 +48,23 @@ void StepFactors<T>::applyD(size_t k, std::span<const T> v,
 }
 
 template <class T>
-void StepFactors<T>::applyDT(size_t k, std::span<const T> v,
-                             std::span<T> out) const {
-  const size_t n = v.size();
+void StepFactors<T>::applyDT(size_t k, const T* v, T* out, size_t w) const {
   const RealSparse& c = c_[k - 1];
+  const size_t n = c.cols();
   const auto ptr = c.colPointers();
   const auto idx = c.rowIndices();
   const auto val = c.values();
+  // Row j of the product gathers column j of C_{k-1}: per column, a sum
+  // from zero in pattern order, then the 1/h scale.
   for (size_t j = 0; j < n; ++j) {
-    T acc{};
-    for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
-    out[j] = acc * invH_;
+    T* __restrict o = out + j * w;
+    std::fill(o, o + w, T{});
+    for (int p = ptr[j]; p < ptr[j + 1]; ++p) {
+      const T* __restrict vr = v + static_cast<size_t>(idx[p]) * w;
+      const Real a = val[p];
+      for (size_t r = 0; r < w; ++r) o[r] += a * vr[r];
+    }
+    for (size_t r = 0; r < w; ++r) o[r] *= invH_;
   }
 }
 

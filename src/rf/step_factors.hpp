@@ -51,15 +51,34 @@ class StepFactors {
                         LuSolveScratch<T>& scratch) const {
     lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
   }
-  void solveTransposedManyInPlace(size_t k, std::span<T> b, size_t nrhs,
-                                  LuSolveScratch<T>& scratch) const {
-    lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
+  /// K_k^{-T} on `w` RHS-interleaved columns: row i of every column at
+  /// b[i*w .. i*w + w-1] (w == 1 is a plain vector).
+  void solveTransposedInPlace(size_t k, std::span<T> b, size_t w,
+                              LuSolveScratch<T>& scratch) const {
+    lus_[k - 1].solveTransposedInterleavedInPlace(b, w, scratch);
   }
 
   /// out = D_k v = (C_{k-1} v) / h.
   void applyD(size_t k, std::span<const T> v, std::span<T> out) const;
-  /// out = D_k^T v = (C_{k-1}^T v) / h.
-  void applyDT(size_t k, std::span<const T> v, std::span<T> out) const;
+  /// out = D_k^T v = (C_{k-1}^T v) / h on `w` RHS-interleaved columns (n w
+  /// entries each, w == 1 a plain vector); per column the arithmetic is
+  /// that column's alone.
+  void applyDT(size_t k, const T* v, T* out, size_t w) const;
+
+  /// One step down the grid of the transposed recursion, on a block of `w`
+  /// RHS-interleaved columns:
+  ///   next = K_k^{-T} (D_{k+1}^T cur + R_k),   D_{M+1} == D_1,
+  /// where input(next) adds R_k to D_{k+1}^T cur before the solve. Column c
+  /// of next reads only column c of cur, so every partition of the columns
+  /// into blocks computes the same bits. The LPTV closure sweep and the
+  /// adjoint sideband both carry their column blocks with it.
+  template <class Input>
+  void stepTransposed(size_t k, const T* cur, T* next, size_t w,
+                      LuSolveScratch<T>& scratch, const Input& input) const {
+    applyDT(k == steps() ? 1 : k + 1, cur, next, w);
+    input(next);
+    solveTransposedInPlace(k, std::span<T>(next, size() * w), w, scratch);
+  }
 
   /// Carries one block of `cols` columns through steps k = 1..last of
   ///   X_k = K_k^{-1} (D_k X_{k-1} + R_k),

@@ -107,7 +107,7 @@ inline size_t columnBlockSlots(const ThreadPool* pool, size_t n) {
 /// Fans body(j0, j1, slot) over [0, n) in one contiguous block per slot —
 /// the canonical dispatch for per-column-independent batched solves (the
 /// multi-RHS sensitivity columns, the monodromy sweep, the LPTV
-/// B_k/V_k recursions). Serial (no pool, or n <= 1) runs inline as a
+/// Y_k/V_k recursions). Serial (no pool, or n <= 1) runs inline as a
 /// single block, which is bit-identical to any partition because every
 /// column's arithmetic involves only that column.
 inline void forEachColumnBlock(

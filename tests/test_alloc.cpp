@@ -149,7 +149,7 @@ TEST(Allocation, SparsePssPeriodIntegrationIsHeapFree) {
 TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
   // solution() streams every source's injection envelope b_{s,k} from the
   // orbit instead of storing it. Beyond a one-source solve on the same
-  // orbit (step factors, B_k recursion, closure; an analysis refuses zero
+  // orbit (step factors, closure sweep, closure; an analysis refuses zero
   // sources), each further source may cost its M envelope vectors plus
   // O(1), and the pool O(slots) scratch: ns*M + O(ns + slots). A dense
   // ns x (M+1) store with per-source bf/bq temporaries costs about 4*ns*M.

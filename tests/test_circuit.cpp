@@ -3,6 +3,7 @@
 // mismatch stamps, waveforms, and the netlist parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/bjt.hpp"
@@ -14,6 +15,7 @@
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
+#include "core/correlated_mismatch.hpp"
 #include "engine/mna.hpp"
 #include "numeric/rng.hpp"
 
@@ -414,6 +416,99 @@ TEST(Capacitor, MismatchChargeStamp) {
   RealVector bq;
   sys.evalInjection(src, x, 0.0, nullptr, &bq);
   EXPECT_NEAR(bq[0], 2.5, 1e-15);  // dQ/dC = v
+}
+
+// The LPTV streams evaluate and visit a source's injection only on its
+// rows (InjectionRows: the equations its devices declared G and C positions
+// in). So at any iterate the dense injection of every source must be
+// exactly zero off those rows, and the row-limited evaluation must return
+// the dense values on them bit for bit, whatever the buffers held before.
+// A mismatch stamp that writes a row its device never declared fails here.
+// The deck covers MOSFETs in both D/S orientations (an NMOS with a
+// floating bulk too), a BJT whose series resistances give it internal
+// nodes and whose transit time gives it a charge injection, R, C and L,
+// and correlated composite sources spanning devices.
+TEST(MnaInjection, SourcesInjectOnlyOnTheirDeclaredRows) {
+  ParsedCircuit pc = parseNetlistString(R"(test deck, injection rows
+.model nch nmos
+.model pch pmos
+.model qn npn rb=100 rc=10 re=1 tf=1e-10 cje=1p
+V1 vdd 0 DC 1.2
+M1 a g b 0 nch W=1u L=0.13u
+M2 b g vdd vdd pch W=2u L=0.13u
+M3 c a b x nch W=1u L=0.13u
+Q1 c b e qn
+R1 a c 1k sigma=10
+C1 c e 1p sigma=0.01p
+L1 e 0 1n sigma=0.01n
+R2 x 0 1k
+R3 g 0 1k
+.end
+)");
+  Netlist& nl = *pc.netlist;
+  const MnaSystem sys(nl);
+  const size_t n = sys.size();
+
+  std::vector<InjectionSource> sources = sys.collectSources();
+  std::vector<const Mosfet*> fets;
+  CorrelatedMismatch corr;
+  std::vector<CorrelatedMismatch::ParamRef> group;
+  for (const auto& dev : nl.devices()) {
+    if (const auto* m = dynamic_cast<const Mosfet*>(dev.get())) {
+      fets.push_back(m);
+    }
+    if (dev->name() == "M1" || dev->name() == "M3" || dev->name() == "Q1") {
+      group.push_back({dev.get(), 0});
+    }
+  }
+  ASSERT_EQ(fets.size(), 3u);
+  corr.addUniformCorrelationGroup(group, 0.5);
+  size_t composites = 0;
+  for (InjectionSource& src : corr.compositeSources()) {
+    composites += src.components.size() > 1;
+    sources.push_back(std::move(src));
+  }
+  ASSERT_GE(composites, 2u);
+  ASSERT_EQ(sources.size(), 6 + 2 + 3 + 3u);  // 3 FETs, Q1, R1 C1 L1, group
+
+  const InjectionRows table(sources);
+  Rng rng(29);
+  std::vector<int> seen(fets.size(), 0);  // bit 0 unswapped, bit 1 swapped
+  RealVector bf, bq, rf, rq;
+  for (int iterate = 0; iterate < 8; ++iterate) {
+    RealVector x(n);
+    for (Real& v : x) v = rng.uniform(-0.5, 1.5);
+    const Stamper at(x, 0.0, n);
+    for (size_t d = 0; d < fets.size(); ++d) {
+      seen[d] |= fets[d]->opPoint(at).swapped ? 2 : 1;
+    }
+    for (size_t s = 0; s < sources.size(); ++s) {
+      const InjectionSource& src = sources[s];
+      const std::span<const int> rows = table.of(s);
+      ASSERT_TRUE(std::is_sorted(rows.begin(), rows.end())) << src.name;
+      ASSERT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end())
+          << src.name;
+      std::vector<bool> on(n, false);
+      for (int i : rows) on[static_cast<size_t>(i)] = true;
+
+      sys.evalInjection(src, x, 0.0, &bf, &bq);
+      rf.assign(n, 7.0);  // stale values the row-limited call must not read
+      rq.assign(n, -3.0);
+      sys.evalInjection(src, x, 0.0, &rf, &rq, rows);
+      for (size_t i = 0; i < n; ++i) {
+        if (on[i]) {
+          EXPECT_EQ(rf[i], bf[i]) << src.name << " row " << i;
+          EXPECT_EQ(rq[i], bq[i]) << src.name << " row " << i;
+        } else {
+          EXPECT_EQ(bf[i], 0.0) << src.name << " off-row " << i;
+          EXPECT_EQ(bq[i], 0.0) << src.name << " off-row " << i;
+        }
+      }
+    }
+  }
+  for (size_t d = 0; d < fets.size(); ++d) {
+    EXPECT_EQ(seen[d], 3) << fets[d]->name() << " seen in one orientation";
+  }
 }
 
 // --------------------------------------------------------------- parser

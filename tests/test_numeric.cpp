@@ -527,7 +527,7 @@ TEST(AmdOrdering, ComplexFactorMatchesDense) {
 
 // ------------------------------------------ blocked multi-RHS solves
 
-// SparseLU's solveManyInPlace / solveTransposedManyInPlace run
+// SparseLU's solveManyInPlace / solveTransposedInterleavedInPlace run
 // RHS-interleaved blocked substitutions that must reproduce the
 // column-at-a-time substitutions bit for bit. The reference is the
 // single-RHS path applied column by column: it is the column-at-a-time
@@ -540,6 +540,23 @@ TEST(AmdOrdering, ComplexFactorMatchesDense) {
 Real randomScalar(Rng& rng, Real) { return rng.uniform(-1.0, 1.0); }
 Cplx randomScalar(Rng& rng, Cplx) {
   return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+}
+
+// The blocked transposed solve on a column-major block (column r at
+// block[r*n ..]): it takes and returns the block RHS-interleaved, row i of
+// column r at [i*nrhs + r].
+template <class T>
+void solveTransposedBlock(const SparseLU<T>& lu, std::vector<T>& block,
+                          size_t nrhs, LuSolveScratch<T>& scratch) {
+  const size_t n = lu.size();
+  std::vector<T> rows(block.size());
+  for (size_t r = 0; r < nrhs; ++r) {
+    for (size_t i = 0; i < n; ++i) rows[i * nrhs + r] = block[r * n + i];
+  }
+  lu.solveTransposedInterleavedInPlace(rows, nrhs, scratch);
+  for (size_t r = 0; r < nrhs; ++r) {
+    for (size_t i = 0; i < n; ++i) block[r * n + i] = rows[i * nrhs + r];
+  }
 }
 
 template <class T>
@@ -558,7 +575,7 @@ void expectBlockedSolvesExact(const SparseLU<T>& lu, uint64_t seed) {
         if (transposed) lu.solveTransposedInPlace(col);
         else lu.solveInPlace(col);
       }
-      if (transposed) lu.solveTransposedManyInPlace(block, nrhs, scratch);
+      if (transposed) solveTransposedBlock(lu, block, nrhs, scratch);
       else lu.solveManyInPlace(block, nrhs);
       for (size_t k = 0; k < block.size(); ++k) {
         ASSERT_EQ(std::real(block[k]), std::real(expected[k]))
@@ -597,7 +614,7 @@ void expectComplexSolvesMatchTrueDivision(const CplxSparse& a,
       CplxVector block(n * nrhs);
       for (auto& v : block) v = randomScalar(rng, Cplx{});
       CplxVector want = block;
-      if (transposed) lu.solveTransposedManyInPlace(block, nrhs, scratch);
+      if (transposed) solveTransposedBlock(lu, block, nrhs, scratch);
       else lu.solveManyInPlace(block, nrhs);
       for (size_t r = 0; r < nrhs; ++r) {
         const std::span<Cplx> col(want.data() + r * n, n);
