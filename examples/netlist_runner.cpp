@@ -100,6 +100,26 @@ bool parseUnsigned(const char* text, uint64_t max, uint64_t& out) {
   return true;
 }
 
+/// The values an analysis card cannot run without: a .tran card's step and
+/// stop time, a .pss card's period and a .pnoise card's output node. False,
+/// after printing the one-line cause, for the first card short of them;
+/// card and sweep mode both check the deck with it before anything runs.
+bool checkCardValues(const ParsedCircuit& pc) {
+  for (const auto& card : pc.analyses) {
+    const bool tran = card.kind == "tran";
+    const char* needs = tran                    ? "a step and a stop time"
+                        : card.kind == "pss"    ? "a period"
+                        : card.kind == "pnoise" ? "an output node"
+                                                : nullptr;
+    if (needs != nullptr && card.args.size() < (tran ? 2u : 1u)) {
+      std::fprintf(stderr, "bad .%s card: it needs %s\n", card.kind.c_str(),
+                   needs);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Reads a .tran card's step and stop time, the one check card and sweep
 /// mode share. False, after printing the one-line cause, unless both are
 /// finite and positive (the engine would otherwise stop on an internal
@@ -207,9 +227,9 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
   Real dt = 0.0, tstop = 0.0;
   std::string probe = args.probe;
   for (const auto& card : pc.analyses) {
-    if (card.kind == "tran" && card.args.size() >= 2) {
+    if (card.kind == "tran") {
       if (!parseTranCard(card, dt, tstop)) return 1;
-    } else if (card.kind == "pnoise" && !card.args.empty() && probe.empty()) {
+    } else if (card.kind == "pnoise" && probe.empty()) {
       probe = card.args[0];
     }
   }
@@ -326,9 +346,9 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
               nl.devices().size(), sys.size(), nl.mismatchParams().size());
 
   // --jobs also accelerates the card path: the .pnoise flow fans the
-  // monodromy sweeps of the shooting iterations that do not close, the LPTV
-  // closure sweep, and the per-source envelope chains across this pool
-  // (results are bit-identical for every jobs count).
+  // monodromy sweeps of the shooting iterations that do not close and the
+  // LPTV cycle sweep of its baseband readout across this pool (results are
+  // bit-identical for every jobs count).
   std::unique_ptr<ThreadPool> pool;
   if (args.jobs != 1) {
     pool = std::make_unique<ThreadPool>(args.jobs);
@@ -346,7 +366,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
                     formatEng(dc.x[i]).c_str());
       }
       report.analyses.emplace_back(".op", dc.stats);
-    } else if (card.kind == "tran" && card.args.size() >= 2) {
+    } else if (card.kind == "tran") {
       Real dt = 0.0, tstop = 0.0;
       if (!parseTranCard(card, dt, tstop)) return 1;
       const TransientResult tr = runTransient(sys, 0.0, tstop, dt, {});
@@ -358,7 +378,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
                     formatEng(tr.finalState[i]).c_str());
       }
       report.analyses.emplace_back(".tran", tr.stats);
-    } else if (card.kind == "pss" && !card.args.empty()) {
+    } else if (card.kind == "pss") {
       const auto period = parseSpiceNumber(card.args[0]);
       if (!period || !std::isfinite(*period) || *period <= 0.0) {
         std::fprintf(stderr,
@@ -369,7 +389,7 @@ int runCards(const ParsedCircuit& pc, const RunnerArgs& args,
       pssPeriod = *period;
       std::printf(".pss period=%ss (deferred until .pnoise)\n",
                   formatEng(pssPeriod).c_str());
-    } else if (card.kind == "pnoise" && !card.args.empty()) {
+    } else if (card.kind == "pnoise") {
       if (pssPeriod <= 0.0) {
         std::printf(".pnoise ignored: no preceding .pss card\n");
         continue;
@@ -546,9 +566,11 @@ int main(int argc, char** argv) {
       return parseNetlistString(deckText);
     }();
     std::printf("title: %s\n", pc.title.c_str());
-    const int rc = args.sweepSamples > 0
-                       ? runSweep(deckText, pc, args, reg, report)
-                       : runCards(pc, args, reg, report);
+    int rc = 1;
+    if (checkCardValues(pc)) {
+      rc = args.sweepSamples > 0 ? runSweep(deckText, pc, args, reg, report)
+                                 : runCards(pc, args, reg, report);
+    }
     if (!writeReports(args, jobs, reg, report) && rc == 0) return 1;
     return rc;
   } catch (const Error& err) {

@@ -5,7 +5,6 @@
 
 #include "circuit/stdcell.hpp"
 #include "core/mismatch_analysis.hpp"
-#include "rf/ppv.hpp"
 #include "util/units.hpp"
 
 using namespace psmn;
@@ -35,14 +34,13 @@ int main() {
               formatEng(fv.sigma()).c_str(), 100.0 * fv.sigma() / f0,
               formatEng(std::sqrt(fv.paperVariance)).c_str());
 
-  // Independent cross-check: discrete-adjoint PPV period sensitivities.
-  const PpvResult ppv = computePpv(sys, analysis.pss());
-  const auto sources = sys.collectSources();
+  // Independent cross-check: discrete-adjoint PPV period sensitivities,
+  // df/dp = -f0^2 dT/dp.
+  const RealVector dTdp = analysis.pnoise().periodSensitivity();
+  const auto& sources = analysis.pnoise().sources();
   Real var = 0.0;
   for (size_t i = 0; i < sources.size(); ++i) {
-    const Real s =
-        ppv.frequencySensitivity(sys, analysis.pss(), sources[i]) *
-        sources[i].sigma;
+    const Real s = -f0 * f0 * dTdp[i] * sources[i].sigma;
     var += s * s;
   }
   std::printf("PPV cross-check: sigma(f) = %sHz\n",

@@ -22,11 +22,12 @@
 // into the same number, are reported alongside as `paperVariance`.
 //
 // run*() solves only the PSS; every readout then solves its own LPTV part
-// on demand. The sideband readouts (dc, delay, frequency) are one adjoint
-// solve each; an edge delay reads two envelope samples from a direct pass
-// that stops at the crossing. The readouts share the pnoise analysis'
-// cached step factors and closed cycle, so const readouts fill caches and
-// one analysis serves one thread at a time.
+// on demand. The sideband readouts (dc, delay, frequency) are one cycle
+// sweep and one adjoint closure each; an edge delay reads two envelope
+// samples from a direct pass that stops at the crossing. The readouts
+// share the pnoise analysis' cached step factors and closed cycle, so
+// const readouts fill caches and one analysis serves one thread at a
+// time.
 #pragma once
 
 #include <optional>

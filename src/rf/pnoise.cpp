@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <numeric>
 #include <type_traits>
 #include <variant>
 
@@ -187,48 +186,84 @@ auto cycleClosure(const Matrix<T>& s, const LptvInputs& in) {
   }
 }
 
-/// The closure sweep and the cyclic closure: every source's periodic p_0,
-/// n x ns column-major.
+/// The Fourier weight of grid point k in P_N = sum_{k=0}^{M-1} w_k p_k[out]
+/// with p_0 == p_M, so k = M weighs w_0. A complex recursion carries the
+/// complex w_k in one column. A real one carries Re w_k in column c = 0
+/// and, for N != 0, Im w_k in c = 1: the real operator never mixes them.
+template <class T>
+T fourierWeight(int harmonic, size_t k, size_t m, size_t c) {
+  const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
+  if constexpr (kComplex<T>) {
+    return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
+  } else {
+    return (c == 0 ? std::cos(phase) : std::sin(phase)) /
+           static_cast<Real>(m);
+  }
+}
+
+/// The particular columns a cycle sweep carries beside Y_k: nw of them,
+/// driven by the Fourier weights of one harmonic at output unknown `out`
+/// (nw = 0 for the direct readouts and PPV).
+struct SweepProbe {
+  size_t out = 0;
+  int harmonic = 0;
+  size_t nw = 0;
+};
+
+/// What one cycle sweep leaves: Y_1 and U_1, row-major (their columns
+/// RHS-interleaved), and source s's accumulators [alpha_s | beta_s] at
+/// acc[s (n + nw)].
+template <class T>
+struct CycleSweep {
+  Matrix<T> y1, u1;
+  std::vector<T> acc;
+};
+
+/// The one transposed sweep of the cycle every periodic readout runs.
 ///
-/// p_0 solves (I - Phi) p_0 = alpha_M, where Phi = B_M is the recursion's
-/// monodromy and alpha_M = sum_k P_k b_k its particular part at step M,
-/// P_k = K_M^{-1} D_M ... K_{k+1}^{-1} D_{k+1} K_k^{-1}. One backward sweep
-/// of the n columns Y_k = P_k^T gives both, without carrying any source
-/// through the period:
+/// With P_k = K_M^{-1} D_M ... K_{k+1}^{-1} D_{k+1} K_k^{-1}, the
+/// particular part of the forward recursion at step M is
+/// alpha_M = sum_k P_k b_k and its homogeneous part the frequency-shifted
+/// monodromy Phi = B_M = P_1 D_1. One backward sweep of the n columns
+/// Y_k = P_k^T gives both, without carrying any source through the period:
 ///   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + R_k),  Y_{M+1} = 0,  R_M = I
 /// (R_k = 0 below M, so Y_M = K_M^{-T}), then
-///   alpha_M = sum_k Y_k^T b_k,   Phi^T = D_1^T Y_1.
-/// A source's b_k is zero off its rows, so its share of step k is one row
-/// update of the block's alpha accumulators per nonzero row entry.
+///   alpha_s = sum_k Y_k^T b_{s,k},   Phi^T = D_1^T Y_1.
+/// A sideband adds the nw particular columns of its adjoint,
+///   U_k = K_k^{-T}(D_{k+1}^T U_{k+1} + w_k e_out),  U_{M+1} = 0,
+/// and beta_s = sum_k U_k^T b_{s,k}. A source's b_k is zero off its rows,
+/// so its share of step k is one row update of the block's accumulators
+/// per nonzero row entry.
 ///
 /// The sweep runs in windows of kWindow grid steps: every source's
 /// injections over the window, fanned over sources, then every column
 /// block down the window (StepFactors::stepTransposed, the block kept
 /// RHS-interleaved throughout), fanned over blocks; no store of every
-/// source at every step is built. A block keeps its Y and its alpha
+/// source at every step is built. A block keeps its columns and its
 /// accumulators (acc[s w + c]) at offsets fixed by its first column, the
 /// accumulators kPad entries (a cache line of doubles) apart from the next
 /// block's, so no two slots add into one line; every block takes the same
-/// steps, so a window leaves every block's Y in the same one of ya and yb,
-/// swapped back into ya. Column c's Y and alpha entries read only column
-/// c, so every partition computes the same bits (no pool = one block). The
-/// closure carries the phase-mode spectral correction on oscillators.
+/// steps, so a window leaves every block in the same one of ya and yb,
+/// swapped back into ya. Column c's entries read only column c, so every
+/// partition computes the same bits (no pool = one block).
 template <class T>
-std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
+CycleSweep<T> cycleSweep(const LptvInputs& in, const StepFactors<T>& lus,
+                         const SweepProbe& probe) {
   constexpr size_t kWindow = 32, kPad = 8;
   const size_t n = in.sys.size();
   const size_t m = in.pss.stepCount();
   const size_t ns = in.sources.size();
+  const size_t cols = n + probe.nw;
   const InjectionStream<T> stream(in);
   std::vector<LptvSlotScratch<T>> slotScratch(
-      columnBlockSlots(in.pool, std::max(n, ns)));
-  std::vector<T> ya(n * n, T{}), yb(n * n);
-  std::vector<T> acc(n * (ns + kPad), T{});
+      columnBlockSlots(in.pool, std::max(cols, ns)));
+  std::vector<T> ya(n * cols, T{}), yb(n * cols);
+  std::vector<T> acc(cols * (ns + kPad), T{});
   // Source s's b_k, k = lo..hi, from window[begin[s] kWindow] on, one run
   // of its rows per step.
   std::vector<T> window(in.rows.flat.size() * kWindow);
-  Matrix<T> phi(n, n);
-  std::vector<T> p0(n * ns);
+  CycleSweep<T> sw{Matrix<T>(n, n), Matrix<T>(n, probe.nw),
+                   std::vector<T>(cols * ns)};
   for (size_t hi = m; hi > 0;) {
     const size_t lo = hi > kWindow ? hi - kWindow + 1 : 1;
     forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
@@ -242,15 +277,21 @@ std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
         }
       }
     });
-    forEachColumnBlock(in.pool, n, [&](size_t j0, size_t j1, size_t slot) {
+    forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
       const size_t w = j1 - j0;
       T* cur = ya.data() + j0 * n;
       T* next = yb.data() + j0 * n;
       T* a = acc.data() + j0 * (ns + kPad);
       for (size_t k = hi; k >= lo; --k) {
         lus.stepTransposed(k, cur, next, w, slotScratch[slot].lu, [&](T* r) {
-          if (k != m) return;
-          for (size_t c = 0; c < w; ++c) r[(j0 + c) * w + c] += T(1.0);
+          for (size_t j = j0; j < j1; ++j) {
+            if (j >= n) {
+              r[probe.out * w + j - j0] +=
+                  fourierWeight<T>(probe.harmonic, k, m, j - n);
+            } else if (k == m) {
+              r[j * w + j - j0] += T(1.0);
+            }
+          }
         });
         std::swap(cur, next);
         for (size_t s = 0; s < ns; ++s) {
@@ -267,26 +308,47 @@ std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
         }
       }
       if (lo > 1) return;
-      // Y_1 in hand: this block's rows of Phi (row i of D_1^T Y_1 is
-      // Phi's column i) and its entries of every alpha_M.
-      lus.applyDT(1, cur, next, w);
       for (size_t c = 0; c < w; ++c) {
-        for (size_t i = 0; i < n; ++i) phi(j0 + c, i) = next[i * w + c];
-        for (size_t s = 0; s < ns; ++s) p0[s * n + j0 + c] = a[s * w + c];
+        const size_t j = j0 + c;
+        for (size_t i = 0; i < n; ++i) {
+          (j < n ? sw.y1(i, j) : sw.u1(i, j - n)) = cur[i * w + c];
+        }
+        for (size_t s = 0; s < ns; ++s) sw.acc[s * cols + j] = a[s * w + c];
       }
     });
     if ((hi - lo) % 2 == 0) std::swap(ya, yb);  // an odd step count
     hi = lo - 1;
   }
+  return sw;
+}
 
-  const auto closure = cycleClosure(phi, in);
+/// Phi^T = D_1^T Y_1 of a sweep, row-major: row i is Phi's column i.
+template <class T>
+Matrix<T> transposedMonodromy(const StepFactors<T>& lus,
+                              const CycleSweep<T>& sw) {
+  Matrix<T> phiT(sw.y1.rows(), sw.y1.cols());
+  lus.applyDT(1, sw.y1.data(), phiT.data(), sw.y1.cols());
+  return phiT;
+}
+
+/// Every source's periodic p_0, n x ns column-major: the sweep's alpha_s
+/// closed by (I - Phi) p_0 = alpha_s, with the phase-mode spectral
+/// correction on oscillators.
+template <class T>
+std::vector<T> closedOrigins(const LptvInputs& in, const StepFactors<T>& lus) {
+  const size_t n = in.sys.size();
+  const size_t ns = in.sources.size();
+  CycleSweep<T> sw = cycleSweep(in, lus, {});
+  const auto closure =
+      cycleClosure(transpose(transposedMonodromy(lus, sw)), in);
+  std::vector<LuSolveScratch<T>> scratch(columnBlockSlots(in.pool, ns));
   forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
     for (size_t s = s0; s < s1; ++s) {
-      closure.solveInPlace(std::span<T>(p0.data() + s * n, n),
-                           slotScratch[slot].lu);
+      closure.solveInPlace(std::span<T>(sw.acc.data() + s * n, n),
+                           scratch[slot]);
     }
   });
-  return p0;
+  return std::move(sw.acc);
 }
 
 /// Direct pass 2: every source's envelope p_k = K_k^{-1}(D_k p_{k-1} + b_k),
@@ -327,131 +389,55 @@ void envelopePass(const LptvInputs& in, const StepFactors<T>& lus,
   });
 }
 
-/// The adjoint transfers P_N[out] of every source (PnoiseAnalysis::sideband).
+/// The transfers P_N[out] of every source (PnoiseAnalysis::sideband), from
+/// the adjoint cyclic system (plain transpose, matching the complex-linear
+/// functional P_N = sum_k w_k p_k[out]), with l_{M+1} == l_1:
+///   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
+/// Its solution is l_k = U_k + Y_k D_1^T l_1, so the cycle sweep's Y_1 and
+/// U_1 give the closure (I - V_1) l_1 = U_1 with V_1 = Y_1 D_1^T, and
+/// source s transfers
+///   TF_s = sum_k l_k^T b_{s,k} = beta_s + (D_1^T l_1)^T alpha_s.
+/// V_1 is a cyclic permutation-transpose of Phi, so on an oscillator it
+/// shares the corrupted phase eigenvalue and takes the same spectral
+/// correction, here at the l_1 cut: each transfer is then the direct one
+/// times one factor common to every source (1 + 1.6e-5 on the ring).
 template <class T>
-CplxVector adjointTransfers(const LptvInputs& in, const StepFactors<T>& lus,
-                            size_t out, int harmonic) {
+CplxVector sidebandTransfers(const LptvInputs& in, const StepFactors<T>& lus,
+                             size_t out, int harmonic) {
   const size_t n = in.sys.size();
-  const size_t m = in.pss.stepCount();
-  const size_t ns = in.sources.size();
-
-  // Functional: P_N = sum_{k=0}^{M-1} w_k p_k[out] with p_0 == p_M, i.e. in
-  // terms of unknowns p_1..p_M the weight of p_M is w_0. A complex
-  // recursion carries the complex w_k in one column. A real one carries
-  // Re w_k, and for N != 0 Im w_k in a second column (weight c = 0, 1):
-  // the adjoint operator is real, so the two parts never mix.
   const size_t nw = !kComplex<T> && harmonic != 0 ? 2 : 1;
-  const auto weight = [&](size_t k, size_t c) -> T {
-    const Real phase = -kTwoPi * harmonic * static_cast<Real>(k % m) / m;
-    if constexpr (kComplex<T>) {
-      return Cplx(std::cos(phase), std::sin(phase)) / static_cast<Real>(m);
-    } else {
-      return (c == 0 ? std::cos(phase) : std::sin(phase)) /
-             static_cast<Real>(m);
-    }
-  };
-
-  // Adjoint cyclic system (plain transpose, matching the complex-linear
-  // functional), with l_{M+1} == l_1:
-  //   K_k^T l_k - D_{k+1}^T l_{k+1} = w_k e_out,   k = 1..M.
-  // Parametrize l_k = u_k + V_k l_1 and run the transposed recursion
-  // (StepFactors::stepTransposed) downward over the n + nw columns
-  // Y = [V | u]:
-  //   Y_k = K_k^{-T}(D_{k+1}^T Y_{k+1} + [0 | w_k e_out]),
-  //   Y_{M+1} = [I | 0].
-  // Column j of Y_k reads only column j of Y_{k+1}, so each slot carries
-  // one RHS-interleaved column block through all M steps (u rides in the
-  // last block or two); only Y_1 survives, as V_1 and u_1 (column-major).
-  const size_t cols = n + nw;
-  std::vector<LptvSlotScratch<T>> slotScratch(
-      columnBlockSlots(in.pool, std::max(cols, ns)));
-  std::vector<T> x(n * cols, T{}), y(n * cols);
+  const CycleSweep<T> sw = cycleSweep(in, lus, {out, harmonic, nw});
   Matrix<T> v1(n, n);
-  std::vector<T> u1(n * nw);
-  forEachColumnBlock(in.pool, cols, [&](size_t j0, size_t j1, size_t slot) {
-    const size_t w = j1 - j0;
-    T* cur = x.data() + j0 * n;
-    T* next = y.data() + j0 * n;
-    for (size_t j = j0; j < std::min(j1, n); ++j) cur[j * w + j - j0] = 1.0;
-    for (size_t k = m; k >= 1; --k) {
-      lus.stepTransposed(k, cur, next, w, slotScratch[slot].lu, [&](T* r) {
-        for (size_t j = std::max(j0, n); j < j1; ++j) {
-          r[out * w + j - j0] += weight(k, j - n);
-        }
-      });
-      std::swap(cur, next);
-    }
-    for (size_t j = j0; j < j1; ++j) {
-      for (size_t i = 0; i < n; ++i) {
-        const T v = cur[i * w + j - j0];
-        if (j < n) {
-          v1(i, j) = v;
-        } else {
-          u1[(j - n) * n + i] = v;
-        }
-      }
-    }
-  });
-
-  // Close: (I - V_1) l_1 = u_1. The adjoint closure matrix V_1 is a cyclic
-  // permutation-transpose of the forward one, so on an oscillator it shares
-  // the corrupted phase eigenvalue and receives the same spectral
-  // correction. The forward closure applies it at the p_M -> p_0 cut and
-  // this one at the l_1 cut, so on an oscillator the two transfers differ
-  // by the correction's discretization error (1.6e-5 of the largest
-  // transfer on the ring), not by roundoff: the gap is the same at 40, 400
-  // and 4000 inverse iterations.
+  for (size_t i = 0; i < n; ++i) lus.applyD(1, sw.y1.row(i), v1.row(i));
   const auto closure = cycleClosure(v1, in);
+  // dl holds D_1^T l_1 of weight column c at dl[c n].
+  std::vector<T> l(n), dl(n * nw);
+  LuSolveScratch<T> scratch;
   for (size_t c = 0; c < nw; ++c) {
-    closure.solveInPlace(std::span<T>(u1.data() + c * n, n),
-                         slotScratch[0].lu);
+    for (size_t i = 0; i < n; ++i) l[i] = sw.u1(i, c);
+    closure.solveInPlace(std::span<T>(l), scratch);
+    lus.applyDT(1, l.data(), dl.data() + c * n, 1);
   }
-  // l_k, k = 1..M, nw RHS-interleaved columns downward from l_{M+1} = l_1:
-  // lambda holds l_k's at offset (k - 1) n nw.
-  const size_t ln = n * nw;
-  std::vector<T> lambda(ln * m);
-  for (size_t c = 0; c < nw; ++c) {
-    for (size_t i = 0; i < n; ++i) lambda[i * nw + c] = u1[c * n + i];
-  }
-  for (size_t k = m; k >= 2; --k) {
-    const T* lNext = lambda.data() + (k == m ? 0 : k * ln);
-    lus.stepTransposed(k, lNext, lambda.data() + (k - 1) * ln, nw,
-                       slotScratch[0].lu, [&](T* r) {
-                         for (size_t c = 0; c < nw; ++c) {
-                           r[out * nw + c] += weight(k, c);
-                         }
-                       });
-  }
-
-  // Transfer per source: TF_s = sum_k l_k^T b_{s,k}, each source's
-  // injections streamed along the orbit, sources fanned over the pool.
-  const InjectionStream<T> stream(in);
-  CplxVector tf(ns, Cplx{});
-  forEachColumnBlock(in.pool, ns, [&](size_t s0, size_t s1, size_t slot) {
-    LptvSlotScratch<T>& sl = slotScratch[slot];
-    for (size_t s = s0; s < s1; ++s) {
-      sl.bqPrev.resize(in.rows.of(s).size());
-      stream.start(s, 0, sl.bqPrev, sl);
-      T acc[2] = {};
-      for (size_t k = 1; k <= m; ++k) {
-        const T* lk = lambda.data() + (k - 1) * ln;
-        stream.step(s, k, sl.bqPrev, sl, [&](size_t i, T b) {
-          for (size_t c = 0; c < nw; ++c) acc[c] += lk[i * nw + c] * b;
-        });
-      }
-      if constexpr (kComplex<T>) {
-        tf[s] = acc[0];
-      } else {
-        tf[s] = Cplx(acc[0], acc[1]);
-      }
+  CplxVector tf(in.sources.size());
+  for (size_t s = 0; s < tf.size(); ++s) {
+    const T* a = sw.acc.data() + s * (n + nw);
+    T t[2] = {};
+    for (size_t c = 0; c < nw; ++c) {
+      t[c] = a[n + c];
+      for (size_t i = 0; i < n; ++i) t[c] += dl[c * n + i] * a[i];
     }
-  });
+    if constexpr (kComplex<T>) {
+      tf[s] = t[0];
+    } else {
+      tf[s] = Cplx(t[0], t[1]);
+    }
+  }
   return tf;
 }
 
 /// What the readouts of one orbit share, in the orbit's scalar: the step
-/// factors (direct and adjoint) and, after the first direct readout,
-/// every source's closed p_0.
+/// factors every sweep runs on and, after the first direct readout, every
+/// source's closed p_0.
 template <class T>
 struct Cycle {
   StepFactors<T> factors;
@@ -574,8 +560,8 @@ PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
                         pool_};
     sb.transfer = std::visit(
         [&](const auto& cy) {
-          return adjointTransfers(in, cy.factors,
-                                  static_cast<size_t>(outIndex), harmonic);
+          return sidebandTransfers(in, cy.factors,
+                                   static_cast<size_t>(outIndex), harmonic);
         },
         c.cycle);
   }
@@ -587,6 +573,44 @@ PnoiseSideband PnoiseAnalysis::sideband(int outIndex, int harmonic) const {
     sb.totalPsd += contrib;
   }
   return sb;
+}
+
+RealVector PnoiseAnalysis::periodSensitivity() const {
+  PSMN_CHECK(pss_->autonomous && pss_->phaseIndex >= 0 &&
+                 pss_->dxdT.size() == sys_->size(),
+             "period sensitivity needs an autonomous PSS result");
+  TraceSpan span(Phase::kPnoise, "pnoise");
+  TraceSpan lptv(Phase::kLptv, "lptv_ppv");
+  const size_t n = sys_->size();
+  const Real h = pss_->stepSize();
+  // The shooting system's own step factors, K_k = J_k, whatever scalar the
+  // sidebands of this orbit run in.
+  const StepFactors<Real> lus(pss_->gSpMats, pss_->cSpMats, h, 1.0 / h);
+  const InjectionRows rows(sources_);
+  const LptvInputs in{*sys_, *pss_, sources_, rows, 0.0, pool_};
+  const CycleSweep<Real> sw = cycleSweep(in, lus, {});
+  // Transposed bordered system:
+  //   [ (Phi - I)^T  e_phase ] [w_x]   [0]
+  //   [ dxdT^T       0       ] [w_T] = [1]
+  const RealMatrix phiT = transposedMonodromy(lus, sw);
+  RealMatrix a(n + 1, n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) a(i, j) = phiT(i, j);
+    a(i, i) -= 1.0;
+    a(n, i) = pss_->dxdT[i];
+  }
+  a(static_cast<size_t>(pss_->phaseIndex), n) = 1.0;
+  RealVector rhs(n + 1, 0.0);
+  rhs[n] = 1.0;
+  const RealVector w = DenseLU<Real>(a).solve(rhs);
+  // dT/dp_s = sum_k z_k^T g_k with z_k = Y_k w_x and g_k = -b_{s,k}.
+  RealVector dTdp(sources_.size());
+  for (size_t s = 0; s < dTdp.size(); ++s) {
+    Real acc = 0.0;
+    for (size_t i = 0; i < n; ++i) acc += w[i] * sw.acc[s * n + i];
+    dTdp[s] = -acc;
+  }
+  return dTdp;
 }
 
 CplxVector PnoiseAnalysis::samples(int outIndex,
@@ -610,20 +634,23 @@ CplxVector PnoiseAnalysis::samples(int outIndex,
 }
 
 StatisticalWaveform PnoiseAnalysis::statistical(int outIndex) const {
+  TraceSpan span(Phase::kPnoise, "pnoise");
   const size_t m = pss_->stepCount();
+  const size_t ns = sources_.size();
   StatisticalWaveform w;
   w.times.assign(pss_->times.begin(), pss_->times.begin() + m);
   w.nominal = pss_->waveform(outIndex);
-  std::vector<size_t> grid(m);
-  std::iota(grid.begin(), grid.end(), size_t{0});
-  const CplxVector p = samples(outIndex, grid);  // p[s * m + k]
+  // terms[s * m + k] = |p_k[out]|^2 sigma_s^2, summed in source order below.
+  const size_t out = static_cast<size_t>(outIndex);
+  RealVector terms(ns * m);
+  walkEnvelopes(m - 1, [&](size_t s, size_t k, auto p) {
+    const Real sigma = sources_[s].sigma;
+    terms[s * m + k] = std::norm(Cplx(p[out])) * (sigma * sigma);
+  });
   w.sigma.assign(m, 0.0);
   for (size_t k = 0; k < m; ++k) {
     Real var = 0.0;
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      const Real sigma = sources_[s].sigma;
-      var += std::norm(p[s * m + k]) * (sigma * sigma);
-    }
+    for (size_t s = 0; s < ns; ++s) var += terms[s * m + k];
     w.sigma[k] = std::sqrt(var);
   }
   return w;

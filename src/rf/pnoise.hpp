@@ -14,14 +14,18 @@
 // Backward-Euler on the PSS grid gives the block-cyclic system
 //     K_k p_k - D_k p_{k-1} = b_k,   K_k = G_k + (1/h + j w) C_k,
 //     D_k = C_{k-1}/h,               k = 1..M,  p_0 = p_M.
-// Direct solve: one backward sweep of the n columns Y_k = P_k^T (P_k maps
-// b_k to the particular part at step M) gives the frequency-shifted
-// monodromy B_M and every source's alpha_M = sum_k Y_k^T b_k, with no
-// source carried through the period; the closure (I - B_M) p_0 = alpha_M
-// then yields each source's p_0, and pass 2 walks its envelope from there.
-// Adjoint solve: one transposed cyclic solve yields the transfer of
-// *every* source into one output harmonic (the "breakdown at no extra
-// cost" the paper relies on, SS V).
+// Every readout runs one backward sweep of the n transposed columns
+// Y_k = P_k^T (P_k maps b_k to the particular part at step M), which gives
+// the frequency-shifted monodromy B_M = Phi and every source's
+// alpha_s = sum_k Y_k^T b_k with no source carried through the period.
+// The direct solve closes (I - B_M) p_0 = alpha_s for each source's p_0,
+// and pass 2 walks its envelope from there. A sideband adds the nw
+// particular columns of its adjoint (its Fourier weights at the output):
+// one closure then yields the transfer of *every* source into that
+// harmonic (the "breakdown at no extra cost" the paper relies on, SS V).
+// On an oscillator the same sweep over the shooting step factors prices
+// every source's period sensitivity (the discretely consistent form of
+// Demir's perturbation projection vector, PPV).
 //
 // The orbit picks the scalar. A driven orbit solves the quasi-static
 // system w = 0 in real arithmetic: K_k = G_k + C_k/h is the Jacobian
@@ -38,17 +42,19 @@
 // along the orbit (the Verilog-A pseudo-noise modulation of paper Fig. 4).
 //
 // Every readout solves on demand and pays only for what it reads: a
-// sideband is one adjoint solve holding O(M n) state, envelope samples and
-// sigma(t) stop pass 2 at the last grid point they read and keep only those
-// samples, and only solution() stores every envelope. The step factors
-// (rf/step_factors.hpp, the store the shooting monodromy sweeps on) and the
-// closed p_0 of every source are cached on first use and shared by later
-// readouts, so const readouts fill caches: one analysis serves one thread
-// at a time (its pool fans each solve out internally).
+// sideband is one sweep of n + nw columns holding O(n^2 + ns n) state,
+// envelope samples and sigma(t) stop pass 2 at the last grid point they
+// read and keep only what they read, and only solution() stores every
+// envelope. The step factors (rf/step_factors.hpp, the store the shooting
+// monodromy sweeps on) and the closed p_0 of every source are cached on
+// first use and shared by later readouts, so const readouts fill caches:
+// one analysis serves one thread at a time (its pool fans each solve out
+// internally).
 //
 // tests/test_rf_sparse.cpp checks every readout against a DenseLU rebuild
-// of the same cyclic system, and tests/test_mc_validation.cpp checks
-// sigma(t) against the sample sigma of seeded Monte-Carlo PSS re-solves.
+// of the same cyclic system (PPV against a dense rebuild of the shooting
+// adjoint), and tests/test_mc_validation.cpp checks sigma(t) against the
+// sample sigma of seeded Monte-Carlo PSS re-solves.
 #pragma once
 
 #include <memory>
@@ -64,17 +70,16 @@ struct PnoiseOptions {
   /// sigma^2 / f equals sigma^2. It sets an oscillator's recursion
   /// frequency (a driven orbit's runs at 0) and nothing else.
   static constexpr Real offsetFreq = 1.0;
-  /// Optional execution runtime. The direct closure sweep fans, one window
-  /// of grid steps at a time, every source's injections over the slots
-  /// and then its n columns Y_k in one block per slot; pass 2 partitions
-  /// its ns envelope chains, and the adjoint its columns [V_k | u_k]
-  /// (n + 1, or n + 2 on a driven orbit at N != 0, where the complex
-  /// Fourier weights split into a real and an imaginary column), into one
-  /// block per slot, each carried through all its grid steps against the
-  /// shared step factors; the adjoint then fans its per-source transfers.
-  /// Every column's arithmetic involves only that column, so results are
-  /// bit-identical for every jobs count (docs/architecture.md "RF
-  /// parallelism").
+  /// Optional execution runtime. The cycle sweep of every readout fans,
+  /// one window of grid steps at a time, every source's injections over
+  /// the slots and then its n + nw columns [Y_k | U_k] in one block per
+  /// slot (nw = 0 for the direct readouts and PPV; 1 on an oscillator or at
+  /// N = 0; 2 on a driven orbit at N != 0, where the complex Fourier
+  /// weights split into a real and an imaginary column), each block carried
+  /// through all its grid steps against the shared step factors; pass 2
+  /// partitions its ns envelope chains the same way. Every column's
+  /// arithmetic involves only that column, so results are bit-identical for
+  /// every jobs count (docs/architecture.md "RF parallelism").
   ThreadPool* pool = nullptr;
 };
 
@@ -136,9 +141,23 @@ class PnoiseAnalysis {
   const LptvSolution& solution() const;
 
   /// Readout at output unknown `outIndex`, sideband N (0 = baseband), from
-  /// one adjoint LPTV solve: the transfer coefficients P_N[outIndex] of
-  /// every source.
+  /// one cycle sweep and one adjoint closure: the transfer coefficients
+  /// P_N[outIndex] of every source.
   PnoiseSideband sideband(int outIndex, int harmonic) const;
+
+  /// dT/dp of every source (seconds per unit parameter; df/dp is
+  /// -f0^2 dT/dp) on an autonomous orbit, from the implicit function
+  /// theorem on the shooting system
+  ///   H(x0, T; p) = [ x(T; x0, p) - x0 ;  x0[phase] - c ] = 0:
+  /// dT/dp_s = -w_x^T alpha_s, where [w_x; w_T] solves the transposed
+  /// bordered system
+  ///   [ Phi - I   dx(T)/dT ]^T [w_x]   [0]
+  ///   [ e_phase^T     0    ]   [w_T] = [1]
+  /// and Phi and every alpha_s come from one cycle sweep over the real shooting
+  /// step factors K_k = G_k + C_k/h (w = 0), even where the sidebands run
+  /// complex. Y_k w_x is the discrete PPV waveform. Throws on a driven
+  /// orbit.
+  RealVector periodSensitivity() const;
 
   /// Envelope samples of every source at output `outIndex` and the grid
   /// points `points`: out[s * points.size() + i] is p_{points[i]}[outIndex]
@@ -147,7 +166,8 @@ class PnoiseAnalysis {
   CplxVector samples(int outIndex, std::span<const size_t> points) const;
 
   /// sigma(t) of output `outIndex` at every grid point of the period, from
-  /// one sampled direct pass over the period (no envelope is stored).
+  /// one direct pass over the period that keeps one real term per source
+  /// and grid point (no envelope is stored).
   StatisticalWaveform statistical(int outIndex) const;
 
  private:

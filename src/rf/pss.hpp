@@ -68,7 +68,8 @@ struct PssResult {
   /// w = 0 (see rf/pnoise.hpp).
   bool autonomous = false;
   /// Autonomous only: the phase-condition unknown and d x(T)/dT at the
-  /// solution (used by the discrete-adjoint period sensitivity, rf/ppv).
+  /// solution (the border of the discrete-adjoint period sensitivity,
+  /// PnoiseAnalysis::periodSensitivity).
   int phaseIndex = -1;
   RealVector dxdT;
   /// M+1 uniformly spaced points over one period; states[M] == states[0]

@@ -1,16 +1,15 @@
 // The step operators of a stored periodic orbit, shared by shooting's
-// monodromy, the PPV sweep and the LPTV recursions of rf/pnoise (internal to
-// rf/).
+// monodromy and the cycle sweep of rf/pnoise (internal to rf/).
 //
 // A backward-Euler orbit stores G_k and C_k at its grid points k = 0..M,
 // step h. Every small-signal recursion on it runs over
 //   K_k = G_k + coef C_k,   D_k = C_{k-1}/h,   k = 1..M.
 // With coef = 1/h, K_k is the Jacobian J_k the period integration's Newton
 // kernel factored, and the homogeneous recursion X_k = K_k^{-1} D_k X_{k-1}
-// from X_0 = I ends in the monodromy Phi (sweepMonodromy); the PPV sweep
-// and a driven orbit's LPTV (w = 0) run on these real factors too. With
-// coef = 1/h + j w it is the LPTV step of an oscillator at offset w, the
-// only complex instantiation.
+// from X_0 = I ends in the monodromy Phi (sweepMonodromy); an oscillator's
+// period sensitivity (PPV) and a driven orbit's LPTV (w = 0) sweep these
+// real factors too. With coef = 1/h + j w it is the LPTV step of an
+// oscillator at offset w, the only complex instantiation.
 #pragma once
 
 #include <span>
@@ -51,13 +50,6 @@ class StepFactors {
                         LuSolveScratch<T>& scratch) const {
     lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
   }
-  /// K_k^{-T} on `w` RHS-interleaved columns: row i of every column at
-  /// b[i*w .. i*w + w-1] (w == 1 is a plain vector).
-  void solveTransposedInPlace(size_t k, std::span<T> b, size_t w,
-                              LuSolveScratch<T>& scratch) const {
-    lus_[k - 1].solveTransposedInterleavedInPlace(b, w, scratch);
-  }
-
   /// out = D_k v = (C_{k-1} v) / h.
   void applyD(size_t k, std::span<const T> v, std::span<T> out) const;
   /// out = D_k^T v = (C_{k-1}^T v) / h on `w` RHS-interleaved columns (n w
@@ -66,18 +58,20 @@ class StepFactors {
   void applyDT(size_t k, const T* v, T* out, size_t w) const;
 
   /// One step down the grid of the transposed recursion, on a block of `w`
-  /// RHS-interleaved columns:
+  /// RHS-interleaved columns (row i of every column at next[i*w .. i*w +
+  /// w-1]):
   ///   next = K_k^{-T} (D_{k+1}^T cur + R_k),   D_{M+1} == D_1,
   /// where input(next) adds R_k to D_{k+1}^T cur before the solve. Column c
   /// of next reads only column c of cur, so every partition of the columns
-  /// into blocks computes the same bits. The LPTV closure sweep and the
-  /// adjoint sideband both carry their column blocks with it.
+  /// into blocks computes the same bits. The LPTV cycle sweep carries its
+  /// column blocks with it.
   template <class Input>
   void stepTransposed(size_t k, const T* cur, T* next, size_t w,
                       LuSolveScratch<T>& scratch, const Input& input) const {
     applyDT(k == steps() ? 1 : k + 1, cur, next, w);
     input(next);
-    solveTransposedInPlace(k, std::span<T>(next, size() * w), w, scratch);
+    lus_[k - 1].solveTransposedInterleavedInPlace(
+        std::span<T>(next, size() * w), w, scratch);
   }
 
   /// Carries one block of `cols` columns through steps k = 1..last of

@@ -246,6 +246,26 @@ def case_bad_inputs(cli):
                and len(p.stderr.strip().splitlines()) == 1,
                f"'{card}' must exit 1 with a one-line 'bad .pnoise card'", p)
 
+    # A card short of its values (a .tran without both times, a .pss
+    # without a period, a .pnoise without an output node) is refused the
+    # same way in both modes, not skipped as unsupported (card mode) or
+    # taken for a missing .tran card (sweep mode).
+    for card, cause in ((".tran 1n", "bad .tran card"),
+                        (".tran", "bad .tran card"),
+                        (".pss", "bad .pss card"),
+                        (".pnoise", "bad .pnoise card")):
+        deck = os.path.join(cli.tmp, "short_card.sp")
+        with open(deck, "w") as f:
+            f.write(f"* short analysis card\nr1 a 0 1k sigma=10\nv1 a 0 1\n"
+                    f"{card}\n.end\n")
+        for mode, extra in (("card mode", ()),
+                            ("--sweep", ("--sweep", "mc:2", "--probe", "a"))):
+            p = cli.run(deck, *extra)
+            expect(p.returncode == 1 and cause in p.stderr
+                   and len(p.stderr.strip().splitlines()) == 1,
+                   f"'{card}' in {mode} must exit 1 with a one-line "
+                   f"'{cause}'", p)
+
     # Sweep mode reads the .tran card through the same check.
     for card in (".tran 1n -1u", ".tran 0 1u"):
         deck = os.path.join(cli.tmp, "bad_sweep.sp")

@@ -187,7 +187,7 @@ TEST(Allocation, LptvDirectStoresNoInjectionEnvelopes) {
 }
 
 TEST(Allocation, ScalarReadoutsStoreNoEnvelopes) {
-  // A sideband readout (one adjoint solve) and an edge readout (two
+  // A sideband readout (one cycle sweep) and an edge readout (two
   // envelope samples of one output, from a direct pass truncated at the
   // crossing) store no envelope. From PnoiseAnalysis construction through
   // both, allocations stay linear in ns + M + slots: the step factors per

@@ -1,10 +1,11 @@
 // RF-layer tests: shooting PSS (driven and autonomous), the LPTV system
 // behind the pnoise readouts (degenerate-LTI checks, adjoint == direct),
-// PNOISE readouts, PPV.
+// PNOISE readouts, the PPV period sensitivity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <string>
@@ -18,7 +19,6 @@
 #include "engine/transient.hpp"
 #include "meas/measure.hpp"
 #include "rf/pnoise.hpp"
-#include "rf/ppv.hpp"
 #include "rf/pss.hpp"
 #include "util/fault_injection.hpp"
 
@@ -333,8 +333,9 @@ TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
     // The autonomous ring. Both closures restore the phase-mode eigenvalue
     // with a rank-one correction, but the forward one applies it at the
     // p_M -> p_0 cut and the adjoint at the l_1 cut, so the two transfers
-    // differ by the correction's discretization error, not by roundoff:
-    // the gap is the same at 40, 400 and 4000 inverse iterations.
+    // differ by the correction's discretization error, not by roundoff: one
+    // factor common to every source, 1 + 1.6e-5 at 400 steps
+    // (Lptv.OscillatorAdjointIsOneFactorOfDirect).
     Netlist nl;
     const auto osc = buildRingOscillator(nl, kit);
     MnaSystem sys(nl);
@@ -344,6 +345,45 @@ TEST(Lptv, AdjointMatchesDirectOnSwitchingCircuit) {
     const PssResult pss = solvePssAutonomous(
         sys, warm.periodEstimate, warm.phaseIndex, warm.state, opt);
     expectAdjointMatchesDirect(sys, pss, warm.phaseIndex, 1, 1e-4, "ring");
+  }
+}
+
+// On an oscillator the two readouts differ only in where the phase-mode
+// correction cuts the cycle, and both corrections act along the same
+// phase mode (the adjoint closure V_1 = Y_1 D_1^T and the forward Phi =
+// Y_1^T D_1 share it), so every source's adjoint transfer is its direct
+// Fourier coefficient times one factor. The spread of that factor across
+// the ring's 20 sources reads at most 8.0e-12. Carrying the corrected l_1
+// through the uncorrected recursion for every l_k, instead of reading the
+// transfers from the sweep's accumulators, scatters it by 2.9e-5 (400
+// steps) to 2.5e-4 (200 steps).
+TEST(Lptv, OscillatorAdjointIsOneFactorOfDirect) {
+  constexpr Real kFactorSpread = 1e-9;
+  const auto kit = ProcessKit::cmos130();
+  Netlist nl;
+  const auto osc = buildRingOscillator(nl, kit);
+  MnaSystem sys(nl);
+  const RingWarmup warm = warmupRingOscillator(sys, osc);
+  for (int steps : {200, 400}) {
+    PssOptions opt;
+    opt.stepsPerPeriod = steps;
+    const PssResult pss = solvePssAutonomous(
+        sys, warm.periodEstimate, warm.phaseIndex, warm.state, opt);
+    const PnoiseAnalysis pn(sys, pss);
+    const LptvSolution& direct = pn.solution();
+    for (int harmonic : {1, 2}) {
+      const PnoiseSideband sb = pn.sideband(warm.phaseIndex, harmonic);
+      Real lo = std::numeric_limits<Real>::infinity(), hi = -lo;
+      for (size_t s = 0; s < sb.transfer.size(); ++s) {
+        const Real f =
+            (sb.transfer[s] / direct.harmonic(s, warm.phaseIndex, harmonic))
+                .real();
+        lo = std::min(lo, f);
+        hi = std::max(hi, f);
+      }
+      EXPECT_LE(hi - lo, kFactorSpread)
+          << steps << " steps, harmonic " << harmonic << ", factor " << lo;
+    }
   }
 }
 
@@ -581,16 +621,16 @@ TEST(Ppv, FrequencySensitivityMatchesPnoiseReadout) {
   opt.stepsPerPeriod = 300;
   const PssResult pss = solvePssAutonomous(*ring.sys, ring.periodGuess,
                                            ring.phaseIdx, ring.x0, opt);
-  const PpvResult ppv = computePpv(*ring.sys, pss);
-
   PnoiseAnalysis pn(*ring.sys, pss, PnoiseOptions{});
+  const RealVector dTdp = pn.periodSensitivity();
   const PnoiseSideband sb = pn.sideband(ring.phaseIdx, 1);
   const Cplx v1 = pss.fourier(ring.phaseIdx, 1);
+  const Real f0 = 1.0 / pss.period;
   const auto& sources = pn.sources();
+  ASSERT_EQ(dTdp.size(), sources.size());
   for (size_t si = 0; si < std::min<size_t>(4, sources.size()); ++si) {
     const Real fromPnoise = (sb.transfer[si] * sb.offsetFreq / v1).real();
-    const Real fromPpv =
-        ppv.frequencySensitivity(*ring.sys, pss, sources[si]);
+    const Real fromPpv = -f0 * f0 * dTdp[si];
     EXPECT_NEAR(fromPpv, fromPnoise,
                 0.02 * std::fabs(fromPnoise) + 1e-3)
         << sources[si].name;
@@ -602,7 +642,7 @@ TEST(Ppv, RequiresAutonomousResult) {
   PssOptions opt;
   opt.stepsPerPeriod = 100;
   const PssResult pss = solvePssDriven(*ckt.sys, 1.0 / ckt.freq, opt);
-  EXPECT_THROW(computePpv(*ckt.sys, pss), Error);
+  EXPECT_THROW(PnoiseAnalysis(*ckt.sys, pss).periodSensitivity(), Error);
 }
 
 }  // namespace

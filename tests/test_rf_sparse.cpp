@@ -1,12 +1,13 @@
 // Dense-oracle tests for the RF engines: shooting PSS (driven and
 // autonomous), the LPTV recursions, periodic noise, the time-domain
-// statistical waveform and the PPV sweep run on the sparse Newton path
-// (declared pattern, SparseLU refactorization, the monodromy sweep over the
-// stored step factors, batched column solves). Each answer is checked against a reference that never
-// runs that sparse linear algebra: the BE orbit against DenseLU Newton
-// corrections of its evalDense residuals (tests/dense_oracle.hpp), and the
-// monodromy, dx/dT, LPTV transfers, sidebands, sigma(t) and PPV sweep
-// rebuilt with DenseLU from toDense() of the orbit's stored G_k / C_k.
+// statistical waveform and the PPV period sensitivity run on the sparse
+// Newton path (declared pattern, SparseLU refactorization, the monodromy
+// and cycle sweeps over the stored step factors, batched column solves).
+// Each answer is checked against a reference that never runs that sparse
+// linear algebra: the BE orbit against DenseLU Newton corrections of its
+// evalDense residuals (tests/dense_oracle.hpp), and the monodromy, dx/dT,
+// LPTV transfers, sidebands, sigma(t) and PPV rebuilt with DenseLU from
+// toDense() of the orbit's stored G_k / C_k.
 // Fixtures span small (12-unknown) and large (68-unknown) circuits.
 //
 // Also holds the regression fixture for the autonomous-shooting FD step:
@@ -16,7 +17,7 @@
 // integration and sweeps the monodromy only on the iterations that did not
 // close, the pool-vs-serial goldens of the RF fan-outs, the roundoff check
 // of the LPTV direct solve against the per-source algorithm, and the solve
-// columns one direct edge readout costs.
+// columns one direct edge readout and one sideband cost.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,7 +36,6 @@
 #include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "rf/pnoise.hpp"
-#include "rf/ppv.hpp"
 #include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/telemetry.hpp"
@@ -59,7 +59,7 @@ PssOptions pssOptions(int stepsPerPeriod) {
 // same stored matrices factored by DenseLU instead of SparseLU, so only LU
 // roundoff, amplified by the conditioning of the recursions and closures,
 // separates the answers (measured: monodromy 1.3e-15, LPTV envelopes
-// 5e-16, PPV 3e-14). A wrong factor or a skipped column moves them by O(1).
+// 5e-16, PPV 7.5e-15). A wrong factor or a skipped column moves them by O(1).
 constexpr Real kOrbitTol = 1e-9;
 constexpr Real kMonodromyTol = 1e-10;
 constexpr Real kLptvTol = 1e-10;
@@ -758,11 +758,10 @@ void expectLptvExactAcrossJobs(const MnaSystem& sys, const PssResult& pss,
 }
 
 TEST(LptvParallelGolden, ChainDirectAndAdjointExactAcrossJobCounts) {
-  // The direct solve's closure sweep fans, window by window, the sources'
-  // injections and then its n transposed columns across the pool, and
-  // pass 2 its ns envelope chains; the adjoint fans its n + 2 columns
-  // [V | u] through all M steps, then its per-source transfers. ns = 1
-  // leaves the envelope pass one column
+  // The cycle sweep fans, window by window, the sources' injections and
+  // then its transposed columns across the pool (n for the direct solve,
+  // n + 2 for the N = 1 sideband), and pass 2 its ns envelope chains.
+  // ns = 1 leaves the envelope pass one column
   // (SparseLU's nrhs == 1 solveInPlace fallback); ns = 3 leaves slots
   // idle at jobs 4 and 8.
   ChainFixture ckt(8);
@@ -974,6 +973,37 @@ TEST(LptvDirect, EdgeSamplesCostOneTransposedSweepOfNColumns) {
   }
 }
 
+// One sideband on a fresh analysis costs one cycle sweep of the n + nw
+// columns [Y_k | U_k] down the period and one closure solve per weight
+// column: (n + nw) M + nw solve columns at every jobs count, with nw = 1
+// at N = 0 and 2 at N = 1 on this driven orbit. A recursion of its own
+// for the adjoint states l_k would add nw (M - 1).
+TEST(LptvDirect, SidebandCostsOneSweepOfNPlusNwColumns) {
+  ChainFixture chain(8);
+  const PssResult pss = solvePssDriven(*chain.sys, chain.period,
+                                       pssOptions(60));
+  const size_t n = chain.sys->size();
+  const size_t m = pss.stepCount();
+  for (size_t jobs : {1u, 4u}) {
+    for (int harmonic : {0, 1}) {
+      const size_t nw = harmonic == 0 ? 1 : 2;
+      TelemetryRegistry reg(jobs);
+      ThreadPool pool(jobs);
+      pool.attachTelemetry(&reg);
+      {
+        TelemetryScope scope(reg, 0);
+        const PnoiseAnalysis pn(*chain.sys, pss, chain.sources,
+                                PnoiseOptions{&pool});
+        pn.sideband(chain.outIdx, harmonic);
+      }
+      pool.attachTelemetry(nullptr);
+      EXPECT_EQ(reg.counterTotal(Counter::kSolveColumns), (n + nw) * m + nw)
+          << "jobs=" << jobs << " N=" << harmonic << " n=" << n
+          << " M=" << m;
+    }
+  }
+}
+
 // --------------------------------------------- sampled direct readouts
 
 /// perfbench's traced edge readout (its edgeDelaySigma), before the sum of
@@ -1108,34 +1138,93 @@ TEST(LptvSamplePath, SparseChainEdgesMatchStoredEnvelopes) {
 
 // --------------------------------------------------------------- PPV
 
-// The PPV backward sweep rebuilt with DenseLU on the stored orbit:
-// z_k = J_k^{-T} y_k, y_{k-1} = D_k^T z_k from y_M = w_x (the library's
-// bordered adjoint, itself a DenseLU solve). Every source's frequency
-// sensitivity matches to kPpvTol relative.
+/// dT/dp of every source, the whole discrete-adjoint PPV rebuilt densely on
+/// the stored orbit: the transposed bordered system
+///   [ (Phi - I)^T  e_phase ] [w_x]   [0]
+///   [ dxdT^T       0       ] [w_T] = [1]
+/// on denseMonodromy, the waveform z_k = J_k^{-T} y_k, y_{k-1} = D_k^T z_k
+/// from y_M = w_x on DenseLU factors of the stored G_k / C_k, and
+/// dT/dp = sum_k z_k^T g_k with g_k = bf_k + (bq_k - bq_{k-1})/h from
+/// evalInjection on every row.
+RealVector densePeriodSensitivity(const MnaSystem& sys, const PssResult& pss,
+                                  std::span<const InjectionSource> sources) {
+  const size_t n = sys.size();
+  const size_t m = pss.stepCount();
+  const Real h = pss.stepSize();
+  const RealMatrix phi = denseMonodromy(pss);
+  RealMatrix a(n + 1, n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) a(i, j) = phi(j, i);
+    a(i, i) -= 1.0;
+    a(n, i) = pss.dxdT[i];
+  }
+  a(static_cast<size_t>(pss.phaseIndex), n) = 1.0;
+  RealVector rhs(n + 1, 0.0);
+  rhs[n] = 1.0;
+  const RealVector w = DenseLU<Real>(a).solve(rhs);
+
+  std::vector<RealVector> z(m + 1);
+  RealVector y(w.begin(), w.begin() + n);
+  for (size_t k = m; k >= 1; --k) {
+    z[k] = DenseLU<Real>(stepJacobian(pss, k)).solveTransposed(y);
+    y = matvecT(stepCoupling(pss, k), std::span<const Real>(z[k]));
+  }
+
+  RealVector dTdp;
+  for (const InjectionSource& src : sources) {
+    RealVector bf, bq, bqPrev;
+    sys.evalInjection(src, pss.states[0], pss.times[0], nullptr, &bqPrev);
+    Real acc = 0.0;
+    for (size_t k = 1; k <= m; ++k) {
+      sys.evalInjection(src, pss.states[k], pss.times[k], &bf, &bq);
+      for (size_t i = 0; i < n; ++i) {
+        acc += z[k][i] * (bf[i] + (bq[i] - bqPrev[i]) / h);
+      }
+      bqPrev = bq;
+    }
+    dTdp.push_back(acc);
+  }
+  return dTdp;
+}
+
+// The library's period sensitivity (one cycle sweep over the sparse step
+// factors, dT/dp = -w_x^T alpha_p) against the dense rebuild: every source
+// to kPpvTol relative.
 TEST(PpvGolden, FrequencySensitivityMatchesDenseOracle) {
   RingGolden ring(5, 30e-9, 10e-12);
   const PssResult pss = solvePssAutonomous(
       *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
       ring.warm.state, pssOptions(300));
-  const PpvResult ppv = computePpv(*ring.sys, pss);
-
-  PpvResult ref;
-  ref.wx = ppv.wx;
-  ref.wT = ppv.wT;
-  ref.z.assign(pss.stepCount() + 1, RealVector());
-  RealVector y = ppv.wx;
-  for (size_t k = pss.stepCount(); k >= 1; --k) {
-    ref.z[k] = DenseLU<Real>(stepJacobian(pss, k)).solveTransposed(y);
-    y = matvecT(stepCoupling(pss, k), std::span<const Real>(ref.z[k]));
+  const PnoiseAnalysis pn(*ring.sys, pss);
+  const RealVector got = pn.periodSensitivity();
+  const RealVector want = densePeriodSensitivity(*ring.sys, pss, pn.sources());
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  const Real f0 = 1.0 / pss.period;
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_NEAR(-f0 * f0 * got[s], -f0 * f0 * want[s],
+                kPpvTol * std::fabs(f0 * f0 * want[s]))
+        << pn.sources()[s].name;
   }
+}
 
-  const auto sources = ring.sys->collectSources();
-  ASSERT_FALSE(sources.empty());
-  for (const InjectionSource& src : sources) {
-    const Real want = ref.frequencySensitivity(*ring.sys, pss, src);
-    EXPECT_NEAR(ppv.frequencySensitivity(*ring.sys, pss, src), want,
-                kPpvTol * std::fabs(want))
-        << src.name;
+// The period sensitivity's sweep fans its n columns across the pool like
+// the direct readouts: every jobs count gives the serial bits.
+TEST(PpvParallelGolden, PeriodSensitivityExactAcrossJobCounts) {
+  RingGolden ring(5, 30e-9, 10e-12);
+  const PssResult pss = solvePssAutonomous(
+      *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
+      ring.warm.state, pssOptions(200));
+  const RealVector serial = PnoiseAnalysis(*ring.sys, pss).periodSensitivity();
+  for (size_t jobs : kJobCounts) {
+    ThreadPool pool(jobs);
+    const RealVector par =
+        PnoiseAnalysis(*ring.sys, pss, PnoiseOptions{&pool})
+            .periodSensitivity();
+    ASSERT_EQ(par.size(), serial.size());
+    for (size_t s = 0; s < serial.size(); ++s) {
+      EXPECT_EQ(par[s], serial[s]) << "jobs=" << jobs << " s=" << s;
+    }
   }
 }
 
